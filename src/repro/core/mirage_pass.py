@@ -19,6 +19,8 @@ layout — data moves without any inserted SWAP gate, which is exactly the
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.circuits.dag import DAGCircuit, DAGNode
@@ -26,12 +28,86 @@ from repro.circuits.gates import UnitaryGate
 from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.kernel import KernelState
+from repro.transpiler.kernel import IntDAG, KernelState
+from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import gate_coordinate, node_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
-from repro.weyl.mirror import mirror_coordinate
+from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
+
+#: Attribute under which mirror tables are memoised on an ``IntDAG``.
+_TABLES_ATTR = "_mirror_tables"
+
+
+@dataclasses.dataclass(frozen=True)
+class MirrorTable:
+    """Trial-invariant mirror data of one lowered circuit, per gate slot.
+
+    Indexed like :attr:`IntDAG.gates`.  Slots of gates that never reach
+    the intermediate layer (single-qubit gates, directives) hold ``None``
+    and ``0.0``.
+
+    Attributes:
+        mirror_coords: Weyl coordinate of ``SWAP . U`` per slot (Eq. 1).
+        gate_costs: decomposition cost of the gate, in basis-gate units.
+        mirror_costs: decomposition cost of its mirror, in the same units.
+    """
+
+    mirror_coords: list[tuple[float, float, float] | None]
+    gate_costs: list[float]
+    mirror_costs: list[float]
+
+
+def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
+    """The :class:`MirrorTable` of ``intdag`` under ``coverage``, memoised.
+
+    A gate's coordinate, its mirror coordinate and both decomposition
+    costs depend only on the gate, never on the layout, so they are
+    computed once per lowering — one batched
+    :func:`~repro.weyl.mirror.mirror_coordinates_many` and one
+    :meth:`~repro.polytopes.coverage.CoverageSet.cost_of_many` over every
+    two-qubit slot — and shared by every routing run over it (refinement
+    rounds, routing trials, all trials a worker runs from one payload).
+    Both batched calls are element-wise identical to the scalar chain
+    ``gate_coordinate`` -> ``mirror_coordinate`` -> ``cost_of``, so the
+    routed output does not change.
+
+    The memo is keyed by the coverage set object itself (a strong
+    reference, so two sets can never alias) and is dropped from the
+    ``IntDAG`` pickle: each process builds its own table on first use.
+    """
+    tables = intdag.__dict__.setdefault(_TABLES_ATTR, {})
+    table = tables.get(coverage)
+    if table is not None:
+        return table
+    lists = intdag.lists()
+    slots = sorted(
+        {
+            slot
+            for slot, kind in zip(lists.gate_ids, lists.kind)
+            if kind == KIND_CHECK2
+        }
+    )
+    num_slots = len(intdag.gates)
+    mirror_coords: list[tuple[float, float, float] | None] = [None] * num_slots
+    gate_costs = [0.0] * num_slots
+    mirror_costs = [0.0] * num_slots
+    if slots:
+        coordinates = np.array(
+            [gate_coordinate(intdag.gates[slot]) for slot in slots], dtype=float
+        )
+        mirrored = mirror_coordinates_many(coordinates)
+        costs = coverage.cost_of_many(np.vstack([coordinates, mirrored]))
+        unit = coverage.unit_cost
+        count = len(slots)
+        for row, slot in enumerate(slots):
+            mirror_coords[slot] = tuple(mirrored[row].tolist())
+            gate_costs[slot] = float(costs[row]) / unit
+            mirror_costs[slot] = float(costs[count + row]) / unit
+    table = MirrorTable(mirror_coords, gate_costs, mirror_costs)
+    tables[coverage] = table
+    return table
 
 
 class MirageSwap(SabreSwap):
@@ -107,40 +183,44 @@ class MirageSwap(SabreSwap):
 
     # -- the intermediate layer, flat-kernel twin ---------------------------
 
+    def _begin_flat(self, intdag: IntDAG) -> None:
+        self._table = mirror_table(intdag, self.coverage)
+
     def _commit_two_qubit_flat(
         self, state: KernelState, node_id: int, physical: tuple[int, int]
     ) -> None:
         """Mirror decision over flat kernel state (same arithmetic, same
-        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`)."""
+        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`).
+
+        The layout-independent half of the decision — mirror coordinate
+        and both decomposition costs — is read from the per-circuit
+        :class:`MirrorTable`; only the routing pressure is computed here.
+        """
         self._stats["candidates"] += 1
 
-        gate = state.gate(node_id)
-        coordinate = gate_coordinate(gate)
-        mirrored_coordinate = mirror_coordinate(coordinate)
-
-        unit = self.coverage.unit_cost
-        pair_costs = self.coverage.cost_of_many(
-            (coordinate, mirrored_coordinate)
-        )
-        decomposition_current = float(pair_costs[0]) / unit
-        decomposition_mirror = float(pair_costs[1]) / unit
-
+        slot = state.gate_id(node_id)
+        table = self._table
         lookahead = state.lookahead_pairs(node_id)
         routing_current, routing_mirror = self._mirror_routing_costs_flat(
             state, lookahead, physical
         )
 
         cost_current = (
-            self.decomposition_weight * decomposition_current + routing_current
+            self.decomposition_weight * table.gate_costs[slot] + routing_current
         )
         cost_trial = (
-            self.decomposition_weight * decomposition_mirror + routing_mirror
+            self.decomposition_weight * table.mirror_costs[slot] + routing_mirror
         )
 
         if accept_mirror(cost_current, cost_trial, self.aggression):
             self._stats["mirrors"] += 1
             state.ops.append(
-                (self._mirror_gate(gate, mirrored_coordinate), physical)
+                (
+                    self._mirror_gate(
+                        state.intdag.gates[slot], table.mirror_coords[slot]
+                    ),
+                    physical,
+                )
             )
             state.swap_physical(*physical)
         else:

@@ -31,7 +31,10 @@ from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.executors import TrialExecutor
 from repro.transpiler.layout import apply_layout, vf2_layout
 from repro.transpiler.metrics import evaluate
-from repro.transpiler.passes.cleanup import clean_input
+from repro.transpiler.passes.cleanup import (
+    clean_input,
+    elide_input_swaps_permuted,
+)
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
@@ -72,6 +75,28 @@ class MirageRouterFactory:
             self.coverage,
             aggression=self.schedule[trial % len(self.schedule)],
         )
+
+
+class CleanInputPass(BasePass):
+    """Input cleaning that records the permutation of its SWAP elision.
+
+    Composes the permutation onto any ``input_permutation`` an earlier
+    cleaning stage left in the property set, so after ``clean`` and
+    ``reclean`` the output of the *original* circuit on qubit ``q`` is the
+    output of ``state.circuit`` on qubit ``input_permutation[q]``.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def run(self, state: PipelineState) -> None:
+        state.circuit, permutation = elide_input_swaps_permuted(
+            clean_input(state.circuit, elide_swaps=False)
+        )
+        previous = state.properties.get("input_permutation")
+        if previous is not None:
+            permutation = [permutation[wire] for wire in previous]
+        state.properties["input_permutation"] = permutation
 
 
 class ResolveCouplingPass(BasePass):
@@ -383,6 +408,7 @@ class SelectResultPass(BasePass):
             trial_index=props.get("trial_index", -1),
             input_metrics=props.get("input_metrics"),
             trial_seconds=props.get("trial_seconds"),
+            input_permutation=props.get("input_permutation"),
         )
 
 
@@ -407,9 +433,9 @@ def validate_flow(method: str, selection: str) -> tuple[str, str]:
 def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
     """Input cleaning + unrolling + consolidation (paper Section V)."""
     manager = PassManager()
-    manager.append(FunctionPass("clean", clean_input))
+    manager.append(CleanInputPass("clean"))
     manager.append(FunctionPass("unroll", unroll_to_two_qubit))
-    manager.append(FunctionPass("reclean", clean_input))
+    manager.append(CleanInputPass("reclean"))
     if consolidate:
         manager.append(FunctionPass("consolidate", consolidate_blocks))
     return manager

@@ -67,6 +67,13 @@ class TranspileResult:
         Summed wall-clock seconds spent inside this circuit's routing
         trials (worker time).  ``None`` when routing was skipped (VF2
         embedding) or for results predating this field.
+    input_permutation : list of int or None
+        Wire permutation applied by eliding the input program's SWAP
+        gates: the input circuit's output on virtual qubit ``q`` is the
+        routed output of virtual qubit ``input_permutation[q]``, i.e. it
+        sits on physical qubit
+        ``final_layout.v2p(input_permutation[q])``.  The identity when
+        the input has no SWAPs; ``None`` when no cleaning stage ran.
     """
 
     circuit: QuantumCircuit
@@ -84,6 +91,7 @@ class TranspileResult:
     input_metrics: CircuitMetrics | None = None
     pipeline_report: list[dict] | None = None
     trial_seconds: float | None = None
+    input_permutation: list[int] | None = None
 
     def stage_seconds(self) -> dict[str, float]:
         """Wall-clock seconds per pipeline stage.

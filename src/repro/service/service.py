@@ -142,6 +142,11 @@ DEFAULT_BREAKER_COOLDOWN_S = 5.0
 #: Default drain cap (seconds) for :meth:`MirageService.aclose`.
 DEFAULT_DRAIN_S = 30.0
 
+#: Most recent entries kept in the per-window log and in the breaker's
+#: transition trail.  Older entries are dropped; the counters in
+#: :meth:`MirageService.stats` keep counting every window.
+LOG_LIMIT = 1024
+
 
 def service_window_ms() -> float:
     """Admission window in milliseconds from ``MIRAGE_SERVICE_WINDOW_MS``.
@@ -284,7 +289,8 @@ class _CircuitBreaker:
     latency profile changes).  After ``cooldown_s`` seconds open, the
     breaker **half-opens**: the next window runs on the primary
     executor as a probe; a clean probe closes the breaker, a dirty one
-    re-opens it.  All transitions are recorded for :meth:`stats`.
+    re-opens it.  The last :data:`LOG_LIMIT` transitions are kept for
+    :meth:`stats`.
     """
 
     def __init__(
@@ -296,7 +302,9 @@ class _CircuitBreaker:
         self.state = "closed"
         self.trips = 0
         self.opened_at: float | None = None
-        self.transitions: list[dict] = []
+        self.transitions: collections.deque[dict] = collections.deque(
+            maxlen=LOG_LIMIT
+        )
         self._events: collections.deque[float] = collections.deque()
         self._t0 = t0
 
@@ -549,7 +557,11 @@ class MirageService:
         self._degraded_windows = 0
         self._drain_abandoned = 0
         self._tenant_counts: collections.Counter[str] = collections.Counter()
-        self._window_log: list[dict] = []
+        self._window_log: collections.deque[dict] = collections.deque(
+            maxlen=LOG_LIMIT
+        )
+        self._windows = 0
+        self._coalesced_requests = 0
 
     # -- client surface -----------------------------------------------------
 
@@ -763,12 +775,12 @@ class MirageService:
             batch, waits = await asyncio.to_thread(self._run_window, window)
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
             self._failed += len(window.requests)
-            self._window_log.append(self._window_record(window, None, None, exc))
+            self._log_window(self._window_record(window, None, None, exc))
             for request in window.requests:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        self._window_log.append(self._window_record(window, batch, waits, None))
+        self._log_window(self._window_record(window, batch, waits, None))
         for request, result in zip(window.requests, batch.results):
             if isinstance(result, TranspileResult):
                 self._completed += 1
@@ -778,6 +790,13 @@ class MirageService:
                 self._failed += 1
                 if not request.future.done():
                     request.future.set_exception(result)
+
+    def _log_window(self, record: dict) -> None:
+        """Count a finished window and append its record to the bounded log."""
+        self._windows += 1
+        if record["requests"] > 1:
+            self._coalesced_requests += record["requests"]
+        self._window_log.append(record)
 
     def _run_window(
         self, window: _Window
@@ -934,7 +953,8 @@ class MirageService:
         ``coalesced_requests`` — requests that shared a window with at
         least one other, ``open_windows`` still admitting,
         ``drain_abandoned`` futures failed at the drain cap), the
-        per-window ``window_log`` (request/tenant counts, queue waits
+        per-window ``window_log`` of the last :data:`LOG_LIMIT` windows
+        (request/tenant counts, queue waits
         including a per-tenant breakdown, and the dispatch counters
         inherited from :attr:`~repro.core.results.BatchResult.dispatch`),
         plus ``registry`` hit/miss/build/eviction counters and the
@@ -958,12 +978,8 @@ class MirageService:
             },
             "breaker": self._breaker.stats(),
             "degraded_windows": self._degraded_windows,
-            "windows": len(self._window_log),
-            "coalesced_requests": sum(
-                record["requests"]
-                for record in self._window_log
-                if record["requests"] > 1
-            ),
+            "windows": self._windows,
+            "coalesced_requests": self._coalesced_requests,
             "open_windows": len(self._open_windows),
             "drain_abandoned": self._drain_abandoned,
             "window_log": [dict(record) for record in self._window_log],

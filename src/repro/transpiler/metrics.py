@@ -17,10 +17,11 @@ basis gate, exactly as MIRAGE itself estimates costs while routing.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit, DAGNode
-from repro.circuits.gates import UnitaryGate
+from repro.circuits.gates import Gate, UnitaryGate
 from repro.polytopes.cache import GLOBAL_COORDINATE_CACHE
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.weyl.catalog import coordinate_of_named_gate
@@ -132,6 +133,39 @@ def evaluate(
         gate_depth=gate_depth,
         mirrors_accepted=mirrors_accepted,
     )
+
+
+def ops_depth(
+    ops: Sequence[tuple[Gate, Sequence[int]]], coverage: CoverageSet
+) -> float:
+    """Weighted critical-path depth of a topologically ordered op stream.
+
+    Equals ``evaluate(dag).depth`` bit for bit for the DAG built by adding
+    ``ops`` in order: one batched coverage query prices the two-qubit ops
+    in the same order, and a per-wire running maximum walked in emission
+    order performs the same ``max`` and the same additions as the DAG's
+    longest-path walk, without building the DAG.
+    """
+    weights = [0.0] * len(ops)
+    two_qubit = [
+        index
+        for index, (gate, qubits) in enumerate(ops)
+        if len(qubits) == 2 and not gate.is_directive
+    ]
+    if two_qubit:
+        costs = coverage.cost_of_many(
+            [gate_coordinate(ops[index][0]) for index in two_qubit]
+        )
+        for index, cost in zip(two_qubit, costs.tolist()):
+            weights[index] = cost
+    wire: dict[int, float] = {}
+    best = 0.0
+    for (gate, qubits), weight in zip(ops, weights):
+        distance = max(wire.get(q, 0.0) for q in qubits) + weight
+        for qubit in qubits:
+            wire[qubit] = distance
+        best = max(best, distance)
+    return float(best)
 
 
 def improvement(before: CircuitMetrics, after: CircuitMetrics) -> dict[str, float]:

@@ -3,6 +3,7 @@
 from repro.transpiler.passes.cleanup import (
     clean_input,
     elide_input_swaps,
+    elide_input_swaps_permuted,
     remove_directives,
     remove_identity_gates,
 )
@@ -31,6 +32,7 @@ from repro.transpiler.passes.unroll import unroll_to_two_qubit
 __all__ = [
     "clean_input",
     "elide_input_swaps",
+    "elide_input_swaps_permuted",
     "remove_directives",
     "remove_identity_gates",
     "consolidate_blocks",

@@ -38,7 +38,20 @@ def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
     permutation applied to all later gates; the resulting circuit computes
     the same unitary up to a final wire permutation, which is irrelevant for
     routing-quality comparisons (and is how Qiskit's ``RemoveSwap``-style
-    cleaning behaves before SABRE runs).
+    cleaning behaves before SABRE runs).  :func:`elide_input_swaps_permuted`
+    also returns that permutation.
+    """
+    return elide_input_swaps_permuted(circuit)[0]
+
+
+def elide_input_swaps_permuted(
+    circuit: QuantumCircuit,
+) -> tuple[QuantumCircuit, list[int]]:
+    """:func:`elide_input_swaps` plus the wire permutation it applied.
+
+    Returns ``(cleaned, permutation)``: the output state of ``circuit`` on
+    qubit ``q`` is the output state of ``cleaned`` on qubit
+    ``permutation[q]``.
     """
     permutation = list(range(circuit.num_qubits))
     out = QuantumCircuit(circuit.num_qubits, circuit.name)
@@ -50,7 +63,7 @@ def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
         out.append(
             instruction.gate, [permutation[q] for q in instruction.qubits]
         )
-    return out
+    return out, permutation
 
 
 def clean_input(circuit: QuantumCircuit, *, elide_swaps: bool = True) -> QuantumCircuit:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.circuits.dag import DAGCircuit
-from repro.polytopes.coverage import CoverageSet
+from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.executors import TrialExecutor, executor_scope
 from repro.transpiler.kernel import IntDAG, adopt_intdag, int_dag
@@ -110,18 +110,22 @@ def swap_count_metric(result: RoutingResult) -> float:
 class DepthMetric:
     """MIRAGE post-selection: smallest decomposition-aware critical path.
 
-    A frozen dataclass rather than a closure so that trial tasks carrying
-    it stay picklable for the process-pool executor.
+    Scores the routed op stream directly (:func:`~repro.transpiler.metrics.ops_depth`,
+    equal to ``evaluate(result.dag).depth``), so scoring a trial never
+    builds its DAG.  A frozen dataclass rather than a closure so that
+    trial tasks carrying it stay picklable for the process-pool executor.
     """
 
     basis: str = "sqrt_iswap"
     coverage: CoverageSet | None = None
 
     def __call__(self, result: RoutingResult) -> float:
-        evaluated = metrics_mod.evaluate(
-            result.dag, basis=self.basis, coverage=self.coverage
+        coverage = (
+            self.coverage
+            if self.coverage is not None
+            else get_coverage_set(self.basis)
         )
-        return evaluated.depth
+        return metrics_mod.ops_depth(result.ops, coverage)
 
 
 def depth_metric(

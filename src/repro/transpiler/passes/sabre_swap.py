@@ -13,7 +13,6 @@ where the paper's intermediate layer decides between a gate and its mirror.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.circuits.dag import DAGCircuit, DAGNode
 from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
 from repro.transpiler.kernel import (
+    IntDAG,
     KernelState,
     int_dag,
     neighbor_table,
@@ -40,12 +40,20 @@ DECAY_DELTA = 0.001
 DECAY_RESET_INTERVAL = 5
 
 
-@dataclasses.dataclass
 class RoutingResult:
     """Outcome of one routing run.
 
+    The flat kernel hands back its emitted op stream and the mapped DAG is
+    built from it only when :attr:`dag` is first read.  Refinement rounds
+    read only ``final_layout`` and the depth post-selection metric reads
+    ``ops``, so a layout search builds the DAG of its winner alone.  The
+    result holds exactly one of the two forms at any time (building the
+    DAG releases the op list), so a pickled result never carries both.
+
     Attributes:
         dag: the mapped DAG on physical qubits (includes inserted SWAPs).
+        ops: the mapped ``(gate, physical_qubits)`` stream in emission
+            order, which is a topological order of ``dag``.
         initial_layout: layout at circuit start.
         final_layout: layout after the last gate.
         swaps_added: number of SWAP gates inserted by the router.
@@ -53,12 +61,47 @@ class RoutingResult:
         mirror_candidates: number of gates that reached the intermediate layer.
     """
 
-    dag: DAGCircuit
-    initial_layout: Layout
-    final_layout: Layout
-    swaps_added: int
-    mirrors_accepted: int = 0
-    mirror_candidates: int = 0
+    def __init__(
+        self,
+        *,
+        initial_layout: Layout,
+        final_layout: Layout,
+        swaps_added: int,
+        mirrors_accepted: int = 0,
+        mirror_candidates: int = 0,
+        dag: DAGCircuit | None = None,
+        ops: list[tuple[Gate, tuple[int, ...]]] | None = None,
+        num_qubits: int = 0,
+        name: str = "dag",
+    ) -> None:
+        if (dag is None) == (ops is None):
+            raise ValueError("RoutingResult needs exactly one of dag or ops")
+        self.initial_layout = initial_layout
+        self.final_layout = final_layout
+        self.swaps_added = swaps_added
+        self.mirrors_accepted = mirrors_accepted
+        self.mirror_candidates = mirror_candidates
+        self._dag = dag
+        self._ops = ops
+        self._num_qubits = num_qubits
+        self._name = name
+
+    @property
+    def dag(self) -> DAGCircuit:
+        if self._dag is None:
+            out = DAGCircuit(self._num_qubits, self._name)
+            for gate, physical in self._ops:
+                out.add_node(gate, physical)
+            self._dag = out
+            self._ops = None
+        return self._dag
+
+    @property
+    def ops(self) -> list[tuple[Gate, tuple[int, ...]]]:
+        if self._ops is None:
+            # Node ids follow insertion order, i.e. the emission order.
+            return [(node.gate, node.qubits) for node in self._dag.nodes.values()]
+        return self._ops
 
     def to_circuit(self) -> QuantumCircuit:
         return self.dag.to_circuit()
@@ -127,8 +170,10 @@ class SabreSwap:
     ) -> RoutingResult:
         """Flat-kernel routing over the lowered int arrays."""
         self._stats = {"mirrors": 0, "candidates": 0}
+        intdag = int_dag(dag)
+        self._begin_flat(intdag)
         state = route_kernel(
-            int_dag(dag),
+            intdag,
             neighbor_table(self.coupling),
             initial_layout.virtual_to_physical(),
             rng,
@@ -139,17 +184,19 @@ class SabreSwap:
             stall_limit=10 * max(10, self.coupling.num_qubits),
             commit=self._commit_two_qubit_flat,
         )
-        out = DAGCircuit(self.coupling.num_qubits, dag.name)
-        for gate, physical in state.ops:
-            out.add_node(gate, physical)
         return RoutingResult(
-            dag=out,
+            ops=state.ops,
+            num_qubits=self.coupling.num_qubits,
+            name=dag.name,
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,
             mirrors_accepted=self._stats["mirrors"],
             mirror_candidates=self._stats["candidates"],
         )
+
+    def _begin_flat(self, intdag: IntDAG) -> None:
+        """Per-run setup before the kernel starts.  MIRAGE overrides this."""
 
     def _commit_two_qubit_flat(
         self, state: KernelState, node_id: int, physical: tuple[int, int]

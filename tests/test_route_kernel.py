@@ -290,10 +290,15 @@ def test_intdag_memo_and_adoption():
 def test_intdag_pickle_drops_interpreter_caches():
     dag = DAGCircuit.from_circuit(qft(4))
     lowered = int_dag(dag)
-    lowered.lists()  # populate the cache
-    assert "_lists" in lowered.__dict__
+    lowered.lists()  # populate the caches
+    MirageSwap(line_topology(4), coverage=COVERAGE).run(
+        dag, Layout.trivial(4, 4), seed=1
+    )
+    for cache in ("_lists", "_lookahead_cache", "_mirror_tables"):
+        assert cache in lowered.__dict__
     clone = pickle.loads(pickle.dumps(lowered))
-    assert "_lists" not in clone.__dict__
+    for cache in ("_lists", "_lookahead_cache", "_mirror_tables"):
+        assert cache not in clone.__dict__
     assert clone.num_nodes == lowered.num_nodes
     assert np.array_equal(clone.qubit0, lowered.qubit0)
     assert np.array_equal(clone.succ_ids, lowered.succ_ids)

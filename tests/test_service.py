@@ -751,3 +751,59 @@ def test_registry_limits_from_environment(monkeypatch):
     stats = registry.stats()
     assert stats["size"] == 1
     assert stats["evictions"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Bounded service state
+# ---------------------------------------------------------------------------
+
+
+def test_window_log_is_bounded_and_counts_stay_exact(monkeypatch):
+    """Ten times the log bound of windows: the log keeps the newest
+    ``LOG_LIMIT`` records while every counter still counts all of them."""
+    from repro.service import service as service_mod
+
+    monkeypatch.setattr(service_mod, "LOG_LIMIT", 4)
+    singles = 36
+
+    async def main():
+        async with _service(executor="serial", window_ms=0.0) as service:
+            for index in range(singles):
+                await service.submit(ghz(3), TOPOLOGY, seed=index)
+            for index in range(2):
+                await asyncio.gather(
+                    service.submit(ghz(3), TOPOLOGY, seed=100 + index),
+                    service.submit(ghz(4), TOPOLOGY, seed=200 + index),
+                )
+            return service.stats(), len(service._window_log)
+
+    stats, kept = _run(main())
+    assert stats["requests"] == stats["completed"] == singles + 4
+    assert stats["windows"] == singles + 2
+    assert stats["coalesced_requests"] == 4
+    assert kept == len(stats["window_log"]) == 4
+    assert [record["requests"] for record in stats["window_log"]] == [1, 1, 2, 2]
+
+
+def test_breaker_transitions_are_bounded(monkeypatch):
+    from repro.service import service as service_mod
+
+    monkeypatch.setattr(service_mod, "LOG_LIMIT", 4)
+    breaker = service_mod._CircuitBreaker(
+        threshold=1, window_s=10.0, cooldown_s=0.0, t0=0.0
+    )
+    cycles = 14  # three transitions each: 10x the bound and then some
+    for cycle in range(cycles):
+        now = float(cycle)
+        breaker.record(1, now, cycle, injected=False)
+        assert breaker.route(now, cycle) == "probe"
+        breaker.record(0, now, cycle, injected=False)
+    stats = breaker.stats()
+    assert stats["trips"] == cycles
+    assert stats["state"] == "closed"
+    assert [(t["from"], t["to"], t["window"]) for t in stats["transitions"]] == [
+        ("half_open", "closed", cycles - 2),
+        ("closed", "open", cycles - 1),
+        ("open", "half_open", cycles - 1),
+        ("half_open", "closed", cycles - 1),
+    ]

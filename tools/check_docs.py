@@ -59,6 +59,11 @@ PUBLIC_API = [
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
     ("repro.transpiler.kernel.route", "route_kernel"),
     ("repro.transpiler.kernel.route", "route_kernel_mode"),
+    ("repro.core.mirage_pass", "MirrorTable"),
+    ("repro.core.mirage_pass", "mirror_table"),
+    ("repro.transpiler.passes.sabre_swap", "RoutingResult"),
+    ("repro.transpiler.metrics", "ops_depth"),
+    ("repro.transpiler.passes.cleanup", "elide_input_swaps_permuted"),
     ("repro.transpiler.passes.sabre_layout", "run_trial"),
     ("repro.core.pipeline", "run_plan"),
     ("repro.core.pipeline", "PlanSpec"),
