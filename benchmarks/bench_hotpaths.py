@@ -6,8 +6,9 @@ outputs are element-wise / byte-for-byte identical while timing both:
 
 * ``coverage_cost``   — ``CoverageSet.cost_of`` loop vs ``cost_of_many``.
 * ``weyl``            — per-candidate Python loop vs ``weyl_coordinates_many``.
-* ``swap_choice``     — copy-layout-and-rescore SWAP selection vs the
-                        incremental delta scoring, timed inside the router.
+* ``swap_choice``     — the object path's copy-layout-and-rescore SWAP
+                        selection vs the flat kernel's Python and compiled
+                        scorers, each timed inside the same QFT routing.
 * ``coverage_cache``  — cold coverage build vs warm load from the persistent
                         disk cache (isolated in a temporary ``MIRAGE_CACHE_DIR``).
 
@@ -29,6 +30,7 @@ import platform
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from repro.core.transpile import transpile
 from repro.linalg.constants import MAGIC, MAGIC_DAG
 from repro.linalg.random import haar_unitary
 from repro.polytopes.coverage import build_coverage_set, load_or_build_coverage_set
+from repro.transpiler.kernel import route
+from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import topology_by_name
@@ -130,20 +134,6 @@ class _FullRescoreSwap(SabreSwap):
         return choice
 
 
-class _TimedDeltaSwap(SabreSwap):
-    """Current router instrumented to accumulate SWAP-selection time."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.choose_seconds = 0.0
-
-    def _choose_swap(self, front, layout, dag, rng):
-        start = time.perf_counter()
-        choice = super()._choose_swap(front, layout, dag, rng)
-        self.choose_seconds += time.perf_counter() - start
-        return choice
-
-
 # -- benchmark sections ------------------------------------------------------
 
 
@@ -198,37 +188,73 @@ def bench_weyl(num_unitaries: int) -> dict:
     }
 
 
+def _route_flat(coupling, dag, layout, scorer_module) -> tuple[object, float, float]:
+    """Route on the flat kernel with one scorer; (result, route s, choose s)."""
+    choose_seconds = 0.0
+    choose = route._choose_swap
+
+    def timed_choose(*args):
+        nonlocal choose_seconds
+        start = time.perf_counter()
+        edge = choose(*args)
+        choose_seconds += time.perf_counter() - start
+        return edge
+
+    with mock.patch.object(route, "load_routec", lambda: scorer_module), \
+            mock.patch.object(route, "_choose_swap", timed_choose), \
+            mock.patch.dict(os.environ, {"MIRAGE_ROUTE_KERNEL": "flat"}):
+        start = time.perf_counter()
+        result = SabreSwap(coupling, seed=3).run(dag, layout.copy(), seed=3)
+        route_seconds = time.perf_counter() - start
+    return result, route_seconds, choose_seconds
+
+
+def _ratio(numerator: float, denominator: float) -> float | None:
+    return numerator / denominator if denominator > 0 else None
+
+
 def bench_swap_choice(width: int) -> dict:
+    """The three SWAP scorers on one QFT routing: the object path's full
+    rescore, the flat kernel's Python scorer and its compiled scorer."""
     coupling = topology_by_name("square", width)
     circuit = benchmark_circuit("qft", width)
     dag = circuit.to_dag()
     layout = Layout.trivial(width, coupling.num_qubits)
 
     full = _FullRescoreSwap(coupling, seed=3)
-    start = time.perf_counter()
-    full_result = full.run(dag, layout.copy(), seed=3)
-    full_seconds = time.perf_counter() - start
+    with mock.patch.dict(os.environ, {"MIRAGE_ROUTE_KERNEL": "object"}):
+        start = time.perf_counter()
+        full_result = full.run(dag, layout.copy(), seed=3)
+        full_seconds = time.perf_counter() - start
+    results = {"full": (full_result, full_seconds, full.choose_seconds)}
+    results["python"] = _route_flat(coupling, dag, layout, None)
+    compiled = load_routec()
+    if compiled is not None:
+        results["native"] = _route_flat(coupling, dag, layout, compiled)
 
-    delta = _TimedDeltaSwap(coupling, seed=3)
-    start = time.perf_counter()
-    delta_result = delta.run(dag, layout.copy(), seed=3)
-    delta_seconds = time.perf_counter() - start
-
-    return {
-        "width": width,
-        "swaps": delta_result.swaps_added,
-        "full_route_s": full_seconds,
-        "delta_route_s": delta_seconds,
-        "full_choose_s": full.choose_seconds,
-        "delta_choose_s": delta.choose_seconds,
-        "choose_speedup": full.choose_seconds / delta.choose_seconds,
-        "route_speedup": full_seconds / delta_seconds,
-        "equal": bool(
-            full_result.swaps_added == delta_result.swaps_added
-            and circuit_digest(full_result.dag.to_circuit())
-            == circuit_digest(delta_result.dag.to_circuit())
-        ),
+    digests = {
+        name: (result.swaps_added, circuit_digest(result.dag.to_circuit()))
+        for name, (result, _, _) in results.items()
     }
+    report = {
+        "width": width,
+        "swaps": results["python"][0].swaps_added,
+        "native_available": compiled is not None,
+    }
+    for name, (_, route_seconds, choose_seconds) in results.items():
+        report[f"{name}_route_s"] = route_seconds
+        report[f"{name}_choose_s"] = choose_seconds
+    fastest = "native" if compiled is not None else "python"
+    report["choose_speedup"] = _ratio(
+        full.choose_seconds, results[fastest][2]
+    )
+    report["native_over_python_choose"] = (
+        _ratio(results["python"][2], results["native"][2])
+        if compiled is not None
+        else None
+    )
+    report["equal"] = len(set(digests.values())) == 1
+    return report
 
 
 def bench_coverage_cache(coverage_samples: int) -> dict:
@@ -327,9 +353,8 @@ def main() -> int:
     for section in ("coverage_cost", "weyl", "swap_choice", "coverage_cache"):
         entry = report[section]
         speedup = entry.get("choose_speedup", entry.get("speedup"))
-        print(
-            f"  {section:<14} speedup {speedup:6.1f}x  equal={entry['equal']}"
-        )
+        shown = "   n/a" if speedup is None else f"{speedup:6.1f}"
+        print(f"  {section:<14} speedup {shown}x  equal={entry['equal']}")
 
     failures = [
         section

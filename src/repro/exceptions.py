@@ -138,6 +138,16 @@ class ProtocolVersionError(TranspilerError):
     """
 
 
+class InsecureBindError(TranspilerError, ValueError):
+    """A worker host was asked to listen on TCP off the loopback interface.
+
+    Worker hosts do not authenticate their clients, and a chunk request
+    makes the host unpickle client-supplied payloads.  TCP binds are
+    therefore limited to loopback addresses; use a Unix socket (the
+    default) or a loopback port behind an authenticated tunnel.
+    """
+
+
 class CoverageError(ReproError):
     """Raised when a coverage set cannot answer a membership/cost query."""
 

@@ -167,6 +167,7 @@ from repro.transpiler.faults import (
     InjectedWorkerCrash,
     reap_stale_segments,
 )
+from repro.transpiler.kernel.native import load_routec
 
 try:  # POSIX shared memory is optional — everything degrades to blobs.
     from multiprocessing import shared_memory as _shared_memory
@@ -2267,6 +2268,9 @@ class ProcessExecutor(_PoolExecutor):
     name = "processes"
 
     def _make_pool(self) -> concurrent.futures.Executor:
+        # Resolve the compiled route scorer before the workers fork, so on
+        # a cold cache they inherit it instead of each compiling it.
+        load_routec()
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.max_workers
         )

@@ -8,7 +8,8 @@ the index structures the flat kernel gathers over:
   arrays, so a candidate set is a sorted list of *edge ids* and its
   endpoints are a fancy-index gather;
 * a per-qubit incident-edge index, so ``_swap_candidates`` is set-union of
-  precomputed tuples instead of per-stall neighbour walks;
+  precomputed tuples instead of per-stall neighbour walks (and its CSR
+  array form, which the compiled scorer reads);
 * ``dist_int``: the hop-distance matrix as ``int64`` (``-1`` where
   unreachable) for exact integer scoring on connected graphs, next to the
   float matrix (shared with ``CouplingMap.distance_matrix``) used verbatim
@@ -111,6 +112,21 @@ class NeighborTable:
         if cached is None:
             cached = self.dist_int.ravel().tolist()
             self.__dict__["_dist_int_flat"] = cached
+        return cached
+
+    def incident_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``incident`` as CSR ``int64`` arrays ``(indptr, edge_ids)``."""
+        cached = self.__dict__.get("_incident_csr")
+        if cached is None:
+            indptr = np.zeros(self.num_qubits + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(ids) for ids in self.incident])
+            edge_ids = np.fromiter(
+                (e for ids in self.incident for e in ids),
+                dtype=np.int64,
+                count=int(indptr[-1]),
+            )
+            cached = (indptr, edge_ids)
+            self.__dict__["_incident_csr"] = cached
         return cached
 
     def dist_lists(self) -> list[list[float]]:

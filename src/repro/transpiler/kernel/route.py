@@ -16,6 +16,12 @@ recurrence is order-dependent — a vectorised argmin-with-tolerance can keep
 a different near-tie set.  The scan draws from the same per-trial
 ``SeedSequence`` stream in the same order, so fixed-seed outputs are
 byte-identical to ``MIRAGE_ROUTE_KERNEL=object``.
+
+The connected-graph scorer and the lookahead walk also have compiled twins
+(``_routec.c``, built on first use by :mod:`.native`).  They return exactly
+what the Python code here returns — the scorer hands back the tie list and
+the RNG draw stays in Python — and the Python code stays the reference
+whenever the compiled module is unavailable.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 from repro.exceptions import TranspilerError
 from repro.circuits.gates import Gate
 from repro.transpiler.kernel.intdag import KIND_CHECK2, KIND_FREE, IntDAG
+from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.kernel.neighbors import NeighborTable
 
 #: Values accepted by ``MIRAGE_ROUTE_KERNEL``.
@@ -67,6 +74,7 @@ class KernelState:
         "extended_set_size",
         "_lists",
         "_touch",
+        "_native",
     )
 
     def __init__(
@@ -88,6 +96,20 @@ class KernelState:
         self._lists = intdag.lists()
         # Scratch per-qubit pair-id lists for the scorer (reset after use).
         self._touch: list[list[int] | None] = [None] * table.num_qubits
+        # The compiled scorer/lookahead bound to this run's arrays, if any.
+        routec = load_routec()
+        self._native = None if routec is None else routec.RouteKernel(
+            table.dist_int,
+            table.edges_a,
+            table.edges_b,
+            *table.incident_csr(),
+            intdag.qubit0,
+            intdag.qubit1,
+            intdag.kind,
+            intdag.succ_indptr,
+            intdag.succ_ids,
+            KIND_CHECK2,
+        )
 
     # -- hook API -----------------------------------------------------------
 
@@ -119,6 +141,8 @@ class KernelState:
         visit order, same dedup, same early-exit at the window size.
         """
         limit = self.extended_set_size
+        if self._native is not None:
+            return self._native.extended_ids(roots, limit)
         lists = self._lists
         succ_tuples = lists.succ_tuples
         kind = lists.kind
@@ -276,6 +300,30 @@ def _choose_swap(
 ) -> tuple[int, int]:
     """Pick the SWAP edge, byte-compatible with the object ``_choose_swap``.
 
+    The tied best edges come from the compiled scorer on connected
+    graphs when it is loaded, else from :func:`_swap_ties`; both return
+    the same list in the same order.  The single RNG draw among them
+    happens here, in the same position of the per-trial stream.
+    """
+    native = state._native
+    if native is not None and state.table.connected:
+        ties = native.swap_ties(
+            front, extended, state.v2p, decay, extended_set_weight
+        )
+    else:
+        ties = _swap_ties(state, front, extended, decay, extended_set_weight)
+    return ties[int(rng.integers(len(ties)))]
+
+
+def _swap_ties(
+    state: KernelState,
+    front: list[int],
+    extended: list[int],
+    decay: list[float],
+    extended_set_weight: float,
+) -> list[tuple[int, int]]:
+    """Best-scoring candidate edges in candidate order (the Python scorer).
+
     Scoring keeps the PR-2 incremental per-edge deltas, but over the flat
     arrays: the window sums are accumulated once per stall, and each
     candidate edge re-evaluates only the pairs touching its two physical
@@ -284,8 +332,7 @@ def _choose_swap(
     a full rescore bit-for-bit; the float path (possible infinities)
     replicates the object scorer including its direct-sum fallback.  The
     tolerance tie-break is an order-dependent recurrence and stays a
-    sequential scan; its single RNG draw happens in the same position of
-    the per-trial stream.
+    sequential scan.
     """
     lists = state._lists
     table = state.table
@@ -308,8 +355,8 @@ def _choose_swap(
     candidates = sorted(candidate_ids)
 
     if not table.connected:
-        return _choose_swap_float(
-            state, front, extended, decay, rng, extended_set_weight, candidates
+        return _swap_ties_float(
+            state, front, extended, decay, extended_set_weight, candidates
         )
 
     # Connected fast path: exact int arithmetic over the flat row-major
@@ -424,18 +471,17 @@ def _choose_swap(
         raise TranspilerError(
             "cannot route: some target qubits are unreachable on this coupling map"
         )
-    return best_edges[int(rng.integers(len(best_edges)))]
+    return best_edges
 
 
-def _choose_swap_float(
+def _swap_ties_float(
     state: KernelState,
     front: list[int],
     extended: list[int],
     decay: list[float],
-    rng: np.random.Generator,
     extended_set_weight: float,
     candidates: list[int],
-) -> tuple[int, int]:
+) -> list[tuple[int, int]]:
     """Disconnected-coupling scorer: float distances with inf propagation.
 
     Mirrors the object path exactly, including its direct-sum fallback once
@@ -533,4 +579,4 @@ def _choose_swap_float(
         raise TranspilerError(
             "cannot route: some target qubits are unreachable on this coupling map"
         )
-    return best_edges[int(rng.integers(len(best_edges)))]
+    return best_edges

@@ -31,13 +31,16 @@ Run one with::
     mirage-worker-host --socket /tmp/my-host.sock
     # or:  python -m repro.transpiler.remote.host --tcp 127.0.0.1:7421
 
-The process prints ``MIRAGE-HOST-READY <address>`` once listening.
+The process prints ``MIRAGE-HOST-READY <address>`` once listening.  Hosts
+do not authenticate clients, so TCP binds are limited to loopback
+addresses (:class:`~repro.exceptions.InsecureBindError` otherwise).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ipaddress
 import os
 import pickle
 import shutil
@@ -49,6 +52,7 @@ from collections import OrderedDict
 
 from repro.exceptions import (
     GarbledFrameError,
+    InsecureBindError,
     RemoteTransportError,
     TranspilerError,
 )
@@ -83,6 +87,26 @@ from repro.transpiler.remote.protocol import (
 )
 
 
+def require_loopback(host: str) -> None:
+    """Raise :class:`InsecureBindError` unless ``host`` is a loopback address.
+
+    Accepts ``localhost`` and loopback IP literals (``127.0.0.0/8``,
+    ``::1``).  Other names are refused without resolving them.
+    """
+    if host == "localhost":
+        return
+    try:
+        if ipaddress.ip_address(host).is_loopback:
+            return
+    except ValueError:
+        pass
+    raise InsecureBindError(
+        f"refusing to listen on TCP {host!r}: worker hosts do not "
+        f"authenticate clients, so TCP binds must be loopback (127.0.0.1, "
+        f"::1 or localhost); use a Unix socket to serve this machine"
+    )
+
+
 class WorkerHost:
     """One remote trial-execution host serving the framed protocol.
 
@@ -102,6 +126,8 @@ class WorkerHost:
         spool_dir: str | None = None,
         heartbeat_s: float | None = None,
     ) -> None:
+        if tcp is not None:
+            require_loopback(tcp[0])
         # Every host startup doubles as a janitor pass: dead siblings'
         # segments, socket files and spools are reclaimed before this
         # host adds its own.
@@ -422,7 +448,10 @@ def main(argv: "list[str] | None" = None) -> int:
         "--tcp",
         default=None,
         metavar="HOST:PORT",
-        help="listen on TCP instead of a Unix socket (port 0 picks one)",
+        help=(
+            "listen on TCP instead of a Unix socket (port 0 picks one); "
+            "HOST must be a loopback address"
+        ),
     )
     parser.add_argument(
         "--heartbeat",
@@ -438,6 +467,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if address.tcp_host is None:
             parser.error("--tcp expects HOST:PORT")
         tcp = (address.tcp_host, address.tcp_port)
+        try:
+            require_loopback(address.tcp_host)
+        except InsecureBindError as error:
+            parser.error(str(error))
     host = WorkerHost(
         socket_path=args.socket, tcp=tcp, heartbeat_s=args.heartbeat
     )

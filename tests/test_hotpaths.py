@@ -455,7 +455,11 @@ class _FullRescoreSwap(SabreSwap):
 
 
 def _route_stream(router, dag, layout, seed):
-    result = router.run(dag, layout, seed=seed)
+    # The override lives on the object path; the flat kernel never calls it.
+    mode = "object" if isinstance(router, _FullRescoreSwap) else "flat"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MIRAGE_ROUTE_KERNEL", mode)
+        result = router.run(dag, layout, seed=seed)
     return (
         result.swaps_added,
         [(i.gate.name, i.qubits) for i in result.dag.to_circuit()],

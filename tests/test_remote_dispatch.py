@@ -41,6 +41,7 @@ from repro.core import transpile_many
 from repro.exceptions import (
     DeadlineExceededError,
     GarbledFrameError,
+    InsecureBindError,
     ProtocolVersionError,
     RemoteTransportError,
     TranspilerError,
@@ -61,6 +62,7 @@ from repro.transpiler.executors import (
 )
 from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 from repro.transpiler.remote import protocol
+from repro.transpiler.remote.host import main as host_main
 from repro.transpiler.remote.protocol import (
     CHUNK,
     HELLO,
@@ -229,6 +231,23 @@ def test_parse_host_addresses():
         parse_host("not-an-address")
     with pytest.raises(TranspilerError):
         parse_host("")
+
+
+def test_worker_host_refuses_non_loopback_tcp(tmp_path):
+    """Hosts do not authenticate clients, so TCP binds stay on loopback."""
+    spool = str(tmp_path / "spool")
+    for address in ("0.0.0.0", "192.168.1.7", "::", "example.org", ""):
+        with pytest.raises(InsecureBindError, match="loopback"):
+            WorkerHost(tcp=(address, 0), spool_dir=spool)
+    with pytest.raises(SystemExit) as exited:
+        host_main(["--tcp", "0.0.0.0:0"])
+    assert exited.value.code == 2
+    host = WorkerHost(tcp=("127.0.0.1", 0), spool_dir=spool)
+    try:
+        assert host.address.tcp_host == "127.0.0.1"
+        assert host.address.tcp_port > 0
+    finally:
+        host.close()
 
 
 def test_version_mismatch_marks_host_down(fast_recovery):

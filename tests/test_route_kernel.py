@@ -11,11 +11,20 @@ Covers the PR-6 guarantees:
   layer, interpreter-cache hygiene under pickle);
 * the decay-reset ordering regression at the ``DECAY_RESET_INTERVAL``
   boundary (reset-on-execute vs. reset-on-interval must interleave
-  identically in both kernels).
+  identically in both kernels);
+* the compiled scorer and lookahead walk (``_routec.c``) against the
+  Python reference, their bounds checks, and the build-on-first-use
+  loader's fallback and cache keying.
 """
 
 import hashlib
+import logging
 import pickle
+import shutil
+import sys
+import sysconfig
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +45,15 @@ from repro.transpiler import (
 )
 from repro.transpiler.kernel import (
     IntDAG,
+    KernelState,
     adopt_intdag,
     int_dag,
+    native,
     neighbor_table,
+    route,
     route_kernel_mode,
 )
+from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler.passes import SabreSwap
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -457,3 +470,292 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
         )
 
     assert run("flat") == run("object")
+
+
+# ---------------------------------------------------------------------------
+# Compiled scorer and lookahead walk vs the Python reference
+# ---------------------------------------------------------------------------
+
+#: The compiled module, built (or loaded from the cache) on first use.
+ROUTEC = native.load_routec()
+needs_routec = pytest.mark.skipif(
+    ROUTEC is None, reason="compiled route scorer unavailable"
+)
+
+
+def _states(monkeypatch, intdag, table, v2p, extended_set_size=20):
+    """A Python-scorer state and a compiled-scorer state over one run."""
+    monkeypatch.setattr(route, "load_routec", lambda: None)
+    python = KernelState(intdag, table, v2p, extended_set_size)
+    monkeypatch.setattr(route, "load_routec", lambda: ROUTEC)
+    compiled = KernelState(intdag, table, v2p, extended_set_size)
+    assert python._native is None and compiled._native is not None
+    return python, compiled
+
+
+def _random_routing_window(rng, case):
+    """Random coupling, lowering, layout, front and extended sets."""
+    num_physical = int(rng.integers(3, 12))
+    coupling = _random_connected_coupling(rng, num_physical)
+    num_virtual = int(rng.integers(2, num_physical + 1))
+    circuit = random_two_qubit_block_circuit(
+        num_virtual, int(rng.integers(3, 25)), rng
+    )
+    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    v2p = [int(p) for p in rng.permutation(num_physical)[:num_virtual]]
+    two_qubit = [i for i in range(intdag.num_nodes) if intdag.kind[i] == KIND_CHECK2]
+    order = [int(i) for i in rng.permutation(two_qubit)]
+    num_front = 1 if case % 4 == 0 else int(rng.integers(1, len(order) + 1))
+    front = order[:num_front]
+    # Empty, single-gate and full extended sets.
+    extended = order[num_front:][: (0, 1, len(order))[case % 3]]
+    return coupling, intdag, v2p, front, extended
+
+
+@needs_routec
+@pytest.mark.parametrize("case", range(54))
+def test_native_swap_ties_match_python(monkeypatch, case):
+    """Same tie list, same order, for random windows, decays and weights
+    (including a single-gate front, empty and single-gate extended sets,
+    and decay vectors full of exact ties).  Weight 1/3 makes float
+    near-ties, which only the shared 1e-12 scan keeps together."""
+    rng = np.random.default_rng(0x5EED + case)
+    weight = (0.0, 0.5, 1 / 3)[case // 3 % 3]
+    decay_choices = ([1.0], [1.0, 1.001], [1.0, 1.001, 1.002, 1.003])[case // 9 % 3]
+    for _ in range(10):
+        coupling, intdag, v2p, front, extended = _random_routing_window(rng, case)
+        table = neighbor_table(coupling)
+        python, compiled = _states(monkeypatch, intdag, table, v2p)
+        decay = [float(d) for d in rng.choice(decay_choices, size=coupling.num_qubits)]
+        expected = route._swap_ties(python, front, extended, decay, weight)
+        got = compiled._native.swap_ties(front, extended, v2p, decay, weight)
+        assert got == expected
+
+
+@needs_routec
+def test_native_swap_ties_keep_float_near_ties(monkeypatch):
+    """A 3-gate front with weight 1/3 gives candidate scores that are
+    equal in exact arithmetic but differ in the last bit; both scorers
+    must keep the same near-tie sets (about one window in 300 has one)."""
+    rng = np.random.default_rng(0x71E)
+    for coupling in (line_topology(8), grid_topology(3, 3), grid_topology(2, 4)):
+        num_qubits = coupling.num_qubits
+        circuit = random_two_qubit_block_circuit(num_qubits, 30, rng)
+        intdag = int_dag(DAGCircuit.from_circuit(circuit))
+        table = neighbor_table(coupling)
+        decay = [1.0] * num_qubits
+        for _ in range(400):
+            v2p = [int(p) for p in rng.permutation(num_qubits)]
+            order = [int(i) for i in rng.permutation(intdag.num_nodes)]
+            front, extended = order[:3], order[3 : 3 + int(rng.integers(1, 7))]
+            python, compiled = _states(monkeypatch, intdag, table, v2p)
+            expected = route._swap_ties(python, front, extended, decay, 1 / 3)
+            got = compiled._native.swap_ties(front, extended, v2p, decay, 1 / 3)
+            assert got == expected
+
+
+@needs_routec
+@pytest.mark.parametrize("case", range(12))
+def test_native_extended_ids_match_python(monkeypatch, case):
+    rng = np.random.default_rng(0xB0F + case)
+    width = int(rng.integers(3, 8))
+    circuit = (
+        random_two_qubit_block_circuit(width, int(rng.integers(2, 30)), rng),
+        qft(width),
+        twolocal_full(width),
+    )[case % 3]
+    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    table = neighbor_table(line_topology(width))
+    v2p = list(range(width))
+    for limit in (0, 1, 20, intdag.num_nodes + 5):
+        python, compiled = _states(monkeypatch, intdag, table, v2p, limit)
+        size = int(rng.integers(1, min(5, intdag.num_nodes) + 1))
+        roots = [int(i) for i in rng.choice(intdag.num_nodes, size, replace=False)]
+        for window in (roots, intdag.front_ids()):
+            assert compiled.extended_ids(window) == python.extended_ids(window)
+
+
+@needs_routec
+@pytest.mark.parametrize("method", ["sabre", "mirage"])
+def test_native_scorer_transpile_digest_identity(monkeypatch, method):
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    kernels = []
+
+    def counting_kernel(*arrays):
+        kernels.append(1)
+        return ROUTEC.RouteKernel(*arrays)
+
+    def run(module):
+        monkeypatch.setattr(route, "load_routec", lambda: module)
+        return transpile(
+            qft(7),
+            grid_topology(3, 3),
+            method=method,
+            layout_trials=3,
+            use_vf2=False,
+            coverage=COVERAGE,
+            seed=23,
+        )
+
+    python = run(None)
+    compiled = run(types.SimpleNamespace(RouteKernel=counting_kernel))
+    assert kernels, "the compiled scorer was never bound"
+    assert _digest(compiled) == _digest(python)
+    assert compiled.metrics.swap_count == python.metrics.swap_count
+
+
+@needs_routec
+def test_native_kernel_rejects_bad_indices(monkeypatch):
+    """Out-of-range indices raise ``TranspilerError``; they never crash,
+    and a failed call leaves the kernel's scratch state clean."""
+    coupling = line_topology(4)
+    table = neighbor_table(coupling)
+    intdag = int_dag(DAGCircuit.from_circuit(qft(4)))
+    v2p = [0, 1, 2, 3]
+    python, compiled = _states(monkeypatch, intdag, table, v2p)
+    kernel = compiled._native
+    node = next(i for i in range(intdag.num_nodes) if intdag.kind[i] == KIND_CHECK2)
+    decay = [1.0] * 4
+    too_high, negative = list(v2p), list(v2p)
+    too_high[intdag.qubit0[node]] = 99
+    negative[intdag.qubit1[node]] = -1
+    bad_calls = [
+        lambda: kernel.swap_ties([node], [], too_high, decay, 0.5),
+        lambda: kernel.swap_ties([node], [], negative, decay, 0.5),
+        lambda: kernel.swap_ties([node], [], [0], decay, 0.5),
+        lambda: kernel.swap_ties([node], [], v2p, [1.0], 0.5),
+        lambda: kernel.swap_ties([intdag.num_nodes], [], v2p, decay, 0.5),
+        lambda: kernel.swap_ties([node], [-1], v2p, decay, 0.5),
+        lambda: kernel.swap_ties([node], [2**70], v2p, decay, 0.5),
+        lambda: kernel.swap_ties([node], ["0"], v2p, decay, 0.5),
+        lambda: kernel.extended_ids([intdag.num_nodes], 5),
+        lambda: kernel.extended_ids([-3], 5),
+    ]
+    for call in bad_calls:
+        with pytest.raises(TranspilerError):
+            call()
+    assert kernel.swap_ties([node], [], v2p, decay, 0.5) == route._swap_ties(
+        python, [node], [], decay, 0.5
+    )
+    with pytest.raises(TranspilerError, match="integer array"):
+        ROUTEC.RouteKernel(
+            table.dist,  # float64: refused
+            table.edges_a,
+            table.edges_b,
+            *table.incident_csr(),
+            intdag.qubit0,
+            intdag.qubit1,
+            intdag.kind,
+            intdag.succ_indptr,
+            intdag.succ_ids,
+            KIND_CHECK2,
+        )
+    with pytest.raises(TranspilerError, match="inconsistent"):
+        ROUTEC.RouteKernel(
+            table.dist_int,
+            table.edges_a,
+            table.edges_b[:-1],
+            *table.incident_csr(),
+            intdag.qubit0,
+            intdag.qubit1,
+            intdag.kind,
+            intdag.succ_indptr,
+            intdag.succ_ids,
+            KIND_CHECK2,
+        )
+
+
+# ---------------------------------------------------------------------------
+# The build-on-first-use loader
+# ---------------------------------------------------------------------------
+
+
+def _fresh_loader(monkeypatch, cache_home):
+    """Forget this process's loader result and point the cache elsewhere."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    monkeypatch.setattr(native, "_loaded", native._UNSET)
+
+
+def _pinned_config_digest():
+    result = transpile(
+        qft(5),
+        grid_topology(2, 3),
+        method="mirage",
+        layout_trials=2,
+        use_vf2=False,
+        coverage=COVERAGE,
+        seed=7,
+    )
+    return _digest(result, with_matrices=False)
+
+
+def _assert_one_warning_fallback(caplog):
+    with caplog.at_level(logging.WARNING, logger=native.__name__):
+        assert native.load_routec() is None
+        assert native.load_routec() is None
+        assert _pinned_config_digest() == PINNED_SHA256
+    warnings = [r for r in caplog.records if r.name == native.__name__]
+    assert len(warnings) == 1
+    assert "pure-Python" in warnings[0].getMessage()
+
+
+def test_loader_falls_back_when_the_compiler_fails(monkeypatch, tmp_path, caplog):
+    _fresh_loader(monkeypatch, tmp_path)
+    monkeypatch.setattr(
+        native,
+        "compiler_command",
+        lambda: [sys.executable, "-c", "import sys; sys.exit(3)"],
+    )
+    _assert_one_warning_fallback(caplog)
+    # The failed build left no partial binary behind.
+    assert list((tmp_path / "mirage-native").iterdir()) == []
+
+
+def test_loader_falls_back_when_the_cache_is_unwritable(
+    monkeypatch, tmp_path, caplog
+):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    _fresh_loader(monkeypatch, blocker)
+    _assert_one_warning_fallback(caplog)
+
+
+@needs_routec
+def test_loader_never_loads_a_binary_built_from_other_source(
+    monkeypatch, tmp_path
+):
+    _fresh_loader(monkeypatch, tmp_path)
+    # Plant the binary of the shipped source under its own cache name.
+    planted = native.binary_path(native.SOURCE.read_bytes())
+    planted.parent.mkdir(parents=True)
+    shutil.copy(ROUTEC.__file__, planted)
+    # A different source version must build and load its own binary.
+    edited = tmp_path / "_routec.c"
+    edited.write_bytes(native.SOURCE.read_bytes() + b"\n/* edited */\n")
+    monkeypatch.setattr(native, "SOURCE", edited)
+    builds = []
+    real_compile = native._compile
+
+    def counting_compile(path):
+        builds.append(path)
+        real_compile(path)
+
+    monkeypatch.setattr(native, "_compile", counting_compile)
+    module = native.load_routec()
+    expected = native.binary_path(edited.read_bytes())
+    assert expected != planted
+    assert builds == [expected]
+    assert Path(module.__file__) == expected
+    assert sorted(p.name for p in planted.parent.iterdir()) == sorted(
+        [planted.name, expected.name]
+    )
+
+
+def test_compiled_scorer_loads_when_a_compiler_is_on_path():
+    """A silent fallback must not hide a broken build where one can work."""
+    has_compiler = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+    has_headers = Path(sysconfig.get_paths()["include"], "Python.h").exists()
+    if not (has_compiler and has_headers):
+        pytest.skip("no C compiler or Python headers on this machine")
+    assert ROUTEC is not None
+    assert isinstance(ROUTEC.RouteKernel, type)

@@ -59,6 +59,10 @@ PUBLIC_API = [
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
     ("repro.transpiler.kernel.route", "route_kernel"),
     ("repro.transpiler.kernel.route", "route_kernel_mode"),
+    ("repro.transpiler.kernel.native", "load_routec"),
+    ("repro.transpiler.kernel.native", "native_cache_dir"),
+    ("repro.transpiler.kernel.native", "binary_path"),
+    ("repro.transpiler.kernel.native", "compiler_command"),
     ("repro.core.mirage_pass", "MirrorTable"),
     ("repro.core.mirage_pass", "mirror_table"),
     ("repro.transpiler.passes.sabre_swap", "RoutingResult"),
@@ -113,6 +117,8 @@ PUBLIC_API = [
     ("repro.exceptions", "RemoteTransportError"),
     ("repro.exceptions", "GarbledFrameError"),
     ("repro.exceptions", "ProtocolVersionError"),
+    ("repro.exceptions", "InsecureBindError"),
+    ("repro.transpiler.remote.host", "require_loopback"),
 ]
 
 #: Subset that must keep numpy-style section headers.
