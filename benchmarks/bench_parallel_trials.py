@@ -27,13 +27,6 @@ A third axis is the *routing kernel*: the flat int-array kernel
 router (``=object``) on the ``route`` stage, serial and under trial
 fan-out, with byte-identity between the two asserted on every run.
 
-A fourth axis is *planning placement* on a many-wide-circuits workload,
-where the front pipeline (``clean → … → consolidate → vf2``) rivals the
-trial phase: ``plan="local"`` runs every front pipeline on the
-dispatching thread while trials overlap, ``plan="executor"`` spreads the
-front pipelines across the worker pool through the same streaming
-session the trials use.
-
 Run ``python benchmarks/bench_parallel_trials.py --smoke`` for the
 CI-sized run, without flags for the default sizes, or with
 ``MIRAGE_BENCH_FULL=1`` for the paper's 20 x 20 budget.  The
@@ -133,18 +126,15 @@ def _sizes(smoke: bool) -> dict:
         return {
             "layout_trials": 20, "routing_trials": 20, "wide_width": 8,
             "batch_copies": 8, "batch_layout_trials": 20,
-            "plan_copies": 6, "plan_width": 8, "plan_layout_trials": 4,
         }
     if smoke:
         return {
             "layout_trials": 4, "routing_trials": 2, "wide_width": 6,
             "batch_copies": 2, "batch_layout_trials": 2,
-            "plan_copies": 2, "plan_width": 6, "plan_layout_trials": 2,
         }
     return {
         "layout_trials": 6, "routing_trials": 2, "wide_width": 8,
         "batch_copies": 4, "batch_layout_trials": 4,
-        "plan_copies": 4, "plan_width": 7, "plan_layout_trials": 2,
     }
 
 
@@ -282,79 +272,6 @@ def bench_batch_fanout(coverage, sizes) -> dict:
         "shm_transport": shm_transport_enabled(),
         "digest": hashlib.sha256("".join(reference).encode()).hexdigest(),
         "identical_across_modes": True,
-    }
-
-
-def _wide_circuit_workload(copies: int, width: int) -> list:
-    """Many *wide* circuits — the workload executor-side planning targets.
-
-    Wide circuits make the front pipeline (consolidation's Weyl
-    extraction above all) rival the trial phase, which is exactly when
-    planning on the dispatching thread becomes the bottleneck.
-    """
-    base = [qft(width), twolocal_full(width - 1), qft(width - 1)]
-    return base * copies
-
-
-def bench_plan_fanout(coverage, sizes) -> dict:
-    """Planning-phase breakdown: local vs executor-side front pipelines."""
-    circuits = _wide_circuit_workload(sizes["plan_copies"], sizes["plan_width"])
-    coupling = line_topology(max(circuit.num_qubits for circuit in circuits))
-    kwargs = dict(
-        coverage=coverage,
-        use_vf2=False,
-        layout_trials=sizes["plan_layout_trials"],
-        refinement_rounds=1,
-        seed=43,
-    )
-
-    def run(plan, executor):
-        start = time.perf_counter()
-        batch = transpile_many(
-            circuits, coupling, fanout="circuits", scheduler="stream",
-            plan=plan, executor=executor, **kwargs,
-        )
-        return time.perf_counter() - start, batch
-
-    # One fresh pool per plan mode: workers memoise payloads by content
-    # digest, so reusing the local run's pool would hand the executor run
-    # pre-warmed anchor/spec memos and flatter its timing.
-    with ProcessExecutor() as pool:
-        # Pre-warm the pool so worker start-up stays out of the timed
-        # window — the bench measures parallelism, not fork cost.
-        _prewarm(pool)
-        local_seconds, local_batch = run("local", pool)
-    with ProcessExecutor() as pool:
-        _prewarm(pool)
-        executor_seconds, executor_batch = run("executor", pool)
-
-    assert batch_digests(local_batch) == batch_digests(executor_batch)
-    local_dispatch = local_batch.dispatch
-    executor_dispatch = executor_batch.dispatch
-    assert local_dispatch["plan_mode"] == "local", local_dispatch
-    if executor_dispatch["scheduler"] == "stream":
-        assert executor_dispatch["plan_mode"] == "executor", executor_dispatch
-
-    return {
-        "workload": {
-            "circuits": len(circuits),
-            "widths": sorted({c.num_qubits for c in circuits}),
-            "layout_trials": sizes["plan_layout_trials"],
-        },
-        "plan_local_s": round(local_seconds, 4),
-        "plan_executor_s": round(executor_seconds, 4),
-        "speedup_executor_plan": round(local_seconds / executor_seconds, 3),
-        "plan_seconds_local": local_dispatch["plan_seconds"],
-        "plan_seconds_executor": executor_dispatch["plan_seconds"],
-        "plan_fraction_local": round(
-            local_dispatch["plan_seconds"] / local_seconds, 4
-        ),
-        "dispatch_local": local_dispatch,
-        "dispatch_executor": executor_dispatch,
-        "digest": hashlib.sha256(
-            "".join(batch_digests(local_batch)).encode()
-        ).hexdigest(),
-        "identical_across_plan_modes": True,
     }
 
 
@@ -629,20 +546,6 @@ def main() -> None:
           f"{route['route_flat_processes_s']:8.3f} s "
           f"({route['route_stage_speedup']:.2f}x vs object serial)")
 
-    plan = bench_plan_fanout(coverage, sizes)
-    plan_workload = plan["workload"]
-    print(f"[plan-fanout]   {plan_workload['circuits']} wide circuits "
-          f"(widths {plan_workload['widths']}) x "
-          f"{plan_workload['layout_trials']} trials:")
-    print(f"  plan=local (stream)     {plan['plan_local_s']:8.2f} s "
-          f"(front pipelines {plan['plan_seconds_local']:.2f} s on the "
-          f"producer thread, {100 * plan['plan_fraction_local']:.0f}% of "
-          f"wall clock)")
-    print(f"  plan=executor (stream)  {plan['plan_executor_s']:8.2f} s "
-          f"({plan['speedup_executor_plan']:.2f}x, front pipelines on "
-          f"worker cores)")
-    print(f"  dispatch: {plan['dispatch_executor']}")
-
     service = bench_service_overload(sizes)
     print(f"[service]       {service['requests']} requests, "
           f"{service['windows']} window(s), "
@@ -683,7 +586,6 @@ def main() -> None:
         "trial_fanout": trial,
         "batch_fanout": batch,
         "route_kernel": route,
-        "plan_fanout": plan,
         "service_overload": service,
         "remote_dispatch": remote,
     }
@@ -699,7 +601,6 @@ def main() -> None:
         ("batch-fanout stream", batch["dispatch"]),
         ("batch-fanout barrier", batch["dispatch_barrier"]),
         ("batch-fanout blob", batch["dispatch_blob"]),
-        ("plan-fanout executor", plan["dispatch_executor"]),
         ("remote-dispatch", remote["dispatch"]),
     ):
         for counter in ("retries", "respawns", "lost_tasks",
@@ -756,9 +657,6 @@ def main() -> None:
             "(is MIRAGE_SHM_DISABLE set?)"
         )
         _assert_zero_copy(batch["dispatch"], cores, "batch-fanout stream")
-        _assert_zero_copy(
-            plan["dispatch_executor"], cores, "plan-fanout executor"
-        )
         print(f"zero-copy OK: workers copied "
               f"{batch['dispatch']['bytes_copied']} B "
               f"(headers {batch['dispatch']['header_bytes']} B) across "
@@ -770,15 +668,6 @@ def main() -> None:
         assert batch["speedup_circuits_vs_sequential"] >= 1.3, (
             "circuit-level fan-out should be >=1.3x on a multi-core host, "
             f"got {batch['speedup_circuits_vs_sequential']}x on {cores} cores"
-        )
-        # Expected effect is modest (bounded by the planning fraction of
-        # wall clock), so the gate tolerates scheduler noise: it catches
-        # executor planning *regressing*, while the JSON records the
-        # actual ratio for trajectory tracking.
-        assert plan["speedup_executor_plan"] >= 0.95, (
-            "executor-side planning should at least match local planning "
-            "on a many-wide-circuits workload, got "
-            f"{plan['speedup_executor_plan']}x on {cores} cores"
         )
         # Flat kernel x trial fan-out vs the object kernel run serially:
         # the route-stage acceptance target (bit-identity is asserted

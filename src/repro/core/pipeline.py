@@ -545,13 +545,12 @@ def build_batch_front_pipeline(
 
 @dataclasses.dataclass(frozen=True)
 class PlanSpec:
-    """The heavy, circuit-invariant half of executor-side planning.
+    """The circuit-invariant half of a batch's planning.
 
-    One :class:`PlanSpec` is shared by every planning task of a batch —
-    it carries the pipeline parameters plus the batch's coverage set
-    (which streaming transports replace with an anchor reference, so the
-    spec itself is tiny on the wire).  Workers rebuild the exact front
-    pipeline :func:`build_batch_front_pipeline` would build locally.
+    One :class:`PlanSpec` is shared by every circuit of a batch — it
+    carries the pipeline parameters plus the batch's coverage set, from
+    which :func:`run_plan` rebuilds the front pipeline
+    :func:`build_batch_front_pipeline` describes.
     """
 
     coupling: "CouplingMap | str"
@@ -568,44 +567,30 @@ class PlanSpec:
 
 @dataclasses.dataclass(frozen=True)
 class PlanTask:
-    """The light, per-circuit half of executor-side planning."""
+    """The per-circuit half of a batch's planning."""
 
-    index: int
     circuit: "QuantumCircuit"
     seed: np.random.SeedSequence
 
 
 @dataclasses.dataclass
 class PlanOutcome:
-    """Planned pipeline state of one circuit, plus its planning seconds.
-
-    ``index`` echoes the :class:`PlanTask`'s batch position so the
-    scheduler can assert that plans are admitted in input order — the
-    ordering byte-identity depends on.
-    """
+    """Planned pipeline state of one circuit, plus its planning seconds."""
 
     state: PipelineState
     seconds: float
-    index: int
-    #: Shared-memory handle of the worker-parked trial spec (see
-    #: :func:`run_plan_parked`); ``None`` when the spec rode home in
-    #: ``state`` as usual.
-    spec_handle: object = None
 
 
 def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
-    """Run one circuit's front pipeline (module-level for picklability).
+    """Run one circuit's front pipeline on the calling thread.
 
     Executes ``clean → unroll → reclean → consolidate → coupling →
     coverage → analyze → vf2 → plan`` for ``task.circuit`` with the
-    batch parameters of ``spec`` — exactly the pipeline the local
-    planner builds, seeded with the same per-circuit ``SeedSequence`` —
-    and returns the full planned :class:`PipelineState`.  Determinism of
-    every front stage makes the outcome byte-identical no matter which
-    process ran it — and, equally, no matter how many times it runs: the
-    fault-tolerant dispatch layer replays lost planning tasks after a
-    worker crash or hang, relying on exactly this purity to keep
-    fixed-seed batch outputs identical to an undisturbed run.
+    batch parameters of ``spec``, seeded with the per-circuit
+    ``SeedSequence``, and returns the full planned
+    :class:`PipelineState`.  Every front stage is deterministic, so the
+    planned state — and the trial plan dispatched from it — is the same
+    under every scheduler and executor.
     """
     start = time.perf_counter()
     front = build_batch_front_pipeline(
@@ -622,56 +607,7 @@ def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
         seed=task.seed,
     )
     state = front.execute(task.circuit)
-    return PlanOutcome(
-        state=state, seconds=time.perf_counter() - start, index=task.index
-    )
-
-
-def run_plan_parked(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
-    """Plan one circuit, parking the planned trial spec worker-side.
-
-    Same front pipeline as :func:`run_plan`, but the heavy
-    :class:`TrialSpec` (the planned DAG) never rides the return path:
-    the worker publishes it straight into a shared-memory segment
-    (:func:`~repro.transpiler.executors.park_payload`) and only the
-    segment *handle* travels home, shrinking the encoded plan return —
-    pinned by the ``plan_return_bytes`` dispatch counter — to circuit
-    metadata.  The parent adopts the handle as a dispatch payload slot,
-    so trial chunks reference the exact bytes the planner wrote.
-
-    Parking is best-effort: outside a worker context (or with
-    ``MIRAGE_PLAN_PARK`` off, or shared memory unavailable) the outcome
-    is exactly :func:`run_plan`'s.  If the parked segment vanishes
-    before the trials dispatch — the planner worker died and a janitor
-    pass reclaimed its segments — the parent regenerates the identical
-    spec locally via :func:`rebuild_trial_spec`.
-    """
-    from repro.transpiler.executors import park_payload
-
-    outcome = run_plan(spec, task)
-    trial_plan = outcome.state.properties.get("trial_plan")
-    if trial_plan is not None and trial_plan.spec is not None:
-        handle = park_payload(trial_plan.spec)
-        if handle is not None:
-            outcome.state.properties["trial_plan"] = dataclasses.replace(
-                trial_plan, spec=None
-            )
-            outcome.spec_handle = handle
-    return outcome
-
-
-def rebuild_trial_spec(spec: PlanSpec, task: PlanTask) -> "TrialSpec":
-    """Regenerate one circuit's parked :class:`TrialSpec` deterministically.
-
-    The recovery loader behind :func:`run_plan_parked`: replanning the
-    circuit with the same batch spec and the same per-circuit seed
-    rebuilds the exact spec the dead worker parked (every front stage is
-    deterministic), so losing a parked segment costs one local planning
-    pass, never correctness.
-    """
-    outcome = run_plan(spec, task)
-    plan = outcome.state.properties.require("trial_plan")
-    return plan.spec
+    return PlanOutcome(state=state, seconds=time.perf_counter() - start)
 
 
 def build_batch_back_pipeline() -> PassManager:

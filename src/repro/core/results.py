@@ -160,10 +160,8 @@ class BatchResult:
         Provenance counters of the shared dispatch accumulated on the
         executor during this batch: ``shared_pickles`` (heavy payload /
         anchor serialisations), ``payload_pickles`` (per-circuit spec
-        serialisations under the streaming scheduler), ``plan_payloads``
-        (shared planning-spec serialisations under executor-side
-        planning), ``chunks``, ``tasks``, ``plan_tasks`` (front
-        pipelines run as executor tasks), ``shm_segments``
+        serialisations under the streaming scheduler), ``chunks``,
+        ``tasks`` (routing trials dispatched), ``shm_segments``
         (shared-memory segments published — 0 when the transport is
         disabled or unavailable), ``bytes_shipped`` (payload-transport
         bytes attached to chunks — O(1) per chunk in shared-memory mode,
@@ -176,13 +174,10 @@ class BatchResult:
         records ``scheduler`` (``"stream"`` or ``"barrier"`` — the mode
         actually used, after any fallback), ``overlap_seconds``
         (planning/selection wall-clock performed while dispatched trials
-        were still in flight; 0 under the barrier scheduler),
-        ``plan_mode`` (``"local"`` or ``"executor"`` — where front
-        pipelines actually ran, after ``"auto"`` resolution and any
-        fallback) and ``plan_seconds`` (summed front-pipeline seconds —
-        producer-thread time under local planning, worker time under
-        executor planning).  ``None`` when unavailable (e.g. results
-        predating this field).
+        were still in flight; 0 under the barrier scheduler) and
+        ``plan_seconds`` (summed front-pipeline seconds, all spent on
+        the dispatching thread).  ``None`` when unavailable (e.g.
+        results predating this field).
     """
 
     results: list[TranspileResult]

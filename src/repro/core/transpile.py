@@ -28,7 +28,6 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import dataclasses
-import functools
 import os
 import time
 from typing import Iterable, Sequence
@@ -48,9 +47,7 @@ from repro.core.pipeline import (
     build_mirage_pipeline,
     build_prepare_pipeline,
     resolve_coverage,
-    rebuild_trial_spec,
     run_plan,
-    run_plan_parked,
     validate_flow,
 )
 from repro.core.results import BatchResult, TranspileResult
@@ -82,17 +79,6 @@ SCHEDULER_MODES = {
     "stream": "stream",
     "overlap": "stream",
     "barrier": "barrier",
-}
-
-#: Planning placement modes accepted by :func:`transpile_many` under the
-#: streaming scheduler.  ``"local"`` plans circuits on the dispatching
-#: thread; ``"executor"`` runs each circuit's front pipeline as a task on
-#: the trial executor; ``"auto"`` picks ``"executor"`` whenever the
-#: dispatch session executes concurrently with the producer.
-PLAN_MODES = {
-    "auto": "auto",
-    "local": "local",
-    "executor": "executor",
 }
 
 #: Lower bound on the streaming scheduler's in-flight circuit window.
@@ -242,34 +228,6 @@ def _resolve_scheduler(scheduler: str) -> str:
     return "stream" if mode == "auto" else mode
 
 
-def _resolve_plan(plan: str) -> str:
-    """Validate a planning-mode specification (``"auto"`` stays ``"auto"``).
-
-    The final local/executor decision needs the dispatch session in hand
-    (see :func:`_effective_plan_mode`); this only catches typos early.
-    """
-    try:
-        return PLAN_MODES[plan.lower()]
-    except (KeyError, AttributeError):
-        known = ", ".join(sorted(set(PLAN_MODES)))
-        raise InvalidModeError(
-            f"unknown plan mode {plan!r} (accepted: {known})"
-        ) from None
-
-
-def _effective_plan_mode(plan: str, session) -> str:
-    """Pick where planning runs, given the opened dispatch session.
-
-    ``"auto"`` chooses executor-side planning exactly when the session
-    executes submitted chunks concurrently with the producer (thread and
-    shared-memory process sessions) — planning on an inline session would
-    just add indirection.  An explicit choice is honoured as-is.
-    """
-    if plan != "auto":
-        return plan
-    return "executor" if getattr(session, "parallel", False) else "local"
-
-
 def _stream_window(trial_executor: TrialExecutor) -> int:
     """In-flight circuit bound for the streaming scheduler.
 
@@ -297,6 +255,29 @@ def _dispatch_provenance(
     provenance["circuits"] = circuits
     provenance["routed"] = routed
     return provenance
+
+
+def _expired_error(
+    deadline: float | None,
+    on_error: str,
+    trial_executor: TrialExecutor,
+    stage: str,
+) -> DeadlineExceededError | None:
+    """The error settling a circuit whose ``deadline`` already passed.
+
+    Checked before any work on the circuit starts.  Under
+    ``on_error="raise"`` the error is raised; otherwise it counts one
+    ``deadline_expirations`` and is returned for the circuit's slot.
+    """
+    if deadline is None or time.monotonic() < deadline:
+        return None
+    error = DeadlineExceededError(
+        f"request deadline expired before its circuit was {stage}"
+    )
+    if on_error == "raise":
+        raise error
+    trial_executor._count_dispatch(deadline_expirations=1)
+    return error
 
 
 def _finish_batch_state(
@@ -333,34 +314,27 @@ def _run_circuit_fanout(
     circuit_seeds: Sequence[np.random.SeedSequence],
     trial_executor: TrialExecutor,
     scheduler: str = "stream",
-    plan: str = "auto",
-    circuit_deadlines: Sequence[float | None] | None = None,
+    circuit_deadlines: Sequence[float | None],
     on_error: str = "raise",
 ) -> tuple[list[TranspileResult], dict]:
     """Two-level circuit fan-out under the requested scheduler.
 
-    Both schedulers plan each circuit with the same front pipeline
-    (clean → … → vf2 → plan) and spawn per-circuit seeds and per-trial
-    streams exactly as the sequential mode spawns them, so fixed-seed
-    outputs are byte-identical across schedulers, plan modes, fan-out
-    modes and executors; only the wall-clock profile differs:
+    Both schedulers plan each circuit on the dispatching thread with the
+    same front pipeline (clean → … → vf2 → plan) and spawn per-circuit
+    seeds and per-trial streams exactly as the sequential mode spawns
+    them, so fixed-seed outputs are byte-identical across schedulers,
+    fan-out modes and executors; only the wall-clock profile differs:
 
     * ``"stream"`` — a bounded producer plans circuits and feeds their
       trial refs into an in-flight :class:`DispatchSession`, while
       circuits whose trials have drained resume (route + select)
       immediately, so planning, trial execution and selection overlap.
-      Under ``plan="executor"`` (the ``"auto"`` choice on concurrent
-      sessions) the front pipelines themselves run as tasks on the same
-      session, spreading phase-A planning across all cores.  Falls back
-      to the barrier engine when the executor cannot stream (process
-      pool without a shared-memory transport).
-    * ``"barrier"`` — three phases: plan **all** circuits (always
-      locally), pool every planned trial into one shared
-      :meth:`map_shared` dispatch, then finish all circuits.
+      Falls back to the barrier engine when the executor cannot stream
+      (process pool without a shared-memory transport).
+    * ``"barrier"`` — three phases: plan **all** circuits, pool every
+      planned trial into one shared :meth:`map_shared` dispatch, then
+      finish all circuits.
     """
-    # Local and executor-side planning run the *same* module-level
-    # :func:`run_plan` over the same :class:`PlanSpec` — divergence
-    # between the modes is impossible by construction.
     plan_spec = PlanSpec(
         coupling=coupling,
         basis=basis,
@@ -374,39 +348,24 @@ def _run_circuit_fanout(
         use_vf2=use_vf2,
     )
 
-    def plan_front(index, circuit, circuit_seed):
+    def plan_front(circuit, circuit_seed):
         return run_plan(
-            plan_spec,
-            PlanTask(index=index, circuit=circuit, seed=circuit_seed),
+            plan_spec, PlanTask(circuit=circuit, seed=circuit_seed)
         )
 
     stats_before = dict(trial_executor.dispatch_stats)
     if scheduler == "stream":
         session = trial_executor.open_dispatch(run_trial, anchors=(coverage,))
         if session is not None:
-            # The engines close the session in their own ``finally`` from
-            # the first statement on; this outer guard covers the window
-            # before an engine takes ownership (plan-mode resolution, a
-            # ``KeyboardInterrupt`` landing between the calls), so every
-            # published segment is unlinked on *every* exit path.
-            # ``close`` is idempotent, so double-closing is harmless.
-            try:
-                if _effective_plan_mode(plan, session) == "executor":
-                    return _stream_executor_plan_fanout(
-                        batch, plan_spec, circuit_seeds, trial_executor,
-                        session, stats_before,
-                        circuit_deadlines=circuit_deadlines,
-                        on_error=on_error,
-                    )
+            # Closing unlinks every published segment on *every* exit
+            # path, including a raised deadline or an interrupt.
+            with session:
                 return _stream_circuit_fanout(
-                    batch, plan_front, circuit_seeds, trial_executor, session,
-                    stats_before,
+                    batch, plan_front, circuit_seeds, trial_executor,
+                    session, stats_before,
                     circuit_deadlines=circuit_deadlines,
                     on_error=on_error,
                 )
-            except BaseException:
-                session.close()
-                raise
     return _barrier_circuit_fanout(
         batch, plan_front, circuit_seeds, trial_executor, stats_before,
         circuit_deadlines=circuit_deadlines, on_error=on_error,
@@ -419,7 +378,7 @@ def _barrier_circuit_fanout(
     circuit_seeds: Sequence[np.random.SeedSequence],
     trial_executor: TrialExecutor,
     stats_before: dict[str, int],
-    circuit_deadlines: Sequence[float | None] | None = None,
+    circuit_deadlines: Sequence[float | None],
     on_error: str = "raise",
 ) -> tuple[list[TranspileResult], dict]:
     """Plan every circuit, pool all trials into one dispatch, finish.
@@ -439,21 +398,15 @@ def _barrier_circuit_fanout(
     errors: list[DeadlineExceededError | None] = []
     front_seconds: list[float] = []
     for index, (circuit, circuit_seed) in enumerate(zip(batch, circuit_seeds)):
-        deadline = (
-            circuit_deadlines[index] if circuit_deadlines is not None else None
+        error = _expired_error(
+            circuit_deadlines[index], on_error, trial_executor, "planned"
         )
-        if deadline is not None and time.monotonic() >= deadline:
-            error = DeadlineExceededError(
-                "request deadline expired before its circuit was planned"
-            )
-            if on_error == "raise":
-                raise error
-            trial_executor._count_dispatch(deadline_expirations=1)
+        if error is not None:
             states.append(None)
             errors.append(error)
             front_seconds.append(0.0)
             continue
-        outcome = plan_front(index, circuit, circuit_seed)
+        outcome = plan_front(circuit, circuit_seed)
         states.append(outcome.state)
         errors.append(None)
         front_seconds.append(outcome.seconds)
@@ -506,7 +459,6 @@ def _barrier_circuit_fanout(
     )
     dispatch["scheduler"] = "barrier"
     dispatch["overlap_seconds"] = 0.0
-    dispatch["plan_mode"] = "local"
     dispatch["plan_seconds"] = round(sum(front_seconds), 6)
     return results, dispatch
 
@@ -515,82 +467,59 @@ def _barrier_circuit_fanout(
 class _StreamEntry:
     """One planned circuit waiting for its trial outcomes to drain."""
 
+    index: int
     state: PipelineState
     front_seconds: float
     futures: list
     slot: int = -1
 
 
-class _StreamDrain:
-    """Shared resume machinery of the streaming schedulers.
+def _stream_circuit_fanout(
+    batch: list[QuantumCircuit],
+    plan_front,
+    circuit_seeds: Sequence[np.random.SeedSequence],
+    trial_executor: TrialExecutor,
+    session,
+    stats_before: dict[str, int],
+    circuit_deadlines: Sequence[float | None],
+    on_error: str = "raise",
+) -> tuple[list[TranspileResult], dict]:
+    """Streaming overlap scheduler: plan, dispatch and finish in one loop.
 
-    Both streaming engines (local and executor-side planning) park
-    planned circuits here and resume the *oldest* one as soon as its
-    trial futures drain — keeping the slot-release, outcome-reassembly
-    and overlap accounting in one place so the engines cannot diverge.
+    The producer plans circuits one at a time on the dispatching thread
+    and immediately feeds each circuit's trial refs into the in-flight
+    dispatch session; whenever the *oldest* in-flight circuit's futures
+    have all completed it is resumed (route + select) right away, so
+    planning and selection of some circuits overlap the trials of
+    others.  The in-flight window is bounded (:func:`_stream_window`) so
+    arbitrarily long batches hold only a constant number of planned
+    trial specs.
 
-    ``deadlines`` (absolute ``time.monotonic()`` instants, one per batch
-    position or ``None``) ride each circuit's trial chunks into the
-    dispatch session; an expired circuit's chunks settle with
-    :class:`DeadlineExceededError` without disturbing siblings, and the
-    error is either raised or recorded at the circuit's result position
-    depending on ``on_error``.
+    ``circuit_deadlines`` (absolute ``time.monotonic()`` instants, one
+    per batch position or ``None``) are checked before planning — an
+    already-expired circuit is never planned or dispatched — and then
+    ride each circuit's trial chunks into the session, where a circuit
+    expiring mid-flight settles with :class:`DeadlineExceededError`
+    without disturbing its siblings.  Either way the error is raised or
+    recorded at the circuit's result position depending on ``on_error``.
+
+    ``overlap_seconds`` in the returned provenance sums the planning and
+    selection work performed while dispatched trials were still in
+    flight — the wall-clock the barrier scheduler would have serialised.
     """
+    window = _stream_window(trial_executor)
+    results: list[TranspileResult | DeadlineExceededError | None] = (
+        [None] * len(batch)
+    )
+    pending: collections.deque[_StreamEntry] = collections.deque()
+    overlap = 0.0
+    plan_seconds = 0.0
+    routed = 0
 
-    def __init__(self, session, deadlines=None, on_error="raise") -> None:
-        self.session = session
-        self.deadlines = deadlines
-        self.on_error = on_error
-        self.results: list[TranspileResult | DeadlineExceededError] = []
-        self.overlap = 0.0
-        self.plan_seconds = 0.0
-        self.routed = 0
-        self.pending: collections.deque[_StreamEntry] = collections.deque()
-
-    def _deadline_for(self, index: int) -> float | None:
-        if self.deadlines is None:
-            return None
-        return self.deadlines[index]
-
-    def park(
-        self,
-        index: int,
-        state: PipelineState,
-        front_seconds: float,
-        spec_handle: object = None,
-        spec_loader=None,
-    ) -> None:
-        """Dispatch a planned circuit's trials and queue it for resume.
-
-        ``spec_handle`` (with its ``spec_loader`` regeneration fallback)
-        is the worker-parked trial spec of executor-side planning with
-        ``MIRAGE_PLAN_PARK`` on: the session adopts the worker-written
-        segment as the payload slot instead of re-pickling a returned
-        spec.
-        """
-        self.plan_seconds += front_seconds
-        trial_plan = state.properties.get("trial_plan")
-        futures: list = []
-        slot = -1
-        if trial_plan is not None:
-            adopt = getattr(self.session, "adopt_payload", None)
-            if spec_handle is not None and adopt is not None:
-                slot = adopt(spec_handle, loader=spec_loader)
-            elif trial_plan.spec is not None:
-                slot = self.session.add_payload(trial_plan.spec)
-            else:
-                # Parked worker-side but this session cannot adopt
-                # segments (defensive) — regenerate the spec locally.
-                slot = self.session.add_payload(spec_loader())
-            futures = self.session.submit(
-                slot, trial_plan.refs, deadline=self._deadline_for(index)
-            )
-            self.routed += 1
-        self.pending.append(_StreamEntry(state, front_seconds, futures, slot))
-
-    def finish_oldest(self) -> None:
-        """Resume the oldest parked circuit (blocks on its futures)."""
-        entry = self.pending.popleft()
+    def finish_oldest() -> None:
+        """Resume the oldest in-flight circuit (blocks on its futures)."""
+        nonlocal overlap
+        entry = pending.popleft()
         if entry.futures:
             try:
                 # May block until this circuit's chunks complete — idle
@@ -605,228 +534,57 @@ class _StreamDrain:
                 # on their own (same deadline) — wait them out, release
                 # the slot, and contain the failure to this position.
                 concurrent.futures.wait(entry.futures)
-                self.session.release(entry.slot)
-                if self.on_error == "raise":
+                session.release(entry.slot)
+                if on_error == "raise":
                     raise
-                self.results.append(error)
+                results[entry.index] = error
                 return
-            self.session.release(entry.slot)
+            session.release(entry.slot)
         start = time.perf_counter()
-        self.results.append(
-            _finish_batch_state(entry.state, entry.front_seconds)
-        )
-        if self.session.outstanding():
-            self.overlap += time.perf_counter() - start
-
-    def finish_drained(self) -> bool:
-        """Resume every leading circuit whose trials have all completed."""
-        progressed = False
-        while self.pending and all(f.done() for f in self.pending[0].futures):
-            self.finish_oldest()
-            progressed = True
-        return progressed
-
-    def provenance(
-        self,
-        trial_executor: TrialExecutor,
-        stats_before: dict[str, int],
-        circuits: int,
-        plan_mode: str,
-    ) -> dict:
-        dispatch = _dispatch_provenance(
-            trial_executor, stats_before, circuits=circuits, routed=self.routed
-        )
-        dispatch["scheduler"] = "stream"
-        dispatch["overlap_seconds"] = round(self.overlap, 6)
-        dispatch["plan_mode"] = plan_mode
-        dispatch["plan_seconds"] = round(self.plan_seconds, 6)
-        return dispatch
-
-
-def _stream_circuit_fanout(
-    batch: list[QuantumCircuit],
-    plan_front,
-    circuit_seeds: Sequence[np.random.SeedSequence],
-    trial_executor: TrialExecutor,
-    session,
-    stats_before: dict[str, int],
-    circuit_deadlines: Sequence[float | None] | None = None,
-    on_error: str = "raise",
-) -> tuple[list[TranspileResult], dict]:
-    """Streaming overlap scheduler with local (producer-thread) planning.
-
-    The producer plans circuits one at a time and immediately feeds each
-    circuit's trial refs into the in-flight dispatch session; whenever
-    the *oldest* in-flight circuit's futures have all completed it is
-    resumed (route + select) right away, so phase-C work of early
-    circuits overlaps the phase-B trials of later ones — and, on a
-    parallel executor, phase-A planning overlaps both.  The in-flight
-    window is bounded (:func:`_stream_window`) so arbitrarily long
-    batches hold only a constant number of parked trial plans.
-
-    ``overlap_seconds`` in the returned provenance sums the planning and
-    selection work performed while dispatched trials were still in
-    flight — the wall-clock the barrier scheduler would have serialised.
-    """
-    window = _stream_window(trial_executor)
-    drain = _StreamDrain(session, circuit_deadlines, on_error)
-    try:
-        for index, (circuit, circuit_seed) in enumerate(
-            zip(batch, circuit_seeds)
-        ):
-            outcome = plan_front(index, circuit, circuit_seed)
-            if session.outstanding():
-                drain.overlap += outcome.seconds
-            drain.park(index, outcome.state, outcome.seconds)
-            # Finish any leading circuits whose trials already drained
-            # (non-blocking), then enforce the bounded window (blocking
-            # on the oldest circuit only when the producer ran ahead).
-            drain.finish_drained()
-            while len(drain.pending) > window:
-                drain.finish_oldest()
-        while drain.pending:
-            drain.finish_oldest()
-    finally:
-        session.close()
-    return drain.results, drain.provenance(
-        trial_executor, stats_before, len(batch), "local"
-    )
-
-
-def _stream_executor_plan_fanout(
-    batch: list[QuantumCircuit],
-    plan_spec: PlanSpec,
-    circuit_seeds: Sequence[np.random.SeedSequence],
-    trial_executor: TrialExecutor,
-    session,
-    stats_before: dict[str, int],
-    circuit_deadlines: Sequence[float | None] | None = None,
-    on_error: str = "raise",
-) -> tuple[list[TranspileResult], dict]:
-    """Streaming scheduler with planning distributed onto the executor.
-
-    The bounded producer submits each circuit's *front pipeline* as a
-    planning task on the same dispatch session that runs the routing
-    trials — one shared :class:`PlanSpec` payload (the coverage set rides
-    as the session anchor), one light :class:`PlanTask` per circuit.
-    Planned states come back anchor-encoded (the worker re-pickles them
-    with persistent references to the anchors, so the coverage set never
-    travels the return path) and are decoded **in input order**; each
-    decoded circuit's trial refs are fed straight into the in-flight
-    dispatch, and drained circuits resume immediately — so phase-A
-    planning of circuit *k + 1* runs on worker cores while phase-B trials
-    of circuit *k* execute and phase-C selection of circuit *k - 1* runs
-    on the producer thread.
-
-    The per-circuit seeds, and the spawn tree beneath them, are exactly
-    the local planner's, and every front stage is deterministic, so
-    fixed-seed outputs are byte-identical to ``plan="local"`` on every
-    executor and scheduler.
-    """
-    window = _stream_window(trial_executor)
-    drain = _StreamDrain(session, circuit_deadlines, on_error)
-    next_index = 0
-    admitted = 0
-    plan_pending: collections.deque[concurrent.futures.Future] = (
-        collections.deque()
-    )
-
-    # Worker-side plan park (MIRAGE_PLAN_PARK): the worker publishes the
-    # planned spec into shared memory and returns only its handle; the
-    # plan_return_bytes counter pins what the return path then carries.
-    plan_fn = (
-        run_plan_parked if getattr(session, "plan_park", False) else run_plan
-    )
-
-    def admit(encoded: object) -> None:
-        """Decode one planned state and feed its trials into the dispatch."""
-        nonlocal admitted
-        start = time.perf_counter()
-        if isinstance(encoded, (bytes, bytearray)):
-            trial_executor._count_dispatch(plan_return_bytes=len(encoded))
-        outcome = session.decode(encoded)
-        if outcome.index != admitted:  # pragma: no cover - defensive
-            raise TranspilerError(
-                f"planned circuit {outcome.index} admitted out of order "
-                f"(expected {admitted})"
-            )
-        admitted += 1
-        spec_loader = None
-        if outcome.spec_handle is not None:
-            spec_loader = functools.partial(
-                rebuild_trial_spec,
-                plan_spec,
-                PlanTask(
-                    index=outcome.index,
-                    circuit=batch[outcome.index],
-                    seed=circuit_seeds[outcome.index],
-                ),
-            )
-        drain.park(
-            outcome.index,
-            outcome.state,
-            outcome.seconds,
-            spec_handle=outcome.spec_handle,
-            spec_loader=spec_loader,
+        results[entry.index] = _finish_batch_state(
+            entry.state, entry.front_seconds
         )
         if session.outstanding():
-            drain.overlap += time.perf_counter() - start
+            overlap += time.perf_counter() - start
 
-    try:
-        plan_slot = session.add_payload(plan_spec, kind="plan")
-        while next_index < len(batch) or plan_pending or drain.pending:
-            progressed = False
-            # Keep the window full of planning tasks: submitted plans plus
-            # parked circuits never exceed the stream window, bounding the
-            # states (and segments) held at any moment.
-            while (
-                next_index < len(batch)
-                and len(plan_pending) + len(drain.pending) < window
-            ):
-                task = PlanTask(
-                    index=next_index,
-                    circuit=batch[next_index],
-                    seed=circuit_seeds[next_index],
-                )
-                (future,) = session.submit(
-                    plan_slot, [task], fn=plan_fn, encode=True, kind="plan"
-                )
-                plan_pending.append(future)
-                next_index += 1
-                progressed = True
-            # Admit completed plans strictly in input order.
-            while plan_pending and plan_pending[0].done():
-                (encoded,) = plan_pending.popleft().result()
-                admit(encoded)
-                progressed = True
-            # Resume circuits whose trials have fully drained.
-            progressed = drain.finish_drained() or progressed
-            if progressed:
-                continue
-            # Nothing moved: block until the head plan or a head-circuit
-            # trial chunk completes (only not-done futures, so a partially
-            # drained head cannot busy-spin the loop).
-            waitables = [
-                future
-                for future in (
-                    ([plan_pending[0]] if plan_pending else [])
-                    + (list(drain.pending[0].futures) if drain.pending else [])
-                )
-                if not future.done()
-            ]
-            if not waitables:  # pragma: no cover - defensive
-                if drain.pending:
-                    drain.finish_oldest()
-                    continue
-                break
-            concurrent.futures.wait(
-                waitables, return_when=concurrent.futures.FIRST_COMPLETED
+    for index, (circuit, circuit_seed) in enumerate(zip(batch, circuit_seeds)):
+        error = _expired_error(
+            circuit_deadlines[index], on_error, trial_executor, "planned"
+        )
+        if error is not None:
+            results[index] = error
+            continue
+        outcome = plan_front(circuit, circuit_seed)
+        plan_seconds += outcome.seconds
+        if session.outstanding():
+            overlap += outcome.seconds
+        entry = _StreamEntry(index, outcome.state, outcome.seconds, [])
+        trial_plan = outcome.state.properties.get("trial_plan")
+        if trial_plan is not None:
+            entry.slot = session.add_payload(trial_plan.spec)
+            entry.futures = session.submit(
+                entry.slot,
+                trial_plan.refs,
+                deadline=circuit_deadlines[index],
             )
-    finally:
-        session.close()
-    return drain.results, drain.provenance(
-        trial_executor, stats_before, len(batch), "executor"
+            routed += 1
+        pending.append(entry)
+        # Finish any leading circuits whose trials already drained
+        # (non-blocking), then enforce the bounded window (blocking on
+        # the oldest circuit only when the producer ran ahead).
+        while pending and all(f.done() for f in pending[0].futures):
+            finish_oldest()
+        while len(pending) > window:
+            finish_oldest()
+    while pending:
+        finish_oldest()
+    dispatch = _dispatch_provenance(
+        trial_executor, stats_before, circuits=len(batch), routed=routed
     )
+    dispatch["scheduler"] = "stream"
+    dispatch["overlap_seconds"] = round(overlap, 6)
+    dispatch["plan_seconds"] = round(plan_seconds, 6)
+    return results, dispatch
 
 
 def transpile_many(
@@ -850,7 +608,6 @@ def transpile_many(
     max_workers: int | None = None,
     fanout: str = "auto",
     scheduler: str = "auto",
-    plan: str = "auto",
     circuit_deadlines: Sequence[float | None] | None = None,
     on_error: str = "raise",
 ) -> BatchResult:
@@ -890,22 +647,9 @@ def transpile_many(
       (the engine preceding the streaming scheduler).
     * ``"auto"`` (default) — ``"stream"``.
 
-    Under the streaming scheduler, ``plan`` picks where each circuit's
-    *front pipeline* (clean → … → vf2 → plan) runs:
-
-    * ``"executor"`` — planning tasks are submitted to the same dispatch
-      session as the routing trials, so phase-A planning of later
-      circuits runs on worker cores while earlier circuits' trials are
-      in flight.  The coverage set rides the session anchor in both
-      directions (planned states come back anchor-encoded), so it still
-      crosses the process boundary exactly once per batch.
-    * ``"local"`` — planning stays on the dispatching thread (the
-      pre-executor-planning behaviour).
-    * ``"auto"`` (default) — ``"executor"`` whenever the dispatch
-      session executes concurrently with the producer (thread pools and
-      shared-memory process pools), else ``"local"``.  The barrier
-      scheduler always plans locally; the mode actually used is recorded
-      in the dispatch provenance.
+    Both schedulers run each circuit's *front pipeline* (clean → … →
+    vf2 → plan) on the dispatching thread; only routing trials are
+    shipped to the executor.
 
     Parameters
     ----------
@@ -930,14 +674,12 @@ def transpile_many(
     scheduler : {"auto", "stream", "overlap", "barrier"}
         Circuit fan-out scheduling mode, see above (ignored under
         ``fanout="trials"``).
-    plan : {"auto", "local", "executor"}
-        Planning placement under the streaming scheduler, see above
-        (ignored under ``fanout="trials"`` and by the barrier engine).
     circuit_deadlines : sequence of float or None, optional
         Per-circuit absolute deadlines as ``time.monotonic()`` instants
         (``None`` entries mean unbounded).  Must match the batch length.
-        Under the streaming scheduler each circuit's deadline rides its
-        own trial chunks: an expired circuit settles with
+        A circuit already expired when the batch reaches it is never
+        planned.  Under the streaming scheduler each circuit's deadline
+        also rides its own trial chunks: an expired circuit settles with
         :class:`~repro.exceptions.DeadlineExceededError` while sibling
         circuits in the same dispatch complete normally, byte-identical
         to an undeadlined run.  The barrier scheduler and
@@ -964,7 +706,7 @@ def transpile_many(
     Raises
     ------
     InvalidModeError
-        If ``fanout``, ``scheduler`` or ``plan`` is not an accepted mode
+        If ``fanout`` or ``scheduler`` is not an accepted mode
         string (also a ``ValueError``; the message names the accepted
         values — unknown strings never fall back to a default).
     TranspilerError
@@ -977,9 +719,9 @@ def transpile_many(
     ``numpy.random.SeedSequence`` by batch position, and per-trial streams
     from each circuit seed — the identical spawn tree in every fan-out
     mode, scheduler and executor.  For a fixed circuit list and seed the
-    batch is therefore byte-identical across ``fanout``, ``scheduler``,
-    ``plan`` and ``executor`` choices (shared-memory and zero-copy
-    transports included); but
+    batch is therefore byte-identical across ``fanout``, ``scheduler``
+    and ``executor`` choices (shared-memory and zero-copy transports
+    included); but
     reordering, inserting or removing circuits reseeds the affected
     positions, and a batch of one does not reproduce a bare
     :func:`transpile` call with the same integer seed.  Passing
@@ -999,7 +741,6 @@ def transpile_many(
     method, selection = validate_flow(method, selection)
     mode = _resolve_fanout(fanout, len(batch))
     scheduler_mode = _resolve_scheduler(scheduler)
-    plan_mode = _resolve_plan(plan)
     if circuit_seeds is not None and len(circuit_seeds) != len(batch):
         raise TranspilerError(
             f"circuit_seeds has {len(circuit_seeds)} entries for "
@@ -1018,6 +759,8 @@ def transpile_many(
             f"circuit_deadlines has {len(circuit_deadlines)} entries for "
             f"{len(batch)} circuits"
         )
+    if circuit_deadlines is None:
+        circuit_deadlines = [None] * len(batch)
     dispatch: dict | None = None
     with executor_scope(executor, max_workers) as trial_executor:
         shared_coverage = resolve_coverage(coverage, basis)
@@ -1045,7 +788,6 @@ def transpile_many(
                 circuit_seeds=circuit_seeds,
                 trial_executor=trial_executor,
                 scheduler=scheduler_mode,
-                plan=plan_mode,
                 circuit_deadlines=circuit_deadlines,
                 on_error=on_error,
             )
@@ -1055,19 +797,11 @@ def transpile_many(
             for index, (circuit, circuit_seed) in enumerate(
                 zip(batch, circuit_seeds)
             ):
-                deadline = (
-                    circuit_deadlines[index]
-                    if circuit_deadlines is not None
-                    else None
+                error = _expired_error(
+                    circuit_deadlines[index], on_error, trial_executor,
+                    "transpiled",
                 )
-                if deadline is not None and time.monotonic() >= deadline:
-                    error = DeadlineExceededError(
-                        "request deadline expired before its circuit "
-                        "was transpiled"
-                    )
-                    if on_error == "raise":
-                        raise error
-                    trial_executor._count_dispatch(deadline_expirations=1)
+                if error is not None:
                     results.append(error)
                     continue
                 results.append(
@@ -1180,7 +914,7 @@ def compare_methods(
                     use_vf2=False,
                 )
                 outcome = run_plan(
-                    plan_spec, PlanTask(index=0, circuit=circuit, seed=seed)
+                    plan_spec, PlanTask(circuit=circuit, seed=seed)
                 )
                 trial_plan = outcome.state.properties.get("trial_plan")
                 futures: list = []

@@ -127,10 +127,10 @@ Every dispatch path therefore recovers per *chunk*:
 
 Each executor records how much serialisation and transport the last
 calls cost in :attr:`TrialExecutor.dispatch_stats` (``shared_pickles``,
-``payload_pickles``, ``plan_payloads``, ``chunks``, ``tasks``,
-``plan_tasks``, ``shm_segments``, ``bytes_shipped``, ``header_bytes``
-and worker-side ``bytes_copied``), which the batch engine surfaces as
-provenance and the test suite uses as a re-pickling regression check.
+``payload_pickles``, ``chunks``, ``tasks``, ``shm_segments``,
+``bytes_shipped``, ``header_bytes`` and worker-side ``bytes_copied``),
+which the batch engine surfaces as provenance and the test suite uses
+as a re-pickling regression check.
 The recovery counters (``retries``, ``respawns``, ``lost_tasks``,
 ``executor_downgrades``, ``transport_downgrades``) live in the same
 dict and are all zero on a clean run.
@@ -955,103 +955,6 @@ def _load_payload(
     return _memoise(key, loader)
 
 
-def _load_shared(handle: PayloadHandle) -> object:
-    """Back-compat alias of :func:`_load_payload` without anchors."""
-    return _load_payload(handle)
-
-
-def _materialise_payload(
-    handle: PayloadHandle, anchors: Sequence[object]
-) -> object:
-    """Deserialise a payload as a fully-owned copy — no segment views.
-
-    The dispatcher-side counterpart of :func:`_load_payload` for
-    payloads the dispatcher never held an object for (worker-parked
-    plan specs): every section is copied *out* of the segment before
-    unpickling, so the result stays valid after the segment is
-    unlinked — it becomes the replay source for transport downgrades
-    and degraded in-process execution.  A vanished segment raises
-    :class:`~repro.exceptions.TransportError`.
-    """
-    if handle.segment is None:
-        return _loads_anchored(handle.blob, anchors, handle.oob_buffers)
-    shm = _attach_segment(handle.segment)
-    try:
-        view = memoryview(shm.buf).toreadonly()
-        try:
-            if not handle.header:
-                return _loads_anchored(bytes(view[: handle.size]), anchors)
-            magic, count = struct.unpack_from("<8sQ", view, 0)
-            if magic != _OOB_MAGIC:
-                raise TranspilerError(
-                    f"segment {handle.segment!r} is not an out-of-band payload"
-                )
-            table = [
-                struct.unpack_from("<QQ", view, 16 + 16 * index)
-                for index in range(count)
-            ]
-            body_offset, body_size = table[0]
-            body = bytes(view[body_offset:body_offset + body_size])
-            buffers = [
-                bytes(view[offset:offset + size]) for offset, size in table[1:]
-            ]
-            return _loads_anchored(body, anchors, buffers)
-        finally:
-            view.release()
-    finally:
-        with contextlib.suppress(Exception):
-            shm.close()
-
-
-#: Anchor tuple of the dispatch session whose chunk is currently
-#: executing in this worker process (set by :func:`_run_session_chunk`,
-#: ``None`` outside one).  Pool workers run chunks one at a time on
-#: their main thread, so a plain module global suffices.
-_park_anchors: "Sequence[object] | None" = None
-
-
-def plan_park_enabled() -> bool:
-    """Whether executor-side planning parks planned specs worker-side.
-
-    With ``MIRAGE_PLAN_PARK=1``, a worker that plans a circuit
-    publishes the planned trial spec straight into a shared-memory
-    segment and returns only the :class:`PayloadHandle` ref — the
-    O(DAG)-bytes spec never rides the result pipe, and the parent
-    adopts the segment as the trial payload (pinned under the
-    ``plan_return_bytes`` dispatch counter).  Off by default: parking
-    trades the parent's retained payload object for a segment-backed
-    copy, so crash-recovery paths regenerate specs from the pipeline
-    state instead of reusing a parent reference — correct, but with
-    extra recovery work under worker-kill faults.  Checked per
-    dispatch like the other transport switches.
-    """
-    return os.environ.get("MIRAGE_PLAN_PARK", "").strip() not in ("", "0")
-
-
-def park_payload(obj: object) -> PayloadHandle | None:
-    """Publish ``obj`` from inside a worker, transferring ownership out.
-
-    Runs in a pool worker during a session chunk: the object is
-    published against the session anchors (persistent references, same
-    bytes the parent would have produced) and the fresh segment is
-    dropped from this worker's cleanup registry — the parent adopts it
-    via :meth:`_ShmDispatchSession.adopt_payload` when the chunk's
-    result arrives.  Returns ``None`` when parking is impossible — no
-    session context (in-process execution), shm disabled, or segment
-    creation failed — in which case the caller keeps the object inline.
-    """
-    anchors = _park_anchors
-    if anchors is None or not shm_transport_enabled():
-        return None
-    handle = _publish_object(obj, anchors)
-    if handle.segment is None:
-        # Segment creation failed: an inline handle would just re-ship
-        # the bytes parking exists to avoid.
-        return None
-    _created_segments.pop(handle.segment, None)
-    return handle
-
-
 def _check_deadline(deadline: float | None) -> None:
     """Raise :class:`DeadlineExceededError` once ``deadline`` has passed.
 
@@ -1118,40 +1021,17 @@ def _run_session_chunk(
     payload_handle: PayloadHandle,
     fn: Callable[[object, object], object],
     tasks: Sequence[object],
-    encode: bool = False,
     faults: "ChunkFaults | None" = None,
     deadline: float | None = None,
 ) -> tuple[list[object], int]:
-    """Evaluate one streamed chunk against its anchored payload.
-
-    With ``encode=True`` each result is re-pickled with persistent
-    references to the session anchors before travelling back, so heavy
-    anchor objects (the coverage set) never ride the return path — the
-    parent resolves them via :meth:`DispatchSession.decode`.  Injected
-    :class:`CorruptResult` markers skip the encode step so the parent
-    can detect them without decoding.
-    """
-    global _worker_bytes_copied, _park_anchors
+    """Evaluate one streamed chunk against its anchored payload."""
+    global _worker_bytes_copied
     before = _worker_bytes_copied
     if faults is not None:
         faults.check_transport()
     _check_deadline(deadline)
-    anchors: Sequence[object] = ()
-    if anchor_handle is not None:
-        anchors = _load_payload(anchor_handle)
     shared = _load_payload(payload_handle, anchor_handle)
-    _park_anchors = anchors
-    try:
-        results = _run_tasks(fn, shared, tasks, faults, deadline)
-    finally:
-        _park_anchors = None
-    if encode:
-        results = [
-            result
-            if isinstance(result, CorruptResult)
-            else _dumps_anchored(result, anchors)
-            for result in results
-        ]
+    results = _run_tasks(fn, shared, tasks, faults, deadline)
     return results, _worker_bytes_copied - before
 
 
@@ -1185,83 +1065,43 @@ class DispatchSession:
     futures have drained.  Use it as a context manager so segments are
     unlinked even when a worker raises.
 
-    ``submit`` accepts a per-call ``fn`` override, which is how the
-    batch engine runs *planning* tasks on the same session (and the same
-    anchors) as the routing trials; submissions flagged ``kind="plan"``
-    are counted under the ``plan_tasks``/``plan_payloads`` provenance
-    keys instead of ``tasks``/``payload_pickles``.  Results submitted
-    with ``encode=True`` come back anchor-encoded from serialising
-    transports and must run through :meth:`decode`.
-
     Sessions are fault tolerant: a chunk lost to a worker crash, hang or
     transport failure is replayed (same tasks, same seeds — replay is
     byte-identical) within the ``MIRAGE_TASK_RETRIES`` budget, and the
     recovery is visible in the executor's dispatch counters.  When a
     ``MIRAGE_FAULT_PLAN`` is active the session snapshots it at open
     time and resolves it into per-chunk fault records at submit time —
-    the fault ordinals (one counter per task kind, plus a global chunk
-    counter) are assigned on the submitting thread, so injected failures
+    the fault ordinals (one trial counter, plus a global chunk counter)
+    are assigned on the submitting thread, so injected failures
     strike exact positions regardless of worker scheduling, and replays
     are dispatched with their faults disarmed.
     """
-
-    #: Whether submitted chunks can execute concurrently with the
-    #: submitting thread (drives the ``plan="auto"`` resolution).
-    parallel = False
 
     def __init__(self, fn: Callable[[Any, Any], Any]) -> None:
         self.fn = fn
         self._futures: list[concurrent.futures.Future] = []
         self._closed = False
         self._fault_plan = FaultPlan.from_env()
-        self._fault_counts = {"trial": 0, "plan": 0}
+        self._fault_trials = 0
         self._fault_chunk_ordinal = 0
 
-    def _next_chunk_faults(
-        self, kind: str, count: int
-    ) -> "ChunkFaults | None":
+    def _next_chunk_faults(self, count: int) -> "ChunkFaults | None":
         """Resolve the active fault plan against one about-to-go chunk.
 
-        Advances this session's per-kind task ordinals and the global
-        chunk ordinal (submit happens on the producer thread, so plain
+        Advances this session's trial ordinal and the global chunk
+        ordinal (submit happens on the producer thread, so plain
         counters suffice); returns ``None`` — the hot-path case — when no
         plan is active or no fault lands in the chunk.
         """
         if self._fault_plan is None:
             return None
-        key = "plan" if kind == "plan" else "trial"
-        start = self._fault_counts[key]
-        self._fault_counts[key] = start + count
+        start = self._fault_trials
+        self._fault_trials = start + count
         ordinal = self._fault_chunk_ordinal
         self._fault_chunk_ordinal += 1
-        return self._fault_plan.chunk_faults(key, start, count, ordinal)
+        return self._fault_plan.chunk_faults("trial", start, count, ordinal)
 
-    def _count_submit(
-        self, kind: str, chunks: int, tasks: int, bytes_shipped: int = 0
-    ) -> None:
-        """Fold one submission into the executor's dispatch counters.
-
-        The single place mapping a submission ``kind`` onto provenance
-        keys: ``"plan"`` submissions count under ``plan_tasks``, anything
-        else under ``tasks`` (subclasses set ``self._executor``).
-        """
-        if kind == "plan":
-            self._executor._count_dispatch(
-                chunks=chunks, plan_tasks=tasks, bytes_shipped=bytes_shipped
-            )
-        else:
-            self._executor._count_dispatch(
-                chunks=chunks, tasks=tasks, bytes_shipped=bytes_shipped
-            )
-
-    def _count_payload(self, kind: str) -> None:
-        """Fold one payload registration into the dispatch counters."""
-        if kind == "plan":
-            self._executor._count_dispatch(plan_payloads=1)
-        else:
-            self._executor._count_dispatch(payload_pickles=1)
-
-    def add_payload(self, payload: object, kind: str = "payload") -> int:
+    def add_payload(self, payload: object) -> int:
         """Register a heavy payload; returns its slot for :meth:`submit`."""
         raise NotImplementedError
 
@@ -1270,9 +1110,6 @@ class DispatchSession:
         slot: int,
         tasks: Sequence[object],
         *,
-        fn: Callable[[Any, Any], Any] | None = None,
-        encode: bool = False,
-        kind: str = "trial",
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
         """Dispatch ``tasks`` against payload ``slot`` as chunked futures.
@@ -1285,14 +1122,6 @@ class DispatchSession:
         ``deadline_expirations`` dispatch counter and is never retried.
         """
         raise NotImplementedError
-
-    def decode(self, result: object) -> object:
-        """Resolve one ``encode=True`` result against the session anchors.
-
-        The identity function on transports that never serialise results
-        (inline and thread sessions).
-        """
-        return result
 
     def release(self, slot: int) -> None:
         """Drop payload ``slot``'s resources once its futures have drained.
@@ -1335,7 +1164,7 @@ class _LocalDispatchSession(DispatchSession):
         self._executor = executor
         self._payloads: list[object] = []
 
-    def add_payload(self, payload: object, kind: str = "payload") -> int:
+    def add_payload(self, payload: object) -> int:
         self._payloads.append(payload)
         return len(self._payloads) - 1
 
@@ -1388,39 +1217,31 @@ class _InlineDispatchSession(_LocalDispatchSession):
         slot: int,
         tasks: Sequence[object],
         *,
-        fn: Callable[[Any, Any], Any] | None = None,
-        encode: bool = False,
-        kind: str = "trial",
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
         future: concurrent.futures.Future = concurrent.futures.Future()
-        faults = self._next_chunk_faults(kind, len(tasks))
+        faults = self._next_chunk_faults(len(tasks))
         try:
             future.set_result(
                 _run_local_chunk_recovering(
-                    self._executor, fn or self.fn, self._payloads[slot],
+                    self._executor, self.fn, self._payloads[slot],
                     tasks, faults, deadline,
                 )
             )
         except BaseException as error:  # noqa: BLE001 - mirror pool futures
             future.set_exception(error)
-        self._count_submit(kind, 1, len(tasks))
+        self._executor._count_dispatch(chunks=1, tasks=len(tasks))
         return [future]
 
 
 class _ThreadDispatchSession(_LocalDispatchSession):
     """Thread-pool session: chunks close over the payload, no serialisation."""
 
-    parallel = True
-
     def submit(
         self,
         slot: int,
         tasks: Sequence[object],
         *,
-        fn: Callable[[Any, Any], Any] | None = None,
-        encode: bool = False,
-        kind: str = "trial",
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
         pool = self._executor._ensure_pool()
@@ -1431,16 +1252,16 @@ class _ThreadDispatchSession(_LocalDispatchSession):
             pool.submit(
                 _run_local_chunk_recovering,
                 self._executor,
-                fn or self.fn,
+                self.fn,
                 self._payloads[slot],
                 chunk,
-                self._next_chunk_faults(kind, len(chunk)),
+                self._next_chunk_faults(len(chunk)),
                 deadline,
             )
             for chunk in _chunk(batch, size)
         ]
         self._futures.extend(futures)
-        self._count_submit(kind, len(futures), len(batch))
+        self._executor._count_dispatch(chunks=len(futures), tasks=len(batch))
         return futures
 
 
@@ -1455,25 +1276,19 @@ class _ChunkRecord:
     """
 
     __slots__ = (
-        "slot", "fn", "tasks", "encode", "kind", "faults", "attempts",
-        "wrapped", "raw", "generation", "submitted", "deadline",
+        "slot", "tasks", "faults", "attempts", "wrapped", "raw",
+        "generation", "submitted", "deadline",
     )
 
     def __init__(
         self,
         slot: int,
-        fn: Callable[[Any, Any], Any],
         tasks: Sequence[object],
-        encode: bool,
-        kind: str,
         faults: "ChunkFaults | None",
         deadline: float | None = None,
     ) -> None:
         self.slot = slot
-        self.fn = fn
         self.tasks = tasks
-        self.encode = encode
-        self.kind = kind
         self.faults = faults
         self.deadline = deadline
         self.attempts = 0
@@ -1508,8 +1323,6 @@ class _ShmDispatchSession(DispatchSession):
     through the dispatch counters.
     """
 
-    parallel = True
-
     def __init__(
         self,
         executor: "ProcessExecutor",
@@ -1521,7 +1334,6 @@ class _ShmDispatchSession(DispatchSession):
         self._anchors = tuple(anchors)
         self._handles: list[PayloadHandle | None] = []
         self._payload_objects: list[object] = []
-        self._payload_loaders: dict[int, Callable[[], object]] = {}
         self._segments: list[str] = []
         self._anchor_handle: PayloadHandle | None = None
         self._retry_lock = threading.Lock()
@@ -1545,82 +1357,15 @@ class _ShmDispatchSession(DispatchSession):
             )
         return handle
 
-    @property
-    def plan_park(self) -> bool:
-        """Whether the engine should park planned specs worker-side.
-
-        True only when ``MIRAGE_PLAN_PARK=1``: the shm transport can
-        adopt worker-published segments, but parking is opt-in — see
-        :func:`plan_park_enabled`.
-        """
-        return plan_park_enabled()
-
-    def add_payload(self, payload: object, kind: str = "payload") -> int:
+    def add_payload(self, payload: object) -> int:
         handle = self._record(payload, self._anchors)
         self._handles.append(handle)
         # The dispatcher's own reference survives until release: it is
         # the replay source for transport downgrades and the payload of
         # last-resort in-process execution.
         self._payload_objects.append(payload)
-        self._count_payload(kind)
+        self._executor._count_dispatch(payload_pickles=1)
         return len(self._handles) - 1
-
-    def adopt_payload(
-        self,
-        handle: PayloadHandle,
-        kind: str = "payload",
-        loader: "Callable[[], object] | None" = None,
-    ) -> int:
-        """Adopt a worker-published payload as a session slot.
-
-        The counterpart of :func:`park_payload`: the worker already
-        published the payload into a segment and transferred ownership,
-        so the parent registers the segment for cleanup and exposes the
-        handle as a normal slot — without ever holding the payload
-        object.  The downgrade/degrade recovery paths, which need a
-        parent-side object, materialise a copy from the segment on
-        demand (:meth:`_payload_object`); ``loader`` optionally
-        regenerates the payload instead when the segment itself is the
-        casualty.
-        """
-        if handle.segment is not None:
-            _created_segments[handle.segment] = os.getpid()
-            self._segments.append(handle.segment)
-            self._executor._count_dispatch(
-                shm_segments=1, header_bytes=handle.header
-            )
-        self._handles.append(handle)
-        self._payload_objects.append(None)
-        slot = len(self._handles) - 1
-        if loader is not None:
-            self._payload_loaders[slot] = loader
-        self._count_payload(kind)
-        return slot
-
-    def _payload_object(self, slot: int) -> object | None:
-        """The parent-side payload object for ``slot``, created on demand.
-
-        ``add_payload`` slots return the retained reference directly.
-        Adopted (worker-parked) slots materialise a fully-owned copy
-        out of their segment on first use, falling back to the slot's
-        regeneration loader when the segment is gone.  Returns ``None``
-        for released slots.
-        """
-        payload = self._payload_objects[slot]
-        if payload is not None:
-            return payload
-        handle = self._handles[slot]
-        loader = self._payload_loaders.get(slot)
-        if handle is None:
-            return None
-        try:
-            payload = _materialise_payload(handle, self._anchors)
-        except TransportError:
-            if loader is None:
-                raise
-            payload = loader()
-        self._payload_objects[slot] = payload
-        return payload
 
     def release(self, slot: int) -> None:
         handle = self._handles[slot]
@@ -1628,14 +1373,10 @@ class _ShmDispatchSession(DispatchSession):
             return
         self._handles[slot] = None
         self._payload_objects[slot] = None
-        self._payload_loaders.pop(slot, None)
         if handle.segment is not None:
             with contextlib.suppress(ValueError):
                 self._segments.remove(handle.segment)
             _unlink_segment(handle.segment)
-
-    def decode(self, result: object) -> object:
-        return _loads_anchored(result, self._anchors)
 
     # -- retry controller --------------------------------------------------
 
@@ -1667,9 +1408,8 @@ class _ShmDispatchSession(DispatchSession):
                 _run_session_chunk,
                 self._anchor_handle,
                 handle,
-                record.fn,
+                self.fn,
                 record.tasks,
-                record.encode,
                 record.faults,
                 record.deadline,
             )
@@ -1786,13 +1526,7 @@ class _ShmDispatchSession(DispatchSession):
         handle = self._handles[slot]
         if handle is None or handle.segment is None:
             return
-        try:
-            payload = self._payload_object(slot)
-        except TransportError:
-            payload = None
-        if payload is None:
-            return
-        blob = _dumps_anchored(payload, self._anchors)
+        blob = _dumps_anchored(self._payload_objects[slot], self._anchors)
         self._handles[slot] = PayloadHandle(
             digest=hashlib.sha1(blob).hexdigest(), size=len(blob), blob=blob
         )
@@ -1824,21 +1558,16 @@ class _ShmDispatchSession(DispatchSession):
 
     def _run_degraded(self, record: _ChunkRecord) -> None:
         try:
-            payload = self._payload_object(record.slot)
+            payload = self._payload_objects[record.slot]
             if payload is None:
                 raise TranspilerError(
                     "payload slot released with chunks still in flight"
                 )
             results = _guard_chunk_results(
                 _run_local_chunk(
-                    record.fn, payload, record.tasks, None, record.deadline
+                    self.fn, payload, record.tasks, None, record.deadline
                 )
             )
-            if record.encode:
-                results = [
-                    _dumps_anchored(result, self._anchors)
-                    for result in results
-                ]
         except DeadlineExceededError as error:
             self._executor._count_dispatch(deadline_expirations=1)
             self._settle_error(record, error)
@@ -1923,9 +1652,6 @@ class _ShmDispatchSession(DispatchSession):
         slot: int,
         tasks: Sequence[object],
         *,
-        fn: Callable[[Any, Any], Any] | None = None,
-        encode: bool = False,
-        kind: str = "trial",
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
         batch = list(tasks)
@@ -1938,11 +1664,8 @@ class _ShmDispatchSession(DispatchSession):
         for chunk in _chunk(batch, size):
             record = _ChunkRecord(
                 slot=slot,
-                fn=fn or self.fn,
                 tasks=chunk,
-                encode=encode,
-                kind=kind,
-                faults=self._next_chunk_faults(kind, len(chunk)),
+                faults=self._next_chunk_faults(len(chunk)),
                 deadline=deadline,
             )
             with self._retry_lock:
@@ -1954,8 +1677,9 @@ class _ShmDispatchSession(DispatchSession):
         shipped = handle.shipped_bytes + (
             self._anchor_handle.shipped_bytes if self._anchor_handle else 0
         )
-        self._count_submit(
-            kind, len(futures), len(batch),
+        self._executor._count_dispatch(
+            chunks=len(futures),
+            tasks=len(batch),
             bytes_shipped=shipped * len(futures),
         )
         return futures
@@ -1979,18 +1703,12 @@ class TrialExecutor:
         self.dispatch_stats: dict[str, int] = {
             "shared_pickles": 0,
             "payload_pickles": 0,
-            "plan_payloads": 0,
             "chunks": 0,
             "tasks": 0,
-            "plan_tasks": 0,
             "shm_segments": 0,
             "bytes_shipped": 0,
             "header_bytes": 0,
             "bytes_copied": 0,
-            # Bytes of encoded plan results that crossed the result
-            # pipe; worker-side plan park (MIRAGE_PLAN_PARK=1) shrinks
-            # this to O(ref) per circuit.
-            "plan_return_bytes": 0,
             # Fault-tolerance counters — all zero on a clean run.
             "retries": 0,
             "respawns": 0,

@@ -9,9 +9,9 @@ executor and transport.  This module is that harness:
   :func:`parse_fault_plan` / :meth:`FaultPlan.from_env`.  Every entry
   follows the ``kind:stage:ordinal`` grammar.  Task faults are
   ``action:kind:index`` with ``action`` one of ``kill`` / ``hang`` /
-  ``corrupt`` / ``slow`` and ``kind`` one of ``trial`` / ``plan``;
-  ``index`` is the zero-based *global submission ordinal* of that kind
-  within one dispatch (a session, or one ``map_shared`` call).
+  ``corrupt`` / ``slow`` and ``kind`` always ``trial``; ``index`` is
+  the zero-based *global submission ordinal* of routing trials within
+  one dispatch (a session, or one ``map_shared`` call).
   ``corrupt_shm:index`` targets the chunk with that global chunk
   ordinal instead, raising a :class:`~repro.exceptions.TransportError`
   before the payload loads — exactly what a vanished segment looks
@@ -22,7 +22,7 @@ executor and transport.  This module is that harness:
   its ``N``-th dispatched window as a threshold-worth of executor
   failures.  Example::
 
-      MIRAGE_FAULT_PLAN="kill:trial:7,slow:plan:2,corrupt_shm:1,shed:request:5"
+      MIRAGE_FAULT_PLAN="kill:trial:7,slow:trial:2,corrupt_shm:1,shed:request:5"
 
 * The dispatcher resolves the plan into per-chunk :class:`ChunkFaults`
   records at submit time (workers never count anything, so work stealing
@@ -251,7 +251,7 @@ class ChunkFaults:
 #: malformed plan fails fast with the full contract in the message.
 FAULT_PLAN_GRAMMAR = (
     "kind:stage:ordinal — one of "
-    "'kill|hang|corrupt|slow:trial|plan:<ordinal>', "
+    "'kill|hang|corrupt|slow:trial:<ordinal>', "
     "'corrupt_shm:<ordinal>', 'shed:request:<ordinal>', "
     "'trip_breaker:window:<ordinal>', 'drop_conn:chunk:<ordinal>', "
     "'garble:frame:<ordinal>', 'partition:host:<ordinal>' or "
@@ -264,7 +264,7 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
 
     Grammar: comma-separated ``kind:stage:ordinal`` entries — task
     faults ``action:kind:index`` (``action`` in ``kill``/``hang``/
-    ``corrupt``/``slow``, ``kind`` in ``trial``/``plan``), chunk faults
+    ``corrupt``/``slow``, ``kind`` always ``trial``), chunk faults
     ``corrupt_shm:index``, and service faults ``shed:request:index`` /
     ``trip_breaker:window:index``.  Whitespace around entries is
     ignored; an empty spec yields an empty plan.  Anything else raises
@@ -286,7 +286,7 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
                 continue
             if len(fields) == 3 and fields[0] in _TASK_ACTIONS:
                 action, kind, index = fields
-                if kind not in ("trial", "plan"):
+                if kind != "trial":
                     raise ValueError(kind)
                 entries.append(FaultSpec(action, kind, int(index)))
                 continue
@@ -314,15 +314,15 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
 class FaultPlan:
     """A parsed fault plan, queried by the dispatcher at submit time.
 
-    Holds the task faults grouped by kind (``trial``/``plan``) and the
-    set of chunk ordinals whose payload attach must fail.  The plan
-    itself is immutable; the *dispatcher* owns the ordinal counters (one
-    per kind, plus a global chunk counter) so that fault positions are
-    exact and independent of worker scheduling.
+    Holds the trial faults by task ordinal and the set of chunk ordinals
+    whose payload attach must fail.  The plan itself is immutable; the
+    *dispatcher* owns the ordinal counters (one for trials, plus a
+    global chunk counter) so that fault positions are exact and
+    independent of worker scheduling.
     """
 
     def __init__(self, specs: Iterable[FaultSpec]) -> None:
-        self._by_kind: dict[str, dict[int, str]] = {"trial": {}, "plan": {}}
+        self._by_kind: dict[str, dict[int, str]] = {"trial": {}}
         self._corrupt_chunks: set[int] = set()
         self._service: dict[str, set[int]] = {
             action: set() for action in _SERVICE_ACTIONS

@@ -70,7 +70,6 @@ from repro.transpiler.executors import (
     _dumps_anchored,
     _guard_chunk_results,
     _is_retryable,
-    _loads_anchored,
     _retry_backoff,
     _run_local_chunk,
     task_retries,
@@ -179,19 +178,15 @@ class _RemoteChunk:
     """Dispatch bookkeeping of one remote chunk, across replays."""
 
     __slots__ = (
-        "chunk_id", "slot", "fn", "tasks", "encode", "kind", "faults",
-        "deadline", "attempts", "wrapped", "net_drop", "net_garble",
-        "net_slow",
+        "chunk_id", "slot", "tasks", "faults", "deadline", "attempts",
+        "wrapped", "net_drop", "net_garble", "net_slow",
     )
 
     def __init__(
         self,
         chunk_id: int,
         slot: int,
-        fn: Callable[[Any, Any], Any],
         tasks: Sequence[object],
-        encode: bool,
-        kind: str,
         faults: object,
         deadline: float | None,
         net_drop: bool = False,
@@ -200,10 +195,7 @@ class _RemoteChunk:
     ) -> None:
         self.chunk_id = chunk_id
         self.slot = slot
-        self.fn = fn
         self.tasks = tasks
-        self.encode = encode
-        self.kind = kind
         self.faults = faults
         self.deadline = deadline
         self.attempts = 0
@@ -222,11 +214,6 @@ class _RemoteChunk:
 
 class _RemoteDispatchSession(DispatchSession):
     """Streaming dispatch session over the framed host protocol."""
-
-    parallel = True
-    #: Remote sessions never park plan specs — a parked segment lives
-    #: on one machine, and the trial chunks may run on another.
-    plan_park = False
 
     def __init__(
         self,
@@ -264,11 +251,11 @@ class _RemoteDispatchSession(DispatchSession):
 
     # -- payload registration ------------------------------------------------
 
-    def add_payload(self, payload: object, kind: str = "payload") -> int:
+    def add_payload(self, payload: object) -> int:
         blob = _dumps_anchored(payload, self._anchors)
         digest = hashlib.sha1(blob).hexdigest()
         self._slots.append(_RemoteSlot(digest, blob, payload))
-        self._count_payload(kind)
+        self._executor._count_dispatch(payload_pickles=1)
         return len(self._slots) - 1
 
     def release(self, slot: int) -> None:
@@ -277,14 +264,6 @@ class _RemoteDispatchSession(DispatchSession):
         if fallback_slot is not None and self._fallback_session is not None:
             self._fallback_session.release(fallback_slot)
 
-    def decode(self, result: object) -> object:
-        # Chunks that degraded to thread/serial execution return raw
-        # objects; remote (and shm-fallback) chunks return anchored
-        # bytes.  Accepting both keeps every rung of the ladder usable.
-        if isinstance(result, (bytes, bytearray)):
-            return _loads_anchored(bytes(result), self._anchors)
-        return result
-
     # -- submission ----------------------------------------------------------
 
     def submit(
@@ -292,9 +271,6 @@ class _RemoteDispatchSession(DispatchSession):
         slot: int,
         tasks: Sequence[object],
         *,
-        fn: Callable[[Any, Any], Any] | None = None,
-        encode: bool = False,
-        kind: str = "trial",
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
         batch = list(tasks)
@@ -307,15 +283,12 @@ class _RemoteDispatchSession(DispatchSession):
             # corrupt_shm grammar counts; read it before the task-fault
             # resolution advances it.
             ordinal = self._fault_chunk_ordinal
-            faults = self._next_chunk_faults(kind, len(chunk))
+            faults = self._next_chunk_faults(len(chunk))
             plan = self._fault_plan
             record = _RemoteChunk(
                 chunk_id=self._next_chunk_id,
                 slot=slot,
-                fn=fn or self.fn,
                 tasks=chunk,
-                encode=encode,
-                kind=kind,
                 faults=faults,
                 deadline=deadline,
                 net_drop=(
@@ -333,7 +306,7 @@ class _RemoteDispatchSession(DispatchSession):
             self._next_chunk_id += 1
             futures.append(record.wrapped)
             records.append(record)
-        self._count_submit(kind, len(records), len(batch))
+        self._executor._count_dispatch(chunks=len(records), tasks=len(batch))
         self._futures.extend(futures)
         self._ensure_threads()
         with self._cv:
@@ -641,9 +614,8 @@ class _RemoteDispatchSession(DispatchSession):
             "chunk": record.chunk_id,
             "anchor": self._anchor_digest,
             "payload": slot.digest,
-            "fn": record.fn,
+            "fn": self.fn,
             "tasks": tuple(record.tasks),
-            "encode": record.encode,
             "deadline_s": deadline_s,
             "faults": record.faults,
             "delay_s": fault_slow_seconds() if record.net_slow else 0.0,
@@ -753,12 +725,7 @@ class _RemoteDispatchSession(DispatchSession):
             try:
                 fallback_slot = self._fallback_slot(session, record.slot)
                 (future,) = session.submit(
-                    fallback_slot,
-                    record.tasks,
-                    fn=record.fn,
-                    encode=record.encode,
-                    kind=record.kind,
-                    deadline=record.deadline,
+                    fallback_slot, record.tasks, deadline=record.deadline
                 )
             except BaseException:  # noqa: BLE001 - fall through to in-process
                 pass
@@ -792,7 +759,7 @@ class _RemoteDispatchSession(DispatchSession):
                 )
             results = _guard_chunk_results(
                 _run_local_chunk(
-                    record.fn, slot.obj, record.tasks, None, record.deadline
+                    self.fn, slot.obj, record.tasks, None, record.deadline
                 )
             )
         except DeadlineExceededError as error:

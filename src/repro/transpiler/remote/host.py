@@ -4,7 +4,7 @@ A worker host is the multi-host analogue of one process-pool worker: it
 listens on a Unix socket (default, pid-keyed under the temp directory)
 or a TCP port, speaks the framed protocol of
 :mod:`repro.transpiler.remote.protocol`, and evaluates chunks of trial
-or plan tasks against digest-addressed payloads.
+tasks against digest-addressed payloads.
 
 Content addressing mirrors the shared-memory transport: the client
 ships the session's anchor tuple (the batch's coverage set) and each
@@ -58,11 +58,10 @@ from repro.exceptions import (
 )
 from repro.transpiler.executors import (
     _SHARED_CACHE_LIMIT,
-    _dumps_anchored,
     _loads_anchored,
     _run_tasks,
 )
-from repro.transpiler.faults import CorruptResult, reap_stale_segments
+from repro.transpiler.faults import reap_stale_segments
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.protocol import (
     BYE,
@@ -223,9 +222,6 @@ class WorkerHost:
     def _execute(self, request: dict) -> list:
         """Run one chunk exactly as a pool worker would."""
         anchor_digest = request.get("anchor")
-        anchors: tuple = ()
-        if anchor_digest is not None:
-            anchors = self._anchor_tuple(anchor_digest)
         faults = request.get("faults")
         if faults is not None:
             faults.check_transport()
@@ -233,17 +229,9 @@ class WorkerHost:
         deadline = None
         if request.get("deadline_s") is not None:
             deadline = time.monotonic() + max(0.0, request["deadline_s"])
-        results = _run_tasks(
+        return _run_tasks(
             request["fn"], shared, request["tasks"], faults, deadline
         )
-        if request.get("encode"):
-            results = [
-                result
-                if isinstance(result, CorruptResult)
-                else _dumps_anchored(result, anchors)
-                for result in results
-            ]
-        return results
 
     def _serve_chunk(self, conn: socket.socket, request: dict) -> None:
         """Compute one chunk, heartbeating until the result frame goes out."""

@@ -110,12 +110,9 @@ def test_fanout_rejects_unknown_mode():
     ("scheduler", "warp"),
     ("scheduler", "streaming"),
     ("scheduler", None),
-    ("plan", "remote"),
-    ("plan", "exec"),
-    ("plan", 1.5),
 ])
 def test_string_knobs_rejected_up_front_with_accepted_values(knob, value):
-    """Typos in ``fanout=``/``scheduler=``/``plan=`` fail fast as
+    """Typos in ``fanout=``/``scheduler=`` fail fast as
     ``ValueError`` naming the accepted modes — before any coverage-set
     build or executor spawn (an empty batch and no coverage set: if
     validation were not first, this would try to build one)."""

@@ -110,11 +110,12 @@ def quick_recovery(monkeypatch):
 
 
 def test_fault_plan_parses_task_and_chunk_entries():
-    plan = parse_fault_plan("kill:trial:7, hang:plan:2 ,corrupt_shm:1")
+    plan = parse_fault_plan("kill:trial:7, hang:trial:2 ,corrupt_shm:1")
     assert bool(plan)
     faults = plan.chunk_faults("trial", start=4, count=8, chunk_ordinal=0)
     assert faults.kills == (3,)
-    assert plan.chunk_faults("plan", start=2, count=1, chunk_ordinal=1)
+    hung = plan.chunk_faults("trial", start=2, count=1, chunk_ordinal=1)
+    assert hung.hangs == (0,)
     by_chunk = plan.chunk_faults("trial", start=100, count=2, chunk_ordinal=1)
     assert by_chunk.corrupt_shm
 
@@ -122,7 +123,7 @@ def test_fault_plan_parses_task_and_chunk_entries():
 def test_fault_plan_misses_return_none():
     plan = parse_fault_plan("corrupt:trial:50")
     assert plan.chunk_faults("trial", start=0, count=50, chunk_ordinal=0) is None
-    assert plan.chunk_faults("plan", start=0, count=100, chunk_ordinal=0) is None
+    assert plan.chunk_faults("trial", start=51, count=9, chunk_ordinal=0) is None
 
 
 def test_fault_plan_empty_spec_is_empty():
@@ -140,6 +141,7 @@ def test_fault_plan_empty_spec_is_empty():
     "shed:trial:1",             # shed only targets the request stage
     "trip_breaker:request:0",   # trip_breaker only targets windows
     "slow:request:1",           # slow is a task fault, not a service one
+    "kill:plan:1",              # planning never runs on a worker
 ])
 def test_fault_plan_rejects_bad_entries(spec):
     with pytest.raises(TranspilerError, match="MIRAGE_FAULT_PLAN"):
@@ -261,18 +263,6 @@ def test_injected_faults_preserve_digests_inline_transport(
     monkeypatch.setenv("MIRAGE_FAULT_PLAN", fault_spec)
     with ProcessExecutor(max_workers=2) as executor:
         faulted = _batch(executor)
-        stats = dict(executor.dispatch_stats)
-    assert [_fingerprint(r) for r in faulted] == expected
-    assert stats["retries"] >= 1
-    assert _own_segments() == []
-
-
-def test_injected_plan_fault_preserves_digests(monkeypatch):
-    """A killed executor-side planning task is replayed deterministically."""
-    expected = _baseline()
-    monkeypatch.setenv("MIRAGE_FAULT_PLAN", "kill:plan:1")
-    with ProcessExecutor(max_workers=2) as executor:
-        faulted = _batch(executor, plan="executor")
         stats = dict(executor.dispatch_stats)
     assert [_fingerprint(r) for r in faulted] == expected
     assert stats["retries"] >= 1
@@ -612,7 +602,7 @@ def test_failing_batch_leaves_no_orphan_segments(monkeypatch):
     monkeypatch.setattr(transpile_mod, "run_plan", failing_run_plan)
     with ProcessExecutor(max_workers=2) as executor:
         with pytest.raises(TranspilerError, match="mid-batch"):
-            _batch(executor, plan="local")
+            _batch(executor)
     assert _own_segments() == []
 
 

@@ -1,29 +1,30 @@
-"""Tests for distributed (executor-side) plan-stage fan-out.
+"""Tests for the plan stage of circuit-level batch fan-out.
 
-Covers the guarantees of the ``plan="local"|"executor"`` knob of
-:func:`repro.core.transpile.transpile_many`:
+Every circuit of a :func:`repro.core.transpile.transpile_many` batch is
+planned on the dispatching thread; only its routing trials are shipped
+to the executor.  Covers:
 
-* fixed-seed outputs are **byte-identical** across plan modes, schedulers,
+* fixed-seed outputs are **byte-identical** across schedulers,
   transports and executors (one shared digest pins every variant);
-* plan provenance lands on ``BatchResult.dispatch`` (``plan_mode``,
-  ``plan_tasks``, ``plan_seconds``, worker-side ``bytes_copied``);
-* ``"auto"`` resolves to executor planning exactly when the dispatch
-  session runs concurrently with the producer, and executor planning
-  falls back to local when the transport cannot stream;
-* a worker failing mid-plan propagates the error without leaking
+* plan provenance lands on ``BatchResult.dispatch`` (``plan_seconds``,
+  trial ``tasks``, worker-side ``bytes_copied``), and a process pool
+  never receives a planning task;
+* a circuit whose deadline already expired is never planned;
+* a circuit failing mid-plan propagates the error without leaking
   shared-memory segments;
-* the coverage set still crosses the process boundary exactly once per
-  batch — planning tasks reference it through the session anchor in both
-  directions.
+* the coverage set crosses the process boundary exactly once per batch,
+  as the session anchor.
 """
 
 import glob
 import hashlib
+import importlib
 import os
+import time
 
 import pytest
 
-from repro.exceptions import TranspilerError
+from repro.exceptions import DeadlineExceededError, TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import transpile_many
 from repro.polytopes import get_coverage_set
@@ -92,8 +93,24 @@ REFERENCE_DIGEST = _digest(
 )
 
 
+def _counting_run_plan(monkeypatch) -> dict:
+    """Count the dispatching thread's :func:`run_plan` calls."""
+    # `repro.core` re-exports a `transpile` *function*, which shadows the
+    # submodule under plain attribute-style import.
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    real_run_plan = transpile_mod.run_plan
+    calls = {"n": 0}
+
+    def counting_run_plan(spec, task):
+        calls["n"] += 1
+        return real_run_plan(spec, task)
+
+    monkeypatch.setattr(transpile_mod, "run_plan", counting_run_plan)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# Digest-pinned byte identity across plan modes / schedulers / executors
+# Digest-pinned byte identity across schedulers / executors / transports
 # ---------------------------------------------------------------------------
 
 
@@ -104,86 +121,80 @@ REFERENCE_DIGEST = _digest(
     lambda: ProcessExecutor(max_workers=2),
 ], ids=["serial", "threads", "processes"])
 def test_plan_modes_digest_identical_across_executors(make_executor, plan):
+    """Every retired plan mode's output survives the single engine.
+
+    The ``plan=`` argument is refused outright rather than silently
+    ignored, and a caller that drops it gets the digest each mode was
+    pinned to.
+    """
+    with pytest.raises(TypeError):
+        _batch(plan=plan)
     with make_executor() as executor:
-        fanned = _batch(executor, scheduler="stream", plan=plan)
+        fanned = _batch(executor, scheduler="stream")
     assert _digest(fanned) == REFERENCE_DIGEST
+    assert "plan_mode" not in fanned.dispatch
     assert _own_segments() == []
 
 
 @pytest.mark.parametrize("scheduler", ["stream", "barrier"])
 def test_plan_digest_identical_across_schedulers(scheduler):
-    fanned = _batch(scheduler=scheduler, plan="auto")
+    fanned = _batch(scheduler=scheduler)
     assert _digest(fanned) == REFERENCE_DIGEST
 
 
 def test_plan_digest_identical_without_shm(monkeypatch):
     monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream", plan="executor")
+        fanned = _batch(executor, scheduler="stream")
     assert _digest(fanned) == REFERENCE_DIGEST
     # No streaming transport: the engine fell back to the barrier
-    # scheduler, which always plans locally.
+    # scheduler.
     assert fanned.dispatch["scheduler"] == "barrier"
-    assert fanned.dispatch["plan_mode"] == "local"
 
 
 @needs_shm
 def test_plan_digest_identical_without_zero_copy(monkeypatch):
     monkeypatch.setenv("MIRAGE_ZEROCOPY_DISABLE", "1")
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream", plan="executor")
+        fanned = _batch(executor, scheduler="stream")
     assert _digest(fanned) == REFERENCE_DIGEST
-    assert fanned.dispatch["plan_mode"] == "executor"
+    assert fanned.dispatch["scheduler"] == "stream"
     assert fanned.dispatch["header_bytes"] == 0  # copy-on-attach layout
     assert _own_segments() == []
 
 
 # ---------------------------------------------------------------------------
-# Plan-mode resolution and provenance
+# Provenance
 # ---------------------------------------------------------------------------
 
 
-def test_plan_auto_resolution():
-    serial = _batch(plan="auto")
-    assert serial.dispatch["plan_mode"] == "local"  # inline session
-    with ThreadExecutor(max_workers=2) as threads:
-        threaded = _batch(threads, plan="auto")
-    assert threaded.dispatch["plan_mode"] == "executor"
-
-
-def test_plan_rejects_unknown_mode():
-    with pytest.raises(TranspilerError):
-        _batch(plan="telepathic")
-
-
 def test_plan_provenance_local():
-    fanned = _batch(plan="local")
+    fanned = _batch()
     dispatch = fanned.dispatch
-    assert dispatch["plan_mode"] == "local"
-    assert dispatch["plan_tasks"] == 0
-    assert dispatch["plan_payloads"] == 0
+    assert "plan_mode" not in dispatch
     assert dispatch["plan_seconds"] > 0.0
 
 
-def test_plan_provenance_executor():
-    with ThreadExecutor(max_workers=2) as threads:
-        fanned = _batch(threads, plan="executor")
+@needs_shm
+def test_process_fanout_plans_in_parent_and_ships_only_trials(monkeypatch):
+    """A process pool receives routing trials only; planning stays home."""
+    calls = _counting_run_plan(monkeypatch)
+    with ProcessExecutor(max_workers=2) as executor:
+        fanned = _batch(executor, scheduler="stream")
     dispatch = fanned.dispatch
-    assert dispatch["plan_mode"] == "executor"
-    assert dispatch["plan_tasks"] == 3  # one plan task per circuit
-    assert dispatch["plan_seconds"] > 0.0
-    # Trial accounting is untouched by planning tasks.
+    assert _digest(fanned) == REFERENCE_DIGEST
+    assert dispatch["scheduler"] == "stream"
+    assert calls["n"] == 3  # one front pipeline per circuit, in the parent
     assert dispatch["tasks"] == 9  # 3 circuits x 3 layout trials
+    for key in ("plan_tasks", "plan_mode", "plan_return_bytes"):
+        assert key not in dispatch
 
 
 @needs_shm
 def test_plan_executor_process_provenance_and_transport():
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, plan="executor")
+        fanned = _batch(executor)
     dispatch = fanned.dispatch
-    assert dispatch["plan_mode"] == "executor"
-    assert dispatch["plan_tasks"] == 3
-    assert dispatch["plan_payloads"] == 1  # the one shared PlanSpec
     assert dispatch["payload_pickles"] == 3  # one trial spec per circuit
     assert dispatch["shared_pickles"] == 1  # the coverage anchor
     # Zero-copy transport: workers materialised index headers only.
@@ -192,13 +203,29 @@ def test_plan_executor_process_provenance_and_transport():
     assert _own_segments() == []
 
 
+@pytest.mark.parametrize("scheduler", ["stream", "barrier"])
+def test_expired_circuit_is_never_planned(monkeypatch, scheduler):
+    """A circuit already past its deadline settles without planning,
+    and its siblings match an undeadlined batch bit for bit."""
+    reference = _batch(scheduler=scheduler)
+    calls = _counting_run_plan(monkeypatch)
+    fanned = _batch(
+        scheduler=scheduler,
+        circuit_deadlines=[None, time.monotonic() - 1.0, None],
+        on_error="return",
+    )
+    assert calls["n"] == 2
+    assert isinstance(fanned[1], DeadlineExceededError)
+    assert _digest([fanned[0]]) == _digest([reference[0]])
+    assert _digest([fanned[2]]) == _digest([reference[2]])
+    assert fanned.dispatch["deadline_expirations"] == 1
+    assert fanned.dispatch["routed"] == 2
+
+
 @needs_shm
 def test_plan_executor_pickles_coverage_once(monkeypatch):
-    """Planning on the executor must not re-serialise the coverage set.
-
-    Outbound it rides the session anchor; inbound the planned states are
-    anchor-encoded, so the worker's copy is never pickled back either.
-    """
+    """Planning in the parent must not re-serialise the coverage set:
+    it crosses the process boundary once, as the session anchor."""
     calls = {"count": 0}
     original = CoverageSet.__getstate__
 
@@ -208,67 +235,10 @@ def test_plan_executor_pickles_coverage_once(monkeypatch):
 
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, plan="executor")
+        fanned = _batch(executor)
     assert _digest(fanned) == REFERENCE_DIGEST
     assert calls["count"] == 1
     assert fanned.dispatch["shared_pickles"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Worker-side plan park (MIRAGE_PLAN_PARK)
-# ---------------------------------------------------------------------------
-
-
-@needs_shm
-def test_plan_park_digest_identical_and_returns_shrink(monkeypatch):
-    """Parking the planned spec worker-side keeps outputs byte-identical
-    while the plan return path carries the spec handle instead of the
-    spec — pinned by ``plan_return_bytes``."""
-    with ProcessExecutor(max_workers=2) as executor:
-        unparked = _batch(executor, scheduler="stream", plan="executor")
-    assert _digest(unparked) == REFERENCE_DIGEST
-    monkeypatch.setenv("MIRAGE_PLAN_PARK", "1")
-    with ProcessExecutor(max_workers=2) as executor:
-        parked = _batch(executor, scheduler="stream", plan="executor")
-    assert _digest(parked) == REFERENCE_DIGEST
-    assert 0 < parked.dispatch["plan_return_bytes"]
-    assert (
-        parked.dispatch["plan_return_bytes"]
-        < unparked.dispatch["plan_return_bytes"]
-    )
-    assert _own_segments() == []
-
-
-def test_plan_park_is_off_by_default():
-    from repro.transpiler import plan_park_enabled
-
-    assert not plan_park_enabled()
-
-
-@needs_shm
-def test_plan_park_survives_vanished_segment(monkeypatch):
-    """If an adopted parked segment vanishes before its trials load,
-    the parent regenerates the identical spec via the loader."""
-    from repro.transpiler import executors as executors_mod
-
-    monkeypatch.setenv("MIRAGE_PLAN_PARK", "1")
-    original = executors_mod._ShmDispatchSession.adopt_payload
-
-    def sabotaging_adopt(self, handle, kind="payload", loader=None):
-        slot = original(self, handle, kind=kind, loader=loader)
-        # Unlink the worker-parked segment immediately: every read of
-        # this payload must fall back to the regeneration loader.
-        if handle.segment is not None:
-            executors_mod._unlink_segment(handle.segment)
-        return slot
-
-    monkeypatch.setattr(
-        executors_mod._ShmDispatchSession, "adopt_payload", sabotaging_adopt
-    )
-    with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream", plan="executor")
-    assert _digest(fanned) == REFERENCE_DIGEST
-    assert _own_segments() == []
 
 
 def test_plan_executor_handles_vf2_embedded_circuits():
@@ -280,17 +250,16 @@ def test_plan_executor_handles_vf2_embedded_circuits():
     with ThreadExecutor(max_workers=2) as threads:
         fanned = transpile_many(
             circuits, line_topology(4), fanout="circuits",
-            scheduler="stream", plan="executor", executor=threads, **kwargs,
+            scheduler="stream", executor=threads, **kwargs,
         )
     assert [r.method for r in fanned] == ["vf2", "mirage", "vf2"]
     assert _digest(fanned) == _digest(sequential)
-    assert fanned.dispatch["plan_tasks"] == 3  # every circuit is planned
     assert fanned.dispatch["routed"] == 1  # but only one needed trials
 
 
 def test_plan_executor_reports_full_pipeline():
     with ThreadExecutor(max_workers=2) as threads:
-        fanned = _batch(threads, plan="executor")
+        fanned = _batch(threads)
     names = [record["name"] for record in fanned[0].pipeline_report]
     assert names == [
         "clean", "unroll", "reclean", "consolidate", "coupling",
@@ -312,10 +281,9 @@ def test_plan_executor_long_batch_bounded_window():
         fanned = transpile_many(
             circuits, line_topology(5), coverage=COVERAGE, use_vf2=False,
             layout_trials=2, seed=11, fanout="circuits", scheduler="stream",
-            plan="executor", executor=threads,
+            executor=threads,
         )
     assert _digest(fanned) == _digest(sequential)
-    assert fanned.dispatch["plan_tasks"] == len(circuits)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +291,25 @@ def test_plan_executor_long_batch_bounded_window():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("plan", ["local", "executor"])
-def test_plan_failure_propagates_without_segment_leak(plan):
+@pytest.mark.parametrize("trials_on", ["local", "executor"])
+def test_plan_failure_propagates_without_segment_leak(trials_on):
     """A circuit failing mid-plan surfaces the error and leaks nothing.
 
     The 9-qubit circuit cannot fit the 5-qubit device, so its front
-    pipeline raises — in a worker process under ``plan="executor"``,
-    on the producer thread under ``plan="local"``.
+    pipeline raises on the producer thread while the first circuit's
+    trials are in flight — in-line on the dispatching thread
+    (``local``) or on a process pool (``executor``).
     """
     circuits = [qft(4), qft(9), ghz(5)]
-    with ProcessExecutor(max_workers=2) as executor:
+    make_executor = {
+        "local": SerialExecutor,
+        "executor": lambda: ProcessExecutor(max_workers=2),
+    }[trials_on]
+    with make_executor() as executor:
         with pytest.raises(TranspilerError, match="9 qubits"):
             transpile_many(
                 circuits, line_topology(5), coverage=COVERAGE,
                 use_vf2=False, layout_trials=2, seed=3, fanout="circuits",
-                scheduler="stream", plan=plan, executor=executor,
+                scheduler="stream", executor=executor,
             )
     assert _own_segments() == []

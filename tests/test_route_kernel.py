@@ -300,7 +300,9 @@ def test_intdag_memo_and_adoption():
     assert int_dag(smaller) is not lowered
 
 
-def test_intdag_pickle_drops_interpreter_caches():
+def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
+    # The flat kernel is what fills the lookahead and mirror caches.
+    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
     dag = DAGCircuit.from_circuit(qft(4))
     lowered = int_dag(dag)
     lowered.lists()  # populate the caches

@@ -111,9 +111,6 @@ PUBLIC_API = [
     ("repro.transpiler.remote.protocol", "read_frame"),
     ("repro.transpiler.remote.protocol", "parse_hosts"),
     ("repro.transpiler.remote.protocol", "remote_heartbeat_s"),
-    ("repro.transpiler.executors", "plan_park_enabled"),
-    ("repro.transpiler.executors", "park_payload"),
-    ("repro.core.pipeline", "run_plan_parked"),
     ("repro.exceptions", "RemoteTransportError"),
     ("repro.exceptions", "GarbledFrameError"),
     ("repro.exceptions", "ProtocolVersionError"),
