@@ -4,8 +4,10 @@ Paper averages: heavy-hex depth -31.2%, gate cost -17.0%, SWAPs -56.2%;
 square lattice depth -29.6%, gate cost -10.3%, SWAPs -59.9%.
 
 The bench routes a four-circuit subset of Table III per topology with a
-reduced trial budget (pure-Python runtime); EXPERIMENTS.md records the
-full-suite numbers obtained offline with a larger budget.
+reduced trial budget (``SUBSET`` and ``layout_trials=2`` below, coverage
+from ``conftest.py``).  No full-suite numbers are recorded in the repository
+yet: ``EXPERIMENTS.md`` is to be written by a full-budget Table III
+scorecard script, which does not exist yet either.
 """
 
 from __future__ import annotations

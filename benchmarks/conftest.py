@@ -3,8 +3,11 @@
 Coverage sets and Haar samples are expensive to build, so they are created
 once per session and shared across all benchmark modules.  Sample counts and
 trial budgets are deliberately smaller than the paper's (which used hours of
-compute); EXPERIMENTS.md records the settings used for the reported numbers
-and how to scale them up.
+compute).  The settings live in the constants below and in each bench
+module's own arguments (``layout_trials``, ``seed``, circuit subsets); raise
+them there to scale up.  No results file exists yet: ``EXPERIMENTS.md`` is
+to be written by a full-budget Table III scorecard script, which does not
+exist yet either.
 """
 
 from __future__ import annotations

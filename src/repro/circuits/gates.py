@@ -63,7 +63,20 @@ def _ryy(theta: float) -> np.ndarray:
 
 
 def _rzz(theta: float) -> np.ndarray:
-    return mat.xx_yy_interaction(0.0, 0.0, -theta / 2.0)
+    """``exp(-i theta/2 ZZ)`` as its closed-form diagonal.
+
+    Bit for bit the matrix ``xx_yy_interaction(0, 0, -theta/2)`` builds
+    through ``eigh`` (whose eigenvectors of the diagonal ``ZZ`` are exact),
+    for every ``theta`` of magnitude above about ``1e-146``.  Below that
+    LAPACK rescales the input and ``eigh`` loses the last bit that this
+    form keeps.
+    """
+    half = -theta / 2.0
+    even, odd = np.exp(1j * np.array([half, -half]))
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = out[3, 3] = even
+    out[1, 1] = out[2, 2] = odd
+    return out
 
 
 def _xx_plus_yy(theta: float, beta: float = 0.0) -> np.ndarray:

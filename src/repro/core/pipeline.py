@@ -31,10 +31,7 @@ from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.executors import TrialExecutor
 from repro.transpiler.layout import apply_layout, vf2_layout
 from repro.transpiler.metrics import evaluate
-from repro.transpiler.passes.cleanup import (
-    clean_input,
-    elide_input_swaps_permuted,
-)
+from repro.transpiler.passes.cleanup import clean_input_permuted
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
@@ -90,9 +87,7 @@ class CleanInputPass(BasePass):
         self.name = name
 
     def run(self, state: PipelineState) -> None:
-        state.circuit, permutation = elide_input_swaps_permuted(
-            clean_input(state.circuit, elide_swaps=False)
-        )
+        state.circuit, permutation = clean_input_permuted(state.circuit)
         previous = state.properties.get("input_permutation")
         if previous is not None:
             permutation = [permutation[wire] for wire in previous]
@@ -312,7 +307,7 @@ def publish_routing(
     state.circuit = best.routing.to_circuit()
     state.properties.update(
         method=method,
-        routing_dag=best.routing.dag,
+        routing_ops=best.routing.ops,
         initial_layout=best.routing.initial_layout,
         final_layout=best.routing.final_layout,
         swaps_added=best.routing.swaps_added,
@@ -386,7 +381,7 @@ class SelectResultPass(BasePass):
         props = state.properties
         basis = props.require("basis")
         coverage = props.require("coverage")
-        routed = props.get("routing_dag", state.circuit)
+        routed = props.get("routing_ops", state.circuit)
         metrics = evaluate(
             routed,
             basis=basis,

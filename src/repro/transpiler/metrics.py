@@ -78,94 +78,114 @@ class CircuitMetrics:
         return dataclasses.asdict(self)
 
 
+Op = tuple[Gate, Sequence[int]]
+
+
+def _ops_of(circuit: QuantumCircuit | DAGCircuit | Sequence[Op]) -> Sequence[Op]:
+    """The ``(gate, qubits)`` stream of a circuit, a DAG or an op list.
+
+    A DAG's nodes are read in insertion order, which is the order they
+    were added in and a topological order.
+    """
+    if isinstance(circuit, DAGCircuit):
+        return [(node.gate, node.qubits) for node in circuit.nodes.values()]
+    if isinstance(circuit, QuantumCircuit):
+        return [(instruction.gate, instruction.qubits) for instruction in circuit]
+    return circuit
+
+
+def _walk(
+    ops: Sequence[Op], coverage: CoverageSet, mirrors_accepted: int = 0
+) -> CircuitMetrics:
+    """Every metric of a topologically ordered op stream, in one pass.
+
+    One batched coverage query prices the two-qubit ops in stream order.
+    A per-wire running maximum, walked in that order, then performs the
+    same ``max`` and the same additions as a longest-path walk over the
+    DAG the stream builds, so depths equal the DAG's bit for bit.  An op
+    on one wire adds weight zero to its own wire only and changes
+    nothing, so the walk skips it.
+    """
+    two_qubit = [
+        gate for gate, qubits in ops
+        if len(qubits) == 2 and not gate.is_directive
+    ]
+    costs = (
+        coverage.cost_of_many([gate_coordinate(gate) for gate in two_qubit]).tolist()
+        if two_qubit
+        else []
+    )
+    next_cost = iter(costs).__next__
+    weighted_on: dict[int, float] = {}
+    gates_on: dict[int, float] = {}
+    depth = gate_depth = 0.0
+    swap_count = 0
+    for gate, qubits in ops:
+        if len(qubits) == 2 and not gate.is_directive:
+            # ``max`` of two, spelled out: the first unless the second is
+            # larger, as ``max`` picks.
+            a, b = qubits
+            upstream = weighted_on.get(a, 0.0)
+            other = weighted_on.get(b, 0.0)
+            weighted = (other if other > upstream else upstream) + next_cost()
+            upstream = gates_on.get(a, 0.0)
+            other = gates_on.get(b, 0.0)
+            gates = (other if other > upstream else upstream) + 1.0
+            weighted_on[a] = weighted_on[b] = weighted
+            gates_on[a] = gates_on[b] = gates
+            if gate.name == "swap":
+                swap_count += 1
+        elif len(qubits) > 1:
+            # Directives and wider gates weigh nothing but join their wires.
+            weighted = max([weighted_on.get(q, 0.0) for q in qubits])
+            gates = max([gates_on.get(q, 0.0) for q in qubits])
+            for qubit in qubits:
+                weighted_on[qubit] = weighted
+                gates_on[qubit] = gates
+        else:
+            continue
+        if weighted > depth:
+            depth = weighted
+        if gates > gate_depth:
+            gate_depth = gates
+    return CircuitMetrics(
+        depth=float(depth),
+        total_cost=float(sum(costs)),
+        swap_count=swap_count,
+        two_qubit_count=len(two_qubit),
+        gate_depth=int(gate_depth),
+        mirrors_accepted=mirrors_accepted,
+    )
+
+
 def evaluate(
-    circuit: QuantumCircuit | DAGCircuit,
+    circuit: QuantumCircuit | DAGCircuit | Sequence[Op],
     basis: str = "sqrt_iswap",
     coverage: CoverageSet | None = None,
     mirrors_accepted: int = 0,
 ) -> CircuitMetrics:
-    """Compute :class:`CircuitMetrics` for a (routed) circuit or DAG.
+    """Compute :class:`CircuitMetrics` for a (routed) circuit, DAG or op list.
 
     Args:
-        circuit: the circuit or DAG to score.
+        circuit: what to score: a circuit, a DAG, or a topologically
+            ordered list of ``(gate, qubits)`` pairs.
         basis: target basis-gate name used for the cost weights.
         coverage: reuse an existing coverage set (otherwise the shared,
             memoised set for ``basis`` is used).
         mirrors_accepted: forwarded into the result for reporting.
     """
-    dag = circuit if isinstance(circuit, DAGCircuit) else circuit.to_dag()
     coverage = coverage if coverage is not None else get_coverage_set(basis)
-
-    # One batched coverage query for every two-qubit node up front; the
-    # critical-path walk then reads costs from a plain dict.
-    two_qubit_nodes = [
-        node for node in dag.nodes.values() if node.is_two_qubit
-    ]
-    if two_qubit_nodes:
-        coordinates = [node_coordinate(node) for node in two_qubit_nodes]
-        node_costs = coverage.cost_of_many(coordinates)
-        cost_by_node = {
-            node.node_id: float(cost)
-            for node, cost in zip(two_qubit_nodes, node_costs)
-        }
-    else:
-        cost_by_node = {}
-
-    def weight(node: DAGNode) -> float:
-        return cost_by_node.get(node.node_id, 0.0)
-
-    depth = dag.longest_path_length(weight)
-    total = sum(weight(node) for node in dag.nodes.values())
-    swap_count = sum(
-        1 for node in dag.nodes.values() if node.gate.name == "swap"
-    )
-    two_qubit_count = sum(1 for node in dag.nodes.values() if node.is_two_qubit)
-    gate_depth = int(
-        dag.longest_path_length(
-            lambda node: 1.0 if node.is_two_qubit else 0.0
-        )
-    )
-    return CircuitMetrics(
-        depth=float(depth),
-        total_cost=float(total),
-        swap_count=swap_count,
-        two_qubit_count=two_qubit_count,
-        gate_depth=gate_depth,
-        mirrors_accepted=mirrors_accepted,
-    )
+    return _walk(_ops_of(circuit), coverage, mirrors_accepted)
 
 
-def ops_depth(
-    ops: Sequence[tuple[Gate, Sequence[int]]], coverage: CoverageSet
-) -> float:
+def ops_depth(ops: Sequence[Op], coverage: CoverageSet) -> float:
     """Weighted critical-path depth of a topologically ordered op stream.
 
-    Equals ``evaluate(dag).depth`` bit for bit for the DAG built by adding
-    ``ops`` in order: one batched coverage query prices the two-qubit ops
-    in the same order, and a per-wire running maximum walked in emission
-    order performs the same ``max`` and the same additions as the DAG's
-    longest-path walk, without building the DAG.
+    The ``depth`` of :func:`evaluate`, from the same walk: equal to
+    ``evaluate(dag).depth`` bit for bit for the DAG built by adding
+    ``ops`` in order, without building the DAG.
     """
-    weights = [0.0] * len(ops)
-    two_qubit = [
-        index
-        for index, (gate, qubits) in enumerate(ops)
-        if len(qubits) == 2 and not gate.is_directive
-    ]
-    if two_qubit:
-        costs = coverage.cost_of_many(
-            [gate_coordinate(ops[index][0]) for index in two_qubit]
-        )
-        for index, cost in zip(two_qubit, costs.tolist()):
-            weights[index] = cost
-    wire: dict[int, float] = {}
-    best = 0.0
-    for (gate, qubits), weight in zip(ops, weights):
-        distance = max(wire.get(q, 0.0) for q in qubits) + weight
-        for qubit in qubits:
-            wire[qubit] = distance
-        best = max(best, distance)
-    return float(best)
+    return _walk(ops, coverage).depth
 
 
 def improvement(before: CircuitMetrics, after: CircuitMetrics) -> dict[str, float]:

@@ -2,10 +2,9 @@
 
 from repro.transpiler.passes.cleanup import (
     clean_input,
+    clean_input_permuted,
     elide_input_swaps,
     elide_input_swaps_permuted,
-    remove_directives,
-    remove_identity_gates,
 )
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
@@ -31,10 +30,9 @@ from repro.transpiler.passes.unroll import unroll_to_two_qubit
 
 __all__ = [
     "clean_input",
+    "clean_input_permuted",
     "elide_input_swaps",
     "elide_input_swaps_permuted",
-    "remove_directives",
-    "remove_identity_gates",
     "consolidate_blocks",
     "BatchTrialRef",
     "DepthMetric",

@@ -3,32 +3,54 @@
 Before routing, the pass manager removes barriers, measurements and identity
 gates, and elides SWAP gates present in the *input* program by permuting the
 wire labels of all downstream gates (an input SWAP never needs to be
-executed — only routing-inserted SWAPs cost pulses).
+executed — only routing-inserted SWAPs cost pulses).  All of it is one walk
+over the instructions, :func:`clean_input_permuted`.
 """
 
 from __future__ import annotations
 
 from repro.circuits.circuit import QuantumCircuit
 
-
-def remove_directives(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Drop barriers and measurements."""
-    return circuit.without_directives()
+#: Rotations that are dropped when their angle is (numerically) zero.
+ZERO_ANGLE_ROTATIONS = frozenset({"rx", "ry", "rz", "p", "cp", "rzz", "rxx", "ryy"})
 
 
-def remove_identity_gates(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Drop explicit identity gates and zero-angle rotations."""
+def clean_input_permuted(
+    circuit: QuantumCircuit,
+    *,
+    drop_no_ops: bool = True,
+    elide_swaps: bool = True,
+) -> tuple[QuantumCircuit, list[int]]:
+    """Clean ``circuit`` in one walk and return the wire permutation applied.
+
+    Args:
+        circuit: the input program.
+        drop_no_ops: drop barriers, measurements, ``id`` gates and
+            zero-angle rotations.
+        elide_swaps: absorb every SWAP into a virtual-qubit permutation
+            applied to all later gates instead of emitting it.
+
+    Returns:
+        ``(cleaned, permutation)``: the output state of ``circuit`` on
+        qubit ``q`` is the output state of ``cleaned`` on qubit
+        ``permutation[q]``.
+    """
+    permutation = list(range(circuit.num_qubits))
     out = QuantumCircuit(circuit.num_qubits, circuit.name)
     for instruction in circuit:
         gate = instruction.gate
-        if gate.name == "id":
-            continue
-        if gate.name in {"rx", "ry", "rz", "p", "cp", "rzz", "rxx", "ryy"} and (
-            abs(gate.params[0]) < 1e-12
+        if drop_no_ops and (
+            gate.is_directive
+            or gate.name == "id"
+            or (gate.name in ZERO_ANGLE_ROTATIONS and abs(gate.params[0]) < 1e-12)
         ):
             continue
-        out.append_instruction(instruction)
-    return out
+        if elide_swaps and gate.name == "swap":
+            a, b = instruction.qubits
+            permutation[a], permutation[b] = permutation[b], permutation[a]
+            continue
+        out.append(gate, [permutation[q] for q in instruction.qubits])
+    return out, permutation
 
 
 def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -53,23 +75,9 @@ def elide_input_swaps_permuted(
     qubit ``q`` is the output state of ``cleaned`` on qubit
     ``permutation[q]``.
     """
-    permutation = list(range(circuit.num_qubits))
-    out = QuantumCircuit(circuit.num_qubits, circuit.name)
-    for instruction in circuit:
-        if instruction.gate.name == "swap":
-            a, b = instruction.qubits
-            permutation[a], permutation[b] = permutation[b], permutation[a]
-            continue
-        out.append(
-            instruction.gate, [permutation[q] for q in instruction.qubits]
-        )
-    return out, permutation
+    return clean_input_permuted(circuit, drop_no_ops=False)
 
 
 def clean_input(circuit: QuantumCircuit, *, elide_swaps: bool = True) -> QuantumCircuit:
     """Full input-cleaning pipeline used by the preset pass managers."""
-    cleaned = remove_directives(circuit)
-    cleaned = remove_identity_gates(cleaned)
-    if elide_swaps:
-        cleaned = elide_input_swaps(cleaned)
-    return cleaned
+    return clean_input_permuted(circuit, elide_swaps=elide_swaps)[0]

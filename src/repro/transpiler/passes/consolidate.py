@@ -13,9 +13,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import UnitaryGate
+from repro.circuits.gates import Gate, UnitaryGate
 from repro.linalg.unitary import embed_unitary
 from repro.polytopes.cache import GLOBAL_COORDINATE_CACHE, CoordinateCache
+
+
+def _placement_table(placement: tuple[int, ...]) -> np.ndarray:
+    """Where each entry of a gate matrix lands in the block's 4x4.
+
+    Entry ``[r, c]`` of the table is the flat index into the gate matrix
+    whose value :func:`embed_unitary` places at ``[r, c]``, or ``-1`` for
+    an entry it leaves zero.  The table is read off ``embed_unitary``
+    itself, applied to a matrix of distinct markers.
+    """
+    size = 2 ** len(placement)
+    markers = np.arange(1, size * size + 1).reshape(size, size)
+    return embed_unitary(markers, placement, 2).real.astype(np.intp) - 1
+
+
+#: Index tables for the four ways a gate sits on a block's qubit pair.
+_PLACEMENT_TABLES = {
+    placement: _placement_table(placement)
+    for placement in ((0,), (1,), (0, 1), (1, 0))
+}
+
+
+def _padded(gate_matrix: np.ndarray) -> np.ndarray:
+    """A gate matrix flattened, with a trailing zero for table index ``-1``.
+
+    Adding zero performs the ``0 + amplitude`` of :func:`embed_unitary`,
+    which turns negative zeros positive, so a table lookup reproduces its
+    embedding bit for bit.
+    """
+    flat = np.asarray(gate_matrix, dtype=complex).ravel()
+    return np.append(flat, 0) + 0
 
 
 class _Block:
@@ -27,10 +58,13 @@ class _Block:
         self.gate_count = 0
         self.two_qubit_count = 0
 
-    def absorb(self, gate_matrix: np.ndarray, gate_qubits: tuple[int, ...]) -> None:
-        """Multiply a gate (1Q or 2Q, on this block's qubits) into the block."""
-        local_positions = [self.qubits.index(q) for q in gate_qubits]
-        embedded = embed_unitary(gate_matrix, local_positions, 2)
+    def absorb(self, padded: np.ndarray, gate_qubits: tuple[int, ...]) -> None:
+        """Multiply a gate (1Q or 2Q, on this block's qubits) into the block.
+
+        ``padded`` is the gate matrix as :func:`_padded` returns it.
+        """
+        placement = tuple(self.qubits.index(q) for q in gate_qubits)
+        embedded = padded[_PLACEMENT_TABLES[placement]]
         self.matrix = embedded @ self.matrix
         self.gate_count += 1
         if len(gate_qubits) == 2:
@@ -65,6 +99,19 @@ def consolidate_blocks(
     # instructions in order, then every block coordinate is resolved through
     # one batched cache query before the output circuit is materialised.
     emitted: list[tuple[str, object]] = []
+    # Equal plain gates have equal matrices, so each is built once.  A
+    # ``UnitaryGate`` compares equal regardless of its matrix, and a zero
+    # parameter equals its negative although the matrices may differ in
+    # the sign of a zero, so neither is memoised.
+    memo: dict[Gate, np.ndarray] = {}
+
+    def padded_matrix(gate: Gate) -> np.ndarray:
+        if type(gate) is not Gate or 0.0 in gate.params:
+            return _padded(gate.matrix())
+        padded = memo.get(gate)
+        if padded is None:
+            padded = memo[gate] = _padded(gate.matrix())
+        return padded
 
     def close_block(key: frozenset[int]) -> None:
         block = open_blocks.pop(key)
@@ -88,18 +135,18 @@ def consolidate_blocks(
             qubit = qubits[0]
             key = block_of_qubit.get(qubit)
             if key is not None:
-                open_blocks[key].absorb(gate.matrix(), qubits)
+                open_blocks[key].absorb(padded_matrix(gate), qubits)
             else:
                 emitted.append(("instr", instruction))
             continue
         # Two-qubit gate.
         key = frozenset(qubits)
         if key in open_blocks:
-            open_blocks[key].absorb(gate.matrix(), qubits)
+            open_blocks[key].absorb(padded_matrix(gate), qubits)
             continue
         close_blocks_on(qubits)
         block = _Block(qubits)
-        block.absorb(gate.matrix(), qubits)
+        block.absorb(padded_matrix(gate), qubits)
         open_blocks[key] = block
         for qubit in qubits:
             block_of_qubit[qubit] = key

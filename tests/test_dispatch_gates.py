@@ -1,0 +1,224 @@
+"""Transport, identity and clean-run gates on small fixed workloads.
+
+Each test runs a fixed-seed workload on the serial, thread, process and
+remote executors and checks one promise of the dispatch layers:
+
+* every fan-out mode, scheduler and transport returns the serial
+  routing byte for byte (the same holds for the flat and object routing
+  kernels, and for trial fan-out on a process pool);
+* a clean run reports every recovery and overload counter as zero —
+  a retry or respawn here means the environment misbehaved;
+* the shared-memory transport ships O(1) bytes per chunk (at most 512 B)
+  and at most one full payload per batch;
+* workers copy only the out-of-band index headers, never payload bytes:
+  ``0 < bytes_copied <= header_bytes * max(2, cpu_count)``.
+
+The shared-memory gates skip where POSIX shared memory is unavailable.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import hashlib
+import os
+
+import pytest
+
+from repro.circuits.library import ghz, qft, twolocal_full
+from repro.core import transpile, transpile_many
+from repro.polytopes import get_coverage_set
+from repro.transpiler import (
+    ProcessExecutor,
+    SerialExecutor,
+    line_topology,
+    shm_transport_enabled,
+)
+
+COVERAGE = get_coverage_set("sqrt_iswap", num_samples=700, seed=7)
+#: Counters every dispatch reports; a clean run leaves them all zero.
+RECOVERY_COUNTERS = ("retries", "respawns", "lost_tasks",
+                     "executor_downgrades", "transport_downgrades",
+                     "deadline_expirations")
+REMOTE_COUNTERS = ("reconnects", "host_downgrades", "frames_garbled")
+SERVICE_COUNTERS = ("shed_requests", "deadline_expirations",
+                    "breaker_trips", "degraded_windows")
+#: Bytes a shared-memory chunk may ship: a segment name and a digest.
+SHM_CHUNK_BYTES = 512
+
+needs_shm = pytest.mark.skipif(
+    not shm_transport_enabled(),
+    reason="POSIX shared memory unavailable on this platform",
+)
+
+
+def circuit_digest(circuit) -> str:
+    """Digest of a circuit's gate stream (names, params, qubits)."""
+    lines = []
+    for instruction in circuit:
+        gate = instruction.gate
+        params = ",".join(f"{p:.12e}" for p in gate.params)
+        lines.append(f"{gate.name}({params})@{instruction.qubits}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def batch_digests(batch) -> list[str]:
+    return [circuit_digest(result.circuit) for result in batch]
+
+
+def small_circuits(copies: int) -> list:
+    return [qft(4), twolocal_full(4), ghz(5), qft(5), twolocal_full(5)] * copies
+
+
+def prewarm(pool: ProcessExecutor) -> None:
+    """Fork every worker before the dispatch under test opens."""
+    workers = pool.max_workers or os.cpu_count() or 1
+    pool.map(len, [()] * (2 * workers))
+
+
+def assert_clean(dispatch: dict, label: str, counters=RECOVERY_COUNTERS) -> None:
+    for counter in counters:
+        assert counter in dispatch, f"{label}: no {counter!r} in {dispatch}"
+        assert dispatch[counter] == 0, f"{label}: {counter}={dispatch[counter]}"
+
+
+@pytest.fixture(scope="module")
+def batch_fanout():
+    """One batch under every fan-out mode, scheduler and transport."""
+    circuits = small_circuits(2)
+    coupling = line_topology(5)
+    kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2,
+                  refinement_rounds=2, seed=29)
+
+    def run(fanout, executor=None, scheduler="auto"):
+        return transpile_many(circuits, coupling, fanout=fanout,
+                              scheduler=scheduler, executor=executor, **kwargs)
+
+    batches = {"sequential": run("trials")}
+    with ProcessExecutor() as pool:
+        prewarm(pool)
+        batches["trials"] = run("trials", pool)
+        batches["stream"] = run("circuits", pool, "stream")
+        batches["barrier"] = run("circuits", pool, "barrier")
+    # The transport is chosen when a dispatch opens; a fresh pool keeps
+    # worker-side payload memos from leaking between transports.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MIRAGE_SHM_DISABLE", "1")
+        with ProcessExecutor() as pool:
+            prewarm(pool)
+            batches["blob"] = run("circuits", pool)
+    return batches
+
+
+def test_batch_fanout_identical_across_modes_and_transports(batch_fanout):
+    reference = batch_digests(batch_fanout["sequential"])
+    for mode in ("trials", "stream", "barrier", "blob"):
+        assert batch_digests(batch_fanout[mode]) == reference, mode
+
+
+def test_batch_fanout_clean_run_has_zero_recovery_counters(batch_fanout):
+    for mode in ("stream", "barrier", "blob"):
+        assert_clean(batch_fanout[mode].dispatch, mode)
+
+
+@needs_shm
+def test_shm_transport_ships_constant_bytes_and_one_payload(batch_fanout):
+    dispatch = batch_fanout["stream"].dispatch
+    assert dispatch["shm_segments"] >= 1, dispatch
+    per_chunk = dispatch["bytes_shipped"] / max(1, dispatch["chunks"])
+    assert per_chunk <= SHM_CHUNK_BYTES, f"{per_chunk:.0f} B per chunk"
+    # The blob fallback ships the whole payload with every chunk, so its
+    # bytes per chunk measure one payload.
+    blob = batch_fanout["blob"].dispatch
+    payload_bytes = blob["bytes_shipped"] // max(1, blob["chunks"])
+    assert payload_bytes > 0, blob
+    assert dispatch["bytes_shipped"] / payload_bytes <= 1.0
+
+
+@needs_shm
+def test_workers_copy_index_headers_only(batch_fanout):
+    dispatch = batch_fanout["stream"].dispatch
+    assert dispatch["shm_segments"] >= 1, dispatch
+    assert dispatch["header_bytes"] > 0, dispatch
+    budget = dispatch["header_bytes"] * max(2, os.cpu_count() or 1)
+    assert 0 < dispatch["bytes_copied"] <= budget, dispatch
+
+
+def _wide_transpile(method="mirage", executor=None):
+    return transpile(qft(6), line_topology(6), method=method,
+                     selection="depth", layout_trials=4, refinement_rounds=2,
+                     routing_trials=2, coverage=COVERAGE, use_vf2=False,
+                     seed=13, executor=executor)
+
+
+def test_trial_fanout_on_a_process_pool_matches_serial():
+    serial = _wide_transpile(executor=SerialExecutor())
+    with ProcessExecutor() as pool:
+        prewarm(pool)
+        parallel = _wide_transpile(executor=pool)
+    assert circuit_digest(parallel.circuit) == circuit_digest(serial.circuit)
+    assert parallel.trial_index == serial.trial_index
+
+
+@pytest.mark.parametrize("method", ["sabre", "mirage"])
+def test_flat_and_object_kernels_route_identically(monkeypatch, method):
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    flat = _wide_transpile(method)
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+    obj = _wide_transpile(method)
+    assert circuit_digest(obj.circuit) == circuit_digest(flat.circuit)
+
+
+def test_service_clean_run_has_zero_overload_counters():
+    from repro.service import MirageService
+
+    coupling = line_topology(4)
+    requests = [("alice", ghz(4), 5), ("bob", qft(4), 6),
+                ("alice", qft(4), 7), ("bob", ghz(4), 8)]
+
+    async def run():
+        async with MirageService(
+            executor="threads", max_workers=2, window_ms=10.0,
+            coverage_params=dict(num_samples=700, seed=7),
+        ) as service:
+            results = await asyncio.gather(*[
+                service.submit(circuit, coupling, seed=seed, tenant=tenant,
+                               use_vf2=False, layout_trials=4)
+                for tenant, circuit, seed in requests
+            ])
+            return results, service.stats()
+
+    results, stats = asyncio.run(run())
+    assert len(results) == len(requests)
+    counters = dict(stats, breaker_trips=stats["breaker"]["trips"])
+    assert_clean(counters, "service", SERVICE_COUNTERS)
+
+
+def test_remote_dispatch_matches_serial_with_zero_recovery_counters():
+    from repro.transpiler.remote import RemoteExecutor, WorkerHost
+
+    circuits = small_circuits(1)
+    coupling = line_topology(5)
+    kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2,
+                  refinement_rounds=2, seed=41)
+    serial = transpile_many(circuits, coupling, fanout="trials",
+                            executor=SerialExecutor(), **kwargs)
+    hosts = [WorkerHost(heartbeat_s=0.5), WorkerHost(heartbeat_s=0.5)]
+    try:
+        for host in hosts:
+            host.start()
+        executor = RemoteExecutor(hosts=[host.address for host in hosts],
+                                  max_streams=2)
+        try:
+            executor.prewarm()
+            remote = transpile_many(circuits, coupling, fanout="circuits",
+                                    scheduler="stream", executor=executor,
+                                    **kwargs)
+        finally:
+            executor.close()
+    finally:
+        for host in hosts:
+            host.close()
+    assert batch_digests(remote) == batch_digests(serial)
+    dispatch = remote.dispatch
+    assert_clean(dispatch, "remote")
+    assert_clean(dispatch, "remote", REMOTE_COUNTERS)

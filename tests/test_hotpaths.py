@@ -9,18 +9,23 @@ build.
 
 from __future__ import annotations
 
+import itertools
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.circuits.library import benchmark_circuit, twolocal_full
+from repro.linalg.constants import MAGIC, MAGIC_DAG
 from repro.linalg.random import haar_unitary
 from repro.polytopes.cache import CoordinateCache
 from repro.polytopes.coverage import (
     build_coverage_set,
     load_or_build_coverage_set,
 )
+from repro.transpiler.kernel import route
+from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_swap import SabreSwap
@@ -32,6 +37,11 @@ from repro.weyl.canonical import (
 )
 from repro.weyl.coordinates import weyl_coordinates, weyl_coordinates_many
 from repro.weyl.haar import cached_haar_samples
+from repro.weyl.invariants import (
+    invariants_close,
+    makhlin_from_coordinate,
+    makhlin_invariants,
+)
 from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
 
 
@@ -491,3 +501,69 @@ def test_delta_swap_choice_matches_on_random_layouts():
         assert _route_stream(fast, dag, layout.copy(), seed) == _route_stream(
             reference, dag, layout.copy(), seed
         )
+
+
+def test_swap_scorers_agree_on_a_wide_qft():
+    """Object full rescore, flat Python scorer and native scorer: one routing."""
+    width = 25
+    coupling = topology_by_name("square", width)
+    dag = benchmark_circuit("qft", width).to_dag()
+    layout = Layout.trivial(width, coupling.num_qubits)
+    reference = _route_stream(
+        _FullRescoreSwap(coupling, seed=3), dag, layout.copy(), 3
+    )
+    scorers = {"python": None, "native": load_routec()}
+    for name, scorer in scorers.items():
+        if name == "native" and scorer is None:
+            continue  # no C compiler: the Python scorer is the only one
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(route, "load_routec", lambda scorer=scorer: scorer)
+            stream = _route_stream(
+                SabreSwap(coupling, seed=3), dag, layout.copy(), 3
+            )
+        assert stream == reference, name
+
+
+# -- Weyl extraction against the historical scalar loop ----------------------
+
+
+def _reference_weyl(unitary: np.ndarray, atol: float = 1e-6):
+    """The historical per-candidate Python loop for Weyl extraction."""
+    det = np.linalg.det(unitary)
+    su = unitary / det**0.25
+    um = MAGIC_DAG @ su @ MAGIC
+    gamma = um.T @ um
+    eigenvalues = np.linalg.eigvals(gamma)
+    eigenvalues = eigenvalues / np.abs(eigenvalues)
+    thetas = np.angle(eigenvalues) / 2.0
+    target = makhlin_invariants(unitary)
+
+    def candidates():
+        for selection in itertools.permutations(range(4), 3):
+            t1, t2, t3 = (thetas[i] for i in selection)
+            yield ((t1 + t2) / 2.0, (t2 + t3) / 2.0, (t1 + t3) / 2.0)
+        for selection in itertools.permutations(range(4), 3):
+            base = [thetas[i] for i in selection]
+            for shift_index in range(3):
+                shifted = list(base)
+                shifted[shift_index] += math.pi
+                t1, t2, t3 = shifted
+                yield ((t1 + t2) / 2.0, (t2 + t3) / 2.0, (t1 + t3) / 2.0)
+
+    best = None
+    for raw in candidates():
+        candidate = canonicalize_coordinate(raw)
+        cand_inv = makhlin_from_coordinate(candidate)
+        if invariants_close(cand_inv, target, atol=atol):
+            return candidate
+        error = float(np.linalg.norm(np.subtract(cand_inv, target)))
+        if best is None or error < best[0]:
+            best = (error, candidate)
+    return best[1]
+
+
+def test_weyl_many_matches_the_historical_scalar_loop():
+    rng = np.random.default_rng(5)
+    unitaries = np.stack([haar_unitary(4, rng) for _ in range(150)])
+    reference = np.array([_reference_weyl(u) for u in unitaries])
+    assert np.array_equal(reference, weyl_coordinates_many(unitaries))
