@@ -40,7 +40,7 @@ DECAY_DELTA = 0.001
 DECAY_RESET_INTERVAL = 5
 
 
-def kahn_circuit(
+def _kahn_circuit(
     ops: list[tuple[Gate, tuple[int, ...]]], num_qubits: int, name: str
 ) -> QuantumCircuit:
     """The circuit of the DAG that adding ``ops`` in order builds.
@@ -79,6 +79,8 @@ def kahn_circuit(
             indegree[successor] -= 1
             if indegree[successor] == 0:
                 ready.append(successor)
+    if len(circuit) != len(ops):
+        raise DAGError("cycle detected in DAG")
     return circuit
 
 
@@ -87,10 +89,11 @@ class RoutingResult:
 
     The flat kernel hands back its emitted op stream and the mapped DAG is
     built from it only when :attr:`dag` is first read.  Refinement rounds
-    read only ``final_layout`` and the depth post-selection metric reads
-    ``ops``, so a layout search builds the DAG of its winner alone.  The
-    result holds exactly one of the two forms at any time (building the
-    DAG releases the op list), so a pickled result never carries both.
+    read only ``final_layout``, the depth post-selection metric and the
+    pipeline's scoring read ``ops``, and :meth:`to_circuit` works from
+    ``ops`` too, so a transpile builds no routed DAG.  The result holds
+    exactly one of the two forms at any time (building the DAG releases
+    the op list), so a pickled result never carries both.
 
     Attributes:
         dag: the mapped DAG on physical qubits (includes inserted SWAPs).
@@ -153,7 +156,7 @@ class RoutingResult:
         """
         if self._ops is None:
             return self._dag.to_circuit()
-        return kahn_circuit(self._ops, self._num_qubits, self._name)
+        return _kahn_circuit(self._ops, self._num_qubits, self._name)
 
     @property
     def mirror_acceptance_rate(self) -> float:

@@ -24,6 +24,7 @@ from repro.circuits.dag import DAGCircuit
 from repro.circuits.gates import Gate, UnitaryGate, standard_gate
 from repro.circuits.library import qft, twolocal_full
 from repro.core import MirageSwap
+from repro.exceptions import DAGError
 from repro.linalg.constants import xx_yy_interaction
 from repro.linalg.random import haar_unitary
 from repro.linalg.unitary import embed_unitary
@@ -235,3 +236,15 @@ def test_op_list_kahn_order_equals_dag_kahn_order(circuit):
     ops = [(instruction.gate, instruction.qubits) for instruction in circuit]
     from_ops, from_dag = _both_forms(ops, circuit.num_qubits)
     _assert_same_circuit(from_ops.to_circuit(), from_dag.to_circuit())
+
+
+def test_op_list_circuit_rejects_what_the_dag_rejects():
+    cx = standard_gate("cx")
+    for bad in ([(cx, (0, 2))], [(cx, (0, 1)), (cx, (1, 1))]):
+        with pytest.raises(DAGError):
+            _both_forms(bad, 2)[1].to_circuit()
+        layout = Layout.trivial(2, 2)
+        result = RoutingResult(ops=bad, num_qubits=2, initial_layout=layout,
+                               final_layout=layout, swaps_added=0)
+        with pytest.raises(DAGError):
+            result.to_circuit()

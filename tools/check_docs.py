@@ -67,7 +67,10 @@ PUBLIC_API = [
     ("repro.core.mirage_pass", "mirror_table"),
     ("repro.transpiler.passes.sabre_swap", "RoutingResult"),
     ("repro.transpiler.metrics", "ops_depth"),
+    ("repro.transpiler.metrics", "evaluate"),
     ("repro.transpiler.passes.cleanup", "elide_input_swaps_permuted"),
+    ("repro.transpiler.passes.cleanup", "clean_input_permuted"),
+    ("repro.transpiler.passes.sabre_swap", "RoutingResult.to_circuit"),
     ("repro.transpiler.passes.sabre_layout", "run_trial"),
     ("repro.core.pipeline", "run_plan"),
     ("repro.core.pipeline", "PlanSpec"),
