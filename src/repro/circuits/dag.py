@@ -12,11 +12,74 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from repro.exceptions import DAGError
 from repro.circuits.circuit import CircuitInstruction, QuantumCircuit
 from repro.circuits.gates import Gate
+
+
+def _link(
+    last_on_wire: list[int], index: int, qubits: Sequence[int], num_qubits: int
+) -> list[int]:
+    """Append op ``index`` on ``qubits`` and return its predecessors.
+
+    The op depends on the last earlier op on each of its wires, once per
+    predecessor; it then becomes the last op on those wires.
+    """
+    for qubit in qubits:
+        if not 0 <= qubit < num_qubits:
+            raise DAGError(f"qubit {qubit} out of range")
+    predecessors: list[int] = []
+    for qubit in qubits:
+        previous = last_on_wire[qubit]
+        if previous >= 0 and previous not in predecessors:
+            predecessors.append(previous)
+        last_on_wire[qubit] = index
+    return predecessors
+
+
+def _kahn(
+    node_ids: Collection[int],
+    successors: Sequence[list[int]] | dict[int, list[int]],
+    indegree: list[int] | dict[int, int],
+) -> Iterator[int]:
+    """Kahn's algorithm: ready ids leave first in, first out.
+
+    ``successors`` and ``indegree`` are indexed by id (lists or dicts);
+    ``indegree`` is consumed.  Successors become ready in the order they
+    are listed.
+    """
+    ready = deque(node_id for node_id in node_ids if indegree[node_id] == 0)
+    emitted = 0
+    while ready:
+        node_id = ready.popleft()
+        emitted += 1
+        yield node_id
+        for succ in successors[node_id]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    if emitted != len(node_ids):
+        raise DAGError("cycle detected in DAG")
+
+
+def kahn_order(qubit_lists: Sequence[Sequence[int]], num_qubits: int) -> list[int]:
+    """Positions of ops in :meth:`DAGCircuit.topological_nodes` order.
+
+    ``qubit_lists[i]`` holds the int qubits of op ``i``; the order is the
+    one the DAG built by adding the ops in list order yields, computed on
+    plain int lists without building that DAG.
+    """
+    successors: list[list[int]] = [[] for _ in qubit_lists]
+    indegree = [0] * len(qubit_lists)
+    last_on_wire = [-1] * num_qubits
+    for index, qubits in enumerate(qubit_lists):
+        predecessors = _link(last_on_wire, index, qubits, num_qubits)
+        for previous in predecessors:
+            successors[previous].append(index)
+        indegree[index] = len(predecessors)
+    return list(_kahn(range(len(qubit_lists)), successors, indegree))
 
 
 @dataclasses.dataclass
@@ -57,7 +120,7 @@ class DAGCircuit:
         self.nodes: dict[int, DAGNode] = {}
         self._successors: dict[int, list[int]] = {}
         self._predecessors: dict[int, list[int]] = {}
-        self._last_on_wire: dict[int, int] = {}
+        self._last_on_wire = [-1] * num_qubits
         self._next_id = 0
 
     # -- construction -----------------------------------------------------
@@ -72,20 +135,15 @@ class DAGCircuit:
     def add_node(self, gate: Gate, qubits: Sequence[int]) -> DAGNode:
         """Append a gate at the end of the DAG (after all current wire owners)."""
         qubits = tuple(int(q) for q in qubits)
-        for qubit in qubits:
-            if not 0 <= qubit < self.num_qubits:
-                raise DAGError(f"qubit {qubit} out of range")
-        node = DAGNode(self._next_id, gate, qubits)
+        node_id = self._next_id
+        predecessors = _link(self._last_on_wire, node_id, qubits, self.num_qubits)
+        node = DAGNode(node_id, gate, qubits)
         self._next_id += 1
-        self.nodes[node.node_id] = node
-        self._successors[node.node_id] = []
-        self._predecessors[node.node_id] = []
-        for qubit in qubits:
-            previous = self._last_on_wire.get(qubit)
-            if previous is not None and node.node_id not in self._successors[previous]:
-                self._successors[previous].append(node.node_id)
-                self._predecessors[node.node_id].append(previous)
-            self._last_on_wire[qubit] = node.node_id
+        self.nodes[node_id] = node
+        self._successors[node_id] = []
+        self._predecessors[node_id] = predecessors
+        for previous in predecessors:
+            self._successors[previous].append(node_id)
         return node
 
     # -- queries -----------------------------------------------------------
@@ -115,21 +173,8 @@ class DAGCircuit:
 
     def topological_nodes(self) -> Iterator[DAGNode]:
         """Iterate nodes in a topological order (Kahn's algorithm)."""
-        indegree = self.in_degrees()
-        ready = deque(
-            node_id for node_id in self.nodes if indegree[node_id] == 0
-        )
-        emitted = 0
-        while ready:
-            node_id = ready.popleft()
-            emitted += 1
+        for node_id in _kahn(self.nodes, self._successors, self.in_degrees()):
             yield self.nodes[node_id]
-            for succ in self._successors[node_id]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if emitted != len(self.nodes):
-            raise DAGError("cycle detected in DAG")
 
     def two_qubit_nodes(self) -> list[DAGNode]:
         return [node for node in self.nodes.values() if node.is_two_qubit]

@@ -19,16 +19,16 @@ def clean_input_permuted(
     circuit: QuantumCircuit,
     *,
     drop_no_ops: bool = True,
-    elide_swaps: bool = True,
 ) -> tuple[QuantumCircuit, list[int]]:
     """Clean ``circuit`` in one walk and return the wire permutation applied.
+
+    Every SWAP is absorbed into a virtual-qubit permutation applied to all
+    later gates instead of being emitted.
 
     Args:
         circuit: the input program.
         drop_no_ops: drop barriers, measurements, ``id`` gates and
             zero-angle rotations.
-        elide_swaps: absorb every SWAP into a virtual-qubit permutation
-            applied to all later gates instead of emitting it.
 
     Returns:
         ``(cleaned, permutation)``: the output state of ``circuit`` on
@@ -45,7 +45,7 @@ def clean_input_permuted(
             or (gate.name in ZERO_ANGLE_ROTATIONS and abs(gate.params[0]) < 1e-12)
         ):
             continue
-        if elide_swaps and gate.name == "swap":
+        if gate.name == "swap":
             a, b = instruction.qubits
             permutation[a], permutation[b] = permutation[b], permutation[a]
             continue
@@ -78,6 +78,6 @@ def elide_input_swaps_permuted(
     return clean_input_permuted(circuit, drop_no_ops=False)
 
 
-def clean_input(circuit: QuantumCircuit, *, elide_swaps: bool = True) -> QuantumCircuit:
+def clean_input(circuit: QuantumCircuit) -> QuantumCircuit:
     """Full input-cleaning pipeline used by the preset pass managers."""
-    return clean_input_permuted(circuit, elide_swaps=elide_swaps)[0]
+    return clean_input_permuted(circuit)[0]

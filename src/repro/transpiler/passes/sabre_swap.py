@@ -17,9 +17,9 @@ from collections import deque
 
 import numpy as np
 
-from repro.exceptions import DAGError, TranspilerError
+from repro.exceptions import TranspilerError
 from repro.circuits.circuit import CircuitInstruction, QuantumCircuit
-from repro.circuits.dag import DAGCircuit, DAGNode
+from repro.circuits.dag import DAGCircuit, DAGNode, kahn_order
 from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
 from repro.transpiler.kernel import (
@@ -38,50 +38,6 @@ EXTENDED_SET_SIZE = 20
 EXTENDED_SET_WEIGHT = 0.5
 DECAY_DELTA = 0.001
 DECAY_RESET_INTERVAL = 5
-
-
-def _kahn_circuit(
-    ops: list[tuple[Gate, tuple[int, ...]]], num_qubits: int, name: str
-) -> QuantumCircuit:
-    """The circuit of the DAG that adding ``ops`` in order builds.
-
-    Instructions come out in the order of
-    :meth:`DAGCircuit.topological_nodes` on that DAG: edges link each op
-    to the last earlier op on each of its wires (once per predecessor,
-    successors in op order), and Kahn's algorithm pops ready ops first in
-    first out.
-    """
-    qubit_lists = [tuple(map(int, qubits)) for _, qubits in ops]
-    successors: list[list[int]] = [[] for _ in ops]
-    indegree = [0] * len(ops)
-    last_on_wire = [-1] * num_qubits
-    for index, qubits in enumerate(qubit_lists):
-        for qubit in qubits:
-            if not 0 <= qubit < num_qubits:
-                raise DAGError(f"qubit {qubit} out of range")
-            previous = last_on_wire[qubit]
-            if previous >= 0 and (
-                not successors[previous] or successors[previous][-1] != index
-            ):
-                successors[previous].append(index)
-                indegree[index] += 1
-            last_on_wire[qubit] = index
-    ready = deque(
-        index for index, degree in enumerate(indegree) if degree == 0
-    )
-    circuit = QuantumCircuit(num_qubits, name)
-    while ready:
-        index = ready.popleft()
-        circuit.append_instruction(
-            CircuitInstruction(ops[index][0], qubit_lists[index])
-        )
-        for successor in successors[index]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-    if len(circuit) != len(ops):
-        raise DAGError("cycle detected in DAG")
-    return circuit
 
 
 class RoutingResult:
@@ -156,7 +112,13 @@ class RoutingResult:
         """
         if self._ops is None:
             return self._dag.to_circuit()
-        return _kahn_circuit(self._ops, self._num_qubits, self._name)
+        qubit_lists = [tuple(map(int, qubits)) for _, qubits in self._ops]
+        circuit = QuantumCircuit(self._num_qubits, self._name)
+        for index in kahn_order(qubit_lists, self._num_qubits):
+            circuit.append_instruction(
+                CircuitInstruction(self._ops[index][0], qubit_lists[index])
+            )
+        return circuit
 
     @property
     def mirror_acceptance_rate(self) -> float:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import DAGCircuit
+from repro.circuits.dag import DAGCircuit, kahn_order
 from repro.circuits.gates import Gate, UnitaryGate, standard_gate
 from repro.circuits.library import qft, twolocal_full
 from repro.core import MirageSwap
@@ -228,6 +228,16 @@ def test_routed_op_list_circuit_equals_dag_circuit(router, circuit):
     before = result.to_circuit()
     result.dag
     _assert_same_circuit(before, result.to_circuit())
+
+
+def test_kahn_order_is_fifo_over_wire_edges():
+    # Ops 0, 1 and 3 start ready; 2 becomes ready after 1, then 4 after 2.
+    qubit_lists = [(0,), (1,), (0, 1), (2,), (1, 2)]
+    assert kahn_order(qubit_lists, 3) == [0, 1, 3, 2, 4]
+    dag = DAGCircuit(3)
+    for qubits in qubit_lists:
+        dag.add_node(standard_gate("cz" if len(qubits) == 2 else "h"), qubits)
+    assert [node.node_id for node in dag.topological_nodes()] == [0, 1, 3, 2, 4]
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,8 +13,14 @@ Each result is pinned twice in ``golden_digests.json``:
   everywhere.
 * ``full`` — the same fields plus every gate matrix's bytes, so a
   one-ulp drift in a consolidated block is caught.  Matrix bits depend
-  on the numpy build and CPU, so this check runs only where the pins
-  were recorded (the ``environment`` entry of the JSON file).
+  on the numpy build: they held under OpenBLAS's Haswell to
+  SapphireRapids and Zen kernels and at every numpy SIMD level, but
+  moved under the pre-AVX2 Nehalem and Sandybridge kernels.  So this
+  check runs only where numpy version, machine and platform equal the
+  recorded ones (the ``environment`` entry of the JSON file) and skips
+  elsewhere with the mismatch as its reason (``pytest -rs`` prints it).
+  The tier-1 CI job installs the recorded numpy on its Python 3.11 leg
+  so the check runs there.
 
 A change that moves these digests changes routing or synthesis output
 for everyone.  Regenerate the file on purpose with::

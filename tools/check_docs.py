@@ -71,6 +71,7 @@ PUBLIC_API = [
     ("repro.transpiler.passes.cleanup", "elide_input_swaps_permuted"),
     ("repro.transpiler.passes.cleanup", "clean_input_permuted"),
     ("repro.transpiler.passes.sabre_swap", "RoutingResult.to_circuit"),
+    ("repro.circuits.dag", "kahn_order"),
     ("repro.transpiler.passes.sabre_layout", "run_trial"),
     ("repro.core.pipeline", "run_plan"),
     ("repro.core.pipeline", "PlanSpec"),
