@@ -28,8 +28,9 @@ from repro.circuits.gates import UnitaryGate
 from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.kernel import IntDAG, KernelState
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel.intdag import KIND_CHECK2
+from repro.transpiler.kernel.route import MirrorRule
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import gate_coordinate, node_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
@@ -52,11 +53,32 @@ class MirrorTable:
         mirror_coords: Weyl coordinate of ``SWAP . U`` per slot (Eq. 1).
         gate_costs: decomposition cost of the gate, in basis-gate units.
         mirror_costs: decomposition cost of its mirror, in the same units.
+        mirror_gates: the mirror gate ``SWAP . U`` per slot, built once and
+            emitted by every run that accepts that slot's mirror.
     """
 
     mirror_coords: list[tuple[float, float, float] | None]
     gate_costs: list[float]
     mirror_costs: list[float]
+    mirror_gates: list[UnitaryGate | None]
+
+
+def mirror_gate(
+    gate, mirrored_coordinate: tuple[float, float, float]
+) -> UnitaryGate:
+    """Build the mirror gate ``SWAP . U`` as an annotated block.
+
+    The full gate is replaced with a new unitary rather than an appended
+    SWAP gate (paper Section VI-C), the mirrored coordinate is attached
+    analytically (no re-extraction), and the unitarity check is skipped
+    because mirroring preserves unitarity by construction.
+    """
+    return UnitaryGate(
+        SWAP @ gate.matrix(),
+        label=f"{gate.name}_mirror",
+        check=False,
+        coordinate=tuple(mirrored_coordinate),
+    )
 
 
 def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
@@ -93,6 +115,7 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
     mirror_coords: list[tuple[float, float, float] | None] = [None] * num_slots
     gate_costs = [0.0] * num_slots
     mirror_costs = [0.0] * num_slots
+    mirror_gates: list[UnitaryGate | None] = [None] * num_slots
     if slots:
         coordinates = np.array(
             [gate_coordinate(intdag.gates[slot]) for slot in slots], dtype=float
@@ -105,7 +128,10 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
             mirror_coords[slot] = tuple(mirrored[row].tolist())
             gate_costs[slot] = float(costs[row]) / unit
             mirror_costs[slot] = float(costs[count + row]) / unit
-    table = MirrorTable(mirror_coords, gate_costs, mirror_costs)
+            mirror_gates[slot] = mirror_gate(
+                intdag.gates[slot], mirror_coords[slot]
+            )
+    table = MirrorTable(mirror_coords, gate_costs, mirror_costs, mirror_gates)
     tables[coverage] = table
     return table
 
@@ -175,7 +201,7 @@ class MirageSwap(SabreSwap):
 
         if accept_mirror(cost_current, cost_trial, self.aggression):
             self._stats["mirrors"] += 1
-            mirrored_gate = self._mirror_gate(node.gate, mirrored_coordinate)
+            mirrored_gate = mirror_gate(node.gate, mirrored_coordinate)
             out.add_node(mirrored_gate, physical)
             layout.swap_physical(*physical)
         else:
@@ -183,91 +209,22 @@ class MirageSwap(SabreSwap):
 
     # -- the intermediate layer, flat-kernel twin ---------------------------
 
-    def _begin_flat(self, intdag: IntDAG) -> None:
-        self._table = mirror_table(intdag, self.coverage)
+    def _mirror_rule(self, intdag: IntDAG) -> MirrorRule:
+        """The mirror decision as kernel data (see :class:`MirrorRule`).
 
-    def _commit_two_qubit_flat(
-        self, state: KernelState, node_id: int, physical: tuple[int, int]
-    ) -> None:
-        """Mirror decision over flat kernel state (same arithmetic, same
-        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`).
-
-        The layout-independent half of the decision — mirror coordinate
-        and both decomposition costs — is read from the per-circuit
-        :class:`MirrorTable`; only the routing pressure is computed here.
+        The layout-independent half of the decision — both decomposition
+        costs and the mirror gate — comes from the per-circuit
+        :class:`MirrorTable`; the kernel computes the routing pressure and
+        applies :func:`~repro.core.aggression.accept_mirror`.
         """
-        self._stats["candidates"] += 1
-
-        slot = state.gate_id(node_id)
-        table = self._table
-        lookahead = state.lookahead_pairs(node_id)
-        routing_current, routing_mirror = self._mirror_routing_costs_flat(
-            state, lookahead, physical
+        table = mirror_table(intdag, self.coverage)
+        return MirrorRule(
+            table.mirror_gates,
+            table.gate_costs,
+            table.mirror_costs,
+            self.decomposition_weight,
+            int(self.aggression),
         )
-
-        cost_current = (
-            self.decomposition_weight * table.gate_costs[slot] + routing_current
-        )
-        cost_trial = (
-            self.decomposition_weight * table.mirror_costs[slot] + routing_mirror
-        )
-
-        if accept_mirror(cost_current, cost_trial, self.aggression):
-            self._stats["mirrors"] += 1
-            state.ops.append(
-                (
-                    self._mirror_gate(
-                        state.intdag.gates[slot], table.mirror_coords[slot]
-                    ),
-                    physical,
-                )
-            )
-            state.swap_physical(*physical)
-        else:
-            state.emit(node_id, physical)
-
-    def _mirror_routing_costs_flat(
-        self,
-        state: KernelState,
-        pairs: list[tuple[int, int]],
-        physical: tuple[int, int],
-    ) -> tuple[float, float]:
-        """Current/mirrored routing pressure over flat lookahead pairs.
-
-        On connected graphs both window sums run in exact int arithmetic;
-        the float path reproduces the object path's inf handling.  Either
-        way the returned floats match :meth:`_mirror_routing_costs` —
-        integer-valued distances make the delta-adjusted sum equal the
-        direct sum computed here.
-        """
-        if not pairs:
-            return 0.0, 0.0
-        swap_a, swap_b = physical
-        table = state.table
-        if table.connected:
-            distance = table.dist_int_lists()
-            base = 0
-            swapped = 0
-        else:
-            distance = table.dist_lists()
-            base = 0.0
-            swapped = 0.0
-        for left, right in pairs:
-            base += distance[left][right]
-            new_left = (
-                swap_b if left == swap_a else swap_a if left == swap_b else left
-            )
-            new_right = (
-                swap_b if right == swap_a
-                else swap_a if right == swap_b
-                else right
-            )
-            swapped += distance[new_left][new_right]
-        count = len(pairs)
-        weight = self.extended_set_weight
-        current = float(0.0 + weight * base / count)
-        mirrored = float(0.0 + weight * swapped / count)
-        return current, mirrored
 
     def _mirror_routing_costs(
         self,
@@ -325,22 +282,3 @@ class MirageSwap(SabreSwap):
         current = float(0.0 + weight * base / count)
         mirrored = float(0.0 + weight * (base + delta) / count)
         return current, mirrored
-
-    @staticmethod
-    def _mirror_gate(
-        gate, mirrored_coordinate: tuple[float, float, float]
-    ) -> UnitaryGate:
-        """Build the mirror gate ``SWAP . U`` as an annotated block.
-
-        The full gate is replaced with a new unitary rather than an
-        appended SWAP gate (paper Section VI-C), the mirrored coordinate is
-        attached analytically (no re-extraction), and the unitarity check is
-        skipped because mirroring preserves unitarity by construction.
-        """
-        matrix = SWAP @ gate.matrix()
-        return UnitaryGate(
-            matrix,
-            label=f"{gate.name}_mirror",
-            check=False,
-            coordinate=tuple(mirrored_coordinate),
-        )

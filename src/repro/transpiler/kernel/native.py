@@ -1,10 +1,11 @@
-"""Build-on-first-use loader for the compiled route scorer (``_routec.c``).
+"""Build-on-first-use loader for the compiled route loop (``_routec.c``).
 
-``_routec.c`` holds native twins of the flat kernel's SWAP scorer and
-lookahead walk (see :mod:`repro.transpiler.kernel.route`).
-:func:`load_routec` compiles it with the interpreter's C compiler the
-first time a process on this machine needs it, and imports the result;
-every later process imports the cached binary.
+``_routec.c`` holds the native twin of the flat kernel's whole route
+loop, with its SWAP scorer, lookahead walk and MIRAGE mirror decision
+(see :mod:`repro.transpiler.kernel.route`).  :func:`load_routec`
+compiles it with the interpreter's C compiler the first time a process
+on this machine needs it, and imports the result; every later process
+imports the cached binary.
 
 * The binary is cached under :func:`native_cache_dir`, outside
   ``$MIRAGE_CACHE_DIR`` (the coverage cache, which callers may empty).
@@ -14,7 +15,7 @@ every later process imports the cached binary.
 * It is compiled to a temporary name and ``os.replace``-d into place, so
   processes racing on a cold cache each see a complete file.
 * Without a compiler, or when the build or the import fails, the loader
-  logs one warning and returns ``None``; the pure-Python scorer then
+  logs one warning and returns ``None``; the pure-Python route loop then
   runs, with identical outputs.
 """
 
@@ -38,7 +39,7 @@ from types import ModuleType
 #: The C source; shipped as package data.
 SOURCE = Path(__file__).with_name("_routec.c")
 #: Compile flags.  ``-ffp-contract=off`` forbids fused multiply-adds, so
-#: the scorer's float operations round exactly like the Python ones.
+#: the loop's float operations round exactly like the Python ones.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 MODULE_NAME = "repro.transpiler.kernel._routec"
 #: Seconds a compile may take before the loader gives up.
@@ -80,12 +81,12 @@ def compiler_command() -> list[str] | None:
 
 
 def load_routec() -> ModuleType | None:
-    """The compiled route scorer module, or ``None`` when it is unavailable.
+    """The compiled route-loop module, or ``None`` when it is unavailable.
 
     Resolved once per process (the first call on a machine compiles, which
-    takes about a second);
-    a failure is logged as one warning and remembered, so callers fall
-    back to the pure-Python scorer without retrying.
+    takes about a second); a failure is logged as one warning and
+    remembered, so callers fall back to the pure-Python route loop without
+    retrying.
     """
     global _loaded
     with _lock:
@@ -94,8 +95,8 @@ def load_routec() -> ModuleType | None:
                 _loaded = _build_and_import()
             except Exception as error:  # any failure falls back
                 _log.warning(
-                    "compiled route scorer unavailable, using the pure-Python "
-                    "scorer (same outputs, slower): %s: %s",
+                    "compiled route loop unavailable, using the pure-Python "
+                    "route loop (same outputs, slower): %s: %s",
                     type(error).__name__,
                     error,
                 )

@@ -9,7 +9,7 @@ the index structures the flat kernel gathers over:
   endpoints are a fancy-index gather;
 * a per-qubit incident-edge index, so ``_swap_candidates`` is set-union of
   precomputed tuples instead of per-stall neighbour walks (and its CSR
-  array form, which the compiled scorer reads);
+  array form, which the compiled route loop reads);
 * ``dist_int``: the hop-distance matrix as ``int64`` (``-1`` where
   unreachable) for exact integer scoring on connected graphs, next to the
   float matrix (shared with ``CouplingMap.distance_matrix``) used verbatim

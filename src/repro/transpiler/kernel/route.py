@@ -3,38 +3,47 @@
 :func:`route_kernel` walks an :class:`~repro.transpiler.kernel.intdag.IntDAG`
 with a :class:`~repro.transpiler.kernel.neighbors.NeighborTable`, keeping all
 per-run state — layout, in-degrees, decay — in flat int/float containers.
-Candidate scoring keeps the incremental per-edge deltas over the flat
-arrays: window sums are accumulated once per stall, and each candidate edge
+The loop exists twice with the same semantics:
+
+* the compiled loop, ``RouteKernel.route`` in ``_routec.c`` (built on
+  first use by :mod:`.native`), which runs on connected couplings: front
+  advance, emission, SWAP choice, decay and MIRAGE's mirror decision;
+* the pure-Python loop here, the reference, which runs when the compiled
+  module is unavailable or the coupling is disconnected.
+
+MIRAGE's intermediate layer is data, not a hook: a :class:`MirrorRule`
+carries the per-slot decomposition costs and mirror gates of a
+``MirrorTable`` plus the decomposition weight and aggression level, and
+both loops apply the same arithmetic to it in the same operation order.
+
+Candidate scoring keeps incremental per-edge deltas over the flat arrays:
+window sums are accumulated once per stall, and each candidate edge
 re-evaluates only the pairs touching its two endpoints via a per-qubit
 pair-id index.  Hop distances are integer-valued, so on connected graphs
-the whole scorer runs in exact Python int arithmetic over a flat row-major
-distance list and produces exactly the floats the object path computes.
-
-Only tie-breaking is kept as a sequential scan: the object path compares
-each score against the running best with a ``1e-12`` tolerance, and that
-recurrence is order-dependent — a vectorised argmin-with-tolerance can keep
-a different near-tie set.  The scan draws from the same per-trial
-``SeedSequence`` stream in the same order, so fixed-seed outputs are
-byte-identical to ``MIRAGE_ROUTE_KERNEL=object``.
-
-The connected-graph scorer and the lookahead walk also have compiled twins
-(``_routec.c``, built on first use by :mod:`.native`).  They return exactly
-what the Python code here returns — the scorer hands back the tie list and
-the RNG draw stays in Python — and the Python code stays the reference
-whenever the compiled module is unavailable.
+the whole scorer runs in exact integer arithmetic and produces exactly the
+floats the object path computes.  Tie-breaking stays a sequential scan
+with a ``1e-12`` tolerance (an order-dependent recurrence) and one
+``rng.integers(len(ties))`` draw from the per-trial ``SeedSequence``
+stream, so fixed-seed outputs are byte-identical to
+``MIRAGE_ROUTE_KERNEL=object`` whichever loop runs.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Callable
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.exceptions import TranspilerError
 from repro.circuits.gates import Gate
-from repro.transpiler.kernel.intdag import KIND_CHECK2, KIND_FREE, IntDAG
+from repro.transpiler.kernel.intdag import (
+    KIND_CHECK2,
+    KIND_FREE,
+    IntDAG,
+    IntDAGLists,
+)
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.kernel.neighbors import NeighborTable
 
@@ -55,13 +64,36 @@ def route_kernel_mode() -> str:
     )
 
 
-class KernelState:
-    """Mutable flat state of one routing run — the commit hooks' view.
+#: The SWAP gate both loops emit; gates are immutable, so one is shared.
+SWAP_GATE = Gate("swap", 2)
 
-    ``MirageSwap``'s intermediate layer runs against this object: it reads
-    gates by int id, queries the lookahead window as physical-qubit pairs,
-    appends to ``ops`` and applies virtual swaps, never touching ``DAGNode``
-    or ``Layout`` objects.
+
+class MirrorRule(NamedTuple):
+    """MIRAGE's mirror decision as data, indexed like ``IntDAG.gates``.
+
+    Attributes:
+        gates: the mirror gate ``SWAP . U`` per two-qubit slot (``None``
+            elsewhere).
+        gate_costs: decomposition cost of each slot's gate.
+        mirror_costs: decomposition cost of each slot's mirror.
+        decomposition_weight: weight of the cost term against the routing
+            pressure term.
+        aggression: acceptance level 0-3 (paper Algorithm 2).
+    """
+
+    gates: Sequence[Gate | None]
+    gate_costs: list[float]
+    mirror_costs: list[float]
+    decomposition_weight: float
+    aggression: int
+
+
+class KernelState:
+    """Mutable flat state of one routing run.
+
+    Holds the layout (``v2p``/``p2v``), the emitted ``(gate, physical)``
+    op list and the run's counters, never touching ``DAGNode`` or
+    ``Layout`` objects.
     """
 
     __slots__ = (
@@ -71,8 +103,9 @@ class KernelState:
         "p2v",
         "ops",
         "swaps_added",
+        "mirrors_accepted",
+        "mirror_candidates",
         "extended_set_size",
-        "_lists",
         "_touch",
         "_native",
     )
@@ -88,15 +121,26 @@ class KernelState:
         self.table = table
         self.v2p = [int(p) for p in initial_v2p]
         self.p2v = [-1] * table.num_qubits
+        if len(self.v2p) < intdag.num_qubits:
+            raise TranspilerError(
+                f"initial layout places {len(self.v2p)} of the circuit's "
+                f"{intdag.num_qubits} qubits"
+            )
         for virtual, physical in enumerate(self.v2p):
+            if not 0 <= physical < table.num_qubits or self.p2v[physical] >= 0:
+                raise TranspilerError(
+                    f"initial layout maps virtual qubit {virtual} to invalid "
+                    f"or repeated physical qubit {physical}"
+                )
             self.p2v[physical] = virtual
         self.ops: list[tuple[Gate, tuple[int, ...]]] = []
         self.swaps_added = 0
+        self.mirrors_accepted = 0
+        self.mirror_candidates = 0
         self.extended_set_size = extended_set_size
-        self._lists = intdag.lists()
         # Scratch per-qubit pair-id lists for the scorer (reset after use).
         self._touch: list[list[int] | None] = [None] * table.num_qubits
-        # The compiled scorer/lookahead bound to this run's arrays, if any.
+        # The compiled kernel bound to this run's arrays, if any.
         routec = load_routec()
         self._native = None if routec is None else routec.RouteKernel(
             table.dist_int,
@@ -111,7 +155,9 @@ class KernelState:
             KIND_CHECK2,
         )
 
-    # -- hook API -----------------------------------------------------------
+    @property
+    def _lists(self) -> IntDAGLists:
+        return self.intdag.lists()
 
     def gate_id(self, node_id: int) -> int:
         """Slot of the node's gate in ``intdag.gates``."""
@@ -141,8 +187,6 @@ class KernelState:
         visit order, same dedup, same early-exit at the window size.
         """
         limit = self.extended_set_size
-        if self._native is not None:
-            return self._native.extended_ids(roots, limit)
         lists = self._lists
         succ_tuples = lists.succ_tuples
         kind = lists.kind
@@ -196,15 +240,71 @@ def route_kernel(
     decay_delta: float,
     decay_reset_interval: int,
     stall_limit: int,
-    commit: Callable[[KernelState, int, tuple[int, int]], None],
+    mirror: MirrorRule | None = None,
 ) -> KernelState:
     """Route one lowered circuit; returns the finished :class:`KernelState`.
 
-    ``commit`` is called for every executable two-qubit gate with
-    ``(state, node_id, physical_pair)`` — the flat twin of the object
-    path's ``_commit_two_qubit`` hook.
+    Every routing run enters here.  On a connected coupling with the
+    compiled module loaded the whole loop runs in ``_routec.c``; otherwise
+    the pure-Python reference below runs.  Both emit the same ops, layout
+    and counters at a fixed seed.
+
+    ``mirror`` is ``None`` for SABRE, which places every executable
+    two-qubit gate as it is.  For MIRAGE it is a :class:`MirrorRule`: each
+    executable two-qubit gate is a mirror candidate, and an accepted
+    mirror emits the slot's mirror gate and swaps the pair in the layout.
     """
     state = KernelState(intdag, table, initial_v2p, extended_set_size)
+    native = state._native
+    if native is not None and table.connected:
+        (
+            state.ops,
+            state.swaps_added,
+            state.mirrors_accepted,
+            state.mirror_candidates,
+        ) = native.route(
+            state.v2p,
+            state.p2v,
+            rng,
+            intdag.gates,
+            intdag.gate_ids,
+            intdag.indegree,
+            intdag.qarg_indptr,
+            intdag.qargs,
+            KIND_FREE,
+            SWAP_GATE,
+            extended_set_size,
+            extended_set_weight,
+            decay_delta,
+            decay_reset_interval,
+            stall_limit,
+            mirror,
+        )
+        return state
+    _route_python(
+        state,
+        rng,
+        extended_set_weight,
+        decay_delta,
+        decay_reset_interval,
+        stall_limit,
+        mirror,
+    )
+    return state
+
+
+def _route_python(
+    state: KernelState,
+    rng: np.random.Generator,
+    extended_set_weight: float,
+    decay_delta: float,
+    decay_reset_interval: int,
+    stall_limit: int,
+    mirror: MirrorRule | None,
+) -> None:
+    """The pure-Python route loop: the reference for ``RouteKernel.route``."""
+    intdag = state.intdag
+    table = state.table
     lists = state._lists
     qubit0 = lists.qubit0
     qubit1 = lists.qubit1
@@ -234,11 +334,15 @@ def route_kernel(
             if node_kind == KIND_CHECK2:
                 left = v2p[qubit0[node_id]]
                 right = v2p[qubit1[node_id]]
-                if adjacency[left][right]:
-                    commit(state, node_id, (left, right))
-                else:
+                if not adjacency[left][right]:
                     still_blocked.append(node_id)
                     continue
+                if mirror is None:
+                    ops.append((gates[gate_ids[node_id]], (left, right)))
+                else:
+                    _commit_mirror(
+                        state, mirror, node_id, (left, right), extended_set_weight
+                    )
             elif node_kind == KIND_FREE:
                 physical = tuple(v2p[q] for q in qubit_tuples[node_id])
                 ops.append((gates[gate_ids[node_id]], physical))
@@ -272,10 +376,9 @@ def route_kernel(
             raise TranspilerError("router failed to make progress")
         if extended_cache is None:
             extended_cache = state.extended_ids(front)
-        edge = _choose_swap(
-            state, front, extended_cache, decay, rng, extended_set_weight
-        )
-        ops.append((Gate("swap", 2), edge))
+        ties = _swap_ties(state, front, extended_cache, decay, extended_set_weight)
+        edge = ties[int(rng.integers(len(ties)))]
+        ops.append((SWAP_GATE, edge))
         state.swap_physical(*edge)
         decay[edge[0]] += decay_delta
         decay[edge[1]] += decay_delta
@@ -287,32 +390,77 @@ def route_kernel(
             decay_steps = 0
         state.swaps_added += 1
 
-    return state
 
-
-def _choose_swap(
+def _commit_mirror(
     state: KernelState,
-    front: list[int],
-    extended: list[int],
-    decay: list[float],
-    rng: np.random.Generator,
+    mirror: MirrorRule,
+    node_id: int,
+    physical: tuple[int, int],
     extended_set_weight: float,
-) -> tuple[int, int]:
-    """Pick the SWAP edge, byte-compatible with the object ``_choose_swap``.
+) -> None:
+    """MIRAGE's intermediate layer for one executable two-qubit gate.
 
-    The tied best edges come from the compiled scorer on connected
-    graphs when it is loaded, else from :func:`_swap_ties`; both return
-    the same list in the same order.  The single RNG draw among them
-    happens here, in the same position of the per-trial stream.
+    Same arithmetic, same acceptance and byte-identical outputs as the
+    object path's ``MirageSwap._commit_two_qubit``; the layout-independent
+    half of the decision (both decomposition costs, the mirror gate) is
+    read from the rule, only the routing pressure is computed here.
     """
-    native = state._native
-    if native is not None and state.table.connected:
-        ties = native.swap_ties(
-            front, extended, state.v2p, decay, extended_set_weight
-        )
+    # Imported here: ``repro.core`` imports this module.
+    from repro.core.aggression import accept_mirror
+
+    state.mirror_candidates += 1
+    slot = state.gate_id(node_id)
+    routing_current, routing_mirror = _mirror_routing_costs(
+        state, state.lookahead_pairs(node_id), physical, extended_set_weight
+    )
+    weight = mirror.decomposition_weight
+    cost_current = weight * mirror.gate_costs[slot] + routing_current
+    cost_trial = weight * mirror.mirror_costs[slot] + routing_mirror
+    if accept_mirror(cost_current, cost_trial, mirror.aggression):
+        state.mirrors_accepted += 1
+        state.ops.append((mirror.gates[slot], physical))
+        state.swap_physical(*physical)
     else:
-        ties = _swap_ties(state, front, extended, decay, extended_set_weight)
-    return ties[int(rng.integers(len(ties)))]
+        state.emit(node_id, physical)
+
+
+def _mirror_routing_costs(
+    state: KernelState,
+    pairs: list[tuple[int, int]],
+    physical: tuple[int, int],
+    extended_set_weight: float,
+) -> tuple[float, float]:
+    """Current/mirrored routing pressure over flat lookahead pairs.
+
+    On connected graphs both window sums run in exact int arithmetic; the
+    float path reproduces the object path's inf handling.  Either way the
+    returned floats match ``MirageSwap._mirror_routing_costs`` —
+    integer-valued distances make the delta-adjusted sum there equal the
+    direct sum computed here.
+    """
+    if not pairs:
+        return 0.0, 0.0
+    swap_a, swap_b = physical
+    table = state.table
+    if table.connected:
+        distance = table.dist_int_lists()
+        base = 0
+        swapped = 0
+    else:
+        distance = table.dist_lists()
+        base = 0.0
+        swapped = 0.0
+    for left, right in pairs:
+        base += distance[left][right]
+        new_left = swap_b if left == swap_a else swap_a if left == swap_b else left
+        new_right = (
+            swap_b if right == swap_a else swap_a if right == swap_b else right
+        )
+        swapped += distance[new_left][new_right]
+    count = len(pairs)
+    current = float(0.0 + extended_set_weight * base / count)
+    mirrored = float(0.0 + extended_set_weight * swapped / count)
+    return current, mirrored
 
 
 def _swap_ties(

@@ -7,8 +7,10 @@ touching the front-layer qubits are scored with the distance + lookahead +
 decay heuristic and the best one is inserted.
 
 The class is written so that MIRAGE (:mod:`repro.core.mirage_pass`) can
-subclass it and override only :meth:`SabreSwap._commit_two_qubit` — the hook
-where the paper's intermediate layer decides between a gate and its mirror.
+subclass it and override only where the paper's intermediate layer decides
+between a gate and its mirror: :meth:`SabreSwap._commit_two_qubit` on the
+object path, and :meth:`SabreSwap._mirror_rule`, the same decision as data
+for the flat kernel.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
 from repro.transpiler.kernel import (
     IntDAG,
-    KernelState,
     int_dag,
     neighbor_table,
     route_kernel,
     route_kernel_mode,
 )
+from repro.transpiler.kernel.route import MirrorRule
 from repro.transpiler.layout import Layout
 from repro.transpiler.topologies import CouplingMap
 
@@ -183,9 +185,7 @@ class SabreSwap:
         rng: np.random.Generator,
     ) -> RoutingResult:
         """Flat-kernel routing over the lowered int arrays."""
-        self._stats = {"mirrors": 0, "candidates": 0}
         intdag = int_dag(dag)
-        self._begin_flat(intdag)
         state = route_kernel(
             intdag,
             neighbor_table(self.coupling),
@@ -196,7 +196,7 @@ class SabreSwap:
             decay_delta=self.decay_delta,
             decay_reset_interval=self.decay_reset_interval,
             stall_limit=10 * max(10, self.coupling.num_qubits),
-            commit=self._commit_two_qubit_flat,
+            mirror=self._mirror_rule(intdag),
         )
         return RoutingResult(
             ops=state.ops,
@@ -205,18 +205,17 @@ class SabreSwap:
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,
-            mirrors_accepted=self._stats["mirrors"],
-            mirror_candidates=self._stats["candidates"],
+            mirrors_accepted=state.mirrors_accepted,
+            mirror_candidates=state.mirror_candidates,
         )
 
-    def _begin_flat(self, intdag: IntDAG) -> None:
-        """Per-run setup before the kernel starts.  MIRAGE overrides this."""
+    def _mirror_rule(self, intdag: IntDAG) -> MirrorRule | None:
+        """The kernel's mirror decision for this lowering: none for SABRE.
 
-    def _commit_two_qubit_flat(
-        self, state: KernelState, node_id: int, physical: tuple[int, int]
-    ) -> None:
-        """Flat twin of :meth:`_commit_two_qubit`.  MIRAGE overrides this."""
-        state.emit(node_id, physical)
+        MIRAGE overrides this; it is the flat kernel's twin of the
+        :meth:`_commit_two_qubit` hook.
+        """
+        return None
 
     def _run_object(
         self,

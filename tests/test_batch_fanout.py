@@ -285,7 +285,11 @@ def test_run_trial_matches_legacy_task_form():
 
 
 class _ReferenceMirage(MirageSwap):
-    """The historical copy-layout-and-rescore mirror decision."""
+    """The historical copy-layout-and-rescore mirror decision.
+
+    The override lives on the object path, so the reference routes under
+    ``MIRAGE_ROUTE_KERNEL=object``; the flat kernel never calls it.
+    """
 
     def _mirror_routing_costs(self, lookahead, layout, physical):
         current = self.routing_heuristic([], lookahead, layout)
@@ -313,9 +317,11 @@ def test_delta_mirror_commit_matches_copy_rescore(circuit, aggression):
         fast = MirageSwap(coupling, COVERAGE, aggression=aggression).run(
             dag, layout, seed=seed
         )
-        reference = _ReferenceMirage(
-            coupling, COVERAGE, aggression=aggression
-        ).run(dag, layout, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+            reference = _ReferenceMirage(
+                coupling, COVERAGE, aggression=aggression
+            ).run(dag, layout, seed=seed)
         assert _routing_digest(fast) == _routing_digest(reference)
         assert fast.mirrors_accepted == reference.mirrors_accepted
         assert fast.final_layout == reference.final_layout

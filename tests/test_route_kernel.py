@@ -14,9 +14,14 @@ Covers the PR-6 guarantees:
   identically in both kernels);
 * the compiled scorer and lookahead walk (``_routec.c``) against the
   Python reference, their bounds checks, and the build-on-first-use
-  loader's fallback and cache keying.
+  loader's fallback and cache keying;
+* the compiled route loop against the Python loop (Hypothesis over
+  couplings, circuits, SABRE/MIRAGE settings and seeds), mirror-cost
+  near-ties, error parity, corrupt arrays, re-entry, and the
+  disconnected-coupling fallback.
 """
 
+import dataclasses
 import hashlib
 import logging
 import pickle
@@ -28,12 +33,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import random_two_qubit_block_circuit
+from repro.circuits.circuit import QuantumCircuit, random_two_qubit_block_circuit
 from repro.circuits.dag import DAGCircuit
+from repro.circuits.gates import Gate
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import MirageSwap, transpile
+from repro.core.mirage_pass import mirror_table
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
     CouplingMap,
@@ -301,8 +310,11 @@ def test_intdag_memo_and_adoption():
 
 
 def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
-    # The flat kernel is what fills the lookahead and mirror caches.
+    # The Python route loop is what fills the lookahead cache (the
+    # compiled loop walks its windows natively), and any flat run fills
+    # the mirror cache.
     monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
+    monkeypatch.setattr(route, "load_routec", lambda: None)
     dag = DAGCircuit.from_circuit(qft(4))
     lowered = int_dag(dag)
     lowered.lists()  # populate the caches
@@ -481,7 +493,7 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
 #: The compiled module, built (or loaded from the cache) on first use.
 ROUTEC = native.load_routec()
 needs_routec = pytest.mark.skipif(
-    ROUTEC is None, reason="compiled route scorer unavailable"
+    ROUTEC is None, reason="compiled route kernel unavailable"
 )
 
 
@@ -574,7 +586,9 @@ def test_native_extended_ids_match_python(monkeypatch, case):
         size = int(rng.integers(1, min(5, intdag.num_nodes) + 1))
         roots = [int(i) for i in rng.choice(intdag.num_nodes, size, replace=False)]
         for window in (roots, intdag.front_ids()):
-            assert compiled.extended_ids(window) == python.extended_ids(window)
+            assert compiled._native.extended_ids(
+                window, limit
+            ) == python.extended_ids(window)
 
 
 @needs_routec
@@ -601,7 +615,7 @@ def test_native_scorer_transpile_digest_identity(monkeypatch, method):
 
     python = run(None)
     compiled = run(types.SimpleNamespace(RouteKernel=counting_kernel))
-    assert kernels, "the compiled scorer was never bound"
+    assert kernels, "the compiled kernel was never bound"
     assert _digest(compiled) == _digest(python)
     assert compiled.metrics.swap_count == python.metrics.swap_count
 
@@ -665,6 +679,356 @@ def test_native_kernel_rejects_bad_indices(monkeypatch):
             intdag.succ_ids,
             KIND_CHECK2,
         )
+
+
+# ---------------------------------------------------------------------------
+# The compiled route loop vs the Python reference loop
+# ---------------------------------------------------------------------------
+
+
+def test_integers_of_one_consumes_no_random_bits():
+    """The compiled loop skips ``rng.integers(1)`` when one edge ties.
+
+    That is only stream-neutral while numpy's bounded-integer sampler
+    returns 0 for a range of one without drawing; this pins it, so a
+    numpy that changes it fails here by name before any digest drifts.
+    """
+    for seed in (0, 1, 7, 12345, 2**63 - 1):
+        rng = np.random.default_rng(seed)
+        rng.integers(10)  # a state away from the freshly seeded one
+        before = rng.bit_generator.state
+        for _ in range(100):
+            assert rng.integers(1) == 0
+        assert rng.bit_generator.state == before
+
+
+_ONE_QUBIT = ("h", "x", "s", "t")
+_TWO_QUBIT = ("cx", "cz", "swap", "iswap")
+_ROTATIONS_2Q = ("cp", "rzz", "rxx")
+
+
+@st.composite
+def _connected_couplings(draw, min_qubits=2, max_qubits=8):
+    """A random spanning tree plus random chords."""
+    num_qubits = draw(st.integers(min_qubits, max_qubits))
+    edges = {
+        tuple(sorted((qubit, draw(st.integers(0, qubit - 1)))))
+        for qubit in range(1, num_qubits)
+    }
+    chords = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_qubits - 1), st.integers(0, num_qubits - 1)
+            ).filter(lambda pair: pair[0] != pair[1]),
+            max_size=num_qubits,
+        )
+    )
+    edges.update(tuple(sorted(pair)) for pair in chords)
+    return CouplingMap(sorted(edges), num_qubits=num_qubits, name="drawn")
+
+
+@st.composite
+def _circuits(draw, num_qubits):
+    """1Q and 2Q gates, measures and barriers (some over 3+ qubits)."""
+    circuit = QuantumCircuit(num_qubits, "drawn")
+    qubit = st.integers(0, num_qubits - 1)
+    for _ in range(draw(st.integers(0, 30))):
+        op = draw(st.sampled_from(("1q", "2q", "2q", "2q", "rot", "measure",
+                                   "barrier")))
+        if op == "1q":
+            circuit.add(draw(st.sampled_from(_ONE_QUBIT)), [draw(qubit)])
+        elif op == "measure":
+            circuit.append(Gate("measure", 1), [draw(qubit)])
+        elif op == "barrier":
+            width = draw(st.integers(1, num_qubits))
+            circuit.barrier(*draw(st.permutations(range(num_qubits)))[:width])
+        elif num_qubits >= 2:
+            a, b = draw(st.permutations(range(num_qubits)))[:2]
+            if op == "rot":
+                theta = draw(st.sampled_from((0.25, 0.5, 1.0, 3.0)))
+                circuit.add(draw(st.sampled_from(_ROTATIONS_2Q)), [a, b], theta)
+            else:
+                circuit.add(draw(st.sampled_from(_TWO_QUBIT)), [a, b])
+    return circuit
+
+
+def _mirror_rule(intdag, aggression, weight, coverage=COVERAGE):
+    table = mirror_table(intdag, coverage)
+    return route.MirrorRule(
+        table.mirror_gates, table.gate_costs, table.mirror_costs, weight,
+        aggression,
+    )
+
+
+def _run_loop(monkeypatch, module, intdag, coupling, v2p, seed, mirror, **knobs):
+    """One route_kernel run with ``module`` as the compiled extension."""
+    monkeypatch.setattr(route, "load_routec", lambda: module)
+    rng = np.random.default_rng(seed)
+    options = dict(
+        extended_set_size=20,
+        extended_set_weight=0.5,
+        decay_delta=0.001,
+        decay_reset_interval=5,
+        stall_limit=10 * max(10, coupling.num_qubits),
+    )
+    options.update(knobs)
+    state = route.route_kernel(
+        intdag, neighbor_table(coupling), list(v2p), rng, mirror=mirror,
+        **options,
+    )
+    return state, rng.bit_generator.state
+
+
+def _assert_same_run(python, compiled):
+    (expected, expected_rng), (got, got_rng) = python, compiled
+    assert len(got.ops) == len(expected.ops)
+    for (gate, physical), (want_gate, want_physical) in zip(
+        got.ops, expected.ops
+    ):
+        # The very same gate objects: the DAG's, the shared SWAP and the
+        # mirror table's per-slot mirrors.
+        assert gate is want_gate
+        assert physical == want_physical
+        assert all(type(q) is int for q in physical)
+    assert got.v2p == expected.v2p
+    assert got.p2v == expected.p2v
+    assert got.swaps_added == expected.swaps_added
+    assert got.mirrors_accepted == expected.mirrors_accepted
+    assert got.mirror_candidates == expected.mirror_candidates
+    # The compiled loop skips ``integers(1)``; the stream must not notice.
+    assert got_rng == expected_rng
+
+
+@needs_routec
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_route_loop_matches_python_loop(data):
+    coupling = data.draw(_connected_couplings())
+    num_virtual = data.draw(st.integers(1, coupling.num_qubits))
+    circuit = data.draw(_circuits(num_virtual))
+    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    v2p = data.draw(st.permutations(range(coupling.num_qubits)))[:num_virtual]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    method = data.draw(st.sampled_from(("sabre", 0, 1, 2, 3)))
+    mirror = None
+    if method != "sabre":
+        weight = data.draw(st.sampled_from((0, 1.0, 2.5)))
+        mirror = _mirror_rule(intdag, method, weight)
+    knobs = dict(
+        extended_set_size=data.draw(st.sampled_from((0, 1, 20))),
+        decay_reset_interval=data.draw(st.sampled_from((1, 5))),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        python = _run_loop(patch, None, intdag, coupling, v2p, seed, mirror, **knobs)
+        compiled = _run_loop(
+            patch, ROUTEC, intdag, coupling, v2p, seed, mirror, **knobs
+        )
+    _assert_same_run(python, compiled)
+
+
+@needs_routec
+@pytest.mark.parametrize("aggression", [1, 2])
+def test_compiled_loop_keeps_mirror_near_ties(monkeypatch, aggression):
+    """Mirror costs one tolerance away from the gate's, and one ulp either
+    side of that: both loops must take the same side of ``1e-9``."""
+    coupling = line_topology(6)
+    circuit = random_two_qubit_block_circuit(6, 40, seed=11)
+    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    table = mirror_table(intdag, COVERAGE)
+    rng = np.random.default_rng(5)
+    near = []
+    for cost in (1.0, 2.5, 3.0):
+        for edge in (cost - 1e-9, cost + 1e-9):
+            near += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    gate_costs, mirror_costs = list(table.gate_costs), list(table.mirror_costs)
+    for slot, gate in enumerate(table.mirror_gates):
+        if gate is not None:
+            cost = float(rng.choice((1.0, 2.5, 3.0)))
+            gate_costs[slot] = cost
+            mirror_costs[slot] = float(
+                rng.choice([c for c in near if abs(c - cost) < 1e-8])
+            )
+    accepted = rejected = 0
+    for window in (0, 1, 20):
+        mirror = route.MirrorRule(
+            table.mirror_gates, gate_costs, mirror_costs, 1.0, aggression
+        )
+        v2p = list(range(6))
+        python = _run_loop(monkeypatch, None, intdag, coupling, v2p, 3, mirror,
+                           extended_set_size=window)
+        compiled = _run_loop(monkeypatch, ROUTEC, intdag, coupling, v2p, 3,
+                             mirror, extended_set_size=window)
+        _assert_same_run(python, compiled)
+        accepted += compiled[0].mirrors_accepted
+        rejected += compiled[0].mirror_candidates - compiled[0].mirrors_accepted
+    assert accepted and rejected
+
+
+def _error(monkeypatch, module, *args, **knobs):
+    with pytest.raises(Exception) as caught:
+        _run_loop(monkeypatch, module, *args, **knobs)
+    return caught.value
+
+
+@needs_routec
+def test_compiled_loop_error_parity(monkeypatch):
+    """The same ``TranspilerError`` from both loops."""
+    coupling = line_topology(4)
+    wide = DAGCircuit(4)
+    wide.add_node(Gate("h", 1), (0,))
+    wide.add_node(Gate("ccx", 3), (0, 1, 2))
+    stalled = int_dag(DAGCircuit.from_circuit(ghz(4).cx(0, 3)))
+    ghz_dag = int_dag(DAGCircuit.from_circuit(ghz(4)))
+    cases = [
+        ((int_dag(wide), coupling, [0, 1, 2, 3], 1, None), {},
+         "at most two qubits"),
+        ((stalled, coupling, [0, 1, 2, 3], 1, None), {"stall_limit": 0},
+         "failed to make progress"),
+        ((ghz_dag, coupling, [0, 1, 2, 9], 1, None), {}, "invalid or repeated"),
+        ((ghz_dag, coupling, [0, 1, 2, -1], 1, None), {}, "invalid or repeated"),
+        ((ghz_dag, coupling, [0, 1, 1, 2], 1, None), {}, "invalid or repeated"),
+        ((ghz_dag, coupling, [0, 1, 2], 1, None), {}, "places 3 of"),
+    ]
+    for args, knobs, message in cases:
+        python = _error(monkeypatch, None, *args, **knobs)
+        compiled = _error(monkeypatch, ROUTEC, *args, **knobs)
+        assert isinstance(python, TranspilerError), message
+        assert type(compiled) is type(python)
+        assert str(compiled) == str(python)
+        assert message in str(compiled)
+
+
+@needs_routec
+def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
+    """A corrupt lowering raises ``TranspilerError``; it never crashes."""
+    coupling = line_topology(5)
+    intdag = int_dag(DAGCircuit.from_circuit(qft(5).barrier()))
+
+    def corrupt(name, position, value):
+        array = getattr(intdag, name).copy()
+        array[position] = value
+        return dataclasses.replace(intdag, **{name: array})
+
+    two_qubit = int(np.flatnonzero(intdag.kind == KIND_CHECK2)[0])
+    wide = intdag.num_nodes - 1  # the barrier
+    bad = [
+        corrupt("qubit0", two_qubit, 99),
+        corrupt("qubit1", two_qubit, -7),
+        corrupt("gate_ids", 0, len(intdag.gates)),
+        corrupt("qargs", int(intdag.qarg_indptr[wide]), 40),
+        corrupt("succ_ids", 0, intdag.num_nodes + 3),
+        corrupt("succ_indptr", 1, -5),
+        corrupt("qarg_indptr", wide, 10**6),
+    ]
+    for lowering in bad:
+        for mirror in (None, _mirror_rule(intdag, 2, 1.0)):
+            with pytest.raises(TranspilerError, match="route kernel"):
+                _run_loop(monkeypatch, ROUTEC, lowering, coupling,
+                          list(range(5)), 1, mirror)
+
+    state = KernelState(intdag, neighbor_table(coupling), list(range(5)), 20)
+    kernel = state._native
+    good = [
+        state.v2p, state.p2v, np.random.default_rng(0), intdag.gates,
+        intdag.gate_ids, intdag.indegree, intdag.qarg_indptr, intdag.qargs,
+        route.KIND_FREE, route.SWAP_GATE, 20, 0.5, 0.001, 5, 100, None,
+    ]
+    mirror = _mirror_rule(intdag, 2, 1.0)
+    for position, value in [
+        (0, [0, 1, 2, 3, 99]),
+        (1, [-1] * 4),
+        (4, intdag.gate_ids[:-1]),
+        (5, intdag.indegree.astype(np.int64)),
+        (15, mirror[:4]),
+        (15, mirror._replace(gates=mirror.gates[:-1])),
+        (15, mirror._replace(gate_costs=["x"] * len(intdag.gates))),
+    ]:
+        args = list(good)
+        args[position] = value
+        with pytest.raises(TranspilerError, match="route kernel"):
+            kernel.route(*args)
+    with pytest.raises(ValueError, match="aggression level 7"):
+        kernel.route(*good[:15], mirror._replace(aggression=7))
+    # A failed call leaves the kernel usable.
+    ops, swaps, mirrors, candidates = kernel.route(*good)
+    assert len(ops) >= intdag.num_nodes and swaps == len(ops) - intdag.num_nodes
+
+
+class _ReenteringGenerator:
+    """A generator whose draw tries to call back into the running kernel."""
+
+    def __init__(self, seed, kernel_of):
+        self._rng = np.random.default_rng(seed)
+        self._kernel_of = kernel_of
+        self.refusals = []
+
+    def integers(self, bound):
+        kernel = self._kernel_of()
+        for call in (
+            lambda: kernel.extended_ids([0], 3),
+            lambda: kernel.swap_ties([], [], [], [], 0.5),
+        ):
+            try:
+                call()
+            except TranspilerError as error:
+                self.refusals.append(str(error))
+        return self._rng.integers(bound)
+
+
+@needs_routec
+def test_compiled_loop_refuses_reentry_from_the_draw(monkeypatch):
+    coupling = line_topology(7)
+    intdag = int_dag(DAGCircuit.from_circuit(qft(7)))
+    states = []
+    real_state = route.KernelState
+
+    def recording_state(*args):
+        states.append(real_state(*args))
+        return states[-1]
+
+    monkeypatch.setattr(route, "KernelState", recording_state)
+    rng = _ReenteringGenerator(4, lambda: states[-1]._native)
+    monkeypatch.setattr(route, "load_routec", lambda: ROUTEC)
+    state = route.route_kernel(
+        intdag, neighbor_table(coupling), list(range(7)), rng,
+        extended_set_size=20, extended_set_weight=0.5, decay_delta=0.001,
+        decay_reset_interval=5, stall_limit=100,
+    )
+    assert rng.refusals
+    assert all("routing run is active" in r for r in rng.refusals)
+    monkeypatch.setattr(route, "KernelState", real_state)
+    reference, _ = _run_loop(monkeypatch, None, intdag, coupling, range(7), 4,
+                             None, stall_limit=100)
+    assert [(g, p) for g, p in state.ops] == [(g, p) for g, p in reference.ops]
+
+
+class _RouteForbidden:
+    """A stand-in extension whose route loop must not run."""
+
+    def __init__(self, *arrays):
+        pass
+
+    def route(self, *args):
+        raise AssertionError("compiled loop ran")
+
+
+def test_disconnected_coupling_takes_the_python_loop(monkeypatch):
+    """A disconnected coupling routes in Python, with the float scorer."""
+    coupling = CouplingMap([(0, 1), (1, 2), (3, 4), (4, 5)], num_qubits=6)
+    circuit = ghz(3).cx(0, 2).h(1)
+    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    stub = types.SimpleNamespace(RouteKernel=_RouteForbidden)
+    for mirror in (None, _mirror_rule(intdag, 3, 1.0)):
+        expected = _run_loop(monkeypatch, None, intdag, coupling, [0, 1, 2], 9,
+                             mirror)
+        got = _run_loop(monkeypatch, stub, intdag, coupling, [0, 1, 2], 9,
+                        mirror)
+        _assert_same_run(expected, got)
+        assert got[0].swaps_added
+    # The same circuit on a connected coupling does take the compiled loop.
+    with pytest.raises(AssertionError, match="compiled loop ran"):
+        _run_loop(monkeypatch, stub, intdag, line_topology(6), [0, 1, 2], 9,
+                  None)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,15 @@ PUBLIC_API = [
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
     ("repro.transpiler.kernel.route", "route_kernel"),
     ("repro.transpiler.kernel.route", "route_kernel_mode"),
+    ("repro.transpiler.kernel.route", "MirrorRule"),
+    ("repro.transpiler.kernel.route", "KernelState"),
     ("repro.transpiler.kernel.native", "load_routec"),
     ("repro.transpiler.kernel.native", "native_cache_dir"),
     ("repro.transpiler.kernel.native", "binary_path"),
     ("repro.transpiler.kernel.native", "compiler_command"),
     ("repro.core.mirage_pass", "MirrorTable"),
     ("repro.core.mirage_pass", "mirror_table"),
+    ("repro.core.mirage_pass", "mirror_gate"),
     ("repro.transpiler.passes.sabre_swap", "RoutingResult"),
     ("repro.transpiler.metrics", "ops_depth"),
     ("repro.transpiler.metrics", "evaluate"),
