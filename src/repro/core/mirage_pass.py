@@ -29,16 +29,13 @@ from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.kernel import IntDAG
-from repro.transpiler.kernel.intdag import KIND_CHECK2
-from repro.transpiler.kernel.route import MirrorRule
+from repro.transpiler.kernel.intdag import KIND_CHECK2, MIRROR_TABLES_ATTR
+from repro.transpiler.kernel.route import SWAP_GATE, MirrorRule
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import gate_coordinate, node_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
 from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
-
-#: Attribute under which mirror tables are memoised on an ``IntDAG``.
-_TABLES_ATTR = "_mirror_tables"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,12 +52,21 @@ class MirrorTable:
         mirror_costs: decomposition cost of its mirror, in the same units.
         mirror_gates: the mirror gate ``SWAP . U`` per slot, built once and
             emitted by every run that accepts that slot's mirror.
+        gate_prices: the gate's raw coverage price (``cost_of_many``
+            output, before the division by ``unit_cost``), which is what
+            :func:`~repro.transpiler.metrics.evaluate` weighs it by.
+        mirror_prices: the mirror's raw price.
+        swap_price: the raw price of an inserted SWAP, priced from
+            ``gate_coordinate(SWAP_GATE)`` as the metrics price it.
     """
 
     mirror_coords: list[tuple[float, float, float] | None]
     gate_costs: list[float]
     mirror_costs: list[float]
     mirror_gates: list[UnitaryGate | None]
+    gate_prices: list[float]
+    mirror_prices: list[float]
+    swap_price: float
 
 
 def mirror_gate(
@@ -86,52 +92,62 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
 
     A gate's coordinate, its mirror coordinate and both decomposition
     costs depend only on the gate, never on the layout, so they are
-    computed once per lowering — one batched
+    computed once per circuit — one batched
     :func:`~repro.weyl.mirror.mirror_coordinates_many` and one
     :meth:`~repro.polytopes.coverage.CoverageSet.cost_of_many` over every
-    two-qubit slot — and shared by every routing run over it (refinement
-    rounds, routing trials, all trials a worker runs from one payload).
-    Both batched calls are element-wise identical to the scalar chain
-    ``gate_coordinate`` -> ``mirror_coordinate`` -> ``cost_of``, so the
-    routed output does not change.
+    two-qubit slot plus the SWAP — and shared by every routing run over
+    it: both routing directions (the reverse lowering from
+    :meth:`IntDAG.reversed` keeps the slots and shares the memo),
+    refinement rounds, routing trials and all trials a worker runs from
+    one payload.  Both batched calls are element-wise identical to the
+    scalar chain ``gate_coordinate`` -> ``mirror_coordinate`` ->
+    ``cost_of``, so the routed output does not change; and the coverage
+    memo hands :func:`~repro.transpiler.metrics.evaluate` the same float
+    for the same gate, so a depth scored from the raw prices equals the
+    evaluated one bit for bit.
 
-    The memo is keyed by the coverage set object itself (a strong
-    reference, so two sets can never alias) and is dropped from the
-    ``IntDAG`` pickle: each process builds its own table on first use.
+    The two-qubit slots are read from the lowering's arrays.  The memo is
+    keyed by the coverage set object itself (a strong reference, so two
+    sets can never alias), lives on the lowering and is dropped from its
+    pickle: each process builds its own table on first use.
     """
-    tables = intdag.__dict__.setdefault(_TABLES_ATTR, {})
+    tables = intdag.__dict__.setdefault(MIRROR_TABLES_ATTR, {})
     table = tables.get(coverage)
     if table is not None:
         return table
-    lists = intdag.lists()
-    slots = sorted(
-        {
-            slot
-            for slot, kind in zip(lists.gate_ids, lists.kind)
-            if kind == KIND_CHECK2
-        }
-    )
+    slots = np.unique(intdag.gate_ids[intdag.kind == KIND_CHECK2]).tolist()
     num_slots = len(intdag.gates)
     mirror_coords: list[tuple[float, float, float] | None] = [None] * num_slots
     gate_costs = [0.0] * num_slots
     mirror_costs = [0.0] * num_slots
+    gate_prices = [0.0] * num_slots
+    mirror_prices = [0.0] * num_slots
     mirror_gates: list[UnitaryGate | None] = [None] * num_slots
-    if slots:
-        coordinates = np.array(
-            [gate_coordinate(intdag.gates[slot]) for slot in slots], dtype=float
-        )
-        mirrored = mirror_coordinates_many(coordinates)
-        costs = coverage.cost_of_many(np.vstack([coordinates, mirrored]))
-        unit = coverage.unit_cost
-        count = len(slots)
-        for row, slot in enumerate(slots):
-            mirror_coords[slot] = tuple(mirrored[row].tolist())
-            gate_costs[slot] = float(costs[row]) / unit
-            mirror_costs[slot] = float(costs[count + row]) / unit
-            mirror_gates[slot] = mirror_gate(
-                intdag.gates[slot], mirror_coords[slot]
-            )
-    table = MirrorTable(mirror_coords, gate_costs, mirror_costs, mirror_gates)
+    coordinates = np.array(
+        [gate_coordinate(intdag.gates[slot]) for slot in slots], dtype=float
+    ).reshape(-1, 3)
+    mirrored = mirror_coordinates_many(coordinates)
+    prices = coverage.cost_of_many(
+        np.vstack([coordinates, mirrored, [gate_coordinate(SWAP_GATE)]])
+    ).tolist()
+    unit = coverage.unit_cost
+    count = len(slots)
+    for row, slot in enumerate(slots):
+        mirror_coords[slot] = tuple(mirrored[row].tolist())
+        gate_prices[slot] = prices[row]
+        mirror_prices[slot] = prices[count + row]
+        gate_costs[slot] = prices[row] / unit
+        mirror_costs[slot] = prices[count + row] / unit
+        mirror_gates[slot] = mirror_gate(intdag.gates[slot], mirror_coords[slot])
+    table = MirrorTable(
+        mirror_coords,
+        gate_costs,
+        mirror_costs,
+        mirror_gates,
+        gate_prices,
+        mirror_prices,
+        prices[-1],
+    )
     tables[coverage] = table
     return table
 
@@ -224,6 +240,10 @@ class MirageSwap(SabreSwap):
             table.mirror_costs,
             self.decomposition_weight,
             int(self.aggression),
+            table.gate_prices,
+            table.mirror_prices,
+            table.swap_price,
+            self.coverage,
         )
 
     def _mirror_routing_costs(

@@ -329,10 +329,10 @@ class PlanTrialsPass(RoutingPass):
     the property set as a :class:`TrialPlan` so the batch scheduler can
     pool every circuit's trials into one shared dispatch.
 
-    The parked spec defers its reverse DAG: trial runners derive it on
-    first use (memoised per worker process), so the planning thread never
-    builds it and the dispatch never ships it — byte-identical results,
-    half the DAG payload.
+    The parked spec carries the forward lowering only: trial runners
+    derive the reverse direction from its arrays (memoised per process),
+    so the planning thread never builds it and the dispatch never ships
+    it.
     """
 
     name = "plan"
@@ -340,7 +340,7 @@ class PlanTrialsPass(RoutingPass):
     def run(self, state: PipelineState) -> None:
         driver = self.build_driver(state)
         state.properties["trial_plan"] = TrialPlan(
-            spec=driver.trial_spec(state.circuit.to_dag(), defer_reverse=True),
+            spec=driver.trial_spec(state.circuit.to_dag()),
             refs=tuple(driver.trial_refs()),
             method=self.method,
             selection=self.selection,
@@ -425,6 +425,31 @@ def validate_flow(method: str, selection: str) -> tuple[str, str]:
     return method, selection
 
 
+def validate_budget(
+    layout_trials: int, refinement_rounds: int, routing_trials: int
+) -> None:
+    """Validate the trial budget next to :func:`validate_flow`.
+
+    ``layout_trials`` and ``routing_trials`` must be at least 1 and
+    ``refinement_rounds`` at least 0, each a plain ``int`` (``bool`` is
+    rejected), so a bad budget fails before any stage or coverage build.
+
+    Raises:
+        TranspilerError: if a count has the wrong type or is too small.
+    """
+    for name, value, least in (
+        ("layout_trials", layout_trials, 1),
+        ("refinement_rounds", refinement_rounds, 0),
+        ("routing_trials", routing_trials, 1),
+    ):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TranspilerError(
+                f"{name} must be an int, not {type(value).__name__}"
+            )
+        if value < least:
+            raise TranspilerError(f"{name} must be at least {least}, got {value}")
+
+
 def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
     """Input cleaning + unrolling + consolidation (paper Section V)."""
     manager = PassManager()
@@ -463,9 +488,11 @@ def build_mirage_pipeline(
     ``"result"``.
 
     Raises:
-        TranspilerError: if ``method`` or ``selection`` is unknown.
+        TranspilerError: if ``method`` or ``selection`` is unknown, or the
+            trial budget is invalid (see :func:`validate_budget`).
     """
     method, selection = validate_flow(method, selection)
+    validate_budget(layout_trials, refinement_rounds, routing_trials)
 
     manager = build_prepare_pipeline(consolidate=consolidate)
     manager.append(ResolveCouplingPass(coupling))
@@ -518,6 +545,7 @@ def build_batch_front_pipeline(
     what makes the two fan-out modes byte-identical.
     """
     method, selection = validate_flow(method, selection)
+    validate_budget(layout_trials, refinement_rounds, routing_trials)
 
     manager = build_prepare_pipeline(consolidate=consolidate)
     manager.append(ResolveCouplingPass(coupling))

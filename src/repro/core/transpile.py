@@ -48,6 +48,7 @@ from repro.core.pipeline import (
     build_prepare_pipeline,
     resolve_coverage,
     run_plan,
+    validate_budget,
     validate_flow,
 )
 from repro.core.results import BatchResult, TranspileResult
@@ -165,7 +166,8 @@ def transpile(
     Raises
     ------
     TranspilerError
-        If the device is too small or the method is unknown.
+        If the device is too small, the method is unknown or the trial
+        budget is invalid (checked before any stage runs).
     """
     start = time.perf_counter()
     with executor_scope(executor, max_workers) as trial_executor:
@@ -710,8 +712,8 @@ def transpile_many(
         string (also a ``ValueError``; the message names the accepted
         values — unknown strings never fall back to a default).
     TranspilerError
-        If ``circuit_seeds`` is given with the wrong length, or the
-        method/selection pair is unknown.
+        If ``circuit_seeds`` is given with the wrong length, the
+        method/selection pair is unknown, or the trial budget is invalid.
 
     Notes
     -----
@@ -736,9 +738,10 @@ def transpile_many(
     """
     start = time.perf_counter()
     batch = list(circuits)
-    # Fail fast on typos — even for an empty batch, and before paying for
-    # the coverage-set build.
+    # Fail fast on typos and bad budgets — even for an empty batch, and
+    # before paying for the coverage-set build.
     method, selection = validate_flow(method, selection)
+    validate_budget(layout_trials, refinement_rounds, routing_trials)
     mode = _resolve_fanout(fanout, len(batch))
     scheduler_mode = _resolve_scheduler(scheduler)
     if circuit_seeds is not None and len(circuit_seeds) != len(batch):
@@ -872,6 +875,7 @@ def compare_methods(
         (f"mirage-{selection}", "mirage", selection)
         for selection in selections
     ]
+    validate_budget(layout_trials, 2, 1)
     results: dict[str, TranspileResult] = {}
     with executor_scope(executor, max_workers) as trial_executor:
         shared_coverage = resolve_coverage(coverage, basis)

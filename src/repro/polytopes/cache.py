@@ -64,6 +64,20 @@ class CoordinateCache:
         rounded = np.round(np.asarray(unitary, dtype=complex), self.decimals)
         return rounded.tobytes()
 
+    def _keys(self, unitaries: list[np.ndarray]) -> list[bytes]:
+        """``[_key(u) for u in unitaries]`` with one ``np.round`` call.
+
+        Rounding is element-wise, and each row of the stacked C-ordered
+        result holds the bytes ``_key`` produces for that matrix.
+        """
+        if not len(unitaries):
+            return []
+        rounded = np.round(
+            np.stack([np.asarray(unitary, dtype=complex) for unitary in unitaries]),
+            self.decimals,
+        )
+        return [row.tobytes() for row in rounded]
+
     def _insert(self, key: bytes, value: tuple[float, float, float]) -> None:
         # Caller must hold the lock.
         self._store[key] = value
@@ -97,7 +111,7 @@ class CoordinateCache:
         eigenvalue/candidate machinery once per *distinct* block matrix —
         and the whole miss set is one numpy batch rather than a Python loop.
         """
-        keys = [self._key(unitary) for unitary in unitaries]
+        keys = self._keys(unitaries)
         results: list[tuple[float, float, float] | None] = [None] * len(keys)
         miss_order: list[bytes] = []
         miss_positions: list[int] = []

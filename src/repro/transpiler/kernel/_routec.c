@@ -14,9 +14,12 @@
  *       front advance, executability, emission of the ``(gate, physical)``
  *       op list, SWAP choice, decay and its reset, the stall limit and,
  *       when ``mirror`` is a ``route.MirrorRule``, MIRAGE's mirror
- *       decision.  Returns ``(ops, swaps_added, mirrors_accepted,
- *       mirror_candidates)`` and writes the final layout into ``v2p`` and
- *       ``p2v``.
+ *       decision and the weighted critical-path depth of the emitted ops
+ *       (the running per-wire maxima of ``metrics._walk``, priced with
+ *       the rule's raw prices).  Returns ``(ops, swaps_added,
+ *       mirrors_accepted, mirror_candidates, depth)``, ``depth`` being
+ *       ``None`` without a rule, and writes the final layout into ``v2p``
+ *       and ``p2v``.
  *   swap_ties(front, extended, v2p, decay, weight)
  *       the connected-graph path of ``route._swap_ties``: candidate
  *       edges, integer window sums with per-edge deltas, the float score
@@ -589,9 +592,14 @@ typedef struct {
     PyObject *mirror;
     PyObject **mirror_gates;  /* borrowed from the rule's gate sequence */
     double *gate_costs, *mirror_costs;
+    double *gate_prices, *mirror_prices;
+    double swap_price;
     double decomposition_weight;
     long aggression;
     Py_ssize_t mirrors, candidates;
+    /* The scored depth (mirror != NULL): per physical wire, and overall. */
+    double *wire_depth;
+    double depth;
 } Run;
 
 static int
@@ -649,6 +657,18 @@ node_pair(RouteKernel *self, Run *run, Py_ssize_t node, Py_ssize_t *left,
     *left = run->v2p[q0];
     *right = run->v2p[q1];
     return 0;
+}
+
+/* A two-qubit op of raw price ``price`` on the physical pair (a, b):
+ * ``_walk``'s ``(other if other > upstream else upstream) + price``. */
+static void
+score_two_qubit(Run *run, Py_ssize_t a, Py_ssize_t b, double price)
+{
+    double upstream = run->wire_depth[a], other = run->wire_depth[b];
+    double weighted = (other > upstream ? other : upstream) + price;
+    run->wire_depth[a] = run->wire_depth[b] = weighted;
+    if (weighted > run->depth)
+        run->depth = weighted;
 }
 
 static void
@@ -737,8 +757,10 @@ commit_two_qubit(RouteKernel *self, Run *run, Py_ssize_t node,
     int accept = accept_mirror(cost_current, cost_trial, run->aggression);
     if (accept < 0)
         return -1;
-    if (!accept)
+    if (!accept) {
+        score_two_qubit(run, left, right, run->gate_prices[slot]);
         return emit(run, gate, pair_tuple(run, left, right));
+    }
     PyObject *mirror_gate = run->mirror_gates[slot];
     if (mirror_gate == Py_None) {
         PyErr_Format(TranspilerError,
@@ -746,13 +768,16 @@ commit_two_qubit(RouteKernel *self, Run *run, Py_ssize_t node,
         return -1;
     }
     run->mirrors++;
+    score_two_qubit(run, left, right, run->mirror_prices[slot]);
     if (emit(run, mirror_gate, pair_tuple(run, left, right)) < 0)
         return -1;
     swap_physical(run, left, right);
     return 0;
 }
 
-/* A directive or single-qubit gate, on the physical images of its qargs. */
+/* A directive or single-qubit gate, on the physical images of its qargs.
+ * Under a mirror rule a directive on two or more wires joins them in the
+ * scored depth (``_walk``'s ``max`` over the wires, first maximum kept). */
 static int
 emit_free(Run *run, Py_ssize_t node)
 {
@@ -776,6 +801,18 @@ emit_free(Run *run, Py_ssize_t node)
         PyObject *qubit = run->physical[run->v2p[virtual]];
         Py_INCREF(qubit);
         PyTuple_SET_ITEM(physical, (Py_ssize_t)(k - start), qubit);
+    }
+    if (run->mirror != NULL && stop - start > 1) {
+        double joined = run->wire_depth[run->v2p[run->qargs[start]]];
+        for (int64_t k = start + 1; k < stop; k++) {
+            double value = run->wire_depth[run->v2p[run->qargs[k]]];
+            if (value > joined)
+                joined = value;
+        }
+        for (int64_t k = start; k < stop; k++)
+            run->wire_depth[run->v2p[run->qargs[k]]] = joined;
+        if (joined > run->depth)
+            run->depth = joined;
     }
     return emit(run, PyTuple_GET_ITEM(run->gates, slot), physical);
 }
@@ -817,13 +854,14 @@ reset_decay(double *decay, Py_ssize_t count)
         decay[q] = 1.0;
 }
 
-/* Bind the rule's per-slot arrays; the caller frees the two cost arrays. */
+/* Bind the rule's per-slot arrays; the caller frees the four cost and
+ * price arrays. */
 static int
 bind_mirror(Run *run, PyObject *mirror, PyObject **gates_fast)
 {
-    if (!PyTuple_Check(mirror) || PyTuple_GET_SIZE(mirror) != 5) {
+    if (!PyTuple_Check(mirror) || PyTuple_GET_SIZE(mirror) != 9) {
         PyErr_SetString(TranspilerError,
-                        "route kernel: mirror must be a 5-field MirrorRule");
+                        "route kernel: mirror must be a 9-field MirrorRule");
         return -1;
     }
     *gates_fast = PySequence_Fast(PyTuple_GET_ITEM(mirror, 0),
@@ -839,14 +877,24 @@ bind_mirror(Run *run, PyObject *mirror, PyObject **gates_fast)
     Py_ssize_t slots = run->num_gates ? run->num_gates : 1;
     run->gate_costs = PyMem_Malloc(slots * sizeof(double));
     run->mirror_costs = PyMem_Malloc(slots * sizeof(double));
-    if (run->gate_costs == NULL || run->mirror_costs == NULL) {
+    run->gate_prices = PyMem_Malloc(slots * sizeof(double));
+    run->mirror_prices = PyMem_Malloc(slots * sizeof(double));
+    if (run->gate_costs == NULL || run->mirror_costs == NULL
+        || run->gate_prices == NULL || run->mirror_prices == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     if (read_doubles(PyTuple_GET_ITEM(mirror, 1), run->num_gates,
                      "gate costs", run->gate_costs) < 0
         || read_doubles(PyTuple_GET_ITEM(mirror, 2), run->num_gates,
-                        "mirror costs", run->mirror_costs) < 0)
+                        "mirror costs", run->mirror_costs) < 0
+        || read_doubles(PyTuple_GET_ITEM(mirror, 5), run->num_gates,
+                        "gate prices", run->gate_prices) < 0
+        || read_doubles(PyTuple_GET_ITEM(mirror, 6), run->num_gates,
+                        "mirror prices", run->mirror_prices) < 0)
+        return -1;
+    run->swap_price = PyFloat_AsDouble(PyTuple_GET_ITEM(mirror, 7));
+    if (run->swap_price == -1.0 && PyErr_Occurred())
         return -1;
     run->decomposition_weight = PyFloat_AsDouble(PyTuple_GET_ITEM(mirror, 3));
     if (run->decomposition_weight == -1.0 && PyErr_Occurred())
@@ -971,6 +1019,8 @@ route_loop(RouteKernel *self, Run *run, PyObject *rng, PyObject *swap_gate,
         if (edge_endpoints(self, self->ties[choice], &edge_a, &edge_b) < 0
             || emit(run, swap_gate, pair_tuple(run, edge_a, edge_b)) < 0)
             return -1;
+        if (run->mirror != NULL)
+            score_two_qubit(run, edge_a, edge_b, run->swap_price);
         swap_physical(run, edge_a, edge_b);
         decay[edge_a] += decay_delta;
         decay[edge_b] += decay_delta;
@@ -1059,8 +1109,9 @@ RouteKernel_route(RouteKernel *self, PyObject *const *args, Py_ssize_t nargs)
     run.front = PyMem_Malloc(nodes * sizeof(Py_ssize_t));
     run.next = PyMem_Malloc(nodes * sizeof(Py_ssize_t));
     run.ext = PyMem_Malloc(nodes * sizeof(Py_ssize_t));
+    run.wire_depth = PyMem_Calloc(nq ? nq : 1, sizeof(double));
     if (!run.v2p || !run.p2v || !run.physical || !run.indeg || !run.front
-        || !run.next || !run.ext) {
+        || !run.next || !run.ext || !run.wire_depth) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1095,8 +1146,12 @@ RouteKernel_route(RouteKernel *self, PyObject *const *args, Py_ssize_t nargs)
         if (virtual == NULL || PyList_SetItem(p2v_list, q, virtual) < 0)
             goto done;
     }
-    result = Py_BuildValue("(Onnn)", run.ops, swaps_added, run.mirrors,
-                           run.candidates);
+    if (run.mirror != NULL)
+        result = Py_BuildValue("(Onnnd)", run.ops, swaps_added, run.mirrors,
+                               run.candidates, run.depth);
+    else
+        result = Py_BuildValue("(OnnnO)", run.ops, swaps_added, run.mirrors,
+                               run.candidates, Py_None);
 
 done:
     self->busy = 0;
@@ -1109,6 +1164,9 @@ done:
     Py_XDECREF(mirror_fast);
     PyMem_Free(run.gate_costs);
     PyMem_Free(run.mirror_costs);
+    PyMem_Free(run.gate_prices);
+    PyMem_Free(run.mirror_prices);
+    PyMem_Free(run.wire_depth);
     PyMem_Free(run.v2p);
     PyMem_Free(run.p2v);
     PyMem_Free(run.physical);
@@ -1207,7 +1265,7 @@ static PyMethodDef RouteKernel_methods[] = {
      "route(v2p, p2v, rng, gates, gate_ids, indegree, qarg_indptr, qargs, "
      "kind_free, swap_gate, extended_set_size, extended_set_weight, "
      "decay_delta, decay_reset_interval, stall_limit, mirror) -> "
-     "(ops, swaps_added, mirrors_accepted, mirror_candidates)"},
+     "(ops, swaps_added, mirrors_accepted, mirror_candidates, depth)"},
     {"swap_ties", (PyCFunction)(void (*)(void))RouteKernel_swap_ties,
      METH_FASTCALL,
      "swap_ties(front, extended, v2p, decay, weight) -> list of tied edges"},

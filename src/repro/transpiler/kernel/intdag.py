@@ -14,7 +14,8 @@ Being plain ndarrays, the whole structure ships through the zero-copy
 shared-memory transport as out-of-band buffers; the ``gates`` tuple is the
 only object payload and is deduplicated against the owning DAG by the
 pickle memo.  Workers adopt the shipped table via :func:`adopt_intdag`
-instead of re-lowering the DAG per trial.
+instead of re-lowering the DAG per trial, and derive the reverse routing
+direction from it with :meth:`IntDAG.reversed`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.circuits.dag import _kahn, _link
 from repro.exceptions import TranspilerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -32,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Attribute under which a lowered table is memoised on the source DAG.
 _CACHE_ATTR = "_intdag_cache"
+
+#: Attribute under which a lowering memoises its mirror tables (see
+#: :func:`repro.core.mirage_pass.mirror_table`); a lowering and its
+#: reverse share one dict.
+MIRROR_TABLES_ATTR = "_mirror_tables"
 
 #: Node kinds.  ``KIND_CHECK2`` gates gate executability on coupling
 #: adjacency; ``KIND_FREE`` nodes (directives and single-qubit gates) are
@@ -158,6 +165,70 @@ class IntDAG:
             indegree=indegree,
         )
 
+    def reversed(self) -> "IntDAG":
+        """The lowering of the reversed circuit, memoised.
+
+        Equal array for array to ``IntDAG.from_dag`` of the DAG built by
+        adding this lowering's nodes in reversed Kahn order (the backward
+        routing direction of a SABRE refinement round), except that the
+        reverse keeps this lowering's ``gates`` tuple and slot numbering,
+        so it also shares the mirror-table memo.  The wires are re-linked
+        exactly as :meth:`DAGCircuit.add_node` links them, so the
+        predecessor de-duplication and successor order match.  Like the
+        other per-process caches, the memo is dropped from the pickle.
+        """
+        cached = self.__dict__.get("_reversed")
+        if cached is not None:
+            return cached
+        num_nodes = self.num_nodes
+        succ_indptr = self.succ_indptr.tolist()
+        succ_ids = self.succ_ids.tolist()
+        successors = [
+            succ_ids[succ_indptr[i]:succ_indptr[i + 1]] for i in range(num_nodes)
+        ]
+        order = list(_kahn(range(num_nodes), successors, self.indegree.tolist()))
+        order.reverse()
+        qarg_indptr = self.qarg_indptr.tolist()
+        qargs = self.qargs.tolist()
+        last_on_wire = [-1] * self.num_qubits
+        reverse_succ: list[list[int]] = [[] for _ in range(num_nodes)]
+        reverse_pred: list[list[int]] = []
+        reverse_qargs: list[int] = []
+        reverse_qarg_indptr = [0]
+        for index, node_id in enumerate(order):
+            qubits = qargs[qarg_indptr[node_id]:qarg_indptr[node_id + 1]]
+            predecessors = _link(last_on_wire, index, qubits, self.num_qubits)
+            for previous in predecessors:
+                reverse_succ[previous].append(index)
+            reverse_pred.append(predecessors)
+            reverse_qargs.extend(qubits)
+            reverse_qarg_indptr.append(len(reverse_qargs))
+        perm = np.asarray(order, dtype=np.intp)
+        succ_indptr, succ_ids = _csr(reverse_succ, num_nodes)
+        pred_indptr, pred_ids = _csr(reverse_pred, num_nodes)
+        reverse = IntDAG(
+            num_qubits=self.num_qubits,
+            num_nodes=num_nodes,
+            qubit0=self.qubit0[perm],
+            qubit1=self.qubit1[perm],
+            kind=self.kind[perm],
+            two_qubit=self.two_qubit[perm],
+            gate_ids=self.gate_ids[perm],
+            gates=self.gates,
+            qarg_indptr=np.asarray(reverse_qarg_indptr, dtype=np.int64),
+            qargs=np.asarray(reverse_qargs, dtype=np.int32),
+            succ_indptr=succ_indptr,
+            succ_ids=succ_ids,
+            pred_indptr=pred_indptr,
+            pred_ids=pred_ids,
+            indegree=np.diff(pred_indptr).astype(np.int32),
+        )
+        reverse.__dict__[MIRROR_TABLES_ATTR] = self.__dict__.setdefault(
+            MIRROR_TABLES_ATTR, {}
+        )
+        self.__dict__["_reversed"] = reverse
+        return reverse
+
     # -- queries ------------------------------------------------------------
 
     def gate(self, node_id: int) -> "Gate":
@@ -180,7 +251,8 @@ class IntDAG:
         return [i for i in range(self.num_nodes) if not self.indegree[i]]
 
     def to_dag(self, name: str = "dag") -> "DAGCircuit":
-        """Rebuild an equivalent :class:`DAGCircuit` (round-trip check)."""
+        """Rebuild an equivalent :class:`DAGCircuit` (round-trip check,
+        and the object router's input when it is handed a lowering)."""
         from repro.circuits.dag import DAGCircuit
 
         out = DAGCircuit(self.num_qubits, name)
@@ -217,13 +289,14 @@ class IntDAG:
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # The list mirror, the lookahead memo and the mirror tables are
-        # per-process caches, cheap to rebuild; shipping them would grow
-        # the payload for no benefit.
+        # The list mirror, the lookahead memo, the mirror tables and the
+        # reverse lowering are per-process caches, cheap to rebuild;
+        # shipping them would grow the payload for no benefit.
         state = dict(self.__dict__)
         state.pop("_lists", None)
         state.pop("_lookahead_cache", None)
-        state.pop("_mirror_tables", None)
+        state.pop(MIRROR_TABLES_ATTR, None)
+        state.pop("_reversed", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -231,7 +304,7 @@ class IntDAG:
 
 
 def _csr(
-    adjacency: dict[int, list[int]], num_nodes: int
+    adjacency: dict[int, list[int]] | list[list[int]], num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.empty(num_nodes + 1, dtype=np.int64)
     indptr[0] = 0

@@ -15,6 +15,9 @@ MIRAGE's intermediate layer is data, not a hook: a :class:`MirrorRule`
 carries the per-slot decomposition costs and mirror gates of a
 ``MirrorTable`` plus the decomposition weight and aggression level, and
 both loops apply the same arithmetic to it in the same operation order.
+The rule also carries the table's raw prices, with which both loops
+score the weighted critical-path depth of what they emit, in the exact
+operations and order of ``metrics._walk``.
 
 Candidate scoring keeps incremental per-edge deltas over the flat arrays:
 window sums are accumulated once per stall, and each candidate edge
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +49,9 @@ from repro.transpiler.kernel.intdag import (
 )
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.kernel.neighbors import NeighborTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.polytopes.coverage import CoverageSet
 
 #: Values accepted by ``MIRAGE_ROUTE_KERNEL``.
 _FLAT_VALUES = frozenset({"", "flat", "default"})
@@ -79,6 +85,11 @@ class MirrorRule(NamedTuple):
         decomposition_weight: weight of the cost term against the routing
             pressure term.
         aggression: acceptance level 0-3 (paper Algorithm 2).
+        gate_prices: raw coverage price (``cost_of_many``, not divided by
+            the unit cost) of each slot's gate, for the scored depth.
+        mirror_prices: raw price of each slot's mirror.
+        swap_price: raw price of an inserted SWAP.
+        coverage: the coverage set that priced all of the above.
     """
 
     gates: Sequence[Gate | None]
@@ -86,6 +97,10 @@ class MirrorRule(NamedTuple):
     mirror_costs: list[float]
     decomposition_weight: float
     aggression: int
+    gate_prices: list[float]
+    mirror_prices: list[float]
+    swap_price: float
+    coverage: "CoverageSet"
 
 
 class KernelState:
@@ -93,7 +108,8 @@ class KernelState:
 
     Holds the layout (``v2p``/``p2v``), the emitted ``(gate, physical)``
     op list and the run's counters, never touching ``DAGNode`` or
-    ``Layout`` objects.
+    ``Layout`` objects.  ``depth`` is the weighted critical-path depth
+    of the ops, scored under a :class:`MirrorRule` (``None`` without one).
     """
 
     __slots__ = (
@@ -105,6 +121,7 @@ class KernelState:
         "swaps_added",
         "mirrors_accepted",
         "mirror_candidates",
+        "depth",
         "extended_set_size",
         "_touch",
         "_native",
@@ -137,6 +154,7 @@ class KernelState:
         self.swaps_added = 0
         self.mirrors_accepted = 0
         self.mirror_candidates = 0
+        self.depth: float | None = None
         self.extended_set_size = extended_set_size
         # Scratch per-qubit pair-id lists for the scorer (reset after use).
         self._touch: list[list[int] | None] = [None] * table.num_qubits
@@ -253,6 +271,8 @@ def route_kernel(
     two-qubit gate as it is.  For MIRAGE it is a :class:`MirrorRule`: each
     executable two-qubit gate is a mirror candidate, and an accepted
     mirror emits the slot's mirror gate and swaps the pair in the layout.
+    Under a rule the loop also scores ``state.depth``, equal bit for bit
+    to ``metrics.ops_depth(state.ops, mirror.coverage)``.
     """
     state = KernelState(intdag, table, initial_v2p, extended_set_size)
     native = state._native
@@ -262,6 +282,7 @@ def route_kernel(
             state.swaps_added,
             state.mirrors_accepted,
             state.mirror_candidates,
+            state.depth,
         ) = native.route(
             state.v2p,
             state.p2v,
@@ -319,6 +340,11 @@ def _route_python(
     ops = state.ops
 
     num_physical = table.num_qubits
+    # Weighted depth per physical wire: ``metrics._walk``'s running
+    # maxima over the emitted ops, in its operations and order.
+    scored = mirror is not None
+    wire_depth = [0.0] * num_physical
+    depth = 0.0
     decay = [1.0] * num_physical
     decay_dirty = False
     decay_steps = 0
@@ -340,12 +366,22 @@ def _route_python(
                 if mirror is None:
                     ops.append((gates[gate_ids[node_id]], (left, right)))
                 else:
-                    _commit_mirror(
+                    price = _commit_mirror(
                         state, mirror, node_id, (left, right), extended_set_weight
                     )
+                    weighted = _score_pair(wire_depth, left, right, price)
+                    if weighted > depth:
+                        depth = weighted
             elif node_kind == KIND_FREE:
                 physical = tuple(v2p[q] for q in qubit_tuples[node_id])
                 ops.append((gates[gate_ids[node_id]], physical))
+                if scored and len(physical) > 1:
+                    # Directives weigh nothing but join their wires.
+                    weighted = max([wire_depth[q] for q in physical])
+                    for qubit in physical:
+                        wire_depth[qubit] = weighted
+                    if weighted > depth:
+                        depth = weighted
             else:
                 raise TranspilerError(
                     "router requires gates with at most two qubits"
@@ -379,6 +415,10 @@ def _route_python(
         ties = _swap_ties(state, front, extended_cache, decay, extended_set_weight)
         edge = ties[int(rng.integers(len(ties)))]
         ops.append((SWAP_GATE, edge))
+        if scored:
+            weighted = _score_pair(wire_depth, *edge, mirror.swap_price)
+            if weighted > depth:
+                depth = weighted
         state.swap_physical(*edge)
         decay[edge[0]] += decay_delta
         decay[edge[1]] += decay_delta
@@ -389,6 +429,21 @@ def _route_python(
             decay_dirty = False
             decay_steps = 0
         state.swaps_added += 1
+    if scored:
+        state.depth = float(depth)
+
+
+def _score_pair(wire_depth: list[float], a: int, b: int, price: float) -> float:
+    """A two-qubit op of raw ``price`` on wires (a, b), as ``_walk`` adds it.
+
+    ``max`` of two spelled out (the first unless the second is larger),
+    plus the price, becomes the depth of both wires and is returned.
+    """
+    upstream = wire_depth[a]
+    other = wire_depth[b]
+    weighted = (other if other > upstream else upstream) + price
+    wire_depth[a] = wire_depth[b] = weighted
+    return weighted
 
 
 def _commit_mirror(
@@ -397,13 +452,14 @@ def _commit_mirror(
     node_id: int,
     physical: tuple[int, int],
     extended_set_weight: float,
-) -> None:
+) -> float:
     """MIRAGE's intermediate layer for one executable two-qubit gate.
 
     Same arithmetic, same acceptance and byte-identical outputs as the
     object path's ``MirageSwap._commit_two_qubit``; the layout-independent
     half of the decision (both decomposition costs, the mirror gate) is
     read from the rule, only the routing pressure is computed here.
+    Returns the raw price of the emitted gate, for the scored depth.
     """
     # Imported here: ``repro.core`` imports this module.
     from repro.core.aggression import accept_mirror
@@ -420,8 +476,9 @@ def _commit_mirror(
         state.mirrors_accepted += 1
         state.ops.append((mirror.gates[slot], physical))
         state.swap_physical(*physical)
-    else:
-        state.emit(node_id, physical)
+        return mirror.mirror_prices[slot]
+    state.emit(node_id, physical)
+    return mirror.gate_prices[slot]
 
 
 def _mirror_routing_costs(

@@ -99,8 +99,11 @@ def _walk(
 ) -> CircuitMetrics:
     """Every metric of a topologically ordered op stream, in one pass.
 
-    One batched coverage query prices the two-qubit ops in stream order.
-    A per-wire running maximum, walked in that order, then performs the
+    One batched coverage query prices each distinct two-qubit gate object
+    once, in order of first appearance, and the prices fan back out to
+    the ops in stream order; the coverage memo gives one gate the same
+    float wherever it appears, so this equals pricing every op.  A
+    per-wire running maximum, walked in that order, then performs the
     same ``max`` and the same additions as a longest-path walk over the
     DAG the stream builds, so depths equal the DAG's bit for bit.  An op
     on one wire adds weight zero to its own wire only and changes
@@ -110,11 +113,21 @@ def _walk(
         gate for gate, qubits in ops
         if len(qubits) == 2 and not gate.is_directive
     ]
-    costs = (
-        coverage.cost_of_many([gate_coordinate(gate) for gate in two_qubit]).tolist()
-        if two_qubit
+    first_seen: dict[int, int] = {}
+    distinct: list[Gate] = []
+    positions = []
+    for gate in two_qubit:
+        position = first_seen.get(id(gate))
+        if position is None:
+            position = first_seen[id(gate)] = len(distinct)
+            distinct.append(gate)
+        positions.append(position)
+    prices = (
+        coverage.cost_of_many([gate_coordinate(gate) for gate in distinct]).tolist()
+        if distinct
         else []
     )
+    costs = [prices[position] for position in positions]
     next_cost = iter(costs).__next__
     weighted_on: dict[int, float] = {}
     gates_on: dict[int, float] = {}

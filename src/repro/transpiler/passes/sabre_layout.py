@@ -72,13 +72,6 @@ class LayoutResult:
         return self.routing.dag
 
 
-def _reverse_dag(dag: DAGCircuit) -> DAGCircuit:
-    reverse = DAGCircuit(dag.num_qubits, f"{dag.name}_rev")
-    for node in reversed(list(dag.topological_nodes())):
-        reverse.add_node(node.gate, node.qubits)
-    return reverse
-
-
 def seed_sequence(
     seed: int | np.random.SeedSequence | np.random.Generator | None,
 ) -> np.random.SeedSequence:
@@ -110,10 +103,15 @@ def swap_count_metric(result: RoutingResult) -> float:
 class DepthMetric:
     """MIRAGE post-selection: smallest decomposition-aware critical path.
 
-    Scores the routed op stream directly (:func:`~repro.transpiler.metrics.ops_depth`,
-    equal to ``evaluate(result.dag).depth``), so scoring a trial never
-    builds its DAG.  A frozen dataclass rather than a closure so that
-    trial tasks carrying it stay picklable for the process-pool executor.
+    A MIRAGE route loop scores this depth while it emits the ops, with
+    the prices of its mirror table, and the result keeps it next to the
+    coverage set that priced it.  When that set *is* this metric's
+    coverage the kept depth is returned as is; otherwise (SABRE runs,
+    the object router, another coverage set) the routed op stream is
+    walked by :func:`~repro.transpiler.metrics.ops_depth`.  Both equal
+    ``evaluate(result.dag).depth`` bit for bit, and neither builds the
+    trial's DAG.  A frozen dataclass rather than a closure so that trial
+    tasks carrying it stay picklable for the process-pool executor.
     """
 
     basis: str = "sqrt_iswap"
@@ -125,6 +123,8 @@ class DepthMetric:
             if self.coverage is not None
             else get_coverage_set(self.basis)
         )
+        if result.depth_coverage is coverage:
+            return result.depth
         return metrics_mod.ops_depth(result.ops, coverage)
 
 
@@ -149,50 +149,30 @@ class SabreRouterFactory:
 class TrialSpec:
     """The heavy, trial-invariant half of a layout search, picklable.
 
-    Every trial of one circuit shares the same DAGs, coupling map, router
+    Every trial of one circuit shares the same DAG, coupling map, router
     factory and post-selection metric; only the ``(trial_index, seed)``
     pair differs.  Splitting the spec out lets
     :meth:`~repro.transpiler.executors.TrialExecutor.map_shared` serialise
     it once per dispatch instead of once per trial.
-
-    ``reverse_dag`` may be ``None`` (a *deferred* spec): the reverse DAG
-    is then derived from ``dag`` on first use — in whichever process runs
-    the first trial — and cached on the spec instance, so the dispatcher
-    neither builds nor ships it and its construction overlaps early trial
-    execution on other workers.  The derivation is deterministic, keeping
-    results byte-identical to an eagerly-built spec.
 
     ``intdag`` is the flat-kernel lowering of ``dag``, built once by the
     dispatcher and shipped as plain ndarrays through the zero-copy
     transport (the pickle memo deduplicates it against the copy memoised
     on ``dag`` itself).  Workers adopt it instead of re-lowering the DAG
     per trial; ``None`` simply makes the first worker lower on demand.
+    The spec carries no reverse direction: each process derives it from
+    the forward arrays with :meth:`~repro.transpiler.kernel.IntDAG.reversed`
+    (memoised on the lowering), so the dispatcher neither builds nor
+    ships it.
     """
 
     dag: DAGCircuit
-    reverse_dag: DAGCircuit | None
     coupling: CouplingMap
     router_factory: RouterFactory
     refinement_rounds: int
     routing_trials: int
     selection_metric: SelectionMetric
     intdag: IntDAG | None = None
-
-    def resolved_reverse_dag(self) -> DAGCircuit:
-        """The reverse DAG, deriving (and caching) it when deferred.
-
-        Worker processes memoise the unpickled spec per payload, so the
-        derivation runs at most once per process; under a thread executor
-        a rare race can derive it twice, producing identical DAGs (the
-        construction is deterministic), so last-write-wins is benign.
-        """
-        if self.reverse_dag is not None:
-            return self.reverse_dag
-        cached = getattr(self, "_reverse_cache", None)
-        if cached is None:
-            cached = _reverse_dag(self.dag)
-            object.__setattr__(self, "_reverse_cache", cached)
-        return cached
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,7 +195,6 @@ class TrialTask:
     trial_index: int
     seed: np.random.SeedSequence
     dag: DAGCircuit
-    reverse_dag: DAGCircuit
     coupling: CouplingMap
     router_factory: RouterFactory
     refinement_rounds: int
@@ -226,7 +205,6 @@ class TrialTask:
     def spec(self) -> TrialSpec:
         return TrialSpec(
             dag=self.dag,
-            reverse_dag=self.reverse_dag,
             coupling=self.coupling,
             router_factory=self.router_factory,
             refinement_rounds=self.refinement_rounds,
@@ -263,21 +241,28 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     downgraded transport, or in-process), and the replayed outcomes are
     byte-identical to what the dead worker would have returned.  Keep
     this function free of hidden state — no module globals, no
-    side effects beyond the memoised derived DAGs — or crash recovery
-    silently stops being deterministic.
+    side effects beyond the memoised derived lowerings and mirror
+    tables — or crash recovery silently stops being deterministic.
+
+    The backward half of each refinement round routes
+    ``spec.intdag.reversed()`` (or, without a shipped lowering, the
+    reverse of ``int_dag(spec.dag)``): the reverse lowering is derived
+    from the forward arrays, shares their gate slots and mirror table,
+    and is built at most once per lowering and process.  No trial builds
+    a ``DAGCircuit``.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)
     router = spec.router_factory(ref.trial_index)
     adopt_intdag(spec.dag, spec.intdag)
-    reverse_dag = spec.resolved_reverse_dag()
+    reverse = int_dag(spec.dag).reversed()
     layout = Layout.random(
         spec.dag.num_qubits, spec.coupling.num_qubits, seed=rng
     )
     for _ in range(spec.refinement_rounds):
         forward = router.run(spec.dag, layout, seed=rng)
         layout = forward.final_layout
-        backward = router.run(reverse_dag, layout, seed=rng)
+        backward = router.run(reverse, layout, seed=rng)
         layout = backward.final_layout
     best_routing: RoutingResult | None = None
     best_score = math.inf
@@ -395,19 +380,14 @@ class SabreLayout:
         self.executor = executor
         self.max_workers = max_workers
 
-    def trial_spec(
-        self, dag: DAGCircuit, *, defer_reverse: bool = False
-    ) -> TrialSpec:
+    def trial_spec(self, dag: DAGCircuit) -> TrialSpec:
         """Build the heavy, trial-invariant payload for ``dag``.
 
-        With ``defer_reverse=True`` the reverse DAG is left out of the
-        spec entirely — trial runners derive it on first use (memoised
-        per process), so it is neither constructed on the dispatching
-        thread nor shipped across the process boundary.
+        The spec carries the forward lowering only; trial runners derive
+        the reverse direction from it (see :func:`run_trial`).
         """
         return TrialSpec(
             dag=dag,
-            reverse_dag=None if defer_reverse else _reverse_dag(dag),
             coupling=self.coupling,
             router_factory=self.router_factory,
             refinement_rounds=self.refinement_rounds,
@@ -432,7 +412,6 @@ class SabreLayout:
                 trial_index=ref.trial_index,
                 seed=ref.seed,
                 dag=spec.dag,
-                reverse_dag=spec.reverse_dag,
                 coupling=spec.coupling,
                 router_factory=spec.router_factory,
                 refinement_rounds=spec.refinement_rounds,
@@ -451,26 +430,22 @@ class SabreLayout:
         the DAGs and coverage set once per chunk, not once per trial.
 
         When the executor can stream (:meth:`TrialExecutor.open_dispatch`)
-        the trials go through a :class:`DispatchSession` with a *deferred*
-        spec: the payload is published and the trials start before any
-        reverse DAG exists, and its construction happens inside the
-        workers (memoised per process), overlapping early trial work
-        instead of serialising on the dispatching thread.  Executors
-        without a streaming transport fall back to the barrier
-        :meth:`TrialExecutor.map_shared` path with an eager spec; both
-        paths are byte-identical for a fixed seed.
+        the trials go through a :class:`DispatchSession`: the payload is
+        published and the trials start at once.  Executors without a
+        streaming transport fall back to the barrier
+        :meth:`TrialExecutor.map_shared` path; both paths are
+        byte-identical for a fixed seed.
         """
         refs = self.trial_refs()
+        spec = self.trial_spec(dag)
         with executor_scope(self.executor, self.max_workers) as executor:
             session = (
                 executor.open_dispatch(run_trial) if len(refs) > 1 else None
             )
             if session is None:
-                spec = self.trial_spec(dag)
                 outcomes = executor.map_shared(run_trial, spec, refs)
             else:
                 with session:
-                    spec = self.trial_spec(dag, defer_reverse=True)
                     slot = session.add_payload(spec)
                     futures = session.submit(slot, refs)
                     outcomes = [

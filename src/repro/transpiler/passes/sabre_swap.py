@@ -16,6 +16,7 @@ for the flat kernel.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from repro.transpiler.kernel.route import MirrorRule
 from repro.transpiler.layout import Layout
 from repro.transpiler.topologies import CouplingMap
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.polytopes.coverage import CoverageSet
+
 #: Default SABRE hyper-parameters (paper Section V keeps the defaults).
 EXTENDED_SET_SIZE = 20
 EXTENDED_SET_WEIGHT = 0.5
@@ -53,6 +57,13 @@ class RoutingResult:
     exactly one of the two forms at any time (building the DAG releases
     the op list), so a pickled result never carries both.
 
+    A MIRAGE route loop also scores the weighted critical-path depth of
+    what it emits; the result keeps that ``depth`` next to the coverage
+    set that priced it (``depth_coverage``, a strong reference), which is
+    how :class:`~repro.transpiler.passes.sabre_layout.DepthMetric` knows
+    the kept value is its own.  Both are per-process and left out of the
+    pickle.
+
     Attributes:
         dag: the mapped DAG on physical qubits (includes inserted SWAPs).
         ops: the mapped ``(gate, physical_qubits)`` stream in emission
@@ -62,6 +73,9 @@ class RoutingResult:
         swaps_added: number of SWAP gates inserted by the router.
         mirrors_accepted: number of mirror-gate substitutions (MIRAGE only).
         mirror_candidates: number of gates that reached the intermediate layer.
+        depth: weighted critical-path depth scored by the route loop, or
+            ``None`` when the loop had no prices (SABRE, the object path).
+        depth_coverage: the coverage set whose prices scored ``depth``.
     """
 
     def __init__(
@@ -76,6 +90,8 @@ class RoutingResult:
         ops: list[tuple[Gate, tuple[int, ...]]] | None = None,
         num_qubits: int = 0,
         name: str = "dag",
+        depth: float | None = None,
+        depth_coverage: "CoverageSet | None" = None,
     ) -> None:
         if (dag is None) == (ops is None):
             raise ValueError("RoutingResult needs exactly one of dag or ops")
@@ -88,6 +104,16 @@ class RoutingResult:
         self._ops = ops
         self._num_qubits = num_qubits
         self._name = name
+        self.depth = depth
+        self.depth_coverage = depth_coverage
+
+    def __getstate__(self) -> dict:
+        # The kept depth is only meaningful next to the very coverage
+        # object that priced it, which must not travel with the result.
+        state = dict(self.__dict__)
+        state["depth"] = None
+        state["depth_coverage"] = None
+        return state
 
     @property
     def dag(self) -> DAGCircuit:
@@ -162,30 +188,38 @@ class SabreSwap:
 
     def run(
         self,
-        dag: DAGCircuit,
+        dag: DAGCircuit | IntDAG,
         initial_layout: Layout,
         seed: int | np.random.Generator | None = None,
     ) -> RoutingResult:
         """Route ``dag`` starting from ``initial_layout``.
 
-        Dispatches to the flat int-array kernel by default; setting
+        ``dag`` is a circuit DAG or an already lowered :class:`IntDAG`
+        (such as the reverse direction of a refinement round).  Dispatches
+        to the flat int-array kernel by default; setting
         ``MIRAGE_ROUTE_KERNEL=object`` keeps the historical object walk
-        for differential testing.  Both paths are byte-identical at a
-        fixed seed.
+        for differential testing, which rebuilds a DAG from a lowering.
+        Both paths are byte-identical at a fixed seed.
         """
         rng = _as_rng(seed) if seed is not None else self._rng
         if route_kernel_mode() == "object":
+            if isinstance(dag, IntDAG):
+                dag = dag.to_dag()
             return self._run_object(dag, initial_layout, rng)
         return self._run_flat(dag, initial_layout, rng)
 
     def _run_flat(
         self,
-        dag: DAGCircuit,
+        dag: DAGCircuit | IntDAG,
         initial_layout: Layout,
         rng: np.random.Generator,
     ) -> RoutingResult:
         """Flat-kernel routing over the lowered int arrays."""
-        intdag = int_dag(dag)
+        if isinstance(dag, IntDAG):
+            intdag, name = dag, "dag"
+        else:
+            intdag, name = int_dag(dag), dag.name
+        mirror = self._mirror_rule(intdag)
         state = route_kernel(
             intdag,
             neighbor_table(self.coupling),
@@ -196,17 +230,19 @@ class SabreSwap:
             decay_delta=self.decay_delta,
             decay_reset_interval=self.decay_reset_interval,
             stall_limit=10 * max(10, self.coupling.num_qubits),
-            mirror=self._mirror_rule(intdag),
+            mirror=mirror,
         )
         return RoutingResult(
             ops=state.ops,
             num_qubits=self.coupling.num_qubits,
-            name=dag.name,
+            name=name,
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,
             mirrors_accepted=state.mirrors_accepted,
             mirror_candidates=state.mirror_candidates,
+            depth=state.depth,
+            depth_coverage=None if mirror is None else mirror.coverage,
         )
 
     def _mirror_rule(self, intdag: IntDAG) -> MirrorRule | None:

@@ -5,14 +5,20 @@ Covers:
 * the per-circuit :class:`~repro.core.mirage_pass.MirrorTable` equals the
   scalar chain ``gate_coordinate`` -> ``mirror_coordinate`` -> ``cost_of``
   on forward and reverse lowerings, under two coverage sets;
-* deterministic performance invariants that need no timing: a bounded
-  number of coverage queries per MIRAGE route run, no ``DAGCircuit``
-  built while refining or scoring trials, and one representation per
-  pickled :class:`~repro.transpiler.passes.RoutingResult`;
-* the ops-based depth metric equals ``evaluate(dag).depth`` exactly.
+* deterministic performance invariants that need no timing: one
+  coverage query per circuit across both routing directions and every
+  run, one coverage row per distinct gate in the metrics walk, no
+  ``DAGCircuit`` built while refining or scoring trials, and one
+  representation per pickled :class:`~repro.transpiler.passes.RoutingResult`;
+* the ops-based depth metric, and the depth the route loop scores,
+  equal ``evaluate(dag).depth`` exactly; ``DepthMetric`` uses the scored
+  depth only under the coverage set that priced it.
 """
 
+import dataclasses
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,9 +34,10 @@ from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import Layout, grid_topology, heavy_hex_topology
 from repro.transpiler.kernel import int_dag
 from repro.transpiler.kernel.intdag import KIND_CHECK2
+from repro.transpiler import metrics as metrics_mod
+from repro.transpiler.kernel.route import SWAP_GATE
 from repro.transpiler.metrics import evaluate, gate_coordinate, ops_depth
 from repro.transpiler.passes import DepthMetric, SabreLayout, SabreSwap, run_trial
-from repro.transpiler.passes.sabre_layout import _reverse_dag
 from repro.weyl.mirror import mirror_coordinate
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -64,9 +71,8 @@ def coverage(request):
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_table_matches_scalar_chain(name, coverage):
-    forward = DAGCircuit.from_circuit(CIRCUITS[name]())
-    for dag in (forward, _reverse_dag(forward)):
-        intdag = int_dag(dag)
+    forward = int_dag(DAGCircuit.from_circuit(CIRCUITS[name]()))
+    for intdag in (forward, forward.reversed()):
         table = mirror_table(intdag, coverage)
         assert mirror_table(intdag, coverage) is table  # memoised
         unit = coverage.unit_cost
@@ -85,6 +91,9 @@ def test_table_matches_scalar_chain(name, coverage):
             assert table.mirror_coords[slot] == mirrored
             assert table.gate_costs[slot] == coverage.cost_of(coordinate) / unit
             assert table.mirror_costs[slot] == coverage.cost_of(mirrored) / unit
+            assert table.gate_prices[slot] == coverage.cost_of(coordinate)
+            assert table.mirror_prices[slot] == coverage.cost_of(mirrored)
+        assert table.swap_price == coverage.cost_of(gate_coordinate(SWAP_GATE))
 
 
 def test_coverage_sets_get_distinct_tables():
@@ -127,6 +136,48 @@ def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
         assert len(cost_many_calls) == 1
 
 
+def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
+    """Forward and reverse lowerings share one table: one batched query
+    (every two-qubit slot, its mirror and the SWAP) serves every run."""
+    coupling = grid_topology(3, 4)
+    router = MirageSwap(coupling, coverage=COVERAGE)
+    for circuit in (qft(6), twolocal_full(7), _seca()):
+        forward = int_dag(DAGCircuit.from_circuit(circuit))
+        reverse = forward.reversed()
+        del cost_many_calls[:]
+        layout = Layout.random(forward.num_qubits, coupling.num_qubits, seed=3)
+        for seed in range(3):
+            layout = router.run(forward, layout, seed=seed).final_layout
+            layout = router.run(reverse, layout, seed=seed).final_layout
+        slots = len(set(forward.gate_ids[forward.kind == KIND_CHECK2].tolist()))
+        assert cost_many_calls == [2 * slots + 1]
+        assert mirror_table(reverse, COVERAGE) is mirror_table(forward, COVERAGE)
+
+
+def test_walk_prices_each_distinct_gate_once(cost_many_calls):
+    coupling = heavy_hex_topology(12)
+    dag = DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 25, seed=4))
+    layout = Layout.random(7, coupling.num_qubits, seed=4)
+    result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
+        dag, layout, seed=4
+    )
+    ops = result.ops + result.ops  # every gate object appears twice
+    distinct = {
+        id(gate) for gate, qubits in ops
+        if len(qubits) == 2 and not gate.is_directive
+    }
+    assert result.swaps_added  # the shared SWAP gate is among them
+    del cost_many_calls[:]
+    metrics = evaluate(ops, coverage=COVERAGE)
+    assert cost_many_calls == [len(distinct)]
+    # Fanning the prices back out is exact: the per-op total is unchanged.
+    costs = [
+        COVERAGE.cost_of(gate_coordinate(gate)) for gate, qubits in ops
+        if len(qubits) == 2 and not gate.is_directive
+    ]
+    assert metrics.total_cost == float(sum(costs))
+
+
 class _CountingInit:
     def __init__(self, monkeypatch):
         self.count = 0
@@ -159,6 +210,103 @@ def test_trials_build_no_dag_until_the_winner_is_read(monkeypatch):
     routed = outcome.routing.dag
     assert counter.count == 1
     assert outcome.routing.dag is routed
+
+
+@pytest.mark.parametrize("shipped_lowering", [True, False])
+def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
+    """Neither direction of any refinement round builds a ``DAGCircuit``,
+    whether the spec ships its lowering or the trial lowers on demand."""
+    coupling = heavy_hex_topology(12)
+    factory = MirageRouterFactory(coupling, COVERAGE, (1, 2))
+    layout_search = SabreLayout(
+        coupling,
+        factory,
+        layout_trials=2,
+        refinement_rounds=2,
+        routing_trials=2,
+        selection_metric=DepthMetric(coverage=COVERAGE),
+        seed=6,
+    )
+    dag = DAGCircuit.from_circuit(twolocal_full(7))
+    spec = layout_search.trial_spec(dag)
+    if not shipped_lowering:
+        dag = DAGCircuit.from_circuit(twolocal_full(7))
+        spec = dataclasses.replace(spec, dag=dag, intdag=None)
+    counter = _CountingInit(monkeypatch)
+    for ref in layout_search.trial_refs():
+        run_trial(spec, ref)
+    assert counter.count == 0
+
+
+def test_threads_share_the_reverse_and_table_memos_safely():
+    """Trials racing on one fresh lowering (its reverse, its mirror table)
+    under a tiny switch interval give the serial outcomes."""
+    coupling = heavy_hex_topology(12)
+    factory = MirageRouterFactory(coupling, COVERAGE, (1, 2, 3))
+    layout_search = SabreLayout(
+        coupling,
+        factory,
+        layout_trials=8,
+        refinement_rounds=2,
+        selection_metric=DepthMetric(coverage=COVERAGE),
+        seed=12,
+    )
+    refs = layout_search.trial_refs()
+
+    def outcomes(spec, runner):
+        return [
+            (o.score, [(g.name, q) for g, q in o.routing.ops])
+            for o in runner(lambda ref: run_trial(spec, ref), refs)
+        ]
+
+    circuit = twolocal_full(8)
+    expected = outcomes(
+        layout_search.trial_spec(DAGCircuit.from_circuit(circuit)), map
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        spec = layout_search.trial_spec(DAGCircuit.from_circuit(circuit))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = outcomes(spec, lambda fn, items: list(
+                pool.map(fn, items, timeout=120)
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(
+    monkeypatch,
+):
+    coupling = heavy_hex_topology(12)
+    dag = DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 25, seed=2))
+    layout = Layout.random(7, coupling.num_qubits, seed=2)
+    result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
+        dag, layout, seed=2
+    )
+    assert result.depth_coverage is COVERAGE
+    assert result.depth == ops_depth(result.ops, COVERAGE)
+
+    other = get_coverage_set("iswap", num_samples=250, seed=3)
+    expected = ops_depth(result.ops, other)
+    assert DepthMetric(coverage=other)(result) == expected
+    # Sanity: the two coverage sets price this circuit differently, so
+    # handing back the router's depth would be caught.
+    assert expected != result.depth
+
+    # Under its own coverage set the metric never walks the ops.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("re-walked the routed ops")
+
+    monkeypatch.setattr(metrics_mod, "ops_depth", forbidden)
+    assert DepthMetric(coverage=COVERAGE)(result) == result.depth
+
+    # The coverage reference and the depth stay out of the pickle.
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.depth is None and clone.depth_coverage is None
+    monkeypatch.undo()
+    assert DepthMetric(coverage=COVERAGE)(clone) == result.depth
 
 
 def test_routing_result_pickles_one_representation():

@@ -1,5 +1,7 @@
 """Tests for the staged pipeline, trial executors and the batch API."""
 
+import importlib
+
 import pytest
 
 from repro.exceptions import TranspilerError
@@ -7,10 +9,12 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
     build_mirage_pipeline,
+    compare_methods,
     prepare_circuit,
     transpile,
     transpile_many,
 )
+from repro.core import pipeline as pipeline_mod
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
     BasePass,
@@ -138,6 +142,51 @@ def test_pipeline_rejects_unknown_method_and_selection():
         build_mirage_pipeline(line_topology(3), method="magic")
     with pytest.raises(TranspilerError):
         build_mirage_pipeline(line_topology(3), selection="volume")
+
+
+BAD_BUDGETS = [
+    ("layout_trials", 0, "layout_trials must be at least 1"),
+    ("layout_trials", -3, "layout_trials must be at least 1"),
+    ("layout_trials", 2.5, "layout_trials must be an int, not float"),
+    ("layout_trials", True, "layout_trials must be an int, not bool"),
+    ("refinement_rounds", -1, "refinement_rounds must be at least 0"),
+    ("refinement_rounds", 1.0, "refinement_rounds must be an int"),
+    ("refinement_rounds", False, "refinement_rounds must be an int"),
+    ("routing_trials", 0, "routing_trials must be at least 1"),
+    ("routing_trials", "2", "routing_trials must be an int, not str"),
+    ("routing_trials", True, "routing_trials must be an int, not bool"),
+]
+
+
+@pytest.mark.parametrize("knob, value, message", BAD_BUDGETS)
+def test_bad_trial_budgets_fail_before_any_stage(monkeypatch, knob, value, message):
+    """A bad budget raises ``TranspilerError`` before the front stages and
+    before any coverage set is resolved or built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past budget validation")
+
+    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
+    monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
+    # ``repro.core.transpile`` the module, not the function it exports.
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
+    with pytest.raises(TranspilerError, match=message):
+        transpile(qft(4), line_topology(4), **{knob: value})
+    for batch in ([], [qft(4)]):
+        with pytest.raises(TranspilerError, match=message):
+            transpile_many(batch, line_topology(4), **{knob: value})
+    if knob == "layout_trials":
+        with pytest.raises(TranspilerError, match=message):
+            compare_methods(qft(4), line_topology(4), layout_trials=value)
+
+
+def test_smallest_trial_budget_is_accepted():
+    result = transpile(
+        qft(4), line_topology(4), coverage=COVERAGE, use_vf2=False,
+        layout_trials=1, refinement_rounds=0, routing_trials=1, seed=2,
+    )
+    assert result.method == "mirage"
 
 
 def test_vf2_embedding_skips_routing():

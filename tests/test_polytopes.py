@@ -291,6 +291,36 @@ def test_coordinate_cache_eviction():
     assert len(cache) == 2
 
 
+def test_coordinate_cache_batch_keys_match_scalar_keys():
+    """One ``np.round`` over the stacked batch gives every matrix the
+    bytes ``_key`` gives it alone: negative zeros, values that round to
+    (negative) zero, real-dtype inputs and non-C-ordered views included."""
+    cache = CoordinateCache()
+    rng = np.random.default_rng(5)
+    signed_zeros = np.array(
+        [[-0.0, 0.0, -1e-12, 1e-12]] * 4, dtype=complex
+    ) + np.array([[0.0, -0.0, -0.0, -1e-11]] * 4) * 1j
+    real_permutation = np.eye(4)[[1, 0, 3, 2]]
+    real_negative = -np.eye(4, dtype=np.float32)
+    unitaries = [
+        CNOT,
+        signed_zeros,
+        real_permutation,
+        real_negative,
+        haar_unitary(4, rng),
+        haar_unitary(4, rng).T,  # a Fortran-ordered view
+        CNOT,
+    ]
+    keys = cache._keys(unitaries)
+    assert keys == [cache._key(unitary) for unitary in unitaries]
+    assert all(type(key) is bytes for key in keys)
+    assert cache._keys([]) == []
+    assert cache.coordinates_many([]) == []
+    valid = [u for u in unitaries if u is not signed_zeros]
+    batch = cache.coordinates_many(valid)
+    assert batch == [CoordinateCache().coordinate(u) for u in valid]
+
+
 def test_coordinate_cache_put_and_clear():
     cache = CoordinateCache()
     cache.put(CNOT, (PI4, 0.0, 0.0))

@@ -8,7 +8,8 @@ Covers the PR-6 guarantees:
   seeds x topologies x executors, for SABRE and MIRAGE, plus a pinned
   digest so *both* kernels drifting together is caught;
 * ``IntDAG`` round-trip properties (op table, CSR adjacency, front
-  layer, interpreter-cache hygiene under pickle);
+  layer, interpreter-cache hygiene under pickle), and the reverse
+  lowering against a reversed ``DAGCircuit`` (Hypothesis);
 * the decay-reset ordering regression at the ``DECAY_RESET_INTERVAL``
   boundary (reset-on-execute vs. reset-on-interval must interleave
   identically in both kernels);
@@ -16,9 +17,10 @@ Covers the PR-6 guarantees:
   Python reference, their bounds checks, and the build-on-first-use
   loader's fallback and cache keying;
 * the compiled route loop against the Python loop (Hypothesis over
-  couplings, circuits, SABRE/MIRAGE settings and seeds), mirror-cost
-  near-ties, error parity, corrupt arrays, re-entry, and the
-  disconnected-coupling fallback.
+  couplings, circuits, SABRE/MIRAGE settings and seeds), including the
+  depth both score under a mirror rule, mirror-cost near-ties, error
+  parity, corrupt arrays, re-entry, and the disconnected-coupling
+  fallback.
 """
 
 import dataclasses
@@ -63,6 +65,7 @@ from repro.transpiler.kernel import (
     route_kernel_mode,
 )
 from repro.transpiler.kernel.intdag import KIND_CHECK2
+from repro.transpiler.metrics import ops_depth
 from repro.transpiler.passes import SabreSwap
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -321,15 +324,76 @@ def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     MirageSwap(line_topology(4), coverage=COVERAGE).run(
         dag, Layout.trivial(4, 4), seed=1
     )
-    for cache in ("_lists", "_lookahead_cache", "_mirror_tables"):
+    reverse = lowered.reversed()
+    caches = ("_lists", "_lookahead_cache", "_mirror_tables", "_reversed")
+    for cache in caches:
         assert cache in lowered.__dict__
     clone = pickle.loads(pickle.dumps(lowered))
-    for cache in ("_lists", "_lookahead_cache", "_mirror_tables"):
+    for cache in caches:
         assert cache not in clone.__dict__
+    # The reverse's own pickle drops the shared mirror memo too.
+    assert "_mirror_tables" in reverse.__dict__
+    assert "_mirror_tables" not in pickle.loads(pickle.dumps(reverse)).__dict__
     assert clone.num_nodes == lowered.num_nodes
     assert np.array_equal(clone.qubit0, lowered.qubit0)
     assert np.array_equal(clone.succ_ids, lowered.succ_ids)
     assert clone.lists().qubit_tuples == lowered.lists().qubit_tuples
+
+
+def _reverse_dag(dag):
+    """The reference reverse: a DAG built from the reversed Kahn order."""
+    reverse = DAGCircuit(dag.num_qubits, f"{dag.name}_rev")
+    for node in reversed(list(dag.topological_nodes())):
+        reverse.add_node(node.gate, node.qubits)
+    return reverse
+
+
+_INTDAG_ARRAYS = (
+    "qubit0", "qubit1", "kind", "two_qubit", "qarg_indptr", "qargs",
+    "succ_indptr", "succ_ids", "pred_indptr", "pred_ids", "indegree",
+)
+
+
+@st.composite
+def _reused_gate_circuits(draw):
+    """1Q/2Q gates drawn from a small pool of shared gate objects, plus
+    measures and barriers, some over 3 or more qubits."""
+    num_qubits = draw(st.integers(1, 6))
+    pool = [Gate(name, 1) for name in _ONE_QUBIT] + [Gate("measure", 1)]
+    pool += [Gate(name, 2) for name in _TWO_QUBIT]
+    circuit = QuantumCircuit(num_qubits, "drawn")
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 5)) == 0:
+            width = draw(st.integers(1, num_qubits))
+            circuit.barrier(*draw(st.permutations(range(num_qubits)))[:width])
+            continue
+        gate = draw(st.sampled_from(pool))
+        if gate.num_qubits > num_qubits:
+            continue
+        qubits = draw(st.permutations(range(num_qubits)))[:gate.num_qubits]
+        circuit.append(gate, qubits)
+    return circuit
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuit=_reused_gate_circuits())
+def test_reversed_lowering_matches_the_reversed_dag(circuit):
+    dag = DAGCircuit.from_circuit(circuit)
+    lowered = int_dag(dag)
+    reverse = lowered.reversed()
+    reference = IntDAG.from_dag(_reverse_dag(dag))
+    assert reverse.num_qubits == reference.num_qubits
+    assert reverse.num_nodes == reference.num_nodes
+    for name in _INTDAG_ARRAYS:
+        got, want = getattr(reverse, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    for node_id in range(reverse.num_nodes):
+        assert reverse.gate(node_id) is reference.gate(node_id)
+    # Memoised, sharing the forward's gate slots and mirror-table memo.
+    assert lowered.reversed() is reverse
+    assert reverse.gates is lowered.gates
+    assert reverse.__dict__["_mirror_tables"] is lowered.__dict__["_mirror_tables"]
 
 
 def test_intdag_requires_dense_node_ids():
@@ -756,7 +820,8 @@ def _mirror_rule(intdag, aggression, weight, coverage=COVERAGE):
     table = mirror_table(intdag, coverage)
     return route.MirrorRule(
         table.mirror_gates, table.gate_costs, table.mirror_costs, weight,
-        aggression,
+        aggression, table.gate_prices, table.mirror_prices, table.swap_price,
+        coverage,
     )
 
 
@@ -795,6 +860,7 @@ def _assert_same_run(python, compiled):
     assert got.swaps_added == expected.swaps_added
     assert got.mirrors_accepted == expected.mirrors_accepted
     assert got.mirror_candidates == expected.mirror_candidates
+    assert got.depth == expected.depth
     # The compiled loop skips ``integers(1)``; the stream must not notice.
     assert got_rng == expected_rng
 
@@ -824,6 +890,14 @@ def test_compiled_route_loop_matches_python_loop(data):
             patch, ROUTEC, intdag, coupling, v2p, seed, mirror, **knobs
         )
     _assert_same_run(python, compiled)
+    # Both loops score the depth of what they emit, bit for bit the
+    # depth the metrics walk gives the op stream.
+    for state, _ in (python, compiled):
+        if mirror is None:
+            assert state.depth is None
+        else:
+            assert type(state.depth) is float
+            assert state.depth == ops_depth(state.ops, COVERAGE)
 
 
 @needs_routec
@@ -850,8 +924,8 @@ def test_compiled_loop_keeps_mirror_near_ties(monkeypatch, aggression):
             )
     accepted = rejected = 0
     for window in (0, 1, 20):
-        mirror = route.MirrorRule(
-            table.mirror_gates, gate_costs, mirror_costs, 1.0, aggression
+        mirror = _mirror_rule(intdag, aggression, 1.0)._replace(
+            gate_costs=gate_costs, mirror_costs=mirror_costs
         )
         v2p = list(range(6))
         python = _run_loop(monkeypatch, None, intdag, coupling, v2p, 3, mirror,
@@ -942,6 +1016,7 @@ def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
         (15, mirror[:4]),
         (15, mirror._replace(gates=mirror.gates[:-1])),
         (15, mirror._replace(gate_costs=["x"] * len(intdag.gates))),
+        (15, mirror._replace(mirror_prices=mirror.mirror_prices[:-1])),
     ]:
         args = list(good)
         args[position] = value
@@ -949,8 +1024,11 @@ def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
             kernel.route(*args)
     with pytest.raises(ValueError, match="aggression level 7"):
         kernel.route(*good[:15], mirror._replace(aggression=7))
+    with pytest.raises(TypeError):
+        kernel.route(*good[:15], mirror._replace(swap_price="x"))
     # A failed call leaves the kernel usable.
-    ops, swaps, mirrors, candidates = kernel.route(*good)
+    ops, swaps, mirrors, candidates, depth = kernel.route(*good)
+    assert depth is None
     assert len(ops) >= intdag.num_nodes and swaps == len(ops) - intdag.num_nodes
 
 

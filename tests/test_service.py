@@ -365,6 +365,20 @@ def test_closed_service_rejects_submissions():
     _run(main())
 
 
+def test_bad_trial_budget_fails_the_request_with_a_typed_error():
+    async def main():
+        async with _service(window_ms=0.0) as service:
+            with pytest.raises(TranspilerError, match="layout_trials"):
+                await service.submit(
+                    qft(4), TOPOLOGY, use_vf2=False, layout_trials=0
+                )
+            # The service keeps serving well-formed requests.
+            return await service.submit(qft(4), TOPOLOGY, seed=9, **REQUEST_KNOBS)
+
+    result = _run(main())
+    assert _fingerprint(result) == _fingerprint(_direct(qft(4), 9))
+
+
 def test_window_env_parsing(monkeypatch):
     monkeypatch.setenv(WINDOW_ENV, "25")
     assert service_window_ms() == 25.0

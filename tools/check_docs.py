@@ -54,6 +54,7 @@ PUBLIC_API = [
     ("repro.transpiler.executors", "zero_copy_enabled"),
     ("repro.transpiler.executors", "zero_copy_inline_max"),
     ("repro.transpiler.kernel.intdag", "IntDAG"),
+    ("repro.transpiler.kernel.intdag", "IntDAG.reversed"),
     ("repro.transpiler.kernel.intdag", "int_dag"),
     ("repro.transpiler.kernel.neighbors", "NeighborTable"),
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
