@@ -16,7 +16,10 @@ levels as 5% / 45% / 45% / 5%.
 from __future__ import annotations
 
 import enum
+import numbers
 from typing import Mapping, Sequence
+
+from repro.exceptions import InvalidModeError
 
 
 class Aggression(enum.IntEnum):
@@ -110,6 +113,19 @@ def fixed_schedule(num_trials: int, level: int | Aggression) -> list[Aggression]
     return [Aggression(int(level))] * num_trials
 
 
+def _level(value: object) -> Aggression:
+    """One aggression level: an integer 0-3 (``bool`` is refused)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not 0 <= value <= 3
+    ):
+        raise InvalidModeError(
+            f"invalid aggression level {value!r} — accepted levels: 0, 1, 2, 3"
+        )
+    return Aggression(int(value))
+
+
 def schedule_from_spec(
     num_trials: int, spec: int | str | Sequence[int] | None
 ) -> list[Aggression]:
@@ -118,14 +134,27 @@ def schedule_from_spec(
     ``None`` or ``"mixed"`` gives the paper's 5/45/45/5 distribution, an
     integer gives a fixed level, and an explicit sequence is passed through
     (padded by cycling if shorter than ``num_trials``).
+
+    Raises:
+        InvalidModeError: if ``spec`` is none of these, is empty, or
+            names a level outside 0-3.
     """
     if spec is None or (isinstance(spec, str) and spec.lower() == "mixed"):
         return aggression_schedule(num_trials)
-    if isinstance(spec, (int, Aggression)):
-        return fixed_schedule(num_trials, spec)
     if isinstance(spec, str):
-        raise ValueError(f"unknown aggression spec {spec!r}")
-    levels = [Aggression(int(level)) for level in spec]
+        raise InvalidModeError(
+            f"unknown aggression spec {spec!r} — accepted: 'mixed', a level "
+            f"0-3 or a sequence of levels"
+        )
+    if isinstance(spec, numbers.Integral):
+        return fixed_schedule(num_trials, _level(spec))
+    try:
+        levels = [_level(level) for level in spec]
+    except TypeError:
+        raise InvalidModeError(
+            f"aggression must be 'mixed', a level 0-3 or a sequence of "
+            f"levels, not {type(spec).__name__}"
+        ) from None
     if not levels:
-        raise ValueError("empty aggression schedule")
+        raise InvalidModeError("empty aggression schedule")
     return [levels[i % len(levels)] for i in range(num_trials)]

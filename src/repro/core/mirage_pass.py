@@ -23,19 +23,17 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuits.dag import DAGCircuit, DAGNode
 from repro.circuits.gates import UnitaryGate
-from repro.core.aggression import Aggression, accept_mirror
+from repro.core.aggression import Aggression
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel.intdag import KIND_CHECK2, MIRROR_TABLES_ATTR
 from repro.transpiler.kernel.route import SWAP_GATE, MirrorRule
-from repro.transpiler.layout import Layout
-from repro.transpiler.metrics import gate_coordinate, node_coordinate
+from repro.transpiler.metrics import gate_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
-from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
+from repro.weyl.mirror import mirror_coordinates_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,50 +179,6 @@ class MirageSwap(SabreSwap):
 
     # -- the intermediate layer ---------------------------------------------
 
-    def _commit_two_qubit(
-        self,
-        node: DAGNode,
-        physical: tuple[int, ...],
-        layout: Layout,
-        out: DAGCircuit,
-        dag: DAGCircuit,
-    ) -> None:
-        self._stats["candidates"] += 1
-
-        coordinate = node_coordinate(node)
-        mirrored_coordinate = mirror_coordinate(coordinate)
-
-        unit = self.coverage.unit_cost
-        # Gate and mirror resolved by one batched coverage query (and the
-        # shared memo table, so repeated blocks stay cached).
-        pair_costs = self.coverage.cost_of_many(
-            (coordinate, mirrored_coordinate)
-        )
-        decomposition_current = float(pair_costs[0]) / unit
-        decomposition_mirror = float(pair_costs[1]) / unit
-
-        lookahead = self._extended_set([node], dag)
-        routing_current, routing_mirror = self._mirror_routing_costs(
-            lookahead, layout, physical
-        )
-
-        cost_current = (
-            self.decomposition_weight * decomposition_current + routing_current
-        )
-        cost_trial = (
-            self.decomposition_weight * decomposition_mirror + routing_mirror
-        )
-
-        if accept_mirror(cost_current, cost_trial, self.aggression):
-            self._stats["mirrors"] += 1
-            mirrored_gate = mirror_gate(node.gate, mirrored_coordinate)
-            out.add_node(mirrored_gate, physical)
-            layout.swap_physical(*physical)
-        else:
-            out.add_node(node.gate, physical)
-
-    # -- the intermediate layer, flat-kernel twin ---------------------------
-
     def _mirror_rule(self, intdag: IntDAG) -> MirrorRule:
         """The mirror decision as kernel data (see :class:`MirrorRule`).
 
@@ -245,60 +199,3 @@ class MirageSwap(SabreSwap):
             table.swap_price,
             self.coverage,
         )
-
-    def _mirror_routing_costs(
-        self,
-        lookahead: list[DAGNode],
-        layout: Layout,
-        physical: tuple[int, ...],
-    ) -> tuple[float, float]:
-        """Routing pressure of the current layout and of the mirrored one.
-
-        Historically this copied the layout, applied the virtual SWAP and
-        rescored the whole lookahead window; now only the lookahead gates
-        touching the two swapped physical qubits are re-evaluated as a
-        delta on the base sum.  Hop-count distances are integer-valued, so
-        the delta-adjusted sum is exactly the sum a full rescore would
-        produce and the returned floats are bit-identical to the
-        copy-and-rescore pair.
-        """
-        if not lookahead:
-            return 0.0, 0.0
-        distance = self.coupling.distance_matrix
-        pairs = [
-            (layout.v2p(node.qubits[0]), layout.v2p(node.qubits[1]))
-            for node in lookahead
-        ]
-        base = sum(distance[left, right] for left, right in pairs)
-        swap_a, swap_b = physical
-        if not np.isfinite(base):
-            # Infinite distances (disconnected coupling) poison the delta
-            # arithmetic with inf - inf; rescore against a swapped copy.
-            trial_layout = layout.copy()
-            trial_layout.swap_physical(swap_a, swap_b)
-            return (
-                self.routing_heuristic([], lookahead, layout),
-                self.routing_heuristic([], lookahead, trial_layout),
-            )
-        delta = 0.0
-        for left, right in pairs:
-            left_hit = left == swap_a or left == swap_b
-            right_hit = right == swap_a or right == swap_b
-            if not (left_hit or right_hit):
-                continue
-            if left_hit and right_hit:
-                continue  # both endpoints swap; distance unchanged
-            new_left = (
-                swap_b if left == swap_a else swap_a if left == swap_b else left
-            )
-            new_right = (
-                swap_b if right == swap_a
-                else swap_a if right == swap_b
-                else right
-            )
-            delta += distance[new_left, new_right] - distance[left, right]
-        count = len(pairs)
-        weight = self.extended_set_weight
-        current = float(0.0 + weight * base / count)
-        mirrored = float(0.0 + weight * (base + delta) / count)
-        return current, mirrored

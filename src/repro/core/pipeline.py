@@ -52,6 +52,7 @@ from repro.transpiler.passmanager import (
     PipelineState,
 )
 from repro.transpiler.topologies import CouplingMap, topology_by_name
+from repro.weyl.catalog import basis_gate_cost
 
 
 @dataclasses.dataclass(frozen=True)
@@ -450,6 +451,20 @@ def validate_budget(
             raise TranspilerError(f"{name} must be at least {least}, got {value}")
 
 
+def validate_modes(basis: str, aggression: object) -> None:
+    """Validate the basis gate and the aggression spec next to
+    :func:`validate_budget`, so a typo fails before any stage or coverage
+    build instead of inside them.
+
+    Raises:
+        InvalidModeError: from
+            :func:`~repro.weyl.catalog.basis_gate_cost` or
+            :func:`~repro.core.aggression.schedule_from_spec`.
+    """
+    basis_gate_cost(basis)
+    schedule_from_spec(1, aggression)
+
+
 def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
     """Input cleaning + unrolling + consolidation (paper Section V)."""
     manager = PassManager()
@@ -489,10 +504,12 @@ def build_mirage_pipeline(
 
     Raises:
         TranspilerError: if ``method`` or ``selection`` is unknown, or the
-            trial budget is invalid (see :func:`validate_budget`).
+            trial budget, basis or aggression is invalid (see
+            :func:`validate_budget` and :func:`validate_modes`).
     """
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
+    validate_modes(basis, aggression)
 
     manager = build_prepare_pipeline(consolidate=consolidate)
     manager.append(ResolveCouplingPass(coupling))
@@ -546,6 +563,7 @@ def build_batch_front_pipeline(
     """
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
+    validate_modes(basis, aggression)
 
     manager = build_prepare_pipeline(consolidate=consolidate)
     manager.append(ResolveCouplingPass(coupling))

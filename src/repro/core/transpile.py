@@ -50,6 +50,7 @@ from repro.core.pipeline import (
     run_plan,
     validate_budget,
     validate_flow,
+    validate_modes,
 )
 from repro.core.results import BatchResult, TranspileResult
 from repro.polytopes.coverage import CoverageSet
@@ -742,6 +743,7 @@ def transpile_many(
     # before paying for the coverage-set build.
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
+    validate_modes(basis, aggression)
     mode = _resolve_fanout(fanout, len(batch))
     scheduler_mode = _resolve_scheduler(scheduler)
     if circuit_seeds is not None and len(circuit_seeds) != len(batch):
@@ -876,6 +878,7 @@ def compare_methods(
         for selection in selections
     ]
     validate_budget(layout_trials, 2, 1)
+    validate_modes(basis, None)
     results: dict[str, TranspileResult] = {}
     with executor_scope(executor, max_workers) as trial_executor:
         shared_coverage = resolve_coverage(coverage, basis)

@@ -29,11 +29,12 @@ class TranspilerError(ReproError):
 
 
 class InvalidModeError(TranspilerError, ValueError):
-    """Raised when a string-mode knob does not name a known mode.
+    """Raised when a mode argument does not name a known mode.
 
-    Used by the batch front door for its ``fanout=``/``scheduler=``/
-    ``plan=`` knobs: an unknown string must fail fast with the accepted
-    values named, never silently fall back to a default.  Deriving from
+    Used by the front door for its ``fanout=``/``scheduler=``/
+    ``on_error=``, ``aggression=`` and ``basis=`` arguments: an unknown
+    value must fail fast with the accepted values named, never silently
+    fall back to a default.  Deriving from
     both :class:`TranspilerError` and :class:`ValueError` keeps existing
     ``except TranspilerError`` callers working while matching the
     conventional exception type for a bad argument value.

@@ -43,7 +43,7 @@ MIRROR_TABLES_ATTR = "_mirror_tables"
 #: Node kinds.  ``KIND_CHECK2`` gates gate executability on coupling
 #: adjacency; ``KIND_FREE`` nodes (directives and single-qubit gates) are
 #: always executable; ``KIND_REJECT`` marks >2-qubit non-directive gates the
-#: router must refuse, exactly like the object path's ``_is_executable``.
+#: route loop refuses with "router requires gates with at most two qubits".
 KIND_CHECK2 = 0
 KIND_FREE = 1
 KIND_REJECT = 2
@@ -249,16 +249,6 @@ class IntDAG:
     def front_ids(self) -> list[int]:
         """Node ids with no predecessors, ascending (= ``front_layer`` order)."""
         return [i for i in range(self.num_nodes) if not self.indegree[i]]
-
-    def to_dag(self, name: str = "dag") -> "DAGCircuit":
-        """Rebuild an equivalent :class:`DAGCircuit` (round-trip check,
-        and the object router's input when it is handed a lowering)."""
-        from repro.circuits.dag import DAGCircuit
-
-        out = DAGCircuit(self.num_qubits, name)
-        for node_id in range(self.num_nodes):
-            out.add_node(self.gate(node_id), self.node_qubits(node_id))
-        return out
 
     def lists(self) -> IntDAGLists:
         """Memoised python-list mirror (see :class:`IntDAGLists`)."""

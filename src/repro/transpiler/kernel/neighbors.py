@@ -7,8 +7,8 @@ the index structures the flat kernel gathers over:
 * the lexicographically sorted undirected edge list as two parallel int
   arrays, so a candidate set is a sorted list of *edge ids* and its
   endpoints are a fancy-index gather;
-* a per-qubit incident-edge index, so ``_swap_candidates`` is set-union of
-  precomputed tuples instead of per-stall neighbour walks (and its CSR
+* a per-qubit incident-edge index, so a stall's candidate set is a
+  set-union of precomputed tuples instead of neighbour walks (and its CSR
   array form, which the compiled route loop reads);
 * ``dist_int``: the hop-distance matrix as ``int64`` (``-1`` where
   unreachable) for exact integer scoring on connected graphs, next to the

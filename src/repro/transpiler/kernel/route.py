@@ -1,9 +1,10 @@
-"""``build_swap_map``-style flat routing loop.
+"""``build_swap_map``-style flat routing loop: the only route loop.
 
 :func:`route_kernel` walks an :class:`~repro.transpiler.kernel.intdag.IntDAG`
 with a :class:`~repro.transpiler.kernel.neighbors.NeighborTable`, keeping all
 per-run state — layout, in-degrees, decay — in flat int/float containers.
-The loop exists twice with the same semantics:
+Every SABRE and MIRAGE routing run enters it.  The loop is written twice
+with the same semantics:
 
 * the compiled loop, ``RouteKernel.route`` in ``_routec.c`` (built on
   first use by :mod:`.native`), which runs on connected couplings: front
@@ -24,16 +25,15 @@ window sums are accumulated once per stall, and each candidate edge
 re-evaluates only the pairs touching its two endpoints via a per-qubit
 pair-id index.  Hop distances are integer-valued, so on connected graphs
 the whole scorer runs in exact integer arithmetic and produces exactly the
-floats the object path computes.  Tie-breaking stays a sequential scan
-with a ``1e-12`` tolerance (an order-dependent recurrence) and one
-``rng.integers(len(ties))`` draw from the per-trial ``SeedSequence``
-stream, so fixed-seed outputs are byte-identical to
-``MIRAGE_ROUTE_KERNEL=object`` whichever loop runs.
+floats a full rescore of every candidate computes.  Tie-breaking stays a
+sequential scan with a ``1e-12`` tolerance (an order-dependent
+recurrence) and one ``rng.integers(len(ties))`` draw from the per-trial
+``SeedSequence`` stream, so fixed-seed outputs are byte-identical
+whichever loop runs.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -52,23 +52,6 @@ from repro.transpiler.kernel.neighbors import NeighborTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.polytopes.coverage import CoverageSet
-
-#: Values accepted by ``MIRAGE_ROUTE_KERNEL``.
-_FLAT_VALUES = frozenset({"", "flat", "default"})
-_OBJECT_VALUES = frozenset({"object", "legacy"})
-
-
-def route_kernel_mode() -> str:
-    """Resolve the active kernel (``flat`` default, ``object`` opt-out)."""
-    value = os.environ.get("MIRAGE_ROUTE_KERNEL", "").strip().lower()
-    if value in _FLAT_VALUES:
-        return "flat"
-    if value in _OBJECT_VALUES:
-        return "object"
-    raise TranspilerError(
-        f"unknown MIRAGE_ROUTE_KERNEL value {value!r} (use 'flat' or 'object')"
-    )
-
 
 #: The SWAP gate both loops emit; gates are immutable, so one is shared.
 SWAP_GATE = Gate("swap", 2)
@@ -201,8 +184,9 @@ class KernelState:
     def extended_ids(self, roots: list[int]) -> list[int]:
         """Lookahead BFS: upcoming two-qubit node ids after ``roots``.
 
-        Byte-compatible with the object path's ``_extended_set`` — same
-        visit order, same dedup, same early-exit at the window size.
+        Breadth-first over the successor lists, each node visited once,
+        stopping as soon as the window holds ``extended_set_size`` gates
+        (``RouteKernel.extended_ids`` walks it the same way).
         """
         limit = self.extended_set_size
         lists = self._lists
@@ -455,10 +439,10 @@ def _commit_mirror(
 ) -> float:
     """MIRAGE's intermediate layer for one executable two-qubit gate.
 
-    Same arithmetic, same acceptance and byte-identical outputs as the
-    object path's ``MirageSwap._commit_two_qubit``; the layout-independent
-    half of the decision (both decomposition costs, the mirror gate) is
-    read from the rule, only the routing pressure is computed here.
+    The layout-independent half of the decision (both decomposition
+    costs, the mirror gate) is read from the rule; only the routing
+    pressure is computed here, and
+    :func:`~repro.core.aggression.accept_mirror` decides.
     Returns the raw price of the emitted gate, for the scored depth.
     """
     # Imported here: ``repro.core`` imports this module.
@@ -489,11 +473,10 @@ def _mirror_routing_costs(
 ) -> tuple[float, float]:
     """Current/mirrored routing pressure over flat lookahead pairs.
 
-    On connected graphs both window sums run in exact int arithmetic; the
-    float path reproduces the object path's inf handling.  Either way the
-    returned floats match ``MirageSwap._mirror_routing_costs`` —
-    integer-valued distances make the delta-adjusted sum there equal the
-    direct sum computed here.
+    Both window sums are direct sums over the pairs, before and after
+    the virtual SWAP of ``physical``: in exact int arithmetic on
+    connected graphs, over float distances (infinities included)
+    otherwise.
     """
     if not pairs:
         return 0.0, 0.0
@@ -529,15 +512,14 @@ def _swap_ties(
 ) -> list[tuple[int, int]]:
     """Best-scoring candidate edges in candidate order (the Python scorer).
 
-    Scoring keeps the PR-2 incremental per-edge deltas, but over the flat
-    arrays: the window sums are accumulated once per stall, and each
-    candidate edge re-evaluates only the pairs touching its two physical
-    qubits.  On connected graphs all of it runs in exact int arithmetic
-    over the nested hop-distance lists, so the delta-adjusted sums equal
-    a full rescore bit-for-bit; the float path (possible infinities)
-    replicates the object scorer including its direct-sum fallback.  The
-    tolerance tie-break is an order-dependent recurrence and stays a
-    sequential scan.
+    Scoring keeps incremental per-edge deltas over the flat arrays: the
+    window sums are accumulated once per stall, and each candidate edge
+    re-evaluates only the pairs touching its two physical qubits.  On
+    connected graphs all of it runs in exact int arithmetic over the
+    nested hop-distance lists, so the delta-adjusted sums equal a full
+    rescore bit-for-bit; disconnected couplings (possible infinities)
+    take :func:`_swap_ties_float`.  The tolerance tie-break is an
+    order-dependent recurrence and stays a sequential scan.
     """
     lists = state._lists
     table = state.table
@@ -547,7 +529,7 @@ def _swap_ties(
 
     # Candidate edges: union of the edges incident to the stalled gates'
     # physical qubits.  Edge ids are lex-sorted (a, b) pairs, so sorting
-    # ids reproduces the object path's sorted-tuple candidate order.
+    # ids gives the sorted (a, b) candidate order.
     incident = table.incident
     candidate_ids: set[int] = set()
     for node_id in front:
@@ -656,8 +638,8 @@ def _swap_ties(
                 else:
                     extended_sum += delta
         # At a stall the front is never empty, so the front term is
-        # unconditional (the object path's `if front:` guard adds 0.0
-        # otherwise, which never happens here).
+        # unconditional (the float scorer's `if num_front:` guard adds
+        # 0.0 otherwise, which never happens here).
         score = front_sum / num_front
         if num_extended:
             score += extended_set_weight * extended_sum / num_extended
@@ -689,8 +671,9 @@ def _swap_ties_float(
 ) -> list[tuple[int, int]]:
     """Disconnected-coupling scorer: float distances with inf propagation.
 
-    Mirrors the object path exactly, including its direct-sum fallback once
-    a window sum goes infinite (``inf - inf`` would poison the deltas).
+    Keeps the incremental deltas while both window sums are finite, and
+    falls back to direct sums once one goes infinite (``inf - inf`` would
+    poison the deltas).
     """
     lists = state._lists
     table = state.table

@@ -107,8 +107,8 @@ class DepthMetric:
     the prices of its mirror table, and the result keeps it next to the
     coverage set that priced it.  When that set *is* this metric's
     coverage the kept depth is returned as is; otherwise (SABRE runs,
-    the object router, another coverage set) the routed op stream is
-    walked by :func:`~repro.transpiler.metrics.ops_depth`.  Both equal
+    another coverage set) the routed op stream is walked by
+    :func:`~repro.transpiler.metrics.ops_depth`.  Both equal
     ``evaluate(result.dag).depth`` bit for bit, and neither builds the
     trial's DAG.  A frozen dataclass rather than a closure so that trial
     tasks carrying it stay picklable for the process-pool executor.

@@ -35,6 +35,8 @@ class CouplingMap:
         edge_list = [(int(a), int(b)) for a, b in edges]
         if any(a == b for a, b in edge_list):
             raise TranspilerError("coupling map contains a self-loop")
+        if any(a < 0 or b < 0 for a, b in edge_list):
+            raise TranspilerError("coupling map contains a negative qubit index")
         inferred = max((max(a, b) for a, b in edge_list), default=-1) + 1
         self.num_qubits = int(num_qubits) if num_qubits is not None else inferred
         if self.num_qubits < inferred:

@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.exceptions import InvalidModeError
 from repro.linalg.constants import (
     CNOT,
     CZ,
@@ -102,7 +103,13 @@ def basis_gate_cost(basis: str) -> float:
     The paper's convention (Section III-C / V): an iSWAP costs 1.0, its
     n-th roots cost 1/n, and a CNOT-family basis gate costs 1.0 (it needs
     the full interaction strength of an iSWAP-class pulse).
+
+    Raises:
+        InvalidModeError: if ``basis`` is not a str or names no known
+            basis gate (``iswap_1_<n>`` needs ``n >= 1``).
     """
+    if not isinstance(basis, str):
+        raise InvalidModeError(f"basis must be a str, not {type(basis).__name__}")
     name = basis.lower()
     if name in {"iswap"}:
         return 1.0
@@ -117,17 +124,30 @@ def basis_gate_cost(basis: str) -> float:
     match = _parse_iswap_root(name)
     if match is not None:
         return 1.0 / match
-    raise ValueError(f"unknown basis gate {basis!r}")
+    raise InvalidModeError(
+        f"unknown basis gate {basis!r} — accepted: iswap, sqrt_iswap, "
+        f"cbrt_iswap, qtrt_iswap, iswap_1_<n> (n >= 1), cx, cnot, cz"
+    )
 
 
 def _parse_iswap_root(name: str) -> int | None:
-    """Parse names like ``iswap_1_5`` meaning the fifth root of iSWAP."""
+    """Parse names like ``iswap_1_5`` meaning the fifth root of iSWAP.
+
+    Raises:
+        InvalidModeError: if the root is below 1 (``iswap_1_0``,
+            ``iswap_1_-2``).
+    """
     parts = name.split("_")
     if len(parts) == 3 and parts[0] == "iswap" and parts[1] == "1":
         try:
-            return int(parts[2])
+            root = int(parts[2])
         except ValueError:
             return None
+        if root < 1:
+            raise InvalidModeError(
+                f"basis {name!r}: the iSWAP root must be at least 1, got {root}"
+            )
+        return root
     return None
 
 

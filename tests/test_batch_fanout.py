@@ -7,8 +7,8 @@ Covers the three hard guarantees of the batch engine:
   (``"circuits"``) fan-out modes, and across all three executors;
 * the chunked shared-payload dispatch pickles the coverage set exactly
   once per batch (the re-pickling regression check);
-* the delta-based :class:`repro.core.mirage_pass.MirageSwap` commit is
-  byte-identical to the historical copy-layout-and-rescore decision.
+* the :class:`repro.core.mirage_pass.MirageSwap` mirror decision is
+  byte-identical in the compiled and the pure-Python route loop.
 """
 
 import pickle
@@ -28,6 +28,8 @@ from repro.transpiler import (
     ThreadExecutor,
     line_topology,
 )
+from repro.transpiler.kernel import route
+from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes import SabreLayout, run_layout_trial, run_trial
 
@@ -280,48 +282,35 @@ def test_run_trial_matches_legacy_task_form():
 
 
 # ---------------------------------------------------------------------------
-# Delta MirageSwap commit: digest parity with copy-and-rescore
+# MirageSwap mirror decision: compiled loop vs Python loop
 # ---------------------------------------------------------------------------
 
 
-class _ReferenceMirage(MirageSwap):
-    """The historical copy-layout-and-rescore mirror decision.
-
-    The override lives on the object path, so the reference routes under
-    ``MIRAGE_ROUTE_KERNEL=object``; the flat kernel never calls it.
-    """
-
-    def _mirror_routing_costs(self, lookahead, layout, physical):
-        current = self.routing_heuristic([], lookahead, layout)
-        trial_layout = layout.copy()
-        trial_layout.swap_physical(*physical)
-        mirrored = self.routing_heuristic([], lookahead, trial_layout)
-        return current, mirrored
-
-
 def _routing_digest(result):
-    return [
-        (node.gate.name, tuple(node.qubits))
-        for node in result.dag.topological_nodes()
-    ]
+    return [(gate.name, tuple(physical)) for gate, physical in result.ops]
 
 
 @pytest.mark.parametrize("aggression", [1, 2, 3])
 @pytest.mark.parametrize("circuit", [qft(6), twolocal_full(5)],
                          ids=["qft6", "twolocal5"])
 def test_delta_mirror_commit_matches_copy_rescore(circuit, aggression):
+    """Both loops take the same mirror decisions.  The Python loop's
+    ``route._mirror_routing_costs`` sums the lookahead window directly,
+    before and after the virtual SWAP, so it is the rescore reference."""
     dag = prepare_circuit(circuit).to_dag()
     coupling = line_topology(dag.num_qubits)
+    compiled = load_routec()
     for seed in (1, 5):
         layout = Layout.random(dag.num_qubits, coupling.num_qubits, seed=seed)
-        fast = MirageSwap(coupling, COVERAGE, aggression=aggression).run(
-            dag, layout, seed=seed
-        )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("MIRAGE_ROUTE_KERNEL", "object")
-            reference = _ReferenceMirage(
-                coupling, COVERAGE, aggression=aggression
-            ).run(dag, layout, seed=seed)
-        assert _routing_digest(fast) == _routing_digest(reference)
-        assert fast.mirrors_accepted == reference.mirrors_accepted
-        assert fast.final_layout == reference.final_layout
+        runs = []
+        for module in (None, compiled):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(route, "load_routec", lambda: module)
+                runs.append(MirageSwap(
+                    coupling, COVERAGE, aggression=aggression
+                ).run(dag, layout, seed=seed))
+        python, native = runs
+        assert python.mirror_candidates
+        assert _routing_digest(native) == _routing_digest(python)
+        assert native.mirrors_accepted == python.mirrors_accepted
+        assert native.final_layout == python.final_layout

@@ -4,8 +4,8 @@ Each test runs a fixed-seed workload on the serial, thread, process and
 remote executors and checks one promise of the dispatch layers:
 
 * every fan-out mode, scheduler and transport returns the serial
-  routing byte for byte (the same holds for the flat and object routing
-  kernels, and for trial fan-out on a process pool);
+  routing byte for byte (the same holds for the compiled and the
+  pure-Python route loop, and for trial fan-out on a process pool);
 * a clean run reports every recovery and overload counter as zero —
   a retry or respawn here means the environment misbehaved;
 * the shared-memory transport ships O(1) bytes per chunk (at most 512 B)
@@ -33,6 +33,7 @@ from repro.transpiler import (
     line_topology,
     shm_transport_enabled,
 )
+from repro.transpiler.kernel import route
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=700, seed=7)
 #: Counters every dispatch reports; a clean run leaves them all zero.
@@ -161,11 +162,11 @@ def test_trial_fanout_on_a_process_pool_matches_serial():
 
 @pytest.mark.parametrize("method", ["sabre", "mirage"])
 def test_flat_and_object_kernels_route_identically(monkeypatch, method):
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
-    flat = _wide_transpile(method)
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
-    obj = _wide_transpile(method)
-    assert circuit_digest(obj.circuit) == circuit_digest(flat.circuit)
+    """The compiled route loop and the pure-Python one route alike."""
+    compiled = _wide_transpile(method)
+    monkeypatch.setattr(route, "load_routec", lambda: None)
+    python = _wide_transpile(method)
+    assert circuit_digest(python.circuit) == circuit_digest(compiled.circuit)
 
 
 def test_service_clean_run_has_zero_overload_counters():

@@ -1,9 +1,10 @@
 """Tier-1 wiring for the executable-documentation checks.
 
 ``tools/check_docs.py`` executes every python snippet in ``README.md``
-and ``docs/*.md`` and lints docstring coverage on the public API; these
-tests run the same checks under pytest so documented examples cannot rot
-even without the dedicated CI job.
+and ``docs/*.md``, lints docstring coverage on the public API and checks
+the ``MIRAGE_*`` knob inventory against src; these tests run the same
+checks under pytest so documented examples cannot rot even without the
+dedicated CI job.
 """
 
 import importlib.util
@@ -45,3 +46,32 @@ def test_docs_snippets_execute():
 
 def test_public_api_docstrings():
     assert CHECK_DOCS.lint_docstrings() == []
+
+
+def test_env_knob_inventory():
+    assert CHECK_DOCS.src_env_knobs()
+    assert CHECK_DOCS.lint_env_knobs() == []
+
+
+def test_env_knob_lint_flags_both_directions(tmp_path):
+    """An undocumented knob src reads, and a knob a test sets that src
+    never reads, are each reported by name."""
+    # Spelled in pieces so this file itself names no knob.
+    documented, hidden, gone = (
+        "MIRAGE" + "_" + word for word in ("DOCUMENTED", "HIDDEN", "GONE")
+    )
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "knobs.py").write_text(
+        f'import os\nos.environ.get("{documented}")\n'
+        f'os.environ.get("{hidden}")\n'
+    )
+    (tmp_path / "README.md").write_text(f"Set `{documented}=1`.\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        f'monkeypatch.setenv("{documented}", "1")\n'
+        f'monkeypatch.setenv("{gone}", "object")\n'
+    )
+    errors = CHECK_DOCS.lint_env_knobs(tmp_path)
+    assert len(errors) == 2, errors
+    assert errors[0].startswith(f"{hidden}: read by src")
+    assert errors[1].startswith(f"{gone}: named in tests/test_x.py")

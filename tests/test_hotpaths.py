@@ -442,38 +442,83 @@ def test_consolidate_batched_annotations_match_scalar():
 # -- delta-scored SWAP selection --------------------------------------------
 
 
-class _FullRescoreSwap(SabreSwap):
-    """Reference router using the historical copy-layout-and-rescore loop."""
+def _full_rescore_ties(state, front, extended, decay, extended_set_weight):
+    """Reference SWAP choice for ``route._swap_ties``: no deltas.
 
-    def _choose_swap(self, front, layout, dag, rng):
-        candidates = self._swap_candidates(front, layout)
-        assert candidates
-        extended = self._extended_set(front, dag)
-        best_score = np.inf
-        best_edges = []
-        for edge in candidates:
-            trial = layout.copy()
-            trial.swap_physical(*edge)
-            score = self.routing_heuristic(front, extended, trial)
-            score *= max(self._decay[edge[0]], self._decay[edge[1]])
-            if score < best_score - 1e-12:
-                best_score = score
-                best_edges = [edge]
-            elif abs(score - best_score) <= 1e-12:
-                best_edges.append(edge)
-        return best_edges[int(rng.integers(len(best_edges)))]
+    Every candidate edge is rescored from scratch — the layout with that
+    SWAP applied, the front and lookahead distances summed directly —
+    then weighed by the same decay product and kept by the same ``1e-12``
+    tie scan as the route loop.
+    """
+    table = state.table
+    distance = table.dist.tolist()
+    lists = state.intdag.lists()
+    v2p = state.v2p
+    active = {v2p[lists.qubit0[i]] for i in front}
+    active |= {v2p[lists.qubit1[i]] for i in front}
+    candidates = sorted(
+        edge for edge in zip(*table.edge_lists())
+        if edge[0] in active or edge[1] in active
+    )
+    assert candidates
+
+    def window_sum(nodes, a, b):
+        def moved(p):
+            return b if p == a else a if p == b else p
+
+        return sum(
+            distance[moved(v2p[lists.qubit0[i]])][moved(v2p[lists.qubit1[i]])]
+            for i in nodes
+        )
+
+    best_score = np.inf
+    best_edges = []
+    for a, b in candidates:
+        score = 0.0
+        if front:
+            score += window_sum(front, a, b) / len(front)
+        if extended:
+            score += extended_set_weight * window_sum(extended, a, b) / len(
+                extended
+            )
+        score *= max(decay[a], decay[b])
+        if score < best_score - 1e-12:
+            best_score = score
+            best_edges = [(a, b)]
+        elif abs(score - best_score) <= 1e-12:
+            best_edges.append((a, b))
+    return best_edges
 
 
-def _route_stream(router, dag, layout, seed):
-    # The override lives on the object path; the flat kernel never calls it.
-    mode = "object" if isinstance(router, _FullRescoreSwap) else "flat"
+def _route_stream(coupling, dag, layout, seed, module, ties=None):
+    """One SABRE routing with ``module`` as the compiled extension and,
+    when given, ``ties`` as the Python loop's SWAP scorer."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("MIRAGE_ROUTE_KERNEL", mode)
-        result = router.run(dag, layout, seed=seed)
+        patch.setattr(route, "load_routec", lambda: module)
+        if ties is not None:
+            patch.setattr(route, "_swap_ties", ties)
+        result = SabreSwap(coupling, seed=seed).run(dag, layout.copy(), seed=seed)
     return (
         result.swaps_added,
-        [(i.gate.name, i.qubits) for i in result.dag.to_circuit()],
+        [(i.gate.name, i.qubits) for i in result.to_circuit()],
     )
+
+
+def _assert_scorers_match_full_rescore(coupling, dag, layout, seed):
+    """The Python loop's delta scorer and the compiled loop both route as
+    the Python loop does with the full-rescore scorer."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _full_rescore_ties(*args)
+
+    reference = _route_stream(coupling, dag, layout, seed, None, counted)
+    assert calls, "the routing never stalled"
+    assert _route_stream(coupling, dag, layout, seed, None) == reference
+    compiled = load_routec()
+    if compiled is not None:  # without a C compiler only Python routes
+        assert _route_stream(coupling, dag, layout, seed, compiled) == reference
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -483,12 +528,7 @@ def test_delta_swap_choice_matches_full_rescore(seed, topology):
     coupling = topology_by_name(topology, width)
     dag = benchmark_circuit("qft", width).to_dag()
     layout = Layout.trivial(width, coupling.num_qubits)
-
-    fast = SabreSwap(coupling, seed=seed)
-    reference = _FullRescoreSwap(coupling, seed=seed)
-    assert _route_stream(fast, dag, layout.copy(), seed) == _route_stream(
-        reference, dag, layout.copy(), seed
-    )
+    _assert_scorers_match_full_rescore(coupling, dag, layout, seed)
 
 
 def test_delta_swap_choice_matches_on_random_layouts():
@@ -496,32 +536,16 @@ def test_delta_swap_choice_matches_on_random_layouts():
     dag = benchmark_circuit("qft", 12).to_dag()
     for seed in (1, 2):
         layout = Layout.random(12, coupling.num_qubits, seed=seed)
-        fast = SabreSwap(coupling, seed=seed)
-        reference = _FullRescoreSwap(coupling, seed=seed)
-        assert _route_stream(fast, dag, layout.copy(), seed) == _route_stream(
-            reference, dag, layout.copy(), seed
-        )
+        _assert_scorers_match_full_rescore(coupling, dag, layout, seed)
 
 
 def test_swap_scorers_agree_on_a_wide_qft():
-    """Object full rescore, flat Python scorer and native scorer: one routing."""
+    """Full rescore, Python delta scorer and compiled loop: one routing."""
     width = 25
     coupling = topology_by_name("square", width)
     dag = benchmark_circuit("qft", width).to_dag()
     layout = Layout.trivial(width, coupling.num_qubits)
-    reference = _route_stream(
-        _FullRescoreSwap(coupling, seed=3), dag, layout.copy(), 3
-    )
-    scorers = {"python": None, "native": load_routec()}
-    for name, scorer in scorers.items():
-        if name == "native" and scorer is None:
-            continue  # no C compiler: the Python scorer is the only one
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(route, "load_routec", lambda scorer=scorer: scorer)
-            stream = _route_stream(
-                SabreSwap(coupling, seed=3), dag, layout.copy(), 3
-            )
-        assert stream == reference, name
+    _assert_scorers_match_full_rescore(coupling, dag, layout, 3)
 
 
 # -- Weyl extraction against the historical scalar loop ----------------------

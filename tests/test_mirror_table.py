@@ -8,8 +8,8 @@ Covers:
 * deterministic performance invariants that need no timing: one
   coverage query per circuit across both routing directions and every
   run, one coverage row per distinct gate in the metrics walk, no
-  ``DAGCircuit`` built while refining or scoring trials, and one
-  representation per pickled :class:`~repro.transpiler.passes.RoutingResult`;
+  ``DAGCircuit`` built while refining or scoring trials, and a pickled
+  :class:`~repro.transpiler.passes.RoutingResult` that carries ops only;
 * the ops-based depth metric, and the depth the route loop scores,
   equal ``evaluate(dag).depth`` exactly; ``DepthMetric`` uses the scored
   depth only under the coverage set that priced it.
@@ -41,12 +41,6 @@ from repro.transpiler.passes import DepthMetric, SabreLayout, SabreSwap, run_tri
 from repro.weyl.mirror import mirror_coordinate
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
-
-
-@pytest.fixture(autouse=True)
-def _flat_kernel(monkeypatch):
-    """The invariants below are properties of the flat kernel."""
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
 
 
 def _seca():
@@ -207,9 +201,8 @@ def test_trials_build_no_dag_until_the_winner_is_read(monkeypatch):
     counter = _CountingInit(monkeypatch)
     outcome = run_trial(spec, ref)
     assert counter.count == 0
-    routed = outcome.routing.dag
+    outcome.routing.dag
     assert counter.count == 1
-    assert outcome.routing.dag is routed
 
 
 @pytest.mark.parametrize("shipped_lowering", [True, False])
@@ -310,17 +303,16 @@ def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(
 
 
 def test_routing_result_pickles_one_representation():
+    """A routing result pickles its op list, never a DAG, even after
+    its ``dag`` has been read."""
     coupling = grid_topology(2, 3)
     dag = DAGCircuit.from_circuit(twolocal_full(5))
     layout = Layout.random(5, 6, seed=2)
     result = MirageSwap(coupling, coverage=COVERAGE).run(dag, layout, seed=8)
-
-    lazy = pickle.loads(pickle.dumps(result))
-    assert vars(lazy)["_dag"] is None and vars(lazy)["_ops"] is not None
-
     built = result.dag
-    eager = pickle.loads(pickle.dumps(result))
-    assert vars(eager)["_dag"] is not None and vars(eager)["_ops"] is None
+
+    clone = pickle.loads(pickle.dumps(result))
+    assert not [v for v in vars(clone).values() if isinstance(v, DAGCircuit)]
 
     def stream(routed):
         return [
@@ -328,12 +320,12 @@ def test_routing_result_pickles_one_representation():
             for node in routed.dag.nodes.values()
         ]
 
-    assert stream(lazy) == stream(eager) == stream(result)
-    assert lazy.dag._successors == built._successors
-    assert lazy.final_layout.virtual_to_physical() == (
+    assert stream(clone) == stream(result)
+    assert clone.dag._successors == built._successors
+    assert clone.final_layout.virtual_to_physical() == (
         result.final_layout.virtual_to_physical()
     )
-    assert (lazy.swaps_added, lazy.mirrors_accepted) == (
+    assert (clone.swaps_added, clone.mirrors_accepted) == (
         result.swaps_added,
         result.mirrors_accepted,
     )

@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-from repro.exceptions import TranspilerError
+from repro.exceptions import InvalidModeError, TranspilerError
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
@@ -179,6 +179,54 @@ def test_bad_trial_budgets_fail_before_any_stage(monkeypatch, knob, value, messa
     if knob == "layout_trials":
         with pytest.raises(TranspilerError, match=message):
             compare_methods(qft(4), line_topology(4), layout_trials=value)
+
+
+BAD_MODES = [
+    ("aggression", 7, "invalid aggression level 7"),
+    ("aggression", -1, "invalid aggression level -1"),
+    ("aggression", [0, 9], "invalid aggression level 9"),
+    ("aggression", True, "invalid aggression level True"),
+    ("aggression", "bogus", "unknown aggression spec 'bogus'"),
+    ("aggression", [], "empty aggression schedule"),
+    ("aggression", 1.5, "not float"),
+    ("basis", "nope", "unknown basis gate 'nope'"),
+    ("basis", "iswap_1_0", "root must be at least 1, got 0"),
+    ("basis", "iswap_1_-2", "root must be at least 1, got -2"),
+    ("basis", None, "basis must be a str, not NoneType"),
+]
+
+
+@pytest.mark.parametrize("knob, value, message", BAD_MODES)
+def test_bad_modes_fail_before_any_stage(monkeypatch, knob, value, message):
+    """A bad ``aggression`` or ``basis`` raises ``InvalidModeError`` (a
+    ``ValueError`` too) before the front stages and before any coverage
+    set is resolved or built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past mode validation")
+
+    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
+    monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
+    calls = [
+        lambda: transpile(qft(4), line_topology(4), **{knob: value}),
+        lambda: transpile_many([], line_topology(4), **{knob: value}),
+        lambda: transpile_many([qft(4)], line_topology(4), **{knob: value}),
+    ]
+    if knob == "basis":
+        calls.append(lambda: compare_methods(qft(4), line_topology(4), basis=value))
+    for call in calls:
+        with pytest.raises(InvalidModeError, match=message) as caught:
+            call()
+        assert isinstance(caught.value, ValueError)
+
+
+def test_good_modes_are_accepted():
+    for basis in ("sqrt_iswap", "iswap_1_1", "iswap_1_5", "CX"):
+        pipeline_mod.validate_modes(basis, None)
+    for aggression in (0, 3, "mixed", "MIXED", (1, 2), [3]):
+        pipeline_mod.validate_modes("sqrt_iswap", aggression)
 
 
 def test_smallest_trial_budget_is_accepted():

@@ -1,18 +1,18 @@
 """Tests for the flat routing kernel (``repro.transpiler.kernel``).
 
-Covers the PR-6 guarantees:
+The route loop exists twice: compiled (``_routec.c``) and the pure-Python
+reference, which runs when ``route.load_routec`` returns ``None``.  Covers:
 
-* ``MIRAGE_ROUTE_KERNEL`` resolution (flat default, object opt-out,
-  unknown values rejected);
-* fixed-seed byte-identity between the flat and object kernels across
-  seeds x topologies x executors, for SABRE and MIRAGE, plus a pinned
-  digest so *both* kernels drifting together is caught;
-* ``IntDAG`` round-trip properties (op table, CSR adjacency, front
+* fixed-seed byte-identity between the two loops across seeds x
+  topologies x executors, for SABRE and MIRAGE, at the router level and
+  end to end, plus a pinned digest so *both* loops drifting together is
+  caught;
+* ``IntDAG`` lowering properties (op table, CSR adjacency, front
   layer, interpreter-cache hygiene under pickle), and the reverse
   lowering against a reversed ``DAGCircuit`` (Hypothesis);
 * the decay-reset ordering regression at the ``DECAY_RESET_INTERVAL``
   boundary (reset-on-execute vs. reset-on-interval must interleave
-  identically in both kernels);
+  identically in both loops);
 * the compiled scorer and lookahead walk (``_routec.c``) against the
   Python reference, their bounds checks, and the build-on-first-use
   loader's fallback and cache keying;
@@ -62,7 +62,6 @@ from repro.transpiler.kernel import (
     native,
     neighbor_table,
     route,
-    route_kernel_mode,
 )
 from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler.metrics import ops_depth
@@ -70,9 +69,15 @@ from repro.transpiler.passes import SabreSwap
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
+#: The compiled module, built (or loaded from the cache) on first use.
+ROUTEC = native.load_routec()
+needs_routec = pytest.mark.skipif(
+    ROUTEC is None, reason="compiled route kernel unavailable"
+)
+
 #: Digest of the fixed reference config in :func:`test_pinned_digest` —
 #: gate names, qubits and params of the routed circuit (matrices are
-#: excluded so the pin is libm-independent).  Both kernels must produce
+#: excluded so the pin is libm-independent).  Both loops must produce
 #: it; a change here means routing behaviour changed for everyone.
 PINNED_SHA256 = (
     "6ca10f054205fb28db1a48fbbbd75f071d4084b047ba826d1f365d377a8c7413"
@@ -99,56 +104,35 @@ def _digest(result, with_matrices: bool = True) -> str:
     return payload.hexdigest()
 
 
+def _both_loops(monkeypatch, run):
+    """``run()`` on the compiled loop, then on the Python loop.
+
+    Without a C compiler ``ROUTEC`` is ``None`` and both runs take the
+    Python loop; the pinned digest still anchors them.
+    """
+    monkeypatch.setattr(route, "load_routec", lambda: ROUTEC)
+    compiled = run()
+    monkeypatch.setattr(route, "load_routec", lambda: None)
+    python = run()
+    return compiled, python
+
+
 def _transpile_both(monkeypatch, *args, **kwargs):
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
-    flat = transpile(*args, **kwargs)
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
-    obj = transpile(*args, **kwargs)
-    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL")
-    return flat, obj
+    return _both_loops(monkeypatch, lambda: transpile(*args, **kwargs))
+
+
+def _routed_ops(result, with_matrices=False):
+    """A routing result's op stream (emission order), layout and counts."""
+    ops = [
+        (gate.name, tuple(physical))
+        + ((gate.matrix().tobytes(),) if with_matrices else ())
+        for gate, physical in result.ops
+    ]
+    return ops, result.final_layout.virtual_to_physical(), result.swaps_added
 
 
 # ---------------------------------------------------------------------------
-# Kernel switch
-# ---------------------------------------------------------------------------
-
-
-def test_route_kernel_mode_resolution(monkeypatch):
-    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
-    assert route_kernel_mode() == "flat"
-    for value in ("flat", "default", "", "  FLAT "):
-        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", value)
-        assert route_kernel_mode() == "flat"
-    for value in ("object", "legacy", "OBJECT"):
-        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", value)
-        assert route_kernel_mode() == "object"
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "turbo")
-    with pytest.raises(TranspilerError, match="MIRAGE_ROUTE_KERNEL"):
-        route_kernel_mode()
-
-
-def test_object_mode_skips_the_flat_kernel(monkeypatch):
-    """``object`` must dispatch to the object-path router, not the kernel."""
-    from repro.transpiler.passes import sabre_swap as sabre_mod
-
-    def _boom(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("flat kernel invoked in object mode")
-
-    monkeypatch.setattr(sabre_mod, "route_kernel", _boom)
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
-    coupling = line_topology(4)
-    router = SabreSwap(coupling)
-    dag = DAGCircuit.from_circuit(ghz(4))
-    result = router.run(dag, Layout.trivial(4, 4), seed=2)
-    assert result.swaps_added >= 0
-
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
-    with pytest.raises(AssertionError, match="flat kernel"):
-        router.run(dag, Layout.trivial(4, 4), seed=2)
-
-
-# ---------------------------------------------------------------------------
-# Flat vs object identity
+# Compiled vs Python loop identity
 # ---------------------------------------------------------------------------
 
 
@@ -166,8 +150,9 @@ def test_object_mode_skips_the_flat_kernel(monkeypatch):
 def test_flat_object_identity_across_seeds_and_topologies(
     monkeypatch, topology, seed
 ):
+    """End-to-end MIRAGE transpiles: compiled loop == Python loop."""
     circuit = qft(5)
-    flat, obj = _transpile_both(
+    compiled, python = _transpile_both(
         monkeypatch,
         circuit,
         topology,
@@ -177,37 +162,45 @@ def test_flat_object_identity_across_seeds_and_topologies(
         coverage=COVERAGE,
         seed=seed,
     )
-    assert _digest(flat) == _digest(obj)
-    assert flat.metrics.swap_count == obj.metrics.swap_count
-    assert flat.metrics.depth == obj.metrics.depth
+    assert _digest(compiled) == _digest(python)
+    assert compiled.metrics.swap_count == python.metrics.swap_count
+    assert compiled.metrics.depth == python.metrics.depth
 
 
 @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
 @pytest.mark.parametrize("method", ["sabre", "mirage"])
 def test_flat_object_identity_across_executors(monkeypatch, method, executor):
-    flat, obj = _transpile_both(
-        monkeypatch,
-        twolocal_full(5),
-        grid_topology(2, 3),
-        method=method,
-        layout_trials=3,
-        use_vf2=False,
-        coverage=COVERAGE,
-        seed=17,
-        executor=executor,
-    )
-    assert _digest(flat) == _digest(obj)
+    """Every executor on the compiled loop, and the Python loop, route as
+    the serial compiled run does.  A process pool's children cannot see
+    the ``load_routec`` patch, so there the Python run is serial."""
+
+    def run(executor):
+        return transpile(
+            twolocal_full(5),
+            grid_topology(2, 3),
+            method=method,
+            layout_trials=3,
+            use_vf2=False,
+            coverage=COVERAGE,
+            seed=17,
+            executor=executor,
+        )
+
+    serial = _digest(run("serial"))
+    assert _digest(run(executor)) == serial
+    monkeypatch.setattr(route, "load_routec", lambda: None)
+    assert _digest(run("serial" if executor == "processes" else executor)) == serial
 
 
 def test_pinned_digest(monkeypatch):
-    """Both kernels must reproduce the pinned reference digest.
+    """Both loops must reproduce the pinned reference digest.
 
-    The identity tests above would pass if flat and object drifted
+    The identity tests above would pass if the two loops drifted
     *together*; this pin detects that.  Matrices are excluded from the
     digest (gate parameters are exact binary fractions of pi, so their
     reprs are platform-stable; matrix entries go through libm).
     """
-    flat, obj = _transpile_both(
+    compiled, python = _transpile_both(
         monkeypatch,
         qft(5),
         grid_topology(2, 3),
@@ -217,8 +210,8 @@ def test_pinned_digest(monkeypatch):
         coverage=COVERAGE,
         seed=7,
     )
-    assert _digest(flat, with_matrices=False) == PINNED_SHA256
-    assert _digest(obj, with_matrices=False) == PINNED_SHA256
+    assert _digest(compiled, with_matrices=False) == PINNED_SHA256
+    assert _digest(python, with_matrices=False) == PINNED_SHA256
 
 
 def test_direct_router_identity_with_aggressions(monkeypatch):
@@ -228,29 +221,22 @@ def test_direct_router_identity_with_aggressions(monkeypatch):
     rng = np.random.default_rng(9)
     layout = Layout.random(dag.num_qubits, coupling.num_qubits, rng)
 
-    def run(mode, aggression):
-        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", mode)
+    def run(aggression):
         router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
         result = router.run(dag, layout.copy(), seed=13)
-        ops = [
-            (node.gate.name, tuple(node.qubits), node.gate.matrix().tobytes())
-            for node_id in sorted(result.dag.nodes)
-            for node in (result.dag.nodes[node_id],)
-        ]
         return (
-            ops,
-            result.final_layout.virtual_to_physical(),
-            result.swaps_added,
+            _routed_ops(result, with_matrices=True),
             result.mirrors_accepted,
             result.mirror_candidates,
         )
 
     for aggression in (0, 1, 2, 3):
-        assert run("flat", aggression) == run("object", aggression)
+        compiled, python = _both_loops(monkeypatch, lambda: run(aggression))
+        assert compiled == python
 
 
 # ---------------------------------------------------------------------------
-# IntDAG round-trip properties
+# IntDAG lowering properties
 # ---------------------------------------------------------------------------
 
 
@@ -270,15 +256,6 @@ def test_intdag_round_trip(circuit):
         assert lowered.predecessor_ids(node_id) == dag._predecessors[node_id]
         assert bool(lowered.two_qubit[node_id]) == node.is_two_qubit
     assert lowered.front_ids() == [n.node_id for n in dag.front_layer()]
-
-    rebuilt = lowered.to_dag(dag.name)
-    assert len(rebuilt.nodes) == len(dag.nodes)
-    for node_id, node in dag.nodes.items():
-        clone = rebuilt.nodes[node_id]
-        assert clone.gate is node.gate
-        assert tuple(clone.qubits) == tuple(node.qubits)
-    assert rebuilt._successors == dag._successors
-    assert rebuilt._predecessors == dag._predecessors
 
 
 def test_intdag_csr_consistency():
@@ -316,7 +293,6 @@ def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     # The Python route loop is what fills the lookahead cache (the
     # compiled loop walks its windows natively), and any flat run fills
     # the mirror cache.
-    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
     monkeypatch.setattr(route, "load_routec", lambda: None)
     dag = DAGCircuit.from_circuit(qft(4))
     lowered = int_dag(dag)
@@ -448,21 +424,9 @@ def _random_connected_coupling(rng, num_qubits):
     )
 
 
-def _routing_stream(result):
-    return (
-        [
-            (node.gate.name, tuple(node.qubits))
-            for node_id in sorted(result.dag.nodes)
-            for node in (result.dag.nodes[node_id],)
-        ],
-        result.final_layout.virtual_to_physical(),
-        result.swaps_added,
-    )
-
-
 @pytest.mark.parametrize("case", range(10))
 def test_property_random_dag_coupling_seed_identity(monkeypatch, case):
-    """Differential fuzz: both kernels route every random instance
+    """Differential fuzz: both loops route every random instance
     identically — op stream, final layout and SWAP count."""
     rng = np.random.default_rng(0xC0FFEE + case)
     num_qubits = int(rng.integers(4, 8))
@@ -477,18 +441,16 @@ def test_property_random_dag_coupling_seed_identity(monkeypatch, case):
     seed = int(rng.integers(0, 2**31))
     aggression = int(rng.integers(0, 4))
 
-    def run(mode, router_factory):
-        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", mode)
-        return _routing_stream(
-            router_factory().run(dag, layout.copy(), seed=seed)
-        )
-
-    sabre = lambda: SabreSwap(coupling)  # noqa: E731 - tiny local factories
-    mirage = lambda: MirageSwap(  # noqa: E731
-        coupling, coverage=COVERAGE, aggression=aggression
+    routers = (
+        SabreSwap(coupling),
+        MirageSwap(coupling, coverage=COVERAGE, aggression=aggression),
     )
-    assert run("flat", sabre) == run("object", sabre)
-    assert run("flat", mirage) == run("object", mirage)
+    for router in routers:
+        compiled, python = _both_loops(
+            monkeypatch,
+            lambda: _routed_ops(router.run(dag, layout.copy(), seed=seed)),
+        )
+        assert compiled == python
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -496,12 +458,12 @@ def test_property_full_transpile_identity_on_random_couplings(
     monkeypatch, case
 ):
     """End-to-end digests agree on random couplings (layout trials,
-    selection and routing all downstream of the kernel switch)."""
+    selection and routing all downstream of the route loop)."""
     rng = np.random.default_rng(1729 + case)
     circuit = random_two_qubit_block_circuit(5, int(rng.integers(6, 12)), rng)
     coupling = _random_connected_coupling(rng, 6)
     seed = int(rng.integers(0, 2**31))
-    flat, obj = _transpile_both(
+    compiled, python = _transpile_both(
         monkeypatch,
         circuit,
         coupling,
@@ -511,8 +473,8 @@ def test_property_full_transpile_identity_on_random_couplings(
         coverage=COVERAGE,
         seed=seed,
     )
-    assert _digest(flat) == _digest(obj)
-    assert flat.metrics.depth == obj.metrics.depth
+    assert _digest(compiled) == _digest(python)
+    assert compiled.metrics.depth == python.metrics.depth
 
 
 # ---------------------------------------------------------------------------
@@ -527,39 +489,23 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
     Small ``decay_reset_interval`` values force resets *between*
     consecutive stalls (the interval branch) as well as after execution
     sweeps (the dirty-flag branch); any ordering difference between the
-    kernels shifts decay factors and changes the SWAP stream.
+    loops shifts decay factors and changes the SWAP stream.
     """
     coupling = line_topology(6)  # line = stall-heavy
     dag = DAGCircuit.from_circuit(qft(6))
     layout = Layout.random(6, 6, np.random.default_rng(21))
 
-    def run(mode):
-        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", mode)
-        router = SabreSwap(coupling, decay_reset_interval=interval)
-        result = router.run(dag, layout.copy(), seed=33)
-        return (
-            [
-                (node.gate.name, tuple(node.qubits))
-                for node_id in sorted(result.dag.nodes)
-                for node in (result.dag.nodes[node_id],)
-            ],
-            result.final_layout.virtual_to_physical(),
-            result.swaps_added,
-        )
-
-    assert run("flat") == run("object")
+    router = SabreSwap(coupling, decay_reset_interval=interval)
+    compiled, python = _both_loops(
+        monkeypatch,
+        lambda: _routed_ops(router.run(dag, layout.copy(), seed=33)),
+    )
+    assert compiled == python
 
 
 # ---------------------------------------------------------------------------
 # Compiled scorer and lookahead walk vs the Python reference
 # ---------------------------------------------------------------------------
-
-#: The compiled module, built (or loaded from the cache) on first use.
-ROUTEC = native.load_routec()
-needs_routec = pytest.mark.skipif(
-    ROUTEC is None, reason="compiled route kernel unavailable"
-)
-
 
 def _states(monkeypatch, intdag, table, v2p, extended_set_size=20):
     """A Python-scorer state and a compiled-scorer state over one run."""
@@ -658,7 +604,6 @@ def test_native_extended_ids_match_python(monkeypatch, case):
 @needs_routec
 @pytest.mark.parametrize("method", ["sabre", "mirage"])
 def test_native_scorer_transpile_digest_identity(monkeypatch, method):
-    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
     kernels = []
 
     def counting_kernel(*arrays):

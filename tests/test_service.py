@@ -37,6 +37,7 @@ from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core.transpile import transpile
 from repro.exceptions import (
     DeadlineExceededError,
+    InvalidModeError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadError,
@@ -373,6 +374,22 @@ def test_bad_trial_budget_fails_the_request_with_a_typed_error():
                     qft(4), TOPOLOGY, use_vf2=False, layout_trials=0
                 )
             # The service keeps serving well-formed requests.
+            return await service.submit(qft(4), TOPOLOGY, seed=9, **REQUEST_KNOBS)
+
+    result = _run(main())
+    assert _fingerprint(result) == _fingerprint(_direct(qft(4), 9))
+
+
+def test_bad_modes_fail_the_request_with_a_typed_error():
+    async def main():
+        async with _service(window_ms=0.0) as service:
+            for knobs, message in (
+                (dict(aggression=7), "aggression level 7"),
+                (dict(aggression=1.5), "aggression must be"),
+                (dict(basis="iswap_1_0"), "root must be at least 1"),
+            ):
+                with pytest.raises(InvalidModeError, match=message):
+                    await service.submit(qft(4), TOPOLOGY, use_vf2=False, **knobs)
             return await service.submit(qft(4), TOPOLOGY, seed=9, **REQUEST_KNOBS)
 
     result = _run(main())

@@ -79,6 +79,14 @@ def test_coupling_map_validation():
         ring_topology(2)
 
 
+def test_coupling_map_rejects_negative_qubit_indices():
+    for edges in ([(-1, 1), (1, 2), (0, 2)], [(0, 1), (1, -2)]):
+        with pytest.raises(TranspilerError, match="negative qubit index"):
+            CouplingMap(edges, 3)
+        with pytest.raises(TranspilerError, match="negative qubit index"):
+            CouplingMap(edges)
+
+
 def test_topology_by_name():
     assert topology_by_name("line", 5).num_qubits == 5
     assert topology_by_name("square", 30).num_qubits == 36

@@ -1,6 +1,6 @@
 """Executable-documentation checks: run doc snippets, lint docstrings.
 
-Two jobs, both wired into CI (and into the tier-1 suite via
+Three jobs, all wired into CI (and into the tier-1 suite via
 ``tests/test_docs.py``) so documentation cannot rot:
 
 1. **Snippet execution** — every fenced ```` ```python ```` block in
@@ -14,6 +14,12 @@ Two jobs, both wired into CI (and into the tier-1 suite via
    the documented numpy-style surfaces must keep their section headers
    (``Parameters``/``Returns``/``Attributes``), shapes and determinism
    notes from silently disappearing in refactors.
+
+3. **Environment knob inventory** — every ``MIRAGE_*`` variable the
+   library reads (as a quoted literal under ``src/``) is named in
+   ``README.md`` or ``docs/*.md``, and every ``MIRAGE_*`` name that
+   docs, tests, tools, benchmarks, examples or CI mention is one the
+   library reads, so no test sets a knob that does nothing.
 
 Run from the repo root:
 
@@ -30,6 +36,16 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FENCE_RE = re.compile(r"^```(\S+)?(.*)$")
+
+#: An environment knob name, and one quoted as a string literal.
+KNOB_RE = re.compile(r"\bMIRAGE_[A-Z0-9]+(?:_[A-Z0-9]+)*")
+QUOTED_KNOB_RE = re.compile(r"[\"'](MIRAGE_[A-Z0-9]+(?:_[A-Z0-9]+)*)[\"']")
+
+#: Files and directories (relative to the repo root) whose knob mentions
+#: must all name a knob the library reads.
+KNOB_MENTIONS = (
+    "README.md", "docs", "tests", "tools", "benchmarks", "examples", ".github",
+)
 
 #: Public API callables that must have a substantive docstring.
 #: Entries are (module, attribute path) pairs.
@@ -59,7 +75,6 @@ PUBLIC_API = [
     ("repro.transpiler.kernel.neighbors", "NeighborTable"),
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
     ("repro.transpiler.kernel.route", "route_kernel"),
-    ("repro.transpiler.kernel.route", "route_kernel_mode"),
     ("repro.transpiler.kernel.route", "MirrorRule"),
     ("repro.transpiler.kernel.route", "KernelState"),
     ("repro.transpiler.kernel.native", "load_routec"),
@@ -237,6 +252,49 @@ def documentation_files() -> list[Path]:
     return [REPO_ROOT / "README.md", *docs]
 
 
+def _text_files(path: Path) -> list[Path]:
+    if path.is_file():
+        return [path]
+    return sorted(
+        file for file in path.rglob("*")
+        if file.is_file() and "__pycache__" not in file.parts
+    )
+
+
+def _knobs(files: list[Path], pattern: re.Pattern) -> dict[str, Path]:
+    """Knob name -> first file naming it."""
+    found: dict[str, Path] = {}
+    for file in files:
+        for name in pattern.findall(file.read_text(errors="ignore")):
+            found.setdefault(name, file)
+    return found
+
+
+def src_env_knobs(root: Path = REPO_ROOT) -> set[str]:
+    """The ``MIRAGE_*`` knobs the library reads: quoted literals in src."""
+    return set(_knobs(_text_files(root / "src"), QUOTED_KNOB_RE))
+
+
+def lint_env_knobs(root: Path = REPO_ROOT) -> list[str]:
+    """Check the knob inventory both ways (see the module docstring)."""
+    errors: list[str] = []
+    read = src_env_knobs(root)
+    docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    documented = _knobs([path for path in docs if path.exists()], KNOB_RE)
+    for name in sorted(read - set(documented)):
+        errors.append(f"{name}: read by src but named in no README/docs page")
+    mentions: list[Path] = []
+    for entry in KNOB_MENTIONS:
+        if (root / entry).exists():
+            mentions += _text_files(root / entry)
+    for name, file in sorted(_knobs(mentions, KNOB_RE).items()):
+        if name not in read:
+            errors.append(
+                f"{name}: named in {file.relative_to(root)} but src never reads it"
+            )
+    return errors
+
+
 def main() -> int:
     failures: list[str] = []
     for path in documentation_files():
@@ -247,12 +305,17 @@ def main() -> int:
         print(f"[snippets] {path.relative_to(REPO_ROOT)}: {count} block(s)")
         failures.extend(run_document(path))
     failures.extend(lint_docstrings())
+    print(f"[knobs] {len(src_env_knobs())} MIRAGE_* environment knob(s) read by src")
+    failures.extend(lint_env_knobs())
     if failures:
         print(f"\n{len(failures)} documentation failure(s):", file=sys.stderr)
         for failure in failures:
             print(f"- {failure}", file=sys.stderr)
         return 1
-    print("documentation OK: snippets execute, public API is documented")
+    print(
+        "documentation OK: snippets execute, public API is documented, "
+        "knob inventory matches src"
+    )
     return 0
 
 
