@@ -279,7 +279,12 @@ class UnitaryGate(Gate):
 
 
 def standard_gate(name: str, *params: float) -> Gate:
-    """Construct a standard gate by name, validating the arity and parameters."""
+    """Construct a standard gate by name, validating the arity and parameters.
+
+    Parameters must be finite: a NaN or infinite angle raises
+    :class:`CircuitError` here rather than poisoning the matrices (and
+    the LAPACK calls) of every later stage.
+    """
     lowered = name.lower()
     if lowered in DIRECTIVES:
         raise CircuitError("use QuantumCircuit.barrier()/measure() for directives")
@@ -299,7 +304,12 @@ def standard_gate(name: str, *params: float) -> Gate:
             )
     elif params:
         raise CircuitError(f"gate {name!r} takes no parameters")
-    return Gate(lowered, _GATE_QUBITS[lowered], tuple(float(p) for p in params))
+    values = tuple(float(p) for p in params)
+    if not all(math.isfinite(value) for value in values):
+        raise CircuitError(
+            f"gate {name!r} parameters must be finite, got {values}"
+        )
+    return Gate(lowered, _GATE_QUBITS[lowered], values)
 
 
 def gate_names() -> list[str]:

@@ -158,18 +158,20 @@ class BatchResult:
         across modes; only the timing profile differs.
     dispatch : dict or None
         Provenance counters of the shared dispatch accumulated on the
-        executor during this batch: ``shared_pickles`` (heavy payload /
-        anchor serialisations), ``payload_pickles`` (per-circuit spec
-        serialisations under the streaming scheduler), ``chunks``,
+        executor during this batch: ``shared_pickles`` (anchor
+        serialisations — the streaming scheduler's coverage set),
+        ``payload_pickles`` (payload serialisations: one per circuit
+        spec under the streaming scheduler, one per ``map_shared``
+        call under the barrier scheduler), ``chunks``,
         ``tasks`` (routing trials dispatched), ``shm_segments``
         (shared-memory segments published — 0 when the transport is
         disabled or unavailable), ``bytes_shipped`` (payload-transport
         bytes attached to chunks — O(1) per chunk in shared-memory mode,
-        one blob per chunk otherwise), ``header_bytes`` (zero-copy index
-        headers published; 0 when ``MIRAGE_ZEROCOPY_DISABLE=1``) and
-        ``bytes_copied`` (payload bytes workers materialised before
-        unpickling — bounded by the index headers when the zero-copy
-        layout is active, whole payloads otherwise), plus ``circuits``
+        one blob per chunk otherwise), ``header_bytes`` (out-of-band
+        index headers of the published segments; 0 without shared
+        memory) and ``bytes_copied`` (payload bytes workers materialised
+        before unpickling — bounded by the index headers for segment
+        payloads, whole payloads for inline ones), plus ``circuits``
         and ``routed`` counts.  Under circuit-level fan-out it also
         records ``scheduler`` (``"stream"`` or ``"barrier"`` — the mode
         actually used, after any fallback), ``overlap_seconds``

@@ -27,70 +27,62 @@ Shared-payload dispatch
 
 Routing trials share almost all of their input: the circuit DAGs, the
 coupling map and — heaviest of all — the coverage set are identical for
-every trial, only the ``(trial_index, seed)`` pair differs.  Mapping
-``fn(task)`` with the shared state baked into each task forces the
-process pool to re-pickle that state once per task (or, with
-``chunksize``, once per chunk).  :meth:`TrialExecutor.map_shared`
-separates the two:
+every trial, only the ``(trial_index, seed)`` pair differs.  Every
+executor therefore dispatches through one :class:`DispatchSession` type
+per transport: heavy payloads are registered once
+(:meth:`DispatchSession.add_payload`), light task chunks are submitted
+against them (:meth:`DispatchSession.submit`, one future per chunk) and
+results reassemble in input order, keeping deterministic seeding schemes
+executor-independent.  :meth:`TrialExecutor.map_shared` is the one-shot
+form — open a session, add the payload, submit every task, collect —
+and the streaming batch scheduler keeps a session open
+(:meth:`TrialExecutor.open_dispatch`) so the producer can keep planning
+circuits while earlier circuits' trials are already running.
 
-* the *shared* payload is pickled **once per call** in the parent;
-* on hosts with POSIX shared memory the pickled bytes are published into
-  a named ``multiprocessing.shared_memory`` segment and each chunk
+* Serial and thread sessions close over the payload object itself — no
+  serialisation at all.
+* The process session pickles each payload **once** in the parent.
+  Payloads of one session may share *anchor* objects (the batch's one
+  coverage set): anchors are pickled exactly once, and every payload
+  pickled afterwards stores a tiny persistent reference wherever it
+  contains an anchor object.
+* On hosts with POSIX shared memory the pickled payload is published
+  into a named ``multiprocessing.shared_memory`` segment and each chunk
   carries only a :class:`PayloadHandle` (segment name + content digest)
-  — O(1) transport bytes per chunk no matter how large the payload;
-* without shared memory (non-POSIX platforms, or
-  ``MIRAGE_SHM_DISABLE=1``) the byte blob itself travels with every
-  chunk, exactly the pre-shared-memory behaviour;
-* workers memoise deserialisation by content digest, so each worker
-  process unpickles (and, in shm mode, reads) a given payload at most
-  once no matter how many chunks it pulls;
-* the light per-task records are dispatched as many small chunks through
-  a work-stealing-style future queue — idle workers pull the next chunk
-  instead of being handed a fixed static share — while results are
-  reassembled in input order, keeping deterministic seeding schemes
-  executor-independent.
+  — O(1) transport bytes per chunk no matter how large the payload.
+  Without shared memory (non-POSIX platforms, or
+  ``MIRAGE_SHM_DISABLE=1``) the pickle blob itself travels with every
+  chunk; ``open_dispatch`` then returns ``None`` for the process pool,
+  so the batch engine takes the barrier scheduler and its one pooled
+  ``map_shared`` call instead of re-shipping a blob per streamed chunk.
+* Workers memoise deserialisation by content digest, so each worker
+  process unpickles a given payload at most once no matter how many
+  chunks it pulls; idle workers pull the next chunk from the pool's
+  future queue instead of being handed a fixed static share.
 
-Segments are unlinked in a ``finally`` block once every chunk of the
-dispatch has completed (worker exceptions included), an ``atexit`` guard
-in the parent unlinks anything a crashed dispatch left behind, and a
-matching worker-side guard closes attachments that never reached their
-own ``finally``.
-
-Streaming dispatch sessions
----------------------------
-
-:meth:`TrialExecutor.open_dispatch` generalises :meth:`map_shared` for
-the streaming batch scheduler: a :class:`DispatchSession` accepts heavy
-payloads *incrementally* (:meth:`DispatchSession.add_payload`) and
-returns futures per submitted chunk, so the producer can keep planning
-circuits while earlier circuits' trials are already running.  Payloads
-of one session may share *anchor* objects (the batch's one coverage
-set): anchors are pickled exactly once into their own segment, and every
-payload pickled afterwards stores a tiny persistent reference wherever
-it contains an anchor object.  The process-backed session requires
-shared memory and returns ``None`` from ``open_dispatch`` when the
-transport is unavailable, letting callers fall back to the barrier
-:meth:`map_shared` path.
+Segments are unlinked when their slot is released or the session
+closes (worker exceptions included), an ``atexit`` guard in the parent
+unlinks anything a crashed dispatch left behind, and worker-side
+attachments are refcounted and closed by a matching guard.
 
 Zero-copy payload views
 -----------------------
 
-On hosts where the shared-memory transport is active, payloads are laid
-out in their segment as **pickle-protocol-5 out-of-band buffers**: the
-pickle body and every exported buffer (numpy array data — the coverage
-set's half-space ``(A, b)`` matrices, hull point clouds, consolidated
-gate unitaries) are written side by side behind a small index header.
-Workers unpickle with ``buffers=`` memoryviews over the attached
-segment, so those arrays come back as **read-only numpy views of shared
-memory** — no per-worker copy of the payload bytes, no matter how many
-workers share one coverage set.  Worker attachments are refcounted and
-pinned to the memoised payload (:func:`_load_payload`), so views stay
-valid for as long as the payload is cached even after the dispatcher
-unlinks the segment name (POSIX keeps the mapping alive).  Setting
-``MIRAGE_ZEROCOPY_DISABLE=1`` falls back to the copy-on-attach layout
-(whole pickled blob in the segment, workers copy then unpickle), and
-hosts without shared memory keep the inline-blob transport; results are
-byte-identical in every mode.
+Every segment holds its payload as **pickle-protocol-5 out-of-band
+buffers**: the pickle body and every exported buffer (numpy array data
+— the coverage set's half-space ``(A, b)`` matrices, hull point clouds,
+consolidated gate unitaries) are written side by side behind a small
+index header.  Workers unpickle with ``buffers=`` memoryviews over the
+attached segment, so those arrays come back as **read-only numpy views
+of shared memory** — no per-worker copy of the payload bytes, no matter
+how many workers share one coverage set.  Worker attachments are
+refcounted and pinned to the memoised payload (:func:`_load_payload`),
+so views stay valid for as long as the payload is cached even after the
+dispatcher unlinks the segment name (POSIX keeps the mapping alive).
+When a segment cannot be created the same body and buffers ride the
+chunk inline; a payload stepped down the transport ladder, and every
+payload published without shared memory, rides as one in-band pickle
+blob.  Results are byte-identical in every form.
 
 Fault-tolerant dispatch
 -----------------------
@@ -178,10 +170,11 @@ _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 _Shared = TypeVar("_Shared")
 
-#: How many chunks each worker should get on average from
-#: :meth:`TrialExecutor.map_shared`.  More chunks per worker improves load
-#: balancing when trial durations vary (the work-stealing effect); fewer
-#: chunks amortise the per-chunk dispatch overhead better.
+#: How many chunks each process worker (or remote stream) should get on
+#: average from one :meth:`DispatchSession.submit` — and so from one
+#: :meth:`TrialExecutor.map_shared` call.  More chunks per worker improves
+#: load balancing when trial durations vary (the work-stealing effect);
+#: fewer chunks amortise the per-chunk dispatch overhead better.
 CHUNKS_PER_WORKER = 4
 
 #: Worker-side cap on memoised shared payloads (LRU).  Sized to exceed
@@ -205,9 +198,15 @@ _OOB_MAGIC = b"MIRG5OOB"
 #: for any numpy dtype, so ``frombuffer`` views are always aligned.
 _OOB_ALIGN = 64
 
+#: Size floor (bytes) for exporting a buffer out-of-band.  Smaller
+#: contiguous buffers stay in-band inside the pickle body: each export
+#: costs a 16-byte index-header entry plus alignment padding, and workers
+#: gain nothing from a zero-copy view over a few dozen bytes.
+_OOB_INLINE_MAX = 256
+
 #: Worker-side count of payload bytes materialised (copied) before
 #: unpickling.  Zero-copy loads advance it by the index header only;
-#: copy-on-attach and inline-blob loads advance it by the payload size.
+#: inline loads advance it by the payload size.
 #: Chunk runners snapshot it around execution and return the delta, so
 #: the dispatcher can aggregate it into ``dispatch_stats``.
 _worker_bytes_copied = 0
@@ -219,10 +218,6 @@ _shared_cache: "OrderedDict[str, tuple[object, object | None]]" = OrderedDict()
 #: unlink their parent's segments), unlinked by the atexit guard if a
 #: crash skipped the normal ``finally`` unlink.
 _created_segments: dict[str, int] = {}
-
-#: Worker-side registry of currently attached segments, closed by the
-#: atexit guard if a worker dies between attach and detach.
-_attached_segments: dict[int, object] = {}
 
 
 def shm_transport_enabled() -> bool:
@@ -239,43 +234,6 @@ def shm_transport_enabled() -> bool:
     if _shared_memory is None or os.name != "posix":
         return False
     return os.environ.get("MIRAGE_SHM_DISABLE", "") in ("", "0")
-
-
-def zero_copy_enabled() -> bool:
-    """Whether shm payloads use the out-of-band (zero-copy) layout.
-
-    With zero copy, numpy arrays inside a payload are unpickled as
-    read-only views over the shared-memory segment instead of per-worker
-    copies.  ``MIRAGE_ZEROCOPY_DISABLE=1`` falls back to the
-    copy-on-attach layout (checked per call, like the shm switch); the
-    flag is independent of :func:`shm_transport_enabled` but only has an
-    effect when that transport is active.
-    """
-    return os.environ.get("MIRAGE_ZEROCOPY_DISABLE", "") in ("", "0")
-
-
-#: Default for :func:`zero_copy_inline_max`.
-_ZEROCOPY_INLINE_MAX_DEFAULT = 256
-
-
-def zero_copy_inline_max() -> int:
-    """Size floor (bytes) for exporting a buffer out-of-band.
-
-    Contiguous buffers smaller than this stay in-band inside the pickle
-    body: each export costs a 16-byte index-header entry plus alignment
-    padding in the segment, and workers gain nothing from a zero-copy
-    view over a few dozen bytes.  Tunable via
-    ``MIRAGE_ZEROCOPY_INLINE_MAX`` (``0`` exports everything, matching
-    the pre-threshold layout); checked per call like the other
-    transport switches.
-    """
-    value = os.environ.get("MIRAGE_ZEROCOPY_INLINE_MAX", "").strip()
-    if not value:
-        return _ZEROCOPY_INLINE_MAX_DEFAULT
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return _ZEROCOPY_INLINE_MAX_DEFAULT
 
 
 #: Default for :func:`task_retries` — how often a lost chunk is replayed
@@ -389,10 +347,6 @@ def _cleanup_segments() -> None:
         else:
             # Forked child inheriting the parent's registry — not ours.
             _created_segments.pop(name, None)
-    for shm in list(_attached_segments.values()):
-        with contextlib.suppress(Exception):
-            shm.close()
-    _attached_segments.clear()
     for attachment in list(_segment_attachments.values()):
         _close_attachment_quietly(attachment.shm)
     _segment_attachments.clear()
@@ -576,15 +530,15 @@ def _unlink_segment(name: str) -> None:
 class PayloadHandle:
     """Transport descriptor of one pickled payload.
 
-    In shared-memory mode only ``segment``/``digest``/``size`` travel with
-    each chunk — O(1) bytes regardless of payload size; in blob mode the
-    pickled ``blob`` itself is attached.  ``header`` is non-zero for
-    segments using the out-of-band (zero-copy) layout and gives the size
-    of the index header at the start of the segment.  ``oob_buffers``
-    carries the protocol-5 buffers inline when an out-of-band pickle
-    could not get a segment (the blob is then just the pickle body).
-    Workers resolve a handle to the deserialised object via
-    :func:`_load_payload`, memoised by ``digest``.
+    A payload published into shared memory travels as ``segment`` /
+    ``digest`` / ``size`` only — O(1) bytes per chunk regardless of
+    payload size — and ``header`` gives the size of the out-of-band
+    index header at the start of the segment.  An inline payload
+    carries its pickled ``blob`` instead, plus, when an out-of-band
+    pickle could not get a segment, its protocol-5 ``oob_buffers`` (the
+    blob is then just the pickle body).  Workers resolve a handle to
+    the deserialised object via :func:`_load_payload`, memoised by
+    ``digest``.
     """
 
     __slots__ = ("digest", "size", "segment", "blob", "header", "oob_buffers")
@@ -612,34 +566,6 @@ class PayloadHandle:
             return len(self.segment) + len(self.digest) + 16
         return self.size + len(self.digest) + 16
 
-    def fetch(self) -> bytes:
-        """Materialise the pickled payload bytes (worker side).
-
-        Only valid for whole-blob payloads; zero-copy (out-of-band)
-        payloads have no single byte string to fetch — they are
-        deserialised in place via :func:`_load_payload`.  A segment that
-        vanished before the attach raises
-        :class:`~repro.exceptions.TransportError`, which the dispatch
-        layer treats as recoverable (replay with a republished payload)
-        rather than a task bug.
-        """
-        if self.header:
-            raise TranspilerError(
-                "zero-copy payloads are loaded in place, not fetched"
-            )
-        if self.segment is None:
-            assert self.blob is not None
-            return self.blob
-        shm = _attach_segment(self.segment)
-        key = id(shm)
-        _attached_segments[key] = shm
-        try:
-            return bytes(shm.buf[: self.size])
-        finally:
-            with contextlib.suppress(Exception):
-                shm.close()
-            _attached_segments.pop(key, None)
-
     def __getstate__(self) -> tuple:
         return (
             self.digest, self.size, self.segment, self.blob, self.header,
@@ -653,12 +579,7 @@ class PayloadHandle:
         ) = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.segment is None:
-            mode = "blob"
-        elif self.header:
-            mode = "shm+oob"
-        else:
-            mode = "shm"
+        mode = "blob" if self.segment is None else "shm"
         return (
             f"PayloadHandle({mode}, digest={self.digest[:8]}…, "
             f"size={self.size})"
@@ -678,24 +599,11 @@ def _new_segment(size: int):
     return segment
 
 
-def _publish_payload(blob: bytes) -> PayloadHandle:
-    """Publish pickled bytes for worker consumption (whole-blob layout).
-
-    Prefers a named shared-memory segment (transport per chunk drops to
-    O(1) bytes); falls back to shipping the blob inline when the shm
-    transport is disabled, unavailable, or segment creation fails.
-    """
-    digest = hashlib.sha1(blob).hexdigest()
-    if shm_transport_enabled():
-        segment = _new_segment(len(blob))
-        if segment is not None:
-            name = segment.name
-            try:
-                segment.buf[: len(blob)] = blob
-            finally:
-                segment.close()
-            return PayloadHandle(digest=digest, size=len(blob), segment=name)
-    return PayloadHandle(digest=digest, size=len(blob), blob=blob)
+def _inline_payload(blob: bytes) -> PayloadHandle:
+    """An in-band pickle blob riding every chunk (no shared memory)."""
+    return PayloadHandle(
+        digest=hashlib.sha1(blob).hexdigest(), size=len(blob), blob=blob
+    )
 
 
 def _align_oob(offset: int) -> int:
@@ -716,41 +624,34 @@ def _digest_sections(sections: Sequence[memoryview]) -> str:
     return digest.hexdigest()
 
 
-def _publish_object_oob(
-    obj: object, anchors: Sequence[object]
-) -> PayloadHandle | None:
-    """Publish an object as out-of-band sections in one shm segment.
+def _publish_object(obj: object, anchors: Sequence[object] = ()) -> PayloadHandle:
+    """Serialise and publish one payload object for worker consumption.
 
-    Layout: ``_OOB_MAGIC``, a ``uint64`` section count, then one
-    ``(uint64 offset, uint64 size)`` pair per section; section 0 is the
-    pickle body, sections 1+ are the protocol-5 out-of-band buffers, each
-    aligned to :data:`_OOB_ALIGN`.  Buffers smaller than
-    :func:`zero_copy_inline_max` stay in-band inside the pickle body —
-    exporting a 32-byte array would cost a 16-byte index entry plus up to
-    63 bytes of alignment padding, and a worker-side view over it saves
-    nothing — so spec-heavy payloads full of tiny arrays keep a short
-    index header.  When segment creation fails (shm pressure) the
-    already-serialised body and buffers are shipped inline instead of
-    being re-pickled; ``None`` is returned only when an exporter produced
-    a non-contiguous buffer, in which case the caller must re-pickle
-    in-band.
+    With the shm transport active the object is laid out as out-of-band
+    sections in one segment: ``_OOB_MAGIC``, a ``uint64`` section count,
+    then one ``(uint64 offset, uint64 size)`` pair per section; section
+    0 is the pickle body, sections 1+ are the protocol-5 out-of-band
+    buffers, each aligned to :data:`_OOB_ALIGN`.  Buffers smaller than
+    :data:`_OOB_INLINE_MAX` stay in-band inside the pickle body, so
+    spec-heavy payloads full of tiny arrays keep a short index header.
+    When segment creation fails (shm pressure) the already-serialised
+    body and buffers are shipped inline instead of being re-pickled.
+    Without the shm transport the payload ships as one in-band pickle
+    blob.
     """
-    inline_max = zero_copy_inline_max()
+    if not shm_transport_enabled():
+        return _inline_payload(_dumps_anchored(obj, anchors))
     raws: list[memoryview] = []
 
     def _export(buffer: pickle.PickleBuffer) -> bool:
-        # A truthy return keeps the buffer in-band (PEP 574); raw() raises
-        # BufferError for non-contiguous exporters, aborting the dump.
+        # A truthy return keeps the buffer in-band (PEP 574).
         raw = buffer.raw()
-        if raw.nbytes < inline_max:
+        if raw.nbytes < _OOB_INLINE_MAX:
             return True
         raws.append(raw)
         return False
 
-    try:
-        body = _dumps_anchored(obj, anchors, buffer_callback=_export)
-    except BufferError:  # pragma: no cover - non-contiguous exporter
-        return None
+    body = _dumps_anchored(obj, anchors, buffer_callback=_export)
     sections: list[memoryview] = [memoryview(body), *raws]
     header = 16 + 16 * len(sections)
     offsets: list[int] = []
@@ -761,9 +662,6 @@ def _publish_object_oob(
         cursor += section.nbytes
     segment = _new_segment(cursor)
     if segment is None:
-        # Segment creation failed (shm pressure) *after* the expensive
-        # object-graph pickle already ran — reuse it: ship the body and
-        # its out-of-band buffers inline rather than re-pickling in-band.
         return PayloadHandle(
             digest=_digest_sections(sections),
             size=sum(section.nbytes for section in sections),
@@ -785,21 +683,6 @@ def _publish_object_oob(
         segment=name,
         header=header,
     )
-
-
-def _publish_object(obj: object, anchors: Sequence[object] = ()) -> PayloadHandle:
-    """Serialise and publish one payload object for worker consumption.
-
-    Uses the zero-copy out-of-band layout whenever the shm transport is
-    active and ``MIRAGE_ZEROCOPY_DISABLE`` is unset; otherwise (or when
-    segment creation fails) degrades to the whole-blob layout — in a
-    segment when shm is available, inline on the chunk otherwise.
-    """
-    if shm_transport_enabled() and zero_copy_enabled():
-        handle = _publish_object_oob(obj, anchors)
-        if handle is not None:
-            return handle
-    return _publish_payload(_dumps_anchored(obj, anchors))
 
 
 def _memoise(
@@ -931,9 +814,13 @@ def _load_payload(
     Runs inside worker processes.  The expensive work — attaching the
     segment (or receiving the blob) and unpickling coverage-set
     polytopes, DAG nodes, numpy arrays — happens at most once per worker
-    per payload.  Zero-copy handles rebuild their arrays as read-only
-    views over the attached segment; blob handles materialise the bytes
-    first (counted in the worker's ``bytes_copied``).
+    per payload.  Segment handles rebuild their arrays as read-only
+    views over the attached segment; inline handles unpickle the bytes
+    that rode the chunk (counted in the worker's ``bytes_copied``).
+    A segment that vanished before the attach raises
+    :class:`~repro.exceptions.TransportError`, which the dispatch layer
+    treats as recoverable (replay with a republished payload) rather
+    than a task bug.
     """
     anchors: Sequence[object] = ()
     key = handle.digest
@@ -943,14 +830,10 @@ def _load_payload(
 
     def loader() -> tuple[object, _SegmentAttachment | None]:
         global _worker_bytes_copied
-        if handle.header:
+        if handle.segment is not None:
             return _load_oob(handle, anchors)
-        blob = handle.fetch()
-        buffers = handle.oob_buffers
-        _worker_bytes_copied += len(blob) + sum(
-            len(buffer) for buffer in buffers or ()
-        )
-        return _loads_anchored(blob, anchors, buffers), None
+        _worker_bytes_copied += handle.size
+        return _loads_anchored(handle.blob, anchors, handle.oob_buffers), None
 
     return _memoise(key, loader)
 
@@ -993,29 +876,6 @@ def _run_tasks(
     return results
 
 
-def _run_shared_chunk(
-    handle: PayloadHandle,
-    fn: Callable[[object, object], object],
-    tasks: Sequence[object],
-    faults: "ChunkFaults | None" = None,
-) -> tuple[list[object], int]:
-    """Evaluate one chunk of light tasks against the memoised payload.
-
-    Returns the chunk's results plus the payload bytes this call
-    materialised worker-side (zero when the payload was already memoised
-    or arrived as zero-copy views).  ``faults`` carries any injected
-    failures aimed at this chunk (first dispatch only — replays arrive
-    disarmed).
-    """
-    global _worker_bytes_copied
-    before = _worker_bytes_copied
-    if faults is not None:
-        faults.check_transport()
-    shared = _load_payload(handle)
-    results = _run_tasks(fn, shared, tasks, faults)
-    return results, _worker_bytes_copied - before
-
-
 def _run_session_chunk(
     anchor_handle: PayloadHandle | None,
     payload_handle: PayloadHandle,
@@ -1056,14 +916,14 @@ def _chunk(tasks: Sequence[_Task], size: int) -> Iterator[Sequence[_Task]]:
 class DispatchSession:
     """Incremental shared-payload dispatch onto one executor.
 
-    A session is the streaming counterpart of
-    :meth:`TrialExecutor.map_shared`: heavy payloads are registered one
-    at a time (:meth:`add_payload`), light task chunks are submitted
-    against a registered payload (:meth:`submit`, returning one future
-    per chunk whose result is the list of that chunk's outputs, in task
-    order), and :meth:`close` releases every transport resource once all
-    futures have drained.  Use it as a context manager so segments are
-    unlinked even when a worker raises.
+    Heavy payloads are registered one at a time (:meth:`add_payload`),
+    light task chunks are submitted against a registered payload
+    (:meth:`submit`, returning one future per chunk whose result is the
+    list of that chunk's outputs, in task order), and :meth:`close`
+    releases every transport resource once all futures have drained.
+    :meth:`TrialExecutor.map_shared` is one session used once.  Use it
+    as a context manager so segments are unlinked even when a worker
+    raises.
 
     Sessions are fault tolerant: a chunk lost to a worker crash, hang or
     transport failure is replayed (same tasks, same seeds — replay is
@@ -1105,6 +965,16 @@ class DispatchSession:
         """Register a heavy payload; returns its slot for :meth:`submit`."""
         raise NotImplementedError
 
+    @staticmethod
+    def _live(entries: list, slot: int):
+        """Slot ``slot``'s entry; a released (``None``) slot cannot submit."""
+        entry = entries[slot]
+        if entry is None:
+            raise TranspilerError(
+                f"cannot submit to released payload slot {slot}"
+            )
+        return entry
+
     def submit(
         self,
         slot: int,
@@ -1120,6 +990,8 @@ class DispatchSession:
         running (or finishing) their tasks, without disturbing sibling
         chunks or the pool.  Expiry is counted under the executor's
         ``deadline_expirations`` dispatch counter and is never retried.
+        Submitting to a released slot raises :class:`TranspilerError`
+        before anything is dispatched.
         """
         raise NotImplementedError
 
@@ -1155,17 +1027,21 @@ class DispatchSession:
 
 
 class _LocalDispatchSession(DispatchSession):
-    """Shared slot bookkeeping for sessions that never serialise payloads."""
+    """Shared slot bookkeeping for sessions that never serialise payloads.
+
+    Each slot holds its payload in a 1-tuple, so a ``None`` payload stays
+    distinguishable from a released slot.
+    """
 
     def __init__(
         self, executor: "TrialExecutor", fn: Callable[[Any, Any], Any]
     ) -> None:
         super().__init__(fn)
         self._executor = executor
-        self._payloads: list[object] = []
+        self._payloads: list[tuple[object] | None] = []
 
     def add_payload(self, payload: object) -> int:
-        self._payloads.append(payload)
+        self._payloads.append((payload,))
         return len(self._payloads) - 1
 
     def release(self, slot: int) -> None:
@@ -1219,13 +1095,13 @@ class _InlineDispatchSession(_LocalDispatchSession):
         *,
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
+        (shared,) = self._live(self._payloads, slot)
         future: concurrent.futures.Future = concurrent.futures.Future()
         faults = self._next_chunk_faults(len(tasks))
         try:
             future.set_result(
                 _run_local_chunk_recovering(
-                    self._executor, self.fn, self._payloads[slot],
-                    tasks, faults, deadline,
+                    self._executor, self.fn, shared, tasks, faults, deadline,
                 )
             )
         except BaseException as error:  # noqa: BLE001 - mirror pool futures
@@ -1244,6 +1120,7 @@ class _ThreadDispatchSession(_LocalDispatchSession):
         *,
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
+        (shared,) = self._live(self._payloads, slot)
         pool = self._executor._ensure_pool()
         batch = list(tasks)
         workers = self._executor.max_workers or os.cpu_count() or 1
@@ -1253,7 +1130,7 @@ class _ThreadDispatchSession(_LocalDispatchSession):
                 _run_local_chunk_recovering,
                 self._executor,
                 self.fn,
-                self._payloads[slot],
+                shared,
                 chunk,
                 self._next_chunk_faults(len(chunk)),
                 deadline,
@@ -1299,15 +1176,19 @@ class _ChunkRecord:
 
 
 class _ShmDispatchSession(DispatchSession):
-    """Process-pool session over shared-memory payload segments.
+    """Process-pool session over published payloads.
 
-    Anchor objects are pickled once into one segment; every payload added
-    later is pickled with persistent references to them, so the batch's
-    coverage set crosses the process boundary exactly once.  Chunks carry
-    only the two :class:`PayloadHandle` descriptors — O(1) transport.
+    Anchor objects are pickled once; every payload added later is pickled
+    with persistent references to them, so the batch's coverage set is
+    serialised exactly once.  With shared memory each payload lives in a
+    segment and chunks carry only the two :class:`PayloadHandle`
+    descriptors — O(1) transport.  Without it (``MIRAGE_SHM_DISABLE=1``)
+    the session runs unchanged over inline blobs riding every chunk;
+    :meth:`TrialExecutor.map_shared` uses it that way, while
+    :meth:`ProcessExecutor.open_dispatch` refuses to stream blobs.
 
     Segment creation failing *mid-session* (shm pressure appearing after
-    the open-time probe passed) degrades that one payload to inline-blob
+    the open-time probe passed) degrades that one payload to inline
     shipping — correct, observable via ``bytes_shipped``, and bounded to
     the few chunks of the affected circuit.
 
@@ -1526,9 +1407,8 @@ class _ShmDispatchSession(DispatchSession):
         handle = self._handles[slot]
         if handle is None or handle.segment is None:
             return
-        blob = _dumps_anchored(self._payload_objects[slot], self._anchors)
-        self._handles[slot] = PayloadHandle(
-            digest=hashlib.sha1(blob).hexdigest(), size=len(blob), blob=blob
+        self._handles[slot] = _inline_payload(
+            _dumps_anchored(self._payload_objects[slot], self._anchors)
         )
         with contextlib.suppress(ValueError):
             self._segments.remove(handle.segment)
@@ -1654,8 +1534,8 @@ class _ShmDispatchSession(DispatchSession):
         *,
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
+        handle = self._live(self._handles, slot)
         batch = list(tasks)
-        handle = self._handles[slot]
         workers = self._executor.max_workers or os.cpu_count() or 1
         size = max(1, math.ceil(len(batch) / (workers * CHUNKS_PER_WORKER)))
         if deadline is not None:
@@ -1799,13 +1679,21 @@ class TrialExecutor:
 
         ``shared`` is the heavy payload common to all tasks (DAGs, coverage
         set, router factory); ``tasks`` are the light per-trial records.
-        The base implementation simply closes over ``shared`` — subclasses
-        that cross a process boundary override this to serialise the
-        payload once per call instead of once per task.
+        One :class:`DispatchSession` of this executor's transport carries
+        the call: ``shared`` is added once — serialised once, where the
+        transport serialises — and every task is submitted against it,
+        so the session's chunking, fault plan and recovery apply.  A
+        batch of at most one task runs inline on the calling thread.
         """
         batch = list(tasks)
-        self._count_dispatch(chunks=1, tasks=len(batch))
-        return self.map(functools.partial(fn, shared), batch)
+        if len(batch) <= 1:
+            # Not worth a round-trip (keeps single-trial runs pool-free).
+            self._count_dispatch(chunks=len(batch), tasks=len(batch))
+            return [fn(shared, task) for task in batch]
+        with self._session(fn, ()) as session:
+            slot = session.add_payload(shared)
+            futures = session.submit(slot, batch)
+            return [result for future in futures for result in future.result()]
 
     def open_dispatch(
         self,
@@ -1820,6 +1708,12 @@ class TrialExecutor:
         efficiently (the process pool without a shared-memory transport),
         in which case callers should fall back to :meth:`map_shared`.
         """
+        return self._session(fn, anchors)
+
+    def _session(
+        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
+    ) -> DispatchSession:
+        """A new dispatch session of this executor's transport."""
         return _InlineDispatchSession(self, fn)
 
     def _count_dispatch(self, **deltas: int) -> None:
@@ -1961,11 +1855,9 @@ class ThreadExecutor(_PoolExecutor):
             max_workers=self.max_workers, thread_name_prefix="repro-trial"
         )
 
-    def open_dispatch(
-        self,
-        fn: Callable[[_Shared, _Task], _Result],
-        anchors: Sequence[object] = (),
-    ) -> DispatchSession | None:
+    def _session(
+        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
+    ) -> DispatchSession:
         return _ThreadDispatchSession(self, fn)
 
 
@@ -1981,6 +1873,7 @@ class ProcessExecutor(_PoolExecutor):
     shared-memory segment when available (chunks then carry an O(1)
     handle instead of the payload bytes) or ships the blob once per chunk
     otherwise, and workers memoise deserialisation by content digest.
+    Both forms run on :class:`_ShmDispatchSession` and its recovery.
     """
 
     name = "processes"
@@ -2020,163 +1913,10 @@ class ProcessExecutor(_PoolExecutor):
         with contextlib.suppress(Exception):
             pool.shutdown(wait=False)
 
-    def map_shared(
-        self,
-        fn: Callable[[_Shared, _Task], _Result],
-        shared: _Shared,
-        tasks: Iterable[_Task],
-    ) -> list[_Result]:
-        """Chunked shared-payload dispatch across worker processes.
-
-        The shared payload is serialised once in the parent and published
-        through :func:`_publish_payload`; the light tasks are split into
-        ``~CHUNKS_PER_WORKER`` chunks per worker and submitted as
-        individual futures, so idle workers keep pulling chunks (work
-        stealing by queue) while slow ones finish.  Results are
-        reassembled in input order regardless of completion order, and
-        any shared-memory segment is unlinked — worker exceptions
-        included — once every chunk has settled.
-        """
-        batch: Sequence[_Task] = list(tasks)
-        if len(batch) <= 1:
-            # Not worth a round-trip (keeps single-trial runs pool-free).
-            self._count_dispatch(chunks=len(batch), tasks=len(batch))
-            return [fn(shared, task) for task in batch]
-        self._ensure_pool()
-        handle = _publish_object(shared)
-        segment_name = handle.segment
-        workers = self.max_workers or os.cpu_count() or 1
-        size = max(1, math.ceil(len(batch) / (workers * CHUNKS_PER_WORKER)))
-        chunks = list(_chunk(batch, size))
-        fault_plan = FaultPlan.from_env()
-        try:
-            futures: list[concurrent.futures.Future | None] = []
-            attempts = [0] * len(chunks)
-            generations = [0] * len(chunks)
-            start = 0
-            for ordinal, chunk in enumerate(chunks):
-                faults = None
-                if fault_plan is not None:
-                    faults = fault_plan.chunk_faults(
-                        "trial", start, len(chunk), ordinal
-                    )
-                start += len(chunk)
-                futures.append(
-                    self._submit_shared_chunk(
-                        handle, fn, chunk, faults, generations, ordinal
-                    )
-                )
-            self._count_dispatch(
-                shared_pickles=1,
-                chunks=len(futures),
-                tasks=len(batch),
-                shm_segments=1 if handle.segment is not None else 0,
-                bytes_shipped=handle.shipped_bytes * len(futures),
-                header_bytes=handle.header,
-            )
-            results: list[_Result] = []
-            try:
-                for index, chunk in enumerate(chunks):
-                    while True:
-                        error: BaseException | None = None
-                        try:
-                            future = futures[index]
-                            if future is None:
-                                raise _DispatchInterrupted("chunk was lost")
-                            chunk_results, copied = future.result(
-                                timeout=task_timeout()
-                            )
-                            chunk_results = _guard_chunk_results(
-                                chunk_results
-                            )
-                        except _RETRYABLE_ERRORS as caught:
-                            error = caught
-                        if error is None:
-                            self._count_dispatch(bytes_copied=copied)
-                            results.extend(chunk_results)
-                            break
-                        attempts[index] += 1
-                        self._count_dispatch(
-                            retries=1, lost_tasks=len(chunk)
-                        )
-                        if isinstance(
-                            error,
-                            (
-                                concurrent.futures.BrokenExecutor,
-                                concurrent.futures.CancelledError,
-                                concurrent.futures.TimeoutError,
-                                TimeoutError,
-                                _DispatchInterrupted,
-                            ),
-                        ):
-                            # A deadline expiry means a worker is hung;
-                            # pool breakage means workers died.  Either
-                            # way this chunk's pool generation is done
-                            # for — kill it and start fresh.
-                            self._respawn_pool(generations[index])
-                        if isinstance(
-                            error, TransportError
-                        ) and not isinstance(error, CorruptResultError):
-                            if segment_name is not None:
-                                _unlink_segment(segment_name)
-                                segment_name = None
-                            blob = _dumps_anchored(shared, ())
-                            handle = PayloadHandle(
-                                digest=hashlib.sha1(blob).hexdigest(),
-                                size=len(blob),
-                                blob=blob,
-                            )
-                            self._count_dispatch(transport_downgrades=1)
-                        if attempts[index] > task_retries():
-                            # Retry budget spent: run in-process against
-                            # the parent's own payload — no transport.
-                            self._count_dispatch(executor_downgrades=1)
-                            results.extend(
-                                _guard_chunk_results(
-                                    _run_local_chunk(fn, shared, chunk, None)
-                                )
-                            )
-                            break
-                        time.sleep(_retry_backoff(attempts[index]))
-                        # Replays run clean (faults=None): an injected
-                        # crash must not re-fire on the recovery pass.
-                        futures[index] = self._submit_shared_chunk(
-                            handle, fn, chunk, None, generations, index
-                        )
-            finally:
-                # A raising chunk must not unlink the segment while other
-                # chunks may still be about to attach it.
-                concurrent.futures.wait(
-                    [future for future in futures if future is not None]
-                )
-            return results
-        finally:
-            if segment_name is not None:
-                _unlink_segment(segment_name)
-
-    def _submit_shared_chunk(
-        self,
-        handle: PayloadHandle,
-        fn: Callable[[_Shared, _Task], _Result],
-        chunk: Sequence[_Task],
-        faults: "ChunkFaults | None",
-        generations: list[int],
-        index: int,
-    ) -> concurrent.futures.Future | None:
-        """Submit one chunk, recording the pool generation it rode.
-
-        Returns ``None`` when the pool is broken at submit time (the
-        caller's collection loop treats that as one more retryable
-        failure), so a respawn triggered by a neighbouring chunk never
-        turns into an unhandled exception here.
-        """
-        generations[index] = self._pool_generation
-        try:
-            return self._ensure_pool().submit(
-                _run_shared_chunk, handle, fn, chunk, faults
-            )
-        except (concurrent.futures.BrokenExecutor, RuntimeError):
-            return None
+    def _session(
+        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
+    ) -> DispatchSession:
+        return _ShmDispatchSession(self, fn, anchors)
 
     def open_dispatch(
         self,
@@ -2186,17 +1926,17 @@ class ProcessExecutor(_PoolExecutor):
         """Open a shared-memory streaming session, or ``None`` without shm.
 
         Streaming across a process boundary without shared memory would
-        re-ship each payload blob with every chunk — strictly worse than
-        the barrier :meth:`map_shared` path — so the caller is told to
-        fall back instead.  The anchor publication doubles as a probe:
-        if segment creation fails even though the transport is nominally
-        enabled (e.g. an exhausted ``/dev/shm``), the session is torn
-        down and the caller falls back too, rather than silently
-        streaming blobs.
+        re-ship each payload blob with every chunk — slower than the
+        barrier scheduler's one pooled :meth:`map_shared` call — so the
+        caller is told to fall back instead.  The anchor publication
+        doubles as a probe: if segment creation fails even though the
+        transport is nominally enabled (e.g. an exhausted ``/dev/shm``),
+        the session is torn down and the caller falls back too, rather
+        than silently streaming blobs.
         """
         if not shm_transport_enabled():
             return None
-        session = _ShmDispatchSession(self, fn, anchors)
+        session = self._session(fn, anchors)
         if anchors and session._anchor_handle.segment is None:
             session.close()
             return None

@@ -11,7 +11,7 @@ executor and transport.  This module is that harness:
   ``action:kind:index`` with ``action`` one of ``kill`` / ``hang`` /
   ``corrupt`` / ``slow`` and ``kind`` always ``trial``; ``index`` is
   the zero-based *global submission ordinal* of routing trials within
-  one dispatch (a session, or one ``map_shared`` call).
+  one dispatch session (each ``map_shared`` call opens one).
   ``corrupt_shm:index`` targets the chunk with that global chunk
   ordinal instead, raising a :class:`~repro.exceptions.TransportError`
   before the payload loads — exactly what a vanished segment looks
@@ -377,8 +377,8 @@ class FaultPlan:
     def from_env(cls) -> "FaultPlan | None":
         """Parse ``MIRAGE_FAULT_PLAN``; ``None`` when unset or empty.
 
-        Checked per dispatch (session open, or one ``map_shared`` call)
-        like the other transport switches, so tests and operators can
+        Checked per dispatch session open (each ``map_shared`` call
+        opens one) like the other transport switches, so tests and operators can
         toggle fault plans without re-importing anything.
         """
         spec = os.environ.get("MIRAGE_FAULT_PLAN", "").strip()

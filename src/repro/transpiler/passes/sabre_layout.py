@@ -426,31 +426,12 @@ class SabreLayout:
 
         Ties between equal-scoring trials always go to the lowest trial
         index, keeping the winner independent of the executor.  Trials are
-        dispatched in split spec/ref form so pool-backed executors ship
-        the DAGs and coverage set once per chunk, not once per trial.
-
-        When the executor can stream (:meth:`TrialExecutor.open_dispatch`)
-        the trials go through a :class:`DispatchSession`: the payload is
-        published and the trials start at once.  Executors without a
-        streaming transport fall back to the barrier
-        :meth:`TrialExecutor.map_shared` path; both paths are
-        byte-identical for a fixed seed.
+        dispatched in split spec/ref form through
+        :meth:`TrialExecutor.map_shared`, so pool-backed executors ship
+        the DAGs and coverage set once per dispatch, not once per trial.
         """
         refs = self.trial_refs()
         spec = self.trial_spec(dag)
         with executor_scope(self.executor, self.max_workers) as executor:
-            session = (
-                executor.open_dispatch(run_trial) if len(refs) > 1 else None
-            )
-            if session is None:
-                outcomes = executor.map_shared(run_trial, spec, refs)
-            else:
-                with session:
-                    slot = session.add_payload(spec)
-                    futures = session.submit(slot, refs)
-                    outcomes = [
-                        outcome
-                        for future in futures
-                        for outcome in future.result()
-                    ]
+            outcomes = executor.map_shared(run_trial, spec, refs)
         return select_best(outcomes, self.metric_name)

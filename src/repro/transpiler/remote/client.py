@@ -273,6 +273,7 @@ class _RemoteDispatchSession(DispatchSession):
         *,
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
+        self._live(self._slots, slot)
         batch = list(tasks)
         streams = max(1, self._executor.total_streams())
         size = max(1, math.ceil(len(batch) / (streams * CHUNKS_PER_WORKER)))
@@ -974,32 +975,10 @@ class RemoteExecutor(TrialExecutor):
                     pass
         return reachable
 
-    def open_dispatch(
-        self,
-        fn: Callable[[Any, Any], Any],
-        anchors: Sequence[object] = (),
+    def _session(
+        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
     ) -> DispatchSession:
         return _RemoteDispatchSession(self, fn, anchors)
-
-    def map_shared(
-        self,
-        fn: Callable[[Any, Any], Any],
-        shared: object,
-        tasks: Iterable[object],
-    ) -> list:
-        batch = list(tasks)
-        if len(batch) <= 1:
-            self._count_dispatch(chunks=len(batch), tasks=len(batch))
-            return [fn(shared, task) for task in batch]
-        session = self.open_dispatch(fn)
-        try:
-            slot = session.add_payload(shared)
-            futures = session.submit(slot, batch)
-            return [
-                result for future in futures for result in future.result()
-            ]
-        finally:
-            session.close()
 
     def map(
         self,

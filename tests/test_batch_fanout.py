@@ -226,7 +226,12 @@ def test_process_fanout_pickles_coverage_once(monkeypatch, scheduler):
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
         fanned = _batch("circuits", executor=executor, scheduler=scheduler)
-    assert fanned.dispatch["shared_pickles"] == 1
+    if scheduler == "stream":
+        assert fanned.dispatch["shared_pickles"] == 1  # the session anchor
+    else:
+        # The one map_shared call pickles its one pooled spec tuple.
+        assert fanned.dispatch["payload_pickles"] == 1
+        assert fanned.dispatch["shared_pickles"] == 0
     assert calls["count"] == 1
     assert fanned.dispatch["chunks"] >= 1
     assert fanned.dispatch["tasks"] == 9
@@ -253,7 +258,8 @@ def test_map_shared_preserves_order_and_results():
     with ProcessExecutor(max_workers=2) as processes:
         assert processes.map_shared(_times, 3, tasks) == expected
         stats = processes.dispatch_stats
-        assert stats["shared_pickles"] == 1
+        assert stats["payload_pickles"] == 1
+        assert stats["shared_pickles"] == 0
         assert stats["tasks"] == 23
         assert stats["chunks"] >= 2
 
@@ -265,6 +271,7 @@ def _times(shared, task):
 def test_map_shared_single_task_stays_inline():
     with ProcessExecutor(max_workers=2) as processes:
         assert processes.map_shared(_times, 5, [7]) == [35]
+        assert processes.dispatch_stats["payload_pickles"] == 0
         assert processes.dispatch_stats["shared_pickles"] == 0
 
 

@@ -53,6 +53,56 @@ def test_standard_gate_validation():
         standard_gate("barrier")
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_standard_gate_rejects_non_finite_parameters(value):
+    for name, params in [
+        ("rz", (value,)),
+        ("cp", (value,)),
+        ("u", (0.1, value, 0.2)),
+        ("xx_plus_yy", (0.3, value)),
+        ("xx_plus_yy", (value,)),
+    ]:
+        with pytest.raises(CircuitError, match="finite"):
+            standard_gate(name, *params)
+    with pytest.raises(CircuitError, match="finite"):
+        QuantumCircuit(1).rz(value, 0)
+    with pytest.raises(CircuitError, match="finite"):
+        QuantumCircuit(2).cp(value, 0, 1)
+    with pytest.raises(CircuitError, match="finite"):
+        QuantumCircuit(1).u(value, 0.0, 0.0, 0)
+    with pytest.raises(CircuitError, match="finite"):
+        QuantumCircuit(2).add("xx_plus_yy", (0, 1), value, 0.0)
+
+
+@pytest.mark.parametrize("gate", ["rz", "cp"])
+def test_transpile_rejects_non_finite_gate_before_coverage(monkeypatch, gate):
+    """A NaN angle fails at construction: no coverage set is resolved."""
+    import importlib
+
+    from repro.core import transpile
+    from repro.transpiler import line_topology
+
+    def no_coverage(*args, **kwargs):
+        raise AssertionError("coverage build reached")
+
+    pipeline = importlib.import_module("repro.core.pipeline")
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    monkeypatch.setattr(pipeline, "resolve_coverage", no_coverage)
+    monkeypatch.setattr(transpile_mod, "resolve_coverage", no_coverage)
+
+    def build():
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        if gate == "rz":
+            return circuit.rz(float("nan"), 1)
+        return circuit.cp(float("nan"), 0, 1)
+
+    with pytest.raises(CircuitError, match="finite"):
+        transpile(build(), line_topology(2))
+
+
 def test_gate_inverse_roundtrip():
     for name, params in [("s", ()), ("t", ()), ("rx", (0.7,)), ("cp", (0.3,)),
                          ("u", (0.1, 0.2, 0.3)), ("iswap", ()), ("siswap", ())]:

@@ -11,7 +11,11 @@ remote executors and checks one promise of the dispatch layers:
 * the shared-memory transport ships O(1) bytes per chunk (at most 512 B)
   and at most one full payload per batch;
 * workers copy only the out-of-band index headers, never payload bytes:
-  ``0 < bytes_copied <= header_bytes * max(2, cpu_count)``.
+  ``0 < bytes_copied <= header_bytes * max(2, cpu_count)``;
+* ``map_shared`` is one dispatch session on every executor: the same
+  fault plan is recovered the same way, and the barrier scheduler's
+  chunk and transport accounting is the session's;
+* no session type dispatches anything against a released payload slot.
 
 The shared-memory gates skip where POSIX shared memory is unavailable.
 """
@@ -20,19 +24,25 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import operator
 import os
+import pickle
 
 import pytest
 
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import transpile, transpile_many
+from repro.exceptions import TranspilerError
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
+    SHM_SEGMENT_PREFIX,
     ProcessExecutor,
     SerialExecutor,
+    ThreadExecutor,
     line_topology,
     shm_transport_enabled,
 )
+from repro.transpiler import executors
 from repro.transpiler.kernel import route
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=700, seed=7)
@@ -223,3 +233,119 @@ def test_remote_dispatch_matches_serial_with_zero_recovery_counters():
     dispatch = remote.dispatch
     assert_clean(dispatch, "remote")
     assert_clean(dispatch, "remote", REMOTE_COUNTERS)
+
+
+def _times(shared, task):
+    return shared * task
+
+
+@pytest.mark.parametrize("make_executor", [
+    pytest.param(SerialExecutor, id="serial"),
+    pytest.param(lambda: ThreadExecutor(max_workers=2), id="threads"),
+    # One worker: a real kill fails every chunk queued on the pool, so
+    # only a sequential pool with the kill in the last chunk loses
+    # exactly one chunk.
+    pytest.param(lambda: ProcessExecutor(max_workers=1), id="processes"),
+    pytest.param(lambda: ProcessExecutor(max_workers=1), id="processes-blob"),
+])
+def test_map_shared_recovers_one_kill_on_every_executor(
+    monkeypatch, request, make_executor
+):
+    if request.node.callspec.id == "processes-blob":
+        monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
+    monkeypatch.setenv("MIRAGE_FAULT_PLAN", "kill:trial:1")
+    with make_executor() as executor:
+        results = executor.map_shared(_times, 3, [4, 5])
+        stats = dict(executor.dispatch_stats)
+    assert results == [12, 15]
+    assert stats["retries"] == 1, stats
+    assert stats["executor_downgrades"] == 0, stats
+
+
+@pytest.mark.parametrize("shm", [
+    pytest.param(True, id="shm", marks=needs_shm),
+    pytest.param(False, id="blob"),
+])
+def test_barrier_dispatch_keeps_its_chunk_and_transport_accounting(
+    monkeypatch, shm
+):
+    """The barrier scheduler's one ``map_shared`` call ships one payload.
+
+    Nine trials on two workers split into five chunks, each carrying
+    the payload handle: a segment name and digest over shared memory,
+    the whole in-band pickle blob without it.
+    """
+    if not shm:
+        monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
+    published = []
+    publish = executors._publish_object
+
+    def recording_publish(obj, anchors=()):
+        handle = publish(obj, anchors)
+        published.append((obj, handle))
+        return handle
+
+    monkeypatch.setattr(executors, "_publish_object", recording_publish)
+    with ProcessExecutor(max_workers=2) as pool:
+        batch = transpile_many(
+            [qft(4), ghz(5), twolocal_full(4)], line_topology(5),
+            coverage=COVERAGE, use_vf2=False, layout_trials=3, seed=7,
+            fanout="circuits", scheduler="barrier", executor=pool,
+        )
+    dispatch = batch.dispatch
+    assert (dispatch["chunks"], dispatch["tasks"]) == (5, 9), dispatch
+    assert len(published) == 1
+    payload, handle = published[0]
+    if shm:
+        assert dispatch["shm_segments"] == 1
+        per_chunk = len(f"{SHM_SEGMENT_PREFIX}{os.getpid()}_") + 8
+    else:
+        assert dispatch["shm_segments"] == 0
+        per_chunk = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    assert handle.shipped_bytes == per_chunk + len(handle.digest) + 16
+    assert dispatch["bytes_shipped"] == 5 * handle.shipped_bytes, dispatch
+
+
+def _open_released_slot_session(kind, stack):
+    if kind == "inline":
+        executor = stack.enter_context(SerialExecutor())
+    elif kind == "thread":
+        executor = stack.enter_context(ThreadExecutor(max_workers=2))
+    elif kind == "shm":
+        executor = stack.enter_context(ProcessExecutor(max_workers=2))
+    else:
+        from repro.transpiler.remote import RemoteExecutor, WorkerHost
+
+        hosts = [WorkerHost(heartbeat_s=0.5)]
+        for host in hosts:
+            host.start()
+            stack.callback(host.close)
+        executor = stack.enter_context(
+            RemoteExecutor(hosts=[host.address for host in hosts])
+        )
+    session = executor.open_dispatch(operator.mul)
+    assert session is not None
+    stack.enter_context(session)
+    return executor, session
+
+
+@pytest.mark.parametrize("kind", [
+    "inline", "thread", pytest.param("shm", marks=needs_shm), "remote",
+])
+def test_submit_to_released_slot_raises_before_dispatch(kind):
+    import contextlib
+
+    with contextlib.ExitStack() as stack:
+        executor, session = _open_released_slot_session(kind, stack)
+        live = session.add_payload(3)
+        released = session.add_payload(4)
+        session.release(released)
+        with pytest.raises(TranspilerError, match="released"):
+            session.submit(released, [1, 2, 3])
+        assert executor.dispatch_stats["chunks"] == 0
+        assert executor.dispatch_stats["tasks"] == 0
+        assert session.outstanding() == 0
+        assert not getattr(session, "_inflight", {})
+        # The session stays usable for its live slots.
+        futures = session.submit(live, [1, 2, 3])
+        assert [r for f in futures for r in f.result()] == [3, 6, 9]

@@ -44,7 +44,9 @@ from repro.transpiler.executors import (
     _attach_segment,
     _cleanup_segments,
     _created_segments,
+    _load_payload,
     _publish_object,
+    reset_worker_state,
     shm_transport_enabled,
 )
 from repro.transpiler.faults import (
@@ -447,16 +449,15 @@ def test_transport_fault_downgrades_to_inline(monkeypatch):
 
 
 @needs_shm
-def test_vanished_segment_raises_transport_error(monkeypatch):
-    # Whole-blob segment layout: the only one `fetch` applies to.
-    monkeypatch.setenv("MIRAGE_ZEROCOPY_DISABLE", "1")
+def test_vanished_segment_raises_transport_error():
     handle = _publish_object({"x": list(range(256))})
     assert handle.segment is not None
     from repro.transpiler.executors import _unlink_segment
 
     _unlink_segment(handle.segment)
+    reset_worker_state()  # no memoised copy may answer for the segment
     with pytest.raises(TransportError, match="vanished"):
-        handle.fetch()
+        _load_payload(handle)
     with pytest.raises(TransportError):
         _attach_segment(f"{SHM_SEGMENT_PREFIX}{os.getpid()}_deadbeef")
     assert _own_segments() == []

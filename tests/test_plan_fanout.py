@@ -152,17 +152,6 @@ def test_plan_digest_identical_without_shm(monkeypatch):
     assert fanned.dispatch["scheduler"] == "barrier"
 
 
-@needs_shm
-def test_plan_digest_identical_without_zero_copy(monkeypatch):
-    monkeypatch.setenv("MIRAGE_ZEROCOPY_DISABLE", "1")
-    with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream")
-    assert _digest(fanned) == REFERENCE_DIGEST
-    assert fanned.dispatch["scheduler"] == "stream"
-    assert fanned.dispatch["header_bytes"] == 0  # copy-on-attach layout
-    assert _own_segments() == []
-
-
 # ---------------------------------------------------------------------------
 # Provenance
 # ---------------------------------------------------------------------------

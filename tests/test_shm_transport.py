@@ -5,8 +5,8 @@ layer:
 
 * :meth:`ProcessExecutor.map_shared` publishes the payload through one
   shared-memory segment and ships O(1) bytes per chunk; with
-  ``MIRAGE_SHM_DISABLE=1`` (or without POSIX shm) it degrades to the
-  blob-per-chunk path with identical results;
+  ``MIRAGE_SHM_DISABLE=1`` (or without POSIX shm) the same dispatch
+  session ships the blob with every chunk, with identical results;
 * segments never leak — not after a clean dispatch, not after a worker
   exception mid-batch, not after an abandoned streaming session;
 * the streaming overlap scheduler of
@@ -37,8 +37,10 @@ from repro.transpiler import (
 from repro.transpiler.executors import (
     SHM_SEGMENT_PREFIX,
     PayloadHandle,
-    _publish_payload,
+    _load_payload,
+    _publish_object,
     _unlink_segment,
+    reset_worker_state,
     shm_transport_enabled,
 )
 
@@ -109,7 +111,8 @@ def test_map_shared_uses_shm_and_ships_constant_bytes():
         results = executor.map_shared(_times, 3, list(range(23)))
         stats = executor.dispatch_stats
     assert results == [task * 3 for task in range(23)]
-    assert stats["shared_pickles"] == 1
+    assert stats["payload_pickles"] == 1
+    assert stats["shared_pickles"] == 0
     assert stats["shm_segments"] == 1
     assert stats["chunks"] >= 2
     assert stats["bytes_shipped"] <= SHM_CHUNK_BYTE_BUDGET * stats["chunks"]
@@ -139,11 +142,15 @@ def test_map_shared_blob_fallback_when_disabled(monkeypatch):
         results = executor.map_shared(_times, 3, list(range(23)))
         stats = executor.dispatch_stats
     assert results == [task * 3 for task in range(23)]
-    assert stats["shared_pickles"] == 1
+    assert stats["payload_pickles"] == 1
+    assert stats["shared_pickles"] == 0
     assert stats["shm_segments"] == 0
-    # Blob mode ships the payload bytes with every chunk.
+    # Blob mode ships the payload bytes with every chunk, and workers
+    # unpickle a copy of them (no out-of-band index header).
     payload_size = len(pickle.dumps(3, protocol=pickle.HIGHEST_PROTOCOL))
     assert stats["bytes_shipped"] >= payload_size * stats["chunks"]
+    assert stats["header_bytes"] == 0
+    assert stats["bytes_copied"] >= payload_size
     assert _own_segments() == []
 
 
@@ -159,23 +166,28 @@ def test_serial_and_thread_map_shared_never_touch_transport():
 
 @needs_shm
 def test_payload_handle_roundtrip_and_shipped_bytes():
-    handle = _publish_payload(b"hello payload")
+    handle = _publish_object(b"hello payload")
     try:
         assert handle.segment is not None
         assert handle.shipped_bytes <= SHM_CHUNK_BYTE_BUDGET
         clone = pickle.loads(pickle.dumps(handle))
-        assert clone.fetch() == b"hello payload"
+        assert _load_payload(clone) == b"hello payload"
     finally:
         _unlink_segment(handle.segment)
+        reset_worker_state()
     assert _own_segments() == []
 
 
 def test_payload_handle_blob_mode(monkeypatch):
     monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
-    handle = _publish_payload(b"hello payload")
+    handle = _publish_object(b"hello payload")
     assert handle.segment is None
-    assert handle.fetch() == b"hello payload"
+    assert handle.blob == pickle.dumps(
+        b"hello payload", protocol=pickle.HIGHEST_PROTOCOL
+    )
+    assert _load_payload(handle) == b"hello payload"
     assert isinstance(handle, PayloadHandle)
+    reset_worker_state()
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +259,7 @@ def test_atexit_guard_unlinks_created_segments():
     """The parent-side atexit guard sweeps segments a crash left behind."""
     from repro.transpiler.executors import _cleanup_segments
 
-    handle = _publish_payload(b"orphan")
+    handle = _publish_object(b"orphan")
     assert _own_segments() != []
     _cleanup_segments()
     assert _own_segments() == []

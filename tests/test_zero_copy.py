@@ -9,9 +9,9 @@ Covers the transport guarantees of the protocol-5 segment layout:
 * view lifetime: arrays stay valid while their payload is memoised,
   survive the dispatcher unlinking the segment name (POSIX semantics),
   and the mapping is released only after the last detach;
-* ``MIRAGE_ZEROCOPY_DISABLE=1`` degrades to the copy-on-attach blob
-  layout with identical results, and the inline-blob fallback still
-  works without shm at all;
+* a segment that cannot be created ships the same sections inline, and
+  without shm at all payloads ride as inline blobs with identical
+  results;
 * worker crashes (raising chunks and hard process death) never leak
   segments.
 """
@@ -23,8 +23,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.exceptions import TranspilerError
 from repro.transpiler import ProcessExecutor
+from repro.transpiler import executors as executors_mod
 from repro.transpiler.executors import (
     SHM_SEGMENT_PREFIX,
     _load_payload,
@@ -34,8 +34,6 @@ from repro.transpiler.executors import (
     _unlink_segment,
     reset_worker_state,
     shm_transport_enabled,
-    zero_copy_enabled,
-    zero_copy_inline_max,
 )
 
 needs_shm = pytest.mark.skipif(
@@ -123,16 +121,6 @@ def test_oob_arrays_are_readonly_views_and_survive_unlink():
 
 
 @needs_shm
-def test_oob_handle_refuses_fetch():
-    handle = _publish_object(_payload())
-    try:
-        with pytest.raises(TranspilerError):
-            handle.fetch()
-    finally:
-        _unlink_segment(handle.segment)
-
-
-@needs_shm
 def test_payload_memo_loads_segment_once():
     handle = _publish_object(_payload())
     try:
@@ -145,23 +133,6 @@ def test_payload_memo_loads_segment_once():
         reset_worker_state()
 
 
-def test_zero_copy_disable_falls_back_to_blob_layout(monkeypatch):
-    monkeypatch.setenv("MIRAGE_ZEROCOPY_DISABLE", "1")
-    assert not zero_copy_enabled()
-    payload = _payload()
-    handle = _publish_object(payload)
-    try:
-        assert handle.header == 0  # whole-blob layout
-        loaded = _load_payload(handle)
-        # Copy-on-attach materialises plain (writable) arrays.
-        assert loaded["matrix"].flags.writeable is True
-        assert np.array_equal(loaded["matrix"], payload["matrix"])
-    finally:
-        if handle.segment is not None:
-            _unlink_segment(handle.segment)
-        reset_worker_state()
-
-
 @needs_shm
 def test_segment_creation_failure_ships_oob_sections_inline(monkeypatch):
     """Shm pressure mid-publish must not re-run the object-graph pickle.
@@ -169,8 +140,6 @@ def test_segment_creation_failure_ships_oob_sections_inline(monkeypatch):
     When the segment cannot be created, the already-serialised pickle
     body and its protocol-5 buffers ship inline on the handle instead.
     """
-    from repro.transpiler import executors as executors_mod
-
     monkeypatch.setattr(executors_mod, "_new_segment", lambda size: None)
     payload = _payload()
     handle = _publish_object(payload)
@@ -233,21 +202,6 @@ def test_workers_get_readonly_views_without_copying():
 
 
 @needs_shm
-def test_copy_on_attach_fallback_counts_payload_bytes(monkeypatch):
-    monkeypatch.setenv("MIRAGE_ZEROCOPY_DISABLE", "1")
-    payload = _payload(rows=4096)
-    with ProcessExecutor(max_workers=2) as executor:
-        results = executor.map_shared(_probe_arrays, payload, list(range(16)))
-        stats = dict(executor.dispatch_stats)
-    # Copied arrays are writable, and the copy count reflects real
-    # payload bytes (at least one full payload per attaching worker).
-    assert all(writeable for writeable, _, _ in results)
-    assert stats["header_bytes"] == 0
-    assert stats["bytes_copied"] > payload["matrix"].nbytes
-    assert _own_segments() == []
-
-
-@needs_shm
 def test_no_segment_leak_after_worker_exception_with_zero_copy():
     with ProcessExecutor(max_workers=2) as executor:
         with pytest.raises(ValueError, match="exploded"):
@@ -285,18 +239,18 @@ def test_no_segment_leak_after_worker_death_mid_dispatch(monkeypatch):
 
 
 @needs_shm
-def test_zero_copy_and_copy_results_identical():
+def test_zero_copy_and_copy_results_identical(monkeypatch):
+    """Segment views and inline copies (no shm) give identical values."""
     tasks = list(range(12))
     payload = _payload(rows=512)
     with ProcessExecutor(max_workers=2) as executor:
         zero_copy = executor.map_shared(_probe_arrays, payload, tasks)
-    os.environ["MIRAGE_ZEROCOPY_DISABLE"] = "1"
-    try:
-        with ProcessExecutor(max_workers=2) as executor:
-            copied = executor.map_shared(_probe_arrays, payload, tasks)
-    finally:
-        del os.environ["MIRAGE_ZEROCOPY_DISABLE"]
-    # Identical values; only the writability flag may differ.
+    monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
+    with ProcessExecutor(max_workers=2) as executor:
+        copied = executor.map_shared(_probe_arrays, payload, tasks)
+    # Identical values; only the writability flag differs.
+    assert all(not writeable for writeable, _, _ in zero_copy)
+    assert all(writeable for writeable, _, _ in copied)
     assert [r[1:] for r in zero_copy] == [r[1:] for r in copied]
     assert _own_segments() == []
 
@@ -318,7 +272,7 @@ def test_coverage_set_arrays_become_shared_views():
         [np.pi / 8, np.pi / 16, 0.0],
     ])
     expected = coverage.cost_of_many(probes)
-    threshold = zero_copy_inline_max()
+    threshold = executors_mod._OOB_INLINE_MAX
     handle = _publish_object(coverage)
     try:
         loaded = _load_payload(handle)
@@ -344,8 +298,8 @@ def test_tiny_arrays_stay_in_band_and_shrink_the_header(monkeypatch):
     """Sub-threshold arrays must not earn index-header entries.
 
     A payload with one big array and many tiny ones gets a header sized
-    for the big sections only; forcing the threshold to 0 restores the
-    export-everything layout and the header grows accordingly.
+    for the big sections only; a threshold of 0 exports every buffer and
+    the header grows accordingly.
     """
     tiny = {f"t{i}": np.arange(4, dtype=np.int64) for i in range(32)}
     payload = {"big": np.arange(512, dtype=float), **tiny}
@@ -364,8 +318,7 @@ def test_tiny_arrays_stay_in_band_and_shrink_the_header(monkeypatch):
         _unlink_segment(handle.segment)
         reset_worker_state()
 
-    monkeypatch.setenv("MIRAGE_ZEROCOPY_INLINE_MAX", "0")
-    assert zero_copy_inline_max() == 0
+    monkeypatch.setattr(executors_mod, "_OOB_INLINE_MAX", 0)
     handle = _publish_object(payload)
     try:
         # Every contiguous buffer exported: body + big + 32 tiny arrays.
@@ -380,8 +333,6 @@ def test_tiny_arrays_stay_in_band_and_shrink_the_header(monkeypatch):
 
 def test_shared_cache_eviction_releases_attachments():
     """Evicted payloads drop their attachment references."""
-    from repro.transpiler import executors as executors_mod
-
     if not shm_transport_enabled():
         pytest.skip("POSIX shared memory unavailable on this platform")
     reset_worker_state()

@@ -67,8 +67,6 @@ PUBLIC_API = [
     ("repro.transpiler.executors", "DispatchSession"),
     ("repro.transpiler.executors", "PayloadHandle"),
     ("repro.transpiler.executors", "shm_transport_enabled"),
-    ("repro.transpiler.executors", "zero_copy_enabled"),
-    ("repro.transpiler.executors", "zero_copy_inline_max"),
     ("repro.transpiler.kernel.intdag", "IntDAG"),
     ("repro.transpiler.kernel.intdag", "IntDAG.reversed"),
     ("repro.transpiler.kernel.intdag", "int_dag"),
