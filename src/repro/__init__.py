@@ -18,7 +18,6 @@ __version__ = "1.0.0"
 _LAZY_EXPORTS = {
     "transpile": "repro.core.transpile",
     "transpile_many": "repro.core.transpile",
-    "build_mirage_pipeline": "repro.core.pipeline",
     "TranspileResult": "repro.core.results",
     "BatchResult": "repro.core.results",
     "QuantumCircuit": "repro.circuits.circuit",
@@ -38,7 +37,6 @@ def __getattr__(name: str):
 __all__ = [
     "transpile",
     "transpile_many",
-    "build_mirage_pipeline",
     "TranspileResult",
     "BatchResult",
     "QuantumCircuit",

@@ -13,11 +13,9 @@ from repro.core.pipeline import (
     FinishRoutingPass,
     MirageRouterFactory,
     PlanTrialsPass,
-    RoutingPass,
     TrialPlan,
     build_batch_back_pipeline,
     build_batch_front_pipeline,
-    build_mirage_pipeline,
     build_prepare_pipeline,
 )
 from repro.core.results import BatchResult, TranspileResult
@@ -39,11 +37,9 @@ __all__ = [
     "MirageRouterFactory",
     "FinishRoutingPass",
     "PlanTrialsPass",
-    "RoutingPass",
     "TrialPlan",
     "build_batch_back_pipeline",
     "build_batch_front_pipeline",
-    "build_mirage_pipeline",
     "build_prepare_pipeline",
     "BatchResult",
     "TranspileResult",

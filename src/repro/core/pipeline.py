@@ -1,18 +1,21 @@
 """The staged MIRAGE transpilation pipeline (paper Section V flow).
 
-:func:`build_mirage_pipeline` assembles the paper's experimental flow —
-clean → unroll → consolidate → coupling/coverage analysis → VF2 embedding
-→ multi-trial SABRE/MIRAGE routing → post-selection — as named stages on
-a :class:`~repro.transpiler.passmanager.PassManager`.  Stages exchange
+The paper's experimental flow — clean → unroll → consolidate →
+coupling/coverage analysis → VF2 embedding → multi-trial SABRE/MIRAGE
+routing → post-selection — runs as named stages on two
+:class:`~repro.transpiler.passmanager.PassManager` halves:
+:func:`build_batch_front_pipeline` plans a circuit up to its routing
+trials (``plan`` parks them as a :class:`TrialPlan`), the executor runs
+the trials, and :func:`build_batch_back_pipeline` selects the winner
+(``route``) and assembles the result (``select``).  Stages exchange
 data through the shared :class:`~repro.transpiler.passmanager.PropertySet`
 (``coupling_map``, ``coverage``, ``input_metrics``, layouts, routing
 counters, and finally ``result``), so any stage can be replaced, removed
 or reordered without touching the others, and every run yields a per-stage
 timing report (paper Fig. 13).
 
-:func:`repro.core.transpile.transpile` is a thin wrapper building and
-executing this pipeline; :func:`repro.core.transpile.transpile_many`
-shares one coverage set and one trial executor across a whole batch.
+:mod:`repro.core.transpile` drives both halves for :func:`transpile`,
+:func:`transpile_many` and :func:`compare_methods` through one engine.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from repro.core.aggression import Aggression, schedule_from_spec
 from repro.core.mirage_pass import MirageSwap
 from repro.core.results import TranspileResult
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.executors import TrialExecutor
 from repro.transpiler.layout import apply_layout, vf2_layout
 from repro.transpiler.metrics import evaluate
 from repro.transpiler.passes.cleanup import clean_input_permuted
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
-    LayoutResult,
     SabreLayout,
     SabreRouterFactory,
     TrialRef,
@@ -214,9 +215,9 @@ class VF2EmbeddingPass(BasePass):
 class TrialPlan:
     """Planned-but-not-yet-run routing trials of one circuit.
 
-    Produced by :class:`PlanTrialsPass` (the front half of the batch
-    engine), consumed by :class:`FinishRoutingPass` once the pooled
-    dispatch has delivered this circuit's :class:`TrialOutcome`s.
+    Produced by :class:`PlanTrialsPass` (the front half of the pipeline),
+    consumed by :class:`FinishRoutingPass` once the dispatch has
+    delivered this circuit's :class:`TrialOutcome`s.
     """
 
     spec: TrialSpec
@@ -225,10 +226,22 @@ class TrialPlan:
     selection: str
 
 
-class RoutingPass(BasePass):
-    """Multi-trial SABRE/MIRAGE routing with pluggable trial execution."""
+class PlanTrialsPass(BasePass):
+    """Front half of the routing step: plan trials without running them.
 
-    name = "route"
+    Builds the circuit's :class:`SabreLayout` driver and from it the
+    spec/ref pairs of its routing trials, then parks them in the
+    property set as a :class:`TrialPlan` so the batch engine can pool
+    every circuit's trials into one shared dispatch.  Skipped once VF2
+    has found a SWAP-free embedding.
+
+    The parked spec carries the forward lowering only: trial runners
+    derive the reverse direction from its arrays (memoised per process),
+    so the planning thread never builds it and the dispatch never ships
+    it.
+    """
+
+    name = "plan"
 
     def __init__(
         self,
@@ -240,8 +253,6 @@ class RoutingPass(BasePass):
         refinement_rounds: int = 2,
         routing_trials: int = 1,
         seed: int | np.random.SeedSequence | np.random.Generator | None = 11,
-        executor: str | TrialExecutor | None = None,
-        max_workers: int | None = None,
     ) -> None:
         self.method = method
         self.selection = selection
@@ -250,8 +261,6 @@ class RoutingPass(BasePass):
         self.refinement_rounds = refinement_rounds
         self.routing_trials = routing_trials
         self.seed = seed
-        self.executor = executor
-        self.max_workers = max_workers
 
     def should_run(self, state: PipelineState) -> bool:
         return not state.properties.get("routing_complete", False)
@@ -283,60 +292,7 @@ class RoutingPass(BasePass):
             selection_metric=metric,
             metric_name=self.selection,
             seed=self.seed,
-            executor=self.executor,
-            max_workers=self.max_workers,
         )
-
-    def run(self, state: PipelineState) -> None:
-        driver = self.build_driver(state)
-        best = driver.run(state.circuit.to_dag())
-        publish_routing(state, best, self.method, self.selection)
-
-
-def publish_routing(
-    state: PipelineState,
-    best: LayoutResult,
-    method: str,
-    selection: str,
-) -> None:
-    """Write a winning :class:`LayoutResult` into the property set.
-
-    Shared between the in-line :class:`RoutingPass` and the batch engine's
-    :class:`FinishRoutingPass`, so both fan-out modes leave byte-identical
-    state behind for the ``select`` stage.
-    """
-    state.circuit = best.routing.to_circuit()
-    state.properties.update(
-        method=method,
-        routing_ops=best.routing.ops,
-        initial_layout=best.routing.initial_layout,
-        final_layout=best.routing.final_layout,
-        swaps_added=best.routing.swaps_added,
-        mirrors_accepted=best.routing.mirrors_accepted,
-        mirror_candidates=best.routing.mirror_candidates,
-        selection_metric=selection,
-        trial_index=best.trial_index,
-        trial_scores=best.trial_scores,
-        trial_seconds=best.trial_seconds,
-        routing_complete=True,
-    )
-
-
-class PlanTrialsPass(RoutingPass):
-    """Front half of the batch engine: plan trials without running them.
-
-    Builds exactly the driver — and from it exactly the spec/ref pairs —
-    that :class:`RoutingPass` would have dispatched, then parks them in
-    the property set as a :class:`TrialPlan` so the batch scheduler can
-    pool every circuit's trials into one shared dispatch.
-
-    The parked spec carries the forward lowering only: trial runners
-    derive the reverse direction from its arrays (memoised per process),
-    so the planning thread never builds it and the dispatch never ships
-    it.
-    """
-
-    name = "plan"
 
     def run(self, state: PipelineState) -> None:
         driver = self.build_driver(state)
@@ -352,9 +308,9 @@ class FinishRoutingPass(BasePass):
     """Back half of the batch engine: select among delivered outcomes.
 
     Expects ``trial_outcomes`` (this circuit's :class:`TrialOutcome` list,
-    in trial order) in the property set, applies the same
-    lowest-score/lowest-index selection as :class:`RoutingPass`, and
-    publishes the identical property keys.
+    in trial order) in the property set, picks the lowest score (ties to
+    the lowest trial index) with :func:`select_best`, and writes the
+    winner into the property set for the ``select`` stage.
     """
 
     name = "route"
@@ -366,7 +322,21 @@ class FinishRoutingPass(BasePass):
         plan: TrialPlan = state.properties.require("trial_plan")
         outcomes = state.properties.require("trial_outcomes")
         best = select_best(outcomes, plan.selection)
-        publish_routing(state, best, plan.method, plan.selection)
+        state.circuit = best.routing.to_circuit()
+        state.properties.update(
+            method=plan.method,
+            routing_ops=best.routing.ops,
+            initial_layout=best.routing.initial_layout,
+            final_layout=best.routing.final_layout,
+            swaps_added=best.routing.swaps_added,
+            mirrors_accepted=best.routing.mirrors_accepted,
+            mirror_candidates=best.routing.mirror_candidates,
+            selection_metric=plan.selection,
+            trial_index=best.trial_index,
+            trial_scores=best.trial_scores,
+            trial_seconds=best.trial_seconds,
+            routing_complete=True,
+        )
 
 
 class SelectResultPass(BasePass):
@@ -411,7 +381,7 @@ class SelectResultPass(BasePass):
 def validate_flow(method: str, selection: str) -> tuple[str, str]:
     """Normalise and validate the ``method``/``selection`` pair.
 
-    Shared by :func:`build_mirage_pipeline` and the batch front door so
+    Shared by :func:`build_batch_front_pipeline` and the front doors so
     typos fail fast, before any expensive setup.
 
     Raises:
@@ -476,63 +446,6 @@ def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
     return manager
 
 
-def build_mirage_pipeline(
-    coupling: CouplingMap | str,
-    *,
-    basis: str = "sqrt_iswap",
-    method: str = "mirage",
-    selection: str = "depth",
-    aggression=None,
-    layout_trials: int = 4,
-    refinement_rounds: int = 2,
-    routing_trials: int = 1,
-    coverage: CoverageSet | None = None,
-    use_vf2: bool = True,
-    consolidate: bool = True,
-    seed: int | np.random.SeedSequence | np.random.Generator | None = 11,
-    executor: str | TrialExecutor | None = None,
-    max_workers: int | None = None,
-) -> PassManager:
-    """Assemble the full staged transpilation pipeline.
-
-    Stage order: ``clean``, ``unroll``, ``reclean``, ``consolidate``,
-    ``coupling``, ``coverage``, ``analyze``, ``vf2``, ``route``,
-    ``select``.  ``vf2`` marks routing complete when it finds a SWAP-free
-    embedding, in which case ``route`` skips itself; the final ``select``
-    stage leaves the :class:`TranspileResult` in the property set under
-    ``"result"``.
-
-    Raises:
-        TranspilerError: if ``method`` or ``selection`` is unknown, or the
-            trial budget, basis or aggression is invalid (see
-            :func:`validate_budget` and :func:`validate_modes`).
-    """
-    method, selection = validate_flow(method, selection)
-    validate_budget(layout_trials, refinement_rounds, routing_trials)
-    validate_modes(basis, aggression)
-
-    manager = build_prepare_pipeline(consolidate=consolidate)
-    manager.append(ResolveCouplingPass(coupling))
-    manager.append(AttachCoveragePass(basis, coverage))
-    manager.append(AnalyzeInputPass())
-    manager.append(VF2EmbeddingPass(use_vf2))
-    manager.append(
-        RoutingPass(
-            method=method,
-            selection=selection,
-            aggression=aggression,
-            layout_trials=layout_trials,
-            refinement_rounds=refinement_rounds,
-            routing_trials=routing_trials,
-            seed=seed,
-            executor=executor,
-            max_workers=max_workers,
-        )
-    )
-    manager.append(SelectResultPass())
-    return manager
-
-
 def build_batch_front_pipeline(
     coupling: CouplingMap | str,
     *,
@@ -548,18 +461,21 @@ def build_batch_front_pipeline(
     consolidate: bool = True,
     seed: int | np.random.SeedSequence | np.random.Generator | None = 11,
 ) -> PassManager:
-    """Front half of the circuit-level batch engine: everything up to —
-    but excluding — trial execution.
+    """Front half of the pipeline: everything up to — but excluding —
+    trial execution.
 
-    Identical to :func:`build_mirage_pipeline` through the ``vf2`` stage,
-    then a ``plan`` stage (:class:`PlanTrialsPass`) that parks the trial
-    spec/refs in the property set instead of dispatching them.  The batch
-    scheduler pools the plans of every circuit into one shared dispatch
-    and resumes each circuit with :func:`build_batch_back_pipeline`.
+    Stage order: ``clean``, ``unroll``, ``reclean``, ``consolidate``,
+    ``coupling``, ``coverage``, ``analyze``, ``vf2``, ``plan``.  ``vf2``
+    marks routing complete when it finds a SWAP-free embedding, in which
+    case ``plan`` (and later ``route``) skip themselves; otherwise
+    ``plan`` (:class:`PlanTrialsPass`) parks the trial spec/refs in the
+    property set.  The batch engine dispatches them and resumes each
+    circuit with :func:`build_batch_back_pipeline`.
 
-    The trial spec/refs a plan carries are exactly the ones the in-line
-    ``route`` stage would have dispatched for the same arguments, which is
-    what makes the two fan-out modes byte-identical.
+    Raises:
+        TranspilerError: if ``method`` or ``selection`` is unknown, or the
+            trial budget, basis or aggression is invalid (see
+            :func:`validate_budget` and :func:`validate_modes`).
     """
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
@@ -588,7 +504,9 @@ def build_batch_front_pipeline(
 class PlanSpec:
     """The circuit-invariant half of a batch's planning.
 
-    One :class:`PlanSpec` is shared by every circuit of a batch — it
+    One :class:`PlanSpec` is shared by every circuit of a batch (and
+    :func:`~repro.core.transpile.compare_methods` plans one per
+    variant) — it
     carries the pipeline parameters plus the batch's coverage set, from
     which :func:`run_plan` rebuilds the front pipeline
     :func:`build_batch_front_pipeline` describes.
@@ -608,10 +526,16 @@ class PlanSpec:
 
 @dataclasses.dataclass(frozen=True)
 class PlanTask:
-    """The per-circuit half of a batch's planning."""
+    """The per-circuit half of a batch's planning.
+
+    ``deadline`` is an optional absolute ``time.monotonic()`` instant:
+    the engine never plans a task already past it, and its trial chunks
+    carry it into the dispatch session.
+    """
 
     circuit: "QuantumCircuit"
     seed: np.random.SeedSequence
+    deadline: float | None = None
 
 
 @dataclasses.dataclass
@@ -652,13 +576,12 @@ def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
 
 
 def build_batch_back_pipeline() -> PassManager:
-    """Back half of the circuit-level batch engine: route + select.
+    """Back half of the pipeline: route (selection) + select.
 
     Resumed (via :meth:`~repro.transpiler.passmanager.PassManager.execute_state`)
-    on each front state once the pooled dispatch has placed that circuit's
-    ``trial_outcomes`` in its property set.  The ``route`` stage here and
-    the in-line ``route`` stage of :func:`build_mirage_pipeline` publish
-    identical properties, so ``select`` cannot tell the modes apart.
+    on each front state once the dispatch has placed that circuit's
+    ``trial_outcomes`` in its property set.  ``route`` times selection
+    only; the trials' own time is the result's ``trial_seconds``.
     """
     manager = PassManager()
     manager.append(FinishRoutingPass())

@@ -4,7 +4,7 @@
 per-stage timing report of the pipeline that produced it;
 :class:`BatchResult` aggregates the results of one
 :func:`repro.core.transpile.transpile_many` call, plus the provenance of
-how the batch was scheduled (fan-out mode, executor, dispatch counters).
+how the batch was scheduled (executor, scheduler, dispatch counters).
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ class TranspileResult:
     mirror_candidates : int
         Two-qubit gates that reached the intermediate layer.
     runtime_seconds : float
-        Transpilation time of this circuit.  Under ``fanout="trials"``
-        this is elapsed wall clock (parallel trials overlap); under
-        ``fanout="circuits"`` it is the per-circuit serial work plus
-        this circuit's summed *worker* trial time, which a parallel
-        executor overlaps across circuits.  Compare timings across
-        fan-out modes at the batch level (``BatchResult.runtime_seconds``),
+        Transpilation time of this circuit.  From
+        :func:`~repro.core.transpile.transpile` it is the elapsed wall
+        clock of the call (parallel trials overlap); from
+        :func:`~repro.core.transpile.transpile_many` and
+        :func:`~repro.core.transpile.compare_methods` it is the
+        circuit's planning and selection work plus its summed *worker*
+        trial time, which a parallel executor overlaps across circuits.
+        Compare batch timings through ``BatchResult.runtime_seconds``,
         not through this field.
     selection_metric : str
         Post-selection metric used across trials.
@@ -59,9 +61,9 @@ class TranspileResult:
         routing) for improvement reporting.
     pipeline_report : list of dict or None
         Per-stage timing records (name, seconds, gate counts, skipped
-        flag) of the pipeline run that produced this result.  Batch
-        fan-out runs show a ``plan`` stage (trial planning) in place of
-        in-line routing time; the ``route`` record then holds selection
+        flag) of the pipeline run that produced this result.  The
+        ``plan`` stage builds the routing trials; the executor runs
+        them outside any stage, so the ``route`` record holds selection
         only, with the trial time reported in ``trial_seconds``.
     trial_seconds : float or None
         Summed wall-clock seconds spent inside this circuit's routing
@@ -139,7 +141,7 @@ class BatchResult:
     ----------
     results : list of TranspileResult
         One result per input circuit, in input order — regardless of the
-        fan-out mode or executor that produced them.  Under
+        scheduler or executor that produced them.  Under
         ``transpile_many(..., on_error="return")`` a circuit whose
         deadline expired holds its
         :class:`~repro.exceptions.DeadlineExceededError` instance at
@@ -150,12 +152,6 @@ class BatchResult:
     executor : str
         Name of the trial executor used (``"serial"``, ``"threads"``,
         ``"processes"``, ...).
-    fanout : str
-        Scheduling mode that ran the batch — ``"trials"`` (circuits
-        walked sequentially, parallelism inside each circuit's trial
-        fan-out) or ``"circuits"`` (every circuit's trials pooled into
-        one shared dispatch).  Fixed-seed outputs are byte-identical
-        across modes; only the timing profile differs.
     dispatch : dict or None
         Provenance counters of the shared dispatch accumulated on the
         executor during this batch: ``shared_pickles`` (anchor
@@ -172,9 +168,9 @@ class BatchResult:
         memory) and ``bytes_copied`` (payload bytes workers materialised
         before unpickling — bounded by the index headers for segment
         payloads, whole payloads for inline ones), plus ``circuits``
-        and ``routed`` counts.  Under circuit-level fan-out it also
-        records ``scheduler`` (``"stream"`` or ``"barrier"`` — the mode
-        actually used, after any fallback), ``overlap_seconds``
+        and ``routed`` counts.  It also records ``scheduler``
+        (``"stream"`` or ``"barrier"`` — the mode actually used, after
+        any fallback), ``overlap_seconds``
         (planning/selection wall-clock performed while dispatched trials
         were still in flight; 0 under the barrier scheduler) and
         ``plan_seconds`` (summed front-pipeline seconds, all spent on
@@ -185,7 +181,6 @@ class BatchResult:
     results: list[TranspileResult]
     runtime_seconds: float
     executor: str
-    fanout: str = "trials"
     dispatch: dict | None = None
 
     def __len__(self) -> int:
@@ -242,7 +237,6 @@ class BatchResult:
         return {
             "circuits": len(self.results),
             "executor": self.executor,
-            "fanout": self.fanout,
             "total_swaps": sum(r.swaps_added for r in completed),
             "total_mirrors": sum(r.mirrors_accepted for r in completed),
             "mean_depth": round(

@@ -1,22 +1,26 @@
-"""Top-level transpilation API: thin builders over the staged pipeline.
+"""Top-level transpilation API: one plan → dispatch → select engine.
 
 The paper's experimental flow (Section V: clean → unroll → consolidate →
 VF2 → multi-trial SABRE/MIRAGE routing → post-selection) lives in
 :mod:`repro.core.pipeline` as named stages on a
 :class:`~repro.transpiler.passmanager.PassManager` sharing a
-:class:`~repro.transpiler.passmanager.PropertySet`.  This module only
-assembles and executes that pipeline:
+:class:`~repro.transpiler.passmanager.PropertySet`.  Every entry point
+below hands a sequence of ``(PlanSpec, PlanTask)`` items to one engine,
+:func:`_run_circuit_fanout`: each item's front pipeline is planned on
+the calling thread (clean → … → vf2 → plan), its routing trials are
+dispatched on the :class:`~repro.transpiler.executors.TrialExecutor`,
+and its winner is selected from the delivered outcomes (route →
+select).
 
-* :func:`transpile` — build the pipeline for one circuit, run it, and
-  return the :class:`TranspileResult` (with the per-stage timing report
-  attached as ``result.pipeline_report``).
-* :func:`transpile_many` — batch front door: transpile a sequence of
-  circuits sharing one coverage set and one
-  :class:`~repro.transpiler.executors.TrialExecutor`, returning a
+* :func:`transpile` — one circuit, one item; returns its
+  :class:`TranspileResult` (with the per-stage timing report attached as
+  ``result.pipeline_report``).
+* :func:`transpile_many` — batch front door: one item per circuit,
+  sharing one coverage set and one executor, returning a
   :class:`~repro.core.results.BatchResult` with per-circuit results and
   aggregated per-stage timings.
 * :func:`compare_methods` — the SABRE vs. MIRAGE comparison behind the
-  paper's Figs. 11 and 12.
+  paper's Figs. 11 and 12: one item per variant.
 
 Routing trials draw from per-trial ``numpy.random.SeedSequence`` streams,
 so a fixed seed produces byte-identical circuits whether trials run
@@ -44,7 +48,6 @@ from repro.core.pipeline import (
     PlanSpec,
     PlanTask,
     build_batch_back_pipeline,
-    build_mirage_pipeline,
     build_prepare_pipeline,
     resolve_coverage,
     run_plan,
@@ -64,18 +67,10 @@ from repro.transpiler.passes import (
 from repro.transpiler.passmanager import PipelineState
 from repro.transpiler.topologies import CouplingMap
 
-#: Fan-out modes accepted by :func:`transpile_many` (aliases included).
-FANOUT_MODES = {
-    "auto": "auto",
-    "trials": "trials",
-    "sequential": "trials",
-    "circuits": "circuits",
-}
-
-#: Scheduler modes accepted by :func:`transpile_many` under circuit-level
-#: fan-out (aliases included).  ``"stream"`` overlaps planning, trial
-#: execution and selection; ``"barrier"`` is the three-phase
-#: plan-all / dispatch-all / finish-all engine.
+#: Scheduler modes accepted by :func:`transpile_many` (aliases included).
+#: ``"stream"`` overlaps planning, trial execution and selection;
+#: ``"barrier"`` is the three-phase plan-all / dispatch-all / finish-all
+#: engine.
 SCHEDULER_MODES = {
     "auto": "auto",
     "stream": "stream",
@@ -162,7 +157,11 @@ def transpile(
     -------
     TranspileResult
         The routed circuit and its metrics, with ``pipeline_report``
-        carrying the per-stage timings.
+        carrying the per-stage timings (trial time reads as
+        ``trial_seconds``) and ``runtime_seconds`` the wall time of the
+        call.  Byte-identical to
+        ``transpile_many([circuit], ..., circuit_seeds=[seed])[0]``,
+        which is how it runs.
 
     Raises
     ------
@@ -171,45 +170,24 @@ def transpile(
         budget is invalid (checked before any stage runs).
     """
     start = time.perf_counter()
-    with executor_scope(executor, max_workers) as trial_executor:
-        pipeline = build_mirage_pipeline(
-            coupling,
-            basis=basis,
-            method=method,
-            selection=selection,
-            aggression=aggression,
-            layout_trials=layout_trials,
-            refinement_rounds=refinement_rounds,
-            routing_trials=routing_trials,
-            coverage=coverage,
-            use_vf2=use_vf2,
-            seed=seed,
-            executor=trial_executor,
-        )
-        state = pipeline.execute(circuit)
-    result: TranspileResult = state.properties.require("result")
+    (result,) = transpile_many(
+        [circuit],
+        coupling,
+        basis=basis,
+        method=method,
+        selection=selection,
+        aggression=aggression,
+        layout_trials=layout_trials,
+        refinement_rounds=refinement_rounds,
+        routing_trials=routing_trials,
+        coverage=coverage,
+        use_vf2=use_vf2,
+        circuit_seeds=[seed],
+        executor=executor,
+        max_workers=max_workers,
+    )
     result.runtime_seconds = time.perf_counter() - start
-    result.pipeline_report = pipeline.report()
     return result
-
-
-def _resolve_fanout(fanout: str, batch_size: int) -> str:
-    """Normalise a fan-out specification to ``"trials"`` or ``"circuits"``.
-
-    ``"auto"`` picks circuit-level fan-out whenever the batch holds more
-    than one circuit — the modes are byte-identical for a fixed seed, so
-    the choice only affects the wall-clock profile.
-    """
-    try:
-        mode = FANOUT_MODES[fanout.lower()]
-    except (KeyError, AttributeError):
-        known = ", ".join(sorted(set(FANOUT_MODES)))
-        raise InvalidModeError(
-            f"unknown fanout mode {fanout!r} (accepted: {known})"
-        ) from None
-    if mode == "auto":
-        return "circuits" if batch_size > 1 else "trials"
-    return mode
 
 
 def _resolve_scheduler(scheduler: str) -> str:
@@ -264,18 +242,17 @@ def _expired_error(
     deadline: float | None,
     on_error: str,
     trial_executor: TrialExecutor,
-    stage: str,
 ) -> DeadlineExceededError | None:
     """The error settling a circuit whose ``deadline`` already passed.
 
-    Checked before any work on the circuit starts.  Under
-    ``on_error="raise"`` the error is raised; otherwise it counts one
+    Checked before the circuit is planned.  Under ``on_error="raise"``
+    the error is raised; otherwise it counts one
     ``deadline_expirations`` and is returned for the circuit's slot.
     """
     if deadline is None or time.monotonic() < deadline:
         return None
     error = DeadlineExceededError(
-        f"request deadline expired before its circuit was {stage}"
+        "request deadline expired before its circuit was planned"
     )
     if on_error == "raise":
         raise error
@@ -302,114 +279,81 @@ def _finish_batch_state(
 
 
 def _run_circuit_fanout(
-    batch: list[QuantumCircuit],
-    coupling: CouplingMap | str,
-    *,
-    basis: str,
-    method: str,
-    selection: str,
-    aggression,
-    layout_trials: int,
-    refinement_rounds: int,
-    routing_trials: int,
-    coverage: CoverageSet,
-    use_vf2: bool,
-    circuit_seeds: Sequence[np.random.SeedSequence],
+    items: Sequence[tuple[PlanSpec, PlanTask]],
     trial_executor: TrialExecutor,
+    *,
     scheduler: str = "stream",
-    circuit_deadlines: Sequence[float | None],
     on_error: str = "raise",
-) -> tuple[list[TranspileResult], dict]:
-    """Two-level circuit fan-out under the requested scheduler.
+) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
+    """Plan, dispatch and select every item under the requested scheduler.
 
-    Both schedulers plan each circuit on the dispatching thread with the
-    same front pipeline (clean → … → vf2 → plan) and spawn per-circuit
-    seeds and per-trial streams exactly as the sequential mode spawns
-    them, so fixed-seed outputs are byte-identical across schedulers,
-    fan-out modes and executors; only the wall-clock profile differs:
+    The one route from a circuit to its trials.  Both schedulers plan
+    each item on the dispatching thread with :func:`run_plan` (clean → …
+    → vf2 → plan) and select its winner with the same back pipeline
+    (route → select), so fixed-seed outputs are byte-identical across
+    schedulers and executors; only the wall-clock profile differs:
 
-    * ``"stream"`` — a bounded producer plans circuits and feeds their
+    * ``"stream"`` — a bounded producer plans items and feeds their
       trial refs into an in-flight :class:`DispatchSession`, while
-      circuits whose trials have drained resume (route + select)
+      items whose trials have drained resume (route + select)
       immediately, so planning, trial execution and selection overlap.
       Falls back to the barrier engine when the executor cannot stream
       (process pool without a shared-memory transport).
-    * ``"barrier"`` — three phases: plan **all** circuits, pool every
+    * ``"barrier"`` — three phases: plan **all** items, pool every
       planned trial into one shared :meth:`map_shared` dispatch, then
-      finish all circuits.
+      finish all items.
+
+    Every caller shares one coverage set across its items; it is the
+    session anchor, so a serialising transport ships it once.
     """
-    plan_spec = PlanSpec(
-        coupling=coupling,
-        basis=basis,
-        method=method,
-        selection=selection,
-        aggression=aggression,
-        layout_trials=layout_trials,
-        refinement_rounds=refinement_rounds,
-        routing_trials=routing_trials,
-        coverage=coverage,
-        use_vf2=use_vf2,
-    )
-
-    def plan_front(circuit, circuit_seed):
-        return run_plan(
-            plan_spec, PlanTask(circuit=circuit, seed=circuit_seed)
-        )
-
     stats_before = dict(trial_executor.dispatch_stats)
-    if scheduler == "stream":
-        session = trial_executor.open_dispatch(run_trial, anchors=(coverage,))
+    if scheduler == "stream" and items:
+        session = trial_executor.open_dispatch(
+            run_trial, anchors=(items[0][0].coverage,)
+        )
         if session is not None:
             # Closing unlinks every published segment on *every* exit
             # path, including a raised deadline or an interrupt.
             with session:
                 return _stream_circuit_fanout(
-                    batch, plan_front, circuit_seeds, trial_executor,
-                    session, stats_before,
-                    circuit_deadlines=circuit_deadlines,
+                    items, trial_executor, session, stats_before,
                     on_error=on_error,
                 )
     return _barrier_circuit_fanout(
-        batch, plan_front, circuit_seeds, trial_executor, stats_before,
-        circuit_deadlines=circuit_deadlines, on_error=on_error,
+        items, trial_executor, stats_before, on_error=on_error,
     )
 
 
 def _barrier_circuit_fanout(
-    batch: list[QuantumCircuit],
-    plan_front,
-    circuit_seeds: Sequence[np.random.SeedSequence],
+    items: Sequence[tuple[PlanSpec, PlanTask]],
     trial_executor: TrialExecutor,
     stats_before: dict[str, int],
-    circuit_deadlines: Sequence[float | None],
     on_error: str = "raise",
-) -> tuple[list[TranspileResult], dict]:
-    """Plan every circuit, pool all trials into one dispatch, finish.
+) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
+    """Plan every item, pool all trials into one dispatch, finish.
 
-    Phase A runs each circuit's front pipeline, phase B pools every
+    Phase A runs each item's front pipeline, phase B pools every
     planned trial into **one** shared dispatch on the executor — the
     coverage set and all circuit DAGs ship to workers once (per chunk in
     blob mode, once per batch through a shared-memory segment) — and
-    phase C resumes each circuit's pipeline to select its winner.
+    phase C resumes each item's pipeline to select its winner.
 
     Deadlines are enforced at the plan boundary only (the pooled
-    dispatch has no per-circuit chunks to cancel): a circuit already
+    dispatch has no per-circuit chunks to cancel): an item already
     expired when phase A reaches it is never planned or pooled, and
     settles as :class:`DeadlineExceededError` per ``on_error``.
     """
     states: list[PipelineState | None] = []
     errors: list[DeadlineExceededError | None] = []
     front_seconds: list[float] = []
-    for index, (circuit, circuit_seed) in enumerate(zip(batch, circuit_seeds)):
-        error = _expired_error(
-            circuit_deadlines[index], on_error, trial_executor, "planned"
-        )
+    for spec, task in items:
+        error = _expired_error(task.deadline, on_error, trial_executor)
         if error is not None:
             states.append(None)
             errors.append(error)
             front_seconds.append(0.0)
             continue
-        outcome = plan_front(circuit, circuit_seed)
+        outcome = run_plan(spec, task)
         states.append(outcome.state)
         errors.append(None)
         front_seconds.append(outcome.seconds)
@@ -457,7 +401,7 @@ def _barrier_circuit_fanout(
     dispatch = _dispatch_provenance(
         trial_executor,
         stats_before,
-        circuits=len(batch),
+        circuits=len(items),
         routed=sum(1 for count in refs_per_state if count),
     )
     dispatch["scheduler"] = "barrier"
@@ -478,33 +422,30 @@ class _StreamEntry:
 
 
 def _stream_circuit_fanout(
-    batch: list[QuantumCircuit],
-    plan_front,
-    circuit_seeds: Sequence[np.random.SeedSequence],
+    items: Sequence[tuple[PlanSpec, PlanTask]],
     trial_executor: TrialExecutor,
     session,
     stats_before: dict[str, int],
-    circuit_deadlines: Sequence[float | None],
     on_error: str = "raise",
-) -> tuple[list[TranspileResult], dict]:
+) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
     """Streaming overlap scheduler: plan, dispatch and finish in one loop.
 
-    The producer plans circuits one at a time on the dispatching thread
-    and immediately feeds each circuit's trial refs into the in-flight
-    dispatch session; whenever the *oldest* in-flight circuit's futures
+    The producer plans items one at a time on the dispatching thread
+    and immediately feeds each item's trial refs into the in-flight
+    dispatch session; whenever the *oldest* in-flight item's futures
     have all completed it is resumed (route + select) right away, so
-    planning and selection of some circuits overlap the trials of
+    planning and selection of some items overlap the trials of
     others.  The in-flight window is bounded (:func:`_stream_window`) so
     arbitrarily long batches hold only a constant number of planned
     trial specs.
 
-    ``circuit_deadlines`` (absolute ``time.monotonic()`` instants, one
-    per batch position or ``None``) are checked before planning — an
-    already-expired circuit is never planned or dispatched — and then
-    ride each circuit's trial chunks into the session, where a circuit
-    expiring mid-flight settles with :class:`DeadlineExceededError`
-    without disturbing its siblings.  Either way the error is raised or
-    recorded at the circuit's result position depending on ``on_error``.
+    Each task's ``deadline`` (an absolute ``time.monotonic()`` instant
+    or ``None``) is checked before planning — an already-expired item
+    is never planned or dispatched — and then rides the item's trial
+    chunks into the session, where an item expiring mid-flight settles
+    with :class:`DeadlineExceededError` without disturbing its
+    siblings.  Either way the error is raised or recorded at the item's
+    result position depending on ``on_error``.
 
     ``overlap_seconds`` in the returned provenance sums the planning and
     selection work performed while dispatched trials were still in
@@ -512,7 +453,7 @@ def _stream_circuit_fanout(
     """
     window = _stream_window(trial_executor)
     results: list[TranspileResult | DeadlineExceededError | None] = (
-        [None] * len(batch)
+        [None] * len(items)
     )
     pending: collections.deque[_StreamEntry] = collections.deque()
     overlap = 0.0
@@ -550,14 +491,12 @@ def _stream_circuit_fanout(
         if session.outstanding():
             overlap += time.perf_counter() - start
 
-    for index, (circuit, circuit_seed) in enumerate(zip(batch, circuit_seeds)):
-        error = _expired_error(
-            circuit_deadlines[index], on_error, trial_executor, "planned"
-        )
+    for index, (spec, task) in enumerate(items):
+        error = _expired_error(task.deadline, on_error, trial_executor)
         if error is not None:
             results[index] = error
             continue
-        outcome = plan_front(circuit, circuit_seed)
+        outcome = run_plan(spec, task)
         plan_seconds += outcome.seconds
         if session.outstanding():
             overlap += outcome.seconds
@@ -568,7 +507,7 @@ def _stream_circuit_fanout(
             entry.futures = session.submit(
                 entry.slot,
                 trial_plan.refs,
-                deadline=circuit_deadlines[index],
+                deadline=task.deadline,
             )
             routed += 1
         pending.append(entry)
@@ -582,7 +521,7 @@ def _stream_circuit_fanout(
     while pending:
         finish_oldest()
     dispatch = _dispatch_provenance(
-        trial_executor, stats_before, circuits=len(batch), routed=routed
+        trial_executor, stats_before, circuits=len(items), routed=routed
     )
     dispatch["scheduler"] = "stream"
     dispatch["overlap_seconds"] = round(overlap, 6)
@@ -609,34 +548,23 @@ def transpile_many(
     ] | None = None,
     executor: str | TrialExecutor | None = None,
     max_workers: int | None = None,
-    fanout: str = "auto",
     scheduler: str = "auto",
     circuit_deadlines: Sequence[float | None] | None = None,
     on_error: str = "raise",
 ) -> BatchResult:
     """Transpile a batch of circuits sharing one coverage set and executor.
 
-    The batch engine is a two-level scheduler.  The coverage set for
-    ``basis`` is constructed (or taken from ``coverage``) once and a
-    single :class:`~repro.transpiler.executors.TrialExecutor` — including
-    its worker pool, when parallel — is reused across all circuits.  How
-    work reaches that executor depends on ``fanout``:
-
-    * ``"trials"`` (a.k.a. ``"sequential"``) — circuits are walked one
-      after another; parallelism lives inside each circuit's routing-trial
-      fan-out.  Best when individual circuits are large.
-    * ``"circuits"`` — every circuit is *planned* (clean → … → vf2 →
-      ``plan``) and its routing trials go through one shared dispatch on
-      the executor, with each circuit's winner selected from its
-      delivered outcomes.  Best for many-small-circuit workloads:
-      workers stay busy across circuit boundaries and the coverage set
-      plus the per-circuit DAGs cross the process boundary once (via a
-      shared-memory segment when available) instead of once per trial.
-    * ``"auto"`` (default) — ``"circuits"`` when the batch holds more than
-      one circuit, else ``"trials"``.
-
-    Under circuit-level fan-out, ``scheduler`` picks how the three kinds
-    of work are interleaved:
+    The coverage set for ``basis`` is constructed (or taken from
+    ``coverage``) once and a single
+    :class:`~repro.transpiler.executors.TrialExecutor` — including its
+    worker pool, when parallel — is reused across all circuits.  Every
+    circuit is *planned* (clean → … → vf2 → ``plan``) and its routing
+    trials go through one shared dispatch on the executor, with each
+    circuit's winner selected from its delivered outcomes: workers stay
+    busy across circuit boundaries and the coverage set plus the
+    per-circuit DAGs cross the process boundary once (via a
+    shared-memory segment when available) instead of once per trial.
+    ``scheduler`` picks how the three kinds of work are interleaved:
 
     * ``"stream"`` (a.k.a. ``"overlap"``) — a bounded producer plans
       circuits and feeds trial refs into the in-flight dispatch while
@@ -672,11 +600,8 @@ def transpile_many(
         ``get(basis)``, e.g.
         :meth:`repro.polytopes.registry.CoverageRegistry.bind`) resolved
         once per batch, or ``None`` for the shared process-wide set.
-    fanout : {"auto", "trials", "sequential", "circuits"}
-        Batch fan-out mode, see above.
     scheduler : {"auto", "stream", "overlap", "barrier"}
-        Circuit fan-out scheduling mode, see above (ignored under
-        ``fanout="trials"``).
+        Scheduling mode, see above.
     circuit_deadlines : sequence of float or None, optional
         Per-circuit absolute deadlines as ``time.monotonic()`` instants
         (``None`` entries mean unbounded).  Must match the batch length.
@@ -685,9 +610,9 @@ def transpile_many(
         also rides its own trial chunks: an expired circuit settles with
         :class:`~repro.exceptions.DeadlineExceededError` while sibling
         circuits in the same dispatch complete normally, byte-identical
-        to an undeadlined run.  The barrier scheduler and
-        ``fanout="trials"`` enforce deadlines at circuit boundaries
-        only.  Expired chunks count under the executor's
+        to an undeadlined run.  The barrier scheduler enforces
+        deadlines before planning only.  Expired chunks count under the
+        executor's
         ``deadline_expirations`` dispatch counter.
     on_error : {"raise", "return"}
         What to do when a circuit's deadline expires: ``"raise"``
@@ -709,7 +634,7 @@ def transpile_many(
     Raises
     ------
     InvalidModeError
-        If ``fanout`` or ``scheduler`` is not an accepted mode
+        If ``scheduler`` or ``on_error`` is not an accepted mode
         string (also a ``ValueError``; the message names the accepted
         values — unknown strings never fall back to a default).
     TranspilerError
@@ -720,11 +645,10 @@ def transpile_many(
     -----
     *Determinism.*  Per-circuit seeds are spawned from ``seed`` via
     ``numpy.random.SeedSequence`` by batch position, and per-trial streams
-    from each circuit seed — the identical spawn tree in every fan-out
-    mode, scheduler and executor.  For a fixed circuit list and seed the
-    batch is therefore byte-identical across ``fanout``, ``scheduler``
-    and ``executor`` choices (shared-memory and zero-copy transports
-    included); but
+    from each circuit seed — the identical spawn tree under every
+    scheduler and executor.  For a fixed circuit list and seed the batch
+    is therefore byte-identical across ``scheduler`` and ``executor``
+    choices (shared-memory and zero-copy transports included); but
     reordering, inserting or removing circuits reseeds the affected
     positions, and a batch of one does not reproduce a bare
     :func:`transpile` call with the same integer seed.  Passing
@@ -744,7 +668,6 @@ def transpile_many(
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
     validate_modes(basis, aggression)
-    mode = _resolve_fanout(fanout, len(batch))
     scheduler_mode = _resolve_scheduler(scheduler)
     if circuit_seeds is not None and len(circuit_seeds) != len(batch):
         raise TranspilerError(
@@ -766,9 +689,19 @@ def transpile_many(
         )
     if circuit_deadlines is None:
         circuit_deadlines = [None] * len(batch)
-    dispatch: dict | None = None
     with executor_scope(executor, max_workers) as trial_executor:
-        shared_coverage = resolve_coverage(coverage, basis)
+        spec = PlanSpec(
+            coupling=coupling,
+            basis=basis,
+            method=method,
+            selection=selection,
+            aggression=aggression,
+            layout_trials=layout_trials,
+            refinement_rounds=refinement_rounds,
+            routing_trials=routing_trials,
+            coverage=resolve_coverage(coverage, basis),
+            use_vf2=use_vf2,
+        )
         if circuit_seeds is not None:
             # Explicit roots: normalising through seed_sequence() is
             # idempotent, so position i matches transpile(seed=seeds[i]).
@@ -777,72 +710,20 @@ def transpile_many(
             circuit_seeds = (
                 seed_sequence(seed).spawn(len(batch)) if batch else []
             )
-        if mode == "circuits" and batch:
-            results, dispatch = _run_circuit_fanout(
-                batch,
-                coupling,
-                basis=basis,
-                method=method,
-                selection=selection,
-                aggression=aggression,
-                layout_trials=layout_trials,
-                refinement_rounds=refinement_rounds,
-                routing_trials=routing_trials,
-                coverage=shared_coverage,
-                use_vf2=use_vf2,
-                circuit_seeds=circuit_seeds,
-                trial_executor=trial_executor,
-                scheduler=scheduler_mode,
-                circuit_deadlines=circuit_deadlines,
-                on_error=on_error,
+        items = [
+            (spec, PlanTask(circuit=circuit, seed=root, deadline=deadline))
+            for circuit, root, deadline in zip(
+                batch, circuit_seeds, circuit_deadlines
             )
-        else:
-            stats_before = dict(trial_executor.dispatch_stats)
-            results = []
-            for index, (circuit, circuit_seed) in enumerate(
-                zip(batch, circuit_seeds)
-            ):
-                error = _expired_error(
-                    circuit_deadlines[index], on_error, trial_executor,
-                    "transpiled",
-                )
-                if error is not None:
-                    results.append(error)
-                    continue
-                results.append(
-                    transpile(
-                        circuit,
-                        coupling,
-                        basis=basis,
-                        method=method,
-                        selection=selection,
-                        aggression=aggression,
-                        layout_trials=layout_trials,
-                        refinement_rounds=refinement_rounds,
-                        routing_trials=routing_trials,
-                        coverage=shared_coverage,
-                        use_vf2=use_vf2,
-                        seed=circuit_seed,
-                        executor=trial_executor,
-                    )
-                )
-            dispatch = _dispatch_provenance(
-                trial_executor,
-                stats_before,
-                circuits=len(batch),
-                routed=sum(
-                    1
-                    for result in results
-                    if isinstance(result, TranspileResult)
-                    and result.trial_index >= 0
-                ),
-            )
+        ]
+        results, dispatch = _run_circuit_fanout(
+            items, trial_executor, scheduler=scheduler_mode, on_error=on_error
+        )
         executor_name = trial_executor.name
     return BatchResult(
         results=results,
         runtime_seconds=time.perf_counter() - start,
         executor=executor_name,
-        fanout=mode,
         dispatch=dispatch,
     )
 
@@ -861,54 +742,29 @@ def compare_methods(
 ) -> dict[str, TranspileResult]:
     """Run the SABRE baseline and MIRAGE variants on the same circuit.
 
-    One trial executor (and its worker pool, when parallel) is shared
-    across all variants, and on session-capable executors all variants
-    are batched through **one** :class:`DispatchSession`: the coverage
-    set is pickled once as the session anchor and every variant's trials
-    are dispatched up front, so SABRE trials overlap MIRAGE trials
-    instead of each variant paying its own dispatch round-trip.  Returns
-    a dict with keys ``"sabre"`` plus ``"mirage-<selection>"`` for each
-    requested post-selection metric — the comparison behind the paper's
-    Figs. 11 and 12.  Fixed-seed results are byte-identical to running
-    :func:`transpile` per variant (each variant plans with the same seed
-    and the same front pipeline).
+    Each variant is one item of the batch engine, so one trial executor
+    (and its worker pool, when parallel) and one dispatch carry all of
+    them: the coverage set ships once as the session anchor and every
+    variant's trials are dispatched as soon as it is planned, so SABRE
+    trials overlap MIRAGE trials.  Returns a dict with keys ``"sabre"``
+    plus ``"mirage-<selection>"`` for each requested post-selection
+    metric — the comparison behind the paper's Figs. 11 and 12.
+    Fixed-seed results are byte-identical to running
+    ``transpile(..., use_vf2=False)`` per variant.  Every variant is
+    validated before the coverage set is resolved.
     """
     variants = [("sabre", "sabre", "swaps")] + [
         (f"mirage-{selection}", "mirage", selection)
         for selection in selections
     ]
+    flows = [validate_flow(method, selection) for _, method, selection in variants]
     validate_budget(layout_trials, 2, 1)
     validate_modes(basis, None)
-    results: dict[str, TranspileResult] = {}
     with executor_scope(executor, max_workers) as trial_executor:
         shared_coverage = resolve_coverage(coverage, basis)
-        session = trial_executor.open_dispatch(
-            run_trial, anchors=(shared_coverage,)
-        )
-        if session is None:
-            # Executor cannot stream payloads — per-variant transpile
-            # calls on the shared executor (and shared coverage set).
-            for key, method, selection in variants:
-                results[key] = transpile(
-                    circuit,
-                    coupling,
-                    basis=basis,
-                    method=method,
-                    selection=selection,
-                    layout_trials=layout_trials,
-                    coverage=shared_coverage,
-                    use_vf2=False,
-                    seed=seed,
-                    executor=trial_executor,
-                )
-            return results
-        try:
-            # Plan every variant first, dispatching its trials into the
-            # shared session as soon as they exist; the in-flight sets
-            # overlap across variants.
-            parked = []
-            for key, method, selection in variants:
-                plan_spec = PlanSpec(
+        items = [
+            (
+                PlanSpec(
                     coupling=coupling,
                     basis=basis,
                     method=method,
@@ -919,28 +775,10 @@ def compare_methods(
                     routing_trials=1,
                     coverage=shared_coverage,
                     use_vf2=False,
-                )
-                outcome = run_plan(
-                    plan_spec, PlanTask(circuit=circuit, seed=seed)
-                )
-                trial_plan = outcome.state.properties.get("trial_plan")
-                futures: list = []
-                slot = -1
-                if trial_plan is not None:
-                    slot = session.add_payload(trial_plan.spec)
-                    futures = session.submit(slot, trial_plan.refs)
-                parked.append((key, outcome, futures, slot))
-            for key, outcome, futures, slot in parked:
-                if futures:
-                    outcome.state.properties["trial_outcomes"] = [
-                        trial_outcome
-                        for future in futures
-                        for trial_outcome in future.result()
-                    ]
-                    session.release(slot)
-                results[key] = _finish_batch_state(
-                    outcome.state, outcome.seconds
-                )
-        finally:
-            session.close()
-    return results
+                ),
+                PlanTask(circuit=circuit, seed=seed_sequence(seed)),
+            )
+            for method, selection in flows
+        ]
+        results, _ = _run_circuit_fanout(items, trial_executor)
+    return {key: result for (key, _, _), result in zip(variants, results)}

@@ -31,7 +31,7 @@ class TranspilerError(ReproError):
 class InvalidModeError(TranspilerError, ValueError):
     """Raised when a mode argument does not name a known mode.
 
-    Used by the front door for its ``fanout=``/``scheduler=``/
+    Used by the front door for its ``scheduler=``/
     ``on_error=``, ``aggression=`` and ``basis=`` arguments: an unknown
     value must fail fast with the accepted values named, never silently
     fall back to a default.  Deriving from

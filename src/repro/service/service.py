@@ -926,7 +926,6 @@ class MirageService:
         if batch is not None:
             record["dispatch"] = batch.dispatch
             record["executor"] = batch.executor
-            record["fanout"] = batch.fanout
             record["runtime_seconds"] = round(batch.runtime_seconds, 6)
             record["expired"] = sum(
                 1

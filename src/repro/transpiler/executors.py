@@ -1575,7 +1575,12 @@ class _ShmDispatchSession(DispatchSession):
 
 
 class TrialExecutor:
-    """Strategy object evaluating a function over a batch of trial tasks."""
+    """Strategy object evaluating a function over a batch of trial tasks.
+
+    Work reaches an executor only through a :class:`DispatchSession`:
+    :meth:`open_dispatch` for the streaming scheduler, :meth:`map_shared`
+    (one session used once) for the barrier scheduler.
+    """
 
     name: str = "executor"
 
@@ -1661,14 +1666,6 @@ class TrialExecutor:
         """
         return []
 
-    def map(
-        self,
-        fn: Callable[[_Task], _Result],
-        tasks: Iterable[_Task],
-    ) -> list[_Result]:
-        """Apply ``fn`` to every task, returning results in input order."""
-        raise NotImplementedError
-
     def map_shared(
         self,
         fn: Callable[[_Shared, _Task], _Result],
@@ -1743,13 +1740,6 @@ class SerialExecutor(TrialExecutor):
 
     name = "serial"
 
-    def map(
-        self,
-        fn: Callable[[_Task], _Result],
-        tasks: Iterable[_Task],
-    ) -> list[_Result]:
-        return [fn(task) for task in tasks]
-
 
 class _PoolExecutor(TrialExecutor):
     """Shared lazy-pool plumbing for the ``concurrent.futures`` backends."""
@@ -1801,23 +1791,6 @@ class _PoolExecutor(TrialExecutor):
         # its cleanup handler; reclaim anything its death orphaned.
         reap_stale_segments()
 
-    def map(
-        self,
-        fn: Callable[[_Task], _Result],
-        tasks: Iterable[_Task],
-    ) -> list[_Result]:
-        batch: Sequence[_Task] = list(tasks)
-        if len(batch) <= 1:
-            # Not worth dispatching (and keeps single-trial runs pool-free).
-            return [fn(task) for task in batch]
-        pool = self._ensure_pool()
-        # Chunked dispatch lets pickle memoise objects shared between the
-        # tasks of a chunk (DAGs, coverage sets) instead of re-serialising
-        # them once per task; harmless for the thread pool.
-        workers = self.max_workers or os.cpu_count() or 1
-        chunksize = max(1, math.ceil(len(batch) / workers))
-        return list(pool.map(fn, batch, chunksize=chunksize))
-
     def prewarm(self) -> int:
         """Create the pool and spawn its full worker complement now.
 
@@ -1864,16 +1837,20 @@ class ThreadExecutor(_PoolExecutor):
 class ProcessExecutor(_PoolExecutor):
     """Evaluate trials on a process pool.
 
-    The mapped function must be a module-level callable and every task
-    must be picklable; :func:`repro.transpiler.passes.run_layout_trial`
-    and :class:`repro.transpiler.passes.TrialTask` satisfy both.
+    The dispatched function must be a module-level callable and every
+    payload and task must be picklable;
+    :func:`repro.transpiler.passes.run_trial` over a
+    :class:`~repro.transpiler.passes.TrialSpec` payload and
+    :class:`~repro.transpiler.passes.TrialRef` tasks satisfies both.
 
-    :meth:`map_shared` is the preferred entry point for trial batches: it
-    pickles the shared payload exactly once per call, publishes it via a
+    Both dispatch forms run on :class:`_ShmDispatchSession` and its
+    recovery: each payload is pickled once per session, published via a
     shared-memory segment when available (chunks then carry an O(1)
-    handle instead of the payload bytes) or ships the blob once per chunk
-    otherwise, and workers memoise deserialisation by content digest.
-    Both forms run on :class:`_ShmDispatchSession` and its recovery.
+    handle instead of the payload bytes) or shipped as a blob once per
+    chunk otherwise, and workers memoise deserialisation by content
+    digest.  :meth:`open_dispatch` streams only over shared memory;
+    without it the batch engine takes the barrier scheduler, whose one
+    :meth:`map_shared` call ships one pooled payload.
     """
 
     name = "processes"

@@ -16,10 +16,8 @@ from repro.transpiler.passes.sabre_layout import (
     TrialOutcome,
     TrialRef,
     TrialSpec,
-    TrialTask,
     depth_metric,
     run_batch_trial,
-    run_layout_trial,
     run_trial,
     seed_sequence,
     select_best,
@@ -42,10 +40,8 @@ __all__ = [
     "TrialOutcome",
     "TrialRef",
     "TrialSpec",
-    "TrialTask",
     "depth_metric",
     "run_batch_trial",
-    "run_layout_trial",
     "run_trial",
     "seed_sequence",
     "select_best",

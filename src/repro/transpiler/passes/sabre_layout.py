@@ -11,9 +11,11 @@ Trials are fully independent: each one draws from its own RNG stream
 spawned via :class:`numpy.random.SeedSequence`, so the best result is
 identical no matter in which order — or on which
 :class:`~repro.transpiler.executors.TrialExecutor` — the trials run.
-:func:`run_layout_trial` is a module-level function over a picklable
-:class:`TrialTask` precisely so the process-pool executor can ship trials
-to worker processes.
+:class:`SabreLayout` only describes a search: it builds the picklable
+:class:`TrialSpec` shared by every trial and one :class:`TrialRef` per
+trial, which the batch engine dispatches to the module-level
+:func:`run_trial`; :func:`select_best` picks the winner from the
+delivered outcomes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from repro.circuits.dag import DAGCircuit
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler import metrics as metrics_mod
-from repro.transpiler.executors import TrialExecutor, executor_scope
 from repro.transpiler.kernel import IntDAG, adopt_intdag, int_dag
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
@@ -183,40 +184,6 @@ class TrialRef:
     seed: np.random.SeedSequence
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialTask:
-    """Everything one independent layout trial needs, picklable.
-
-    Kept as the single-object view of a ``(TrialSpec, TrialRef)`` pair for
-    callers that drive trials by hand; executor dispatch uses the split
-    form so the spec ships once per chunk rather than once per trial.
-    """
-
-    trial_index: int
-    seed: np.random.SeedSequence
-    dag: DAGCircuit
-    coupling: CouplingMap
-    router_factory: RouterFactory
-    refinement_rounds: int
-    routing_trials: int
-    selection_metric: SelectionMetric
-
-    @property
-    def spec(self) -> TrialSpec:
-        return TrialSpec(
-            dag=self.dag,
-            coupling=self.coupling,
-            router_factory=self.router_factory,
-            refinement_rounds=self.refinement_rounds,
-            routing_trials=self.routing_trials,
-            selection_metric=self.selection_metric,
-        )
-
-    @property
-    def ref(self) -> TrialRef:
-        return TrialRef(trial_index=self.trial_index, seed=self.seed)
-
-
 @dataclasses.dataclass
 class TrialOutcome:
     """Score, routing and wall time of one completed layout trial."""
@@ -281,11 +248,6 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     )
 
 
-def run_layout_trial(task: TrialTask) -> TrialOutcome:
-    """Run one self-contained :class:`TrialTask` (see :func:`run_trial`)."""
-    return run_trial(task.spec, task.ref)
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchTrialRef:
     """One trial of one circuit inside a multi-circuit dispatch."""
@@ -300,7 +262,7 @@ def run_batch_trial(
     """Run one trial of a multi-circuit batch against its shared specs.
 
     ``specs`` — one :class:`TrialSpec` per circuit — is the shared payload
-    of the circuit-level fan-out engine
+    of the batch engine's barrier scheduler
     (:func:`repro.core.transpile.transpile_many`): all circuits' DAGs and
     the one coverage set travel to workers together, once per chunk, and
     pickle's internal memo deduplicates the coverage set across specs.
@@ -315,7 +277,7 @@ def select_best(
     """Pick the winning trial: lowest score, ties to the lowest index.
 
     The tie-break keeps the winner independent of trial execution order,
-    so any executor (or fan-out mode) returns the same result.
+    so any executor (or scheduler) returns the same result.
     """
     best = min(outcomes, key=lambda o: (o.score, o.trial_index))
     return LayoutResult(
@@ -330,6 +292,10 @@ def select_best(
 
 class SabreLayout:
     """Multi-trial layout search driving any SABRE-compatible router.
+
+    Describes the search only — :meth:`trial_spec` and
+    :meth:`trial_refs` are what the batch engine dispatches to
+    :func:`run_trial`; :func:`select_best` picks the winner.
 
     Args:
         coupling: device coupling map.
@@ -346,13 +312,6 @@ class SabreLayout:
         seed: base RNG seed — an int, a ``SeedSequence`` or a ``Generator``
             (``None`` for nondeterministic).  Per-trial streams are spawned
             from it, so results do not depend on trial execution order.
-        executor: trial execution strategy — ``"serial"`` (default),
-            ``"threads"``, ``"processes"`` or a
-            :class:`~repro.transpiler.executors.TrialExecutor` instance.
-            Executors created from a string spec are closed after each run;
-            instances are borrowed and left open for reuse.
-        max_workers: worker count for executors created from a string spec
-            (ignored when an executor instance is passed).
     """
 
     def __init__(
@@ -366,8 +325,6 @@ class SabreLayout:
         selection_metric: SelectionMetric | None = None,
         metric_name: str = "swaps",
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        executor: str | TrialExecutor | None = None,
-        max_workers: int | None = None,
     ) -> None:
         self.coupling = coupling
         self.router_factory = router_factory or SabreRouterFactory(coupling)
@@ -377,8 +334,6 @@ class SabreLayout:
         self.selection_metric = selection_metric or swap_count_metric
         self.metric_name = metric_name
         self.seed = seed
-        self.executor = executor
-        self.max_workers = max_workers
 
     def trial_spec(self, dag: DAGCircuit) -> TrialSpec:
         """Build the heavy, trial-invariant payload for ``dag``.
@@ -403,35 +358,3 @@ class SabreLayout:
             TrialRef(trial_index=trial, seed=trial_seeds[trial])
             for trial in range(self.layout_trials)
         ]
-
-    def trial_tasks(self, dag: DAGCircuit) -> list[TrialTask]:
-        """Build the independent, order-insensitive tasks for ``dag``."""
-        spec = self.trial_spec(dag)
-        return [
-            TrialTask(
-                trial_index=ref.trial_index,
-                seed=ref.seed,
-                dag=spec.dag,
-                coupling=spec.coupling,
-                router_factory=spec.router_factory,
-                refinement_rounds=spec.refinement_rounds,
-                routing_trials=spec.routing_trials,
-                selection_metric=spec.selection_metric,
-            )
-            for ref in self.trial_refs()
-        ]
-
-    def run(self, dag: DAGCircuit) -> LayoutResult:
-        """Search layouts and return the best routed result.
-
-        Ties between equal-scoring trials always go to the lowest trial
-        index, keeping the winner independent of the executor.  Trials are
-        dispatched in split spec/ref form through
-        :meth:`TrialExecutor.map_shared`, so pool-backed executors ship
-        the DAGs and coverage set once per dispatch, not once per trial.
-        """
-        refs = self.trial_refs()
-        spec = self.trial_spec(dag)
-        with executor_scope(self.executor, self.max_workers) as executor:
-            outcomes = executor.map_shared(run_trial, spec, refs)
-        return select_best(outcomes, self.metric_name)

@@ -16,10 +16,14 @@ Two kinds of stages are supported:
   may skip themselves via :meth:`BasePass.should_run` — e.g. routing is
   skipped once the VF2 stage has found a SWAP-free embedding.
 
-:func:`repro.core.pipeline.build_mirage_pipeline` assembles the paper's
-full flow (clean → unroll → consolidate → VF2 → route → select) out of
-these pieces; :func:`repro.core.transpile.transpile` is a thin builder
-over it.
+The paper's full flow (clean → unroll → consolidate → VF2 → route →
+select) is built from these pieces in two halves:
+:func:`repro.core.pipeline.build_batch_front_pipeline` runs up to a
+``plan`` stage that parks the routing trials, and
+:func:`repro.core.pipeline.build_batch_back_pipeline` resumes the same
+:class:`PipelineState` (:meth:`PassManager.execute_state`) once the
+executor has run them.  :func:`repro.core.transpile.transpile` and
+the batch API drive both halves through one engine.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import (
     DeadlineExceededError,
@@ -846,11 +846,6 @@ class contextlib_suppress_close:
         return False
 
 
-def _map_call(fn: Callable[[Any], Any], task: object) -> object:
-    """Adapter making ``map`` ride the shared-payload path (fn as payload)."""
-    return fn(task)
-
-
 class RemoteExecutor(TrialExecutor):
     """Evaluate trials on remote ``mirage-worker-host`` processes.
 
@@ -979,13 +974,3 @@ class RemoteExecutor(TrialExecutor):
         self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
     ) -> DispatchSession:
         return _RemoteDispatchSession(self, fn, anchors)
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Iterable[object],
-    ) -> list:
-        batch = list(tasks)
-        if len(batch) <= 1:
-            return [fn(task) for task in batch]
-        return self.map_shared(_map_call, fn, batch)

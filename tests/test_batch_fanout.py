@@ -3,8 +3,8 @@
 Covers the three hard guarantees of the batch engine:
 
 * fixed-seed :func:`repro.core.transpile.transpile_many` outputs are
-  byte-identical across the sequential (``"trials"``) and circuit-level
-  (``"circuits"``) fan-out modes, and across all three executors;
+  byte-identical to per-circuit :func:`repro.core.transpile.transpile`
+  calls on the same seed tree, and across all three executors;
 * the chunked shared-payload dispatch pickles the coverage set exactly
   once per batch (the re-pickling regression check);
 * the :class:`repro.core.mirage_pass.MirageSwap` mirror decision is
@@ -13,11 +13,12 @@ Covers the three hard guarantees of the batch engine:
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.exceptions import TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
-from repro.core import transpile_many
+from repro.core import transpile, transpile_many
 from repro.core.mirage_pass import MirageSwap
 from repro.core.transpile import prepare_circuit
 from repro.polytopes import get_coverage_set
@@ -31,7 +32,7 @@ from repro.transpiler import (
 from repro.transpiler.kernel import route
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes import SabreLayout, run_layout_trial, run_trial
+from repro.transpiler.passes import SabreLayout
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -49,32 +50,43 @@ def _fingerprint(result):
     )
 
 
-def _batch(fanout, executor=None, circuits=None, **kwargs):
+def _circuits():
+    return [qft(4), ghz(5), twolocal_full(4)]
+
+
+def _batch(executor=None, circuits=None, **kwargs):
     return transpile_many(
-        circuits if circuits is not None else [qft(4), ghz(5), twolocal_full(4)],
+        circuits if circuits is not None else _circuits(),
         line_topology(5),
         coverage=COVERAGE,
         use_vf2=False,
         layout_trials=3,
         seed=7,
-        fanout=fanout,
         executor=executor,
         **kwargs,
     )
 
 
+def _sequential(circuits=None, coupling=None, seed=7, **kwargs):
+    """Per-circuit ``transpile()`` on the batch's spawn-by-position seeds."""
+    circuits = circuits if circuits is not None else _circuits()
+    options = dict(coverage=COVERAGE, use_vf2=False, layout_trials=3)
+    options.update(kwargs)
+    roots = np.random.SeedSequence(seed).spawn(len(circuits))
+    return [
+        transpile(circuit, coupling or line_topology(5), seed=root, **options)
+        for circuit, root in zip(circuits, roots)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Byte-identical results across fan-out modes and executors
+# Byte-identical results across the batch engine and executors
 # ---------------------------------------------------------------------------
 
 
 def test_circuit_fanout_matches_sequential():
-    sequential = _batch("trials")
-    fanned = _batch("circuits")
-    assert sequential.fanout == "trials"
-    assert fanned.fanout == "circuits"
-    assert [_fingerprint(r) for r in sequential] == [
-        _fingerprint(r) for r in fanned
+    assert [_fingerprint(r) for r in _sequential()] == [
+        _fingerprint(r) for r in _batch()
     ]
 
 
@@ -84,37 +96,39 @@ def test_circuit_fanout_matches_sequential():
     lambda: ProcessExecutor(max_workers=2),
 ], ids=["serial", "threads", "processes"])
 def test_circuit_fanout_identical_across_executors(make_executor):
-    reference = _batch("trials")
+    reference = _sequential()
     with make_executor() as executor:
-        fanned = _batch("circuits", executor=executor)
+        fanned = _batch(executor=executor)
     assert [_fingerprint(r) for r in reference] == [
         _fingerprint(r) for r in fanned
     ]
 
 
-def test_fanout_auto_picks_circuits_for_real_batches():
-    assert _batch("auto").fanout == "circuits"
-    single = _batch("auto", circuits=[qft(4)])
-    assert single.fanout == "trials"
-    # "sequential" is an accepted alias for "trials".
-    assert _batch("sequential").fanout == "trials"
+def test_batch_of_one_runs_through_the_engine():
+    """A batch of one is planned, dispatched and selected like any other
+    batch, and ``transpile()`` is that batch with its seed as the root."""
+    single = _batch(circuits=[qft(4)], circuit_seeds=[7])
+    assert single.dispatch["scheduler"] == "stream"
+    assert single.dispatch["tasks"] == 3
+    direct = transpile(qft(4), line_topology(5), coverage=COVERAGE,
+                       use_vf2=False, layout_trials=3, seed=7)
+    assert _fingerprint(single[0]) == _fingerprint(direct)
 
 
 def test_fanout_rejects_unknown_mode():
-    with pytest.raises(TranspilerError):
-        _batch("galaxies")
+    """``fanout=`` is gone: every value is an unknown keyword."""
+    for mode in ("galaxies", "trials", "circuits"):
+        with pytest.raises(TypeError, match="fanout"):
+            _batch(fanout=mode)
 
 
 @pytest.mark.parametrize("knob, value", [
-    ("fanout", "galaxies"),
-    ("fanout", "TRIALS "),
-    ("fanout", 3),
     ("scheduler", "warp"),
     ("scheduler", "streaming"),
     ("scheduler", None),
 ])
 def test_string_knobs_rejected_up_front_with_accepted_values(knob, value):
-    """Typos in ``fanout=``/``scheduler=`` fail fast as
+    """Typos in ``scheduler=`` fail fast as
     ``ValueError`` naming the accepted modes — before any coverage-set
     build or executor spawn (an empty batch and no coverage set: if
     validation were not first, this would try to build one)."""
@@ -128,7 +142,8 @@ def test_mode_error_is_both_transpiler_and_value_error():
     with pytest.raises(TranspilerError):
         transpile_many([], line_topology(4), coverage=COVERAGE, scheduler="warp")
     with pytest.raises(ValueError):
-        transpile_many([], line_topology(4), coverage=COVERAGE, fanout="warp")
+        transpile_many([], line_topology(4), coverage=COVERAGE,
+                       on_error="warp")
 
 
 def test_explicit_circuit_seeds_match_direct_transpile():
@@ -136,12 +151,9 @@ def test_explicit_circuit_seeds_match_direct_transpile():
     is byte-identical to ``transpile(seed=circuit_seeds[i])``, which is
     what lets the service tier coalesce requests without changing any
     output bit."""
-    from repro.core.transpile import transpile
-
     seeds = [5, 91, 17]
     circuits = [qft(4), ghz(5), twolocal_full(4)]
-    batch = _batch("circuits", circuits=circuits, circuit_seeds=seeds,
-                   scheduler="stream")
+    batch = _batch(circuits=circuits, circuit_seeds=seeds, scheduler="stream")
     direct = [
         transpile(circuit, line_topology(5), coverage=COVERAGE,
                   use_vf2=False, layout_trials=3, seed=seed)
@@ -154,19 +166,17 @@ def test_explicit_circuit_seeds_match_direct_transpile():
 
 def test_circuit_seeds_length_mismatch_rejected():
     with pytest.raises(TranspilerError, match="circuit_seeds"):
-        _batch("circuits", circuits=[qft(4), ghz(5)], circuit_seeds=[1])
+        _batch(circuits=[qft(4), ghz(5)], circuit_seeds=[1])
 
 
 def test_circuit_fanout_handles_vf2_embedded_circuits():
     """Circuits VF2 embeds contribute no trials but keep their slot."""
     circuits = [ghz(4), qft(4), ghz(3)]
-    sequential = transpile_many(
-        circuits, line_topology(4), coverage=COVERAGE, layout_trials=2,
-        seed=5, fanout="trials",
-    )
+    sequential = _sequential(circuits, line_topology(4), seed=5,
+                             use_vf2=True, layout_trials=2)
     fanned = transpile_many(
         circuits, line_topology(4), coverage=COVERAGE, layout_trials=2,
-        seed=5, fanout="circuits",
+        seed=5,
     )
     assert [r.method for r in fanned] == ["vf2", "mirage", "vf2"]
     assert [_fingerprint(r) for r in sequential] == [
@@ -177,16 +187,14 @@ def test_circuit_fanout_handles_vf2_embedded_circuits():
 
 
 def test_circuit_fanout_empty_batch():
-    batch = transpile_many(
-        [], line_topology(4), coverage=COVERAGE, seed=1, fanout="circuits"
-    )
+    batch = transpile_many([], line_topology(4), coverage=COVERAGE, seed=1)
     assert len(batch) == 0
     assert batch.summary()["circuits"] == 0
     assert batch.stage_seconds() == {}
 
 
 def test_circuit_fanout_reports_and_provenance():
-    fanned = _batch("circuits")
+    fanned = _batch()
     # Per-circuit reports show the full front pipeline plus route/select.
     names = [rec["name"] for rec in fanned[0].pipeline_report]
     assert names == [
@@ -199,7 +207,7 @@ def test_circuit_fanout_reports_and_provenance():
     assert fanned.trial_seconds() > 0
     assert len(fanned.circuit_seconds()) == 3
     assert fanned.dispatch["tasks"] == 9  # 3 circuits x 3 layout trials
-    assert fanned.summary()["fanout"] == "circuits"
+    assert fanned.dispatch["scheduler"] == "stream"
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +233,7 @@ def test_process_fanout_pickles_coverage_once(monkeypatch, scheduler):
 
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("circuits", executor=executor, scheduler=scheduler)
+        fanned = _batch(executor=executor, scheduler=scheduler)
     if scheduler == "stream":
         assert fanned.dispatch["shared_pickles"] == 1  # the session anchor
     else:
@@ -273,19 +281,6 @@ def test_map_shared_single_task_stays_inline():
         assert processes.map_shared(_times, 5, [7]) == [35]
         assert processes.dispatch_stats["payload_pickles"] == 0
         assert processes.dispatch_stats["shared_pickles"] == 0
-
-
-def test_run_trial_matches_legacy_task_form():
-    driver = SabreLayout(line_topology(4), layout_trials=2, seed=8)
-    dag = prepare_circuit(qft(4)).to_dag()
-    spec = driver.trial_spec(dag)
-    refs = driver.trial_refs()
-    tasks = driver.trial_tasks(dag)
-    for ref, task in zip(refs, tasks):
-        split = run_trial(spec, ref)
-        legacy = run_layout_trial(task)
-        assert split.score == legacy.score
-        assert split.trial_index == legacy.trial_index
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Each test runs a fixed-seed workload on the serial, thread, process and
 remote executors and checks one promise of the dispatch layers:
 
-* every fan-out mode, scheduler and transport returns the serial
-  routing byte for byte (the same holds for the compiled and the
-  pure-Python route loop, and for trial fan-out on a process pool);
+* every scheduler and transport returns the serial routing byte for
+  byte, as do per-circuit ``transpile()`` calls (the same holds for the
+  compiled and the pure-Python route loop, and for one circuit's trials
+  on a process pool);
 * a clean run reports every recovery and overload counter as zero —
   a retry or respawn here means the environment misbehaved;
 * the shared-memory transport ships O(1) bytes per chunk (at most 512 B)
@@ -28,6 +29,7 @@ import operator
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.circuits.library import ghz, qft, twolocal_full
@@ -82,8 +84,7 @@ def small_circuits(copies: int) -> list:
 
 def prewarm(pool: ProcessExecutor) -> None:
     """Fork every worker before the dispatch under test opens."""
-    workers = pool.max_workers or os.cpu_count() or 1
-    pool.map(len, [()] * (2 * workers))
+    pool.prewarm()
 
 
 def assert_clean(dispatch: dict, label: str, counters=RECOVERY_COUNTERS) -> None:
@@ -94,29 +95,36 @@ def assert_clean(dispatch: dict, label: str, counters=RECOVERY_COUNTERS) -> None
 
 @pytest.fixture(scope="module")
 def batch_fanout():
-    """One batch under every fan-out mode, scheduler and transport."""
+    """One batch under every scheduler and transport, plus the same
+    circuits as per-circuit ``transpile()`` calls on the batch's seeds."""
     circuits = small_circuits(2)
     coupling = line_topology(5)
     kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2,
-                  refinement_rounds=2, seed=29)
+                  refinement_rounds=2)
 
-    def run(fanout, executor=None, scheduler="auto"):
-        return transpile_many(circuits, coupling, fanout=fanout,
-                              scheduler=scheduler, executor=executor, **kwargs)
+    def run(executor=None, scheduler="auto"):
+        return transpile_many(circuits, coupling, scheduler=scheduler,
+                              executor=executor, seed=29, **kwargs)
 
-    batches = {"sequential": run("trials")}
+    batches = {"sequential": run()}
+    roots = np.random.SeedSequence(29).spawn(len(circuits))
     with ProcessExecutor() as pool:
         prewarm(pool)
-        batches["trials"] = run("trials", pool)
-        batches["stream"] = run("circuits", pool, "stream")
-        batches["barrier"] = run("circuits", pool, "barrier")
+        batches["stream"] = run(pool, "stream")
+        batches["barrier"] = run(pool, "barrier")
+        # Last: these calls publish the stream batch's very payloads, which
+        # the workers have memoised by digest, so they copy nothing.
+        batches["trials"] = [
+            transpile(circuit, coupling, seed=root, executor=pool, **kwargs)
+            for circuit, root in zip(circuits, roots)
+        ]
     # The transport is chosen when a dispatch opens; a fresh pool keeps
     # worker-side payload memos from leaking between transports.
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("MIRAGE_SHM_DISABLE", "1")
         with ProcessExecutor() as pool:
             prewarm(pool)
-            batches["blob"] = run("circuits", pool)
+            batches["blob"] = run(pool)
     return batches
 
 
@@ -211,8 +219,8 @@ def test_remote_dispatch_matches_serial_with_zero_recovery_counters():
     coupling = line_topology(5)
     kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2,
                   refinement_rounds=2, seed=41)
-    serial = transpile_many(circuits, coupling, fanout="trials",
-                            executor=SerialExecutor(), **kwargs)
+    serial = transpile_many(circuits, coupling, executor=SerialExecutor(),
+                            **kwargs)
     hosts = [WorkerHost(heartbeat_s=0.5), WorkerHost(heartbeat_s=0.5)]
     try:
         for host in hosts:
@@ -221,9 +229,8 @@ def test_remote_dispatch_matches_serial_with_zero_recovery_counters():
                                   max_streams=2)
         try:
             executor.prewarm()
-            remote = transpile_many(circuits, coupling, fanout="circuits",
-                                    scheduler="stream", executor=executor,
-                                    **kwargs)
+            remote = transpile_many(circuits, coupling, scheduler="stream",
+                                    executor=executor, **kwargs)
         finally:
             executor.close()
     finally:
@@ -290,7 +297,7 @@ def test_barrier_dispatch_keeps_its_chunk_and_transport_accounting(
         batch = transpile_many(
             [qft(4), ghz(5), twolocal_full(4)], line_topology(5),
             coverage=COVERAGE, use_vf2=False, layout_trials=3, seed=7,
-            fanout="circuits", scheduler="barrier", executor=pool,
+            scheduler="barrier", executor=pool,
         )
     dispatch = batch.dispatch
     assert (dispatch["chunks"], dispatch["tasks"]) == (5, 9), dispatch

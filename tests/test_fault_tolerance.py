@@ -92,7 +92,6 @@ def _batch(executor=None, **kwargs):
         use_vf2=False,
         layout_trials=3,
         seed=7,
-        fanout="circuits",
         executor=executor,
         **kwargs,
     )
@@ -376,6 +375,37 @@ def test_expired_deadline_fails_one_circuit_not_its_siblings(make_executor):
     assert batch.summary()["circuits"] == 2
     assert batch.circuit_seconds()[0] == 0.0
     assert _own_segments() == []
+
+
+@pytest.mark.parametrize("make_executor", [
+    SerialExecutor,
+    lambda: ThreadExecutor(max_workers=2),
+], ids=["serial", "threads"])
+def test_batch_of_one_honours_a_mid_flight_deadline(
+    monkeypatch, make_executor
+):
+    """A lone circuit's deadline rides its trial chunks: a slow first
+    trial carries it past the deadline mid-flight, and the batch settles
+    it as a typed error instead of returning a late result."""
+    monkeypatch.setenv("MIRAGE_FAULT_PLAN", "slow:trial:0")
+    monkeypatch.setenv("MIRAGE_FAULT_SLOW_SECONDS", "0.6")
+    with make_executor() as executor:
+        batch = transpile_many(
+            [qft(4)],
+            line_topology(5),
+            coverage=COVERAGE,
+            use_vf2=False,
+            layout_trials=4,
+            seed=7,
+            executor=executor,
+            circuit_deadlines=[time.monotonic() + 0.3],
+            on_error="return",
+        )
+    (error,) = batch.results
+    assert isinstance(error, DeadlineExceededError)
+    # Expired while its trials ran, not before it was planned.
+    assert "before its trials completed" in str(error)
+    assert batch.dispatch["deadline_expirations"] >= 1
 
 
 def test_expired_deadline_raises_by_default():

@@ -8,7 +8,8 @@ from repro.exceptions import InvalidModeError, TranspilerError
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
-    build_mirage_pipeline,
+    build_batch_back_pipeline,
+    build_batch_front_pipeline,
     compare_methods,
     prepare_circuit,
     transpile,
@@ -30,7 +31,8 @@ from repro.transpiler import (
 from repro.transpiler.passes import (
     DepthMetric,
     SabreLayout,
-    run_layout_trial,
+    run_trial,
+    select_best,
     swap_count_metric,
 )
 
@@ -107,14 +109,19 @@ def test_skipped_stage_is_recorded():
 def test_pass_manager_records_gate_counts_and_timings():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2).barrier()
-    manager = build_mirage_pipeline(
+    manager = build_batch_front_pipeline(
         line_topology(3), coverage=COVERAGE, use_vf2=False, layout_trials=1, seed=1
     )
     state = manager.execute(circuit)
+    plan = state.properties["trial_plan"]
+    state.properties["trial_outcomes"] = [
+        run_trial(plan.spec, ref) for ref in plan.refs
+    ]
+    build_batch_back_pipeline().execute_state(state)
     by_name = {record.name: record for record in state.records}
     assert set(by_name) == {
         "clean", "unroll", "reclean", "consolidate", "coupling",
-        "coverage", "analyze", "vf2", "route", "select",
+        "coverage", "analyze", "vf2", "plan", "route", "select",
     }
     # Unrolling a Toffoli grows the circuit; analysis stages leave it alone.
     assert by_name["unroll"].gates_after > by_name["unroll"].gates_before
@@ -129,7 +136,9 @@ def test_pass_manager_records_gate_counts_and_timings():
 
 def test_records_survive_stage_failure():
     """A stage that raises must not discard the records of earlier stages."""
-    manager = build_mirage_pipeline(line_topology(3), coverage=COVERAGE, seed=1)
+    manager = build_batch_front_pipeline(
+        line_topology(3), coverage=COVERAGE, seed=1
+    )
     with pytest.raises(TranspilerError):
         manager.execute(qft(5))  # device too small: the coupling stage raises
     assert [r.name for r in manager.records] == [
@@ -139,9 +148,9 @@ def test_records_survive_stage_failure():
 
 def test_pipeline_rejects_unknown_method_and_selection():
     with pytest.raises(TranspilerError):
-        build_mirage_pipeline(line_topology(3), method="magic")
+        build_batch_front_pipeline(line_topology(3), method="magic")
     with pytest.raises(TranspilerError):
-        build_mirage_pipeline(line_topology(3), selection="volume")
+        build_batch_front_pipeline(line_topology(3), selection="volume")
 
 
 BAD_BUDGETS = [
@@ -179,6 +188,20 @@ def test_bad_trial_budgets_fail_before_any_stage(monkeypatch, knob, value, messa
     if knob == "layout_trials":
         with pytest.raises(TranspilerError, match=message):
             compare_methods(qft(4), line_topology(4), layout_trials=value)
+
+
+def test_compare_methods_validates_every_variant_before_coverage(monkeypatch):
+    """A bad ``selections`` entry fails before the coverage set is
+    resolved, so no variant is planned or dispatched first."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resolved coverage before validating variants")
+
+    monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
+    with pytest.raises(TranspilerError, match="unknown selection metric 'volume'"):
+        compare_methods(qft(4), line_topology(4), selections=("volume",))
 
 
 BAD_MODES = [
@@ -263,10 +286,20 @@ class _ReversedExecutor(TrialExecutor):
 
     name = "reversed"
 
-    def map(self, fn, tasks):
+    def map_shared(self, fn, shared, tasks):
         tasks = list(tasks)
-        outcomes = [fn(task) for task in reversed(tasks)]
+        outcomes = [fn(shared, task) for task in reversed(tasks)]
         return list(reversed(outcomes))
+
+
+def _search(driver, dag, executor=None):
+    """Run a layout search the way the barrier scheduler does: one
+    ``map_shared`` dispatch of its trials, then :func:`select_best`."""
+    executor = executor or SerialExecutor()
+    outcomes = executor.map_shared(
+        run_trial, driver.trial_spec(dag), driver.trial_refs()
+    )
+    return select_best(outcomes, driver.metric_name)
 
 
 def test_resolve_executor_specs():
@@ -286,7 +319,8 @@ def test_executors_preserve_order():
     tasks = list(range(7))
     for executor in (SerialExecutor(), ThreadExecutor(max_workers=3)):
         with executor:
-            assert executor.map(lambda x: x * x, tasks) == [x * x for x in tasks]
+            squares = executor.map_shared(lambda s, x: x * x, None, tasks)
+            assert squares == [x * x for x in tasks]
 
 
 def test_sabre_layout_deterministic_across_executor_order():
@@ -303,9 +337,9 @@ def test_sabre_layout_deterministic_across_executor_order():
             refinement_rounds=1,
             selection_metric=swap_count_metric,
             seed=2,
-            executor=executor,
         )
-        best = driver.run(dag)
+        with executor:
+            best = _search(driver, dag, executor)
         outcomes[name] = (
             best.score,
             best.trial_index,
@@ -318,7 +352,7 @@ def test_sabre_layout_deterministic_across_executor_order():
 def test_sabre_layout_same_seed_same_result():
     dag = prepare_circuit(qft(4)).to_dag()
     runs = [
-        SabreLayout(line_topology(4), layout_trials=2, seed=5).run(dag)
+        _search(SabreLayout(line_topology(4), layout_trials=2, seed=5), dag)
         for _ in range(2)
     ]
     assert runs[0].score == runs[1].score
@@ -327,15 +361,19 @@ def test_sabre_layout_same_seed_same_result():
 
 
 def test_run_layout_trial_is_self_contained():
+    """One layout trial — :func:`run_trial` over the shared spec and its
+    own ref — depends on nothing else: rerunning it gives the same
+    outcome."""
     driver = SabreLayout(
         line_topology(4),
         layout_trials=2,
         selection_metric=DepthMetric(coverage=COVERAGE),
         seed=8,
     )
-    tasks = driver.trial_tasks(prepare_circuit(qft(4)).to_dag())
-    first = run_layout_trial(tasks[0])
-    again = run_layout_trial(tasks[0])
+    spec = driver.trial_spec(prepare_circuit(qft(4)).to_dag())
+    ref = driver.trial_refs()[0]
+    first = run_trial(spec, ref)
+    again = run_trial(spec, ref)
     assert first.score == again.score
     assert first.trial_index == 0
 
@@ -385,7 +423,7 @@ def test_transpile_parity_with_direct_driver():
         metric_name="depth",
         seed=3,
     )
-    best = driver.run(prepared.to_dag())
+    best = _search(driver, prepared.to_dag())
     assert best.trial_index == result.trial_index
     assert [(i.gate.name, i.qubits) for i in best.routing.to_circuit()] == [
         (i.gate.name, i.qubits) for i in result.circuit

@@ -16,17 +16,19 @@ to the executor.  Covers:
   as the session anchor.
 """
 
+import functools
 import glob
 import hashlib
 import importlib
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import DeadlineExceededError, TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
-from repro.core import transpile_many
+from repro.core import compare_methods, transpile, transpile_many
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import (
@@ -74,21 +76,23 @@ def _batch(executor=None, **kwargs):
         use_vf2=False,
         layout_trials=3,
         seed=7,
-        fanout="circuits",
         executor=executor,
         **kwargs,
     )
 
 
+#: Per-circuit ``transpile()`` on the batch's spawn-by-position seeds.
 REFERENCE_DIGEST = _digest(
-    transpile_many(
-        [qft(4), ghz(5), twolocal_full(4)],
+    transpile(
+        circuit,
         line_topology(5),
         coverage=COVERAGE,
         use_vf2=False,
         layout_trials=3,
-        seed=7,
-        fanout="trials",
+        seed=root,
+    )
+    for circuit, root in zip(
+        [qft(4), ghz(5), twolocal_full(4)], np.random.SeedSequence(7).spawn(3)
     )
 )
 
@@ -150,6 +154,46 @@ def test_plan_digest_identical_without_shm(monkeypatch):
     # No streaming transport: the engine fell back to the barrier
     # scheduler.
     assert fanned.dispatch["scheduler"] == "barrier"
+
+
+@functools.cache
+def _per_variant_digests() -> dict[str, str]:
+    """Digest of a per-variant ``transpile(use_vf2=False)`` call."""
+    variants = [("sabre", "sabre", "swaps"), ("mirage-swaps", "mirage", "swaps"),
+                ("mirage-depth", "mirage", "depth")]
+    return {
+        key: _digest([transpile(
+            twolocal_full(4), line_topology(4), method=method,
+            selection=selection, layout_trials=3, coverage=COVERAGE,
+            use_vf2=False, seed=5,
+        )])
+        for key, method, selection in variants
+    }
+
+
+@pytest.mark.parametrize("kind", [
+    "serial", "threads", "processes", "processes-blob",
+])
+def test_compare_methods_identical_across_executors(monkeypatch, kind):
+    """``compare_methods`` runs its variants as items of the one engine:
+    each variant equals a per-variant ``transpile(use_vf2=False)`` on
+    every executor, with and without shared memory."""
+    expected = _per_variant_digests()
+    if kind == "processes-blob":
+        monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
+    make_executor = {
+        "serial": SerialExecutor,
+        "threads": lambda: ThreadExecutor(max_workers=2),
+        "processes": lambda: ProcessExecutor(max_workers=2),
+        "processes-blob": lambda: ProcessExecutor(max_workers=2),
+    }[kind]
+    with make_executor() as executor:
+        results = compare_methods(
+            twolocal_full(4), line_topology(4), layout_trials=3, coverage=COVERAGE,
+            seed=5, executor=executor,
+        )
+    assert {key: _digest([result]) for key, result in results.items()} == expected
+    assert _own_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +277,15 @@ def test_plan_executor_pickles_coverage_once(monkeypatch):
 def test_plan_executor_handles_vf2_embedded_circuits():
     circuits = [ghz(4), qft(4), ghz(3)]
     kwargs = dict(coverage=COVERAGE, layout_trials=2, seed=5)
-    sequential = transpile_many(
-        circuits, line_topology(4), fanout="trials", **kwargs
-    )
+    sequential = [
+        transpile(circuit, line_topology(4), coverage=COVERAGE,
+                  layout_trials=2, seed=root)
+        for circuit, root in zip(circuits, np.random.SeedSequence(5).spawn(3))
+    ]
     with ThreadExecutor(max_workers=2) as threads:
         fanned = transpile_many(
-            circuits, line_topology(4), fanout="circuits",
-            scheduler="stream", executor=threads, **kwargs,
+            circuits, line_topology(4), scheduler="stream",
+            executor=threads, **kwargs,
         )
     assert [r.method for r in fanned] == ["vf2", "mirage", "vf2"]
     assert _digest(fanned) == _digest(sequential)
@@ -264,13 +310,12 @@ def test_plan_executor_long_batch_bounded_window():
     circuits = [qft(4), ghz(5), twolocal_full(4)] * 8  # 24 circuits
     sequential = transpile_many(
         circuits, line_topology(5), coverage=COVERAGE, use_vf2=False,
-        layout_trials=2, seed=11, fanout="trials",
+        layout_trials=2, seed=11,
     )
     with ThreadExecutor(max_workers=2) as threads:
         fanned = transpile_many(
             circuits, line_topology(5), coverage=COVERAGE, use_vf2=False,
-            layout_trials=2, seed=11, fanout="circuits", scheduler="stream",
-            executor=threads,
+            layout_trials=2, seed=11, scheduler="stream", executor=threads,
         )
     assert _digest(fanned) == _digest(sequential)
 
@@ -298,7 +343,7 @@ def test_plan_failure_propagates_without_segment_leak(trials_on):
         with pytest.raises(TranspilerError, match="9 qubits"):
             transpile_many(
                 circuits, line_topology(5), coverage=COVERAGE,
-                use_vf2=False, layout_trials=2, seed=3, fanout="circuits",
+                use_vf2=False, layout_trials=2, seed=3,
                 scheduler="stream", executor=executor,
             )
     assert _own_segments() == []

@@ -124,7 +124,6 @@ def _batch(executor, topology, seed):
         use_vf2=False,
         layout_trials=2,
         seed=seed,
-        fanout="circuits",
         executor=executor,
     )
 

@@ -19,7 +19,14 @@ from repro.core import (
 from repro.linalg import equal_up_to_global_phase
 from repro.polytopes import get_coverage_set
 from repro.transpiler import Layout, grid_topology, line_topology, ring_topology
-from repro.transpiler.passes import SabreLayout, SabreSwap, depth_metric, swap_count_metric
+from repro.transpiler.passes import (
+    SabreLayout,
+    SabreSwap,
+    depth_metric,
+    run_trial,
+    select_best,
+    swap_count_metric,
+)
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -221,8 +228,13 @@ def test_sabre_layout_picks_best_trial():
         selection_metric=swap_count_metric,
         seed=2,
     )
-    best = driver.run(circuit.to_dag())
+    spec = driver.trial_spec(circuit.to_dag())
+    best = select_best(
+        [run_trial(spec, ref) for ref in driver.trial_refs()],
+        driver.metric_name,
+    )
     assert best.score == best.routing.swaps_added
+    assert best.score == min(best.trial_scores)
     assert best.trial_index in range(3)
 
 

@@ -638,6 +638,33 @@ def test_expired_deadline_fails_only_its_own_request():
     assert stats["completed"] == 1
 
 
+def test_lone_request_deadline_expires_mid_flight(monkeypatch):
+    """A window of one request carries its deadline into its trial
+    chunks: the batch itself fails the request once a slow trial runs
+    past the deadline, rather than finishing it late.  Four trials on
+    two workers put the slow trial's sibling in its chunk, where the
+    deadline is checked next."""
+    monkeypatch.setenv("MIRAGE_FAULT_PLAN", "slow:trial:0")
+    monkeypatch.setenv("MIRAGE_FAULT_SLOW_SECONDS", "0.8")
+
+    async def main():
+        async with _service(window_ms=0.0, prewarm=False) as service:
+            with pytest.raises(DeadlineExceededError):
+                await service.submit(
+                    qft(4), TOPOLOGY, seed=3, deadline_ms=400.0,
+                    use_vf2=False, layout_trials=4,
+                )
+        return service.stats()
+
+    stats = _run(main())
+    (record,) = stats["window_log"]
+    assert record["requests"] == 1
+    assert record["expired"] == 1
+    assert record["dispatch"]["deadline_expirations"] >= 1
+    assert stats["completed"] == 0
+    assert stats["deadline_expirations"] >= 1
+
+
 def test_non_positive_deadline_expires_at_submission():
     async def main():
         async with _service(window_ms=0.0, prewarm=False) as service:

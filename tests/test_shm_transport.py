@@ -11,7 +11,8 @@ layer:
   exception mid-batch, not after an abandoned streaming session;
 * the streaming overlap scheduler of
   :func:`repro.core.transpile.transpile_many` is byte-identical to the
-  barrier scheduler (and to sequential fan-out) on every executor, and
+  barrier scheduler (and to per-circuit ``transpile()``) on every
+  executor, and
   falls back to the barrier engine when the transport is unavailable;
 * anchored streaming payloads serialise the batch's coverage set exactly
   once.
@@ -21,11 +22,12 @@ import glob
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.exceptions import TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
-from repro.core import transpile_many
+from repro.core import transpile, transpile_many
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import (
@@ -85,7 +87,7 @@ def _fingerprint(result):
     )
 
 
-def _batch(fanout, scheduler="auto", executor=None, **kwargs):
+def _batch(scheduler="auto", executor=None, **kwargs):
     return transpile_many(
         [qft(4), ghz(5), twolocal_full(4)],
         line_topology(5),
@@ -93,11 +95,20 @@ def _batch(fanout, scheduler="auto", executor=None, **kwargs):
         use_vf2=False,
         layout_trials=3,
         seed=7,
-        fanout=fanout,
         scheduler=scheduler,
         executor=executor,
         **kwargs,
     )
+
+
+def _sequential():
+    """Per-circuit ``transpile()`` on the batch's spawn-by-position seeds."""
+    return [
+        transpile(circuit, line_topology(5), coverage=COVERAGE,
+                  use_vf2=False, layout_trials=3, seed=root)
+        for circuit, root in zip([qft(4), ghz(5), twolocal_full(4)],
+                                 np.random.SeedSequence(7).spawn(3))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +283,9 @@ def test_atexit_guard_unlinks_created_segments():
 
 
 def test_stream_matches_barrier_and_sequential_serial():
-    reference = [_fingerprint(r) for r in _batch("trials")]
-    stream = _batch("circuits", "stream")
-    barrier = _batch("circuits", "barrier")
+    reference = [_fingerprint(r) for r in _sequential()]
+    stream = _batch("stream")
+    barrier = _batch("barrier")
     assert [_fingerprint(r) for r in stream] == reference
     assert [_fingerprint(r) for r in barrier] == reference
     assert stream.dispatch["scheduler"] == "stream"
@@ -288,18 +299,18 @@ def test_stream_matches_barrier_and_sequential_serial():
     lambda: ProcessExecutor(max_workers=2),
 ], ids=["serial", "threads", "processes"])
 def test_stream_identical_across_executors(make_executor):
-    reference = [_fingerprint(r) for r in _batch("trials")]
+    reference = [_fingerprint(r) for r in _sequential()]
     with make_executor() as executor:
-        stream = _batch("circuits", "stream", executor)
+        stream = _batch("stream", executor)
     assert [_fingerprint(r) for r in stream] == reference
     assert _own_segments() == []
 
 
 def test_stream_falls_back_to_barrier_without_shm(monkeypatch):
-    reference = [_fingerprint(r) for r in _batch("trials")]
+    reference = [_fingerprint(r) for r in _sequential()]
     monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("circuits", "stream", executor)
+        fanned = _batch("stream", executor)
     assert [_fingerprint(r) for r in fanned] == reference
     assert fanned.dispatch["scheduler"] == "barrier"
     assert fanned.dispatch["shm_segments"] == 0
@@ -308,7 +319,7 @@ def test_stream_falls_back_to_barrier_without_shm(monkeypatch):
 @needs_shm
 def test_stream_process_dispatch_ships_constant_bytes():
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("circuits", "stream", executor)
+        fanned = _batch("stream", executor)
     dispatch = fanned.dispatch
     assert dispatch["scheduler"] == "stream"
     assert dispatch["shm_segments"] >= 1
@@ -332,7 +343,7 @@ def test_stream_pickles_coverage_once(monkeypatch):
 
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("circuits", "stream", executor)
+        fanned = _batch("stream", executor)
     assert fanned.dispatch["shared_pickles"] == 1
     assert calls["count"] == 1
     assert fanned.dispatch["payload_pickles"] == 3  # one spec per circuit
@@ -341,12 +352,13 @@ def test_stream_pickles_coverage_once(monkeypatch):
 def test_stream_handles_vf2_embedded_circuits():
     circuits = [ghz(4), qft(4), ghz(3)]
     kwargs = dict(coverage=COVERAGE, layout_trials=2, seed=5)
-    sequential = transpile_many(
-        circuits, line_topology(4), fanout="trials", **kwargs
-    )
+    sequential = [
+        transpile(circuit, line_topology(4), coverage=COVERAGE,
+                  layout_trials=2, seed=root)
+        for circuit, root in zip(circuits, np.random.SeedSequence(5).spawn(3))
+    ]
     stream = transpile_many(
-        circuits, line_topology(4), fanout="circuits", scheduler="stream",
-        **kwargs,
+        circuits, line_topology(4), scheduler="stream", **kwargs,
     )
     assert [r.method for r in stream] == ["vf2", "mirage", "vf2"]
     assert [_fingerprint(r) for r in sequential] == [
@@ -357,7 +369,7 @@ def test_stream_handles_vf2_embedded_circuits():
 
 
 def test_stream_reports_overlap_provenance():
-    fanned = _batch("circuits", "stream")
+    fanned = _batch("stream")
     assert "overlap_seconds" in fanned.dispatch
     assert fanned.dispatch["overlap_seconds"] >= 0.0
     # Streamed circuits keep the full per-circuit pipeline reports.
@@ -370,4 +382,4 @@ def test_stream_reports_overlap_provenance():
 
 def test_scheduler_rejects_unknown_mode():
     with pytest.raises(TranspilerError):
-        _batch("circuits", "teleport")
+        _batch("teleport")

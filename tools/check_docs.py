@@ -61,7 +61,6 @@ PUBLIC_API = [
     ("repro.polytopes.coverage", "CoverageSet.depth_of_many"),
     ("repro.weyl.coordinates", "weyl_coordinates"),
     ("repro.weyl.coordinates", "weyl_coordinates_many"),
-    ("repro.transpiler.executors", "TrialExecutor.map"),
     ("repro.transpiler.executors", "TrialExecutor.map_shared"),
     ("repro.transpiler.executors", "TrialExecutor.open_dispatch"),
     ("repro.transpiler.executors", "DispatchSession"),

@@ -108,7 +108,6 @@ def run_batch(executor, coverage):
         use_vf2=False,
         layout_trials=2,
         seed=SEED,
-        fanout="circuits",
         executor=executor,
     )
 
