@@ -2,6 +2,7 @@
 
 from repro.circuits.circuit import (
     CircuitInstruction,
+    OpList,
     QuantumCircuit,
     random_two_qubit_block_circuit,
 )
@@ -17,6 +18,7 @@ from repro.circuits.qasm import to_qasm
 
 __all__ = [
     "CircuitInstruction",
+    "OpList",
     "QuantumCircuit",
     "random_two_qubit_block_circuit",
     "DAGCircuit",

@@ -16,8 +16,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import CircuitError
-from repro.circuits.gates import DIRECTIVES, Gate, UnitaryGate, standard_gate
+from repro.circuits.gates import Gate, UnitaryGate, standard_gate
 from repro.linalg.unitary import apply_unitary_to_state, embed_unitary
+
+#: One gate application in op-stream form: the gate and its int qubits.
+Op = tuple[Gate, tuple[int, ...]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +93,23 @@ class QuantumCircuit:
         instruction = CircuitInstruction(gate, self._check_qubits(qubits))
         self._instructions.append(instruction)
         return self
+
+    @classmethod
+    def _from_ops(
+        cls, num_qubits: int, ops: Sequence[Op], name: str = "circuit"
+    ) -> "QuantumCircuit":
+        """Build a circuit from ``ops`` in one step.
+
+        The caller guarantees that every qubit is an int in range (as
+        :func:`~repro.circuits.dag.kahn_order` or a source circuit has
+        checked); :class:`CircuitInstruction` still checks duplicates and
+        arity.
+        """
+        out = cls(num_qubits, name)
+        out._instructions = [
+            CircuitInstruction(gate, qubits) for gate, qubits in ops
+        ]
+        return out
 
     def append_instruction(self, instruction: CircuitInstruction) -> "QuantumCircuit":
         self._check_qubits(instruction.qubits)
@@ -238,7 +258,7 @@ class QuantumCircuit:
         """Standard circuit depth (longest chain of gates over shared qubits)."""
         frontier = [0] * self.num_qubits
         for instr in self._instructions:
-            if instr.gate.name in DIRECTIVES:
+            if instr.gate.is_directive:
                 continue
             if two_qubit_only and not instr.is_two_qubit:
                 continue
@@ -340,6 +360,42 @@ class QuantumCircuit:
             f"QuantumCircuit(name={self.name!r}, qubits={self.num_qubits}, "
             f"gates={len(self)})"
         )
+
+
+@dataclasses.dataclass
+class OpList:
+    """A circuit lowered to its ``(gate, qubits)`` op stream.
+
+    The front stages of the transpiler pipeline (clean, unroll,
+    consolidate, analyze, VF2 and planning) pass one of these between
+    them instead of building a :class:`QuantumCircuit` per stage; only a
+    result is built as a circuit again.
+    """
+
+    num_qubits: int
+    name: str
+    ops: list[Op]
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @classmethod
+    def of(cls, circuit: "QuantumCircuit | OpList") -> "OpList":
+        """Lower ``circuit`` (an op list is returned as is)."""
+        if isinstance(circuit, OpList):
+            return circuit
+        return cls(
+            circuit.num_qubits,
+            circuit.name,
+            [(instr.gate, instr.qubits) for instr in circuit._instructions],
+        )
+
+    def to_circuit(self) -> QuantumCircuit:
+        """The op stream as a :class:`QuantumCircuit`, every op checked."""
+        out = QuantumCircuit(self.num_qubits, self.name)
+        for gate, qubits in self.ops:
+            out.append(gate, qubits)
+        return out
 
 
 def random_two_qubit_block_circuit(

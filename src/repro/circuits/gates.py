@@ -234,7 +234,10 @@ class UnitaryGate(Gate):
     Used for consolidated two-qubit blocks.  The constructor skips the
     unitarity check when ``check=False`` (the MIRAGE hot path, mirroring the
     paper's removal of ``is_unitary`` in Section VI-C); a cached Weyl
-    coordinate may be attached by the consolidation pass.
+    coordinate may be attached by the consolidation pass.  The ``label`` is
+    the gate's ``name`` but never selects a rule: cleaning and unrolling
+    apply their name rules to standard gates only, and a unitary is never
+    a directive, whatever it is called.
     """
 
     def __init__(
@@ -257,6 +260,11 @@ class UnitaryGate(Gate):
         object.__setattr__(self, "params", ())
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "coordinate", coordinate)
+
+    @property
+    def is_directive(self) -> bool:
+        # A label names the block; it never makes it a barrier or measure.
+        return False
 
     def matrix(self) -> np.ndarray:
         return self._matrix.copy()

@@ -14,6 +14,13 @@ counters, and finally ``result``), so any stage can be replaced, removed
 or reordered without touching the others, and every run yields a per-stage
 timing report (paper Fig. 13).
 
+Each circuit is lowered once: ``clean`` turns it into an
+:class:`~repro.circuits.circuit.OpList`, the front stages rewrite and read
+that op stream, and ``plan`` lowers it straight to the
+:class:`~repro.transpiler.kernel.IntDAG` its trials route, with no
+``DAGCircuit`` in between.  A :class:`QuantumCircuit` is built only for a
+result: the embedded circuit in ``vf2`` or the routed winner in ``route``.
+
 :mod:`repro.core.transpile` drives both halves for :func:`transpile`,
 :func:`transpile_many` and :func:`compare_methods` through one engine.
 """
@@ -22,19 +29,21 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.circuit import Op, OpList, QuantumCircuit
 from repro.core.aggression import Aggression, schedule_from_spec
 from repro.core.mirage_pass import MirageSwap
 from repro.core.results import TranspileResult
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.layout import apply_layout, vf2_layout
 from repro.transpiler.metrics import evaluate
-from repro.transpiler.passes.cleanup import clean_input_permuted
-from repro.transpiler.passes.consolidate import consolidate_blocks
+from repro.transpiler.kernel import IntDAG
+from repro.transpiler.passes.cleanup import clean_ops
+from repro.transpiler.passes.consolidate import consolidate_ops
 from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
     SabreLayout,
@@ -45,10 +54,9 @@ from repro.transpiler.passes.sabre_layout import (
     swap_count_metric,
 )
 from repro.transpiler.passes.sabre_swap import SabreSwap
-from repro.transpiler.passes.unroll import unroll_to_two_qubit
+from repro.transpiler.passes.unroll import unroll_ops
 from repro.transpiler.passmanager import (
     BasePass,
-    FunctionPass,
     PassManager,
     PipelineState,
 )
@@ -77,23 +85,35 @@ class MirageRouterFactory:
 
 
 class CleanInputPass(BasePass):
-    """Input cleaning that records the permutation of its SWAP elision.
+    """Lower the input to an :class:`OpList` and clean it in one walk.
 
-    Composes the permutation onto any ``input_permutation`` an earlier
-    cleaning stage left in the property set, so after ``clean`` and
-    ``reclean`` the output of the *original* circuit on qubit ``q`` is the
-    output of ``state.circuit`` on qubit ``input_permutation[q]``.
+    Records the permutation of its SWAP elision as ``input_permutation``:
+    the output of the *original* circuit on qubit ``q`` is the output of
+    ``state.circuit`` on qubit ``input_permutation[q]``.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    name = "clean"
 
     def run(self, state: PipelineState) -> None:
-        state.circuit, permutation = clean_input_permuted(state.circuit)
-        previous = state.properties.get("input_permutation")
-        if previous is not None:
-            permutation = [permutation[wire] for wire in previous]
+        lowered = OpList.of(state.circuit)
+        ops, permutation = clean_ops(lowered.ops, lowered.num_qubits)
+        state.circuit = OpList(lowered.num_qubits, lowered.name, ops)
         state.properties["input_permutation"] = permutation
+
+
+class OpListPass(BasePass):
+    """A front stage rewriting the op stream: ``fn(ops) -> ops``.
+
+    A circuit in the state is lowered to an :class:`OpList` first.
+    """
+
+    def __init__(self, name: str, fn: Callable[[list[Op]], list[Op]]) -> None:
+        self.name = name
+        self.fn = fn
+
+    def run(self, state: PipelineState) -> None:
+        lowered = OpList.of(state.circuit)
+        state.circuit = OpList(lowered.num_qubits, lowered.name, self.fn(lowered.ops))
 
 
 class ResolveCouplingPass(BasePass):
@@ -173,14 +193,17 @@ class AnalyzeInputPass(BasePass):
 
     def run(self, state: PipelineState) -> None:
         state.properties["input_metrics"] = evaluate(
-            state.circuit,
+            OpList.of(state.circuit).ops,
             basis=state.properties.require("basis"),
             coverage=state.properties.require("coverage"),
         )
 
 
 class VF2EmbeddingPass(BasePass):
-    """Search for a SWAP-free embedding before invoking SABRE/MIRAGE."""
+    """Search for a SWAP-free embedding before invoking SABRE/MIRAGE.
+
+    An embedded circuit is the result: it is built here, in one step.
+    """
 
     name = "vf2"
 
@@ -235,10 +258,11 @@ class PlanTrialsPass(BasePass):
     every circuit's trials into one shared dispatch.  Skipped once VF2
     has found a SWAP-free embedding.
 
-    The parked spec carries the forward lowering only: trial runners
-    derive the reverse direction from its arrays (memoised per process),
-    so the planning thread never builds it and the dispatch never ships
-    it.
+    The op stream is lowered straight to an
+    :class:`~repro.transpiler.kernel.IntDAG` (no DAG is built), and the
+    parked spec carries that forward lowering only: trial runners derive
+    the reverse direction from its arrays (memoised per process), so the
+    planning thread never builds it and the dispatch never ships it.
     """
 
     name = "plan"
@@ -296,8 +320,10 @@ class PlanTrialsPass(BasePass):
 
     def run(self, state: PipelineState) -> None:
         driver = self.build_driver(state)
+        lowered = OpList.of(state.circuit)
+        lowering = IntDAG.from_ops(lowered.num_qubits, lowered.ops)
         state.properties["trial_plan"] = TrialPlan(
-            spec=driver.trial_spec(state.circuit.to_dag()),
+            spec=driver.trial_spec(lowering, lowered.name),
             refs=tuple(driver.trial_refs()),
             method=self.method,
             selection=self.selection,
@@ -436,13 +462,20 @@ def validate_modes(basis: str, aggression: object) -> None:
 
 
 def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
-    """Input cleaning + unrolling + consolidation (paper Section V)."""
+    """Input cleaning + unrolling + consolidation (paper Section V).
+
+    Stage order: ``clean`` (which lowers the circuit to an
+    :class:`OpList`), ``unroll``, ``consolidate``.  The stages pass the
+    op list along; :meth:`PassManager.run` builds the prepared circuit
+    from it.  No second cleaning is needed: after ``clean`` no directive,
+    ``id``, zero-angle rotation or SWAP is left, and ``unroll`` emits
+    only ``h``/``cx``/``t``/``tdg``.
+    """
     manager = PassManager()
-    manager.append(CleanInputPass("clean"))
-    manager.append(FunctionPass("unroll", unroll_to_two_qubit))
-    manager.append(CleanInputPass("reclean"))
+    manager.append(CleanInputPass())
+    manager.append(OpListPass("unroll", unroll_ops))
     if consolidate:
-        manager.append(FunctionPass("consolidate", consolidate_blocks))
+        manager.append(OpListPass("consolidate", consolidate_ops))
     return manager
 
 
@@ -464,8 +497,8 @@ def build_batch_front_pipeline(
     """Front half of the pipeline: everything up to — but excluding —
     trial execution.
 
-    Stage order: ``clean``, ``unroll``, ``reclean``, ``consolidate``,
-    ``coupling``, ``coverage``, ``analyze``, ``vf2``, ``plan``.  ``vf2``
+    Stage order: ``clean``, ``unroll``, ``consolidate``, ``coupling``,
+    ``coverage``, ``analyze``, ``vf2``, ``plan``.  ``vf2``
     marks routing complete when it finds a SWAP-free embedding, in which
     case ``plan`` (and later ``route``) skip themselves; otherwise
     ``plan`` (:class:`PlanTrialsPass`) parks the trial spec/refs in the
@@ -549,8 +582,8 @@ class PlanOutcome:
 def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
     """Run one circuit's front pipeline on the calling thread.
 
-    Executes ``clean → unroll → reclean → consolidate → coupling →
-    coverage → analyze → vf2 → plan`` for ``task.circuit`` with the
+    Executes ``clean → unroll → consolidate → coupling → coverage →
+    analyze → vf2 → plan`` for ``task.circuit`` with the
     batch parameters of ``spec``, seeded with the per-circuit
     ``SeedSequence``, and returns the full planned
     :class:`PipelineState`.  Every front stage is deterministic, so the

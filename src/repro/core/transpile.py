@@ -214,7 +214,7 @@ def _stream_window(trial_executor: TrialExecutor) -> int:
 
     Enough planned-but-unfinished circuits to keep every worker busy
     across circuit boundaries, small enough to bound the memory held by
-    parked trial plans (DAGs) and undelivered outcomes.
+    parked trial plans (lowerings) and undelivered outcomes.
     """
     workers = (
         getattr(trial_executor, "max_workers", None) or os.cpu_count() or 1
@@ -334,7 +334,7 @@ def _barrier_circuit_fanout(
 
     Phase A runs each item's front pipeline, phase B pools every
     planned trial into **one** shared dispatch on the executor — the
-    coverage set and all circuit DAGs ship to workers once (per chunk in
+    coverage set and all circuit lowerings ship to workers once (per chunk in
     blob mode, once per batch through a shared-memory segment) — and
     phase C resumes each item's pipeline to select its winner.
 
@@ -562,7 +562,7 @@ def transpile_many(
     trials go through one shared dispatch on the executor, with each
     circuit's winner selected from its delivered outcomes: workers stay
     busy across circuit boundaries and the coverage set plus the
-    per-circuit DAGs cross the process boundary once (via a
+    per-circuit lowerings cross the process boundary once (via a
     shared-memory segment when available) instead of once per trial.
     ``scheduler`` picks how the three kinds of work are interleaved:
 

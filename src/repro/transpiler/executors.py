@@ -1,8 +1,8 @@
 """Pluggable executors for independent transpilation trials.
 
 The SABRE/MIRAGE layout search runs many independent trials (paper
-Section V uses a 20 x 20 budget); each trial only needs the circuit DAG,
-a router and its own RNG stream, so the trials are embarrassingly
+Section V uses a 20 x 20 budget); each trial only needs the circuit's
+flat lowering, a router and its own RNG stream, so the trials are embarrassingly
 parallel.  :class:`TrialExecutor` abstracts *how* a batch of such trials
 is evaluated:
 
@@ -25,8 +25,8 @@ as a context manager to release workers.
 Shared-payload dispatch
 -----------------------
 
-Routing trials share almost all of their input: the circuit DAGs, the
-coupling map and — heaviest of all — the coverage set are identical for
+Routing trials share almost all of their input: the circuit lowerings,
+the coupling map and — heaviest of all — the coverage set are identical for
 every trial, only the ``(trial_index, seed)`` pair differs.  Every
 executor therefore dispatches through one :class:`DispatchSession` type
 per transport: heavy payloads are registered once
@@ -813,7 +813,7 @@ def _load_payload(
 
     Runs inside worker processes.  The expensive work — attaching the
     segment (or receiving the blob) and unpickling coverage-set
-    polytopes, DAG nodes, numpy arrays — happens at most once per worker
+    polytopes, gate objects, numpy arrays — happens at most once per worker
     per payload.  Segment handles rebuild their arrays as read-only
     views over the attached segment; inline handles unpickle the bytes
     that rode the chunk (counted in the worker's ``bytes_copied``).
@@ -1674,8 +1674,8 @@ class TrialExecutor:
     ) -> list[_Result]:
         """Apply ``fn(shared, task)`` to every task, in input order.
 
-        ``shared`` is the heavy payload common to all tasks (DAGs, coverage
-        set, router factory); ``tasks`` are the light per-trial records.
+        ``shared`` is the heavy payload common to all tasks (lowerings,
+        coverage set, router factory); ``tasks`` are the light per-trial records.
         One :class:`DispatchSession` of this executor's transport carries
         the call: ``shared`` is added once — serialised once, where the
         transport serialises — and every task is submitted against it,

@@ -2,7 +2,7 @@
 
 The package mirrors the structure qiskit uses when it delegates Sabre to
 ``qiskit._accelerate.sabre_swap`` — a :class:`~repro.transpiler.kernel.intdag.IntDAG`
-lowering of the circuit DAG, a
+lowering of the circuit's op stream, a
 :class:`~repro.transpiler.kernel.neighbors.NeighborTable` over the coupling
 map, and a :func:`~repro.transpiler.kernel.route.route_kernel` loop over
 preallocated int/float arrays, the only route loop.  The whole loop,
@@ -13,7 +13,7 @@ with the pure-Python loop as the fallback and reference.  Outputs are
 bit-identical at a fixed seed with or without the extension.
 """
 
-from repro.transpiler.kernel.intdag import IntDAG, adopt_intdag, int_dag
+from repro.transpiler.kernel.intdag import IntDAG
 from repro.transpiler.kernel.neighbors import NeighborTable, neighbor_table
 from repro.transpiler.kernel.route import KernelState, MirrorRule, route_kernel
 
@@ -22,8 +22,6 @@ __all__ = [
     "KernelState",
     "MirrorRule",
     "NeighborTable",
-    "adopt_intdag",
-    "int_dag",
     "neighbor_table",
     "route_kernel",
 ]

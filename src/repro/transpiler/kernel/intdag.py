@@ -1,8 +1,8 @@
-"""``IntDAG``: a flat integer lowering of :class:`~repro.circuits.dag.DAGCircuit`.
+"""``IntDAG``: the flat integer lowering a circuit is routed on.
 
-The routing inner loop never needs the :class:`DAGNode` objects themselves —
-only qubit indices, a two-qubit flag, dependency edges, and (at emission
-time) the gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
+The routing inner loop never needs DAG node objects — only qubit
+indices, a two-qubit flag, dependency edges, and (at emission time) the
+gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
 
 * an op table (``qubit0``/``qubit1`` with ``-1`` sentinels, a ``kind`` code,
   a ``gate_ids`` index into the deduplicated ``gates`` tuple, and a CSR
@@ -10,18 +10,20 @@ time) the gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
 * CSR successor/predecessor adjacency plus the in-degree vector, so
   front-layer advance is array bookkeeping instead of node-set mutation.
 
-Being plain ndarrays, the whole structure ships through the zero-copy
-shared-memory transport as out-of-band buffers; the ``gates`` tuple is the
-only object payload and is deduplicated against the owning DAG by the
-pickle memo.  Workers adopt the shipped table via :func:`adopt_intdag`
-instead of re-lowering the DAG per trial, and derive the reverse routing
-direction from it with :meth:`IntDAG.reversed`.
+:meth:`IntDAG.from_ops` lowers the pipeline's op stream directly, with
+no :class:`~repro.circuits.dag.DAGCircuit` in between (``from_dag`` is
+the same lowering of a DAG's nodes).  Being plain ndarrays, the whole
+structure ships through the zero-copy shared-memory transport as
+out-of-band buffers; the ``gates`` tuple is the only object payload.
+Trial runners route the shipped table as is and derive the reverse
+routing direction from it with :meth:`IntDAG.reversed`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+import itertools
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,11 +31,9 @@ from repro.circuits.dag import _kahn, _link
 from repro.exceptions import TranspilerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.circuits.circuit import Op
     from repro.circuits.dag import DAGCircuit
     from repro.circuits.gates import Gate
-
-#: Attribute under which a lowered table is memoised on the source DAG.
-_CACHE_ATTR = "_intdag_cache"
 
 #: Attribute under which a lowering memoises its mirror tables (see
 #: :func:`repro.core.mirage_pass.mirror_table`); a lowering and its
@@ -69,10 +69,10 @@ class IntDAGLists:
 
 @dataclasses.dataclass
 class IntDAG:
-    """Int-encoded op table + CSR dependency arrays of a ``DAGCircuit``.
+    """Int-encoded op table + CSR dependency arrays of an op stream.
 
     Attributes:
-        num_qubits: virtual-qubit count of the source DAG.
+        num_qubits: virtual-qubit count of the source circuit.
         num_nodes: node count; node ids are exactly ``0..num_nodes-1``.
         qubit0/qubit1: first/second qarg per node (``-1`` when absent).
         kind: per-node ``KIND_*`` code.
@@ -104,65 +104,56 @@ class IntDAG:
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def from_ops(cls, num_qubits: int, ops: Sequence[Op]) -> "IntDAG":
+        """Lower a ``(gate, qubits)`` op stream directly.
+
+        Equal array for array to ``from_dag`` of the DAG built by adding
+        ``ops`` in order: the wires are linked as
+        :meth:`DAGCircuit.add_node` links them (every qubit's range
+        checked), and gate slots are deduplicated by object identity in
+        order of first appearance.
+        """
+        qubit_lists = [qubits for _, qubits in ops]
+        gates: list[Gate] = []
+        slots: dict[int, int] = {}
+        gate_ids: list[int] = []
+        kind: list[int] = []
+        for gate, qubits in ops:
+            slot = slots.setdefault(id(gate), len(gates))
+            if slot == len(gates):
+                gates.append(gate)
+            gate_ids.append(slot)
+            width = len(qubits)
+            kind.append(
+                KIND_FREE if gate.is_directive or width == 1
+                else KIND_CHECK2 if width == 2
+                else KIND_REJECT
+            )
+        kind_array = np.asarray(kind, dtype=np.uint8)
+        return cls(
+            num_qubits=num_qubits,
+            num_nodes=len(ops),
+            qubit0=np.asarray([q[0] if q else -1 for q in qubit_lists], dtype=np.int32),
+            qubit1=np.asarray(
+                [q[1] if len(q) > 1 else -1 for q in qubit_lists], dtype=np.int32
+            ),
+            kind=kind_array,
+            two_qubit=(kind_array == KIND_CHECK2).astype(np.uint8),
+            gate_ids=np.asarray(gate_ids, dtype=np.int32),
+            gates=tuple(gates),
+            **_wired(num_qubits, qubit_lists),
+        )
+
+    @classmethod
     def from_dag(cls, dag: "DAGCircuit") -> "IntDAG":
-        num_nodes = len(dag.nodes)
-        if sorted(dag.nodes) != list(range(num_nodes)):
+        """Lower a DAG: :meth:`from_ops` of its nodes in id order."""
+        nodes = dag.nodes
+        if sorted(nodes) != list(range(len(nodes))):
             raise TranspilerError(
                 "IntDAG requires densely numbered DAG nodes (0..n-1)"
             )
-        qubit0 = np.full(num_nodes, -1, dtype=np.int32)
-        qubit1 = np.full(num_nodes, -1, dtype=np.int32)
-        kind = np.empty(num_nodes, dtype=np.uint8)
-        two_qubit = np.zeros(num_nodes, dtype=np.uint8)
-        gate_ids = np.empty(num_nodes, dtype=np.int32)
-        gates: list[Gate] = []
-        gate_index: dict[int, int] = {}
-        qarg_indptr = np.empty(num_nodes + 1, dtype=np.int64)
-        qarg_indptr[0] = 0
-        qargs: list[int] = []
-        for node_id in range(num_nodes):
-            node = dag.nodes[node_id]
-            qubits = node.qubits
-            if len(qubits) >= 1:
-                qubit0[node_id] = qubits[0]
-            if len(qubits) >= 2:
-                qubit1[node_id] = qubits[1]
-            if node.is_two_qubit:
-                kind[node_id] = KIND_CHECK2
-                two_qubit[node_id] = 1
-            elif node.is_directive or len(qubits) == 1:
-                kind[node_id] = KIND_FREE
-            else:
-                kind[node_id] = KIND_REJECT
-            key = id(node.gate)
-            slot = gate_index.get(key)
-            if slot is None:
-                slot = len(gates)
-                gate_index[key] = slot
-                gates.append(node.gate)
-            gate_ids[node_id] = slot
-            qargs.extend(qubits)
-            qarg_indptr[node_id + 1] = len(qargs)
-
-        succ_indptr, succ_ids = _csr(dag._successors, num_nodes)
-        pred_indptr, pred_ids = _csr(dag._predecessors, num_nodes)
-        indegree = np.diff(pred_indptr).astype(np.int32)
-        return cls(
-            num_qubits=dag.num_qubits,
-            num_nodes=num_nodes,
-            qubit0=qubit0,
-            qubit1=qubit1,
-            kind=kind,
-            two_qubit=two_qubit,
-            gate_ids=gate_ids,
-            gates=tuple(gates),
-            qarg_indptr=qarg_indptr,
-            qargs=np.asarray(qargs, dtype=np.int32),
-            succ_indptr=succ_indptr,
-            succ_ids=succ_ids,
-            pred_indptr=pred_indptr,
-            pred_ids=pred_ids,
-            indegree=indegree,
+        return cls.from_ops(
+            dag.num_qubits, [(nodes[i].gate, nodes[i].qubits) for i in range(len(nodes))]
         )
 
     def reversed(self) -> "IntDAG":
@@ -173,9 +164,8 @@ class IntDAG:
         routing direction of a SABRE refinement round), except that the
         reverse keeps this lowering's ``gates`` tuple and slot numbering,
         so it also shares the mirror-table memo.  The wires are re-linked
-        exactly as :meth:`DAGCircuit.add_node` links them, so the
-        predecessor de-duplication and successor order match.  Like the
-        other per-process caches, the memo is dropped from the pickle.
+        as :meth:`from_ops` links them.  Like the other per-process
+        caches, the memo is dropped from the pickle.
         """
         cached = self.__dict__.get("_reversed")
         if cached is not None:
@@ -190,22 +180,7 @@ class IntDAG:
         order.reverse()
         qarg_indptr = self.qarg_indptr.tolist()
         qargs = self.qargs.tolist()
-        last_on_wire = [-1] * self.num_qubits
-        reverse_succ: list[list[int]] = [[] for _ in range(num_nodes)]
-        reverse_pred: list[list[int]] = []
-        reverse_qargs: list[int] = []
-        reverse_qarg_indptr = [0]
-        for index, node_id in enumerate(order):
-            qubits = qargs[qarg_indptr[node_id]:qarg_indptr[node_id + 1]]
-            predecessors = _link(last_on_wire, index, qubits, self.num_qubits)
-            for previous in predecessors:
-                reverse_succ[previous].append(index)
-            reverse_pred.append(predecessors)
-            reverse_qargs.extend(qubits)
-            reverse_qarg_indptr.append(len(reverse_qargs))
         perm = np.asarray(order, dtype=np.intp)
-        succ_indptr, succ_ids = _csr(reverse_succ, num_nodes)
-        pred_indptr, pred_ids = _csr(reverse_pred, num_nodes)
         reverse = IntDAG(
             num_qubits=self.num_qubits,
             num_nodes=num_nodes,
@@ -215,13 +190,10 @@ class IntDAG:
             two_qubit=self.two_qubit[perm],
             gate_ids=self.gate_ids[perm],
             gates=self.gates,
-            qarg_indptr=np.asarray(reverse_qarg_indptr, dtype=np.int64),
-            qargs=np.asarray(reverse_qargs, dtype=np.int32),
-            succ_indptr=succ_indptr,
-            succ_ids=succ_ids,
-            pred_indptr=pred_indptr,
-            pred_ids=pred_ids,
-            indegree=np.diff(pred_indptr).astype(np.int32),
+            **_wired(
+                self.num_qubits,
+                [qargs[qarg_indptr[i]:qarg_indptr[i + 1]] for i in order],
+            ),
         )
         reverse.__dict__[MIRROR_TABLES_ATTR] = self.__dict__.setdefault(
             MIRROR_TABLES_ATTR, {}
@@ -293,34 +265,39 @@ class IntDAG:
         self.__dict__.update(state)
 
 
-def _csr(
-    adjacency: dict[int, list[int]] | list[list[int]], num_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.empty(num_nodes + 1, dtype=np.int64)
-    indptr[0] = 0
-    flat: list[int] = []
-    for node_id in range(num_nodes):
-        flat.extend(adjacency[node_id])
-        indptr[node_id + 1] = len(flat)
+def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(row) for row in rows])
+    flat = list(itertools.chain.from_iterable(rows))
     return indptr, np.asarray(flat, dtype=np.int32)
 
 
-def int_dag(dag: "DAGCircuit") -> IntDAG:
-    """Lower ``dag``, memoising the table on the DAG itself.
+def _wired(
+    num_qubits: int, qubit_lists: Sequence[Sequence[int]]
+) -> dict[str, np.ndarray]:
+    """The qarg and dependency arrays of ops on ``qubit_lists``, in order.
 
-    The memo rides the DAG's pickle, which is what ships a ``TrialSpec``'s
-    lowering to workers exactly once (the spec's ``intdag`` field and the
-    DAG attribute are the same object, deduplicated by the pickle memo).
+    Each op is linked with :func:`~repro.circuits.dag._link`, the rule
+    :meth:`DAGCircuit.add_node` uses, so the predecessor de-duplication
+    and successor order match the DAG's.
     """
-    cached = getattr(dag, _CACHE_ATTR, None)
-    if cached is not None and cached.num_nodes == len(dag.nodes):
-        return cached
-    built = IntDAG.from_dag(dag)
-    setattr(dag, _CACHE_ATTR, built)
-    return built
-
-
-def adopt_intdag(dag: "DAGCircuit", intdag: IntDAG | None) -> None:
-    """Attach a pre-built lowering to ``dag`` (worker-side adoption)."""
-    if intdag is not None and intdag.num_nodes == len(dag.nodes):
-        setattr(dag, _CACHE_ATTR, intdag)
+    last_on_wire = [-1] * num_qubits
+    successors: list[list[int]] = [[] for _ in qubit_lists]
+    predecessors: list[list[int]] = []
+    for index, qubits in enumerate(qubit_lists):
+        linked = _link(last_on_wire, index, qubits, num_qubits)
+        for previous in linked:
+            successors[previous].append(index)
+        predecessors.append(linked)
+    qarg_indptr, qargs = _csr(qubit_lists)
+    succ_indptr, succ_ids = _csr(successors)
+    pred_indptr, pred_ids = _csr(predecessors)
+    return {
+        "qarg_indptr": qarg_indptr,
+        "qargs": qargs,
+        "succ_indptr": succ_indptr,
+        "succ_ids": succ_ids,
+        "pred_indptr": pred_indptr,
+        "pred_ids": pred_ids,
+        "indegree": np.diff(pred_indptr).astype(np.int32),
+    }

@@ -13,8 +13,8 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from repro.exceptions import TranspilerError
-from repro.circuits.circuit import QuantumCircuit
+from repro.exceptions import CircuitError, TranspilerError
+from repro.circuits.circuit import OpList, QuantumCircuit
 from repro.transpiler.topologies import CouplingMap
 
 
@@ -101,18 +101,18 @@ class Layout:
         return f"Layout({self._v2p})"
 
 
-def interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
+def interaction_graph(circuit: QuantumCircuit | OpList) -> nx.Graph:
     """Graph whose edges are the qubit pairs coupled by two-qubit gates."""
     graph = nx.Graph()
     graph.add_nodes_from(range(circuit.num_qubits))
-    for instruction in circuit:
-        if instruction.is_two_qubit:
-            graph.add_edge(*instruction.qubits)
+    for gate, qubits in OpList.of(circuit).ops:
+        if len(qubits) == 2 and not gate.is_directive:
+            graph.add_edge(*qubits)
     return graph
 
 
 def vf2_layout(
-    circuit: QuantumCircuit,
+    circuit: QuantumCircuit | OpList,
     coupling: CouplingMap,
     *,
     max_program_edges: int = 64,
@@ -158,8 +158,22 @@ def vf2_layout(
     return None
 
 
-def apply_layout(circuit: QuantumCircuit, layout: Layout, num_physical: int) -> QuantumCircuit:
-    """Relabel a circuit's virtual qubits onto physical qubits."""
-    return circuit.remap(
-        [layout.v2p(q) for q in range(circuit.num_qubits)], num_physical
+def apply_layout(
+    circuit: QuantumCircuit | OpList, layout: Layout, num_physical: int
+) -> QuantumCircuit:
+    """Relabel a circuit's (or op list's) virtual qubits onto physical qubits.
+
+    The relabelled circuit is built in one step: checking the layout's
+    physical qubits against ``num_physical`` checks every op's.
+    """
+    lowered = OpList.of(circuit)
+    mapping = [layout.v2p(q) for q in range(lowered.num_qubits)]
+    if mapping and max(mapping) >= num_physical:
+        raise CircuitError(
+            f"qubit {max(mapping)} out of range for {num_physical}-qubit circuit"
+        )
+    return QuantumCircuit._from_ops(
+        num_physical,
+        [(gate, tuple([mapping[q] for q in qubits])) for gate, qubits in lowered.ops],
+        lowered.name,
     )

@@ -4,53 +4,64 @@ Before routing, the pass manager removes barriers, measurements and identity
 gates, and elides SWAP gates present in the *input* program by permuting the
 wire labels of all downstream gates (an input SWAP never needs to be
 executed — only routing-inserted SWAPs cost pulses).  All of it is one walk
-over the instructions, :func:`clean_input_permuted`.
+over the op stream, :func:`clean_ops`.  The rules go by gate name and
+apply to standard gates only: a :class:`~repro.circuits.gates.UnitaryGate`
+is kept whatever its label.
 """
 
 from __future__ import annotations
 
-from repro.circuits.circuit import QuantumCircuit
+from typing import Sequence
+
+from repro.circuits.circuit import Op, OpList, QuantumCircuit
+from repro.circuits.gates import DIRECTIVES, Gate
 
 #: Rotations that are dropped when their angle is (numerically) zero.
 ZERO_ANGLE_ROTATIONS = frozenset({"rx", "ry", "rz", "p", "cp", "rzz", "rxx", "ryy"})
 
 
-def clean_input_permuted(
-    circuit: QuantumCircuit,
-    *,
-    drop_no_ops: bool = True,
-) -> tuple[QuantumCircuit, list[int]]:
-    """Clean ``circuit`` in one walk and return the wire permutation applied.
+def clean_ops(
+    ops: Sequence[Op], num_qubits: int, *, drop_no_ops: bool = True
+) -> tuple[list[Op], list[int]]:
+    """Clean an op stream in one walk; return it and the permutation applied.
 
-    Every SWAP is absorbed into a virtual-qubit permutation applied to all
-    later gates instead of being emitted.
-
-    Args:
-        circuit: the input program.
-        drop_no_ops: drop barriers, measurements, ``id`` gates and
-            zero-angle rotations.
-
-    Returns:
-        ``(cleaned, permutation)``: the output state of ``circuit`` on
-        qubit ``q`` is the output state of ``cleaned`` on qubit
-        ``permutation[q]``.
+    Drops barriers, measurements, ``id`` gates and zero-angle rotations
+    (unless ``drop_no_ops`` is false), and absorbs every SWAP into a
+    virtual-qubit permutation of all later gates instead of emitting it:
+    the output state of ``ops`` on qubit ``q`` is the output state of the
+    cleaned stream on qubit ``permutation[q]``.
     """
-    permutation = list(range(circuit.num_qubits))
-    out = QuantumCircuit(circuit.num_qubits, circuit.name)
-    for instruction in circuit:
-        gate = instruction.gate
-        if drop_no_ops and (
-            gate.is_directive
-            or gate.name == "id"
-            or (gate.name in ZERO_ANGLE_ROTATIONS and abs(gate.params[0]) < 1e-12)
-        ):
-            continue
-        if gate.name == "swap":
-            a, b = instruction.qubits
-            permutation[a], permutation[b] = permutation[b], permutation[a]
-            continue
-        out.append(gate, [permutation[q] for q in instruction.qubits])
+    permutation = list(range(num_qubits))
+    out: list[Op] = []
+    for gate, qubits in ops:
+        if type(gate) is Gate:
+            name = gate.name
+            if drop_no_ops and (
+                name in DIRECTIVES
+                or name == "id"
+                or (name in ZERO_ANGLE_ROTATIONS and abs(gate.params[0]) < 1e-12)
+            ):
+                continue
+            if name == "swap":
+                a, b = qubits
+                permutation[a], permutation[b] = permutation[b], permutation[a]
+                continue
+        out.append((gate, tuple([permutation[q] for q in qubits])))
     return out, permutation
+
+
+def clean_input_permuted(
+    circuit: QuantumCircuit, *, drop_no_ops: bool = True
+) -> tuple[QuantumCircuit, list[int]]:
+    """:func:`clean_ops` on a circuit: ``(cleaned, permutation)``.
+
+    The output state of ``circuit`` on qubit ``q`` is the output state of
+    ``cleaned`` on qubit ``permutation[q]``.
+    """
+    ops, permutation = clean_ops(
+        OpList.of(circuit).ops, circuit.num_qubits, drop_no_ops=drop_no_ops
+    )
+    return OpList(circuit.num_qubits, circuit.name, ops).to_circuit(), permutation
 
 
 def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:

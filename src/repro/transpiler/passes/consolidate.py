@@ -10,9 +10,11 @@ distinct block matrix through a shared LRU cache.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.circuit import Op, OpList, QuantumCircuit
 from repro.circuits.gates import Gate, UnitaryGate
 from repro.linalg.unitary import embed_unitary
 from repro.polytopes.cache import GLOBAL_COORDINATE_CACHE, CoordinateCache
@@ -55,28 +57,24 @@ class _Block:
     def __init__(self, qubits: tuple[int, int]) -> None:
         self.qubits = qubits
         self.matrix = np.eye(4, dtype=complex)
-        self.gate_count = 0
-        self.two_qubit_count = 0
 
     def absorb(self, padded: np.ndarray, gate_qubits: tuple[int, ...]) -> None:
         """Multiply a gate (1Q or 2Q, on this block's qubits) into the block.
 
         ``padded`` is the gate matrix as :func:`_padded` returns it.
         """
-        placement = tuple(self.qubits.index(q) for q in gate_qubits)
+        first = self.qubits.index(gate_qubits[0])
+        placement = (first,) if len(gate_qubits) == 1 else (first, 1 - first)
         embedded = padded[_PLACEMENT_TABLES[placement]]
         self.matrix = embedded @ self.matrix
-        self.gate_count += 1
-        if len(gate_qubits) == 2:
-            self.two_qubit_count += 1
 
 
-def consolidate_blocks(
-    circuit: QuantumCircuit,
+def consolidate_ops(
+    ops: Sequence[Op],
     *,
     cache: CoordinateCache | None = None,
     annotate: bool = True,
-) -> QuantumCircuit:
+) -> list[Op]:
     """Collapse maximal same-pair runs into coordinate-annotated blocks.
 
     Single-qubit gates that are sandwiched inside a run are absorbed into
@@ -84,21 +82,21 @@ def consolidate_blocks(
     emitted unchanged.  Directives close the blocks on their qubits.
 
     Args:
-        circuit: input circuit (only 1Q/2Q gates and directives).
+        ops: input ``(gate, qubits)`` stream (only 1Q/2Q gates and
+            directives).
         cache: coordinate cache to use (defaults to the global cache).
         annotate: attach Weyl coordinates to the emitted blocks.
 
     Returns:
-        A circuit of ``UnitaryGate`` blocks plus untouched 1Q gates.
+        The op stream of ``UnitaryGate`` blocks plus untouched 1Q gates.
     """
     cache = cache if cache is not None else GLOBAL_COORDINATE_CACHE
-    out = QuantumCircuit(circuit.num_qubits, circuit.name)
     open_blocks: dict[frozenset[int], _Block] = {}
     block_of_qubit: dict[int, frozenset[int]] = {}
     # Emission is two-phase: the streaming walk records blocks and pass-through
-    # instructions in order, then every block coordinate is resolved through
-    # one batched cache query before the output circuit is materialised.
-    emitted: list[tuple[str, object]] = []
+    # ops in order, then every block coordinate is resolved through one
+    # batched cache query before the output stream is materialised.
+    emitted: list[Op | _Block] = []
     # Equal plain gates have equal matrices, so each is built once.  A
     # ``UnitaryGate`` compares equal regardless of its matrix, and a zero
     # parameter equals its negative although the matrices may differ in
@@ -117,19 +115,18 @@ def consolidate_blocks(
         block = open_blocks.pop(key)
         for qubit in block.qubits:
             block_of_qubit.pop(qubit, None)
-        emitted.append(("block", block))
+        emitted.append(block)
 
     def close_blocks_on(qubits: tuple[int, ...]) -> None:
         keys = {block_of_qubit[q] for q in qubits if q in block_of_qubit}
         for key in keys:
             close_block(key)
 
-    for instruction in circuit:
-        gate = instruction.gate
-        qubits = instruction.qubits
+    for op in ops:
+        gate, qubits = op
         if gate.is_directive or len(qubits) > 2:
             close_blocks_on(qubits)
-            emitted.append(("instr", instruction))
+            emitted.append(op)
             continue
         if len(qubits) == 1:
             qubit = qubits[0]
@@ -137,7 +134,7 @@ def consolidate_blocks(
             if key is not None:
                 open_blocks[key].absorb(padded_matrix(gate), qubits)
             else:
-                emitted.append(("instr", instruction))
+                emitted.append(op)
             continue
         # Two-qubit gate.
         key = frozenset(qubits)
@@ -154,23 +151,32 @@ def consolidate_blocks(
     for key in list(open_blocks):
         close_block(key)
 
-    blocks = [entry for kind, entry in emitted if kind == "block"]
+    blocks = [entry for entry in emitted if type(entry) is _Block]
     if annotate and blocks:
         coordinates = iter(
             cache.coordinates_many([block.matrix for block in blocks])
         )
     else:
         coordinates = iter([None] * len(blocks))
+    return [
+        (
+            UnitaryGate(
+                entry.matrix, label="block", check=False, coordinate=next(coordinates)
+            ),
+            entry.qubits,
+        )
+        if type(entry) is _Block
+        else entry
+        for entry in emitted
+    ]
 
-    for kind, entry in emitted:
-        if kind == "instr":
-            out.append_instruction(entry)
-        else:
-            gate = UnitaryGate(
-                entry.matrix,
-                label="block",
-                check=False,
-                coordinate=next(coordinates),
-            )
-            out.append(gate, list(entry.qubits))
-    return out
+
+def consolidate_blocks(
+    circuit: QuantumCircuit,
+    *,
+    cache: CoordinateCache | None = None,
+    annotate: bool = True,
+) -> QuantumCircuit:
+    """:func:`consolidate_ops` on a circuit: blocks plus untouched 1Q gates."""
+    ops = consolidate_ops(OpList.of(circuit).ops, cache=cache, annotate=annotate)
+    return OpList(circuit.num_qubits, circuit.name, ops).to_circuit()

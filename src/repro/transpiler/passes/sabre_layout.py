@@ -30,7 +30,7 @@ import numpy as np
 from repro.circuits.dag import DAGCircuit
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler import metrics as metrics_mod
-from repro.transpiler.kernel import IntDAG, adopt_intdag, int_dag
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
 from repro.transpiler.topologies import CouplingMap
@@ -150,30 +150,29 @@ class SabreRouterFactory:
 class TrialSpec:
     """The heavy, trial-invariant half of a layout search, picklable.
 
-    Every trial of one circuit shares the same DAG, coupling map, router
-    factory and post-selection metric; only the ``(trial_index, seed)``
-    pair differs.  Splitting the spec out lets
+    Every trial of one circuit shares the same lowering, coupling map,
+    router factory and post-selection metric; only the
+    ``(trial_index, seed)`` pair differs.  Splitting the spec out lets
     :meth:`~repro.transpiler.executors.TrialExecutor.map_shared` serialise
     it once per dispatch instead of once per trial.
 
-    ``intdag`` is the flat-kernel lowering of ``dag``, built once by the
-    dispatcher and shipped as plain ndarrays through the zero-copy
-    transport (the pickle memo deduplicates it against the copy memoised
-    on ``dag`` itself).  Workers adopt it instead of re-lowering the DAG
-    per trial; ``None`` simply makes the first worker lower on demand.
-    The spec carries no reverse direction: each process derives it from
-    the forward arrays with :meth:`~repro.transpiler.kernel.IntDAG.reversed`
-    (memoised on the lowering), so the dispatcher neither builds nor
-    ships it.
+    ``intdag`` is the circuit's flat lowering
+    (:meth:`~repro.transpiler.kernel.IntDAG.from_ops`), built once by the
+    planner and shipped as plain ndarrays through the zero-copy
+    transport; ``name`` names the routed circuit.  The spec carries no
+    DAG and no reverse direction: each process derives the reverse from
+    the forward arrays with
+    :meth:`~repro.transpiler.kernel.IntDAG.reversed` (memoised on the
+    lowering), so the dispatcher neither builds nor ships it.
     """
 
-    dag: DAGCircuit
+    intdag: IntDAG
     coupling: CouplingMap
     router_factory: RouterFactory
     refinement_rounds: int
     routing_trials: int
     selection_metric: SelectionMetric
-    intdag: IntDAG | None = None
+    name: str = "dag"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,30 +210,29 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     side effects beyond the memoised derived lowerings and mirror
     tables — or crash recovery silently stops being deterministic.
 
-    The backward half of each refinement round routes
-    ``spec.intdag.reversed()`` (or, without a shipped lowering, the
-    reverse of ``int_dag(spec.dag)``): the reverse lowering is derived
-    from the forward arrays, shares their gate slots and mirror table,
-    and is built at most once per lowering and process.  No trial builds
-    a ``DAGCircuit``.
+    Every round routes ``spec.intdag`` forward and its
+    :meth:`~repro.transpiler.kernel.IntDAG.reversed` backward: the
+    reverse lowering is derived from the forward arrays, shares their
+    gate slots and mirror table, and is built at most once per lowering
+    and process.  No trial builds a ``DAGCircuit``.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)
     router = spec.router_factory(ref.trial_index)
-    adopt_intdag(spec.dag, spec.intdag)
-    reverse = int_dag(spec.dag).reversed()
+    forward_lowering = spec.intdag
+    reverse = forward_lowering.reversed()
     layout = Layout.random(
-        spec.dag.num_qubits, spec.coupling.num_qubits, seed=rng
+        forward_lowering.num_qubits, spec.coupling.num_qubits, seed=rng
     )
     for _ in range(spec.refinement_rounds):
-        forward = router.run(spec.dag, layout, seed=rng)
+        forward = router.run(forward_lowering, layout, seed=rng)
         layout = forward.final_layout
         backward = router.run(reverse, layout, seed=rng)
         layout = backward.final_layout
     best_routing: RoutingResult | None = None
     best_score = math.inf
     for _ in range(max(1, spec.routing_trials)):
-        result = router.run(spec.dag, layout, seed=rng)
+        result = router.run(forward_lowering, layout, seed=rng, name=spec.name)
         score = spec.selection_metric(result)
         if best_routing is None or score < best_score:
             best_routing = result
@@ -263,8 +261,8 @@ def run_batch_trial(
 
     ``specs`` — one :class:`TrialSpec` per circuit — is the shared payload
     of the batch engine's barrier scheduler
-    (:func:`repro.core.transpile.transpile_many`): all circuits' DAGs and
-    the one coverage set travel to workers together, once per chunk, and
+    (:func:`repro.core.transpile.transpile_many`): all circuits' lowerings
+    and the one coverage set travel to workers together, once per chunk, and
     pickle's internal memo deduplicates the coverage set across specs.
     """
     return run_trial(specs[batch_ref.circuit_index], batch_ref.ref)
@@ -335,20 +333,26 @@ class SabreLayout:
         self.metric_name = metric_name
         self.seed = seed
 
-    def trial_spec(self, dag: DAGCircuit) -> TrialSpec:
-        """Build the heavy, trial-invariant payload for ``dag``.
+    def trial_spec(
+        self, dag: IntDAG | DAGCircuit, name: str | None = None
+    ) -> TrialSpec:
+        """Build the heavy, trial-invariant payload for a lowering.
 
-        The spec carries the forward lowering only; trial runners derive
-        the reverse direction from it (see :func:`run_trial`).
+        A circuit DAG is lowered first (and names the routed circuit
+        unless ``name`` does).  The spec carries the forward lowering
+        only; trial runners derive the reverse direction from it (see
+        :func:`run_trial`).
         """
+        if not isinstance(dag, IntDAG):
+            dag, name = IntDAG.from_dag(dag), name or dag.name
         return TrialSpec(
-            dag=dag,
+            intdag=dag,
             coupling=self.coupling,
             router_factory=self.router_factory,
             refinement_rounds=self.refinement_rounds,
             routing_trials=self.routing_trials,
             selection_metric=self.selection_metric,
-            intdag=int_dag(dag),
+            name=name or "dag",
         )
 
     def trial_refs(self) -> list[TrialRef]:

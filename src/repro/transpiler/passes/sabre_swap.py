@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.circuits.circuit import CircuitInstruction, QuantumCircuit
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit, kahn_order
 from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
-from repro.transpiler.kernel import IntDAG, int_dag, neighbor_table, route_kernel
+from repro.transpiler.kernel import IntDAG, neighbor_table, route_kernel
 from repro.transpiler.kernel.route import MirrorRule
 from repro.transpiler.layout import Layout
 from repro.transpiler.topologies import CouplingMap
@@ -112,15 +112,13 @@ class RoutingResult:
         """The routed circuit, in the Kahn order of :meth:`DAGCircuit.to_circuit`.
 
         The order is computed on plain int lists instead of building the
-        DAG.
+        DAG, and range-checks every qubit; the circuit is then built in
+        one step.
         """
         qubit_lists = [tuple(map(int, qubits)) for _, qubits in self.ops]
-        circuit = QuantumCircuit(self._num_qubits, self._name)
-        for index in kahn_order(qubit_lists, self._num_qubits):
-            circuit.append_instruction(
-                CircuitInstruction(self.ops[index][0], qubit_lists[index])
-            )
-        return circuit
+        order = kahn_order(qubit_lists, self._num_qubits)
+        ops = [(self.ops[index][0], qubit_lists[index]) for index in order]
+        return QuantumCircuit._from_ops(self._num_qubits, ops, self._name)
 
     @property
     def mirror_acceptance_rate(self) -> float:
@@ -165,19 +163,22 @@ class SabreSwap:
         dag: DAGCircuit | IntDAG,
         initial_layout: Layout,
         seed: int | np.random.Generator | None = None,
+        *,
+        name: str | None = None,
     ) -> RoutingResult:
         """Route ``dag`` starting from ``initial_layout``.
 
-        ``dag`` is a circuit DAG or an already lowered :class:`IntDAG`
-        (such as the reverse direction of a refinement round); either way
-        :func:`~repro.transpiler.kernel.route.route_kernel` routes the
-        lowering.
+        ``dag`` is a lowered :class:`IntDAG` (such as the reverse
+        direction of a refinement round) or a circuit DAG, which is
+        lowered first; :func:`~repro.transpiler.kernel.route.route_kernel`
+        routes the lowering.  ``name`` names the routed circuit (default:
+        the DAG's name, or ``"dag"`` for a lowering).
         """
         rng = _as_rng(seed) if seed is not None else self._rng
         if isinstance(dag, IntDAG):
-            intdag, name = dag, "dag"
+            intdag = dag
         else:
-            intdag, name = int_dag(dag), dag.name
+            intdag, name = IntDAG.from_dag(dag), name or dag.name
         mirror = self._mirror_rule(intdag)
         state = route_kernel(
             intdag,
@@ -194,7 +195,7 @@ class SabreSwap:
         return RoutingResult(
             ops=state.ops,
             num_qubits=self.coupling.num_qubits,
-            name=name,
+            name=name or "dag",
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,

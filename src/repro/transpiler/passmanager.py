@@ -22,8 +22,11 @@ select) is built from these pieces in two halves:
 ``plan`` stage that parks the routing trials, and
 :func:`repro.core.pipeline.build_batch_back_pipeline` resumes the same
 :class:`PipelineState` (:meth:`PassManager.execute_state`) once the
-executor has run them.  :func:`repro.core.transpile.transpile` and
-the batch API drive both halves through one engine.
+executor has run them.  The front stages pass the circuit along as an
+:class:`~repro.circuits.circuit.OpList` (its ``(gate, qubits)`` op
+stream), so only a result is built as a :class:`QuantumCircuit`.
+:func:`repro.core.transpile.transpile` and the batch API drive both
+halves through one engine.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import time
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.circuit import OpList, QuantumCircuit
 
 CircuitPass = Callable[[QuantumCircuit], QuantumCircuit]
 
@@ -67,9 +70,13 @@ class PassRecord:
 
 @dataclasses.dataclass
 class PipelineState:
-    """Mutable state threaded through the stages of one pipeline run."""
+    """Mutable state threaded through the stages of one pipeline run.
 
-    circuit: QuantumCircuit
+    ``circuit`` is a :class:`QuantumCircuit` or, between the front
+    stages, the :class:`~repro.circuits.circuit.OpList` they pass along.
+    """
+
+    circuit: QuantumCircuit | OpList
     properties: PropertySet = dataclasses.field(default_factory=PropertySet)
     records: list[PassRecord] = dataclasses.field(default_factory=list)
 
@@ -190,8 +197,12 @@ class PassManager:
         circuit: QuantumCircuit,
         properties: Mapping[str, Any] | None = None,
     ) -> QuantumCircuit:
-        """Run the pipeline and return the transformed circuit."""
-        return self.execute(circuit, properties).circuit
+        """Run the pipeline and return the transformed circuit.
+
+        An op list the last stage left is built into a circuit.
+        """
+        out = self.execute(circuit, properties).circuit
+        return out.to_circuit() if isinstance(out, OpList) else out
 
     def total_seconds(self) -> float:
         return sum(record.seconds for record in self.records)

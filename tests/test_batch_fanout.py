@@ -198,7 +198,7 @@ def test_circuit_fanout_reports_and_provenance():
     # Per-circuit reports show the full front pipeline plus route/select.
     names = [rec["name"] for rec in fanned[0].pipeline_report]
     assert names == [
-        "clean", "unroll", "reclean", "consolidate", "coupling",
+        "clean", "unroll", "consolidate", "coupling",
         "coverage", "analyze", "vf2", "plan", "route", "select",
     ]
     assert all(r.trial_seconds is not None and r.trial_seconds > 0

@@ -4,7 +4,9 @@
 The permutation it applies is exposed as
 ``TranspileResult.input_permutation``; with it, a routed circuit is
 unitary-equivalent to its input up to the initial layout, the final
-layout and that permutation.
+layout and that permutation.  Cleaning and unrolling go by gate name
+for standard gates only, so a ``UnitaryGate`` is never elided, dropped
+or expanded because of its label.
 """
 
 import asyncio
@@ -15,10 +17,17 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import qft
 from repro.core import transpile, transpile_many
+from repro.exceptions import TranspilerError
+from repro.linalg.random import haar_unitary
 from repro.polytopes import get_coverage_set
 from repro.service import MirageService
 from repro.transpiler import line_topology
-from repro.transpiler.passes import elide_input_swaps, elide_input_swaps_permuted
+from repro.transpiler.passes import (
+    clean_input_permuted,
+    elide_input_swaps,
+    elide_input_swaps_permuted,
+    unroll_to_two_qubit,
+)
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 KNOBS = dict(layout_trials=2, coverage=COVERAGE)
@@ -104,3 +113,39 @@ def test_service_results_carry_the_permutation():
     result = asyncio.run(serve())
     assert result.input_permutation == [4, 3, 2, 1, 0]
     assert _equivalent(qft(5), result, result.input_permutation)
+
+
+# ---------------------------------------------------------------------------
+# Name rules apply to standard gates only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["swap", "id", "barrier", "rz"])
+def test_a_labelled_unitary_is_kept(label):
+    """Cleaning picks its rules by gate name; a user's unitary named like
+    a SWAP, an identity, a barrier or a rotation must not be elided,
+    dropped or read as one."""
+    rng = np.random.default_rng(4)
+    original = QuantumCircuit(3, "labelled")
+    original.h(0).cx(0, 1)
+    if label == "rz":
+        original.unitary(haar_unitary(2, rng), [2], label=label)
+    else:
+        original.unitary(haar_unitary(4, rng), [1, 2], label=label)
+    original.cx(2, 0)
+    cleaned, permutation = clean_input_permuted(original)
+    assert permutation == [0, 1, 2]
+    assert [i.gate.name for i in cleaned].count(label) == 1
+    result = transpile(original, line_topology(3), seed=2, **KNOBS)
+    assert result.input_permutation == [0, 1, 2]
+    assert _equivalent(original, result, result.input_permutation)
+
+
+def test_a_three_qubit_unitary_labelled_ccx_is_not_a_toffoli():
+    circuit = QuantumCircuit(3)
+    circuit.unitary(haar_unitary(8, np.random.default_rng(5)), [0, 1, 2],
+                    label="ccx")
+    with pytest.raises(TranspilerError, match="no unrolling rule"):
+        unroll_to_two_qubit(circuit)
+    with pytest.raises(TranspilerError, match="no unrolling rule"):
+        transpile(circuit, line_topology(3), seed=2, **KNOBS)

@@ -15,7 +15,6 @@ Covers:
   depth only under the coverage set that priced it.
 """
 
-import dataclasses
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.circuits.circuit import random_two_qubit_block_circuit
+from repro.circuits.circuit import OpList, random_two_qubit_block_circuit
 from repro.circuits.dag import DAGCircuit
 from repro.circuits.library import TABLE_III_SUITE, qft, twolocal_full
 from repro.core import MirageSwap, prepare_circuit
@@ -32,7 +31,7 @@ from repro.core.pipeline import MirageRouterFactory
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import Layout, grid_topology, heavy_hex_topology
-from repro.transpiler.kernel import int_dag
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.kernel.route import SWAP_GATE
@@ -65,7 +64,7 @@ def coverage(request):
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_table_matches_scalar_chain(name, coverage):
-    forward = int_dag(DAGCircuit.from_circuit(CIRCUITS[name]()))
+    forward = IntDAG.from_dag(DAGCircuit.from_circuit(CIRCUITS[name]()))
     for intdag in (forward, forward.reversed()):
         table = mirror_table(intdag, coverage)
         assert mirror_table(intdag, coverage) is table  # memoised
@@ -91,7 +90,7 @@ def test_table_matches_scalar_chain(name, coverage):
 
 
 def test_coverage_sets_get_distinct_tables():
-    intdag = int_dag(DAGCircuit.from_circuit(qft(6)))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(6)))
     default = mirror_table(intdag, get_coverage_set("sqrt_iswap"))
     small = mirror_table(intdag, COVERAGE)
     assert default is not small
@@ -118,11 +117,12 @@ def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
     router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(4), qft(8), twolocal_full(8)):
         dag = DAGCircuit.from_circuit(circuit)
+        lowering = IntDAG.from_dag(dag)
         layout = Layout.random(dag.num_qubits, coupling.num_qubits, seed=1)
         del cost_many_calls[:]
         candidates = 0
         for seed in range(4):
-            result = router.run(dag, layout, seed=seed)
+            result = router.run(lowering, layout, seed=seed)
             candidates += result.mirror_candidates
             assert len(cost_many_calls) <= 1
         # Every two-qubit gate is a candidate in every run.
@@ -136,7 +136,7 @@ def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
     coupling = grid_topology(3, 4)
     router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(6), twolocal_full(7), _seca()):
-        forward = int_dag(DAGCircuit.from_circuit(circuit))
+        forward = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
         reverse = forward.reversed()
         del cost_many_calls[:]
         layout = Layout.random(forward.num_qubits, coupling.num_qubits, seed=3)
@@ -208,7 +208,8 @@ def test_trials_build_no_dag_until_the_winner_is_read(monkeypatch):
 @pytest.mark.parametrize("shipped_lowering", [True, False])
 def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
     """Neither direction of any refinement round builds a ``DAGCircuit``,
-    whether the spec ships its lowering or the trial lowers on demand."""
+    whether the spec went through a pickle (as a worker receives it) or
+    stays in process."""
     coupling = heavy_hex_topology(12)
     factory = MirageRouterFactory(coupling, COVERAGE, (1, 2))
     layout_search = SabreLayout(
@@ -220,11 +221,12 @@ def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
         selection_metric=DepthMetric(coverage=COVERAGE),
         seed=6,
     )
-    dag = DAGCircuit.from_circuit(twolocal_full(7))
-    spec = layout_search.trial_spec(dag)
-    if not shipped_lowering:
-        dag = DAGCircuit.from_circuit(twolocal_full(7))
-        spec = dataclasses.replace(spec, dag=dag, intdag=None)
+    lowered = OpList.of(twolocal_full(7))
+    spec = layout_search.trial_spec(
+        IntDAG.from_ops(lowered.num_qubits, lowered.ops), lowered.name
+    )
+    if shipped_lowering:
+        spec = pickle.loads(pickle.dumps(spec))
     counter = _CountingInit(monkeypatch)
     for ref in layout_search.trial_refs():
         run_trial(spec, ref)

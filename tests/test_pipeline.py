@@ -120,7 +120,7 @@ def test_pass_manager_records_gate_counts_and_timings():
     build_batch_back_pipeline().execute_state(state)
     by_name = {record.name: record for record in state.records}
     assert set(by_name) == {
-        "clean", "unroll", "reclean", "consolidate", "coupling",
+        "clean", "unroll", "consolidate", "coupling",
         "coverage", "analyze", "vf2", "plan", "route", "select",
     }
     # Unrolling a Toffoli grows the circuit; analysis stages leave it alone.
@@ -142,7 +142,7 @@ def test_records_survive_stage_failure():
     with pytest.raises(TranspilerError):
         manager.execute(qft(5))  # device too small: the coupling stage raises
     assert [r.name for r in manager.records] == [
-        "clean", "unroll", "reclean", "consolidate"
+        "clean", "unroll", "consolidate"
     ]
 
 

@@ -297,7 +297,7 @@ def test_plan_executor_reports_full_pipeline():
         fanned = _batch(threads)
     names = [record["name"] for record in fanned[0].pipeline_report]
     assert names == [
-        "clean", "unroll", "reclean", "consolidate", "coupling",
+        "clean", "unroll", "consolidate", "coupling",
         "coverage", "analyze", "vf2", "plan", "route", "select",
     ]
     assert all(r.trial_seconds is not None and r.trial_seconds > 0

@@ -57,8 +57,6 @@ from repro.transpiler import (
 from repro.transpiler.kernel import (
     IntDAG,
     KernelState,
-    adopt_intdag,
-    int_dag,
     native,
     neighbor_table,
     route,
@@ -245,7 +243,7 @@ def test_direct_router_identity_with_aggressions(monkeypatch):
 )
 def test_intdag_round_trip(circuit):
     dag = DAGCircuit.from_circuit(circuit)
-    lowered = int_dag(dag)
+    lowered = IntDAG.from_dag(dag)
 
     assert lowered.num_qubits == dag.num_qubits
     assert lowered.num_nodes == len(dag.nodes)
@@ -260,7 +258,7 @@ def test_intdag_round_trip(circuit):
 
 def test_intdag_csr_consistency():
     dag = DAGCircuit.from_circuit(qft(5))
-    lowered = int_dag(dag)
+    lowered = IntDAG.from_dag(dag)
     # CSR pointers are monotone and the in-degree vector matches the
     # predecessor table (what the kernel's front advance relies on).
     assert list(lowered.succ_indptr) == sorted(lowered.succ_indptr)
@@ -274,31 +272,16 @@ def test_intdag_csr_consistency():
     )
 
 
-def test_intdag_memo_and_adoption():
-    dag = DAGCircuit.from_circuit(ghz(4))
-    lowered = int_dag(dag)
-    assert int_dag(dag) is lowered  # memoised on the DAG
-
-    fresh = DAGCircuit.from_circuit(ghz(4))
-    adopt_intdag(fresh, lowered)
-    assert int_dag(fresh) is lowered  # adopted table wins
-
-    # A stale table (node-count mismatch) is refused.
-    smaller = DAGCircuit.from_circuit(ghz(3))
-    adopt_intdag(smaller, lowered)
-    assert int_dag(smaller) is not lowered
-
-
 def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     # The Python route loop is what fills the lookahead cache (the
     # compiled loop walks its windows natively), and any flat run fills
     # the mirror cache.
     monkeypatch.setattr(route, "load_routec", lambda: None)
     dag = DAGCircuit.from_circuit(qft(4))
-    lowered = int_dag(dag)
+    lowered = IntDAG.from_dag(dag)
     lowered.lists()  # populate the caches
     MirageSwap(line_topology(4), coverage=COVERAGE).run(
-        dag, Layout.trivial(4, 4), seed=1
+        lowered, Layout.trivial(4, 4), seed=1
     )
     reverse = lowered.reversed()
     caches = ("_lists", "_lookahead_cache", "_mirror_tables", "_reversed")
@@ -355,7 +338,7 @@ def _reused_gate_circuits(draw):
 @given(circuit=_reused_gate_circuits())
 def test_reversed_lowering_matches_the_reversed_dag(circuit):
     dag = DAGCircuit.from_circuit(circuit)
-    lowered = int_dag(dag)
+    lowered = IntDAG.from_dag(dag)
     reverse = lowered.reversed()
     reference = IntDAG.from_dag(_reverse_dag(dag))
     assert reverse.num_qubits == reference.num_qubits
@@ -525,7 +508,7 @@ def _random_routing_window(rng, case):
     circuit = random_two_qubit_block_circuit(
         num_virtual, int(rng.integers(3, 25)), rng
     )
-    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
     v2p = [int(p) for p in rng.permutation(num_physical)[:num_virtual]]
     two_qubit = [i for i in range(intdag.num_nodes) if intdag.kind[i] == KIND_CHECK2]
     order = [int(i) for i in rng.permutation(two_qubit)]
@@ -565,7 +548,7 @@ def test_native_swap_ties_keep_float_near_ties(monkeypatch):
     for coupling in (line_topology(8), grid_topology(3, 3), grid_topology(2, 4)):
         num_qubits = coupling.num_qubits
         circuit = random_two_qubit_block_circuit(num_qubits, 30, rng)
-        intdag = int_dag(DAGCircuit.from_circuit(circuit))
+        intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
         table = neighbor_table(coupling)
         decay = [1.0] * num_qubits
         for _ in range(400):
@@ -588,7 +571,7 @@ def test_native_extended_ids_match_python(monkeypatch, case):
         qft(width),
         twolocal_full(width),
     )[case % 3]
-    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
     table = neighbor_table(line_topology(width))
     v2p = list(range(width))
     for limit in (0, 1, 20, intdag.num_nodes + 5):
@@ -635,7 +618,7 @@ def test_native_kernel_rejects_bad_indices(monkeypatch):
     and a failed call leaves the kernel's scratch state clean."""
     coupling = line_topology(4)
     table = neighbor_table(coupling)
-    intdag = int_dag(DAGCircuit.from_circuit(qft(4)))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(4)))
     v2p = [0, 1, 2, 3]
     python, compiled = _states(monkeypatch, intdag, table, v2p)
     kernel = compiled._native
@@ -817,7 +800,7 @@ def test_compiled_route_loop_matches_python_loop(data):
     coupling = data.draw(_connected_couplings())
     num_virtual = data.draw(st.integers(1, coupling.num_qubits))
     circuit = data.draw(_circuits(num_virtual))
-    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
     v2p = data.draw(st.permutations(range(coupling.num_qubits)))[:num_virtual]
     seed = data.draw(st.integers(0, 2**32 - 1))
     method = data.draw(st.sampled_from(("sabre", 0, 1, 2, 3)))
@@ -852,7 +835,7 @@ def test_compiled_loop_keeps_mirror_near_ties(monkeypatch, aggression):
     side of that: both loops must take the same side of ``1e-9``."""
     coupling = line_topology(6)
     circuit = random_two_qubit_block_circuit(6, 40, seed=11)
-    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
     table = mirror_table(intdag, COVERAGE)
     rng = np.random.default_rng(5)
     near = []
@@ -896,10 +879,10 @@ def test_compiled_loop_error_parity(monkeypatch):
     wide = DAGCircuit(4)
     wide.add_node(Gate("h", 1), (0,))
     wide.add_node(Gate("ccx", 3), (0, 1, 2))
-    stalled = int_dag(DAGCircuit.from_circuit(ghz(4).cx(0, 3)))
-    ghz_dag = int_dag(DAGCircuit.from_circuit(ghz(4)))
+    stalled = IntDAG.from_dag(DAGCircuit.from_circuit(ghz(4).cx(0, 3)))
+    ghz_dag = IntDAG.from_dag(DAGCircuit.from_circuit(ghz(4)))
     cases = [
-        ((int_dag(wide), coupling, [0, 1, 2, 3], 1, None), {},
+        ((IntDAG.from_dag(wide), coupling, [0, 1, 2, 3], 1, None), {},
          "at most two qubits"),
         ((stalled, coupling, [0, 1, 2, 3], 1, None), {"stall_limit": 0},
          "failed to make progress"),
@@ -921,7 +904,7 @@ def test_compiled_loop_error_parity(monkeypatch):
 def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
     """A corrupt lowering raises ``TranspilerError``; it never crashes."""
     coupling = line_topology(5)
-    intdag = int_dag(DAGCircuit.from_circuit(qft(5).barrier()))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(5).barrier()))
 
     def corrupt(name, position, value):
         array = getattr(intdag, name).copy()
@@ -1001,7 +984,7 @@ class _ReenteringGenerator:
 @needs_routec
 def test_compiled_loop_refuses_reentry_from_the_draw(monkeypatch):
     coupling = line_topology(7)
-    intdag = int_dag(DAGCircuit.from_circuit(qft(7)))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(7)))
     states = []
     real_state = route.KernelState
 
@@ -1039,7 +1022,7 @@ def test_disconnected_coupling_takes_the_python_loop(monkeypatch):
     """A disconnected coupling routes in Python, with the float scorer."""
     coupling = CouplingMap([(0, 1), (1, 2), (3, 4), (4, 5)], num_qubits=6)
     circuit = ghz(3).cx(0, 2).h(1)
-    intdag = int_dag(DAGCircuit.from_circuit(circuit))
+    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
     stub = types.SimpleNamespace(RouteKernel=_RouteForbidden)
     for mirror in (None, _mirror_rule(intdag, 3, 1.0)):
         expected = _run_loop(monkeypatch, None, intdag, coupling, [0, 1, 2], 9,

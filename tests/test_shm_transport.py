@@ -375,7 +375,7 @@ def test_stream_reports_overlap_provenance():
     # Streamed circuits keep the full per-circuit pipeline reports.
     names = [record["name"] for record in fanned[0].pipeline_report]
     assert names == [
-        "clean", "unroll", "reclean", "consolidate", "coupling",
+        "clean", "unroll", "consolidate", "coupling",
         "coverage", "analyze", "vf2", "plan", "route", "select",
     ]
 

@@ -68,7 +68,7 @@ PUBLIC_API = [
     ("repro.transpiler.executors", "shm_transport_enabled"),
     ("repro.transpiler.kernel.intdag", "IntDAG"),
     ("repro.transpiler.kernel.intdag", "IntDAG.reversed"),
-    ("repro.transpiler.kernel.intdag", "int_dag"),
+    ("repro.transpiler.kernel.intdag", "IntDAG.from_ops"),
     ("repro.transpiler.kernel.neighbors", "NeighborTable"),
     ("repro.transpiler.kernel.neighbors", "neighbor_table"),
     ("repro.transpiler.kernel.route", "route_kernel"),
