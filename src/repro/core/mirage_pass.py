@@ -20,17 +20,19 @@ layout — data moves without any inserted SWAP gate, which is exactly the
 from __future__ import annotations
 
 import dataclasses
+import threading
+from typing import Sequence
 
 import numpy as np
 
-from repro.circuits.gates import UnitaryGate
+from repro.circuits.gates import Gate, UnitaryGate
 from repro.core.aggression import Aggression
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel.intdag import KIND_CHECK2, MIRROR_TABLES_ATTR
 from repro.transpiler.kernel.route import SWAP_GATE, MirrorRule
-from repro.transpiler.metrics import gate_coordinate
+from repro.transpiler.metrics import distinct_coordinates, gate_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
 from repro.weyl.mirror import mirror_coordinates_many
@@ -48,14 +50,17 @@ class MirrorTable:
         mirror_coords: Weyl coordinate of ``SWAP . U`` per slot (Eq. 1).
         gate_costs: decomposition cost of the gate, in basis-gate units.
         mirror_costs: decomposition cost of its mirror, in the same units.
-        mirror_gates: the mirror gate ``SWAP . U`` per slot, built once and
-            emitted by every run that accepts that slot's mirror.
+        mirror_gates: the mirror gate ``SWAP . U`` per slot, built on the
+            first acceptance of that slot's mirror (see
+            :meth:`accepted_mirror`) and then emitted by every run that
+            accepts it; ``None`` until then.
         gate_prices: the gate's raw coverage price (``cost_of_many``
             output, before the division by ``unit_cost``), which is what
             :func:`~repro.transpiler.metrics.evaluate` weighs it by.
         mirror_prices: the mirror's raw price.
         swap_price: the raw price of an inserted SWAP, priced from
             ``gate_coordinate(SWAP_GATE)`` as the metrics price it.
+        gates: the lowering's gate per slot, which a mirror is built from.
     """
 
     mirror_coords: list[tuple[float, float, float] | None]
@@ -65,6 +70,26 @@ class MirrorTable:
     gate_prices: list[float]
     mirror_prices: list[float]
     swap_price: float
+    gates: Sequence[Gate]
+    _lock: threading.Lock = dataclasses.field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def accepted_mirror(self, slot: int) -> UnitaryGate:
+        """The mirror gate of ``slot``, built and stored on first use.
+
+        Both route loops call this when they accept a slot's mirror and
+        find no gate stored yet.  The lock makes the first build the only
+        one, so every run over the lowering, on any thread, emits the
+        same object for the slot.
+        """
+        with self._lock:
+            gate = self.mirror_gates[slot]
+            if gate is None:
+                gate = self.mirror_gates[slot] = mirror_gate(
+                    self.gates[slot], self.mirror_coords[slot]
+                )
+            return gate
 
 
 def mirror_gate(
@@ -90,19 +115,24 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
 
     A gate's coordinate, its mirror coordinate and both decomposition
     costs depend only on the gate, never on the layout, so they are
-    computed once per circuit — one batched
-    :func:`~repro.weyl.mirror.mirror_coordinates_many` and one
-    :meth:`~repro.polytopes.coverage.CoverageSet.cost_of_many` over every
-    two-qubit slot plus the SWAP — and shared by every routing run over
-    it: both routing directions (the reverse lowering from
+    computed once per circuit and shared by every routing run over it:
+    both routing directions (the reverse lowering from
     :meth:`IntDAG.reversed` keeps the slots and shares the memo),
     refinement rounds, routing trials and all trials a worker runs from
-    one payload.  Both batched calls are element-wise identical to the
-    scalar chain ``gate_coordinate`` -> ``mirror_coordinate`` ->
-    ``cost_of``, so the routed output does not change; and the coverage
-    memo hands :func:`~repro.transpiler.metrics.evaluate` the same float
-    for the same gate, so a depth scored from the raw prices equals the
-    evaluated one bit for bit.
+    one payload.  The work scales with distinct values, not slots: one
+    :func:`~repro.weyl.mirror.mirror_coordinates_many` row per distinct
+    gate coordinate, and one
+    :meth:`~repro.polytopes.coverage.CoverageSet.cost_of_many` row per
+    distinct coordinate among the gates and their mirrors, plus the
+    SWAP, in order of first appearance
+    (:func:`~repro.transpiler.metrics.distinct_coordinates`).  Both
+    batched calls are element-wise identical to the scalar chain
+    ``gate_coordinate`` -> ``mirror_coordinate`` -> ``cost_of``, so the
+    routed output does not change; and the coverage memo hands
+    :func:`~repro.transpiler.metrics.evaluate` the same float for the
+    same coordinate, so a depth scored from the raw prices equals the
+    evaluated one bit for bit.  Mirror gates are built only when a
+    route loop accepts them (:meth:`MirrorTable.accepted_mirror`).
 
     The two-qubit slots are read from the lowering's arrays.  The memo is
     keyed by the coverage set object itself (a strong reference, so two
@@ -120,31 +150,36 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
     mirror_costs = [0.0] * num_slots
     gate_prices = [0.0] * num_slots
     mirror_prices = [0.0] * num_slots
-    mirror_gates: list[UnitaryGate | None] = [None] * num_slots
-    coordinates = np.array(
-        [gate_coordinate(intdag.gates[slot]) for slot in slots], dtype=float
-    ).reshape(-1, 3)
-    mirrored = mirror_coordinates_many(coordinates)
+    coordinates, rows = distinct_coordinates(
+        [gate_coordinate(intdag.gates[slot]) for slot in slots]
+    )
+    mirrored = [
+        tuple(row)
+        for row in mirror_coordinates_many(
+            np.array(coordinates, dtype=float).reshape(-1, 3)
+        ).tolist()
+    ]
+    priced, price_rows = distinct_coordinates(coordinates + mirrored)
     prices = coverage.cost_of_many(
-        np.vstack([coordinates, mirrored, [gate_coordinate(SWAP_GATE)]])
+        np.array(priced + [gate_coordinate(SWAP_GATE)], dtype=float)
     ).tolist()
     unit = coverage.unit_cost
-    count = len(slots)
-    for row, slot in enumerate(slots):
-        mirror_coords[slot] = tuple(mirrored[row].tolist())
-        gate_prices[slot] = prices[row]
-        mirror_prices[slot] = prices[count + row]
-        gate_costs[slot] = prices[row] / unit
-        mirror_costs[slot] = prices[count + row] / unit
-        mirror_gates[slot] = mirror_gate(intdag.gates[slot], mirror_coords[slot])
+    count = len(coordinates)
+    for slot, row in zip(slots, rows):
+        mirror_coords[slot] = mirrored[row]
+        gate_prices[slot] = prices[price_rows[row]]
+        mirror_prices[slot] = prices[price_rows[count + row]]
+        gate_costs[slot] = gate_prices[slot] / unit
+        mirror_costs[slot] = mirror_prices[slot] / unit
     table = MirrorTable(
         mirror_coords,
         gate_costs,
         mirror_costs,
-        mirror_gates,
+        [None] * num_slots,
         gate_prices,
         mirror_prices,
         prices[-1],
+        intdag.gates,
     )
     tables[coverage] = table
     return table
@@ -184,8 +219,9 @@ class MirageSwap(SabreSwap):
 
         The layout-independent half of the decision — both decomposition
         costs and the mirror gate — comes from the per-circuit
-        :class:`MirrorTable`; the kernel computes the routing pressure and
-        applies :func:`~repro.core.aggression.accept_mirror`.
+        :class:`MirrorTable`; the kernel computes the routing pressure,
+        applies :func:`~repro.core.aggression.accept_mirror` and has the
+        table build an accepted slot's mirror gate on first use.
         """
         table = mirror_table(intdag, self.coverage)
         return MirrorRule(
@@ -198,4 +234,5 @@ class MirageSwap(SabreSwap):
             table.mirror_prices,
             table.swap_price,
             self.coverage,
+            table.accepted_mirror,
         )

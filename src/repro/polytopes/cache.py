@@ -64,18 +64,16 @@ class CoordinateCache:
         rounded = np.round(np.asarray(unitary, dtype=complex), self.decimals)
         return rounded.tobytes()
 
-    def _keys(self, unitaries: list[np.ndarray]) -> list[bytes]:
+    def _keys(self, unitaries: list[np.ndarray] | np.ndarray) -> list[bytes]:
         """``[_key(u) for u in unitaries]`` with one ``np.round`` call.
 
-        Rounding is element-wise, and each row of the stacked C-ordered
-        result holds the bytes ``_key`` produces for that matrix.
+        ``unitaries`` is a list of equal-shape matrices or one stacked
+        array.  Rounding is element-wise, and each row of the stacked
+        C-ordered result holds the bytes ``_key`` produces for that matrix.
         """
         if not len(unitaries):
             return []
-        rounded = np.round(
-            np.stack([np.asarray(unitary, dtype=complex) for unitary in unitaries]),
-            self.decimals,
-        )
+        rounded = np.round(np.asarray(unitaries, dtype=complex), self.decimals)
         return [row.tobytes() for row in rounded]
 
     def _insert(self, key: bytes, value: tuple[float, float, float]) -> None:
@@ -102,7 +100,7 @@ class CoordinateCache:
         return value
 
     def coordinates_many(
-        self, unitaries: list[np.ndarray]
+        self, unitaries: list[np.ndarray] | np.ndarray
     ) -> list[tuple[float, float, float]]:
         """Coordinates of a batch of unitaries with memoisation.
 
@@ -111,6 +109,7 @@ class CoordinateCache:
         eigenvalue/candidate machinery once per *distinct* block matrix —
         and the whole miss set is one numpy batch rather than a Python loop.
         """
+        unitaries = np.asarray(unitaries, dtype=complex)
         keys = self._keys(unitaries)
         results: list[tuple[float, float, float] | None] = [None] * len(keys)
         miss_order: list[bytes] = []
@@ -134,8 +133,7 @@ class CoordinateCache:
                     miss_positions.append(position)
         if miss_order:
             # Extract outside the lock — the expensive part, batched.
-            distinct = [unitaries[position] for position in miss_positions]
-            extracted = weyl_coordinates_many(np.stack(distinct))
+            extracted = weyl_coordinates_many(unitaries[miss_positions])
             values = [
                 (float(row[0]), float(row[1]), float(row[2]))
                 for row in extracted

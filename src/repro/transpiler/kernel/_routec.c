@@ -16,7 +16,10 @@
  *       when ``mirror`` is a ``route.MirrorRule``, MIRAGE's mirror
  *       decision and the weighted critical-path depth of the emitted ops
  *       (the running per-wire maxima of ``metrics._walk``, priced with
- *       the rule's raw prices).  Returns ``(ops, swaps_added,
+ *       the rule's raw prices).  A slot's mirror gate is read from the
+ *       rule's shared list; the first acceptance of a slot whose entry
+ *       is ``None`` calls the rule's ``accepted_mirror(slot)``, which
+ *       builds and stores it.  Returns ``(ops, swaps_added,
  *       mirrors_accepted, mirror_candidates, depth)``, ``depth`` being
  *       ``None`` without a rule, and writes the final layout into ``v2p``
  *       and ``p2v``.
@@ -591,6 +594,7 @@ typedef struct {
     /* The mirror rule (mirror != NULL). */
     PyObject *mirror;
     PyObject **mirror_gates;  /* borrowed from the rule's gate sequence */
+    PyObject *accepted_mirror;  /* the rule's builder, borrowed */
     double *gate_costs, *mirror_costs;
     double *gate_prices, *mirror_prices;
     double swap_price;
@@ -763,13 +767,23 @@ commit_two_qubit(RouteKernel *self, Run *run, Py_ssize_t node,
     }
     PyObject *mirror_gate = run->mirror_gates[slot];
     if (mirror_gate == Py_None) {
-        PyErr_Format(TranspilerError,
-                     "route kernel: gate slot %zd has no mirror gate", slot);
-        return -1;
+        /* First acceptance of this slot: the rule builds the mirror gate
+         * and stores it in the shared list, so later runs read it. */
+        PyObject *index = PyLong_FromSsize_t(slot);
+        if (index == NULL)
+            return -1;
+        mirror_gate = PyObject_CallOneArg(run->accepted_mirror, index);
+        Py_DECREF(index);
+        if (mirror_gate == NULL)
+            return -1;
     }
+    else
+        Py_INCREF(mirror_gate);
     run->mirrors++;
     score_two_qubit(run, left, right, run->mirror_prices[slot]);
-    if (emit(run, mirror_gate, pair_tuple(run, left, right)) < 0)
+    int status = emit(run, mirror_gate, pair_tuple(run, left, right));
+    Py_DECREF(mirror_gate);
+    if (status < 0)
         return -1;
     swap_physical(run, left, right);
     return 0;
@@ -859,9 +873,16 @@ reset_decay(double *decay, Py_ssize_t count)
 static int
 bind_mirror(Run *run, PyObject *mirror, PyObject **gates_fast)
 {
-    if (!PyTuple_Check(mirror) || PyTuple_GET_SIZE(mirror) != 9) {
+    if (!PyTuple_Check(mirror) || PyTuple_GET_SIZE(mirror) != 10) {
         PyErr_SetString(TranspilerError,
-                        "route kernel: mirror must be a 9-field MirrorRule");
+                        "route kernel: mirror must be a 10-field MirrorRule");
+        return -1;
+    }
+    run->accepted_mirror = PyTuple_GET_ITEM(mirror, 9);
+    if (!PyCallable_Check(run->accepted_mirror)) {
+        PyErr_SetString(TranspilerError,
+                        "route kernel: the rule's accepted_mirror must be "
+                        "callable");
         return -1;
     }
     *gates_fast = PySequence_Fast(PyTuple_GET_ITEM(mirror, 0),

@@ -35,7 +35,7 @@ whichever loop runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class MirrorRule(NamedTuple):
     """MIRAGE's mirror decision as data, indexed like ``IntDAG.gates``.
 
     Attributes:
-        gates: the mirror gate ``SWAP . U`` per two-qubit slot (``None``
-            elsewhere).
+        gates: the mirror gate ``SWAP . U`` per slot, or ``None`` where
+            none is built yet (the ``MirrorTable``'s shared list).
         gate_costs: decomposition cost of each slot's gate.
         mirror_costs: decomposition cost of each slot's mirror.
         decomposition_weight: weight of the cost term against the routing
@@ -73,6 +73,9 @@ class MirrorRule(NamedTuple):
         mirror_prices: raw price of each slot's mirror.
         swap_price: raw price of an inserted SWAP.
         coverage: the coverage set that priced all of the above.
+        accepted_mirror: called with a slot whose mirror a loop accepts
+            while ``gates`` holds ``None`` there; builds the mirror gate,
+            stores it in ``gates`` and returns it.
     """
 
     gates: Sequence[Gate | None]
@@ -84,6 +87,7 @@ class MirrorRule(NamedTuple):
     mirror_prices: list[float]
     swap_price: float
     coverage: "CoverageSet"
+    accepted_mirror: Callable[[int], Gate]
 
 
 class KernelState:
@@ -442,7 +446,8 @@ def _commit_mirror(
     The layout-independent half of the decision (both decomposition
     costs, the mirror gate) is read from the rule; only the routing
     pressure is computed here, and
-    :func:`~repro.core.aggression.accept_mirror` decides.
+    :func:`~repro.core.aggression.accept_mirror` decides.  The first
+    acceptance of a slot has the rule build its mirror gate.
     Returns the raw price of the emitted gate, for the scored depth.
     """
     # Imported here: ``repro.core`` imports this module.
@@ -458,7 +463,10 @@ def _commit_mirror(
     cost_trial = weight * mirror.mirror_costs[slot] + routing_mirror
     if accept_mirror(cost_current, cost_trial, mirror.aggression):
         state.mirrors_accepted += 1
-        state.ops.append((mirror.gates[slot], physical))
+        gate = mirror.gates[slot]
+        if gate is None:
+            gate = mirror.accepted_mirror(slot)
+        state.ops.append((gate, physical))
         state.swap_physical(*physical)
         return mirror.mirror_prices[slot]
     state.emit(node_id, physical)

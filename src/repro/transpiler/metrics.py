@@ -32,14 +32,42 @@ def gate_coordinate(gate) -> tuple[float, float, float]:
 
     Uses, in order of preference: the coordinate annotation cached on a
     consolidated :class:`UnitaryGate` block, the closed-form coordinate of a
-    named gate, or a (cached) extraction from the gate matrix.
+    named standard gate, or a (cached) extraction from the gate matrix.
+    Name rules apply to standard gates only (``type(gate) is Gate``): an
+    unannotated unitary is read from its matrix whatever it is labelled.
     """
     if isinstance(gate, UnitaryGate) and gate.coordinate is not None:
         return gate.coordinate
-    try:
-        return coordinate_of_named_gate(gate.name, *gate.params).to_tuple()
-    except ValueError:
-        return GLOBAL_COORDINATE_CACHE.coordinate(gate.matrix())
+    if type(gate) is Gate:
+        try:
+            return coordinate_of_named_gate(gate.name, *gate.params).to_tuple()
+        except ValueError:
+            pass
+    return GLOBAL_COORDINATE_CACHE.coordinate(gate.matrix())
+
+
+def distinct_coordinates(
+    coordinates: Sequence[tuple[float, float, float]],
+) -> tuple[list[tuple[float, float, float]], list[int]]:
+    """The distinct coordinates in order of first appearance, and the
+    index among them of each input.
+
+    Triples compare as tuples, so two that differ only in the sign of a
+    zero are one: :meth:`~repro.polytopes.coverage.CoverageSet.cost_of_many`
+    prices them alike anyway, since a batch row whose rounded key matches
+    an earlier row's takes that row's price.  Pricing the distinct rows
+    and fanning the prices back out through the indices therefore gives
+    every input the float a query over all inputs would.
+    """
+    index_of: dict[tuple[float, float, float], int] = {}
+    distinct: list[tuple[float, float, float]] = []
+    indices = []
+    for coordinate in coordinates:
+        index = index_of.setdefault(coordinate, len(distinct))
+        if index == len(distinct):
+            distinct.append(coordinate)
+        indices.append(index)
+    return distinct, indices
 
 
 def node_coordinate(node: DAGNode) -> tuple[float, float, float]:
@@ -99,35 +127,33 @@ def _walk(
 ) -> CircuitMetrics:
     """Every metric of a topologically ordered op stream, in one pass.
 
-    One batched coverage query prices each distinct two-qubit gate object
-    once, in order of first appearance, and the prices fan back out to
-    the ops in stream order; the coverage memo gives one gate the same
-    float wherever it appears, so this equals pricing every op.  A
-    per-wire running maximum, walked in that order, then performs the
-    same ``max`` and the same additions as a longest-path walk over the
-    DAG the stream builds, so depths equal the DAG's bit for bit.  An op
-    on one wire adds weight zero to its own wire only and changes
-    nothing, so the walk skips it.
+    Each distinct two-qubit gate object is read once for its coordinate;
+    one batched coverage query then prices each distinct coordinate
+    once, in order of first appearance (:func:`distinct_coordinates`),
+    and the prices fan back out to the ops in stream order, so this
+    equals pricing every op.  A per-wire running maximum, walked in that
+    order, then performs the same ``max`` and the same additions as a
+    longest-path walk over the DAG the stream builds, so depths equal
+    the DAG's bit for bit.  An op on one wire adds weight zero to its
+    own wire only and changes nothing, so the walk skips it.  Only a
+    standard ``swap`` gate counts as a SWAP.
     """
     two_qubit = [
         gate for gate, qubits in ops
         if len(qubits) == 2 and not gate.is_directive
     ]
     first_seen: dict[int, int] = {}
-    distinct: list[Gate] = []
+    coordinates = []
     positions = []
     for gate in two_qubit:
         position = first_seen.get(id(gate))
         if position is None:
-            position = first_seen[id(gate)] = len(distinct)
-            distinct.append(gate)
+            position = first_seen[id(gate)] = len(coordinates)
+            coordinates.append(gate_coordinate(gate))
         positions.append(position)
-    prices = (
-        coverage.cost_of_many([gate_coordinate(gate) for gate in distinct]).tolist()
-        if distinct
-        else []
-    )
-    costs = [prices[position] for position in positions]
+    distinct, indices = distinct_coordinates(coordinates)
+    prices = coverage.cost_of_many(distinct).tolist() if distinct else []
+    costs = [prices[indices[position]] for position in positions]
     next_cost = iter(costs).__next__
     weighted_on: dict[int, float] = {}
     gates_on: dict[int, float] = {}
@@ -146,7 +172,7 @@ def _walk(
             gates = (other if other > upstream else upstream) + 1.0
             weighted_on[a] = weighted_on[b] = weighted
             gates_on[a] = gates_on[b] = gates
-            if gate.name == "swap":
+            if gate.name == "swap" and type(gate) is Gate:
                 swap_count += 1
         elif len(qubits) > 1:
             # Directives and wider gates weigh nothing but join their wires.

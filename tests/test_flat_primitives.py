@@ -4,7 +4,8 @@ Each fast path outside the route kernel is compared, bytes for bytes,
 with the slower construction it stands in for:
 
 * the closed-form ``rzz`` matrix against ``xx_yy_interaction``;
-* the consolidation index tables against ``embed_unitary``;
+* the consolidation index tables and stacked block products against
+  ``embed_unitary``;
 * op-list metrics against longest paths over a ``DAGCircuit``;
 * the routed circuit from an op list against the circuit of its DAG.
 """
@@ -39,7 +40,8 @@ from repro.transpiler.metrics import (
 from repro.transpiler.passes import SabreSwap
 from repro.transpiler.passes.consolidate import (
     _PLACEMENT_TABLES,
-    _Block,
+    _PLACEMENTS,
+    _block_products,
     _padded,
 )
 from repro.transpiler.passes.sabre_swap import RoutingResult
@@ -94,16 +96,31 @@ def test_placement_tables_reproduce_embed_unitary(placement):
         assert table_embedded.tobytes() == reference.tobytes()
 
 
-def test_block_absorb_matches_the_embed_unitary_product():
+def test_stacked_products_match_the_embed_unitary_product():
+    """Blocks of different lengths, multiplied in stacked rounds, equal
+    the per-gate ``embed_unitary(...) @ block`` product byte for byte."""
     rng = np.random.default_rng(4)
-    block = _Block((3, 1))
-    reference = np.eye(4, dtype=complex)
-    for gate_qubits in [(3,), (1, 3), (1,), (3, 1), (3,), (1,), (3, 1)]:
-        matrix = _awkward_matrix(2 ** len(gate_qubits), rng)
-        positions = [block.qubits.index(q) for q in gate_qubits]
-        reference = embed_unitary(matrix, positions, 2) @ reference
-        block.absorb(_padded(matrix), gate_qubits)
-        assert block.matrix.tobytes() == reference.tobytes()
+    pair = (3, 1)
+    streams = [
+        [(3,), (1, 3), (1,), (3, 1), (3,), (1,), (3, 1)],
+        [(1, 3)],
+        [(3, 1), (1,), (3,)],
+    ]
+    rows, factors, references = [], [], []
+    for stream in streams:
+        reference = np.eye(4, dtype=complex)
+        block = []
+        for gate_qubits in stream:
+            matrix = _awkward_matrix(2 ** len(gate_qubits), rng)
+            positions = [pair.index(q) for q in gate_qubits]
+            reference = embed_unitary(matrix, positions, 2) @ reference
+            block.append(4 * len(rows) + _PLACEMENTS.index(tuple(positions)))
+            rows.append(_padded(matrix))
+        factors.append(block)
+        references.append(reference)
+    matrices = _block_products(np.array(rows), factors)
+    for matrix, reference in zip(matrices, references):
+        assert matrix.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +145,10 @@ def dag_metrics(circuit: QuantumCircuit, coverage) -> CircuitMetrics:
     return CircuitMetrics(
         depth=float(dag.longest_path_length(weight)),
         total_cost=float(sum(weight(node) for node in dag.nodes.values())),
-        swap_count=sum(1 for n in dag.nodes.values() if n.gate.name == "swap"),
+        swap_count=sum(
+            1 for n in dag.nodes.values()
+            if n.gate.name == "swap" and type(n.gate) is Gate
+        ),
         two_qubit_count=len(two_qubit),
         gate_depth=int(dag.longest_path_length(
             lambda node: 1.0 if node.is_two_qubit else 0.0)),
@@ -156,7 +176,8 @@ def circuits(draw):
             name = draw(st.sampled_from(TWO_QUBIT))
             if name == "block":
                 seed = draw(st.integers(min_value=0, max_value=2**16))
-                gate = UnitaryGate(haar_unitary(4, seed), check=False)
+                label = draw(st.sampled_from(("unitary", "swap", "cx")))
+                gate = UnitaryGate(haar_unitary(4, seed), label=label, check=False)
             else:
                 params = (draw(angle),) if name in ("rzz", "cp") else ()
                 gate = standard_gate(name, *params)
@@ -184,6 +205,24 @@ def test_op_list_metrics_equal_dag_longest_paths(circuit):
     assert _fields(evaluate(circuit.to_dag(), coverage=COVERAGE)) == reference
     assert repr(ops_depth(ops, COVERAGE)) == repr(
         dag_metrics(circuit, COVERAGE).depth)
+
+
+@pytest.mark.parametrize("label", ["swap", "cx", "iswap"])
+def test_metrics_apply_name_rules_to_standard_gates_only(label):
+    """An unannotated unitary is priced from its matrix, whatever its
+    label, and only a standard ``swap`` counts as a SWAP."""
+    identity = UnitaryGate(np.eye(4), label=label)
+    # Read from its matrix through the shared coordinate cache, which may
+    # hold an earlier near-identity block's extraction.
+    assert np.allclose(gate_coordinate(identity), 0.0, rtol=0.0, atol=1e-12)
+    metrics = evaluate([(identity, (0, 1))], coverage=COVERAGE)
+    assert (metrics.swap_count, metrics.total_cost, metrics.depth) == (
+        0, 0.0, 0.0
+    )
+    standard = Gate(label, 2)
+    named = evaluate([(standard, (0, 1))], coverage=COVERAGE)
+    assert named.swap_count == (label == "swap")
+    assert named.total_cost == COVERAGE.cost_of(gate_coordinate(standard)) > 0
 
 
 # ---------------------------------------------------------------------------

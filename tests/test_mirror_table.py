@@ -7,7 +7,8 @@ Covers:
   on forward and reverse lowerings, under two coverage sets;
 * deterministic performance invariants that need no timing: one
   coverage query per circuit across both routing directions and every
-  run, one coverage row per distinct gate in the metrics walk, no
+  run, one coverage row per distinct coordinate in the table and in the
+  metrics walk, mirror gates built only for accepted slots, no
   ``DAGCircuit`` built while refining or scoring trials, and a pickled
   :class:`~repro.transpiler.passes.RoutingResult` that carries ops only;
 * the ops-based depth metric, and the depth the route loop scores,
@@ -24,10 +25,13 @@ import pytest
 
 from repro.circuits.circuit import OpList, random_two_qubit_block_circuit
 from repro.circuits.dag import DAGCircuit
+from repro.circuits.gates import Gate, UnitaryGate
 from repro.circuits.library import TABLE_III_SUITE, qft, twolocal_full
 from repro.core import MirageSwap, prepare_circuit
+from repro.core import mirage_pass
 from repro.core.mirage_pass import mirror_table
 from repro.core.pipeline import MirageRouterFactory
+from repro.linalg import haar_unitary
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import Layout, grid_topology, heavy_hex_topology
@@ -130,9 +134,14 @@ def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
         assert len(cost_many_calls) == 1
 
 
+def _distinct(values):
+    return list(dict.fromkeys(values))
+
+
 def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
     """Forward and reverse lowerings share one table: one batched query
-    (every two-qubit slot, its mirror and the SWAP) serves every run."""
+    (each distinct coordinate among the two-qubit slots and their
+    mirrors, plus the SWAP) serves every run."""
     coupling = grid_topology(3, 4)
     router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(6), twolocal_full(7), _seca()):
@@ -143,8 +152,14 @@ def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
         for seed in range(3):
             layout = router.run(forward, layout, seed=seed).final_layout
             layout = router.run(reverse, layout, seed=seed).final_layout
-        slots = len(set(forward.gate_ids[forward.kind == KIND_CHECK2].tolist()))
-        assert cost_many_calls == [2 * slots + 1]
+        slots = set(forward.gate_ids[forward.kind == KIND_CHECK2].tolist())
+        coordinates = _distinct(
+            gate_coordinate(forward.gates[slot]) for slot in sorted(slots)
+        )
+        mirrored = [mirror_coordinate(c) for c in coordinates]
+        rows = len(_distinct(coordinates + mirrored))
+        assert rows < 2 * len(slots)
+        assert cost_many_calls == [rows + 1]
         assert mirror_table(reverse, COVERAGE) is mirror_table(forward, COVERAGE)
 
 
@@ -157,7 +172,7 @@ def test_walk_prices_each_distinct_gate_once(cost_many_calls):
     )
     ops = result.ops + result.ops  # every gate object appears twice
     distinct = {
-        id(gate) for gate, qubits in ops
+        gate_coordinate(gate) for gate, qubits in ops
         if len(qubits) == 2 and not gate.is_directive
     }
     assert result.swaps_added  # the shared SWAP gate is among them
@@ -170,6 +185,128 @@ def test_walk_prices_each_distinct_gate_once(cost_many_calls):
         if len(qubits) == 2 and not gate.is_directive
     ]
     assert metrics.total_cost == float(sum(costs))
+
+
+def _per_op_reference(ops, coverage):
+    """Total cost and depth, each op priced by its own scalar query."""
+    wire = {}
+    total = 0.0
+    for gate, qubits in ops:
+        if len(qubits) != 2:
+            continue
+        price = coverage.cost_of(gate_coordinate(gate))
+        total += price
+        a, b = qubits
+        wire[a] = wire[b] = max(wire.get(a, 0.0), wire.get(b, 0.0)) + price
+    return float(total), max(wire.values(), default=0.0)
+
+
+def _block(coordinate, seed=0):
+    matrix = haar_unitary(4, np.random.default_rng(seed))
+    return UnitaryGate(matrix, label="block", check=False, coordinate=coordinate)
+
+
+def test_walk_prices_equal_coordinates_once(cost_many_calls):
+    """Distinct gate objects with equal coordinates, and coordinates that
+    differ only in the sign of a zero, take one row each and the price
+    the per-op scalar query gives."""
+    coverage = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
+    cx = Gate("cx", 2)
+    ops = [
+        (_block((0.5, 0.25, 0.0), seed=1), (0, 1)),
+        (_block((0.5, 0.25, 0.0), seed=2), (1, 2)),
+        (cx, (0, 2)),
+        (Gate("cx", 2), (2, 1)),
+        (_block((0.3, 0.0, 0.0)), (0, 1)),
+        (_block((0.3, -0.0, 0.0)), (1, 2)),
+        (_block((-0.0, 0.0, 0.0)), (0, 2)),
+        (_block((0.0, 0.0, 0.0)), (0, 1)),
+        (_block((0.5, 0.25, -0.0), seed=3), (2, 0)),
+        (cx, (1, 0)),
+    ]
+    del cost_many_calls[:]
+    metrics = evaluate(ops, coverage=coverage)
+    assert cost_many_calls == [4]
+    assert (metrics.total_cost, metrics.depth) == _per_op_reference(
+        ops, coverage
+    )
+
+
+def test_table_prices_equal_coordinates_once(cost_many_calls):
+    """Slots whose coordinates are equal, or differ only in the sign of a
+    zero, share one row, and every slot still matches the scalar chain
+    bit for bit."""
+    coverage = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
+    gates = [
+        _block((0.5, 0.25, 0.0), seed=1),
+        _block((0.5, 0.25, -0.0), seed=2),
+        _block((0.3, 0.0, 0.0), seed=3),
+        _block((0.3, -0.0, -0.0), seed=4),
+        Gate("cx", 2),
+        Gate("iswap", 2),
+    ]
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    ops = [(gate, pairs[i % 3]) for i, gate in enumerate(gates)]
+    intdag = IntDAG.from_ops(3, ops)
+    del cost_many_calls[:]
+    table = mirror_table(intdag, coverage)
+    # Gates: 4 distinct coordinates; mirrors: cx <-> iswap coincide with
+    # gates, the two blocks add 2 more; plus the SWAP.
+    assert cost_many_calls == [4 + 2 + 1]
+    for slot, gate in enumerate(intdag.gates):
+        coordinate = gate_coordinate(gate)
+        mirrored = mirror_coordinate(coordinate)
+        assert np.array(table.mirror_coords[slot]).tobytes() == (
+            np.array(mirrored).tobytes()
+        )
+        assert table.gate_prices[slot] == coverage.cost_of(coordinate)
+        assert table.mirror_prices[slot] == coverage.cost_of(mirrored)
+
+
+@pytest.mark.parametrize("aggression", [1, 2, 3])
+def test_mirror_gates_are_built_on_acceptance(monkeypatch, aggression):
+    """A fresh table holds no mirror gate; after routing only the slots
+    whose mirror some run accepted hold one, each built once and equal to
+    ``mirror_gate(gate, coordinate)``, and every run emits that object."""
+    built = []
+    original = mirage_pass.mirror_gate
+
+    def counting(gate, coordinate):
+        built.append(gate)
+        return original(gate, coordinate)
+
+    monkeypatch.setattr(mirage_pass, "mirror_gate", counting)
+    coupling = heavy_hex_topology(12)
+    forward = IntDAG.from_dag(
+        DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 30, seed=9))
+    )
+    table = mirror_table(forward, COVERAGE)
+    assert table.mirror_gates == [None] * len(forward.gates)
+    router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
+    emitted = set()
+    layout = Layout.random(7, coupling.num_qubits, seed=9)
+    for seed in range(3):
+        for lowering in (forward, forward.reversed()):
+            result = router.run(lowering, layout, seed=seed)
+            layout = result.final_layout
+            emitted |= {id(gate) for gate, _ in result.ops}
+    accepted = [
+        slot for slot, gate in enumerate(table.mirror_gates) if gate is not None
+    ]
+    assert accepted and len(built) == len(accepted)
+    if aggression < 3:
+        assert any(
+            table.mirror_gates[slot] is None
+            for slot in forward.gate_ids[forward.kind == KIND_CHECK2].tolist()
+        )
+    for slot in accepted:
+        gate, reference = table.mirror_gates[slot], original(
+            forward.gates[slot], table.mirror_coords[slot]
+        )
+        assert id(gate) in emitted
+        assert gate.matrix().tobytes() == reference.matrix().tobytes()
+        assert gate.name == reference.name
+        assert gate.coordinate == reference.coordinate
 
 
 class _CountingInit:
@@ -234,8 +371,10 @@ def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
 
 
 def test_threads_share_the_reverse_and_table_memos_safely():
-    """Trials racing on one fresh lowering (its reverse, its mirror table)
-    under a tiny switch interval give the serial outcomes."""
+    """Trials racing on one fresh lowering (its reverse, its mirror table
+    and the mirror gates built on acceptance) under a tiny switch
+    interval give the serial outcomes, and every mirror gate any of them
+    emitted is the one object the table holds for its slot."""
     coupling = heavy_hex_topology(12)
     factory = MirageRouterFactory(coupling, COVERAGE, (1, 2, 3))
     layout_search = SabreLayout(
@@ -248,16 +387,19 @@ def test_threads_share_the_reverse_and_table_memos_safely():
     )
     refs = layout_search.trial_refs()
 
+    emitted = []
+
     def outcomes(spec, runner):
-        return [
-            (o.score, [(g.name, q) for g, q in o.routing.ops])
-            for o in runner(lambda ref: run_trial(spec, ref), refs)
-        ]
+        results = list(runner(lambda ref: run_trial(spec, ref), refs))
+        emitted.extend(g for o in results for g, _ in o.routing.ops)
+        return [(o.score, [(g.name, q) for g, q in o.routing.ops])
+                for o in results]
 
     circuit = twolocal_full(8)
     expected = outcomes(
         layout_search.trial_spec(DAGCircuit.from_circuit(circuit)), map
     )
+    del emitted[:]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -269,6 +411,9 @@ def test_threads_share_the_reverse_and_table_memos_safely():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+    built = {id(g) for g in mirror_table(spec.intdag, COVERAGE).mirror_gates}
+    mirrors = [g for g in emitted if g.name.endswith("_mirror")]
+    assert mirrors and all(id(g) in built for g in mirrors)
 
 
 def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(

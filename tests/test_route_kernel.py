@@ -749,7 +749,7 @@ def _mirror_rule(intdag, aggression, weight, coverage=COVERAGE):
     return route.MirrorRule(
         table.mirror_gates, table.gate_costs, table.mirror_costs, weight,
         aggression, table.gate_prices, table.mirror_prices, table.swap_price,
-        coverage,
+        coverage, table.accepted_mirror,
     )
 
 
@@ -843,8 +843,8 @@ def test_compiled_loop_keeps_mirror_near_ties(monkeypatch, aggression):
         for edge in (cost - 1e-9, cost + 1e-9):
             near += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     gate_costs, mirror_costs = list(table.gate_costs), list(table.mirror_costs)
-    for slot, gate in enumerate(table.mirror_gates):
-        if gate is not None:
+    for slot, coordinate in enumerate(table.mirror_coords):
+        if coordinate is not None:
             cost = float(rng.choice((1.0, 2.5, 3.0)))
             gate_costs[slot] = cost
             mirror_costs[slot] = float(
@@ -945,6 +945,7 @@ def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
         (15, mirror._replace(gates=mirror.gates[:-1])),
         (15, mirror._replace(gate_costs=["x"] * len(intdag.gates))),
         (15, mirror._replace(mirror_prices=mirror.mirror_prices[:-1])),
+        (15, mirror._replace(accepted_mirror=None)),
     ]:
         args = list(good)
         args[position] = value
@@ -954,6 +955,16 @@ def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
         kernel.route(*good[:15], mirror._replace(aggression=7))
     with pytest.raises(TypeError):
         kernel.route(*good[:15], mirror._replace(swap_price="x"))
+
+    def refuse(slot):
+        raise RuntimeError(f"no mirror for slot {slot}")
+
+    # An error building an accepted mirror propagates out of the loop.
+    unbuilt = mirror._replace(
+        gates=[None] * len(intdag.gates), aggression=3, accepted_mirror=refuse
+    )
+    with pytest.raises(RuntimeError, match="no mirror for slot"):
+        kernel.route(list(state.v2p), list(state.p2v), *good[2:15], unbuilt)
     # A failed call leaves the kernel usable.
     ops, swaps, mirrors, candidates, depth = kernel.route(*good)
     assert depth is None
