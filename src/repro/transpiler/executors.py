@@ -89,7 +89,8 @@ Fault-tolerant dispatch
 
 Worker processes die, hang and return garbage; long-lived batch services
 must absorb all three without aborting (or silently corrupting) a batch.
-Every dispatch path therefore recovers per *chunk*:
+Every session therefore recovers per *chunk*, through one chunk ledger
+on :class:`DispatchSession` that every transport shares:
 
 * **Crash recovery** — a chunk that fails with ``BrokenProcessPool`` (a
   worker died), a cancelled future, or a :class:`TransportError` (its
@@ -97,17 +98,19 @@ Every dispatch path therefore recovers per *chunk*:
   failure generation, the chunk's tasks — which carry their own
   ``SeedSequence`` streams — are re-submitted, and the recovery is
   recorded under the ``retries``/``respawns``/``lost_tasks`` dispatch
-  counters.  Replay is byte-identical to an uninterrupted run because
-  results depend only on ``(payload, task)``.
+  counters.  In-process executors replay injected crashes the same
+  way, without a pool to respawn.  Replay is byte-identical to an
+  uninterrupted run because results depend only on ``(payload, task)``.
 * **Timeouts** — with ``MIRAGE_TASK_TIMEOUT`` set (seconds), a session
   watchdog kills the pool under any chunk that outlives its deadline,
-  converting a hung worker into the crash case above; re-dispatches back
-  off exponentially (capped) between attempts.  ``MIRAGE_TASK_RETRIES``
-  bounds the attempts per chunk (default 3).
-* **Graceful degradation** — a chunk that exhausts its retry budget
-  steps down the executor ladder: it runs in-process (on a dedicated
-  thread, falling back to inline serial execution) against the
-  dispatcher's own copy of the payload, counted under
+  converting a hung worker into the crash case above; re-dispatches
+  across a process or network boundary back off exponentially (capped)
+  between attempts.  ``MIRAGE_TASK_RETRIES`` bounds the attempts per
+  chunk (default 3); both knobs are read once per session.
+* **Graceful degradation** — a chunk that exhausts its retry budget, on
+  any executor, steps down the executor ladder: it runs in-process (on
+  a dedicated thread, falling back to inline serial execution) against
+  the dispatcher's own copy of the payload, counted under
   ``executor_downgrades``.  A payload whose segment was lost steps down
   the transport ladder — republished as an inline pickle blob riding
   each chunk, counted under ``transport_downgrades``.  Outputs are
@@ -248,8 +251,8 @@ _RETRY_BACKOFF_CAP = 1.0
 def task_timeout() -> float | None:
     """Per-chunk deadline in seconds, or ``None`` for no deadline.
 
-    Read from ``MIRAGE_TASK_TIMEOUT`` per dispatch, like the transport
-    switches.  When set, a chunk whose workers have not delivered within
+    Read from ``MIRAGE_TASK_TIMEOUT`` once per dispatch session, when it
+    opens.  When set, a chunk whose workers have not delivered within
     the deadline is presumed hung: the pool under it is torn down (the
     ``respawns`` counter advances) and the chunk's tasks are replayed.
     Unset, empty, non-numeric or non-positive values disable deadlines.
@@ -267,11 +270,12 @@ def task_timeout() -> float | None:
 def task_retries() -> int:
     """Replay budget per chunk before stepping down the executor ladder.
 
-    Read from ``MIRAGE_TASK_RETRIES`` per dispatch (default 3, floor 0).
-    A chunk lost to a worker crash, hang or transport failure is
-    re-dispatched up to this many times — with capped exponential
-    backoff between attempts — before the session degrades it to
-    in-process execution (counted under ``executor_downgrades``).
+    Read from ``MIRAGE_TASK_RETRIES`` once per dispatch session, when it
+    opens (default 3, floor 0).  A chunk lost to a worker crash, hang or
+    transport failure is re-dispatched up to this many times — with
+    capped exponential backoff between attempts across a process or
+    network boundary — before the session degrades it to in-process
+    execution (counted under ``executor_downgrades``).
     """
     value = os.environ.get("MIRAGE_TASK_RETRIES", "").strip()
     if not value:
@@ -316,7 +320,7 @@ def _guard_chunk_results(results: list) -> list:
     Injected ``corrupt`` faults (and, in a real deployment, checksum
     validators) surface as :class:`CorruptResult` markers in the result
     list; converting them into :class:`CorruptResultError` here routes
-    them through the same replay path as a crashed worker.
+    them through the session's replay path like a crashed worker.
     """
     for result in results:
         if isinstance(result, CorruptResult):
@@ -902,7 +906,7 @@ def _run_local_chunk(
     faults: "ChunkFaults | None" = None,
     deadline: float | None = None,
 ) -> list[object]:
-    """In-process chunk evaluation for serial/thread dispatch sessions."""
+    """In-process chunk evaluation: serial, thread and degraded attempts."""
     if faults is not None:
         faults.check_transport()
     return _run_tasks(fn, shared, tasks, faults, deadline)
@@ -911,6 +915,44 @@ def _run_local_chunk(
 def _chunk(tasks: Sequence[_Task], size: int) -> Iterator[Sequence[_Task]]:
     for start in range(0, len(tasks), size):
         yield tasks[start:start + size]
+
+
+class _ChunkRecord:
+    """One submitted chunk, kept from :meth:`DispatchSession.submit` until
+    its ``wrapped`` future settles, across every replay and downgrade.
+
+    ``ordinal`` numbers the session's chunks in submit order: it is the
+    fault plan's chunk ordinal and the remote wire's chunk id.
+    ``faults`` carries the injected failures of the first attempt only
+    and ``attempts`` counts replays.  ``raw``, ``generation`` and
+    ``launched`` describe the current attempt on a process pool (its
+    future, the pool incarnation and the launch instant), which the
+    session watchdog reads to spot hung chunks.
+    """
+
+    __slots__ = (
+        "ordinal", "slot", "tasks", "faults", "deadline", "attempts",
+        "wrapped", "raw", "generation", "launched",
+    )
+
+    def __init__(
+        self,
+        ordinal: int,
+        slot: int,
+        tasks: Sequence[object],
+        faults: "ChunkFaults | None",
+        deadline: float | None,
+    ) -> None:
+        self.ordinal = ordinal
+        self.slot = slot
+        self.tasks = tasks
+        self.faults = faults
+        self.deadline = deadline
+        self.attempts = 0
+        self.wrapped: concurrent.futures.Future = concurrent.futures.Future()
+        self.raw: concurrent.futures.Future | None = None
+        self.generation = -1
+        self.launched = 0.0
 
 
 class DispatchSession:
@@ -925,55 +967,75 @@ class DispatchSession:
     as a context manager so segments are unlinked even when a worker
     raises.
 
-    Sessions are fault tolerant: a chunk lost to a worker crash, hang or
-    transport failure is replayed (same tasks, same seeds — replay is
-    byte-identical) within the ``MIRAGE_TASK_RETRIES`` budget, and the
-    recovery is visible in the executor's dispatch counters.  When a
-    ``MIRAGE_FAULT_PLAN`` is active the session snapshots it at open
-    time and resolves it into per-chunk fault records at submit time —
-    the fault ordinals (one trial counter, plus a global chunk counter)
-    are assigned on the submitting thread, so injected failures
-    strike exact positions regardless of worker scheduling, and replays
-    are dispatched with their faults disarmed.
+    The session is the chunk ledger of every transport — inline, thread
+    pool, process pool and remote hosts — and so their one recovery
+    controller.  It splits each submit into chunks, resolves the fault
+    plan per chunk, keeps one :class:`_ChunkRecord` per chunk until its
+    future settles and makes every retry decision: an expired deadline
+    settles the chunk with :class:`DeadlineExceededError` (never
+    replayed, counted under ``deadline_expirations``), a task bug
+    propagates, and recoverable worker or transport loss disarms the
+    chunk's faults, counts ``retries``/``lost_tasks``, lets the
+    transport repair itself and replays the chunk (same tasks, same
+    seeds — byte-identical).  A chunk that failed more often than
+    ``MIRAGE_TASK_RETRIES`` allows steps down to in-process execution
+    against the dispatcher's own payload object, counted under
+    ``executor_downgrades``.  The fault plan, retry budget and task
+    timeout are read once, when the session opens.  Fault ordinals (one
+    trial counter, one chunk counter) are assigned on the submitting
+    thread, so injected failures strike exact positions regardless of
+    worker scheduling.
+
+    A transport supplies only its chunk size (:meth:`_chunk_size`), how
+    one attempt starts (:meth:`_launch`, which reports back through
+    :meth:`_completed` or :meth:`_failed`), its repair step
+    (:meth:`_repair`) and how a replay waits (:meth:`_replay`).
     """
 
-    def __init__(self, fn: Callable[[Any, Any], Any]) -> None:
+    def __init__(
+        self, executor: "TrialExecutor", fn: Callable[[Any, Any], Any]
+    ) -> None:
         self.fn = fn
-        self._futures: list[concurrent.futures.Future] = []
+        self._executor = executor
+        # Each slot holds its payload in a 1-tuple, so a ``None`` payload
+        # stays distinguishable from a released slot.  The dispatcher's
+        # own reference is also the payload of degraded chunks.
+        self._payloads: list[tuple[object] | None] = []
         self._closed = False
+        self._lock = threading.Lock()
+        self._inflight: dict[int, _ChunkRecord] = {}
+        self._chunk_ordinal = 0
         self._fault_plan = FaultPlan.from_env()
         self._fault_trials = 0
-        self._fault_chunk_ordinal = 0
+        self._retry_budget = task_retries()
+        self._task_timeout = task_timeout()
 
-    def _next_chunk_faults(self, count: int) -> "ChunkFaults | None":
-        """Resolve the active fault plan against one about-to-go chunk.
-
-        Advances this session's trial ordinal and the global chunk
-        ordinal (submit happens on the producer thread, so plain
-        counters suffice); returns ``None`` — the hot-path case — when no
-        plan is active or no fault lands in the chunk.
-        """
-        if self._fault_plan is None:
-            return None
-        start = self._fault_trials
-        self._fault_trials = start + count
-        ordinal = self._fault_chunk_ordinal
-        self._fault_chunk_ordinal += 1
-        return self._fault_plan.chunk_faults("trial", start, count, ordinal)
+    # -- payload slots -------------------------------------------------------
 
     def add_payload(self, payload: object) -> int:
         """Register a heavy payload; returns its slot for :meth:`submit`."""
-        raise NotImplementedError
+        self._payloads.append((payload,))
+        return len(self._payloads) - 1
 
-    @staticmethod
-    def _live(entries: list, slot: int):
-        """Slot ``slot``'s entry; a released (``None``) slot cannot submit."""
-        entry = entries[slot]
+    def release(self, slot: int) -> None:
+        """Drop payload ``slot``'s resources once its futures have drained.
+
+        Callers must have collected every future submitted against the
+        slot first; streaming drivers call this per circuit so a long
+        batch holds only a bounded number of payloads (and shared-memory
+        segments) at any moment, rather than all of them until
+        :meth:`close`.  Releasing a slot twice is a no-op.
+        """
+        self._payloads[slot] = None
+
+    def _payload(self, slot: int) -> object:
+        """Slot ``slot``'s payload object; a released slot raises."""
+        entry = self._payloads[slot]
         if entry is None:
-            raise TranspilerError(
-                f"cannot submit to released payload slot {slot}"
-            )
-        return entry
+            raise TranspilerError(f"payload slot {slot} is released")
+        return entry[0]
+
+    # -- the ledger ----------------------------------------------------------
 
     def submit(
         self,
@@ -993,31 +1055,173 @@ class DispatchSession:
         Submitting to a released slot raises :class:`TranspilerError`
         before anything is dispatched.
         """
+        self._payload(slot)
+        batch = list(tasks)
+        records: list[_ChunkRecord] = []
+        for chunk in _chunk(batch, self._chunk_size(len(batch))):
+            ordinal = self._chunk_ordinal
+            self._chunk_ordinal += 1
+            faults = None
+            if self._fault_plan is not None:
+                start = self._fault_trials
+                self._fault_trials += len(chunk)
+                faults = self._fault_plan.chunk_faults(
+                    "trial", start, len(chunk), ordinal
+                )
+            records.append(_ChunkRecord(ordinal, slot, chunk, faults, deadline))
+        with self._lock:
+            self._inflight.update((r.ordinal, r) for r in records)
+        self._executor._count_dispatch(chunks=len(records), tasks=len(batch))
+        for record in records:
+            self._dispatch(record)
+        return [record.wrapped for record in records]
+
+    def _dispatch(self, record: _ChunkRecord) -> None:
+        """Start one attempt of ``record`` unless its deadline has passed."""
+        if self._expired(record, "before its chunk was dispatched"):
+            return
+        try:
+            self._launch(record)
+        except BaseException as error:  # noqa: BLE001 - settle, don't lose
+            self._failed(record, error)
+
+    def _expired(self, record: _ChunkRecord, when: str) -> bool:
+        """Settle ``record`` as expired if its deadline has passed."""
+        if record.deadline is None or time.monotonic() < record.deadline:
+            return False
+        self._settle(
+            record, error=DeadlineExceededError(f"request deadline expired {when}")
+        )
+        return True
+
+    def _completed(
+        self, record: _ChunkRecord, results: list, bytes_copied: int = 0
+    ) -> None:
+        """Settle an attempt's results, or fail it on a corrupt one."""
+        try:
+            _guard_chunk_results(results)
+        except CorruptResultError as error:
+            self._failed(record, error)
+        else:
+            self._settle(record, results, bytes_copied=bytes_copied)
+
+    def _failed(self, record: _ChunkRecord, error: BaseException) -> None:
+        """The retry decision for one failed attempt of ``record``."""
+        if record.wrapped.done():
+            return
+        if not _is_retryable(error):
+            # Task bugs would fail identically on replay, and an expired
+            # deadline is terminal: both settle the chunk.
+            self._settle(record, error=error)
+            return
+        record.faults = None  # replays run clean
+        record.attempts += 1
+        self._executor._count_dispatch(retries=1, lost_tasks=len(record.tasks))
+        self._repair(record, error)
+        if record.attempts > self._retry_budget:
+            self._degrade(record)
+        else:
+            self._replay(record)
+
+    def _degrade(self, record: _ChunkRecord) -> None:
+        """Step a chunk down the executor ladder, off its transport."""
+        self._executor._count_dispatch(executor_downgrades=1)
+        self._launch_degraded(record)
+
+    def _launch_degraded(self, record: _ChunkRecord) -> None:
+        """Run a degraded chunk in-process on a dedicated thread.
+
+        The failure may have been reported on a pool's result thread,
+        which must not run a whole chunk; the chunk runs inline only
+        when no thread can start (interpreter shutdown).
+        """
+        try:
+            threading.Thread(
+                target=self._run_degraded,
+                args=(record,),
+                name="mirage-degraded-chunk",
+                daemon=True,
+            ).start()
+        except RuntimeError:  # pragma: no cover - interpreter shutdown
+            self._run_degraded(record)
+
+    def _run_degraded(self, record: _ChunkRecord) -> None:
+        """The in-process rung: no transport, no faults, no further retry."""
+        try:
+            results = _guard_chunk_results(
+                _run_local_chunk(
+                    self.fn,
+                    self._payload(record.slot),
+                    record.tasks,
+                    None,
+                    record.deadline,
+                )
+            )
+        except BaseException as error:  # noqa: BLE001 - settle, don't lose
+            self._settle(record, error=error)
+        else:
+            self._settle(record, results)
+
+    def _settle(
+        self,
+        record: _ChunkRecord,
+        results: list | None = None,
+        *,
+        error: BaseException | None = None,
+        bytes_copied: int = 0,
+    ) -> None:
+        """Resolve ``record``'s future; only the first settle counts."""
+        with self._lock:
+            if self._inflight.pop(record.ordinal, None) is None:
+                return
+        if bytes_copied:
+            self._executor._count_dispatch(bytes_copied=bytes_copied)
+        if error is None:
+            record.wrapped.set_result(results)
+            return
+        if isinstance(error, DeadlineExceededError):
+            self._executor._count_dispatch(deadline_expirations=1)
+        record.wrapped.set_exception(error)
+
+    # -- transport hooks -----------------------------------------------------
+
+    def _chunk_size(self, count: int) -> int:
+        """Tasks per chunk: :data:`CHUNKS_PER_WORKER` chunks per worker."""
+        workers = self._executor.max_workers or os.cpu_count() or 1
+        return max(1, math.ceil(count / (workers * CHUNKS_PER_WORKER)))
+
+    def _launch(self, record: _ChunkRecord) -> None:
+        """Start one attempt; report through :meth:`_completed`/:meth:`_failed`."""
         raise NotImplementedError
 
-    def release(self, slot: int) -> None:
-        """Drop payload ``slot``'s resources once its futures have drained.
+    def _repair(self, record: _ChunkRecord, error: BaseException) -> None:
+        """Mend the transport after ``record`` lost an attempt to ``error``."""
 
-        Callers must have collected every future submitted against the
-        slot first; streaming drivers call this per circuit so a long
-        batch holds only a bounded number of payloads (and shared-memory
-        segments) at any moment, rather than all of them until
-        :meth:`close`.  Releasing a slot twice is a no-op.
+    def _replay(self, record: _ChunkRecord) -> None:
+        """Start the next attempt after a capped exponential backoff.
+
+        The backoff is waited out on the thread that reported the
+        failure; a remote stream thread thus replays its own lost chunk
+        (requeued first), reconnecting on the way.
         """
+        time.sleep(_retry_backoff(record.attempts))
+        self._dispatch(record)
+
+    # -- lifecycle -----------------------------------------------------------
 
     def outstanding(self) -> int:
         """Number of submitted chunk futures that have not completed."""
-        self._futures = [f for f in self._futures if not f.done()]
-        return len(self._futures)
+        with self._lock:
+            return len(self._inflight)
 
     def close(self) -> None:
         """Wait for in-flight futures and release transport resources."""
         if self._closed:
             return
         self._closed = True
-        if self._futures:
-            concurrent.futures.wait(self._futures)
-            self._futures = []
+        with self._lock:
+            pending = [record.wrapped for record in self._inflight.values()]
+        concurrent.futures.wait(pending)
 
     def __enter__(self) -> "DispatchSession":
         return self
@@ -1027,66 +1231,36 @@ class DispatchSession:
 
 
 class _LocalDispatchSession(DispatchSession):
-    """Shared slot bookkeeping for sessions that never serialise payloads.
+    """In-process sessions: attempts run against the payload object itself.
 
-    Each slot holds its payload in a 1-tuple, so a ``None`` payload stays
-    distinguishable from a released slot.
+    No process boundary means no serialisation, nothing to repair and
+    nothing to wait out between replays; injected crashes and transport
+    faults still take the ledger's replay path.
     """
 
-    def __init__(
-        self, executor: "TrialExecutor", fn: Callable[[Any, Any], Any]
-    ) -> None:
-        super().__init__(fn)
-        self._executor = executor
-        self._payloads: list[tuple[object] | None] = []
-
-    def add_payload(self, payload: object) -> int:
-        self._payloads.append((payload,))
-        return len(self._payloads) - 1
-
-    def release(self, slot: int) -> None:
-        self._payloads[slot] = None
-
-
-def _run_local_chunk_recovering(
-    executor: "TrialExecutor",
-    fn: Callable[[Any, Any], Any],
-    shared: object,
-    tasks: Sequence[object],
-    faults: "ChunkFaults | None",
-    deadline: float | None = None,
-) -> list[object]:
-    """In-process chunk evaluation with the session retry contract.
-
-    Serial and thread sessions have no process boundary — a worker
-    cannot die for real — but injected crashes and transport faults must
-    follow the same recover-and-replay path as the process transport so
-    every executor honours the fault plan.  Retries are immediate (no
-    backoff: nothing to wait out in-process) and are disarmed replays,
-    counted under the same ``retries``/``lost_tasks`` keys.  An expired
-    ``deadline`` is *not* retryable: it surfaces as
-    :class:`DeadlineExceededError` and counts one
-    ``deadline_expirations``.
-    """
-    attempts = 0
-    while True:
+    def _launch(self, record: _ChunkRecord) -> None:
         try:
-            return _guard_chunk_results(
-                _run_local_chunk(fn, shared, tasks, faults, deadline)
+            results = _run_local_chunk(
+                self.fn,
+                self._payload(record.slot),
+                record.tasks,
+                record.faults,
+                record.deadline,
             )
-        except DeadlineExceededError:
-            executor._count_dispatch(deadline_expirations=1)
-            raise
-        except _RETRYABLE_ERRORS:
-            if attempts >= task_retries():
-                raise
-            attempts += 1
-            faults = None
-            executor._count_dispatch(retries=1, lost_tasks=len(tasks))
+        except BaseException as error:  # noqa: BLE001 - settle, don't lose
+            self._failed(record, error)
+        else:
+            self._completed(record, results)
+
+    def _replay(self, record: _ChunkRecord) -> None:
+        self._dispatch(record)
 
 
 class _InlineDispatchSession(_LocalDispatchSession):
-    """Serial session: chunks run at submit time, futures are pre-resolved."""
+    """Serial session: one chunk per submit, settled before submit returns."""
+
+    def _chunk_size(self, count: int) -> int:
+        return max(1, count)
 
     def submit(
         self,
@@ -1095,84 +1269,21 @@ class _InlineDispatchSession(_LocalDispatchSession):
         *,
         deadline: float | None = None,
     ) -> list[concurrent.futures.Future]:
-        (shared,) = self._live(self._payloads, slot)
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        faults = self._next_chunk_faults(len(tasks))
-        try:
-            future.set_result(
-                _run_local_chunk_recovering(
-                    self._executor, self.fn, shared, tasks, faults, deadline,
-                )
-            )
-        except BaseException as error:  # noqa: BLE001 - mirror pool futures
-            future.set_exception(error)
-        self._executor._count_dispatch(chunks=1, tasks=len(tasks))
-        return [future]
+        futures = super().submit(slot, tasks, deadline=deadline)
+        # Attempts ran on this thread; a degraded chunk runs on its own.
+        concurrent.futures.wait(futures)
+        return futures
 
 
 class _ThreadDispatchSession(_LocalDispatchSession):
     """Thread-pool session: chunks close over the payload, no serialisation."""
 
-    def submit(
-        self,
-        slot: int,
-        tasks: Sequence[object],
-        *,
-        deadline: float | None = None,
-    ) -> list[concurrent.futures.Future]:
-        (shared,) = self._live(self._payloads, slot)
-        pool = self._executor._ensure_pool()
-        batch = list(tasks)
+    def _chunk_size(self, count: int) -> int:
         workers = self._executor.max_workers or os.cpu_count() or 1
-        size = max(1, math.ceil(len(batch) / workers))
-        futures = [
-            pool.submit(
-                _run_local_chunk_recovering,
-                self._executor,
-                self.fn,
-                shared,
-                chunk,
-                self._next_chunk_faults(len(chunk)),
-                deadline,
-            )
-            for chunk in _chunk(batch, size)
-        ]
-        self._futures.extend(futures)
-        self._executor._count_dispatch(chunks=len(futures), tasks=len(batch))
-        return futures
+        return max(1, math.ceil(count / workers))
 
-
-class _ChunkRecord:
-    """Dispatch bookkeeping of one chunk, across retries and downgrades.
-
-    Created at :meth:`_ShmDispatchSession.submit` time and kept until
-    its ``wrapped`` future settles; ``raw`` / ``generation`` /
-    ``submitted`` describe the *current* pool attempt (the watchdog
-    reads them to spot hung chunks), ``attempts`` counts replays, and
-    ``faults`` carries the injected failures of the first dispatch only.
-    """
-
-    __slots__ = (
-        "slot", "tasks", "faults", "attempts", "wrapped", "raw",
-        "generation", "submitted", "deadline",
-    )
-
-    def __init__(
-        self,
-        slot: int,
-        tasks: Sequence[object],
-        faults: "ChunkFaults | None",
-        deadline: float | None = None,
-    ) -> None:
-        self.slot = slot
-        self.tasks = tasks
-        self.faults = faults
-        self.deadline = deadline
-        self.attempts = 0
-        self.wrapped: concurrent.futures.Future = concurrent.futures.Future()
-        self.raw: concurrent.futures.Future | None = None
-        self.generation = -1
-        self.submitted: float | None = None
+    def _launch(self, record: _ChunkRecord) -> None:
+        self._executor._ensure_pool().submit(super()._launch, record)
 
 
 class _ShmDispatchSession(DispatchSession):
@@ -1192,16 +1303,13 @@ class _ShmDispatchSession(DispatchSession):
     shipping — correct, observable via ``bytes_shipped``, and bounded to
     the few chunks of the affected circuit.
 
-    Every chunk runs under a retry controller: callers receive a
-    *wrapped* future that only settles once the chunk either delivered
-    results (possibly after pool respawns, transport downgrades and
-    replays) or failed for a non-recoverable reason.  A hung chunk is
-    caught by the session watchdog (``MIRAGE_TASK_TIMEOUT``), which
-    tears the pool down under it and lets the broken-pool replay path
-    take over; a chunk that exhausts ``MIRAGE_TASK_RETRIES`` steps off
-    the pool entirely and runs in-process against the dispatcher's own
-    copy of the payload.  All recovery is invisible to callers except
-    through the dispatch counters.
+    Recovery is the ledger's; this transport adds its repair step — a
+    pool respawn after worker loss and the shm → inline blob transport
+    downgrade after segment loss — capped exponential backoff between
+    replays, and a watchdog: a chunk outliving ``MIRAGE_TASK_TIMEOUT``
+    has the pool torn down under it (the broken-pool replay path takes
+    over), and a chunk past its request deadline settles as expired
+    while the pool keeps running.
     """
 
     def __init__(
@@ -1210,15 +1318,11 @@ class _ShmDispatchSession(DispatchSession):
         fn: Callable[[Any, Any], Any],
         anchors: Sequence[object] = (),
     ) -> None:
-        super().__init__(fn)
-        self._executor = executor
+        super().__init__(executor, fn)
         self._anchors = tuple(anchors)
         self._handles: list[PayloadHandle | None] = []
-        self._payload_objects: list[object] = []
         self._segments: list[str] = []
         self._anchor_handle: PayloadHandle | None = None
-        self._retry_lock = threading.Lock()
-        self._inflight: dict[int, _ChunkRecord] = {}
         self._watchdog: threading.Thread | None = None
         # True once any chunk carried a deadline — keeps the watchdog
         # running even when no MIRAGE_TASK_TIMEOUT is configured.
@@ -1239,53 +1343,41 @@ class _ShmDispatchSession(DispatchSession):
         return handle
 
     def add_payload(self, payload: object) -> int:
-        handle = self._record(payload, self._anchors)
-        self._handles.append(handle)
-        # The dispatcher's own reference survives until release: it is
-        # the replay source for transport downgrades and the payload of
-        # last-resort in-process execution.
-        self._payload_objects.append(payload)
+        self._handles.append(self._record(payload, self._anchors))
         self._executor._count_dispatch(payload_pickles=1)
-        return len(self._handles) - 1
+        return super().add_payload(payload)
 
     def release(self, slot: int) -> None:
         handle = self._handles[slot]
         if handle is None:
             return
+        super().release(slot)
         self._handles[slot] = None
-        self._payload_objects[slot] = None
         if handle.segment is not None:
             with contextlib.suppress(ValueError):
                 self._segments.remove(handle.segment)
             _unlink_segment(handle.segment)
 
-    # -- retry controller --------------------------------------------------
+    # -- transport hooks -----------------------------------------------------
 
     def _launch(self, record: _ChunkRecord) -> None:
-        """(Re-)dispatch one chunk on the executor's current pool."""
+        """Submit one attempt to the executor's current pool."""
         executor = self._executor
-        if (
-            record.deadline is not None
-            and time.monotonic() >= record.deadline
-        ):
-            executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(
-                record,
-                DeadlineExceededError(
-                    "request deadline expired before its chunk was dispatched"
-                ),
+        if record.deadline is not None:
+            self._deadline_active = True
+        self._ensure_watchdog()
+        self._payload(record.slot)
+        handle = self._handles[record.slot]
+        if record.attempts == 0:
+            anchor = self._anchor_handle
+            executor._count_dispatch(
+                bytes_shipped=handle.shipped_bytes
+                + (anchor.shipped_bytes if anchor is not None else 0)
             )
-            return
         record.generation = executor._pool_generation
-        record.submitted = time.monotonic()
+        record.launched = time.monotonic()
         try:
-            pool = executor._ensure_pool()
-            handle = self._handles[record.slot]
-            if handle is None:
-                raise TranspilerError(
-                    "payload slot released with chunks still in flight"
-                )
-            raw = pool.submit(
+            raw = executor._ensure_pool().submit(
                 _run_session_chunk,
                 self._anchor_handle,
                 handle,
@@ -1294,78 +1386,38 @@ class _ShmDispatchSession(DispatchSession):
                 record.faults,
                 record.deadline,
             )
-        except concurrent.futures.BrokenExecutor as error:
-            self._handle_failure(record, error)
-            return
+        except concurrent.futures.BrokenExecutor:
+            raise
         except RuntimeError as error:
             # Pool shut down between generation read and submit.
-            self._handle_failure(record, _DispatchInterrupted(str(error)))
-            return
+            raise _DispatchInterrupted(str(error)) from error
         record.raw = raw
         raw.add_done_callback(functools.partial(self._on_raw_done, record))
 
     def _on_raw_done(
         self, record: _ChunkRecord, done: concurrent.futures.Future
     ) -> None:
-        """Settle, or route into recovery, one completed pool future."""
-        if record.wrapped.done():
-            # The watchdog already settled this record (deadline expiry
-            # while the worker was still running) — drop the late result.
-            with self._retry_lock:
-                self._inflight.pop(id(record), None)
-            return
         try:
             error: BaseException | None = done.exception()
         except concurrent.futures.CancelledError as cancelled:
             error = cancelled
-        if error is None:
-            results, copied = done.result()
-            corrupt = next(
-                (r for r in results if isinstance(r, CorruptResult)), None
-            )
-            if corrupt is None:
-                self._executor._count_dispatch(bytes_copied=copied)
-                self._settle(record, results)
-                return
-            error = CorruptResultError(
-                f"worker returned corrupt result at chunk offset "
-                f"{corrupt.ordinal}"
-            )
-        self._handle_failure(record, error)
-
-    def _settle(self, record: _ChunkRecord, results: list) -> None:
-        with self._retry_lock:
-            self._inflight.pop(id(record), None)
-        if not record.wrapped.done():
-            record.wrapped.set_result(results)
-
-    def _settle_error(self, record: _ChunkRecord, error: BaseException) -> None:
-        with self._retry_lock:
-            self._inflight.pop(id(record), None)
-        if not record.wrapped.done():
-            record.wrapped.set_exception(error)
-
-    def _handle_failure(
-        self, record: _ChunkRecord, error: BaseException
-    ) -> None:
-        """Recover a failed chunk: respawn, downgrade, back off, replay."""
-        if record.wrapped.done():
-            with self._retry_lock:
-                self._inflight.pop(id(record), None)
+        if error is not None:
+            self._failed(record, error)
             return
-        if isinstance(error, DeadlineExceededError):
-            # A worker abandoned the chunk at its deadline — terminal
-            # for this chunk only, never replayed, pool left alone.
-            self._executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(record, error)
-            return
-        if not _is_retryable(error):
-            self._settle_error(record, error)
-            return
-        executor = self._executor
-        record.faults = None  # replays run clean
-        record.attempts += 1
-        executor._count_dispatch(retries=1, lost_tasks=len(record.tasks))
+        results, copied = done.result()
+        self._completed(record, results, bytes_copied=copied)
+
+    def _replay(self, record: _ChunkRecord) -> None:
+        # Failures arrive on the pool's result thread, which must not
+        # sleep: a timer waits out the backoff instead.
+        timer = threading.Timer(
+            _retry_backoff(record.attempts), self._dispatch, args=(record,)
+        )
+        timer.daemon = True
+        timer.start()
+
+    def _repair(self, record: _ChunkRecord, error: BaseException) -> None:
+        """Respawn the pool after worker loss; downgrade a lost segment."""
         if isinstance(
             error,
             (
@@ -1374,25 +1426,11 @@ class _ShmDispatchSession(DispatchSession):
                 _DispatchInterrupted,
             ),
         ):
-            executor._respawn_pool(record.generation)
+            self._executor._respawn_pool(record.generation)
         if isinstance(error, TransportError) and not isinstance(
             error, CorruptResultError
         ):
             self._downgrade_transport(record.slot)
-        if record.attempts > task_retries():
-            self._degrade_chunk(record)
-            return
-        timer = threading.Timer(
-            _retry_backoff(record.attempts), self._relaunch, args=(record,)
-        )
-        timer.daemon = True
-        timer.start()
-
-    def _relaunch(self, record: _ChunkRecord) -> None:
-        try:
-            self._launch(record)
-        except BaseException as error:  # pragma: no cover - defensive
-            self._settle_error(record, error)
 
     def _downgrade_transport(self, slot: int) -> None:
         """Step a payload down the transport ladder: shm → inline blob.
@@ -1408,62 +1446,21 @@ class _ShmDispatchSession(DispatchSession):
         if handle is None or handle.segment is None:
             return
         self._handles[slot] = _inline_payload(
-            _dumps_anchored(self._payload_objects[slot], self._anchors)
+            _dumps_anchored(self._payload(slot), self._anchors)
         )
         with contextlib.suppress(ValueError):
             self._segments.remove(handle.segment)
         _unlink_segment(handle.segment)
         self._executor._count_dispatch(transport_downgrades=1)
 
-    def _degrade_chunk(self, record: _ChunkRecord) -> None:
-        """Step a chunk down the executor ladder: pool → thread → serial.
-
-        The retry budget is spent; rather than fail the batch, the chunk
-        runs in-process against the dispatcher's retained payload object
-        (no transport at all) on a dedicated thread — or inline on the
-        calling thread when thread creation is impossible (interpreter
-        shutdown).  Counted under ``executor_downgrades``.
-        """
-        self._executor._count_dispatch(executor_downgrades=1)
-        try:
-            thread = threading.Thread(
-                target=self._run_degraded,
-                args=(record,),
-                name="mirage-degraded-chunk",
-                daemon=True,
-            )
-            thread.start()
-        except RuntimeError:  # pragma: no cover - interpreter shutdown
-            self._run_degraded(record)
-
-    def _run_degraded(self, record: _ChunkRecord) -> None:
-        try:
-            payload = self._payload_objects[record.slot]
-            if payload is None:
-                raise TranspilerError(
-                    "payload slot released with chunks still in flight"
-                )
-            results = _guard_chunk_results(
-                _run_local_chunk(
-                    self.fn, payload, record.tasks, None, record.deadline
-                )
-            )
-        except DeadlineExceededError as error:
-            self._executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(record, error)
-        except BaseException as error:  # noqa: BLE001 - settle, don't lose
-            self._settle_error(record, error)
-        else:
-            self._settle(record, results)
-
     # -- watchdog ----------------------------------------------------------
 
     def _ensure_watchdog(self) -> None:
         if self._watchdog is not None or (
-            task_timeout() is None and not self._deadline_active
+            self._task_timeout is None and not self._deadline_active
         ):
             return
-        with self._retry_lock:
+        with self._lock:
             if self._watchdog is None:
                 self._watchdog = threading.Thread(
                     target=self._watchdog_loop,
@@ -1489,80 +1486,28 @@ class _ShmDispatchSession(DispatchSession):
         *and* nothing is left in flight, so a close racing a hang still
         drains.
         """
+        timeout = self._task_timeout
         while True:
-            with self._retry_lock:
+            with self._lock:
                 records = list(self._inflight.values())
             if self._closed and not records:
                 return
-            timeout = task_timeout()
             now = time.monotonic()
             for record in records:
-                if (
-                    record.deadline is not None
-                    and now >= record.deadline
-                    and not record.wrapped.done()
-                ):
-                    self._executor._count_dispatch(deadline_expirations=1)
-                    self._settle_error(
-                        record,
-                        DeadlineExceededError(
-                            "request deadline expired with its chunk "
-                            "still in flight"
-                        ),
-                    )
+                if self._expired(record, "with its chunk still in flight"):
                     continue
                 raw = record.raw
                 if (
                     timeout is not None
                     and raw is not None
                     and not raw.done()
-                    and record.submitted is not None
-                    and now - record.submitted > timeout
+                    and now - record.launched > timeout
                 ):
                     self._executor._respawn_pool(record.generation)
             if timeout is None:
                 time.sleep(0.02)
             else:
                 time.sleep(max(0.01, min(0.05, timeout / 4)))
-
-    # -- submission --------------------------------------------------------
-
-    def submit(
-        self,
-        slot: int,
-        tasks: Sequence[object],
-        *,
-        deadline: float | None = None,
-    ) -> list[concurrent.futures.Future]:
-        handle = self._live(self._handles, slot)
-        batch = list(tasks)
-        workers = self._executor.max_workers or os.cpu_count() or 1
-        size = max(1, math.ceil(len(batch) / (workers * CHUNKS_PER_WORKER)))
-        if deadline is not None:
-            self._deadline_active = True
-        futures: list[concurrent.futures.Future] = []
-        for chunk in _chunk(batch, size):
-            record = _ChunkRecord(
-                slot=slot,
-                tasks=chunk,
-                faults=self._next_chunk_faults(len(chunk)),
-                deadline=deadline,
-            )
-            with self._retry_lock:
-                self._inflight[id(record)] = record
-            futures.append(record.wrapped)
-            self._launch(record)
-        self._ensure_watchdog()
-        self._futures.extend(futures)
-        shipped = handle.shipped_bytes + (
-            self._anchor_handle.shipped_bytes if self._anchor_handle else 0
-        )
-        self._executor._count_dispatch(
-            chunks=len(futures),
-            tasks=len(batch),
-            bytes_shipped=shipped * len(futures),
-        )
-        return futures
 
     def close(self) -> None:
         if self._closed:
@@ -1881,7 +1826,7 @@ class ProcessExecutor(_PoolExecutor):
         ``shutdown(wait=False)`` alone would leave a *hung* worker
         running (and holding its task) indefinitely; killing the worker
         processes breaks the pool, which fails every pending future with
-        ``BrokenProcessPool`` — exactly the signal the retry controller
+        ``BrokenProcessPool`` — exactly the signal the chunk ledger
         recovers from.
         """
         for process in list(getattr(pool, "_processes", {}).values()):

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
+import functools
 import hashlib
-import math
 import os
 import pickle
 import socket
@@ -58,22 +59,15 @@ from repro.exceptions import (
     ProtocolVersionError,
     RemoteTransportError,
     TranspilerError,
-    TransportError,
 )
 from repro.transpiler.executors import (
-    CHUNKS_PER_WORKER,
     DispatchSession,
     ProcessExecutor,
     ThreadExecutor,
     TrialExecutor,
-    _chunk,
+    _ChunkRecord,
     _dumps_anchored,
-    _guard_chunk_results,
-    _is_retryable,
     _retry_backoff,
-    _run_local_chunk,
-    task_retries,
-    task_timeout,
 )
 from repro.transpiler.faults import fault_slow_seconds
 from repro.transpiler.remote import protocol
@@ -163,57 +157,20 @@ class _Stream:
             self.reader = None
 
 
-class _RemoteSlot:
-    """One registered payload: its anchored bytes, digest and object."""
-
-    __slots__ = ("digest", "blob", "obj")
-
-    def __init__(self, digest: str, blob: bytes, obj: object) -> None:
-        self.digest = digest
-        self.blob = blob
-        self.obj = obj
-
-
-class _RemoteChunk:
-    """Dispatch bookkeeping of one remote chunk, across replays."""
-
-    __slots__ = (
-        "chunk_id", "slot", "tasks", "faults", "deadline", "attempts",
-        "wrapped", "net_drop", "net_garble", "net_slow",
-    )
-
-    def __init__(
-        self,
-        chunk_id: int,
-        slot: int,
-        tasks: Sequence[object],
-        faults: object,
-        deadline: float | None,
-        net_drop: bool = False,
-        net_garble: bool = False,
-        net_slow: bool = False,
-    ) -> None:
-        self.chunk_id = chunk_id
-        self.slot = slot
-        self.tasks = tasks
-        self.faults = faults
-        self.deadline = deadline
-        self.attempts = 0
-        self.wrapped: concurrent.futures.Future = concurrent.futures.Future()
-        self.net_drop = net_drop
-        self.net_garble = net_garble
-        self.net_slow = net_slow
-
-    def disarm(self) -> None:
-        """Replays run clean: task and network faults alike."""
-        self.faults = None
-        self.net_drop = False
-        self.net_garble = False
-        self.net_slow = False
-
-
 class _RemoteDispatchSession(DispatchSession):
-    """Streaming dispatch session over the framed host protocol."""
+    """Streaming dispatch session over the framed host protocol.
+
+    Recovery is the ledger's: a chunk lost to connection loss, a garbled
+    frame, a stale host or a task-level fault is replayed through
+    :meth:`DispatchSession._failed` — ``retries``/``lost_tasks``
+    counted, faults disarmed, capped backoff, and the in-process rung
+    once the budget is spent.  This transport adds its repair (the
+    broken stream is abandoned, so its next chunk reconnects, and a
+    garbled frame counts ``frames_garbled``), its host ladder (a host
+    whose connect budget is spent is marked down and its chunks go to
+    the remaining hosts) and one extra rung before the in-process one:
+    a local shared-memory process session, else threads.
+    """
 
     def __init__(
         self,
@@ -221,8 +178,7 @@ class _RemoteDispatchSession(DispatchSession):
         fn: Callable[[Any, Any], Any],
         anchors: Sequence[object] = (),
     ) -> None:
-        super().__init__(fn)
-        self._executor = executor
+        super().__init__(executor, fn)
         self._anchors = tuple(anchors)
         self._anchor_digest: str | None = None
         self._anchor_blob: bytes | None = None
@@ -232,16 +188,16 @@ class _RemoteDispatchSession(DispatchSession):
             )
             self._anchor_digest = hashlib.sha1(self._anchor_blob).hexdigest()
             executor._count_dispatch(shared_pickles=1)
-        self._slots: list[_RemoteSlot | None] = []
+        #: Per slot, the payload's anchored pickle and its digest.
+        self._blobs: list[tuple[str, bytes] | None] = []
         self._hosts = [
             _HostState(index, address)
             for index, address in enumerate(executor.addresses)
         ]
         self._heartbeat_s = protocol.remote_heartbeat_s()
-        self._queue: "collections.deque[_RemoteChunk]" = collections.deque()
+        self._queue: "collections.deque[_ChunkRecord]" = collections.deque()
         self._cv = threading.Condition()
         self._threads: list[threading.Thread] = []
-        self._next_chunk_id = 0
         self._closing = False
         self._live_hosts = len(self._hosts)
         self._fallback_lock = threading.Lock()
@@ -253,72 +209,36 @@ class _RemoteDispatchSession(DispatchSession):
 
     def add_payload(self, payload: object) -> int:
         blob = _dumps_anchored(payload, self._anchors)
-        digest = hashlib.sha1(blob).hexdigest()
-        self._slots.append(_RemoteSlot(digest, blob, payload))
+        self._blobs.append((hashlib.sha1(blob).hexdigest(), blob))
         self._executor._count_dispatch(payload_pickles=1)
-        return len(self._slots) - 1
+        return super().add_payload(payload)
 
     def release(self, slot: int) -> None:
-        self._slots[slot] = None
+        super().release(slot)
+        self._blobs[slot] = None
         fallback_slot = self._fallback_slots.pop(slot, None)
         if fallback_slot is not None and self._fallback_session is not None:
             self._fallback_session.release(fallback_slot)
 
-    # -- submission ----------------------------------------------------------
+    # -- transport hooks -----------------------------------------------------
 
-    def submit(
-        self,
-        slot: int,
-        tasks: Sequence[object],
-        *,
-        deadline: float | None = None,
-    ) -> list[concurrent.futures.Future]:
-        self._live(self._slots, slot)
-        batch = list(tasks)
-        streams = max(1, self._executor.total_streams())
-        size = max(1, math.ceil(len(batch) / (streams * CHUNKS_PER_WORKER)))
-        futures: list[concurrent.futures.Future] = []
-        records: list[_RemoteChunk] = []
-        for chunk in _chunk(batch, size):
-            # The network-fault ordinal is the same chunk ordinal the
-            # corrupt_shm grammar counts; read it before the task-fault
-            # resolution advances it.
-            ordinal = self._fault_chunk_ordinal
-            faults = self._next_chunk_faults(len(chunk))
-            plan = self._fault_plan
-            record = _RemoteChunk(
-                chunk_id=self._next_chunk_id,
-                slot=slot,
-                tasks=chunk,
-                faults=faults,
-                deadline=deadline,
-                net_drop=(
-                    plan is not None
-                    and plan.network_fault("drop_conn", ordinal)
-                ),
-                net_garble=(
-                    plan is not None and plan.network_fault("garble", ordinal)
-                ),
-                net_slow=(
-                    plan is not None
-                    and plan.network_fault("slow_net", ordinal)
-                ),
-            )
-            self._next_chunk_id += 1
-            futures.append(record.wrapped)
-            records.append(record)
-        self._executor._count_dispatch(chunks=len(records), tasks=len(batch))
-        self._futures.extend(futures)
+    def _launch(self, record: _ChunkRecord) -> None:
+        self._enqueue(record, front=record.attempts > 0)
+
+    def _enqueue(self, record: _ChunkRecord, front: bool) -> None:
+        """Queue a chunk for the streams — replays and chunks handed back
+        by a downed host go first — or degrade it when no host is left."""
         self._ensure_threads()
         with self._cv:
-            no_hosts = self._live_hosts == 0
-            if not no_hosts:
-                self._queue.extend(records)
+            live = self._live_hosts > 0
+            if live:
+                if front:
+                    self._queue.appendleft(record)
+                else:
+                    self._queue.append(record)
                 self._cv.notify_all()
-        if no_hosts:
-            for record in records:
-                self._degrade(record)
-        return futures
+        if not live:
+            self._degrade(record)
 
     def _ensure_threads(self) -> None:
         if self._threads:
@@ -359,84 +279,46 @@ class _RemoteDispatchSession(DispatchSession):
         finally:
             stream.goodbye()
 
-    def _requeue(self, record: _RemoteChunk) -> None:
-        with self._cv:
-            no_hosts = self._live_hosts == 0
-            if not no_hosts:
-                self._queue.appendleft(record)
-                self._cv.notify_all()
-        if no_hosts:
-            self._degrade(record)
-
-    def _process(self, stream: _Stream, record: _RemoteChunk) -> None:
-        """One chunk's remote lifecycle on this stream, failures included."""
-        if record.wrapped.done():
-            return
-        if (
-            record.deadline is not None
-            and time.monotonic() >= record.deadline
-        ):
-            self._executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(
-                record,
-                DeadlineExceededError(
-                    "request deadline expired before its chunk was dispatched"
-                ),
-            )
+    def _process(self, stream: _Stream, record: _ChunkRecord) -> None:
+        """One remote attempt of a chunk on this stream."""
+        if self._expired(record, "before its chunk was dispatched"):
             return
         try:
             results = self._execute_remote(stream, record)
-        except DeadlineExceededError as error:
-            self._executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(record, error)
         except _HostDown:
             # Host is gone (marked by us or a sibling stream): hand the
             # chunk back for the remaining hosts — not a chunk failure.
-            self._requeue(record)
+            self._enqueue(record, front=True)
         except ProtocolVersionError:
             self._mark_host_down(stream.host)
-            self._requeue(record)
+            self._enqueue(record, front=True)
         except BaseException as error:  # noqa: BLE001 - settle, don't lose
-            if not isinstance(error, OSError) and not _is_retryable(error):
-                # A genuine task bug (or unknown failure): propagate —
-                # replaying it would fail identically.
-                self._settle_error(record, error)
-                return
-            if isinstance(error, (OSError, RemoteTransportError)):
-                # Connection-level loss: the stream is desynchronised.
+            if isinstance(error, OSError):
+                error = RemoteTransportError(f"connection lost: {error}")
+            if isinstance(error, RemoteTransportError):
+                # Connection-level loss desynchronises the stream.
                 # Task-level retryables (a corrupt result, an injected
-                # crash surfaced as an error) leave it synchronised and
-                # reusable — no reconnect.
+                # crash) leave it reusable — no reconnect.
                 stream.abandon()
-            if isinstance(error, GarbledFrameError):
-                self._executor._count_dispatch(frames_garbled=1)
-            record.disarm()
-            record.attempts += 1
-            self._executor._count_dispatch(
-                retries=1, lost_tasks=len(record.tasks)
-            )
-            if record.attempts > task_retries():
-                self._degrade(record)
-                return
-            time.sleep(_retry_backoff(record.attempts))
-            self._requeue(record)
+                if isinstance(error, GarbledFrameError):
+                    self._executor._count_dispatch(frames_garbled=1)
+            self._failed(record, error)
         else:
-            self._settle(record, results)
+            self._completed(record, results)
 
-    def _settle(self, record: _RemoteChunk, results: list) -> None:
-        if not record.wrapped.done():
-            record.wrapped.set_result(results)
-
-    def _settle_error(
-        self, record: _RemoteChunk, error: BaseException
-    ) -> None:
-        if not record.wrapped.done():
-            record.wrapped.set_exception(error)
+    def _net_fault(self, action: str, record: _ChunkRecord) -> bool:
+        """Whether network fault ``action`` strikes this chunk's send;
+        like every injected fault it targets the first attempt only."""
+        return (
+            record.attempts == 0
+            and self._fault_plan is not None
+            and self._fault_plan.network_fault(action, record.ordinal)
+        )
 
     # -- connection management -----------------------------------------------
 
     def _mark_host_down(self, host: _HostState) -> None:
-        drained: list[_RemoteChunk] = []
+        drained: list[_ChunkRecord] = []
         with self._cv:
             if not host.down:
                 host.down = True
@@ -460,28 +342,27 @@ class _RemoteDispatchSession(DispatchSession):
         if stream.conn is not None:
             return
         host = stream.host
-        attempts = 0
-        while True:
+        error: Exception | None = None
+        # One connect plus one reconnect per unit of the retry budget.
+        for attempt in range(self._retry_budget + 1):
+            if attempt:
+                time.sleep(_retry_backoff(attempt))
             if host.down:
                 raise _HostDown(str(host.address))
-            error: Exception | None = None
             if self._partition_injected(host):
                 error = RemoteTransportError(
                     f"fault injection: host {host.index} "
                     f"({host.address}) is partitioned"
                 )
-            else:
-                try:
-                    self._connect_once(stream)
-                    return
-                except (OSError, RemoteTransportError) as caught:
-                    stream.abandon()
-                    error = caught
-            attempts += 1
-            if attempts > task_retries():
-                self._mark_host_down(host)
-                raise _HostDown(f"{host.address}: {error}")
-            time.sleep(_retry_backoff(attempts))
+                continue
+            try:
+                self._connect_once(stream)
+                return
+            except (OSError, RemoteTransportError) as caught:
+                stream.abandon()
+                error = caught
+        self._mark_host_down(host)
+        raise _HostDown(f"{host.address}: {error}")
 
     def _connect_once(self, stream: _Stream) -> None:
         host = stream.host
@@ -514,8 +395,8 @@ class _RemoteDispatchSession(DispatchSession):
         except BaseException:
             stream.conn = None
             stream.reader = None
-            with contextlib_suppress_close(conn):
-                pass
+            with contextlib.suppress(OSError):
+                conn.close()
             raise
         pid = ack.get("pid")
         with self._cv:
@@ -595,56 +476,57 @@ class _RemoteDispatchSession(DispatchSession):
     # -- the remote chunk round-trip -----------------------------------------
 
     def _execute_remote(
-        self, stream: _Stream, record: _RemoteChunk
+        self, stream: _Stream, record: _ChunkRecord
     ) -> list:
         self._ensure_connection(stream)
-        slot = self._slots[record.slot]
-        if slot is None:
-            raise TranspilerError(
-                "payload slot released with chunks still in flight"
-            )
+        self._payload(record.slot)
+        digest, blob = self._blobs[record.slot]
         if self._anchor_digest is not None:
             self._ensure_hosted(
                 stream, self._anchor_digest, self._anchor_blob
             )
-        self._ensure_hosted(stream, slot.digest, slot.blob)
+        self._ensure_hosted(stream, digest, blob)
         deadline_s = None
         if record.deadline is not None:
             deadline_s = max(0.0, record.deadline - time.monotonic())
         request = {
-            "chunk": record.chunk_id,
+            "chunk": record.ordinal,
             "anchor": self._anchor_digest,
-            "payload": slot.digest,
+            "payload": digest,
             "fn": self.fn,
             "tasks": tuple(record.tasks),
             "deadline_s": deadline_s,
             "faults": record.faults,
-            "delay_s": fault_slow_seconds() if record.net_slow else 0.0,
+            "delay_s": (
+                fault_slow_seconds()
+                if self._net_fault("slow_net", record)
+                else 0.0
+            ),
         }
-        garble = record.net_garble
-        drop = record.net_drop
         sent = write_frame(
-            stream.conn, CHUNK, pack_message(request), garble=garble
+            stream.conn,
+            CHUNK,
+            pack_message(request),
+            garble=self._net_fault("garble", record),
         )
         self._executor._count_dispatch(bytes_shipped=sent)
-        if drop:
+        if self._net_fault("drop_conn", record):
             stream.abandon()
             raise RemoteTransportError(
                 "fault injection: connection dropped after chunk send "
                 "(drop_conn)"
             )
-        results = self._await_result(stream, record)
-        return _guard_chunk_results(results)
+        return self._await_result(stream, record)
 
     def _await_result(
-        self, stream: _Stream, record: _RemoteChunk
+        self, stream: _Stream, record: _ChunkRecord
     ) -> list:
         """Receive the chunk's result, policing heartbeats and deadlines."""
         conn, reader = stream.conn, stream.reader
         sent_at = time.monotonic()
         last_heard = sent_at
         stale_after = HEARTBEAT_MISSES * self._heartbeat_s
-        timeout = task_timeout()
+        timeout = self._task_timeout
         while True:
             now = time.monotonic()
             if record.deadline is not None and now >= record.deadline:
@@ -657,7 +539,7 @@ class _RemoteDispatchSession(DispatchSession):
             if timeout is not None and now - sent_at > timeout:
                 stream.abandon()
                 raise RemoteTransportError(
-                    f"chunk {record.chunk_id} exceeded MIRAGE_TASK_TIMEOUT "
+                    f"chunk {record.ordinal} exceeded MIRAGE_TASK_TIMEOUT "
                     f"({timeout:.1f}s) on host {stream.host.address}"
                 )
             if now - last_heard > stale_after:
@@ -701,7 +583,7 @@ class _RemoteDispatchSession(DispatchSession):
                 )
             if ftype == RESULT:
                 message = unpack_message(payload)
-                if message.get("chunk") != record.chunk_id:
+                if message.get("chunk") != record.ordinal:
                     stream.abandon()
                     raise RemoteTransportError(
                         "result frame for a different chunk — stream "
@@ -717,59 +599,34 @@ class _RemoteDispatchSession(DispatchSession):
 
     # -- local degradation ---------------------------------------------------
 
-    def _degrade(self, record: _RemoteChunk) -> None:
-        """Run one chunk locally: shm process session when available,
-        else in-process — the last rungs of the remote ladder."""
-        self._executor._count_dispatch(executor_downgrades=1)
+    def _launch_degraded(self, record: _ChunkRecord) -> None:
+        """Remote's extra rung: run the chunk on a local session (shm
+        process pool, else threads) before the ledger's in-process one."""
         session = self._ensure_fallback()
         if session is not None:
             try:
-                fallback_slot = self._fallback_slot(session, record.slot)
                 (future,) = session.submit(
-                    fallback_slot, record.tasks, deadline=record.deadline
+                    self._fallback_slot(session, record.slot),
+                    record.tasks,
+                    deadline=record.deadline,
                 )
             except BaseException:  # noqa: BLE001 - fall through to in-process
                 pass
             else:
-                def relay(done: concurrent.futures.Future) -> None:
-                    error = done.exception()
-                    if error is not None:
-                        self._settle_error(record, error)
-                    else:
-                        self._settle(record, done.result())
-
-                future.add_done_callback(relay)
+                future.add_done_callback(
+                    functools.partial(self._relay, record)
+                )
                 return
-        try:
-            thread = threading.Thread(
-                target=self._run_degraded,
-                args=(record,),
-                name="mirage-remote-degraded",
-                daemon=True,
-            )
-            thread.start()
-        except RuntimeError:  # pragma: no cover - interpreter shutdown
-            self._run_degraded(record)
+        super()._launch_degraded(record)
 
-    def _run_degraded(self, record: _RemoteChunk) -> None:
-        try:
-            slot = self._slots[record.slot]
-            if slot is None:
-                raise TranspilerError(
-                    "payload slot released with chunks still in flight"
-                )
-            results = _guard_chunk_results(
-                _run_local_chunk(
-                    self.fn, slot.obj, record.tasks, None, record.deadline
-                )
-            )
-        except DeadlineExceededError as error:
-            self._executor._count_dispatch(deadline_expirations=1)
-            self._settle_error(record, error)
-        except BaseException as error:  # noqa: BLE001 - settle, don't lose
-            self._settle_error(record, error)
+    def _relay(
+        self, record: _ChunkRecord, done: concurrent.futures.Future
+    ) -> None:
+        error = done.exception()
+        if error is None:
+            self._settle(record, done.result())
         else:
-            self._settle(record, results)
+            self._settle(record, error=error)
 
     def _ensure_fallback(self) -> DispatchSession | None:
         """The lazily-built local fallback session (shm → threads)."""
@@ -793,12 +650,7 @@ class _RemoteDispatchSession(DispatchSession):
         with self._fallback_lock:
             mapped = self._fallback_slots.get(slot)
             if mapped is None:
-                remote_slot = self._slots[slot]
-                if remote_slot is None:
-                    raise TranspilerError(
-                        "payload slot released with chunks still in flight"
-                    )
-                mapped = session.add_payload(remote_slot.obj)
+                mapped = session.add_payload(self._payload(slot))
                 self._fallback_slots[slot] = mapped
             return mapped
 
@@ -827,23 +679,6 @@ class _RemoteDispatchSession(DispatchSession):
                 session.close()
             if executor is not None:
                 executor.close()
-
-
-class contextlib_suppress_close:
-    """Close ``conn`` on exit, swallowing errors (tiny local helper)."""
-
-    def __init__(self, conn: socket.socket) -> None:
-        self._conn = conn
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        return False
 
 
 class RemoteExecutor(TrialExecutor):
@@ -966,8 +801,8 @@ class RemoteExecutor(TrialExecutor):
             except (OSError, RemoteTransportError):
                 continue
             finally:
-                with contextlib_suppress_close(conn):
-                    pass
+                with contextlib.suppress(OSError):
+                    conn.close()
         return reachable
 
     def _session(

@@ -21,8 +21,11 @@ import multiprocessing
 import os
 import pickle
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.library import ghz, qft
 from repro.core import transpile_many
@@ -346,6 +349,67 @@ def test_recovery_results_identical_across_executors(monkeypatch):
     assert fingerprints[0] == fingerprints[1] == _baseline()
 
 
+_FUZZ_EXECUTORS = {
+    "serial": SerialExecutor,
+    "threads": lambda: ThreadExecutor(max_workers=2),
+    "processes": lambda: ProcessExecutor(max_workers=1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_FUZZ_EXECUTORS))
+def fuzz_executor(request):
+    """One executor per kind, reused by every fuzzed example."""
+    with _FUZZ_EXECUTORS[request.param]() as executor:
+        yield executor
+
+
+_TRIAL_FAULTS = st.lists(
+    st.tuples(st.sampled_from(["kill", "corrupt", "slow"]), st.integers(0, 7)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trial_faults=_TRIAL_FAULTS,
+    corrupt_shm=st.none() | st.integers(0, 5),
+    budget=st.integers(0, 2),
+)
+def test_fuzzed_fault_plans_recover_byte_identically(
+    fuzz_executor, trial_faults, corrupt_shm, budget
+):
+    """Any plan of kills, corruptions, slow tasks and segment losses, under
+    any retry budget, recovers to the clean bytes and leaks nothing."""
+    entries = [f"{action}:trial:{index}" for action, index in trial_faults]
+    if corrupt_shm is not None:
+        entries.append(f"corrupt_shm:{corrupt_shm}")
+    env = {
+        "MIRAGE_FAULT_PLAN": ",".join(entries),
+        "MIRAGE_TASK_RETRIES": str(budget),
+        "MIRAGE_FAULT_SLOW_SECONDS": "0.01",
+    }
+    runs = []
+    with mock.patch.dict(os.environ, env):
+        for _ in range(2):
+            batch = _batch(fuzz_executor)
+            runs.append((
+                [_fingerprint(r) for r in batch],
+                {key: batch.dispatch[key] for key in RECOVERY_COUNTERS},
+            ))
+    assert runs[0][0] == runs[1][0] == _baseline()
+    # On a warm process pool a worker kill, or a segment unlinked by the
+    # transport downgrade, also costs whichever queued chunks the worker
+    # reached first — a race — so there only corrupt and slow faults
+    # leave reproducible counters.
+    racy = corrupt_shm is not None or any(
+        action == "kill" for action, _ in trial_faults
+    )
+    if fuzz_executor.name != "processes" or not racy:
+        assert runs[0][1] == runs[1][1]
+    assert _own_segments() == []
+
+
 # ---------------------------------------------------------------------------
 # Deadline propagation: typed expiry, sibling isolation, counters
 # ---------------------------------------------------------------------------
@@ -447,17 +511,37 @@ def test_hung_worker_is_respawned_and_replayed(quick_recovery):
 # ---------------------------------------------------------------------------
 
 
-def test_exhausted_retries_degrade_to_in_process(monkeypatch):
-    """With a zero retry budget the chunk runs on the dispatcher itself."""
+@pytest.mark.parametrize("make_executor", [
+    SerialExecutor,
+    lambda: ThreadExecutor(max_workers=2),
+    lambda: ProcessExecutor(max_workers=2),
+], ids=["serial", "threads", "processes"])
+def test_exhausted_retries_degrade_to_in_process(monkeypatch, make_executor):
+    """With a zero retry budget the chunk runs on the dispatcher itself,
+    on every executor: a spent budget degrades, it never raises."""
     expected = _baseline()
     monkeypatch.setenv("MIRAGE_TASK_RETRIES", "0")
     monkeypatch.setenv("MIRAGE_FAULT_PLAN", "kill:trial:2")
-    with ProcessExecutor(max_workers=2) as executor:
+    with make_executor() as executor:
         faulted = _batch(executor)
         stats = dict(executor.dispatch_stats)
     assert [_fingerprint(r) for r in faulted] == expected
     assert stats["executor_downgrades"] >= 1
     assert _own_segments() == []
+
+
+def test_inline_degraded_chunk_settles_before_submit_returns(monkeypatch):
+    """The degraded rung runs off-thread, yet an inline session still
+    hands back settled futures."""
+    monkeypatch.setenv("MIRAGE_TASK_RETRIES", "0")
+    monkeypatch.setenv("MIRAGE_FAULT_PLAN", "kill:trial:1")
+    executor = SerialExecutor()
+    with executor.open_dispatch(_slow_divide) as session:
+        slot = session.add_payload({"d": 2})
+        futures = session.submit(slot, [4, 6, 8])
+        assert all(future.done() for future in futures)
+        assert [r for f in futures for r in f.result()] == [2, 3, 4]
+    assert executor.dispatch_stats["executor_downgrades"] == 1
 
 
 @needs_shm
@@ -648,3 +732,8 @@ def test_failing_trials_leave_no_orphan_segments():
 
 def _divide(shared, task):
     return task // shared["d"]
+
+
+def _slow_divide(shared, task):
+    time.sleep(0.02)
+    return _divide(shared, task)
