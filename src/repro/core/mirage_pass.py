@@ -181,8 +181,9 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
         prices[-1],
         intdag.gates,
     )
-    tables[coverage] = table
-    return table
+    # First writer wins: a thread that raced another's build returns the
+    # stored table, so every run emits mirror gates from the same one.
+    return tables.setdefault(coverage, table)
 
 
 class MirageSwap(SabreSwap):

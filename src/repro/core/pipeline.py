@@ -588,7 +588,7 @@ def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
     ``SeedSequence``, and returns the full planned
     :class:`PipelineState`.  Every front stage is deterministic, so the
     planned state — and the trial plan dispatched from it — is the same
-    under every scheduler and executor.
+    under every executor.
     """
     start = time.perf_counter()
     front = build_batch_front_pipeline(

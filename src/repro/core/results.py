@@ -4,7 +4,7 @@
 per-stage timing report of the pipeline that produced it;
 :class:`BatchResult` aggregates the results of one
 :func:`repro.core.transpile.transpile_many` call, plus the provenance of
-how the batch was scheduled (executor, scheduler, dispatch counters).
+how the batch was dispatched (executor, dispatch counters).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class BatchResult:
     ----------
     results : list of TranspileResult
         One result per input circuit, in input order — regardless of the
-        scheduler or executor that produced them.  Under
+        executor that produced them.  Under
         ``transpile_many(..., on_error="return")`` a circuit whose
         deadline expired holds its
         :class:`~repro.exceptions.DeadlineExceededError` instance at
@@ -155,10 +155,9 @@ class BatchResult:
     dispatch : dict or None
         Provenance counters of the shared dispatch accumulated on the
         executor during this batch: ``shared_pickles`` (anchor
-        serialisations — the streaming scheduler's coverage set),
-        ``payload_pickles`` (payload serialisations: one per circuit
-        spec under the streaming scheduler, one per ``map_shared``
-        call under the barrier scheduler), ``chunks``,
+        serialisations — the batch's coverage set),
+        ``payload_pickles`` (payload serialisations: one per routed
+        circuit's trial spec), ``chunks``,
         ``tasks`` (routing trials dispatched), ``shm_segments``
         (shared-memory segments published — 0 when the transport is
         disabled or unavailable), ``bytes_shipped`` (payload-transport
@@ -168,11 +167,9 @@ class BatchResult:
         memory) and ``bytes_copied`` (payload bytes workers materialised
         before unpickling — bounded by the index headers for segment
         payloads, whole payloads for inline ones), plus ``circuits``
-        and ``routed`` counts.  It also records ``scheduler``
-        (``"stream"`` or ``"barrier"`` — the mode actually used, after
-        any fallback), ``overlap_seconds``
+        and ``routed`` counts.  It also records ``overlap_seconds``
         (planning/selection wall-clock performed while dispatched trials
-        were still in flight; 0 under the barrier scheduler) and
+        were still in flight) and
         ``plan_seconds`` (summed front-pipeline seconds, all spent on
         the dispatching thread).  ``None`` when unavailable (e.g.
         results predating this field).

@@ -58,27 +58,11 @@ from repro.core.pipeline import (
 from repro.core.results import BatchResult, TranspileResult
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler.executors import TrialExecutor, executor_scope
-from repro.transpiler.passes import (
-    BatchTrialRef,
-    run_batch_trial,
-    run_trial,
-    seed_sequence,
-)
+from repro.transpiler.passes import run_trial, seed_sequence
 from repro.transpiler.passmanager import PipelineState
 from repro.transpiler.topologies import CouplingMap
 
-#: Scheduler modes accepted by :func:`transpile_many` (aliases included).
-#: ``"stream"`` overlaps planning, trial execution and selection;
-#: ``"barrier"`` is the three-phase plan-all / dispatch-all / finish-all
-#: engine.
-SCHEDULER_MODES = {
-    "auto": "auto",
-    "stream": "stream",
-    "overlap": "stream",
-    "barrier": "barrier",
-}
-
-#: Lower bound on the streaming scheduler's in-flight circuit window.
+#: Lower bound on the batch engine's in-flight circuit window.
 MIN_STREAM_WINDOW = 4
 
 
@@ -190,27 +174,8 @@ def transpile(
     return result
 
 
-def _resolve_scheduler(scheduler: str) -> str:
-    """Normalise a scheduler specification to ``"stream"`` or ``"barrier"``.
-
-    ``"auto"`` picks the streaming overlap scheduler — the modes are
-    byte-identical for a fixed seed, so the choice only affects the
-    wall-clock profile (and the scheduler can still fall back to the
-    barrier engine when the executor cannot stream, e.g. a process pool
-    without a shared-memory transport).
-    """
-    try:
-        mode = SCHEDULER_MODES[scheduler.lower()]
-    except (KeyError, AttributeError):
-        known = ", ".join(sorted(set(SCHEDULER_MODES)))
-        raise InvalidModeError(
-            f"unknown scheduler mode {scheduler!r} (accepted: {known})"
-        ) from None
-    return "stream" if mode == "auto" else mode
-
-
 def _stream_window(trial_executor: TrialExecutor) -> int:
-    """In-flight circuit bound for the streaming scheduler.
+    """In-flight circuit bound for the batch engine.
 
     Enough planned-but-unfinished circuits to keep every worker busy
     across circuit boundaries, small enough to bound the memory held by
@@ -278,138 +243,6 @@ def _finish_batch_state(
     return result
 
 
-def _run_circuit_fanout(
-    items: Sequence[tuple[PlanSpec, PlanTask]],
-    trial_executor: TrialExecutor,
-    *,
-    scheduler: str = "stream",
-    on_error: str = "raise",
-) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
-    """Plan, dispatch and select every item under the requested scheduler.
-
-    The one route from a circuit to its trials.  Both schedulers plan
-    each item on the dispatching thread with :func:`run_plan` (clean → …
-    → vf2 → plan) and select its winner with the same back pipeline
-    (route → select), so fixed-seed outputs are byte-identical across
-    schedulers and executors; only the wall-clock profile differs:
-
-    * ``"stream"`` — a bounded producer plans items and feeds their
-      trial refs into an in-flight :class:`DispatchSession`, while
-      items whose trials have drained resume (route + select)
-      immediately, so planning, trial execution and selection overlap.
-      Falls back to the barrier engine when the executor cannot stream
-      (process pool without a shared-memory transport).
-    * ``"barrier"`` — three phases: plan **all** items, pool every
-      planned trial into one shared :meth:`map_shared` dispatch, then
-      finish all items.
-
-    Every caller shares one coverage set across its items; it is the
-    session anchor, so a serialising transport ships it once.
-    """
-    stats_before = dict(trial_executor.dispatch_stats)
-    if scheduler == "stream" and items:
-        session = trial_executor.open_dispatch(
-            run_trial, anchors=(items[0][0].coverage,)
-        )
-        if session is not None:
-            # Closing unlinks every published segment on *every* exit
-            # path, including a raised deadline or an interrupt.
-            with session:
-                return _stream_circuit_fanout(
-                    items, trial_executor, session, stats_before,
-                    on_error=on_error,
-                )
-    return _barrier_circuit_fanout(
-        items, trial_executor, stats_before, on_error=on_error,
-    )
-
-
-def _barrier_circuit_fanout(
-    items: Sequence[tuple[PlanSpec, PlanTask]],
-    trial_executor: TrialExecutor,
-    stats_before: dict[str, int],
-    on_error: str = "raise",
-) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
-    """Plan every item, pool all trials into one dispatch, finish.
-
-    Phase A runs each item's front pipeline, phase B pools every
-    planned trial into **one** shared dispatch on the executor — the
-    coverage set and all circuit lowerings ship to workers once (per chunk in
-    blob mode, once per batch through a shared-memory segment) — and
-    phase C resumes each item's pipeline to select its winner.
-
-    Deadlines are enforced at the plan boundary only (the pooled
-    dispatch has no per-circuit chunks to cancel): an item already
-    expired when phase A reaches it is never planned or pooled, and
-    settles as :class:`DeadlineExceededError` per ``on_error``.
-    """
-    states: list[PipelineState | None] = []
-    errors: list[DeadlineExceededError | None] = []
-    front_seconds: list[float] = []
-    for spec, task in items:
-        error = _expired_error(task.deadline, on_error, trial_executor)
-        if error is not None:
-            states.append(None)
-            errors.append(error)
-            front_seconds.append(0.0)
-            continue
-        outcome = run_plan(spec, task)
-        states.append(outcome.state)
-        errors.append(None)
-        front_seconds.append(outcome.seconds)
-
-    # Pool the trials of every still-unrouted circuit.  Specs are indexed
-    # by *pool* position (VF2-embedded circuits contribute none); pickle's
-    # memo table dedups the coverage set shared between the specs.
-    specs = []
-    pooled_refs: list[BatchTrialRef] = []
-    refs_per_state: list[int] = []
-    for state in states:
-        trial_plan = (
-            state.properties.get("trial_plan") if state is not None else None
-        )
-        if trial_plan is None:
-            refs_per_state.append(0)
-            continue
-        spec_position = len(specs)
-        specs.append(trial_plan.spec)
-        pooled_refs.extend(
-            BatchTrialRef(circuit_index=spec_position, ref=ref)
-            for ref in trial_plan.refs
-        )
-        refs_per_state.append(len(trial_plan.refs))
-
-    outcomes = (
-        trial_executor.map_shared(run_batch_trial, tuple(specs), pooled_refs)
-        if pooled_refs
-        else []
-    )
-
-    results: list[TranspileResult | DeadlineExceededError] = []
-    cursor = 0
-    for state, error, spent, count in zip(
-        states, errors, front_seconds, refs_per_state
-    ):
-        if state is None:
-            results.append(error)
-            continue
-        if count:
-            state.properties["trial_outcomes"] = outcomes[cursor:cursor + count]
-            cursor += count
-        results.append(_finish_batch_state(state, spent))
-
-    dispatch = _dispatch_provenance(
-        trial_executor,
-        stats_before,
-        circuits=len(items),
-        routed=sum(1 for count in refs_per_state if count),
-    )
-    dispatch["scheduler"] = "barrier"
-    dispatch["overlap_seconds"] = 0.0
-    dispatch["plan_seconds"] = round(sum(front_seconds), 6)
-    return results, dispatch
-
-
 @dataclasses.dataclass
 class _StreamEntry:
     """One planned circuit waiting for its trial outcomes to drain."""
@@ -421,23 +254,28 @@ class _StreamEntry:
     slot: int = -1
 
 
-def _stream_circuit_fanout(
+def _run_circuit_fanout(
     items: Sequence[tuple[PlanSpec, PlanTask]],
     trial_executor: TrialExecutor,
-    session,
-    stats_before: dict[str, int],
+    *,
     on_error: str = "raise",
 ) -> tuple[list[TranspileResult | DeadlineExceededError], dict]:
-    """Streaming overlap scheduler: plan, dispatch and finish in one loop.
+    """Plan, dispatch and select every item in one streaming loop.
 
-    The producer plans items one at a time on the dispatching thread
-    and immediately feeds each item's trial refs into the in-flight
-    dispatch session; whenever the *oldest* in-flight item's futures
-    have all completed it is resumed (route + select) right away, so
-    planning and selection of some items overlap the trials of
-    others.  The in-flight window is bounded (:func:`_stream_window`) so
-    arbitrarily long batches hold only a constant number of planned
-    trial specs.
+    The one route from a circuit to its trials.  The producer plans
+    items one at a time on the dispatching thread with :func:`run_plan`
+    (clean → … → vf2 → plan) and immediately feeds each item's trial
+    refs into one :class:`DispatchSession`; whenever the *oldest*
+    in-flight item's futures have all completed it is resumed with the
+    back pipeline (route → select) right away, so planning and
+    selection of some items overlap the trials of others.  Fixed-seed
+    outputs are byte-identical across executors; only the wall-clock
+    profile differs.  The in-flight window is bounded
+    (:func:`_stream_window`) so arbitrarily long batches hold only a
+    constant number of planned trial specs.
+
+    Every caller shares one coverage set across its items; it is the
+    session anchor, so a serialising transport ships it once.
 
     Each task's ``deadline`` (an absolute ``time.monotonic()`` instant
     or ``None``) is checked before planning — an already-expired item
@@ -449,8 +287,9 @@ def _stream_circuit_fanout(
 
     ``overlap_seconds`` in the returned provenance sums the planning and
     selection work performed while dispatched trials were still in
-    flight — the wall-clock the barrier scheduler would have serialised.
+    flight; ``plan_seconds`` sums every item's front pipeline.
     """
+    stats_before = dict(trial_executor.dispatch_stats)
     window = _stream_window(trial_executor)
     results: list[TranspileResult | DeadlineExceededError | None] = (
         [None] * len(items)
@@ -459,6 +298,9 @@ def _stream_circuit_fanout(
     overlap = 0.0
     plan_seconds = 0.0
     routed = 0
+    session = trial_executor.open_dispatch(
+        run_trial, anchors=(items[0][0].coverage,) if items else ()
+    )
 
     def finish_oldest() -> None:
         """Resume the oldest in-flight circuit (blocks on its futures)."""
@@ -491,39 +333,41 @@ def _stream_circuit_fanout(
         if session.outstanding():
             overlap += time.perf_counter() - start
 
-    for index, (spec, task) in enumerate(items):
-        error = _expired_error(task.deadline, on_error, trial_executor)
-        if error is not None:
-            results[index] = error
-            continue
-        outcome = run_plan(spec, task)
-        plan_seconds += outcome.seconds
-        if session.outstanding():
-            overlap += outcome.seconds
-        entry = _StreamEntry(index, outcome.state, outcome.seconds, [])
-        trial_plan = outcome.state.properties.get("trial_plan")
-        if trial_plan is not None:
-            entry.slot = session.add_payload(trial_plan.spec)
-            entry.futures = session.submit(
-                entry.slot,
-                trial_plan.refs,
-                deadline=task.deadline,
-            )
-            routed += 1
-        pending.append(entry)
-        # Finish any leading circuits whose trials already drained
-        # (non-blocking), then enforce the bounded window (blocking on
-        # the oldest circuit only when the producer ran ahead).
-        while pending and all(f.done() for f in pending[0].futures):
+    # Closing unlinks every published segment on *every* exit path,
+    # including a raised deadline or an interrupt.
+    with session:
+        for index, (spec, task) in enumerate(items):
+            error = _expired_error(task.deadline, on_error, trial_executor)
+            if error is not None:
+                results[index] = error
+                continue
+            outcome = run_plan(spec, task)
+            plan_seconds += outcome.seconds
+            if session.outstanding():
+                overlap += outcome.seconds
+            entry = _StreamEntry(index, outcome.state, outcome.seconds, [])
+            trial_plan = outcome.state.properties.get("trial_plan")
+            if trial_plan is not None:
+                entry.slot = session.add_payload(trial_plan.spec)
+                entry.futures = session.submit(
+                    entry.slot,
+                    trial_plan.refs,
+                    deadline=task.deadline,
+                )
+                routed += 1
+            pending.append(entry)
+            # Finish any leading circuits whose trials already drained
+            # (non-blocking), then enforce the bounded window (blocking
+            # on the oldest circuit only when the producer ran ahead).
+            while pending and all(f.done() for f in pending[0].futures):
+                finish_oldest()
+            while len(pending) > window:
+                finish_oldest()
+        while pending:
             finish_oldest()
-        while len(pending) > window:
-            finish_oldest()
-    while pending:
-        finish_oldest()
-    dispatch = _dispatch_provenance(
-        trial_executor, stats_before, circuits=len(items), routed=routed
-    )
-    dispatch["scheduler"] = "stream"
+        dispatch = _dispatch_provenance(
+            trial_executor, stats_before, circuits=len(items), routed=routed
+        )
     dispatch["overlap_seconds"] = round(overlap, 6)
     dispatch["plan_seconds"] = round(plan_seconds, 6)
     return results, dispatch
@@ -548,7 +392,6 @@ def transpile_many(
     ] | None = None,
     executor: str | TrialExecutor | None = None,
     max_workers: int | None = None,
-    scheduler: str = "auto",
     circuit_deadlines: Sequence[float | None] | None = None,
     on_error: str = "raise",
 ) -> BatchResult:
@@ -564,22 +407,11 @@ def transpile_many(
     busy across circuit boundaries and the coverage set plus the
     per-circuit lowerings cross the process boundary once (via a
     shared-memory segment when available) instead of once per trial.
-    ``scheduler`` picks how the three kinds of work are interleaved:
-
-    * ``"stream"`` (a.k.a. ``"overlap"``) — a bounded producer plans
-      circuits and feeds trial refs into the in-flight dispatch while
-      already-drained circuits resume (route + select) immediately, so
-      planning, trial execution and selection overlap instead of running
-      as three barriers.  Requires a streaming-capable dispatch — on the
-      process executor that means the shared-memory transport; without
-      it (or with ``MIRAGE_SHM_DISABLE=1``) the call silently falls back
-      to the barrier engine, recorded in the dispatch provenance.
-    * ``"barrier"`` — plan **all**, dispatch **all**, finish **all**
-      (the engine preceding the streaming scheduler).
-    * ``"auto"`` (default) — ``"stream"``.
-
-    Both schedulers run each circuit's *front pipeline* (clean → … →
-    vf2 → plan) on the dispatching thread; only routing trials are
+    A bounded producer plans circuits and feeds their trial refs into
+    the in-flight dispatch while already-drained circuits resume
+    (route + select) immediately, so planning, trial execution and
+    selection overlap.  Each circuit's *front pipeline* (clean → … →
+    vf2 → plan) runs on the dispatching thread; only routing trials are
     shipped to the executor.
 
     Parameters
@@ -600,20 +432,16 @@ def transpile_many(
         ``get(basis)``, e.g.
         :meth:`repro.polytopes.registry.CoverageRegistry.bind`) resolved
         once per batch, or ``None`` for the shared process-wide set.
-    scheduler : {"auto", "stream", "overlap", "barrier"}
-        Scheduling mode, see above.
     circuit_deadlines : sequence of float or None, optional
         Per-circuit absolute deadlines as ``time.monotonic()`` instants
         (``None`` entries mean unbounded).  Must match the batch length.
         A circuit already expired when the batch reaches it is never
-        planned.  Under the streaming scheduler each circuit's deadline
-        also rides its own trial chunks: an expired circuit settles with
+        planned.  Each circuit's deadline also rides its own trial
+        chunks, on every executor: an expired circuit settles with
         :class:`~repro.exceptions.DeadlineExceededError` while sibling
         circuits in the same dispatch complete normally, byte-identical
-        to an undeadlined run.  The barrier scheduler enforces
-        deadlines before planning only.  Expired chunks count under the
-        executor's
-        ``deadline_expirations`` dispatch counter.
+        to an undeadlined run.  Expired chunks count under the
+        executor's ``deadline_expirations`` dispatch counter.
     on_error : {"raise", "return"}
         What to do when a circuit's deadline expires: ``"raise"``
         (default) propagates the first
@@ -634,8 +462,7 @@ def transpile_many(
     Raises
     ------
     InvalidModeError
-        If ``scheduler`` or ``on_error`` is not an accepted mode
-        string (also a ``ValueError``; the message names the accepted
+        If ``on_error`` is not an accepted mode string (also a ``ValueError``; the message names the accepted
         values — unknown strings never fall back to a default).
     TranspilerError
         If ``circuit_seeds`` is given with the wrong length, the
@@ -646,9 +473,8 @@ def transpile_many(
     *Determinism.*  Per-circuit seeds are spawned from ``seed`` via
     ``numpy.random.SeedSequence`` by batch position, and per-trial streams
     from each circuit seed — the identical spawn tree under every
-    scheduler and executor.  For a fixed circuit list and seed the batch
-    is therefore byte-identical across ``scheduler`` and ``executor``
-    choices (shared-memory and zero-copy transports included); but
+    executor.  For a fixed circuit list and seed the batch is therefore
+    byte-identical across ``executor`` choices (shared-memory and zero-copy transports included); but
     reordering, inserting or removing circuits reseeds the affected
     positions, and a batch of one does not reproduce a bare
     :func:`transpile` call with the same integer seed.  Passing
@@ -668,7 +494,6 @@ def transpile_many(
     method, selection = validate_flow(method, selection)
     validate_budget(layout_trials, refinement_rounds, routing_trials)
     validate_modes(basis, aggression)
-    scheduler_mode = _resolve_scheduler(scheduler)
     if circuit_seeds is not None and len(circuit_seeds) != len(batch):
         raise TranspilerError(
             f"circuit_seeds has {len(circuit_seeds)} entries for "
@@ -717,7 +542,7 @@ def transpile_many(
             )
         ]
         results, dispatch = _run_circuit_fanout(
-            items, trial_executor, scheduler=scheduler_mode, on_error=on_error
+            items, trial_executor, on_error=on_error
         )
         executor_name = trial_executor.name
     return BatchResult(

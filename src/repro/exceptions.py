@@ -31,8 +31,8 @@ class TranspilerError(ReproError):
 class InvalidModeError(TranspilerError, ValueError):
     """Raised when a mode argument does not name a known mode.
 
-    Used by the front door for its ``scheduler=``/
-    ``on_error=``, ``aggression=`` and ``basis=`` arguments: an unknown
+    Used by the front door for its ``on_error=``, ``aggression=`` and
+    ``basis=`` arguments: an unknown
     value must fail fast with the accepted values named, never silently
     fall back to a default.  Deriving from
     both :class:`TranspilerError` and :class:`ValueError` keeps existing

@@ -7,8 +7,8 @@ request-serving tier:
   (``MIRAGE_SERVICE_WINDOW_MS``, or the ``window_ms`` argument) that
   share a batch-compatibility key (topology, basis, method, selection
   and the trial knobs) are coalesced into **one**
-  :func:`~repro.core.transpile.transpile_many` dispatch on the streaming
-  scheduler — the coverage set is pickled once as the session anchor and
+  :func:`~repro.core.transpile.transpile_many` dispatch — the coverage
+  set is pickled once as the session anchor and
   every request's trials share one worker-pool conversation.
 * **Byte-identity** — each request carries its own seed into the batch
   through ``circuit_seeds``, so the result returned to a caller is
@@ -843,7 +843,6 @@ class MirageService:
                         request.seed for request in window.requests
                     ],
                     executor=executor,
-                    scheduler="stream",
                     circuit_deadlines=(
                         deadlines
                         if any(d is not None for d in deadlines)

@@ -35,9 +35,10 @@ against them (:meth:`DispatchSession.submit`, one future per chunk) and
 results reassemble in input order, keeping deterministic seeding schemes
 executor-independent.  :meth:`TrialExecutor.map_shared` is the one-shot
 form — open a session, add the payload, submit every task, collect —
-and the streaming batch scheduler keeps a session open
-(:meth:`TrialExecutor.open_dispatch`) so the producer can keep planning
-circuits while earlier circuits' trials are already running.
+and the batch engine keeps a session open
+(:meth:`TrialExecutor.open_dispatch`, the one session factory) so the
+producer can keep planning circuits while earlier circuits' trials are
+already running.
 
 * Serial and thread sessions close over the payload object itself — no
   serialisation at all.
@@ -51,10 +52,8 @@ circuits while earlier circuits' trials are already running.
   carries only a :class:`PayloadHandle` (segment name + content digest)
   — O(1) transport bytes per chunk no matter how large the payload.
   Without shared memory (non-POSIX platforms, or
-  ``MIRAGE_SHM_DISABLE=1``) the pickle blob itself travels with every
-  chunk; ``open_dispatch`` then returns ``None`` for the process pool,
-  so the batch engine takes the barrier scheduler and its one pooled
-  ``map_shared`` call instead of re-shipping a blob per streamed chunk.
+  ``MIRAGE_SHM_DISABLE=1``) the same session runs with the pickle blob
+  itself travelling with every chunk.
 * Workers memoise deserialisation by content digest, so each worker
   process unpickles a given payload at most once no matter how many
   chunks it pulls; idle workers pull the next chunk from the pool's
@@ -181,7 +180,7 @@ _Shared = TypeVar("_Shared")
 CHUNKS_PER_WORKER = 4
 
 #: Worker-side cap on memoised shared payloads (LRU).  Sized to exceed
-#: the streaming scheduler's in-flight window — ``max(4, 2 * workers)``
+#: the batch engine's in-flight window — ``max(4, 2 * workers)``
 #: per-circuit payloads plus the session anchor — with headroom, because
 #: evicting a live payload would silently re-pay the deserialisation the
 #: memo exists to avoid.  Scaled from the host's core count since worker
@@ -1294,14 +1293,11 @@ class _ShmDispatchSession(DispatchSession):
     serialised exactly once.  With shared memory each payload lives in a
     segment and chunks carry only the two :class:`PayloadHandle`
     descriptors — O(1) transport.  Without it (``MIRAGE_SHM_DISABLE=1``)
-    the session runs unchanged over inline blobs riding every chunk;
-    :meth:`TrialExecutor.map_shared` uses it that way, while
-    :meth:`ProcessExecutor.open_dispatch` refuses to stream blobs.
+    the session runs unchanged over inline blobs riding every chunk.
 
-    Segment creation failing *mid-session* (shm pressure appearing after
-    the open-time probe passed) degrades that one payload to inline
-    shipping — correct, observable via ``bytes_shipped``, and bounded to
-    the few chunks of the affected circuit.
+    Segment creation failing (shm pressure) degrades that one payload
+    to inline shipping — correct, observable via ``bytes_shipped``, and
+    bounded to the chunks of the affected payload.
 
     Recovery is the ledger's; this transport adds its repair step — a
     pool respawn after worker loss and the shm → inline blob transport
@@ -1522,9 +1518,10 @@ class _ShmDispatchSession(DispatchSession):
 class TrialExecutor:
     """Strategy object evaluating a function over a batch of trial tasks.
 
-    Work reaches an executor only through a :class:`DispatchSession`:
-    :meth:`open_dispatch` for the streaming scheduler, :meth:`map_shared`
-    (one session used once) for the barrier scheduler.
+    Work reaches an executor only through a :class:`DispatchSession`
+    of its transport, which :meth:`open_dispatch` opens: the batch
+    engine keeps one open for a whole batch, and :meth:`map_shared` is
+    one session used once.
     """
 
     name: str = "executor"
@@ -1632,7 +1629,7 @@ class TrialExecutor:
             # Not worth a round-trip (keeps single-trial runs pool-free).
             self._count_dispatch(chunks=len(batch), tasks=len(batch))
             return [fn(shared, task) for task in batch]
-        with self._session(fn, ()) as session:
+        with self.open_dispatch(fn) as session:
             slot = session.add_payload(shared)
             futures = session.submit(slot, batch)
             return [result for future in futures for result in future.result()]
@@ -1641,21 +1638,13 @@ class TrialExecutor:
         self,
         fn: Callable[[_Shared, _Task], _Result],
         anchors: Sequence[object] = (),
-    ) -> DispatchSession | None:
-        """Open a streaming :class:`DispatchSession` for ``fn``.
+    ) -> DispatchSession:
+        """Open a :class:`DispatchSession` of this executor's transport.
 
         ``anchors`` are heavy objects shared by many payloads (the batch's
         coverage set); transports that serialise payloads ship each anchor
-        exactly once.  Returns ``None`` when this executor cannot stream
-        efficiently (the process pool without a shared-memory transport),
-        in which case callers should fall back to :meth:`map_shared`.
+        exactly once.
         """
-        return self._session(fn, anchors)
-
-    def _session(
-        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
-    ) -> DispatchSession:
-        """A new dispatch session of this executor's transport."""
         return _InlineDispatchSession(self, fn)
 
     def _count_dispatch(self, **deltas: int) -> None:
@@ -1773,8 +1762,10 @@ class ThreadExecutor(_PoolExecutor):
             max_workers=self.max_workers, thread_name_prefix="repro-trial"
         )
 
-    def _session(
-        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
+    def open_dispatch(
+        self,
+        fn: Callable[[_Shared, _Task], _Result],
+        anchors: Sequence[object] = (),
     ) -> DispatchSession:
         return _ThreadDispatchSession(self, fn)
 
@@ -1788,14 +1779,12 @@ class ProcessExecutor(_PoolExecutor):
     :class:`~repro.transpiler.passes.TrialSpec` payload and
     :class:`~repro.transpiler.passes.TrialRef` tasks satisfies both.
 
-    Both dispatch forms run on :class:`_ShmDispatchSession` and its
+    Every dispatch runs on :class:`_ShmDispatchSession` and its
     recovery: each payload is pickled once per session, published via a
     shared-memory segment when available (chunks then carry an O(1)
     handle instead of the payload bytes) or shipped as a blob once per
     chunk otherwise, and workers memoise deserialisation by content
-    digest.  :meth:`open_dispatch` streams only over shared memory;
-    without it the batch engine takes the barrier scheduler, whose one
-    :meth:`map_shared` call ships one pooled payload.
+    digest.
     """
 
     name = "processes"
@@ -1835,34 +1824,12 @@ class ProcessExecutor(_PoolExecutor):
         with contextlib.suppress(Exception):
             pool.shutdown(wait=False)
 
-    def _session(
-        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
-    ) -> DispatchSession:
-        return _ShmDispatchSession(self, fn, anchors)
-
     def open_dispatch(
         self,
         fn: Callable[[_Shared, _Task], _Result],
         anchors: Sequence[object] = (),
-    ) -> DispatchSession | None:
-        """Open a shared-memory streaming session, or ``None`` without shm.
-
-        Streaming across a process boundary without shared memory would
-        re-ship each payload blob with every chunk — slower than the
-        barrier scheduler's one pooled :meth:`map_shared` call — so the
-        caller is told to fall back instead.  The anchor publication
-        doubles as a probe: if segment creation fails even though the
-        transport is nominally enabled (e.g. an exhausted ``/dev/shm``),
-        the session is torn down and the caller falls back too, rather
-        than silently streaming blobs.
-        """
-        if not shm_transport_enabled():
-            return None
-        session = self._session(fn, anchors)
-        if anchors and session._anchor_handle.segment is None:
-            session.close()
-            return None
-        return session
+    ) -> DispatchSession:
+        return _ShmDispatchSession(self, fn, anchors)
 
 
 #: Registry of executor names accepted by :func:`resolve_executor` (and by

@@ -198,8 +198,8 @@ class IntDAG:
         reverse.__dict__[MIRROR_TABLES_ATTR] = self.__dict__.setdefault(
             MIRROR_TABLES_ATTR, {}
         )
-        self.__dict__["_reversed"] = reverse
-        return reverse
+        # First writer wins, so racing threads share one reverse.
+        return self.__dict__.setdefault("_reversed", reverse)
 
     # -- queries ------------------------------------------------------------
 

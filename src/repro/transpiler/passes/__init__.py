@@ -8,7 +8,6 @@ from repro.transpiler.passes.cleanup import (
 )
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
-    BatchTrialRef,
     DepthMetric,
     LayoutResult,
     SabreLayout,
@@ -17,7 +16,6 @@ from repro.transpiler.passes.sabre_layout import (
     TrialRef,
     TrialSpec,
     depth_metric,
-    run_batch_trial,
     run_trial,
     seed_sequence,
     select_best,
@@ -32,7 +30,6 @@ __all__ = [
     "elide_input_swaps",
     "elide_input_swaps_permuted",
     "consolidate_blocks",
-    "BatchTrialRef",
     "DepthMetric",
     "LayoutResult",
     "SabreLayout",
@@ -41,7 +38,6 @@ __all__ = [
     "TrialRef",
     "TrialSpec",
     "depth_metric",
-    "run_batch_trial",
     "run_trial",
     "seed_sequence",
     "select_best",

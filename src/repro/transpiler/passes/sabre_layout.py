@@ -153,8 +153,9 @@ class TrialSpec:
     Every trial of one circuit shares the same lowering, coupling map,
     router factory and post-selection metric; only the
     ``(trial_index, seed)`` pair differs.  Splitting the spec out lets
-    :meth:`~repro.transpiler.executors.TrialExecutor.map_shared` serialise
-    it once per dispatch instead of once per trial.
+    the batch engine register it as one
+    :class:`~repro.transpiler.executors.DispatchSession` payload,
+    serialised once per circuit instead of once per trial.
 
     ``intdag`` is the circuit's flat lowering
     (:meth:`~repro.transpiler.kernel.IntDAG.from_ops`), built once by the
@@ -246,28 +247,6 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class BatchTrialRef:
-    """One trial of one circuit inside a multi-circuit dispatch."""
-
-    circuit_index: int
-    ref: TrialRef
-
-
-def run_batch_trial(
-    specs: Sequence[TrialSpec], batch_ref: BatchTrialRef
-) -> TrialOutcome:
-    """Run one trial of a multi-circuit batch against its shared specs.
-
-    ``specs`` — one :class:`TrialSpec` per circuit — is the shared payload
-    of the batch engine's barrier scheduler
-    (:func:`repro.core.transpile.transpile_many`): all circuits' lowerings
-    and the one coverage set travel to workers together, once per chunk, and
-    pickle's internal memo deduplicates the coverage set across specs.
-    """
-    return run_trial(specs[batch_ref.circuit_index], batch_ref.ref)
-
-
 def select_best(
     outcomes: Sequence[TrialOutcome],
     metric_name: str = "swaps",
@@ -275,7 +254,7 @@ def select_best(
     """Pick the winning trial: lowest score, ties to the lowest index.
 
     The tie-break keeps the winner independent of trial execution order,
-    so any executor (or scheduler) returns the same result.
+    so any executor returns the same result.
     """
     best = min(outcomes, key=lambda o: (o.score, o.trial_index))
     return LayoutResult(

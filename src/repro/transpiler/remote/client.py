@@ -26,8 +26,8 @@ ladder a network demands:
   host that cannot be reached within the ``MIRAGE_TASK_RETRIES``
   budget is marked down (``host_downgrades``) and its work
   redistributes to the remaining hosts; when *no* host remains, chunks
-  degrade to local execution — a shared-memory process session when
-  available, else in-process threads — still byte-identical.
+  degrade to local execution — a local process session, then the
+  dispatcher's own process — still byte-identical.
   Recovery is visible only through the ``reconnects`` /
   ``host_downgrades`` / ``frames_garbled`` dispatch counters (all zero
   on a clean run) next to the established ``retries`` /
@@ -63,7 +63,6 @@ from repro.exceptions import (
 from repro.transpiler.executors import (
     DispatchSession,
     ProcessExecutor,
-    ThreadExecutor,
     TrialExecutor,
     _ChunkRecord,
     _dumps_anchored,
@@ -169,7 +168,7 @@ class _RemoteDispatchSession(DispatchSession):
     garbled frame counts ``frames_garbled``), its host ladder (a host
     whose connect budget is spent is marked down and its chunks go to
     the remaining hosts) and one extra rung before the in-process one:
-    a local shared-memory process session, else threads.
+    a local process session, whose own chunks are all relayed.
     """
 
     def __init__(
@@ -600,12 +599,13 @@ class _RemoteDispatchSession(DispatchSession):
     # -- local degradation ---------------------------------------------------
 
     def _launch_degraded(self, record: _ChunkRecord) -> None:
-        """Remote's extra rung: run the chunk on a local session (shm
-        process pool, else threads) before the ledger's in-process one."""
+        """Remote's extra rung: run the chunk on a local process session
+        before the ledger's in-process one.  The local session may split
+        the chunk into several futures; every one is relayed."""
         session = self._ensure_fallback()
         if session is not None:
             try:
-                (future,) = session.submit(
+                futures = session.submit(
                     self._fallback_slot(session, record.slot),
                     record.tasks,
                     deadline=record.deadline,
@@ -613,37 +613,39 @@ class _RemoteDispatchSession(DispatchSession):
             except BaseException:  # noqa: BLE001 - fall through to in-process
                 pass
             else:
-                future.add_done_callback(
-                    functools.partial(self._relay, record)
-                )
+                relay = functools.partial(self._relay, record, futures)
+                for future in futures:
+                    future.add_done_callback(relay)
                 return
         super()._launch_degraded(record)
 
     def _relay(
-        self, record: _ChunkRecord, done: concurrent.futures.Future
+        self,
+        record: _ChunkRecord,
+        futures: list[concurrent.futures.Future],
+        _done: concurrent.futures.Future,
     ) -> None:
-        error = done.exception()
-        if error is None:
-            self._settle(record, done.result())
-        else:
-            self._settle(record, error=error)
+        """Settle ``record`` once all its local futures are done: their
+        results concatenated in order, or the first error in order."""
+        if not all(future.done() for future in futures):
+            return
+        for future in futures:
+            error = future.exception()
+            if error is not None:
+                self._settle(record, error=error)
+                return
+        self._settle(
+            record, [result for future in futures for result in future.result()]
+        )
 
     def _ensure_fallback(self) -> DispatchSession | None:
-        """The lazily-built local fallback session (shm → threads)."""
+        """The lazily-built local fallback session; ``None`` once closing."""
         with self._fallback_lock:
-            if self._fallback_session is not None or self._closing:
-                return self._fallback_session
-            executor: TrialExecutor = ProcessExecutor()
-            session = executor.open_dispatch(self.fn, self._anchors)
-            if session is None:
-                executor.close()
-                executor = ThreadExecutor()
-                session = executor.open_dispatch(self.fn, self._anchors)
-            if session is not None:
-                self._fallback_executor = executor
-                self._fallback_session = session
-            else:  # pragma: no cover - thread sessions always open
-                executor.close()
+            if self._fallback_session is None and not self._closing:
+                self._fallback_executor = ProcessExecutor()
+                self._fallback_session = self._fallback_executor.open_dispatch(
+                    self.fn, self._anchors
+                )
             return self._fallback_session
 
     def _fallback_slot(self, session: DispatchSession, slot: int) -> int:
@@ -805,7 +807,9 @@ class RemoteExecutor(TrialExecutor):
                     conn.close()
         return reachable
 
-    def _session(
-        self, fn: Callable[[Any, Any], Any], anchors: Sequence[object]
+    def open_dispatch(
+        self,
+        fn: Callable[[Any, Any], Any],
+        anchors: Sequence[object] = (),
     ) -> DispatchSession:
         return _RemoteDispatchSession(self, fn, anchors)

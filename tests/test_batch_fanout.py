@@ -108,7 +108,6 @@ def test_batch_of_one_runs_through_the_engine():
     """A batch of one is planned, dispatched and selected like any other
     batch, and ``transpile()`` is that batch with its seed as the root."""
     single = _batch(circuits=[qft(4)], circuit_seeds=[7])
-    assert single.dispatch["scheduler"] == "stream"
     assert single.dispatch["tasks"] == 3
     direct = transpile(qft(4), line_topology(5), coverage=COVERAGE,
                        use_vf2=False, layout_trials=3, seed=7)
@@ -122,25 +121,17 @@ def test_fanout_rejects_unknown_mode():
             _batch(fanout=mode)
 
 
-@pytest.mark.parametrize("knob, value", [
-    ("scheduler", "warp"),
-    ("scheduler", "streaming"),
-    ("scheduler", None),
-])
-def test_string_knobs_rejected_up_front_with_accepted_values(knob, value):
-    """Typos in ``scheduler=`` fail fast as
-    ``ValueError`` naming the accepted modes — before any coverage-set
-    build or executor spawn (an empty batch and no coverage set: if
-    validation were not first, this would try to build one)."""
-    with pytest.raises(ValueError, match="accepted:") as excinfo:
-        transpile_many([], line_topology(4), **{knob: value})
-    assert f"unknown {knob} mode" in str(excinfo.value)
+def test_scheduler_argument_is_gone():
+    """One engine: ``scheduler=`` is an unknown keyword, whatever its value."""
+    for mode in ("auto", "stream", "barrier"):
+        with pytest.raises(TypeError, match="scheduler"):
+            _batch(scheduler=mode)
 
 
 def test_mode_error_is_both_transpiler_and_value_error():
     """Callers catching either historical type keep working."""
     with pytest.raises(TranspilerError):
-        transpile_many([], line_topology(4), coverage=COVERAGE, scheduler="warp")
+        transpile_many([], line_topology(4), coverage=COVERAGE, basis="warp")
     with pytest.raises(ValueError):
         transpile_many([], line_topology(4), coverage=COVERAGE,
                        on_error="warp")
@@ -153,7 +144,7 @@ def test_explicit_circuit_seeds_match_direct_transpile():
     output bit."""
     seeds = [5, 91, 17]
     circuits = [qft(4), ghz(5), twolocal_full(4)]
-    batch = _batch(circuits=circuits, circuit_seeds=seeds, scheduler="stream")
+    batch = _batch(circuits=circuits, circuit_seeds=seeds)
     direct = [
         transpile(circuit, line_topology(5), coverage=COVERAGE,
                   use_vf2=False, layout_trials=3, seed=seed)
@@ -207,7 +198,6 @@ def test_circuit_fanout_reports_and_provenance():
     assert fanned.trial_seconds() > 0
     assert len(fanned.circuit_seconds()) == 3
     assert fanned.dispatch["tasks"] == 9  # 3 circuits x 3 layout trials
-    assert fanned.dispatch["scheduler"] == "stream"
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +205,13 @@ def test_circuit_fanout_reports_and_provenance():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["stream", "barrier"])
-def test_process_fanout_pickles_coverage_once(monkeypatch, scheduler):
+def test_process_fanout_pickles_coverage_once(monkeypatch):
     """One batch dispatch must serialise the coverage set exactly once.
 
     Before the shared-payload dispatch, process-pool trials re-pickled
     the coverage set (inside the router factory / metric) once per chunk
-    of every circuit; the barrier engine serialises it once inside the
-    pooled spec tuple, the streaming engine once as the session anchor.
+    of every circuit; the batch engine serialises it once, as the
+    session anchor.
     """
     calls = {"count": 0}
     original = CoverageSet.__getstate__
@@ -233,13 +222,8 @@ def test_process_fanout_pickles_coverage_once(monkeypatch, scheduler):
 
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor=executor, scheduler=scheduler)
-    if scheduler == "stream":
-        assert fanned.dispatch["shared_pickles"] == 1  # the session anchor
-    else:
-        # The one map_shared call pickles its one pooled spec tuple.
-        assert fanned.dispatch["payload_pickles"] == 1
-        assert fanned.dispatch["shared_pickles"] == 0
+        fanned = _batch(executor=executor)
+    assert fanned.dispatch["shared_pickles"] == 1  # the session anchor
     assert calls["count"] == 1
     assert fanned.dispatch["chunks"] >= 1
     assert fanned.dispatch["tasks"] == 9

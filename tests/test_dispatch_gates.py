@@ -3,8 +3,7 @@
 Each test runs a fixed-seed workload on the serial, thread, process and
 remote executors and checks one promise of the dispatch layers:
 
-* every scheduler and transport returns the serial routing byte for
-  byte, as do per-circuit ``transpile()`` calls (the same holds for the
+* every transport returns the serial routing byte for byte, as do per-circuit ``transpile()`` calls (the same holds for the
   compiled and the pure-Python route loop, and for one circuit's trials
   on a process pool);
 * a clean run reports every recovery and overload counter as zero —
@@ -13,9 +12,10 @@ remote executors and checks one promise of the dispatch layers:
   and at most one full payload per batch;
 * workers copy only the out-of-band index headers, never payload bytes:
   ``0 < bytes_copied <= header_bytes * max(2, cpu_count)``;
-* ``map_shared`` is one dispatch session on every executor: the same
-  fault plan is recovered the same way, and the barrier scheduler's
-  chunk and transport accounting is the session's;
+* ``map_shared`` is one dispatch session on every executor, so the
+  same fault plan is recovered the same way;
+* the batch session's chunk and transport accounting, over shared
+  memory and over inline blobs;
 * no session type dispatches anything against a released payload slot.
 
 The shared-memory gates skip where POSIX shared memory is unavailable.
@@ -27,7 +27,6 @@ import asyncio
 import hashlib
 import operator
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -95,23 +94,22 @@ def assert_clean(dispatch: dict, label: str, counters=RECOVERY_COUNTERS) -> None
 
 @pytest.fixture(scope="module")
 def batch_fanout():
-    """One batch under every scheduler and transport, plus the same
+    """One batch under every transport, plus the same
     circuits as per-circuit ``transpile()`` calls on the batch's seeds."""
     circuits = small_circuits(2)
     coupling = line_topology(5)
     kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2,
                   refinement_rounds=2)
 
-    def run(executor=None, scheduler="auto"):
-        return transpile_many(circuits, coupling, scheduler=scheduler,
-                              executor=executor, seed=29, **kwargs)
+    def run(executor=None):
+        return transpile_many(circuits, coupling, executor=executor,
+                              seed=29, **kwargs)
 
     batches = {"sequential": run()}
     roots = np.random.SeedSequence(29).spawn(len(circuits))
     with ProcessExecutor() as pool:
         prewarm(pool)
-        batches["stream"] = run(pool, "stream")
-        batches["barrier"] = run(pool, "barrier")
+        batches["stream"] = run(pool)
         # Last: these calls publish the stream batch's very payloads, which
         # the workers have memoised by digest, so they copy nothing.
         batches["trials"] = [
@@ -130,12 +128,12 @@ def batch_fanout():
 
 def test_batch_fanout_identical_across_modes_and_transports(batch_fanout):
     reference = batch_digests(batch_fanout["sequential"])
-    for mode in ("trials", "stream", "barrier", "blob"):
+    for mode in ("trials", "stream", "blob"):
         assert batch_digests(batch_fanout[mode]) == reference, mode
 
 
 def test_batch_fanout_clean_run_has_zero_recovery_counters(batch_fanout):
-    for mode in ("stream", "barrier", "blob"):
+    for mode in ("stream", "blob"):
         assert_clean(batch_fanout[mode].dispatch, mode)
 
 
@@ -229,8 +227,8 @@ def test_remote_dispatch_matches_serial_with_zero_recovery_counters():
                                   max_streams=2)
         try:
             executor.prewarm()
-            remote = transpile_many(circuits, coupling, scheduler="stream",
-                                    executor=executor, **kwargs)
+            remote = transpile_many(circuits, coupling, executor=executor,
+                                    **kwargs)
         finally:
             executor.close()
     finally:
@@ -273,14 +271,15 @@ def test_map_shared_recovers_one_kill_on_every_executor(
     pytest.param(True, id="shm", marks=needs_shm),
     pytest.param(False, id="blob"),
 ])
-def test_barrier_dispatch_keeps_its_chunk_and_transport_accounting(
+def test_stream_dispatch_keeps_its_chunk_and_transport_accounting(
     monkeypatch, shm
 ):
-    """The barrier scheduler's one ``map_shared`` call ships one payload.
+    """The batch session ships one anchor and one spec per circuit.
 
-    Nine trials on two workers split into five chunks, each carrying
-    the payload handle: a segment name and digest over shared memory,
-    the whole in-band pickle blob without it.
+    Three trials per circuit on two workers split into three chunks,
+    nine in all, each carrying its circuit's spec handle next to the
+    anchor handle: a segment name and digest each over shared memory,
+    the whole in-band pickle blobs without it.
     """
     if not shm:
         monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
@@ -289,7 +288,7 @@ def test_barrier_dispatch_keeps_its_chunk_and_transport_accounting(
 
     def recording_publish(obj, anchors=()):
         handle = publish(obj, anchors)
-        published.append((obj, handle))
+        published.append((obj, anchors, handle))
         return handle
 
     monkeypatch.setattr(executors, "_publish_object", recording_publish)
@@ -297,20 +296,23 @@ def test_barrier_dispatch_keeps_its_chunk_and_transport_accounting(
         batch = transpile_many(
             [qft(4), ghz(5), twolocal_full(4)], line_topology(5),
             coverage=COVERAGE, use_vf2=False, layout_trials=3, seed=7,
-            scheduler="barrier", executor=pool,
+            executor=pool,
         )
     dispatch = batch.dispatch
-    assert (dispatch["chunks"], dispatch["tasks"]) == (5, 9), dispatch
-    assert len(published) == 1
-    payload, handle = published[0]
-    if shm:
-        assert dispatch["shm_segments"] == 1
-        per_chunk = len(f"{SHM_SEGMENT_PREFIX}{os.getpid()}_") + 8
-    else:
-        assert dispatch["shm_segments"] == 0
-        per_chunk = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    assert handle.shipped_bytes == per_chunk + len(handle.digest) + 16
-    assert dispatch["bytes_shipped"] == 5 * handle.shipped_bytes, dispatch
+    assert (dispatch["chunks"], dispatch["tasks"]) == (9, 9), dispatch
+    (anchor, _, anchor_handle), *specs = published
+    assert anchor == (COVERAGE,) and len(specs) == 3
+    assert dispatch["shm_segments"] == (4 if shm else 0)
+    for payload, anchors, handle in published:
+        if shm:
+            per_chunk = len(f"{SHM_SEGMENT_PREFIX}{os.getpid()}_") + 8
+        else:
+            per_chunk = len(executors._dumps_anchored(payload, anchors))
+        assert handle.shipped_bytes == per_chunk + len(handle.digest) + 16
+    assert dispatch["bytes_shipped"] == sum(
+        3 * (handle.shipped_bytes + anchor_handle.shipped_bytes)
+        for _, _, handle in specs
+    ), dispatch
 
 
 def _open_released_slot_session(kind, stack):
@@ -330,9 +332,7 @@ def _open_released_slot_session(kind, stack):
         executor = stack.enter_context(
             RemoteExecutor(hosts=[host.address for host in hosts])
         )
-    session = executor.open_dispatch(operator.mul)
-    assert session is not None
-    stack.enter_context(session)
+    session = stack.enter_context(executor.open_dispatch(operator.mul))
     return executor, session
 
 

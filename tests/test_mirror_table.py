@@ -18,6 +18,7 @@ Covers:
 
 import pickle
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler import Layout, grid_topology, heavy_hex_topology
 from repro.transpiler.kernel import IntDAG
+from repro.transpiler.kernel import intdag as intdag_mod
 from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.kernel.route import SWAP_GATE
@@ -370,11 +372,14 @@ def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
     assert counter.count == 0
 
 
-def test_threads_share_the_reverse_and_table_memos_safely():
+def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
     """Trials racing on one fresh lowering (its reverse, its mirror table
     and the mirror gates built on acceptance) under a tiny switch
-    interval give the serial outcomes, and every mirror gate any of them
-    emitted is the one object the table holds for its slot."""
+    interval give the serial outcomes, every thread routes over the one
+    reverse the lowering holds, and every mirror gate any of them
+    emitted is the one object the table holds for its slot.  A sleep
+    inside each memo's build widens the window in which two threads
+    can both find the memo empty."""
     coupling = heavy_hex_topology(12)
     factory = MirageRouterFactory(coupling, COVERAGE, (1, 2, 3))
     layout_search = SabreLayout(
@@ -400,6 +405,27 @@ def test_threads_share_the_reverse_and_table_memos_safely():
         layout_search.trial_spec(DAGCircuit.from_circuit(circuit)), map
     )
     del emitted[:]
+
+    def slowed(fn):
+        def slow(*args, **kwargs):
+            time.sleep(0.01)
+            return fn(*args, **kwargs)
+        return slow
+
+    monkeypatch.setattr(
+        mirage_pass, "distinct_coordinates",
+        slowed(mirage_pass.distinct_coordinates),
+    )
+    monkeypatch.setattr(intdag_mod, "_kahn", slowed(intdag_mod._kahn))
+    reverses = []
+    reversed_of = IntDAG.reversed
+
+    def recording_reversed(self):
+        reverse = reversed_of(self)
+        reverses.append(reverse)
+        return reverse
+
+    monkeypatch.setattr(IntDAG, "reversed", recording_reversed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -411,6 +437,8 @@ def test_threads_share_the_reverse_and_table_memos_safely():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+    stored = spec.intdag.reversed()
+    assert reverses and all(reverse is stored for reverse in reverses)
     built = {id(g) for g in mirror_table(spec.intdag, COVERAGE).mirror_gates}
     mirrors = [g for g in emitted if g.name.endswith("_mirror")]
     assert mirrors and all(id(g) in built for g in mirrors)

@@ -293,8 +293,8 @@ class _ReversedExecutor(TrialExecutor):
 
 
 def _search(driver, dag, executor=None):
-    """Run a layout search the way the barrier scheduler does: one
-    ``map_shared`` dispatch of its trials, then :func:`select_best`."""
+    """Run a layout search as one ``map_shared`` dispatch of its
+    trials, then :func:`select_best`."""
     executor = executor or SerialExecutor()
     outcomes = executor.map_shared(
         run_trial, driver.trial_spec(dag), driver.trial_refs()

@@ -4,8 +4,8 @@ Every circuit of a :func:`repro.core.transpile.transpile_many` batch is
 planned on the dispatching thread; only its routing trials are shipped
 to the executor.  Covers:
 
-* fixed-seed outputs are **byte-identical** across schedulers,
-  transports and executors (one shared digest pins every variant);
+* fixed-seed outputs are **byte-identical** across transports and
+  executors (one shared digest pins every variant);
 * plan provenance lands on ``BatchResult.dispatch`` (``plan_seconds``,
   trial ``tasks``, worker-side ``bytes_copied``), and a process pool
   never receives a planning task;
@@ -114,7 +114,7 @@ def _counting_run_plan(monkeypatch) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Digest-pinned byte identity across schedulers / executors / transports
+# Digest-pinned byte identity across executors / transports
 # ---------------------------------------------------------------------------
 
 
@@ -134,26 +134,21 @@ def test_plan_modes_digest_identical_across_executors(make_executor, plan):
     with pytest.raises(TypeError):
         _batch(plan=plan)
     with make_executor() as executor:
-        fanned = _batch(executor, scheduler="stream")
+        fanned = _batch(executor)
     assert _digest(fanned) == REFERENCE_DIGEST
     assert "plan_mode" not in fanned.dispatch
     assert _own_segments() == []
 
 
-@pytest.mark.parametrize("scheduler", ["stream", "barrier"])
-def test_plan_digest_identical_across_schedulers(scheduler):
-    fanned = _batch(scheduler=scheduler)
-    assert _digest(fanned) == REFERENCE_DIGEST
-
-
 def test_plan_digest_identical_without_shm(monkeypatch):
     monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream")
+        fanned = _batch(executor)
     assert _digest(fanned) == REFERENCE_DIGEST
-    # No streaming transport: the engine fell back to the barrier
-    # scheduler.
-    assert fanned.dispatch["scheduler"] == "barrier"
+    # The pool streamed over inline blobs: no segment, and the coverage
+    # set still pickled once, as the session anchor.
+    assert fanned.dispatch["shm_segments"] == 0
+    assert fanned.dispatch["shared_pickles"] == 1
 
 
 @functools.cache
@@ -213,10 +208,9 @@ def test_process_fanout_plans_in_parent_and_ships_only_trials(monkeypatch):
     """A process pool receives routing trials only; planning stays home."""
     calls = _counting_run_plan(monkeypatch)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor, scheduler="stream")
+        fanned = _batch(executor)
     dispatch = fanned.dispatch
     assert _digest(fanned) == REFERENCE_DIGEST
-    assert dispatch["scheduler"] == "stream"
     assert calls["n"] == 3  # one front pipeline per circuit, in the parent
     assert dispatch["tasks"] == 9  # 3 circuits x 3 layout trials
     for key in ("plan_tasks", "plan_mode", "plan_return_bytes"):
@@ -236,14 +230,12 @@ def test_plan_executor_process_provenance_and_transport():
     assert _own_segments() == []
 
 
-@pytest.mark.parametrize("scheduler", ["stream", "barrier"])
-def test_expired_circuit_is_never_planned(monkeypatch, scheduler):
+def test_expired_circuit_is_never_planned(monkeypatch):
     """A circuit already past its deadline settles without planning,
     and its siblings match an undeadlined batch bit for bit."""
-    reference = _batch(scheduler=scheduler)
+    reference = _batch()
     calls = _counting_run_plan(monkeypatch)
     fanned = _batch(
-        scheduler=scheduler,
         circuit_deadlines=[None, time.monotonic() - 1.0, None],
         on_error="return",
     )
@@ -284,8 +276,7 @@ def test_plan_executor_handles_vf2_embedded_circuits():
     ]
     with ThreadExecutor(max_workers=2) as threads:
         fanned = transpile_many(
-            circuits, line_topology(4), scheduler="stream",
-            executor=threads, **kwargs,
+            circuits, line_topology(4), executor=threads, **kwargs,
         )
     assert [r.method for r in fanned] == ["vf2", "mirage", "vf2"]
     assert _digest(fanned) == _digest(sequential)
@@ -315,7 +306,7 @@ def test_plan_executor_long_batch_bounded_window():
     with ThreadExecutor(max_workers=2) as threads:
         fanned = transpile_many(
             circuits, line_topology(5), coverage=COVERAGE, use_vf2=False,
-            layout_trials=2, seed=11, scheduler="stream", executor=threads,
+            layout_trials=2, seed=11, executor=threads,
         )
     assert _digest(fanned) == _digest(sequential)
 
@@ -344,6 +335,6 @@ def test_plan_failure_propagates_without_segment_leak(trials_on):
             transpile_many(
                 circuits, line_topology(5), coverage=COVERAGE,
                 use_vf2=False, layout_trials=2, seed=3,
-                scheduler="stream", executor=executor,
+                executor=executor,
             )
     assert _own_segments() == []

@@ -95,6 +95,10 @@ def _scale(shared, task):
     return shared * task
 
 
+def _task_and_pid(shared, task):
+    return task, os.getpid()
+
+
 def _slow_scale(shared, task):
     time.sleep(0.2)
     return shared * task
@@ -438,6 +442,27 @@ def test_all_hosts_partitioned_degrades_locally(two_hosts, fast_recovery):
     assert stats["executor_downgrades"] >= 1
     assert stats["reconnects"] == 0
     executor.close()
+
+
+def test_all_hosts_partitioned_runs_every_local_chunk(
+    two_hosts, fast_recovery
+):
+    """A degraded remote chunk that the local process session splits into
+    several chunks runs on the local pool, every piece of it: results
+    come back in order, and none from the dispatcher's own process."""
+    fast_recovery.setenv(
+        "MIRAGE_FAULT_PLAN", "partition:host:0,partition:host:1"
+    )
+    executor = RemoteExecutor(
+        hosts=[host.address for host in two_hosts], max_streams=1
+    )
+    try:
+        results = executor.map_shared(_task_and_pid, None, list(range(100)))
+    finally:
+        executor.close()
+    assert [task for task, _ in results] == list(range(100))
+    assert all(pid != os.getpid() for _, pid in results)
+    assert _own_segments() == []
 
 
 # ---------------------------------------------------------------------------

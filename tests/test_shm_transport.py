@@ -1,4 +1,4 @@
-"""Tests for the shared-memory trial transport and streaming scheduler.
+"""Tests for the shared-memory trial transport and the streaming batch engine.
 
 Covers the transport guarantees introduced with the zero-copy dispatch
 layer:
@@ -9,11 +9,10 @@ layer:
   session ships the blob with every chunk, with identical results;
 * segments never leak — not after a clean dispatch, not after a worker
   exception mid-batch, not after an abandoned streaming session;
-* the streaming overlap scheduler of
-  :func:`repro.core.transpile.transpile_many` is byte-identical to the
-  barrier scheduler (and to per-circuit ``transpile()``) on every
-  executor, and
-  falls back to the barrier engine when the transport is unavailable;
+* the streaming batch engine of
+  :func:`repro.core.transpile.transpile_many` is byte-identical to
+  per-circuit ``transpile()`` on every executor, and streams over
+  inline blobs when the transport is unavailable;
 * anchored streaming payloads serialise the batch's coverage set exactly
   once.
 """
@@ -25,7 +24,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.exceptions import TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import transpile, transpile_many
 from repro.polytopes import get_coverage_set
@@ -87,7 +85,7 @@ def _fingerprint(result):
     )
 
 
-def _batch(scheduler="auto", executor=None, **kwargs):
+def _batch(executor=None, **kwargs):
     return transpile_many(
         [qft(4), ghz(5), twolocal_full(4)],
         line_topology(5),
@@ -95,7 +93,6 @@ def _batch(scheduler="auto", executor=None, **kwargs):
         use_vf2=False,
         layout_trials=3,
         seed=7,
-        scheduler=scheduler,
         executor=executor,
         **kwargs,
     )
@@ -220,7 +217,6 @@ def test_no_segment_leak_after_session_worker_exception():
     """A streaming session closed after a worker error unlinks segments."""
     with ProcessExecutor(max_workers=2) as executor:
         session = executor.open_dispatch(_explode, anchors=(object(),))
-        assert session is not None
         slot = session.add_payload(7)
         futures = session.submit(slot, list(range(12)))
         with pytest.raises(ValueError, match="exploded"):
@@ -278,19 +274,14 @@ def test_atexit_guard_unlinks_created_segments():
 
 
 # ---------------------------------------------------------------------------
-# Streaming scheduler: byte identity and fallback parity
+# Streaming batch engine: byte identity on every transport
 # ---------------------------------------------------------------------------
 
 
-def test_stream_matches_barrier_and_sequential_serial():
+def test_stream_matches_sequential_serial():
     reference = [_fingerprint(r) for r in _sequential()]
-    stream = _batch("stream")
-    barrier = _batch("barrier")
+    stream = _batch()
     assert [_fingerprint(r) for r in stream] == reference
-    assert [_fingerprint(r) for r in barrier] == reference
-    assert stream.dispatch["scheduler"] == "stream"
-    assert barrier.dispatch["scheduler"] == "barrier"
-    assert barrier.dispatch["overlap_seconds"] == 0.0
 
 
 @pytest.mark.parametrize("make_executor", [
@@ -301,27 +292,27 @@ def test_stream_matches_barrier_and_sequential_serial():
 def test_stream_identical_across_executors(make_executor):
     reference = [_fingerprint(r) for r in _sequential()]
     with make_executor() as executor:
-        stream = _batch("stream", executor)
+        stream = _batch(executor)
     assert [_fingerprint(r) for r in stream] == reference
     assert _own_segments() == []
 
 
-def test_stream_falls_back_to_barrier_without_shm(monkeypatch):
+def test_stream_runs_over_blobs_without_shm(monkeypatch):
     reference = [_fingerprint(r) for r in _sequential()]
     monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("stream", executor)
+        fanned = _batch(executor)
     assert [_fingerprint(r) for r in fanned] == reference
-    assert fanned.dispatch["scheduler"] == "barrier"
     assert fanned.dispatch["shm_segments"] == 0
+    assert fanned.dispatch["shared_pickles"] == 1
+    assert fanned.dispatch["payload_pickles"] == 3
 
 
 @needs_shm
 def test_stream_process_dispatch_ships_constant_bytes():
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("stream", executor)
+        fanned = _batch(executor)
     dispatch = fanned.dispatch
-    assert dispatch["scheduler"] == "stream"
     assert dispatch["shm_segments"] >= 1
     assert dispatch["chunks"] >= 1
     # O(1) transport per chunk: two handles (anchor + spec), never blobs.
@@ -343,7 +334,7 @@ def test_stream_pickles_coverage_once(monkeypatch):
 
     monkeypatch.setattr(CoverageSet, "__getstate__", counting_getstate)
     with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch("stream", executor)
+        fanned = _batch(executor)
     assert fanned.dispatch["shared_pickles"] == 1
     assert calls["count"] == 1
     assert fanned.dispatch["payload_pickles"] == 3  # one spec per circuit
@@ -357,9 +348,7 @@ def test_stream_handles_vf2_embedded_circuits():
                   layout_trials=2, seed=root)
         for circuit, root in zip(circuits, np.random.SeedSequence(5).spawn(3))
     ]
-    stream = transpile_many(
-        circuits, line_topology(4), scheduler="stream", **kwargs,
-    )
+    stream = transpile_many(circuits, line_topology(4), **kwargs)
     assert [r.method for r in stream] == ["vf2", "mirage", "vf2"]
     assert [_fingerprint(r) for r in sequential] == [
         _fingerprint(r) for r in stream
@@ -369,7 +358,7 @@ def test_stream_handles_vf2_embedded_circuits():
 
 
 def test_stream_reports_overlap_provenance():
-    fanned = _batch("stream")
+    fanned = _batch()
     assert "overlap_seconds" in fanned.dispatch
     assert fanned.dispatch["overlap_seconds"] >= 0.0
     # Streamed circuits keep the full per-circuit pipeline reports.
@@ -379,7 +368,3 @@ def test_stream_reports_overlap_provenance():
         "coverage", "analyze", "vf2", "plan", "route", "select",
     ]
 
-
-def test_scheduler_rejects_unknown_mode():
-    with pytest.raises(TranspilerError):
-        _batch("teleport")
