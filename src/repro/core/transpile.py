@@ -120,7 +120,8 @@ def transpile(
     coverage : CoverageSet, optional
         Preconstructed coverage set (otherwise the shared set for
         ``basis`` is used — built once per process and persisted under
-        ``$MIRAGE_CACHE_DIR`` unless ``MIRAGE_CACHE_DISABLE=1``).
+        ``$MIRAGE_CACHE_DIR`` unless ``MIRAGE_CACHE_DISABLE`` is on; see
+        ``docs/configuration.md``).
     use_vf2 : bool
         Look for a SWAP-free embedding before routing.
     seed : int, numpy.random.SeedSequence, numpy.random.Generator, or None

@@ -55,9 +55,8 @@ class ServiceOverloadError(ServiceError):
 
     Carries a ``retry_after_ms`` hint — the caller should back off at
     least that long before resubmitting.  Shedding happens when a
-    tenant exceeds its quota (``MIRAGE_SERVICE_TENANT_QUOTA``), when
-    the service-wide pending queue is full
-    (``MIRAGE_SERVICE_MAX_PENDING``), or when a deterministic
+    tenant exceeds its quota (``tenant_quota``), when the service-wide
+    pending queue is full (``max_pending``), or when a deterministic
     ``shed:request:<ordinal>`` fault-plan entry targets the submission.
     Shedding is *pre-admission*: no window slot, seed or executor work
     is consumed by a shed request.

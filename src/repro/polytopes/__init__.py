@@ -5,7 +5,6 @@ from repro.polytopes.cache import (
     CoordinateCache,
     clear_coverage_cache,
     coverage_cache_dir,
-    coverage_cache_enabled,
     coverage_cache_path,
 )
 from repro.polytopes.coverage import (
@@ -44,7 +43,6 @@ __all__ = [
     "build_coverage_set",
     "clear_coverage_cache",
     "coverage_cache_dir",
-    "coverage_cache_enabled",
     "coverage_cache_path",
     "get_coverage_set",
     "load_or_build_coverage_set",

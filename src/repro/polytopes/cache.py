@@ -14,7 +14,7 @@ The disk cache lives under ``$MIRAGE_CACHE_DIR`` (default
 ``~/.cache/mirage``), keys entries on every build parameter plus a format
 version, and writes atomically (temp file + ``os.replace``) so concurrent
 builders never observe a torn entry.  ``MIRAGE_CACHE_DISABLE=1`` turns it
-off entirely.
+off entirely; both are read per call.
 
 The in-memory caches expose hit/miss counters so the Fig. 13 bench can
 report cache effectiveness.
@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.config import MirageConfig
 from repro.weyl.coordinates import weyl_coordinates, weyl_coordinates_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -228,31 +229,18 @@ def _construction_fingerprint() -> str:
         _CONSTRUCTION_FINGERPRINT = hashlib.sha256(payload).hexdigest()[:16]
     return _CONSTRUCTION_FINGERPRINT
 
-#: Environment variable overriding the cache directory.
-CACHE_DIR_ENV = "MIRAGE_CACHE_DIR"
-
-#: Environment variable disabling the disk cache entirely ("1"/"true").
-CACHE_DISABLE_ENV = "MIRAGE_CACHE_DISABLE"
-
-
 def coverage_cache_dir() -> Path:
     """Directory holding persistent coverage-set entries.
 
     ``$MIRAGE_CACHE_DIR`` wins; the default is ``~/.cache/mirage`` (or
-    ``$XDG_CACHE_HOME/mirage`` when set).
+    ``$XDG_CACHE_HOME/mirage`` when set).  Read per call.
     """
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
+    config = MirageConfig.from_env()
+    if config.cache_dir:
+        return Path(config.cache_dir)
+    xdg = config.xdg_cache_home
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "mirage"
-
-
-def coverage_cache_enabled() -> bool:
-    """Whether the persistent coverage cache is active."""
-    flag = os.environ.get(CACHE_DISABLE_ENV, "").strip().lower()
-    return flag not in {"1", "true", "yes"}
 
 
 def coverage_cache_key(**parameters) -> str:
@@ -311,7 +299,7 @@ def load_cached_coverage_set(**parameters) -> "CoverageSet | None":
     never wedge the cache: the caller rebuilds and atomically rewrites
     the entry instead of raising.
     """
-    if not coverage_cache_enabled():
+    if MirageConfig.from_env().cache_disable:
         return None
     path = coverage_cache_path(**parameters)
     try:
@@ -342,7 +330,7 @@ def store_coverage_set(coverage: "CoverageSet", **parameters) -> Path | None:
     with concurrent writers.  I/O and serialisation failures are swallowed
     — the cache is an optimisation, never a correctness dependency.
     """
-    if not coverage_cache_enabled():
+    if MirageConfig.from_env().cache_disable:
         return None
     path = coverage_cache_path(**parameters)
     try:

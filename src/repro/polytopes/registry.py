@@ -46,27 +46,16 @@ one-shared-set-per-process behaviour every existing caller relies on.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 import threading
 import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
+from repro.config import MirageConfig
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.polytopes.coverage import CoverageSet
-
-
-def _env_limit(name: str, cast=int) -> int | float | None:
-    """Parse an optional numeric environment limit (``None`` = unlimited)."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return None
-    try:
-        parsed = cast(value)
-    except ValueError:
-        return None
-    return parsed if parsed > 0 else None
 
 
 @dataclasses.dataclass
@@ -153,23 +142,20 @@ class CoverageRegistry:
 
     # -- residency limits --------------------------------------------------
 
-    def _limit_entries(self) -> int | None:
-        if self._max_entries is not None:
-            return self._max_entries
-        return _env_limit("MIRAGE_REGISTRY_MAX_ENTRIES", int)
-
-    def _limit_bytes(self) -> int | None:
-        if self._max_bytes is not None:
-            return self._max_bytes
-        return _env_limit("MIRAGE_REGISTRY_MAX_BYTES", int)
-
-    def _limit_ttl(self) -> float | None:
-        if self._ttl_seconds is not None:
-            return self._ttl_seconds
-        return _env_limit("MIRAGE_REGISTRY_TTL_S", float)
+    def _limits(self) -> tuple[int | None, int | None, float | None]:
+        """``(max_entries, max_bytes, ttl)``: each constructor argument,
+        else its environment knob — read per call, because
+        :data:`DEFAULT_REGISTRY` outlives any environment change."""
+        config = MirageConfig.from_env()
+        limits = (
+            (self._max_entries, config.registry_max_entries),
+            (self._max_bytes, config.registry_max_bytes),
+            (self._ttl_seconds, config.registry_ttl_s),
+        )
+        return tuple(env if own is None else own for own, env in limits)
 
     def _expired_locked(self, entry: _RegistryEntry) -> bool:
-        ttl = self._limit_ttl()
+        ttl = self._limits()[2]
         return ttl is not None and time.monotonic() - entry.created > ttl
 
     def _evict_locked(self, protect: tuple | None = None) -> None:
@@ -179,8 +165,7 @@ class CoverageRegistry:
         never evicted — a single set larger than ``max_bytes`` stays
         resident alone rather than thrashing rebuild-evict-rebuild.
         """
-        max_entries = self._limit_entries()
-        max_bytes = self._limit_bytes()
+        max_entries, max_bytes, _ = self._limits()
         if max_entries is None and max_bytes is None:
             return
         while self._entries:

@@ -1,37 +1,5 @@
 """Transpilation-as-a-service tier: asyncio front-end over the batch engine."""
 
-from repro.service.service import (
-    BREAKER_COOLDOWN_ENV,
-    BREAKER_THRESHOLD_ENV,
-    BREAKER_WINDOW_ENV,
-    DEFAULT_BREAKER_COOLDOWN_S,
-    DEFAULT_BREAKER_THRESHOLD,
-    DEFAULT_BREAKER_WINDOW_S,
-    DEFAULT_DRAIN_S,
-    DEFAULT_WINDOW_MS,
-    DRAIN_ENV,
-    MAX_PENDING_ENV,
-    TENANT_QUOTA_ENV,
-    WINDOW_ENV,
-    MirageService,
-    ServiceClient,
-    service_window_ms,
-)
+from repro.service.service import MirageService, ServiceClient
 
-__all__ = [
-    "BREAKER_COOLDOWN_ENV",
-    "BREAKER_THRESHOLD_ENV",
-    "BREAKER_WINDOW_ENV",
-    "DEFAULT_BREAKER_COOLDOWN_S",
-    "DEFAULT_BREAKER_THRESHOLD",
-    "DEFAULT_BREAKER_WINDOW_S",
-    "DEFAULT_DRAIN_S",
-    "DEFAULT_WINDOW_MS",
-    "DRAIN_ENV",
-    "MAX_PENDING_ENV",
-    "TENANT_QUOTA_ENV",
-    "WINDOW_ENV",
-    "MirageService",
-    "ServiceClient",
-    "service_window_ms",
-]
+__all__ = ["MirageService", "ServiceClient"]

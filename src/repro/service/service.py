@@ -4,9 +4,9 @@
 request-serving tier:
 
 * **Admission windows** — requests arriving within a configurable window
-  (``MIRAGE_SERVICE_WINDOW_MS``, or the ``window_ms`` argument) that
-  share a batch-compatibility key (topology, basis, method, selection
-  and the trial knobs) are coalesced into **one**
+  (the ``window_ms`` argument) that share a batch-compatibility key
+  (topology, basis, method, selection and the trial knobs) are
+  coalesced into **one**
   :func:`~repro.core.transpile.transpile_many` dispatch — the coverage
   set is pickled once as the session anchor and
   every request's trials share one worker-pool conversation.
@@ -15,9 +15,9 @@ request-serving tier:
   byte-identical to a direct ``transpile(circuit, ..., seed=seed)``
   call: coalescing is invisible in every output bit.
 * **Admission control** — a service-wide pending cap
-  (``MIRAGE_SERVICE_MAX_PENDING``) and a per-tenant quota
-  (``MIRAGE_SERVICE_TENANT_QUOTA``) shed excess submissions with a
-  typed :class:`~repro.exceptions.ServiceOverloadError` carrying a
+  (``max_pending``) and a per-tenant quota (``tenant_quota``) shed
+  excess submissions with a typed
+  :class:`~repro.exceptions.ServiceOverloadError` carrying a
   ``retry_after_ms`` hint, before any window slot or executor work is
   consumed.  Sealed windows interleave tenants round-robin so one hot
   tenant cannot starve the others of dispatch slots.
@@ -45,9 +45,9 @@ request-serving tier:
 * **Graceful drain** — :meth:`MirageService.aclose` stops admissions
   (further submissions raise
   :class:`~repro.exceptions.ServiceClosedError`), seals open windows,
-  waits for in-flight dispatches under a cap
-  (``MIRAGE_SERVICE_DRAIN_S``) and only then tears the executor down —
-  zero leaked workers, zero leaked shared-memory segments.
+  waits for in-flight dispatches under a cap (``drain_s``) and only
+  then tears the executor down — zero leaked workers, zero leaked
+  shared-memory segments.
 * **Provenance** — :meth:`MirageService.stats` exposes request/tenant
   counts, shed/deadline/breaker counters, per-window queue waits and
   the dispatch counters inherited from
@@ -72,13 +72,13 @@ import asyncio
 import collections
 import dataclasses
 import itertools
-import os
 import threading
 import time
 from typing import Sequence
 
 import numpy as np
 
+from repro.config import MirageConfig
 from repro.exceptions import (
     DeadlineExceededError,
     ServiceClosedError,
@@ -94,99 +94,13 @@ from repro.transpiler.executors import (
     owns_executor,
     resolve_executor,
 )
-from repro.transpiler.faults import FaultPlan
+from repro.transpiler.faults import parse_fault_plan
 from repro.transpiler.topologies import CouplingMap
-
-#: Environment variable holding the default admission window in
-#: milliseconds.  ``0`` disables coalescing (every request dispatches
-#: on the next event-loop tick); unset or unparsable falls back to
-#: :data:`DEFAULT_WINDOW_MS`.
-WINDOW_ENV = "MIRAGE_SERVICE_WINDOW_MS"
-
-#: Default admission window (milliseconds) when neither the constructor
-#: argument nor the environment variable is given.
-DEFAULT_WINDOW_MS = 10.0
-
-#: Environment variable capping service-wide pending (admitted but
-#: unresolved) requests.  Unset, unparsable or ``<= 0`` means unlimited.
-MAX_PENDING_ENV = "MIRAGE_SERVICE_MAX_PENDING"
-
-#: Environment variable capping pending requests *per tenant*.  Unset,
-#: unparsable or ``<= 0`` means unlimited.
-TENANT_QUOTA_ENV = "MIRAGE_SERVICE_TENANT_QUOTA"
-
-#: Environment variable for the breaker trip threshold — recovery
-#: events (respawns + executor/transport downgrades) within the sliding
-#: window needed to open the breaker.
-BREAKER_THRESHOLD_ENV = "MIRAGE_SERVICE_BREAKER_THRESHOLD"
-
-#: Environment variable for the breaker's sliding failure window, in
-#: seconds.
-BREAKER_WINDOW_ENV = "MIRAGE_SERVICE_BREAKER_WINDOW_S"
-
-#: Environment variable for the open-state cooldown before the breaker
-#: half-opens with a probe window, in seconds.
-BREAKER_COOLDOWN_ENV = "MIRAGE_SERVICE_BREAKER_COOLDOWN_S"
-
-#: Environment variable capping how long ``aclose()`` waits for
-#: in-flight windows before abandoning their unresolved futures, in
-#: seconds.
-DRAIN_ENV = "MIRAGE_SERVICE_DRAIN_S"
-
-#: Breaker defaults when neither constructor nor environment supplies a
-#: value.
-DEFAULT_BREAKER_THRESHOLD = 3
-DEFAULT_BREAKER_WINDOW_S = 30.0
-DEFAULT_BREAKER_COOLDOWN_S = 5.0
-
-#: Default drain cap (seconds) for :meth:`MirageService.aclose`.
-DEFAULT_DRAIN_S = 30.0
 
 #: Most recent entries kept in the per-window log and in the breaker's
 #: transition trail.  Older entries are dropped; the counters in
 #: :meth:`MirageService.stats` keep counting every window.
 LOG_LIMIT = 1024
-
-
-def service_window_ms() -> float:
-    """Admission window in milliseconds from ``MIRAGE_SERVICE_WINDOW_MS``.
-
-    Non-numeric or negative values fall back to the default so a typo in
-    deployment configuration degrades to default behaviour rather than
-    crashing the service at construction time.
-    """
-    raw = os.environ.get(WINDOW_ENV, "").strip()
-    if not raw:
-        return DEFAULT_WINDOW_MS
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_WINDOW_MS
-    return value if value >= 0 else DEFAULT_WINDOW_MS
-
-
-def _env_limit(name: str) -> int | None:
-    """Positive-int limit from the environment; ``None`` when unlimited."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def _env_seconds(name: str, default: float) -> float:
-    """Non-negative float from the environment, with a default."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
 
 
 def _topology_key(topology: "CouplingMap | str") -> object:
@@ -418,10 +332,10 @@ class MirageService:
         (left open on :meth:`aclose`; owned executors are closed).
     max_workers : int, optional
         Worker count for executors created from a string spec.
-    window_ms : float, optional
-        Admission window in milliseconds; defaults to
-        ``MIRAGE_SERVICE_WINDOW_MS`` (or 10 ms).  ``0`` dispatches every
-        request on the next event-loop tick without coalescing.
+    window_ms : float
+        Admission window in milliseconds (default 10).  ``0``
+        dispatches every request on the next event-loop tick without
+        coalescing.
     registry : CoverageRegistry, optional
         Coverage-set registry shared by every request; a fresh private
         registry by default.  Pass
@@ -437,24 +351,21 @@ class MirageService:
     max_pending : int, optional
         Service-wide cap on admitted-but-unresolved requests; excess
         submissions are shed with
-        :class:`~repro.exceptions.ServiceOverloadError`.  Defaults to
-        ``MIRAGE_SERVICE_MAX_PENDING`` (unset means unlimited).
+        :class:`~repro.exceptions.ServiceOverloadError`.  ``None``
+        (default) means unlimited.
     tenant_quota : int, optional
-        Per-tenant cap on pending requests; defaults to
-        ``MIRAGE_SERVICE_TENANT_QUOTA`` (unset means unlimited).
-    breaker_threshold : int, optional
+        Per-tenant cap on pending requests; ``None`` (default) means
+        unlimited.
+    breaker_threshold : int
         Recovery events within the breaker window that open the
-        breaker.  Defaults to ``MIRAGE_SERVICE_BREAKER_THRESHOLD``
-        (or 3).
-    breaker_window_s : float, optional
-        Sliding failure-window width in seconds; defaults to
-        ``MIRAGE_SERVICE_BREAKER_WINDOW_S`` (or 30).
-    breaker_cooldown_s : float, optional
-        Open-state cooldown before a half-open probe, in seconds;
-        defaults to ``MIRAGE_SERVICE_BREAKER_COOLDOWN_S`` (or 5).
-    drain_s : float, optional
-        :meth:`aclose` drain cap in seconds; defaults to
-        ``MIRAGE_SERVICE_DRAIN_S`` (or 30).
+        breaker (default 3).
+    breaker_window_s : float
+        Sliding failure-window width in seconds (default 30).
+    breaker_cooldown_s : float
+        Open-state cooldown before a half-open probe, in seconds
+        (default 5).
+    drain_s : float
+        :meth:`aclose` drain cap in seconds (default 30).
 
     Notes
     -----
@@ -477,62 +388,41 @@ class MirageService:
         *,
         executor: "str | TrialExecutor | None" = "threads",
         max_workers: int | None = None,
-        window_ms: float | None = None,
+        window_ms: float = 10.0,
         registry: CoverageRegistry | None = None,
         coverage_params: dict | None = None,
         prewarm: bool = True,
         max_pending: int | None = None,
         tenant_quota: int | None = None,
-        breaker_threshold: int | None = None,
-        breaker_window_s: float | None = None,
-        breaker_cooldown_s: float | None = None,
-        drain_s: float | None = None,
+        breaker_threshold: int = 3,
+        breaker_window_s: float = 30.0,
+        breaker_cooldown_s: float = 5.0,
+        drain_s: float = 30.0,
     ) -> None:
         # Fail fast on a malformed fault plan: a service that would
         # crash mid-window on its first injected fault should refuse to
         # construct instead.
-        self._fault_plan = FaultPlan.from_env()
+        self._fault_plan = (
+            parse_fault_plan(MirageConfig.from_env().fault_plan) or None
+        )
         self._executor = resolve_executor(executor, max_workers)
         self._owns_executor = owns_executor(executor)
         self._executor_closed = False
         self._degraded_executor: SerialExecutor | None = None
-        self._window_seconds = (
-            window_ms if window_ms is not None else service_window_ms()
-        ) / 1000.0
+        self._window_seconds = window_ms / 1000.0
         self.registry = registry if registry is not None else CoverageRegistry()
         self._coverage_params = dict(coverage_params or {})
         self._prewarm = prewarm
         self._warmed = False
         self._closed = False
         self._draining = False
-        self._max_pending = (
-            max_pending if max_pending is not None
-            else _env_limit(MAX_PENDING_ENV)
-        )
-        self._tenant_quota = (
-            tenant_quota if tenant_quota is not None
-            else _env_limit(TENANT_QUOTA_ENV)
-        )
-        self._drain_seconds = (
-            drain_s if drain_s is not None
-            else _env_seconds(DRAIN_ENV, DEFAULT_DRAIN_S)
-        )
+        self._max_pending = max_pending
+        self._tenant_quota = tenant_quota
+        self._drain_seconds = drain_s
         self._breaker = _CircuitBreaker(
-            threshold=(
-                breaker_threshold if breaker_threshold is not None
-                else _env_limit(BREAKER_THRESHOLD_ENV)
-                or DEFAULT_BREAKER_THRESHOLD
-            ),
-            window_s=(
-                breaker_window_s if breaker_window_s is not None
-                else _env_seconds(BREAKER_WINDOW_ENV, DEFAULT_BREAKER_WINDOW_S)
-            ),
-            cooldown_s=(
-                breaker_cooldown_s if breaker_cooldown_s is not None
-                else _env_seconds(
-                    BREAKER_COOLDOWN_ENV, DEFAULT_BREAKER_COOLDOWN_S
-                )
-            ),
+            threshold=breaker_threshold,
+            window_s=breaker_window_s,
+            cooldown_s=breaker_cooldown_s,
             t0=time.monotonic(),
         )
         self._window_ids = itertools.count()
@@ -1008,8 +898,8 @@ class MirageService:
         The drain sequence: admissions stop (further submissions raise
         :class:`~repro.exceptions.ServiceClosedError`), every open
         admission window is sealed and dispatched immediately, and
-        in-flight dispatches are awaited for up to ``drain_s`` seconds
-        (``MIRAGE_SERVICE_DRAIN_S``).  Requests still unresolved at the
+        in-flight dispatches are awaited for up to ``drain_s`` seconds.
+        Requests still unresolved at the
         cap have their futures failed with ``ServiceClosedError``
         (counted under ``drain_abandoned``), after which the dispatch
         threads are *still* awaited — the executor teardown never races

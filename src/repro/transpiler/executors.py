@@ -135,6 +135,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -148,6 +149,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from repro.config import MirageConfig
 from repro.exceptions import (
     DeadlineExceededError,
     TranspilerError,
@@ -157,8 +159,8 @@ from repro.transpiler.faults import (
     ChunkFaults,
     CorruptResult,
     CorruptResultError,
-    FaultPlan,
     InjectedWorkerCrash,
+    parse_fault_plan,
     reap_stale_segments,
 )
 from repro.transpiler.kernel.native import load_routec
@@ -229,60 +231,18 @@ def shm_transport_enabled() -> bool:
     named mappings are destroyed when the last open handle closes, and
     the transport deliberately closes the parent's handle right after
     publishing, so only POSIX shm (which persists until unlink) works.
-    Switched off by setting ``MIRAGE_SHM_DISABLE=1`` in the environment —
-    checked per call, so tests and operators can toggle it without
+    Switched off by ``MIRAGE_SHM_DISABLE`` (``1``/``true``/``yes``) —
+    read per call, so tests and operators can toggle it without
     re-importing.
     """
     if _shared_memory is None or os.name != "posix":
         return False
-    return os.environ.get("MIRAGE_SHM_DISABLE", "") in ("", "0")
+    return not MirageConfig.from_env().shm_disable
 
-
-#: Default for :func:`task_retries` — how often a lost chunk is replayed
-#: before the dispatch degrades to in-process execution.
-_TASK_RETRIES_DEFAULT = 3
 
 #: Capped exponential backoff between chunk re-dispatches (seconds).
 _RETRY_BACKOFF_BASE = 0.05
 _RETRY_BACKOFF_CAP = 1.0
-
-
-def task_timeout() -> float | None:
-    """Per-chunk deadline in seconds, or ``None`` for no deadline.
-
-    Read from ``MIRAGE_TASK_TIMEOUT`` once per dispatch session, when it
-    opens.  When set, a chunk whose workers have not delivered within
-    the deadline is presumed hung: the pool under it is torn down (the
-    ``respawns`` counter advances) and the chunk's tasks are replayed.
-    Unset, empty, non-numeric or non-positive values disable deadlines.
-    """
-    value = os.environ.get("MIRAGE_TASK_TIMEOUT", "").strip()
-    if not value:
-        return None
-    try:
-        seconds = float(value)
-    except ValueError:
-        return None
-    return seconds if seconds > 0 else None
-
-
-def task_retries() -> int:
-    """Replay budget per chunk before stepping down the executor ladder.
-
-    Read from ``MIRAGE_TASK_RETRIES`` once per dispatch session, when it
-    opens (default 3, floor 0).  A chunk lost to a worker crash, hang or
-    transport failure is re-dispatched up to this many times — with
-    capped exponential backoff between attempts across a process or
-    network boundary — before the session degrades it to in-process
-    execution (counted under ``executor_downgrades``).
-    """
-    value = os.environ.get("MIRAGE_TASK_RETRIES", "").strip()
-    if not value:
-        return _TASK_RETRIES_DEFAULT
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return _TASK_RETRIES_DEFAULT
 
 
 def _retry_backoff(attempt: int) -> float:
@@ -979,11 +939,12 @@ class DispatchSession:
     seeds — byte-identical).  A chunk that failed more often than
     ``MIRAGE_TASK_RETRIES`` allows steps down to in-process execution
     against the dispatcher's own payload object, counted under
-    ``executor_downgrades``.  The fault plan, retry budget and task
-    timeout are read once, when the session opens.  Fault ordinals (one
-    trial counter, one chunk counter) are assigned on the submitting
-    thread, so injected failures strike exact positions regardless of
-    worker scheduling.
+    ``executor_downgrades``.  One :class:`~repro.config.MirageConfig`
+    snapshot, taken when the session opens, fixes its fault plan, retry
+    budget, task timeout, fault delays and remote deadlines.  Fault
+    ordinals (one trial counter, one chunk counter) are assigned on the
+    submitting thread, so injected failures strike exact positions
+    regardless of worker scheduling.
 
     A transport supplies only its chunk size (:meth:`_chunk_size`), how
     one attempt starts (:meth:`_launch`, which reports back through
@@ -1004,10 +965,9 @@ class DispatchSession:
         self._lock = threading.Lock()
         self._inflight: dict[int, _ChunkRecord] = {}
         self._chunk_ordinal = 0
-        self._fault_plan = FaultPlan.from_env()
+        self._config = MirageConfig.from_env()
+        self._fault_plan = parse_fault_plan(self._config.fault_plan) or None
         self._fault_trials = 0
-        self._retry_budget = task_retries()
-        self._task_timeout = task_timeout()
 
     # -- payload slots -------------------------------------------------------
 
@@ -1067,6 +1027,12 @@ class DispatchSession:
                 faults = self._fault_plan.chunk_faults(
                     "trial", start, len(chunk), ordinal
                 )
+                if faults is not None:
+                    faults = dataclasses.replace(
+                        faults,
+                        hang_seconds=self._config.fault_hang_seconds,
+                        slow_seconds=self._config.fault_slow_seconds,
+                    )
             records.append(_ChunkRecord(ordinal, slot, chunk, faults, deadline))
         with self._lock:
             self._inflight.update((r.ordinal, r) for r in records)
@@ -1117,7 +1083,7 @@ class DispatchSession:
         record.attempts += 1
         self._executor._count_dispatch(retries=1, lost_tasks=len(record.tasks))
         self._repair(record, error)
-        if record.attempts > self._retry_budget:
+        if record.attempts > self._config.task_retries:
             self._degrade(record)
         else:
             self._replay(record)
@@ -1453,7 +1419,7 @@ class _ShmDispatchSession(DispatchSession):
 
     def _ensure_watchdog(self) -> None:
         if self._watchdog is not None or (
-            self._task_timeout is None and not self._deadline_active
+            self._config.task_timeout is None and not self._deadline_active
         ):
             return
         with self._lock:
@@ -1482,7 +1448,7 @@ class _ShmDispatchSession(DispatchSession):
         *and* nothing is left in flight, so a close racing a hang still
         drains.
         """
-        timeout = self._task_timeout
+        timeout = self._config.task_timeout
         while True:
             with self._lock:
                 records = list(self._inflight.values())

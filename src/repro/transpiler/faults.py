@@ -6,7 +6,7 @@ if it can be exercised on demand, at exact task positions, on every
 executor and transport.  This module is that harness:
 
 * ``MIRAGE_FAULT_PLAN`` — a comma-separated spec parsed by
-  :func:`parse_fault_plan` / :meth:`FaultPlan.from_env`.  Every entry
+  :func:`parse_fault_plan` once per dispatch session.  Every entry
   follows the ``kind:stage:ordinal`` grammar.  Task faults are
   ``action:kind:index`` with ``action`` one of ``kill`` / ``hang`` /
   ``corrupt`` / ``slow`` and ``kind`` always ``trial``; ``index`` is
@@ -106,19 +106,6 @@ _NETWORK_ACTIONS = {
 #: Exit status used by injected worker kills — distinctive in logs.
 KILL_EXIT_CODE = 86
 
-#: Default sleep of an injected hang (seconds); override with
-#: ``MIRAGE_FAULT_HANG_SECONDS``.  Long enough that any sane
-#: ``MIRAGE_TASK_TIMEOUT`` expires first.
-_HANG_SECONDS_DEFAULT = 30.0
-
-#: Default delay of an injected ``slow`` fault (seconds); override with
-#: ``MIRAGE_FAULT_SLOW_SECONDS``.  Deliberately *shorter* than any sane
-#: ``MIRAGE_TASK_TIMEOUT``: a slow task must blow a tight per-request
-#: deadline without tripping the hang watchdog, so deadline expiry can
-#: be exercised independently of hang recovery.
-_SLOW_SECONDS_DEFAULT = 0.25
-
-
 class InjectedWorkerCrash(TranspilerError):
     """A ``kill`` fault fired in-process (serial/thread execution).
 
@@ -158,38 +145,6 @@ class CorruptResult:
         return f"CorruptResult(ordinal={self.ordinal})"
 
 
-def fault_hang_seconds() -> float:
-    """How long an injected ``hang`` fault sleeps (seconds).
-
-    Read from ``MIRAGE_FAULT_HANG_SECONDS`` per call (default 30.0) so
-    tests can keep hangs short while still outlasting their configured
-    ``MIRAGE_TASK_TIMEOUT``.
-    """
-    value = os.environ.get("MIRAGE_FAULT_HANG_SECONDS", "").strip()
-    if not value:
-        return _HANG_SECONDS_DEFAULT
-    try:
-        return max(0.0, float(value))
-    except ValueError:
-        return _HANG_SECONDS_DEFAULT
-
-
-def fault_slow_seconds() -> float:
-    """How long an injected ``slow`` fault delays its task (seconds).
-
-    Read from ``MIRAGE_FAULT_SLOW_SECONDS`` per call (default 0.25).
-    Keep it below the configured ``MIRAGE_TASK_TIMEOUT`` — a slow task
-    is meant to outlive a request *deadline*, not the hang watchdog.
-    """
-    value = os.environ.get("MIRAGE_FAULT_SLOW_SECONDS", "").strip()
-    if not value:
-        return _SLOW_SECONDS_DEFAULT
-    try:
-        return max(0.0, float(value))
-    except ValueError:
-        return _SLOW_SECONDS_DEFAULT
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
     """One parsed fault-plan entry (action, task kind, global index)."""
@@ -216,8 +171,8 @@ class ChunkFaults:
     corrupts: tuple[int, ...] = ()
     slows: tuple[int, ...] = ()
     corrupt_shm: bool = False
-    hang_seconds: float = _HANG_SECONDS_DEFAULT
-    slow_seconds: float = _SLOW_SECONDS_DEFAULT
+    hang_seconds: float = 0.0
+    slow_seconds: float = 0.0
     dispatcher_pid: int = -1
 
     def check_transport(self) -> None:
@@ -373,20 +328,6 @@ class FaultPlan:
         """
         return ordinal in self._network.get(action, ())
 
-    @classmethod
-    def from_env(cls) -> "FaultPlan | None":
-        """Parse ``MIRAGE_FAULT_PLAN``; ``None`` when unset or empty.
-
-        Checked per dispatch session open (each ``map_shared`` call
-        opens one) like the other transport switches, so tests and operators can
-        toggle fault plans without re-importing anything.
-        """
-        spec = os.environ.get("MIRAGE_FAULT_PLAN", "").strip()
-        if not spec:
-            return None
-        plan = parse_fault_plan(spec)
-        return plan if plan else None
-
     def chunk_faults(
         self, kind: str, start: int, count: int, chunk_ordinal: int
     ) -> ChunkFaults | None:
@@ -394,7 +335,10 @@ class FaultPlan:
 
         ``kind`` is the task kind the chunk carries, ``start`` the global
         ordinal of its first task within that kind, and ``chunk_ordinal``
-        the global chunk counter (for ``corrupt_shm``).  Returns ``None``
+        the global chunk counter (for ``corrupt_shm``).  The record's
+        ``hang_seconds`` and ``slow_seconds`` are left at zero: the
+        dispatch session fills in its ``MIRAGE_FAULT_HANG_SECONDS`` and
+        ``MIRAGE_FAULT_SLOW_SECONDS``.  Returns ``None``
         when no fault lands in the chunk — the common case, keeping the
         wire format of unaffected chunks unchanged.
         """
@@ -423,8 +367,6 @@ class FaultPlan:
             corrupts=tuple(sorted(corrupts)),
             slows=tuple(sorted(slows)),
             corrupt_shm=corrupt_shm,
-            hang_seconds=fault_hang_seconds(),
-            slow_seconds=fault_slow_seconds(),
             dispatcher_pid=os.getpid(),
         )
 

@@ -7,8 +7,10 @@ compiles it with the interpreter's C compiler the first time a process
 on this machine needs it, and imports the result; every later process
 imports the cached binary.
 
-* The binary is cached under :func:`native_cache_dir`, outside
-  ``$MIRAGE_CACHE_DIR`` (the coverage cache, which callers may empty).
+* The binary is cached under :func:`native_cache_dir`
+  (``${XDG_CACHE_HOME:-~/.cache}/mirage-native``, read through
+  :class:`~repro.config.MirageConfig`), outside the coverage cache,
+  which callers may empty.
 * Its file name is a sha256 of the C source, the compile flags and the
   interpreter's ``EXT_SUFFIX``, so a binary built from other source or
   for another interpreter is never loaded.
@@ -36,6 +38,8 @@ import threading
 from pathlib import Path
 from types import ModuleType
 
+from repro.config import MirageConfig
+
 #: The C source; shipped as package data.
 SOURCE = Path(__file__).with_name("_routec.c")
 #: Compile flags.  ``-ffp-contract=off`` forbids fused multiply-adds, so
@@ -53,7 +57,7 @@ _loaded: "ModuleType | None | object" = _UNSET
 
 def native_cache_dir() -> Path:
     """Directory of compiled binaries: ``${XDG_CACHE_HOME:-~/.cache}/mirage-native``."""
-    xdg = os.environ.get("XDG_CACHE_HOME")
+    xdg = MirageConfig.from_env().xdg_cache_home
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "mirage-native"
 

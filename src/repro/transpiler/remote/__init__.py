@@ -2,7 +2,7 @@
 
 The package splits along the wire: :mod:`~repro.transpiler.remote.protocol`
 owns the framed protocol (CRC-checked length-prefixed frames, the
-version handshake, host addressing and environment knobs),
+version handshake and host addressing),
 :mod:`~repro.transpiler.remote.host` is the ``mirage-worker-host``
 server process, and :mod:`~repro.transpiler.remote.client` is the
 :class:`RemoteExecutor` the batch engine mounts like any other
@@ -20,10 +20,6 @@ from repro.transpiler.remote.protocol import (
     parse_host,
     parse_hosts,
     read_frame,
-    remote_connect_s,
-    remote_heartbeat_s,
-    remote_hosts,
-    remote_streams,
     write_frame,
 )
 
@@ -38,8 +34,4 @@ __all__ = [
     "parse_hosts",
     "read_frame",
     "write_frame",
-    "remote_connect_s",
-    "remote_heartbeat_s",
-    "remote_hosts",
-    "remote_streams",
 ]

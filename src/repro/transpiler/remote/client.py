@@ -53,6 +53,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
+from repro.config import MirageConfig
 from repro.exceptions import (
     DeadlineExceededError,
     GarbledFrameError,
@@ -68,7 +69,6 @@ from repro.transpiler.executors import (
     _dumps_anchored,
     _retry_backoff,
 )
-from repro.transpiler.faults import fault_slow_seconds
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.protocol import (
     BYE,
@@ -193,7 +193,6 @@ class _RemoteDispatchSession(DispatchSession):
             _HostState(index, address)
             for index, address in enumerate(executor.addresses)
         ]
-        self._heartbeat_s = protocol.remote_heartbeat_s()
         self._queue: "collections.deque[_ChunkRecord]" = collections.deque()
         self._cv = threading.Condition()
         self._threads: list[threading.Thread] = []
@@ -343,7 +342,7 @@ class _RemoteDispatchSession(DispatchSession):
         host = stream.host
         error: Exception | None = None
         # One connect plus one reconnect per unit of the retry budget.
-        for attempt in range(self._retry_budget + 1):
+        for attempt in range(self._config.task_retries + 1):
             if attempt:
                 time.sleep(_retry_backoff(attempt))
             if host.down:
@@ -365,7 +364,7 @@ class _RemoteDispatchSession(DispatchSession):
 
     def _connect_once(self, stream: _Stream) -> None:
         host = stream.host
-        conn = host.address.connect(protocol.remote_connect_s())
+        conn = host.address.connect(self._config.remote_connect_s)
         stream.conn = conn
         stream.reader = FrameReader()
         try:
@@ -378,7 +377,7 @@ class _RemoteDispatchSession(DispatchSession):
             )
             self._executor._count_dispatch(bytes_shipped=sent)
             ftype, payload = self._read_reply(
-                stream, protocol.remote_connect_s()
+                stream, self._config.remote_connect_s
             )
             if ftype != HELLO_ACK:
                 raise RemoteTransportError(
@@ -450,7 +449,7 @@ class _RemoteDispatchSession(DispatchSession):
                 stream.conn, HAS, pack_message({"digest": digest})
             )
             ftype, payload = self._read_reply(
-                stream, protocol.remote_connect_s()
+                stream, self._config.remote_connect_s
             )
             if ftype != HAVE:
                 raise RemoteTransportError(
@@ -463,7 +462,7 @@ class _RemoteDispatchSession(DispatchSession):
                     pack_message({"digest": digest, "blob": blob}),
                 )
                 ftype, _ = self._read_reply(
-                    stream, protocol.remote_connect_s()
+                    stream, self._config.remote_connect_s
                 )
                 if ftype != PAYLOAD_ACK:
                     raise RemoteTransportError(
@@ -497,7 +496,7 @@ class _RemoteDispatchSession(DispatchSession):
             "deadline_s": deadline_s,
             "faults": record.faults,
             "delay_s": (
-                fault_slow_seconds()
+                self._config.fault_slow_seconds
                 if self._net_fault("slow_net", record)
                 else 0.0
             ),
@@ -524,8 +523,9 @@ class _RemoteDispatchSession(DispatchSession):
         conn, reader = stream.conn, stream.reader
         sent_at = time.monotonic()
         last_heard = sent_at
-        stale_after = HEARTBEAT_MISSES * self._heartbeat_s
-        timeout = self._task_timeout
+        heartbeat_s = self._config.remote_heartbeat_s
+        stale_after = HEARTBEAT_MISSES * heartbeat_s
+        timeout = self._config.task_timeout
         while True:
             now = time.monotonic()
             if record.deadline is not None and now >= record.deadline:
@@ -546,7 +546,7 @@ class _RemoteDispatchSession(DispatchSession):
                 raise RemoteTransportError(
                     f"host {stream.host.address} went stale — no frame for "
                     f"{now - last_heard:.1f}s "
-                    f"(heartbeat interval {self._heartbeat_s:.1f}s)"
+                    f"(heartbeat interval {heartbeat_s:.1f}s)"
                 )
             frame = reader.next_frame()
             if frame is None:
@@ -709,8 +709,9 @@ class RemoteExecutor(TrialExecutor):
         max_streams: int | None = None,
     ) -> None:
         super().__init__()
+        config = MirageConfig.from_env()
         if hosts is None:
-            addresses = protocol.remote_hosts()
+            addresses = protocol.parse_hosts(config.remote_hosts)
         else:
             addresses = [
                 host
@@ -727,8 +728,9 @@ class RemoteExecutor(TrialExecutor):
         self.streams_per_host = (
             max(1, max_streams)
             if max_streams is not None
-            else protocol.remote_streams()
+            else config.remote_streams
         )
+        self._connect_s = config.remote_connect_s
         self._host_meta: dict[int, dict] = {}
 
     @property
@@ -775,7 +777,7 @@ class RemoteExecutor(TrialExecutor):
         reachable = 0
         for index, address in enumerate(self.addresses):
             try:
-                conn = address.connect(protocol.remote_connect_s())
+                conn = address.connect(self._connect_s)
             except OSError:
                 continue
             try:
@@ -786,7 +788,7 @@ class RemoteExecutor(TrialExecutor):
                         {"version": PROTOCOL_VERSION, "pid": os.getpid()}
                     ),
                 )
-                conn.settimeout(protocol.remote_connect_s())
+                conn.settimeout(self._connect_s)
                 ftype, payload = protocol.read_frame(conn)
                 if ftype != HELLO_ACK:
                     continue

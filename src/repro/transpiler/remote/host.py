@@ -50,6 +50,7 @@ import threading
 import time
 from collections import OrderedDict
 
+from repro.config import MirageConfig
 from repro.exceptions import (
     GarbledFrameError,
     InsecureBindError,
@@ -134,7 +135,7 @@ class WorkerHost:
         self._heartbeat_s = (
             heartbeat_s
             if heartbeat_s is not None
-            else protocol.remote_heartbeat_s()
+            else MirageConfig.from_env().remote_heartbeat_s
         )
         self._spool_dir = spool_dir or protocol.default_spool_dir()
         os.makedirs(self._spool_dir, exist_ok=True)

@@ -21,7 +21,7 @@ with its own version, pid and core count.  A mismatch raises
 :class:`~repro.exceptions.ProtocolVersionError` — a deployment bug, not
 a retriable fault.
 
-The module also owns the transport's environment knobs and the
+The module also owns the heartbeat miss budget and the
 naming scheme of worker-host socket files (``mirage_host_<pid>_<token>``
 in the temp directory) and payload spool directories
 (``mirage_spool_<pid>_<token>``), both pid-keyed so the janitor
@@ -268,70 +268,8 @@ def parse_hosts(spec: str) -> list[HostAddress]:
     ]
 
 
-def remote_hosts() -> list[HostAddress]:
-    """Worker hosts from ``MIRAGE_REMOTE_HOSTS`` (empty when unset)."""
-    return parse_hosts(os.environ.get("MIRAGE_REMOTE_HOSTS", ""))
-
-
-# -- environment knobs -------------------------------------------------------
-
-_HEARTBEAT_S_DEFAULT = 2.0
-
 #: Consecutive missed heartbeats before a host is presumed stale.
 HEARTBEAT_MISSES = 3
-
-
-def remote_heartbeat_s() -> float:
-    """Heartbeat interval in seconds (``MIRAGE_REMOTE_HEARTBEAT_S``).
-
-    Hosts emit one ``HEARTBEAT`` frame per interval while computing a
-    chunk; a client that hears nothing for :data:`HEARTBEAT_MISSES`
-    intervals declares the host stale and replays the chunk elsewhere.
-    Checked per session like the local transport switches.
-    """
-    value = os.environ.get("MIRAGE_REMOTE_HEARTBEAT_S", "").strip()
-    if not value:
-        return _HEARTBEAT_S_DEFAULT
-    try:
-        seconds = float(value)
-    except ValueError:
-        return _HEARTBEAT_S_DEFAULT
-    return seconds if seconds > 0 else _HEARTBEAT_S_DEFAULT
-
-
-_CONNECT_S_DEFAULT = 5.0
-
-
-def remote_connect_s() -> float:
-    """Connect/handshake deadline in seconds (``MIRAGE_REMOTE_CONNECT_S``)."""
-    value = os.environ.get("MIRAGE_REMOTE_CONNECT_S", "").strip()
-    if not value:
-        return _CONNECT_S_DEFAULT
-    try:
-        seconds = float(value)
-    except ValueError:
-        return _CONNECT_S_DEFAULT
-    return seconds if seconds > 0 else _CONNECT_S_DEFAULT
-
-
-_STREAMS_DEFAULT = 2
-
-
-def remote_streams() -> int:
-    """Concurrent chunk streams per host (``MIRAGE_REMOTE_STREAMS``).
-
-    Each stream is one connection pulling chunks work-stealing-style
-    from the session queue, so a host runs at most this many chunks at
-    once.  Default 2 — enough to overlap one chunk's compute with the
-    next one's transfer.
-    """
-    value = os.environ.get("MIRAGE_REMOTE_STREAMS", "").strip()
-    if not value:
-        return _STREAMS_DEFAULT
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return _STREAMS_DEFAULT
 
 
 # -- host resource naming ----------------------------------------------------

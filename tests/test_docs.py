@@ -75,3 +75,51 @@ def test_env_knob_lint_flags_both_directions(tmp_path):
     assert len(errors) == 2, errors
     assert errors[0].startswith(f"{hidden}: read by src")
     assert errors[1].startswith(f"{gone}: named in tests/test_x.py")
+
+
+def test_env_read_lint_flags_a_stray_read(tmp_path):
+    """Only ``repro/config.py`` may touch the environment."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "config.py").write_text("import os\nos.environ.get('X')\n")
+    (package / "clean.py").write_text("import os\nos.getpid()\n")
+    (package / "stray.py").write_text("import os\nos.getenv('X')\n")
+    assert CHECK_DOCS.lint_env_reads(tmp_path) == [
+        "src/repro/stray.py: reads the environment directly — "
+        "add a field to src/repro/config.py instead"
+    ]
+    assert CHECK_DOCS.lint_env_reads() == []
+
+
+def test_knob_table_lint_flags_both_directions(tmp_path):
+    """A knob missing from the docs table, a docs row src does not
+    parse and a stale default are each reported by name."""
+    kept, undocumented, stale = (
+        "MIRAGE" + "_" + word for word in ("KEPT", "UNDOCUMENTED", "STALE")
+    )
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "config.py").write_text(
+        "KNOBS = (\n"
+        f"    ('kept', '{kept}', 3, int),\n"
+        f"    ('undocumented', '{undocumented}', None, int),\n"
+        ")\n"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "configuration.md").write_text(
+        "| Knob | Field | Default |\n| --- | --- | --- |\n"
+        f"| `{kept}` | `kept` | `4` |\n"
+        f"| `{stale}` | `stale` | `''` |\n"
+    )
+    # The first two are the inventory's own findings; the table's follow.
+    *_, missing, extra, changed = CHECK_DOCS.lint_env_knobs(tmp_path)
+    assert missing.startswith(
+        f"{undocumented}: in src/repro/config.py KNOBS but not in the "
+        "docs/configuration.md table"
+    )
+    assert extra.startswith(
+        f"{stale}: in the docs/configuration.md table but not in "
+        "src/repro/config.py KNOBS"
+    )
+    assert changed.startswith(f"{kept}: ")
+    assert "('kept', '4')" in changed and "('kept', '3')" in changed

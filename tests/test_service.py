@@ -44,13 +44,7 @@ from repro.exceptions import (
     TranspilerError,
 )
 from repro.polytopes import CoverageRegistry, get_coverage_set
-from repro.service import (
-    DEFAULT_WINDOW_MS,
-    WINDOW_ENV,
-    MirageService,
-    ServiceClient,
-    service_window_ms,
-)
+from repro.service import MirageService, ServiceClient
 from repro.service.service import _topology_key
 from repro.transpiler import ProcessExecutor, line_topology
 from repro.transpiler.executors import SHM_SEGMENT_PREFIX
@@ -393,18 +387,6 @@ def test_bad_modes_fail_the_request_with_a_typed_error():
 
     result = _run(main())
     assert _fingerprint(result) == _fingerprint(_direct(qft(4), 9))
-
-
-def test_window_env_parsing(monkeypatch):
-    monkeypatch.setenv(WINDOW_ENV, "25")
-    assert service_window_ms() == 25.0
-    monkeypatch.setenv(WINDOW_ENV, "0")
-    assert service_window_ms() == 0.0
-    for junk in ("", "soon", "-4"):
-        monkeypatch.setenv(WINDOW_ENV, junk)
-        assert service_window_ms() == DEFAULT_WINDOW_MS
-    monkeypatch.delenv(WINDOW_ENV)
-    assert service_window_ms() == DEFAULT_WINDOW_MS
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Executable-documentation checks: run doc snippets, lint docstrings.
 
-Three jobs, all wired into CI (and into the tier-1 suite via
+Four jobs, all wired into CI (and into the tier-1 suite via
 ``tests/test_docs.py``) so documentation cannot rot:
 
 1. **Snippet execution** — every fenced ```` ```python ```` block in
@@ -19,7 +19,12 @@ Three jobs, all wired into CI (and into the tier-1 suite via
    library reads (as a quoted literal under ``src/``) is named in
    ``README.md`` or ``docs/*.md``, and every ``MIRAGE_*`` name that
    docs, tests, tools, benchmarks, examples or CI mention is one the
-   library reads, so no test sets a knob that does nothing.
+   library reads, so no test sets a knob that does nothing.  The knob
+   table of ``docs/configuration.md`` lists exactly the rows of
+   ``repro.config.KNOBS``, with the same fields and defaults.
+
+4. **One environment reader** — no ``src/`` module but
+   ``repro/config.py`` names ``os.environ`` or ``os.getenv``.
 
 Run from the repo root:
 
@@ -28,6 +33,7 @@ Run from the repo root:
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 import traceback
@@ -40,6 +46,17 @@ FENCE_RE = re.compile(r"^```(\S+)?(.*)$")
 #: An environment knob name, and one quoted as a string literal.
 KNOB_RE = re.compile(r"\bMIRAGE_[A-Z0-9]+(?:_[A-Z0-9]+)*")
 QUOTED_KNOB_RE = re.compile(r"[\"'](MIRAGE_[A-Z0-9]+(?:_[A-Z0-9]+)*)[\"']")
+
+#: A direct environment read.
+ENV_READ_RE = re.compile(r"\bos\.(?:environ|getenv)\b")
+
+#: The one module allowed to read the environment, and the page holding
+#: its knob table (both relative to the repo root).
+CONFIG_MODULE = Path("src/repro/config.py")
+CONFIG_PAGE = Path("docs/configuration.md")
+
+#: One row of the configuration page's knob table: knob, field, default.
+KNOB_ROW_RE = re.compile(r"^\| `(\w+)` \| `(\w+)` \| `([^`]*)` \|", re.MULTILINE)
 
 #: Files and directories (relative to the repo root) whose knob mentions
 #: must all name a knob the library reads.
@@ -92,8 +109,8 @@ PUBLIC_API = [
     ("repro.core.pipeline", "run_plan"),
     ("repro.core.pipeline", "PlanSpec"),
     ("repro.exceptions", "TransportError"),
-    ("repro.transpiler.executors", "task_timeout"),
-    ("repro.transpiler.executors", "task_retries"),
+    ("repro.config", "MirageConfig"),
+    ("repro.config", "MirageConfig.from_env"),
     ("repro.transpiler.faults", "FaultPlan"),
     ("repro.transpiler.faults", "FaultPlan.chunk_faults"),
     ("repro.transpiler.faults", "ChunkFaults"),
@@ -106,7 +123,6 @@ PUBLIC_API = [
     ("repro.service.service", "MirageService.stats"),
     ("repro.service.service", "MirageService.aclose"),
     ("repro.service.service", "ServiceClient"),
-    ("repro.service.service", "service_window_ms"),
     ("repro.polytopes.registry", "CoverageRegistry"),
     ("repro.polytopes.registry", "CoverageRegistry.get"),
     ("repro.polytopes.registry", "RegistryHandle"),
@@ -130,7 +146,6 @@ PUBLIC_API = [
     ("repro.transpiler.remote.protocol", "write_frame"),
     ("repro.transpiler.remote.protocol", "read_frame"),
     ("repro.transpiler.remote.protocol", "parse_hosts"),
-    ("repro.transpiler.remote.protocol", "remote_heartbeat_s"),
     ("repro.exceptions", "RemoteTransportError"),
     ("repro.exceptions", "GarbledFrameError"),
     ("repro.exceptions", "ProtocolVersionError"),
@@ -149,6 +164,7 @@ NUMPY_STYLE = {
     "repro.weyl.coordinates.weyl_coordinates_many",
     "repro.service.service.MirageService",
     "repro.polytopes.registry.CoverageRegistry",
+    "repro.config.MirageConfig",
 }
 
 NUMPY_SECTIONS = ("Parameters", "Returns", "Attributes")
@@ -289,7 +305,64 @@ def lint_env_knobs(root: Path = REPO_ROOT) -> list[str]:
             errors.append(
                 f"{name}: named in {file.relative_to(root)} but src never reads it"
             )
+    if (root / CONFIG_MODULE).exists():
+        errors.extend(_lint_knob_table(root))
     return errors
+
+
+def _config_knobs(root: Path) -> dict[str, tuple[str, str]]:
+    """Knob -> ``(field, repr(default))`` from ``KNOBS`` in config.py."""
+    tree = ast.parse((root / CONFIG_MODULE).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "KNOBS"
+            for target in node.targets
+        ):
+            return {
+                ast.literal_eval(row.elts[1]): (
+                    ast.literal_eval(row.elts[0]),
+                    repr(ast.literal_eval(row.elts[2])),
+                )
+                for row in node.value.elts
+            }
+    raise ValueError(f"{CONFIG_MODULE}: no KNOBS table")
+
+
+def _lint_knob_table(root: Path) -> list[str]:
+    """The configuration page's table against ``KNOBS``, both ways."""
+    page = root / CONFIG_PAGE
+    text = page.read_text() if page.exists() else ""
+    documented = {
+        knob: (field, default)
+        for knob, field, default in KNOB_ROW_RE.findall(text)
+    }
+    table = _config_knobs(root)
+    errors = [
+        f"{knob}: in {CONFIG_MODULE} KNOBS but not in the {CONFIG_PAGE} table"
+        for knob in sorted(set(table) - set(documented))
+    ]
+    errors += [
+        f"{knob}: in the {CONFIG_PAGE} table but not in {CONFIG_MODULE} KNOBS"
+        for knob in sorted(set(documented) - set(table))
+    ]
+    for knob in sorted(set(table) & set(documented)):
+        if table[knob] != documented[knob]:
+            errors.append(
+                f"{knob}: {CONFIG_PAGE} says field/default "
+                f"{documented[knob]}, {CONFIG_MODULE} KNOBS says {table[knob]}"
+            )
+    return errors
+
+
+def lint_env_reads(root: Path = REPO_ROOT) -> list[str]:
+    """Name every ``src/`` module but config.py that reads the environment."""
+    return [
+        f"{path.relative_to(root)}: reads the environment directly — "
+        f"add a field to {CONFIG_MODULE} instead"
+        for path in sorted((root / "src").rglob("*.py"))
+        if path.relative_to(root) != CONFIG_MODULE
+        and ENV_READ_RE.search(path.read_text())
+    ]
 
 
 def main() -> int:
@@ -304,6 +377,7 @@ def main() -> int:
     failures.extend(lint_docstrings())
     print(f"[knobs] {len(src_env_knobs())} MIRAGE_* environment knob(s) read by src")
     failures.extend(lint_env_knobs())
+    failures.extend(lint_env_reads())
     if failures:
         print(f"\n{len(failures)} documentation failure(s):", file=sys.stderr)
         for failure in failures:
@@ -311,7 +385,8 @@ def main() -> int:
         return 1
     print(
         "documentation OK: snippets execute, public API is documented, "
-        "knob inventory matches src"
+        "knob inventory matches src, only repro/config.py reads the "
+        "environment"
     )
     return 0
 
