@@ -5,9 +5,8 @@
 and pass its values down: a dispatch session, a service, a remote
 executor and a worker host each read the environment once, when they
 are built, so a variable changed afterwards reaches the *next* one.
-The coverage registry's limits, the cache paths and the shared-memory
-switch are read per call instead: the process-wide registry outlives
-any environment change.
+The coverage registry's limits and the cache paths are read per call
+instead: the process-wide registry outlives any environment change.
 
 :data:`KNOBS` is the one parse table.  Each rule keeps the knob's
 behaviour for empty, unparsable, zero and negative values:
@@ -68,7 +67,6 @@ def _string(raw: str, default: str) -> str:
 
 #: One row per knob: ``(field, variable, default, rule)``.
 KNOBS = (
-    ("shm_disable", "MIRAGE_SHM_DISABLE", False, _flag),
     ("task_timeout", "MIRAGE_TASK_TIMEOUT", None, _positive(float)),
     ("task_retries", "MIRAGE_TASK_RETRIES", 3, _clamp(int, 0)),
     ("fault_plan", "MIRAGE_FAULT_PLAN", "", _string),
@@ -96,9 +94,6 @@ class MirageConfig:
 
     Attributes
     ----------
-    shm_disable : bool
-        Ship process-pool payloads inline instead of through POSIX
-        shared memory.
     task_timeout : float or None
         Per-chunk deadline in seconds; ``None`` disables the watchdog.
     task_retries : int
@@ -128,7 +123,6 @@ class MirageConfig:
         Cache home (``""`` = ``~/.cache``).
     """
 
-    shm_disable: bool
     task_timeout: float | None
     task_retries: int
     fault_plan: str

@@ -158,16 +158,11 @@ class BatchResult:
         serialisations — the batch's coverage set),
         ``payload_pickles`` (payload serialisations: one per routed
         circuit's trial spec), ``chunks``,
-        ``tasks`` (routing trials dispatched), ``shm_segments``
-        (shared-memory segments published — 0 when the transport is
-        disabled or unavailable), ``bytes_shipped`` (payload-transport
-        bytes attached to chunks — O(1) per chunk in shared-memory mode,
-        one blob per chunk otherwise), ``header_bytes`` (out-of-band
-        index headers of the published segments; 0 without shared
-        memory) and ``bytes_copied`` (payload bytes workers materialised
-        before unpickling — bounded by the index headers for segment
-        payloads, whole payloads for inline ones), plus ``circuits``
-        and ``routed`` counts.  It also records ``overlap_seconds``
+        ``tasks`` (routing trials dispatched), ``bytes_shipped``
+        (payload-transport bytes attached to chunks — the anchor and
+        payload blobs, once per chunk) and ``bytes_copied`` (payload
+        bytes workers unpickled — each blob at most once per worker),
+        plus ``circuits`` and ``routed`` counts.  It also records ``overlap_seconds``
         (planning/selection wall-clock performed while dispatched trials
         were still in flight) and
         ``plan_seconds`` (summed front-pipeline seconds, all spent on

@@ -334,7 +334,7 @@ def _run_circuit_fanout(
         if session.outstanding():
             overlap += time.perf_counter() - start
 
-    # Closing unlinks every published segment on *every* exit path,
+    # Closing drains every in-flight chunk on *every* exit path,
     # including a raised deadline or an interrupt.
     with session:
         for index, (spec, task) in enumerate(items):
@@ -405,9 +405,9 @@ def transpile_many(
     circuit is *planned* (clean → … → vf2 → ``plan``) and its routing
     trials go through one shared dispatch on the executor, with each
     circuit's winner selected from its delivered outcomes: workers stay
-    busy across circuit boundaries and the coverage set plus the
-    per-circuit lowerings cross the process boundary once (via a
-    shared-memory segment when available) instead of once per trial.
+    busy across circuit boundaries, and a process pool pickles the
+    coverage set once per batch and each circuit's lowering once,
+    instead of once per trial.
     A bounded producer plans circuits and feeds their trial refs into
     the in-flight dispatch while already-drained circuits resume
     (route + select) immediately, so planning, trial execution and
@@ -475,7 +475,7 @@ def transpile_many(
     ``numpy.random.SeedSequence`` by batch position, and per-trial streams
     from each circuit seed — the identical spawn tree under every
     executor.  For a fixed circuit list and seed the batch is therefore
-    byte-identical across ``executor`` choices (shared-memory and zero-copy transports included); but
+    byte-identical across ``executor`` choices; but
     reordering, inserting or removing circuits reseeds the affected
     positions, and a batch of one does not reproduce a bare
     :func:`transpile` call with the same integer seed.  Passing

@@ -96,12 +96,11 @@ class DeadlineExceededError(TranspilerError):
 class TransportError(TranspilerError):
     """Raised when a dispatch transport resource is lost or corrupted.
 
-    Distinguishes *recoverable* transport failures — a shared-memory
-    payload segment that vanished before a worker could attach it, or a
-    payload whose bytes no longer match their content digest — from task
-    bugs: the fault-tolerant dispatch layer retries work that failed with
-    a :class:`TransportError` (republishing the payload inline if need
-    be), while any other exception from a task propagates unchanged.
+    Distinguishes *recoverable* transport failures — a worker-host
+    connection that was lost, or a chunk whose results failed their
+    integrity check — from task bugs: the fault-tolerant dispatch layer
+    replays work that failed with a :class:`TransportError`, while any
+    other exception from a task propagates unchanged.
     """
 
 

@@ -372,10 +372,6 @@ class CoverageSet:
         # Locks cannot be pickled, and the memoised cost table plus its
         # hit/miss counters are pure derived data — dropping them keeps
         # process-pool trial dispatch and on-disk cache entries small.
-        # The heavy payload that remains — every polytope's half-space
-        # matrices and point clouds — is exported as protocol-5
-        # out-of-band buffers (see WeylPolytope.__getstate__), so the
-        # shared-memory transport can hand workers zero-copy views.
         state = self.__dict__.copy()
         del state["_cache_lock"]
         del state["_cost_cache"]

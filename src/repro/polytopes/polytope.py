@@ -93,20 +93,6 @@ class WeylPolytope:
             ]
         self._build_halfspaces()
 
-    def __getstate__(self) -> dict:
-        # The heavy arrays (point cloud, half-space matrices, orthogonal
-        # complement) ride pickle protocol 5 as out-of-band buffers, which
-        # the shared-memory transport lays out in the segment so workers
-        # rebuild them as zero-copy views.  numpy only exports contiguous
-        # arrays out of band, so any array that picked up a non-contiguous
-        # layout during construction is compacted here — the values are
-        # unchanged, and non-array state passes through untouched.
-        state = self.__dict__.copy()
-        for key, value in state.items():
-            if isinstance(value, np.ndarray) and not value.flags.c_contiguous:
-                state[key] = np.ascontiguousarray(value)
-        return state
-
     def _build_halfspaces(self) -> None:
         """Precompute the linear form of the membership test.
 

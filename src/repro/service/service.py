@@ -46,8 +46,7 @@ request-serving tier:
   (further submissions raise
   :class:`~repro.exceptions.ServiceClosedError`), seals open windows,
   waits for in-flight dispatches under a cap (``drain_s``) and only
-  then tears the executor down — zero leaked workers, zero leaked
-  shared-memory segments.
+  then tears the executor down — zero leaked workers.
 * **Provenance** — :meth:`MirageService.stats` exposes request/tenant
   counts, shed/deadline/breaker counters, per-window queue waits and
   the dispatch counters inherited from
@@ -57,8 +56,7 @@ request-serving tier:
 The service inherits the PR-7 fault-tolerance contract wholesale: a
 worker killed or hung mid-window is respawned and only its lost chunks
 replayed, so the affected requests still resolve with byte-identical
-results and ``aclose()`` still leaves zero shared-memory segments and
-zero live workers.  The deterministic fault plan
+results and ``aclose()`` still leaves zero live workers.  The deterministic fault plan
 (``MIRAGE_FAULT_PLAN``) extends to the service tier with
 ``shed:request:<ordinal>`` (shed the Nth submission) and
 ``trip_breaker:window:<ordinal>`` (treat the Nth dispatched window as a
@@ -759,8 +757,7 @@ class MirageService:
     def _recovery_events(dispatch: dict | None) -> int:
         """Breaker failure score of one window's dispatch counters.
 
-        Local recovery (pool respawns, executor/transport downgrades)
-        and remote recovery (stream reconnects, hosts marked down) feed
+        Local recovery (pool respawns, executor downgrades) and remote recovery (stream reconnects, hosts marked down) feed
         the same score, so a service mounted on a
         :class:`~repro.transpiler.remote.RemoteExecutor` trips its
         breaker on a degrading cluster exactly as it would on a
@@ -773,7 +770,6 @@ class MirageService:
             for counter in (
                 "respawns",
                 "executor_downgrades",
-                "transport_downgrades",
                 "reconnects",
                 "host_downgrades",
             )
@@ -905,8 +901,7 @@ class MirageService:
         threads are *still* awaited — the executor teardown never races
         a live lease — and, when the service created its executor, the
         worker pool is shut down.  After ``aclose`` returns no worker
-        processes and no shared-memory segments created on the
-        service's behalf remain.  Idempotent.
+        processes created on the service's behalf remain.  Idempotent.
         """
         if self._closed:
             # A second aclose still drains whatever is in flight.

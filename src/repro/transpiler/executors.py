@@ -42,46 +42,17 @@ already running.
 
 * Serial and thread sessions close over the payload object itself — no
   serialisation at all.
-* The process session pickles each payload **once** in the parent.
-  Payloads of one session may share *anchor* objects (the batch's one
-  coverage set): anchors are pickled exactly once, and every payload
-  pickled afterwards stores a tiny persistent reference wherever it
-  contains an anchor object.
-* On hosts with POSIX shared memory the pickled payload is published
-  into a named ``multiprocessing.shared_memory`` segment and each chunk
-  carries only a :class:`PayloadHandle` (segment name + content digest)
-  — O(1) transport bytes per chunk no matter how large the payload.
-  Without shared memory (non-POSIX platforms, or
-  ``MIRAGE_SHM_DISABLE=1``) the same session runs with the pickle blob
-  itself travelling with every chunk.
+* The process session pickles each payload **once** in the parent into
+  one blob, and every chunk carries that blob in its
+  :class:`PayloadHandle` (content digest, size, bytes).  Payloads of one
+  session may share *anchor* objects (the batch's one coverage set):
+  anchors are pickled exactly once, and every payload pickled afterwards
+  stores a tiny persistent reference wherever it contains an anchor
+  object.
 * Workers memoise deserialisation by content digest, so each worker
   process unpickles a given payload at most once no matter how many
   chunks it pulls; idle workers pull the next chunk from the pool's
   future queue instead of being handed a fixed static share.
-
-Segments are unlinked when their slot is released or the session
-closes (worker exceptions included), an ``atexit`` guard in the parent
-unlinks anything a crashed dispatch left behind, and worker-side
-attachments are refcounted and closed by a matching guard.
-
-Zero-copy payload views
------------------------
-
-Every segment holds its payload as **pickle-protocol-5 out-of-band
-buffers**: the pickle body and every exported buffer (numpy array data
-— the coverage set's half-space ``(A, b)`` matrices, hull point clouds,
-consolidated gate unitaries) are written side by side behind a small
-index header.  Workers unpickle with ``buffers=`` memoryviews over the
-attached segment, so those arrays come back as **read-only numpy views
-of shared memory** — no per-worker copy of the payload bytes, no matter
-how many workers share one coverage set.  Worker attachments are
-refcounted and pinned to the memoised payload (:func:`_load_payload`),
-so views stay valid for as long as the payload is cached even after the
-dispatcher unlinks the segment name (POSIX keeps the mapping alive).
-When a segment cannot be created the same body and buffers ride the
-chunk inline; a payload stepped down the transport ladder, and every
-payload published without shared memory, rides as one in-band pickle
-blob.  Results are byte-identical in every form.
 
 Fault-tolerant dispatch
 -----------------------
@@ -92,13 +63,13 @@ Every session therefore recovers per *chunk*, through one chunk ledger
 on :class:`DispatchSession` that every transport shares:
 
 * **Crash recovery** — a chunk that fails with ``BrokenProcessPool`` (a
-  worker died), a cancelled future, or a :class:`TransportError` (its
-  payload segment vanished) is replayed: the pool is respawned once per
-  failure generation, the chunk's tasks — which carry their own
-  ``SeedSequence`` streams — are re-submitted, and the recovery is
-  recorded under the ``retries``/``respawns``/``lost_tasks`` dispatch
-  counters.  In-process executors replay injected crashes the same
-  way, without a pool to respawn.  Replay is byte-identical to an
+  worker died), a cancelled future, or a :class:`TransportError` (a
+  corrupt result, a lost remote connection) is replayed: the pool is
+  respawned once per failure generation, the chunk's tasks — which carry
+  their own ``SeedSequence`` streams — are re-submitted, and the
+  recovery is recorded under the ``retries``/``respawns``/``lost_tasks``
+  dispatch counters.  In-process executors replay injected crashes the
+  same way, without a pool to respawn.  Replay is byte-identical to an
   uninterrupted run because results depend only on ``(payload, task)``.
 * **Timeouts** — with ``MIRAGE_TASK_TIMEOUT`` set (seconds), a session
   watchdog kills the pool under any chunk that outlives its deadline,
@@ -110,10 +81,7 @@ on :class:`DispatchSession` that every transport shares:
   any executor, steps down the executor ladder: it runs in-process (on
   a dedicated thread, falling back to inline serial execution) against
   the dispatcher's own copy of the payload, counted under
-  ``executor_downgrades``.  A payload whose segment was lost steps down
-  the transport ladder — republished as an inline pickle blob riding
-  each chunk, counted under ``transport_downgrades``.  Outputs are
-  byte-identical on every rung.
+  ``executor_downgrades``.  Outputs are byte-identical on every rung.
 * **Fault injection** — :mod:`repro.transpiler.faults` turns
   ``MIRAGE_FAULT_PLAN`` into per-chunk fault records resolved at submit
   time, so kills/hangs/corruptions strike exact task ordinals; replayed
@@ -121,18 +89,16 @@ on :class:`DispatchSession` that every transport shares:
 
 Each executor records how much serialisation and transport the last
 calls cost in :attr:`TrialExecutor.dispatch_stats` (``shared_pickles``,
-``payload_pickles``, ``chunks``, ``tasks``, ``shm_segments``,
-``bytes_shipped``, ``header_bytes`` and worker-side ``bytes_copied``),
-which the batch engine surfaces as provenance and the test suite uses
-as a re-pickling regression check.
+``payload_pickles``, ``chunks``, ``tasks``, ``bytes_shipped`` and
+worker-side ``bytes_copied``), which the batch engine surfaces as
+provenance and the test suite uses as a re-pickling regression check.
 The recovery counters (``retries``, ``respawns``, ``lost_tasks``,
-``executor_downgrades``, ``transport_downgrades``) live in the same
-dict and are all zero on a clean run.
+``executor_downgrades``) live in the same dict and are all zero on a
+clean run.
 """
 
 from __future__ import annotations
 
-import atexit
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -142,8 +108,6 @@ import io
 import math
 import os
 import pickle
-import secrets
-import struct
 import threading
 import time
 from collections import OrderedDict
@@ -161,14 +125,8 @@ from repro.transpiler.faults import (
     CorruptResultError,
     InjectedWorkerCrash,
     parse_fault_plan,
-    reap_stale_segments,
 )
 from repro.transpiler.kernel.native import load_routec
-
-try:  # POSIX shared memory is optional — everything degrades to blobs.
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic platforms only
-    _shared_memory = None
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -189,55 +147,13 @@ CHUNKS_PER_WORKER = 4
 #: pools default to it.
 _SHARED_CACHE_LIMIT = max(64, 4 * (os.cpu_count() or 1) + 8)
 
-#: Prefix of every shared-memory segment this module creates; the cleanup
-#: regression tests scan ``/dev/shm`` for it.
-SHM_SEGMENT_PREFIX = "mirage_shm_"
-
-#: Magic bytes opening the out-of-band (zero-copy) segment layout; the
-#: bytes that follow are the section count and the ``(offset, size)``
-#: table (one entry per section, section 0 being the pickle body).
-_OOB_MAGIC = b"MIRG5OOB"
-
-#: Alignment of out-of-band sections inside a segment — generous enough
-#: for any numpy dtype, so ``frombuffer`` views are always aligned.
-_OOB_ALIGN = 64
-
-#: Size floor (bytes) for exporting a buffer out-of-band.  Smaller
-#: contiguous buffers stay in-band inside the pickle body: each export
-#: costs a 16-byte index-header entry plus alignment padding, and workers
-#: gain nothing from a zero-copy view over a few dozen bytes.
-_OOB_INLINE_MAX = 256
-
-#: Worker-side count of payload bytes materialised (copied) before
-#: unpickling.  Zero-copy loads advance it by the index header only;
-#: inline loads advance it by the payload size.
-#: Chunk runners snapshot it around execution and return the delta, so
-#: the dispatcher can aggregate it into ``dispatch_stats``.
+#: Worker-side count of payload bytes unpickled: each memo miss advances
+#: it by the payload size.  Chunk runners snapshot it around execution
+#: and return the delta, so the dispatcher can aggregate it into
+#: ``dispatch_stats``.
 _worker_bytes_copied = 0
 
-_shared_cache: "OrderedDict[str, tuple[object, object | None]]" = OrderedDict()
-
-#: Dispatcher-side registry of live segment names (mapped to the pid that
-#: created them — forked workers inherit a copy of this dict and must not
-#: unlink their parent's segments), unlinked by the atexit guard if a
-#: crash skipped the normal ``finally`` unlink.
-_created_segments: dict[str, int] = {}
-
-
-def shm_transport_enabled() -> bool:
-    """Whether dispatches may publish payloads via POSIX shared memory.
-
-    Requires ``multiprocessing.shared_memory`` on a POSIX host — Windows
-    named mappings are destroyed when the last open handle closes, and
-    the transport deliberately closes the parent's handle right after
-    publishing, so only POSIX shm (which persists until unlink) works.
-    Switched off by ``MIRAGE_SHM_DISABLE`` (``1``/``true``/``yes``) —
-    read per call, so tests and operators can toggle it without
-    re-importing.
-    """
-    if _shared_memory is None or os.name != "posix":
-        return False
-    return not MirageConfig.from_env().shm_disable
+_shared_cache: "OrderedDict[str, object]" = OrderedDict()
 
 
 #: Capped exponential backoff between chunk re-dispatches (seconds).
@@ -290,109 +206,14 @@ def _guard_chunk_results(results: list) -> list:
     return results
 
 
-@atexit.register
-def _cleanup_segments() -> None:
-    """Last-resort guard: unlink created and close attached segments.
-
-    Registered with ``atexit`` but also safe to call directly (the
-    fault-injection tests do).  Idempotent — every registry it drains is
-    cleared, so a second invocation finds nothing to do — and tolerant
-    of segments that were already unlinked by their normal ``finally``
-    path or by a sibling process (:func:`_unlink_segment` swallows
-    ``FileNotFoundError``).  Entries inherited from a forked parent are
-    dropped without unlinking: the parent may still be serving workers
-    from those segments.
-    """
-    pid = os.getpid()
-    for name, owner in list(_created_segments.items()):
-        if owner == pid:
-            _unlink_segment(name)
-        else:
-            # Forked child inheriting the parent's registry — not ours.
-            _created_segments.pop(name, None)
-    for attachment in list(_segment_attachments.values()):
-        _close_attachment_quietly(attachment.shm)
-    _segment_attachments.clear()
-
-
-class _SegmentAttachment:
-    """A refcounted worker-side attachment to one payload segment.
-
-    Zero-copy payloads hand out numpy views over the attached buffer, so
-    the attachment must outlive every memoised payload that references
-    it.  Each memo entry holds one reference; the last release closes
-    the mapping (a ``BufferError`` — live views still exported — is
-    tolerated: the views keep the mmap alive and the OS reclaims it when
-    they die).
-    """
-
-    __slots__ = ("name", "shm", "refs")
-
-    def __init__(self, name: str, shm: object) -> None:
-        self.name = name
-        self.shm = shm
-        self.refs = 0
-
-
-#: Worker-side registry of refcounted attachments, keyed by segment name.
-_segment_attachments: dict[str, _SegmentAttachment] = {}
-
-
-def _acquire_segment(name: str) -> _SegmentAttachment:
-    """Attach (or re-reference) a segment; pairs with :func:`_release_attachment`."""
-    attachment = _segment_attachments.get(name)
-    if attachment is None:
-        attachment = _SegmentAttachment(name, _attach_segment(name))
-        _segment_attachments[name] = attachment
-    attachment.refs += 1
-    return attachment
-
-
-def _close_attachment_quietly(shm: object) -> None:
-    """Close an attachment, orphaning the mapping to any live views.
-
-    Numpy views handed out by a zero-copy load export the underlying
-    mmap, so a plain ``close()`` raises ``BufferError`` — and would
-    raise again, noisily, from ``SharedMemory.__del__``.  In that case
-    the mmap reference is dropped without closing it (the views keep it
-    alive; the OS unmaps when the last one dies) and only the file
-    descriptor is closed, leaving nothing for the finaliser to do.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        with contextlib.suppress(Exception):
-            shm._mmap = None
-            fd = getattr(shm, "_fd", -1)
-            if fd >= 0:
-                os.close(fd)
-                shm._fd = -1
-    except Exception:  # pragma: no cover - platform-specific close errors
-        pass
-
-
-def _release_attachment(attachment: "_SegmentAttachment | None") -> None:
-    """Drop one reference; the last one closes the attachment."""
-    if attachment is None:
-        return
-    attachment.refs -= 1
-    if attachment.refs <= 0:
-        _segment_attachments.pop(attachment.name, None)
-        _close_attachment_quietly(attachment.shm)
-
-
 def reset_worker_state() -> None:
-    """Drop this process's payload memo and release its attachments.
+    """Drop this process's payload memo and its copy counter.
 
-    Test hook (and fork hygiene helper): evicts every memoised payload
-    and dereferences the zero-copy attachments behind them.  Arrays that
-    still view a released segment stay readable — they pin the mapping —
-    but new loads re-attach from scratch.
+    Test hook (and fork hygiene helper): evicts every memoised payload,
+    so the next load of any handle unpickles from scratch.
     """
     global _worker_bytes_copied
-    while _shared_cache:
-        _, (_, attachment) = _shared_cache.popitem(last=False)
-        _release_attachment(attachment)
+    _shared_cache.clear()
     _worker_bytes_copied = 0
 
 
@@ -401,273 +222,53 @@ def _prewarm_probe(index: int) -> int:
     return os.getpid()
 
 
-class _ViewReader(io.RawIOBase):
-    """Minimal read-only file over a memoryview — no upfront body copy.
-
-    Feeding ``io.BytesIO(view)`` to the unpickler would copy the whole
-    pickle body out of the segment; this adapter lets the unpickler
-    stream it instead (it buffers internally in small frames).
-    """
-
-    def __init__(self, view: memoryview) -> None:
-        super().__init__()
-        self._view = view
-        self._pos = 0
-
-    def readable(self) -> bool:  # noqa: D102 - io protocol
-        return True
-
-    def readinto(self, target) -> int:  # noqa: D102 - io protocol
-        count = min(len(target), len(self._view) - self._pos)
-        target[:count] = self._view[self._pos:self._pos + count]
-        self._pos += count
-        return count
-
-
-def _attach_segment(name: str):
-    """Attach an existing segment without registering it for tracking.
-
-    Attaching must never make this process responsible for the segment's
-    lifetime: before Python 3.13 (``track=False``), ``SharedMemory``
-    registers even plain attaches with the resource tracker, which would
-    unlink the dispatcher's segment when a worker exits — so the
-    registration is undone explicitly on those versions.
-
-    A segment that no longer exists raises
-    :class:`~repro.exceptions.TransportError` (not a bare
-    ``FileNotFoundError``): a vanished segment is recoverable transport
-    loss — the dispatcher republishes the payload and replays the chunk —
-    and must stay distinguishable from task bugs.
-    """
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except FileNotFoundError:
-        raise TransportError(
-            f"payload segment {name!r} vanished before attach"
-        ) from None
-    except TypeError:
-        pass
-    # Pre-3.13 fallback: plain attaches register with the resource
-    # tracker.  Registering and immediately unregistering is not safe —
-    # the tracker keeps a *set*, so a concurrent attach in a sibling
-    # worker can interleave its register/unregister pair with ours and
-    # with the dispatcher's final unlink, leaving the tracker to unlink
-    # a name it no longer knows (a noisy KeyError at best, an early
-    # unlink at worst).  Suppressing the registration call for the
-    # duration of the attach avoids the message pair entirely.
-    from multiprocessing import resource_tracker  # pragma: no cover
-
-    original_register = resource_tracker.register
-    try:
-        resource_tracker.register = lambda *args, **kwargs: None
-        return _shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:  # pragma: no cover - pre-3.13 path
-        raise TransportError(
-            f"payload segment {name!r} vanished before attach"
-        ) from None
-    finally:
-        resource_tracker.register = original_register
-
-
-def _unlink_segment(name: str) -> None:
-    """Best-effort unlink of a segment this process created.
-
-    Attaches *with* tracking (unlike worker-side attaches) so the
-    resource tracker's register/unregister bookkeeping stays balanced:
-    the tracked attach re-registers the name that creation registered,
-    and ``unlink`` unregisters it exactly once.
-    """
-    _created_segments.pop(name, None)
-    if _shared_memory is None:
-        return
-    try:
-        shm = _shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    with contextlib.suppress(Exception):
-        shm.close()
-    with contextlib.suppress(FileNotFoundError):
-        shm.unlink()
-
-
 class PayloadHandle:
     """Transport descriptor of one pickled payload.
 
-    A payload published into shared memory travels as ``segment`` /
-    ``digest`` / ``size`` only — O(1) bytes per chunk regardless of
-    payload size — and ``header`` gives the size of the out-of-band
-    index header at the start of the segment.  An inline payload
-    carries its pickled ``blob`` instead, plus, when an out-of-band
-    pickle could not get a segment, its protocol-5 ``oob_buffers`` (the
-    blob is then just the pickle body).  Workers resolve a handle to
-    the deserialised object via :func:`_load_payload`, memoised by
-    ``digest``.
+    Carries the payload's pickled ``blob``, its ``size`` and the SHA-1
+    ``digest`` of the blob; it rides every chunk dispatched against the
+    payload.  Workers resolve a handle to the deserialised object via
+    :func:`_load_payload`, memoised by ``digest``.
     """
 
-    __slots__ = ("digest", "size", "segment", "blob", "header", "oob_buffers")
+    __slots__ = ("digest", "size", "blob")
 
-    def __init__(
-        self,
-        digest: str,
-        size: int,
-        segment: str | None = None,
-        blob: bytes | None = None,
-        header: int = 0,
-        oob_buffers: tuple[bytes, ...] | None = None,
-    ) -> None:
+    def __init__(self, digest: str, size: int, blob: bytes) -> None:
         self.digest = digest
         self.size = size
-        self.segment = segment
         self.blob = blob
-        self.header = header
-        self.oob_buffers = oob_buffers
 
     @property
     def shipped_bytes(self) -> int:
         """Transport bytes this handle adds to every chunk it rides on."""
-        if self.segment is not None:
-            return len(self.segment) + len(self.digest) + 16
         return self.size + len(self.digest) + 16
 
     def __getstate__(self) -> tuple:
-        return (
-            self.digest, self.size, self.segment, self.blob, self.header,
-            self.oob_buffers,
-        )
+        return (self.digest, self.size, self.blob)
 
     def __setstate__(self, state: tuple) -> None:
-        (
-            self.digest, self.size, self.segment, self.blob, self.header,
-            self.oob_buffers,
-        ) = state
+        self.digest, self.size, self.blob = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "blob" if self.segment is None else "shm"
-        return (
-            f"PayloadHandle({mode}, digest={self.digest[:8]}…, "
-            f"size={self.size})"
-        )
-
-
-def _new_segment(size: int):
-    """Create a fresh named segment, or ``None`` when creation fails."""
-    name = f"{SHM_SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
-    try:
-        segment = _shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, size)
-        )
-    except OSError:
-        return None
-    _created_segments[name] = os.getpid()
-    return segment
-
-
-def _inline_payload(blob: bytes) -> PayloadHandle:
-    """An in-band pickle blob riding every chunk (no shared memory)."""
-    return PayloadHandle(
-        digest=hashlib.sha1(blob).hexdigest(), size=len(blob), blob=blob
-    )
-
-
-def _align_oob(offset: int) -> int:
-    return -(-offset // _OOB_ALIGN) * _OOB_ALIGN
-
-
-def _digest_sections(sections: Sequence[memoryview]) -> str:
-    """Content digest of an out-of-band section list, length-framed.
-
-    Each section's byte length is hashed ahead of its bytes so two
-    payloads whose concatenated sections coincide but split differently
-    can never alias to one digest — the worker memo is keyed by this.
-    """
-    digest = hashlib.sha1()
-    for section in sections:
-        digest.update(struct.pack("<Q", section.nbytes))
-        digest.update(section)
-    return digest.hexdigest()
+        return f"PayloadHandle(digest={self.digest[:8]}…, size={self.size})"
 
 
 def _publish_object(obj: object, anchors: Sequence[object] = ()) -> PayloadHandle:
-    """Serialise and publish one payload object for worker consumption.
+    """Pickle one payload object, once, into a handle for the workers."""
+    blob = _dumps_anchored(obj, anchors)
+    return PayloadHandle(hashlib.sha1(blob).hexdigest(), len(blob), blob)
 
-    With the shm transport active the object is laid out as out-of-band
-    sections in one segment: ``_OOB_MAGIC``, a ``uint64`` section count,
-    then one ``(uint64 offset, uint64 size)`` pair per section; section
-    0 is the pickle body, sections 1+ are the protocol-5 out-of-band
-    buffers, each aligned to :data:`_OOB_ALIGN`.  Buffers smaller than
-    :data:`_OOB_INLINE_MAX` stay in-band inside the pickle body, so
-    spec-heavy payloads full of tiny arrays keep a short index header.
-    When segment creation fails (shm pressure) the already-serialised
-    body and buffers are shipped inline instead of being re-pickled.
-    Without the shm transport the payload ships as one in-band pickle
-    blob.
-    """
-    if not shm_transport_enabled():
-        return _inline_payload(_dumps_anchored(obj, anchors))
-    raws: list[memoryview] = []
 
-    def _export(buffer: pickle.PickleBuffer) -> bool:
-        # A truthy return keeps the buffer in-band (PEP 574).
-        raw = buffer.raw()
-        if raw.nbytes < _OOB_INLINE_MAX:
-            return True
-        raws.append(raw)
-        return False
-
-    body = _dumps_anchored(obj, anchors, buffer_callback=_export)
-    sections: list[memoryview] = [memoryview(body), *raws]
-    header = 16 + 16 * len(sections)
-    offsets: list[int] = []
-    cursor = header
-    for section in sections:
-        cursor = _align_oob(cursor)
-        offsets.append(cursor)
-        cursor += section.nbytes
-    segment = _new_segment(cursor)
-    if segment is None:
-        return PayloadHandle(
-            digest=_digest_sections(sections),
-            size=sum(section.nbytes for section in sections),
-            blob=body,
-            oob_buffers=tuple(bytes(raw) for raw in sections[1:]),
-        )
-    name = segment.name
+def _memoise(key: str, loader: Callable[[], object]) -> object:
+    """LRU-memoise a deserialised payload in this (worker) process."""
     try:
-        buf = segment.buf
-        struct.pack_into("<8sQ", buf, 0, _OOB_MAGIC, len(sections))
-        for index, (offset, section) in enumerate(zip(offsets, sections)):
-            struct.pack_into("<QQ", buf, 16 + 16 * index, offset, section.nbytes)
-            buf[offset:offset + section.nbytes] = section
-    finally:
-        segment.close()
-    return PayloadHandle(
-        digest=_digest_sections(sections),
-        size=cursor,
-        segment=name,
-        header=header,
-    )
-
-
-def _memoise(
-    key: str, loader: Callable[[], tuple[object, object]]
-) -> object:
-    """LRU-memoise a deserialised payload in this (worker) process.
-
-    ``loader`` returns ``(payload, attachment)``; the attachment (a
-    :class:`_SegmentAttachment` for zero-copy payloads, else ``None``)
-    is pinned alongside the cache entry and released on eviction, so
-    views into shared memory stay valid for exactly as long as the
-    payload they belong to is cached.
-    """
-    try:
-        entry = _shared_cache.pop(key)
+        payload = _shared_cache.pop(key)
     except KeyError:
-        entry = loader()
-    _shared_cache[key] = entry
+        payload = loader()
+    _shared_cache[key] = payload
     while len(_shared_cache) > _SHARED_CACHE_LIMIT:
-        _, (_, attachment) = _shared_cache.popitem(last=False)
-        _release_attachment(attachment)
-    return entry[0]
+        _shared_cache.popitem(last=False)
+    return payload
 
 
 class _AnchorPickler(pickle.Pickler):
@@ -680,17 +281,8 @@ class _AnchorPickler(pickle.Pickler):
     bytes exist exactly once — in the session's anchor payload.
     """
 
-    def __init__(
-        self,
-        buffer: io.BytesIO,
-        anchors: Sequence[object],
-        buffer_callback: Callable | None = None,
-    ) -> None:
-        super().__init__(
-            buffer,
-            protocol=pickle.HIGHEST_PROTOCOL,
-            buffer_callback=buffer_callback,
-        )
+    def __init__(self, buffer: io.BytesIO, anchors: Sequence[object]) -> None:
+        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
         self._anchor_ids = {id(obj): index for index, obj in enumerate(anchors)}
 
     def persistent_id(self, obj: object):  # noqa: D102 - pickle hook
@@ -700,72 +292,22 @@ class _AnchorPickler(pickle.Pickler):
 class _AnchorUnpickler(pickle.Unpickler):
     """Unpickler resolving persistent references against loaded anchors."""
 
-    def __init__(
-        self,
-        buffer,
-        anchors: Sequence[object],
-        buffers: Iterable[memoryview] | None = None,
-    ) -> None:
-        super().__init__(buffer, buffers=buffers)
+    def __init__(self, buffer, anchors: Sequence[object]) -> None:
+        super().__init__(buffer)
         self._anchors = anchors
 
     def persistent_load(self, pid):  # noqa: D102 - pickle hook
         return self._anchors[pid]
 
 
-def _dumps_anchored(
-    payload: object,
-    anchors: Sequence[object],
-    buffer_callback: Callable | None = None,
-) -> bytes:
+def _dumps_anchored(payload: object, anchors: Sequence[object]) -> bytes:
     buffer = io.BytesIO()
-    _AnchorPickler(buffer, anchors, buffer_callback).dump(payload)
+    _AnchorPickler(buffer, anchors).dump(payload)
     return buffer.getvalue()
 
 
-def _loads_anchored(
-    blob: bytes,
-    anchors: Sequence[object],
-    buffers: Sequence[bytes] | None = None,
-) -> object:
-    return _AnchorUnpickler(io.BytesIO(blob), anchors, buffers=buffers).load()
-
-
-def _load_oob(
-    handle: PayloadHandle, anchors: Sequence[object]
-) -> tuple[object, _SegmentAttachment]:
-    """Deserialise an out-of-band payload as views over its segment.
-
-    The pickle body is streamed straight out of the attached segment and
-    every protocol-5 buffer is handed to the unpickler as a *read-only*
-    memoryview slice, so numpy arrays come back as views of shared
-    memory.  Only the index header is materialised — the returned
-    attachment pins the mapping for the payload's cache lifetime.
-    """
-    global _worker_bytes_copied
-    attachment = _acquire_segment(handle.segment)
-    try:
-        view = memoryview(attachment.shm.buf).toreadonly()
-        magic, count = struct.unpack_from("<8sQ", view, 0)
-        if magic != _OOB_MAGIC:
-            raise TranspilerError(
-                f"segment {handle.segment!r} is not an out-of-band payload"
-            )
-        table = [
-            struct.unpack_from("<QQ", view, 16 + 16 * index)
-            for index in range(count)
-        ]
-        body_offset, body_size = table[0]
-        buffers = [view[offset:offset + size] for offset, size in table[1:]]
-        reader = io.BufferedReader(
-            _ViewReader(view[body_offset:body_offset + body_size])
-        )
-        payload = _AnchorUnpickler(reader, anchors, buffers=buffers).load()
-    except BaseException:
-        _release_attachment(attachment)
-        raise
-    _worker_bytes_copied += 16 + 16 * count
-    return payload, attachment
+def _loads_anchored(blob: bytes, anchors: Sequence[object]) -> object:
+    return _AnchorUnpickler(io.BytesIO(blob), anchors).load()
 
 
 def _load_payload(
@@ -774,16 +316,10 @@ def _load_payload(
 ) -> object:
     """Deserialise a payload handle, memoised by content digest.
 
-    Runs inside worker processes.  The expensive work — attaching the
-    segment (or receiving the blob) and unpickling coverage-set
-    polytopes, gate objects, numpy arrays — happens at most once per worker
-    per payload.  Segment handles rebuild their arrays as read-only
-    views over the attached segment; inline handles unpickle the bytes
-    that rode the chunk (counted in the worker's ``bytes_copied``).
-    A segment that vanished before the attach raises
-    :class:`~repro.exceptions.TransportError`, which the dispatch layer
-    treats as recoverable (replay with a republished payload) rather
-    than a task bug.
+    Runs inside worker processes.  The expensive work — unpickling
+    coverage-set polytopes, gate objects, numpy arrays — happens at most
+    once per worker per payload; each unpickle adds the blob's size to
+    the worker's ``bytes_copied``.
     """
     anchors: Sequence[object] = ()
     key = handle.digest
@@ -791,12 +327,10 @@ def _load_payload(
         anchors = _load_payload(anchor_handle)
         key = f"{anchor_handle.digest}:{handle.digest}"
 
-    def loader() -> tuple[object, _SegmentAttachment | None]:
+    def loader() -> object:
         global _worker_bytes_copied
-        if handle.segment is not None:
-            return _load_oob(handle, anchors)
         _worker_bytes_copied += handle.size
-        return _loads_anchored(handle.blob, anchors, handle.oob_buffers), None
+        return _loads_anchored(handle.blob, anchors)
 
     return _memoise(key, loader)
 
@@ -848,10 +382,7 @@ def _run_session_chunk(
     deadline: float | None = None,
 ) -> tuple[list[object], int]:
     """Evaluate one streamed chunk against its anchored payload."""
-    global _worker_bytes_copied
     before = _worker_bytes_copied
-    if faults is not None:
-        faults.check_transport()
     _check_deadline(deadline)
     shared = _load_payload(payload_handle, anchor_handle)
     results = _run_tasks(fn, shared, tasks, faults, deadline)
@@ -866,8 +397,6 @@ def _run_local_chunk(
     deadline: float | None = None,
 ) -> list[object]:
     """In-process chunk evaluation: serial, thread and degraded attempts."""
-    if faults is not None:
-        faults.check_transport()
     return _run_tasks(fn, shared, tasks, faults, deadline)
 
 
@@ -923,8 +452,7 @@ class DispatchSession:
     list of that chunk's outputs, in task order), and :meth:`close`
     releases every transport resource once all futures have drained.
     :meth:`TrialExecutor.map_shared` is one session used once.  Use it
-    as a context manager so segments are unlinked even when a worker
-    raises.
+    as a context manager so it drains even when a worker raises.
 
     The session is the chunk ledger of every transport — inline, thread
     pool, process pool and remote hosts — and so their one recovery
@@ -981,8 +509,8 @@ class DispatchSession:
 
         Callers must have collected every future submitted against the
         slot first; streaming drivers call this per circuit so a long
-        batch holds only a bounded number of payloads (and shared-memory
-        segments) at any moment, rather than all of them until
+        batch holds only a bounded number of payloads (and their pickled
+        blobs) at any moment, rather than all of them until
         :meth:`close`.  Releasing a slot twice is a no-op.
         """
         self._payloads[slot] = None
@@ -1025,7 +553,7 @@ class DispatchSession:
                 start = self._fault_trials
                 self._fault_trials += len(chunk)
                 faults = self._fault_plan.chunk_faults(
-                    "trial", start, len(chunk), ordinal
+                    "trial", start, len(chunk)
                 )
                 if faults is not None:
                     faults = dataclasses.replace(
@@ -1251,23 +779,17 @@ class _ThreadDispatchSession(_LocalDispatchSession):
         self._executor._ensure_pool().submit(super()._launch, record)
 
 
-class _ShmDispatchSession(DispatchSession):
-    """Process-pool session over published payloads.
+class _ProcessDispatchSession(DispatchSession):
+    """Process-pool session over pickled payload blobs.
 
     Anchor objects are pickled once; every payload added later is pickled
-    with persistent references to them, so the batch's coverage set is
-    serialised exactly once.  With shared memory each payload lives in a
-    segment and chunks carry only the two :class:`PayloadHandle`
-    descriptors — O(1) transport.  Without it (``MIRAGE_SHM_DISABLE=1``)
-    the session runs unchanged over inline blobs riding every chunk.
-
-    Segment creation failing (shm pressure) degrades that one payload
-    to inline shipping — correct, observable via ``bytes_shipped``, and
-    bounded to the chunks of the affected payload.
+    once, with persistent references to them, so the batch's coverage
+    set is serialised exactly once.  Each chunk carries the two
+    :class:`PayloadHandle` blobs (anchor and payload), and workers
+    memoise their deserialisation by content digest.
 
     Recovery is the ledger's; this transport adds its repair step — a
-    pool respawn after worker loss and the shm → inline blob transport
-    downgrade after segment loss — capped exponential backoff between
+    pool respawn after worker loss — capped exponential backoff between
     replays, and a watchdog: a chunk outliving ``MIRAGE_TASK_TIMEOUT``
     has the pool torn down under it (the broken-pool replay path takes
     over), and a chunk past its request deadline settles as expired
@@ -1283,42 +805,23 @@ class _ShmDispatchSession(DispatchSession):
         super().__init__(executor, fn)
         self._anchors = tuple(anchors)
         self._handles: list[PayloadHandle | None] = []
-        self._segments: list[str] = []
         self._anchor_handle: PayloadHandle | None = None
         self._watchdog: threading.Thread | None = None
         # True once any chunk carried a deadline — keeps the watchdog
         # running even when no MIRAGE_TASK_TIMEOUT is configured.
         self._deadline_active = False
         if self._anchors:
-            self._anchor_handle = self._record(self._anchors, ())
+            self._anchor_handle = _publish_object(self._anchors)
             executor._count_dispatch(shared_pickles=1)
 
-    def _record(
-        self, payload: object, anchors: Sequence[object]
-    ) -> PayloadHandle:
-        handle = _publish_object(payload, anchors)
-        if handle.segment is not None:
-            self._segments.append(handle.segment)
-            self._executor._count_dispatch(
-                shm_segments=1, header_bytes=handle.header
-            )
-        return handle
-
     def add_payload(self, payload: object) -> int:
-        self._handles.append(self._record(payload, self._anchors))
+        self._handles.append(_publish_object(payload, self._anchors))
         self._executor._count_dispatch(payload_pickles=1)
         return super().add_payload(payload)
 
     def release(self, slot: int) -> None:
-        handle = self._handles[slot]
-        if handle is None:
-            return
         super().release(slot)
         self._handles[slot] = None
-        if handle.segment is not None:
-            with contextlib.suppress(ValueError):
-                self._segments.remove(handle.segment)
-            _unlink_segment(handle.segment)
 
     # -- transport hooks -----------------------------------------------------
 
@@ -1379,7 +882,7 @@ class _ShmDispatchSession(DispatchSession):
         timer.start()
 
     def _repair(self, record: _ChunkRecord, error: BaseException) -> None:
-        """Respawn the pool after worker loss; downgrade a lost segment."""
+        """Respawn the pool after worker loss."""
         if isinstance(
             error,
             (
@@ -1389,31 +892,6 @@ class _ShmDispatchSession(DispatchSession):
             ),
         ):
             self._executor._respawn_pool(record.generation)
-        if isinstance(error, TransportError) and not isinstance(
-            error, CorruptResultError
-        ):
-            self._downgrade_transport(record.slot)
-
-    def _downgrade_transport(self, slot: int) -> None:
-        """Step a payload down the transport ladder: shm → inline blob.
-
-        Republishes the slot's payload from the dispatcher's retained
-        reference as a plain pickle blob riding every future chunk —
-        byte-identical results, no segment to lose twice.  The vanished
-        (or still-live-but-suspect) segment is unlinked; workers that
-        already memoised the payload keep their mapping (POSIX semantics)
-        and are unaffected.
-        """
-        handle = self._handles[slot]
-        if handle is None or handle.segment is None:
-            return
-        self._handles[slot] = _inline_payload(
-            _dumps_anchored(self._payload(slot), self._anchors)
-        )
-        with contextlib.suppress(ValueError):
-            self._segments.remove(handle.segment)
-        _unlink_segment(handle.segment)
-        self._executor._count_dispatch(transport_downgrades=1)
 
     # -- watchdog ----------------------------------------------------------
 
@@ -1471,15 +949,6 @@ class _ShmDispatchSession(DispatchSession):
             else:
                 time.sleep(max(0.01, min(0.05, timeout / 4)))
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            super().close()
-        finally:
-            while self._segments:
-                _unlink_segment(self._segments.pop())
-
 
 class TrialExecutor:
     """Strategy object evaluating a function over a batch of trial tasks.
@@ -1498,16 +967,13 @@ class TrialExecutor:
             "payload_pickles": 0,
             "chunks": 0,
             "tasks": 0,
-            "shm_segments": 0,
             "bytes_shipped": 0,
-            "header_bytes": 0,
             "bytes_copied": 0,
             # Fault-tolerance counters — all zero on a clean run.
             "retries": 0,
             "respawns": 0,
             "lost_tasks": 0,
             "executor_downgrades": 0,
-            "transport_downgrades": 0,
             # Remote-transport recovery counters — all zero on a clean
             # run, and always zero on purely local executors.
             "reconnects": 0,
@@ -1687,9 +1153,6 @@ class _PoolExecutor(TrialExecutor):
             self._pool_generation += 1
         self._terminate_pool(pool)
         self._count_dispatch(respawns=1)
-        # A killed worker may have died between attaching a segment and
-        # its cleanup handler; reclaim anything its death orphaned.
-        reap_stale_segments()
 
     def prewarm(self) -> int:
         """Create the pool and spawn its full worker complement now.
@@ -1745,12 +1208,10 @@ class ProcessExecutor(_PoolExecutor):
     :class:`~repro.transpiler.passes.TrialSpec` payload and
     :class:`~repro.transpiler.passes.TrialRef` tasks satisfies both.
 
-    Every dispatch runs on :class:`_ShmDispatchSession` and its
-    recovery: each payload is pickled once per session, published via a
-    shared-memory segment when available (chunks then carry an O(1)
-    handle instead of the payload bytes) or shipped as a blob once per
-    chunk otherwise, and workers memoise deserialisation by content
-    digest.
+    Every dispatch runs on :class:`_ProcessDispatchSession` and its
+    recovery: each payload is pickled once per session, the blob rides
+    every chunk dispatched against it, and workers memoise
+    deserialisation by content digest.
     """
 
     name = "processes"
@@ -1795,7 +1256,7 @@ class ProcessExecutor(_PoolExecutor):
         fn: Callable[[_Shared, _Task], _Result],
         anchors: Sequence[object] = (),
     ) -> DispatchSession:
-        return _ShmDispatchSession(self, fn, anchors)
+        return _ProcessDispatchSession(self, fn, anchors)
 
 
 #: Registry of executor names accepted by :func:`resolve_executor` (and by

@@ -1,9 +1,9 @@
 """Deterministic fault injection for the dispatch stack, plus a janitor.
 
 The fault-tolerance machinery in :mod:`repro.transpiler.executors` (chunk
-retries, pool respawn, executor/transport degradation) is only credible
-if it can be exercised on demand, at exact task positions, on every
-executor and transport.  This module is that harness:
+retries, pool respawn, executor degradation) is only credible if it can
+be exercised on demand, at exact task positions, on every executor and
+transport.  This module is that harness:
 
 * ``MIRAGE_FAULT_PLAN`` — a comma-separated spec parsed by
   :func:`parse_fault_plan` once per dispatch session.  Every entry
@@ -11,18 +11,15 @@ executor and transport.  This module is that harness:
   ``action:kind:index`` with ``action`` one of ``kill`` / ``hang`` /
   ``corrupt`` / ``slow`` and ``kind`` always ``trial``; ``index`` is
   the zero-based *global submission ordinal* of routing trials within
-  one dispatch session (each ``map_shared`` call opens one).
-  ``corrupt_shm:index`` targets the chunk with that global chunk
-  ordinal instead, raising a :class:`~repro.exceptions.TransportError`
-  before the payload loads — exactly what a vanished segment looks
-  like.  Two further kinds target the *service* tier rather than the
-  dispatcher: ``shed:request:N`` makes :class:`MirageService` treat
+  one dispatch session (each ``map_shared`` call opens one).  Two
+  further kinds target the *service* tier rather than the dispatcher:
+  ``shed:request:N`` makes :class:`MirageService` treat
   its ``N``-th submission (global, zero-based) as over quota, and
   ``trip_breaker:window:N`` makes the service's circuit breaker count
   its ``N``-th dispatched window as a threshold-worth of executor
   failures.  Example::
 
-      MIRAGE_FAULT_PLAN="kill:trial:7,slow:trial:2,corrupt_shm:1,shed:request:5"
+      MIRAGE_FAULT_PLAN="kill:trial:7,slow:trial:2,shed:request:5"
 
 * The dispatcher resolves the plan into per-chunk :class:`ChunkFaults`
   records at submit time (workers never count anything, so work stealing
@@ -53,13 +50,11 @@ executor and transport.  This module is that harness:
   heartbeat-timeout replay.  Like every other kind, network faults
   target *first* dispatches only: replays travel disarmed.
 
-* :func:`reap_stale_segments` is the dispatch janitor: it scans
-  ``/dev/shm`` for ``mirage_shm_<pid>_…`` segments, and the temp
-  directory for ``mirage_host_<pid>_…`` worker-host socket files and
-  ``mirage_spool_<pid>_…`` payload spool directories, whose creating
-  process is gone, and removes them — reclaiming whatever a killed run
-  (or killed worker host) left behind.  The executor layer calls it
-  after every pool respawn; worker hosts call it at startup.
+* :func:`reap_stale_segments` is the worker-host janitor: it scans the
+  temp directory for ``mirage_host_<pid>_…`` socket files and
+  ``mirage_spool_<pid>_…`` payload spool directories whose creating
+  process is gone, and removes them — reclaiming whatever a killed
+  worker host left behind.  Worker hosts call it at startup.
 """
 
 from __future__ import annotations
@@ -72,11 +67,6 @@ import time
 from typing import Iterable
 
 from repro.exceptions import TranspilerError, TransportError
-
-#: Prefix of the dispatch layer's shared-memory segments.  Kept in sync
-#: with :data:`repro.transpiler.executors.SHM_SEGMENT_PREFIX` (defined
-#: here too so this module never imports the executor layer).
-SEGMENT_PREFIX = "mirage_shm_"
 
 #: Prefix of worker-host Unix socket files (``mirage_host_<pid>_<token>``
 #: under the temp directory); kept in sync with
@@ -170,17 +160,9 @@ class ChunkFaults:
     hangs: tuple[int, ...] = ()
     corrupts: tuple[int, ...] = ()
     slows: tuple[int, ...] = ()
-    corrupt_shm: bool = False
     hang_seconds: float = 0.0
     slow_seconds: float = 0.0
     dispatcher_pid: int = -1
-
-    def check_transport(self) -> None:
-        """Raise the injected segment loss, if this chunk carries one."""
-        if self.corrupt_shm:
-            raise TransportError(
-                "fault injection: payload segment reported lost (corrupt_shm)"
-            )
 
     def before_task(self, offset: int) -> None:
         """Fire any ``kill``/``hang`` fault aimed at the task at ``offset``."""
@@ -206,8 +188,7 @@ class ChunkFaults:
 #: malformed plan fails fast with the full contract in the message.
 FAULT_PLAN_GRAMMAR = (
     "kind:stage:ordinal — one of "
-    "'kill|hang|corrupt|slow:trial:<ordinal>', "
-    "'corrupt_shm:<ordinal>', 'shed:request:<ordinal>', "
+    "'kill|hang|corrupt|slow:trial:<ordinal>', 'shed:request:<ordinal>', "
     "'trip_breaker:window:<ordinal>', 'drop_conn:chunk:<ordinal>', "
     "'garble:frame:<ordinal>', 'partition:host:<ordinal>' or "
     "'slow_net:chunk:<ordinal>'"
@@ -219,9 +200,9 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
 
     Grammar: comma-separated ``kind:stage:ordinal`` entries — task
     faults ``action:kind:index`` (``action`` in ``kill``/``hang``/
-    ``corrupt``/``slow``, ``kind`` always ``trial``), chunk faults
-    ``corrupt_shm:index``, and service faults ``shed:request:index`` /
-    ``trip_breaker:window:index``.  Whitespace around entries is
+    ``corrupt``/``slow``, ``kind`` always ``trial``), service faults
+    ``shed:request:index`` / ``trip_breaker:window:index`` and the
+    network kinds of the remote transport.  Whitespace around entries is
     ignored; an empty spec yields an empty plan.  Anything else raises
     :class:`~repro.exceptions.TranspilerError` *at parse time* — the
     error names the accepted grammar so a typo fails fast instead of
@@ -234,11 +215,6 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
             continue
         fields = part.split(":")
         try:
-            if fields[0] == "corrupt_shm" and len(fields) == 2:
-                entries.append(
-                    FaultSpec("corrupt_shm", "chunk", int(fields[1]))
-                )
-                continue
             if len(fields) == 3 and fields[0] in _TASK_ACTIONS:
                 action, kind, index = fields
                 if kind != "trial":
@@ -269,16 +245,14 @@ def parse_fault_plan(spec: str) -> "FaultPlan":
 class FaultPlan:
     """A parsed fault plan, queried by the dispatcher at submit time.
 
-    Holds the trial faults by task ordinal and the set of chunk ordinals
-    whose payload attach must fail.  The plan itself is immutable; the
-    *dispatcher* owns the ordinal counters (one for trials, plus a
-    global chunk counter) so that fault positions are exact and
-    independent of worker scheduling.
+    Holds the trial faults by task ordinal, plus the service and network
+    faults by their ordinals.  The plan itself is immutable; the
+    *dispatcher* owns the ordinal counters so that fault positions are
+    exact and independent of worker scheduling.
     """
 
     def __init__(self, specs: Iterable[FaultSpec]) -> None:
         self._by_kind: dict[str, dict[int, str]] = {"trial": {}}
-        self._corrupt_chunks: set[int] = set()
         self._service: dict[str, set[int]] = {
             action: set() for action in _SERVICE_ACTIONS
         }
@@ -286,9 +260,7 @@ class FaultPlan:
             action: set() for action in _NETWORK_ACTIONS
         }
         for spec in specs:
-            if spec.action == "corrupt_shm":
-                self._corrupt_chunks.add(spec.index)
-            elif spec.action in _SERVICE_ACTIONS:
+            if spec.action in _SERVICE_ACTIONS:
                 self._service[spec.action].add(spec.index)
             elif spec.action in _NETWORK_ACTIONS:
                 self._network[spec.action].add(spec.index)
@@ -297,8 +269,7 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(
-            self._corrupt_chunks
-            or any(self._by_kind[kind] for kind in self._by_kind)
+            any(self._by_kind[kind] for kind in self._by_kind)
             or any(self._service[action] for action in self._service)
             or any(self._network[action] for action in self._network)
         )
@@ -329,13 +300,12 @@ class FaultPlan:
         return ordinal in self._network.get(action, ())
 
     def chunk_faults(
-        self, kind: str, start: int, count: int, chunk_ordinal: int
+        self, kind: str, start: int, count: int
     ) -> ChunkFaults | None:
         """Resolve the faults hitting tasks ``[start, start+count)``.
 
-        ``kind`` is the task kind the chunk carries, ``start`` the global
-        ordinal of its first task within that kind, and ``chunk_ordinal``
-        the global chunk counter (for ``corrupt_shm``).  The record's
+        ``kind`` is the task kind the chunk carries and ``start`` the
+        global ordinal of its first task within that kind.  The record's
         ``hang_seconds`` and ``slow_seconds`` are left at zero: the
         dispatch session fills in its ``MIRAGE_FAULT_HANG_SECONDS`` and
         ``MIRAGE_FAULT_SLOW_SECONDS``.  Returns ``None``
@@ -358,15 +328,13 @@ class FaultPlan:
                     slows.append(offset)
                 else:
                     corrupts.append(offset)
-        corrupt_shm = chunk_ordinal in self._corrupt_chunks
-        if not (kills or hangs or corrupts or slows or corrupt_shm):
+        if not (kills or hangs or corrupts or slows):
             return None
         return ChunkFaults(
             kills=tuple(sorted(kills)),
             hangs=tuple(sorted(hangs)),
             corrupts=tuple(sorted(corrupts)),
             slows=tuple(sorted(slows)),
-            corrupt_shm=corrupt_shm,
             dispatcher_pid=os.getpid(),
         )
 
@@ -394,43 +362,22 @@ def _stale_owner(name: str, prefix: str) -> bool:
     return not _pid_alive(pid)
 
 
-def reap_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
-    """Remove dispatch debris whose creating process is dead.
+def reap_stale_segments() -> list[str]:
+    """Remove worker-host debris whose creating process is dead.
 
-    The full janitor behind every recovery path.  Three sweeps, all
-    keyed on the pid embedded in the resource name:
+    Two sweeps of the temp directory, both keyed on the pid embedded in
+    the resource name:
 
-    * ``/dev/shm`` — shared-memory segments ``<prefix><pid>_<token>``
-      left by a killed dispatcher, or by a worker that died between
-      publish and unlink;
-    * the temp directory — worker-host socket files
-      ``mirage_host_<pid>_<token>.sock`` left by a killed
-      ``mirage-worker-host``;
-    * the temp directory — remote payload spool directories
-      ``mirage_spool_<pid>_<token>`` of the same dead hosts.
+    * worker-host socket files ``mirage_host_<pid>_<token>.sock`` left
+      by a killed ``mirage-worker-host``;
+    * remote payload spool directories ``mirage_spool_<pid>_<token>`` of
+      the same dead hosts.
 
     Resources owned by live processes, including this one, are never
-    touched.  Returns the reclaimed names (segment names and basenames
-    of removed sockets/spools); the shm sweep is a no-op on hosts
-    without ``/dev/shm``.  The executor layer runs the janitor after
-    every pool respawn; worker hosts run it at startup.
+    touched.  Returns the basenames of the removed sockets and spools.
+    Worker hosts run the janitor at startup.
     """
     reclaimed: list[str] = []
-    shm_root = "/dev/shm"
-    try:
-        names = os.listdir(shm_root)
-    except OSError:
-        names = []
-    for name in names:
-        if not _stale_owner(name, prefix):
-            continue
-        try:
-            os.unlink(os.path.join(shm_root, name))
-        except FileNotFoundError:
-            continue
-        except OSError:  # pragma: no cover - permissions on shared hosts
-            continue
-        reclaimed.append(name)
     tmp_root = tempfile.gettempdir()
     try:
         tmp_names = os.listdir(tmp_root)

@@ -13,9 +13,8 @@ gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
 :meth:`IntDAG.from_ops` lowers the pipeline's op stream directly, with
 no :class:`~repro.circuits.dag.DAGCircuit` in between (``from_dag`` is
 the same lowering of a DAG's nodes).  Being plain ndarrays, the whole
-structure ships through the zero-copy shared-memory transport as
-out-of-band buffers; the ``gates`` tuple is the only object payload.
-Trial runners route the shipped table as is and derive the reverse
+structure pickles compactly into the process-pool payload; the
+``gates`` tuple is the only object payload.  Trial runners route the shipped table as is and derive the reverse
 routing direction from it with :meth:`IntDAG.reversed`.
 """
 

@@ -159,8 +159,8 @@ class TrialSpec:
 
     ``intdag`` is the circuit's flat lowering
     (:meth:`~repro.transpiler.kernel.IntDAG.from_ops`), built once by the
-    planner and shipped as plain ndarrays through the zero-copy
-    transport; ``name`` names the routed circuit.  The spec carries no
+    planner and shipped as plain ndarrays inside the pickled payload;
+    ``name`` names the routed circuit.  The spec carries no
     DAG and no reverse direction: each process derives the reverse from
     the forward arrays with
     :meth:`~repro.transpiler.kernel.IntDAG.reversed` (memoised on the

@@ -9,7 +9,7 @@ ladder a network demands:
 
 * **Content addressing** — the session's anchor tuple and every payload
   are pickled once (anchored persistent references, same bytes as the
-  shm transport) and shipped to each host at most once, keyed by
+  process-pool transport) and shipped to each host at most once, keyed by
   content digest; hosts memoise across connections *and sessions*, so
   a reconnect asks ``HAS`` before re-shipping.
 * **Work stealing** — every host runs ``MIRAGE_REMOTE_STREAMS``

@@ -6,7 +6,7 @@ or a TCP port, speaks the framed protocol of
 :mod:`repro.transpiler.remote.protocol`, and evaluates chunks of trial
 tasks against digest-addressed payloads.
 
-Content addressing mirrors the shared-memory transport: the client
+Content addressing mirrors the process-pool transport: the client
 ships the session's anchor tuple (the batch's coverage set) and each
 circuit payload **once per host**, keyed by content digest; the host
 spools the pickled bytes into a pid-keyed spool directory and memoises
@@ -129,8 +129,8 @@ class WorkerHost:
         if tcp is not None:
             require_loopback(tcp[0])
         # Every host startup doubles as a janitor pass: dead siblings'
-        # segments, socket files and spools are reclaimed before this
-        # host adds its own.
+        # socket files and spools are reclaimed before this host adds
+        # its own.
         reap_stale_segments()
         self._heartbeat_s = (
             heartbeat_s
@@ -224,8 +224,6 @@ class WorkerHost:
         """Run one chunk exactly as a pool worker would."""
         anchor_digest = request.get("anchor")
         faults = request.get("faults")
-        if faults is not None:
-            faults.check_transport()
         shared = self._payload_object(request["payload"], anchor_digest)
         deadline = None
         if request.get("deadline_s") is not None:

@@ -68,7 +68,7 @@ PING = 3         # client → host: liveness probe
 PONG = 4         # host → client: probe reply
 HAS = 5          # client → host: {"digest"} — payload presence query
 HAVE = 6         # host → client: {"digest", "have"}
-PAYLOAD = 7      # client → host: {"digest", "blob", "oob"} — store payload
+PAYLOAD = 7      # client → host: {"digest", "blob"} — store payload
 PAYLOAD_ACK = 8  # host → client: {"digest"}
 CHUNK = 9        # client → host: one chunk of tasks to run
 RESULT = 10      # host → client: {"chunk", "ok", "results"|"error"}

@@ -3,39 +3,33 @@
 * The parse pin runs every knob over the same seven raw values
   (unset, empty, junk, padded, negative, zero, positive).  The expected
   outcomes were captured by running this table against the per-module
-  reader functions that ``MirageConfig`` replaced; every row still
-  matches except three ``MIRAGE_SHM_DISABLE`` rows, where the old reader
-  disabled shared memory for any value but ``""`` and ``"0"``.
+  reader functions that ``MirageConfig`` replaced.
+* The flag test drives one flag knob through the library behaviour it
+  switches.
 * The snapshot test pins when knobs are read: a dispatch session keeps
   the values it opened with, and the next session sees a change.
 """
 
 import dataclasses
-import os
 
 import pytest
 
 from repro.config import KNOBS, MirageConfig
 from repro.exceptions import TranspilerError
 from repro.polytopes import coverage_cache_dir
-from repro.transpiler.executors import SerialExecutor, shm_transport_enabled
+from repro.polytopes.cache import store_coverage_set
+from repro.transpiler.executors import SerialExecutor
 from repro.transpiler.faults import parse_fault_plan
 from repro.transpiler.remote.protocol import parse_hosts
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - exotic platforms only
-    shared_memory = None
 
 #: The raw values every knob is parsed from (``None`` = unset); the
 #: last one is each knob's positive value, from :data:`POSITIVE`.
 CASES = (None, "", "soon", " 7 ", "-1", "0", "positive")
 
 POSITIVE = {
-    "MIRAGE_FAULT_PLAN": "kill:trial:3,corrupt_shm:1",
+    "MIRAGE_FAULT_PLAN": "kill:trial:3,shed:request:1",
     "MIRAGE_REMOTE_HOSTS": "/tmp/h.sock, 127.0.0.1:7000",
     "MIRAGE_CACHE_DIR": "/tmp/mirage-pin",
-    "MIRAGE_SHM_DISABLE": "1",
     "MIRAGE_CACHE_DISABLE": "1",
 }
 
@@ -56,17 +50,12 @@ def _plan(spec):
     plan = parse_fault_plan(spec) or None
     if plan is None:
         return None
-    return [sorted(plan._by_kind["trial"].items()), sorted(plan._corrupt_chunks)]
+    return [sorted(plan._by_kind["trial"].items()), sorted(plan._service["shed"])]
 
 
 #: Knob -> (what the library makes of the snapshot, expected outcome
 #: per entry of :data:`CASES`).
 PIN = {
-    # Flag fix: "soon", " 7 " and "-1" disabled shared memory before.
-    "MIRAGE_SHM_DISABLE": (
-        lambda c: c.shm_disable,
-        [False, False, False, False, False, False, True],
-    ),
     "MIRAGE_TASK_TIMEOUT": (
         lambda c: c.task_timeout,
         [None, None, None, 7.0, None, None, 3.0],
@@ -138,7 +127,7 @@ def clean_env(monkeypatch):
 def test_pin_covers_every_mirage_knob():
     knobs = {variable for _, variable, _, _ in KNOBS}
     assert set(PIN) == {k for k in knobs if k.startswith("MIRAGE_")}
-    assert len(PIN) == 15
+    assert len(PIN) == 14
 
 
 @pytest.mark.parametrize("case", range(len(CASES)), ids=[
@@ -172,17 +161,15 @@ def test_fields_follow_the_table_and_defaults_hold(clean_env):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    shared_memory is None or os.name != "posix",
-    reason="needs POSIX shared memory",
-)
 @pytest.mark.parametrize("value, enabled", [
     ("false", True), ("no", True), (" 0", True), ("0", True), ("", True),
     ("1", False), ("true", False), ("YES", False),
 ])
-def test_shm_disable_is_a_flag(monkeypatch, value, enabled):
-    monkeypatch.setenv("MIRAGE_SHM_DISABLE", value)
-    assert shm_transport_enabled() is enabled
+def test_cache_disable_is_a_flag(clean_env, tmp_path, value, enabled):
+    clean_env.setenv("MIRAGE_CACHE_DIR", str(tmp_path))
+    clean_env.setenv("MIRAGE_CACHE_DISABLE", value)
+    stored = store_coverage_set({"probe": value}, basis="flag-probe")
+    assert (stored is not None) is enabled
 
 
 # ---------------------------------------------------------------------------

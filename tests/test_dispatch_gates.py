@@ -8,17 +8,11 @@ remote executors and checks one promise of the dispatch layers:
   on a process pool);
 * a clean run reports every recovery and overload counter as zero —
   a retry or respawn here means the environment misbehaved;
-* the shared-memory transport ships O(1) bytes per chunk (at most 512 B)
-  and at most one full payload per batch;
-* workers copy only the out-of-band index headers, never payload bytes:
-  ``0 < bytes_copied <= header_bytes * max(2, cpu_count)``;
 * ``map_shared`` is one dispatch session on every executor, so the
   same fault plan is recovered the same way;
-* the batch session's chunk and transport accounting, over shared
-  memory and over inline blobs;
+* the batch session's chunk and transport accounting: one anchor blob
+  and one spec blob per chunk, each unpickled at most once per worker;
 * no session type dispatches anything against a released payload slot.
-
-The shared-memory gates skip where POSIX shared memory is unavailable.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import operator
-import os
 
 import numpy as np
 import pytest
@@ -36,12 +29,10 @@ from repro.core import transpile, transpile_many
 from repro.exceptions import TranspilerError
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
-    SHM_SEGMENT_PREFIX,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     line_topology,
-    shm_transport_enabled,
 )
 from repro.transpiler import executors
 from repro.transpiler.kernel import route
@@ -49,18 +40,10 @@ from repro.transpiler.kernel import route
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=700, seed=7)
 #: Counters every dispatch reports; a clean run leaves them all zero.
 RECOVERY_COUNTERS = ("retries", "respawns", "lost_tasks",
-                     "executor_downgrades", "transport_downgrades",
-                     "deadline_expirations")
+                     "executor_downgrades", "deadline_expirations")
 REMOTE_COUNTERS = ("reconnects", "host_downgrades", "frames_garbled")
 SERVICE_COUNTERS = ("shed_requests", "deadline_expirations",
                     "breaker_trips", "degraded_windows")
-#: Bytes a shared-memory chunk may ship: a segment name and a digest.
-SHM_CHUNK_BYTES = 512
-
-needs_shm = pytest.mark.skipif(
-    not shm_transport_enabled(),
-    reason="POSIX shared memory unavailable on this platform",
-)
 
 
 def circuit_digest(circuit) -> str:
@@ -94,7 +77,7 @@ def assert_clean(dispatch: dict, label: str, counters=RECOVERY_COUNTERS) -> None
 
 @pytest.fixture(scope="module")
 def batch_fanout():
-    """One batch under every transport, plus the same
+    """One batch, serially and on a process pool, plus the same
     circuits as per-circuit ``transpile()`` calls on the batch's seeds."""
     circuits = small_circuits(2)
     coupling = line_topology(5)
@@ -110,54 +93,21 @@ def batch_fanout():
     with ProcessExecutor() as pool:
         prewarm(pool)
         batches["stream"] = run(pool)
-        # Last: these calls publish the stream batch's very payloads, which
-        # the workers have memoised by digest, so they copy nothing.
         batches["trials"] = [
             transpile(circuit, coupling, seed=root, executor=pool, **kwargs)
             for circuit, root in zip(circuits, roots)
         ]
-    # The transport is chosen when a dispatch opens; a fresh pool keeps
-    # worker-side payload memos from leaking between transports.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("MIRAGE_SHM_DISABLE", "1")
-        with ProcessExecutor() as pool:
-            prewarm(pool)
-            batches["blob"] = run(pool)
     return batches
 
 
 def test_batch_fanout_identical_across_modes_and_transports(batch_fanout):
     reference = batch_digests(batch_fanout["sequential"])
-    for mode in ("trials", "stream", "blob"):
+    for mode in ("trials", "stream"):
         assert batch_digests(batch_fanout[mode]) == reference, mode
 
 
 def test_batch_fanout_clean_run_has_zero_recovery_counters(batch_fanout):
-    for mode in ("stream", "blob"):
-        assert_clean(batch_fanout[mode].dispatch, mode)
-
-
-@needs_shm
-def test_shm_transport_ships_constant_bytes_and_one_payload(batch_fanout):
-    dispatch = batch_fanout["stream"].dispatch
-    assert dispatch["shm_segments"] >= 1, dispatch
-    per_chunk = dispatch["bytes_shipped"] / max(1, dispatch["chunks"])
-    assert per_chunk <= SHM_CHUNK_BYTES, f"{per_chunk:.0f} B per chunk"
-    # The blob fallback ships the whole payload with every chunk, so its
-    # bytes per chunk measure one payload.
-    blob = batch_fanout["blob"].dispatch
-    payload_bytes = blob["bytes_shipped"] // max(1, blob["chunks"])
-    assert payload_bytes > 0, blob
-    assert dispatch["bytes_shipped"] / payload_bytes <= 1.0
-
-
-@needs_shm
-def test_workers_copy_index_headers_only(batch_fanout):
-    dispatch = batch_fanout["stream"].dispatch
-    assert dispatch["shm_segments"] >= 1, dispatch
-    assert dispatch["header_bytes"] > 0, dispatch
-    budget = dispatch["header_bytes"] * max(2, os.cpu_count() or 1)
-    assert 0 < dispatch["bytes_copied"] <= budget, dispatch
+    assert_clean(batch_fanout["stream"].dispatch, "stream")
 
 
 def _wide_transpile(method="mirage", executor=None):
@@ -251,13 +201,10 @@ def _times(shared, task):
     # only a sequential pool with the kill in the last chunk loses
     # exactly one chunk.
     pytest.param(lambda: ProcessExecutor(max_workers=1), id="processes"),
-    pytest.param(lambda: ProcessExecutor(max_workers=1), id="processes-blob"),
 ])
 def test_map_shared_recovers_one_kill_on_every_executor(
-    monkeypatch, request, make_executor
+    monkeypatch, make_executor
 ):
-    if request.node.callspec.id == "processes-blob":
-        monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     monkeypatch.setenv("MIRAGE_FAULT_PLAN", "kill:trial:1")
     with make_executor() as executor:
         results = executor.map_shared(_times, 3, [4, 5])
@@ -267,22 +214,16 @@ def test_map_shared_recovers_one_kill_on_every_executor(
     assert stats["executor_downgrades"] == 0, stats
 
 
-@pytest.mark.parametrize("shm", [
-    pytest.param(True, id="shm", marks=needs_shm),
-    pytest.param(False, id="blob"),
-])
 def test_stream_dispatch_keeps_its_chunk_and_transport_accounting(
-    monkeypatch, shm
+    monkeypatch,
 ):
     """The batch session ships one anchor and one spec per circuit.
 
     Three trials per circuit on two workers split into three chunks,
-    nine in all, each carrying its circuit's spec handle next to the
-    anchor handle: a segment name and digest each over shared memory,
-    the whole in-band pickle blobs without it.
+    nine in all, each carrying its circuit's spec blob next to the
+    anchor blob.  Workers unpickle each blob at most once: the bytes
+    they copy lie between one and two (workers) copies of every blob.
     """
-    if not shm:
-        monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
     published = []
     publish = executors._publish_object
 
@@ -302,17 +243,15 @@ def test_stream_dispatch_keeps_its_chunk_and_transport_accounting(
     assert (dispatch["chunks"], dispatch["tasks"]) == (9, 9), dispatch
     (anchor, _, anchor_handle), *specs = published
     assert anchor == (COVERAGE,) and len(specs) == 3
-    assert dispatch["shm_segments"] == (4 if shm else 0)
     for payload, anchors, handle in published:
-        if shm:
-            per_chunk = len(f"{SHM_SEGMENT_PREFIX}{os.getpid()}_") + 8
-        else:
-            per_chunk = len(executors._dumps_anchored(payload, anchors))
-        assert handle.shipped_bytes == per_chunk + len(handle.digest) + 16
+        blob = executors._dumps_anchored(payload, anchors)
+        assert handle.shipped_bytes == len(blob) + len(handle.digest) + 16
     assert dispatch["bytes_shipped"] == sum(
         3 * (handle.shipped_bytes + anchor_handle.shipped_bytes)
         for _, _, handle in specs
     ), dispatch
+    blobs = sum(handle.size for _, _, handle in published)
+    assert blobs <= dispatch["bytes_copied"] <= 2 * blobs, dispatch
 
 
 def _open_released_slot_session(kind, stack):
@@ -320,7 +259,7 @@ def _open_released_slot_session(kind, stack):
         executor = stack.enter_context(SerialExecutor())
     elif kind == "thread":
         executor = stack.enter_context(ThreadExecutor(max_workers=2))
-    elif kind == "shm":
+    elif kind == "processes":
         executor = stack.enter_context(ProcessExecutor(max_workers=2))
     else:
         from repro.transpiler.remote import RemoteExecutor, WorkerHost
@@ -336,9 +275,7 @@ def _open_released_slot_session(kind, stack):
     return executor, session
 
 
-@pytest.mark.parametrize("kind", [
-    "inline", "thread", pytest.param("shm", marks=needs_shm), "remote",
-])
+@pytest.mark.parametrize("kind", ["inline", "thread", "processes", "remote"])
 def test_submit_to_released_slot_raises_before_dispatch(kind):
     import contextlib
 

@@ -17,8 +17,8 @@ Covers the remote tier end to end:
   degrades to local execution — all visible in the ``reconnects`` /
   ``host_downgrades`` / ``frames_garbled`` counters, which are exactly
   zero on clean runs;
-* resource hygiene — no leaked sockets, spool directories, shared
-  memory segments or host processes after ``close()``, after a
+* resource hygiene — no leaked sockets, spool directories or host
+  processes after ``close()``, after a
   mid-dispatch SIGKILL of a real worker-host process, and the janitor
   reclaims what a killed host leaves behind.
 """
@@ -55,11 +55,7 @@ from repro.transpiler import (
     line_topology,
     ring_topology,
 )
-from repro.transpiler.executors import (
-    SHM_SEGMENT_PREFIX,
-    _retry_backoff,
-    resolve_executor,
-)
+from repro.transpiler.executors import _retry_backoff, resolve_executor
 from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.host import main as host_main
@@ -67,7 +63,6 @@ from repro.transpiler.remote.protocol import (
     CHUNK,
     HELLO,
     HELLO_ACK,
-    PROTOCOL_VERSION,
     FrameReader,
     pack_message,
     parse_host,
@@ -78,10 +73,6 @@ from repro.transpiler.remote.protocol import (
 )
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
-
-
-def _own_segments() -> list[str]:
-    return glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}{os.getpid()}_*")
 
 
 def _own_host_files() -> list[str]:
@@ -392,7 +383,6 @@ def test_remote_digest_matches_serial(two_hosts, seed, topology):
     for counter in ("reconnects", "host_downgrades", "frames_garbled"):
         assert fanned.dispatch[counter] == 0
     executor.close()
-    assert _own_segments() == []
 
 
 @pytest.mark.parametrize(
@@ -427,7 +417,6 @@ def test_remote_digest_survives_network_faults(
         <= fanned.dispatch["retries"] * fanned.dispatch["tasks"]
     )
     executor.close()
-    assert _own_segments() == []
 
 
 def test_all_hosts_partitioned_degrades_locally(two_hosts, fast_recovery):
@@ -462,7 +451,6 @@ def test_all_hosts_partitioned_runs_every_local_chunk(
         executor.close()
     assert [task for task, _ in results] == list(range(100))
     assert all(pid != os.getpid() for _, pid in results)
-    assert _own_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +580,6 @@ def test_host_process_killed_mid_dispatch_recovers(fast_recovery, tmp_path):
     assert not os.path.exists(victim_path) or not glob.glob(
         os.path.join(tempfile.gettempdir(), f"{SPOOL_PREFIX}{victim.pid}_*")
     )
-    assert _own_segments() == []
 
 
 def test_graceful_shutdown_leaves_no_resources(tmp_path):
@@ -609,7 +596,6 @@ def test_graceful_shutdown_leaves_no_resources(tmp_path):
     assert glob.glob(
         os.path.join(tempfile.gettempdir(), f"{SPOOL_PREFIX}{process.pid}_*")
     ) == []
-    assert _own_segments() == []
 
 
 def test_in_process_host_close_removes_socket_and_spool():

@@ -11,9 +11,8 @@ under genuinely concurrent, multi-tenant load:
   cache;
 * **Coalescing provenance** — requests admitted within one window
   produce exactly one batch dispatch, and the provenance log says so;
-* **Clean shutdown** — ``aclose()`` leaks no shared-memory segments and
-  no worker processes, including when a fault plan kills a worker
-  mid-window;
+* **Clean shutdown** — ``aclose()`` leaks no worker processes,
+  including when a fault plan kills a worker mid-window;
 * **Overload safety** — admission quotas shed excess load with typed
   errors while in-quota tenants are served byte-identically, expired
   deadlines fail only their own request, a tripped circuit breaker
@@ -26,7 +25,6 @@ the test instead of hanging the suite.
 """
 
 import asyncio
-import glob
 import os
 import threading
 import time
@@ -47,7 +45,6 @@ from repro.polytopes import CoverageRegistry, get_coverage_set
 from repro.service import MirageService, ServiceClient
 from repro.service.service import _topology_key
 from repro.transpiler import ProcessExecutor, line_topology
-from repro.transpiler.executors import SHM_SEGMENT_PREFIX
 
 COVERAGE_PARAMS = dict(num_samples=250, seed=3)
 COVERAGE = get_coverage_set("sqrt_iswap", **COVERAGE_PARAMS)
@@ -57,10 +54,6 @@ TOPOLOGY = line_topology(5)
 #: ``transpile`` baselines — byte-identity only holds when both sides
 #: run the identical configuration.
 REQUEST_KNOBS = dict(use_vf2=False, layout_trials=2)
-
-
-def _own_segments() -> list[str]:
-    return glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}{os.getpid()}_*")
 
 
 def _fingerprint(result):
@@ -401,7 +394,7 @@ def _assert_workers_dead(pids):
             os.kill(pid, 0)
 
 
-def test_process_service_shutdown_leaves_no_workers_or_segments():
+def test_process_service_shutdown_leaves_no_workers():
     expected = [_fingerprint(_direct(circuit, seed)) for circuit, seed, _ in LOAD[:3]]
 
     async def main():
@@ -419,7 +412,6 @@ def test_process_service_shutdown_leaves_no_workers_or_segments():
 
     results, pids = _run(main())
     assert [_fingerprint(result) for result in results] == expected
-    assert _own_segments() == []
     _assert_workers_dead(pids)
 
 
@@ -448,7 +440,6 @@ def test_worker_kill_mid_window_recovers_and_leaks_nothing(monkeypatch):
     assert stats["failed"] == 0
     assert stats["executor"]["retries"] >= 1
     assert stats["executor"]["lost_tasks"] >= 1
-    assert _own_segments() == []
     _assert_workers_dead(pids)
 
 
@@ -693,8 +684,7 @@ def test_submit_during_drain_raises_typed_closed_error():
 
 def test_drain_under_injected_hang_leaks_nothing(monkeypatch):
     """aclose() during an injected worker hang waits out the recovery:
-    admitted requests resolve byte-identically, zero leaked workers and
-    segments."""
+    admitted requests resolve byte-identically, zero leaked workers."""
     monkeypatch.setenv("MIRAGE_FAULT_PLAN", "hang:trial:1")
     monkeypatch.setenv("MIRAGE_FAULT_HANG_SECONDS", "5")
     monkeypatch.setenv("MIRAGE_TASK_TIMEOUT", "1.0")
@@ -723,7 +713,6 @@ def test_drain_under_injected_hang_leaks_nothing(monkeypatch):
     assert [_fingerprint(result) for result in results] == expected
     assert stats["drain_abandoned"] == 0
     assert stats["executor"]["respawns"] >= 1
-    assert _own_segments() == []
     _assert_workers_dead(pids)
 
 

@@ -1,24 +1,21 @@
-"""Tests for the shared-memory trial transport and the streaming batch engine.
+"""Tests for the process-pool payload transport and the streaming engine.
 
-Covers the transport guarantees introduced with the zero-copy dispatch
-layer:
+Covers the transport guarantees of the dispatch layer:
 
-* :meth:`ProcessExecutor.map_shared` publishes the payload through one
-  shared-memory segment and ships O(1) bytes per chunk; with
-  ``MIRAGE_SHM_DISABLE=1`` (or without POSIX shm) the same dispatch
-  session ships the blob with every chunk, with identical results;
-* segments never leak — not after a clean dispatch, not after a worker
-  exception mid-batch, not after an abandoned streaming session;
+* :meth:`ProcessExecutor.map_shared` pickles the payload once and ships
+  that blob with every chunk, with identical results on every executor;
+  serial and thread sessions ship nothing;
+* :class:`PayloadHandle` round-trips through pickle, and workers
+  unpickle a payload at most once (digest-keyed memo, bounded by
+  ``_SHARED_CACHE_LIMIT``);
+* sessions close idempotently and drop a released payload's blob;
 * the streaming batch engine of
   :func:`repro.core.transpile.transpile_many` is byte-identical to
-  per-circuit ``transpile()`` on every executor, and streams over
-  inline blobs when the transport is unavailable;
+  per-circuit ``transpile()`` on every executor;
 * anchored streaming payloads serialise the batch's coverage set exactly
   once.
 """
 
-import glob
-import os
 import pickle
 
 import numpy as np
@@ -34,42 +31,19 @@ from repro.transpiler import (
     ThreadExecutor,
     line_topology,
 )
+from repro.transpiler import executors as executors_mod
 from repro.transpiler.executors import (
-    SHM_SEGMENT_PREFIX,
     PayloadHandle,
     _load_payload,
     _publish_object,
-    _unlink_segment,
+    _shared_cache,
     reset_worker_state,
-    shm_transport_enabled,
 )
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
-#: An O(1) per-chunk transport budget: segment name + digest + slack.
-#: Any full payload (coverage set + DAGs) is megabytes, so an accidental
-#: regression to blob shipping trips this immediately.
-SHM_CHUNK_BYTE_BUDGET = 256
-
-needs_shm = pytest.mark.skipif(
-    not shm_transport_enabled(),
-    reason="POSIX shared memory unavailable on this platform",
-)
-
-
-def _own_segments() -> list[str]:
-    """Shared-memory segments created by this process and still linked."""
-    return glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}{os.getpid()}_*")
-
-
 def _times(shared, task):
     return task * shared
-
-
-def _explode(shared, task):
-    if task == shared:
-        raise ValueError(f"task {task} exploded")
-    return task
 
 
 def _fingerprint(result):
@@ -109,57 +83,23 @@ def _sequential():
 
 
 # ---------------------------------------------------------------------------
-# map_shared over shared memory: O(1) transport, blob fallback
+# map_shared over pickled blobs
 # ---------------------------------------------------------------------------
 
 
-@needs_shm
-def test_map_shared_uses_shm_and_ships_constant_bytes():
+def test_map_shared_ships_one_blob_per_chunk():
     with ProcessExecutor(max_workers=2) as executor:
         results = executor.map_shared(_times, 3, list(range(23)))
         stats = executor.dispatch_stats
     assert results == [task * 3 for task in range(23)]
     assert stats["payload_pickles"] == 1
     assert stats["shared_pickles"] == 0
-    assert stats["shm_segments"] == 1
     assert stats["chunks"] >= 2
-    assert stats["bytes_shipped"] <= SHM_CHUNK_BYTE_BUDGET * stats["chunks"]
-    assert _own_segments() == []
-
-
-@needs_shm
-def test_map_shared_shm_transport_is_payload_size_independent():
-    """Per-chunk transport stays O(1) even for a megabyte payload."""
-    payload = b"x" * (1 << 20)
-    with ProcessExecutor(max_workers=2) as executor:
-        results = executor.map_shared(_len_of, payload, list(range(16)))
-        stats = executor.dispatch_stats
-    assert results == [len(payload)] * 16
-    assert stats["bytes_shipped"] <= SHM_CHUNK_BYTE_BUDGET * stats["chunks"]
-    assert _own_segments() == []
-
-
-def _len_of(shared, task):
-    return len(shared)
-
-
-def test_map_shared_blob_fallback_when_disabled(monkeypatch):
-    monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
-    assert not shm_transport_enabled()
-    with ProcessExecutor(max_workers=2) as executor:
-        results = executor.map_shared(_times, 3, list(range(23)))
-        stats = executor.dispatch_stats
-    assert results == [task * 3 for task in range(23)]
-    assert stats["payload_pickles"] == 1
-    assert stats["shared_pickles"] == 0
-    assert stats["shm_segments"] == 0
-    # Blob mode ships the payload bytes with every chunk, and workers
-    # unpickle a copy of them (no out-of-band index header).
-    payload_size = len(pickle.dumps(3, protocol=pickle.HIGHEST_PROTOCOL))
-    assert stats["bytes_shipped"] >= payload_size * stats["chunks"]
-    assert stats["header_bytes"] == 0
-    assert stats["bytes_copied"] >= payload_size
-    assert _own_segments() == []
+    # The payload's blob rides every chunk, and workers unpickle a copy
+    # of it at most once each.
+    handle = _publish_object(3)
+    assert stats["bytes_shipped"] == handle.shipped_bytes * stats["chunks"]
+    assert handle.size <= stats["bytes_copied"] <= 2 * handle.size
 
 
 def test_serial_and_thread_map_shared_never_touch_transport():
@@ -167,110 +107,99 @@ def test_serial_and_thread_map_shared_never_touch_transport():
     assert serial.map_shared(_times, 3, [1, 2, 3]) == [3, 6, 9]
     with ThreadExecutor(max_workers=2) as threads:
         assert threads.map_shared(_times, 3, [1, 2, 3]) == [3, 6, 9]
-        assert threads.dispatch_stats["shm_segments"] == 0
         assert threads.dispatch_stats["bytes_shipped"] == 0
-    assert serial.dispatch_stats["shm_segments"] == 0
+        assert threads.dispatch_stats["bytes_copied"] == 0
+    assert serial.dispatch_stats["bytes_shipped"] == 0
 
 
-@needs_shm
 def test_payload_handle_roundtrip_and_shipped_bytes():
     handle = _publish_object(b"hello payload")
     try:
-        assert handle.segment is not None
-        assert handle.shipped_bytes <= SHM_CHUNK_BYTE_BUDGET
+        assert handle.shipped_bytes == handle.size + len(handle.digest) + 16
         clone = pickle.loads(pickle.dumps(handle))
+        assert (clone.digest, clone.size, clone.blob) == (
+            handle.digest, handle.size, handle.blob
+        )
         assert _load_payload(clone) == b"hello payload"
     finally:
-        _unlink_segment(handle.segment)
         reset_worker_state()
-    assert _own_segments() == []
 
 
-def test_payload_handle_blob_mode(monkeypatch):
-    monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
+def test_payload_handle_blob_mode():
     handle = _publish_object(b"hello payload")
-    assert handle.segment is None
     assert handle.blob == pickle.dumps(
         b"hello payload", protocol=pickle.HIGHEST_PROTOCOL
     )
+    assert handle.size == len(handle.blob)
     assert _load_payload(handle) == b"hello payload"
     assert isinstance(handle, PayloadHandle)
     reset_worker_state()
 
 
+def test_payload_memo_loads_blob_once():
+    reset_worker_state()
+    handle = _publish_object({"matrix": np.arange(64.0).reshape(8, 8)})
+    try:
+        first = _load_payload(handle)
+        second = _load_payload(handle)
+        assert first is second
+        assert executors_mod._worker_bytes_copied == handle.size
+    finally:
+        reset_worker_state()
+
+
+def test_shared_cache_stays_bounded(monkeypatch):
+    """The worker memo evicts least-recently-used payloads at the limit."""
+    reset_worker_state()
+    monkeypatch.setattr(executors_mod, "_SHARED_CACHE_LIMIT", 2)
+    handles = [_publish_object({"index": np.full(16, i)}) for i in range(3)]
+    try:
+        for handle in handles:
+            _load_payload(handle)
+        assert list(_shared_cache) == [h.digest for h in handles[1:]]
+        # A reload of the evicted payload unpickles it again.
+        copied = executors_mod._worker_bytes_copied
+        _load_payload(handles[0])
+        assert executors_mod._worker_bytes_copied == copied + handles[0].size
+        assert len(_shared_cache) == 2
+    finally:
+        reset_worker_state()
+
+
 # ---------------------------------------------------------------------------
-# Cleanup guarantees
+# Session lifecycle
 # ---------------------------------------------------------------------------
 
 
-@needs_shm
-def test_no_segment_leak_after_worker_exception():
-    """A worker raising mid-batch must not leave a segment behind."""
-    with ProcessExecutor(max_workers=2) as executor:
-        with pytest.raises(ValueError, match="exploded"):
-            executor.map_shared(_explode, 7, list(range(16)))
-    assert _own_segments() == []
-
-
-@needs_shm
-def test_no_segment_leak_after_session_worker_exception():
-    """A streaming session closed after a worker error unlinks segments."""
-    with ProcessExecutor(max_workers=2) as executor:
-        session = executor.open_dispatch(_explode, anchors=(object(),))
-        slot = session.add_payload(7)
-        futures = session.submit(slot, list(range(12)))
-        with pytest.raises(ValueError, match="exploded"):
-            for future in futures:
-                future.result()
-        session.close()
-    assert _own_segments() == []
-
-
-@needs_shm
-def test_session_close_is_idempotent_and_unlinks():
+def test_session_close_is_idempotent():
     with ProcessExecutor(max_workers=2) as executor:
         session = executor.open_dispatch(_times)
         slot = session.add_payload(2)
         futures = session.submit(slot, [1, 2, 3])
         assert [r for f in futures for r in f.result()] == [2, 4, 6]
-        assert _own_segments() != []  # payload segment live while open
         session.close()
         session.close()
-    assert _own_segments() == []
+        assert session.outstanding() == 0
 
 
-@needs_shm
-def test_session_release_unlinks_drained_payload_segments():
-    """Streamed payload segments are unlinked per circuit, not at close.
+def test_session_release_drops_drained_payload_blobs():
+    """Streamed payload blobs are dropped per circuit, not at close.
 
-    A long batch would otherwise accumulate one segment per circuit in
-    ``/dev/shm`` until the session closed, defeating the bounded
-    in-flight window.
+    A long batch would otherwise hold one pickled payload per circuit
+    until the session closed, defeating the bounded in-flight window.
     """
+    from repro.exceptions import TranspilerError
+
     with ProcessExecutor(max_workers=2) as executor:
-        session = executor.open_dispatch(_times, anchors=(object(),))
-        before = len(_own_segments())  # anchor segment only
-        slot = session.add_payload(3)
-        assert len(_own_segments()) == before + 1
-        futures = session.submit(slot, [1, 2, 3])
-        assert [r for f in futures for r in f.result()] == [3, 6, 9]
-        session.release(slot)
-        session.release(slot)  # idempotent
-        assert len(_own_segments()) == before
-        session.close()
-    assert _own_segments() == []
-
-
-@needs_shm
-def test_atexit_guard_unlinks_created_segments():
-    """The parent-side atexit guard sweeps segments a crash left behind."""
-    from repro.transpiler.executors import _cleanup_segments
-
-    handle = _publish_object(b"orphan")
-    assert _own_segments() != []
-    _cleanup_segments()
-    assert _own_segments() == []
-    assert handle.segment is not None
+        with executor.open_dispatch(_times, anchors=(object(),)) as session:
+            slot = session.add_payload(3)
+            futures = session.submit(slot, [1, 2, 3])
+            assert [r for f in futures for r in f.result()] == [3, 6, 9]
+            session.release(slot)
+            session.release(slot)  # idempotent
+            assert session._handles[slot] is None
+            with pytest.raises(TranspilerError, match="released"):
+                session.submit(slot, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,35 +223,8 @@ def test_stream_identical_across_executors(make_executor):
     with make_executor() as executor:
         stream = _batch(executor)
     assert [_fingerprint(r) for r in stream] == reference
-    assert _own_segments() == []
 
 
-def test_stream_runs_over_blobs_without_shm(monkeypatch):
-    reference = [_fingerprint(r) for r in _sequential()]
-    monkeypatch.setenv("MIRAGE_SHM_DISABLE", "1")
-    with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor)
-    assert [_fingerprint(r) for r in fanned] == reference
-    assert fanned.dispatch["shm_segments"] == 0
-    assert fanned.dispatch["shared_pickles"] == 1
-    assert fanned.dispatch["payload_pickles"] == 3
-
-
-@needs_shm
-def test_stream_process_dispatch_ships_constant_bytes():
-    with ProcessExecutor(max_workers=2) as executor:
-        fanned = _batch(executor)
-    dispatch = fanned.dispatch
-    assert dispatch["shm_segments"] >= 1
-    assert dispatch["chunks"] >= 1
-    # O(1) transport per chunk: two handles (anchor + spec), never blobs.
-    assert dispatch["bytes_shipped"] <= (
-        2 * SHM_CHUNK_BYTE_BUDGET * dispatch["chunks"]
-    )
-    assert _own_segments() == []
-
-
-@needs_shm
 def test_stream_pickles_coverage_once(monkeypatch):
     """The anchored streaming dispatch serialises the coverage set once."""
     calls = {"count": 0}

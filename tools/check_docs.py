@@ -82,7 +82,6 @@ PUBLIC_API = [
     ("repro.transpiler.executors", "TrialExecutor.open_dispatch"),
     ("repro.transpiler.executors", "DispatchSession"),
     ("repro.transpiler.executors", "PayloadHandle"),
-    ("repro.transpiler.executors", "shm_transport_enabled"),
     ("repro.transpiler.kernel.intdag", "IntDAG"),
     ("repro.transpiler.kernel.intdag", "IntDAG.reversed"),
     ("repro.transpiler.kernel.intdag", "IntDAG.from_ops"),

@@ -14,8 +14,8 @@ overload contract end to end:
 * injected worker kills are recovered (``respawns`` recorded) and
   injected breaker trips walk the breaker state machine, serving the
   next window degraded but still byte-identical;
-* after ``aclose()`` nothing leaks: no pending requests, no live
-  ``mirage_shm_*`` segments.
+* after ``aclose()`` nothing is left pending and no request was
+  abandoned by the drain.
 
 Run from the repo root (optionally under a fault plan):
 
@@ -29,7 +29,6 @@ import asyncio
 import json
 import os
 import sys
-from pathlib import Path
 
 from repro.circuits.library import ghz, qft
 from repro.core.transpile import transpile
@@ -64,13 +63,6 @@ def fingerprint(result):
         result.mirrors_accepted,
         result.trial_index,
     )
-
-
-def leaked_segments() -> list[str]:
-    shm = Path("/dev/shm")
-    if not shm.exists():
-        return []
-    return sorted(p.name for p in shm.glob("mirage_shm_*"))
 
 
 async def drive(plan: str) -> dict:
@@ -174,9 +166,6 @@ def main() -> int:
     assert stats["pending"] == 0, stats["pending"]
     assert stats["drain_abandoned"] == 0, stats["drain_abandoned"]
 
-    leaks = leaked_segments()
-    assert not leaks, f"leaked shared-memory segments: {leaks}"
-
     # Byte-identity against direct transpile() at the same seeds, with
     # the fault plan cleared so baselines run undisturbed.
     os.environ.pop("MIRAGE_FAULT_PLAN", None)
@@ -199,7 +188,6 @@ def main() -> int:
         "respawns": dispatch["respawns"],
         "windows": stats["windows"],
         "byte_identical": True,
-        "leaked_segments": leaks,
     }, indent=2))
     return 0
 

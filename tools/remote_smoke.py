@@ -18,7 +18,7 @@ distributed contract end to end:
   survivor absorbs the replays), the janitor reclaims its socket file
   and spool directory, and the follow-up batch still matches serial;
 * after ``close()`` and host shutdown nothing leaks: no socket files,
-  no spool directories, no ``mirage_shm_*`` segments.
+  no spool directories.
 
 Run from the repo root (optionally under a fault plan):
 
@@ -45,7 +45,6 @@ from repro.circuits.library import ghz, qft
 from repro.core import transpile_many
 from repro.polytopes import get_coverage_set
 from repro.transpiler import RemoteExecutor, line_topology
-from repro.transpiler.executors import SHM_SEGMENT_PREFIX
 from repro.transpiler.faults import SPOOL_PREFIX, reap_stale_segments
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -143,10 +142,6 @@ def host_leftovers(pids) -> list[str]:
     for pid in pids:
         leftovers.extend(glob.glob(os.path.join(tmp, f"{SPOOL_PREFIX}{pid}_*")))
     return sorted(leftovers)
-
-
-def leaked_segments() -> list[str]:
-    return sorted(glob.glob(f"/dev/shm/{SHM_SEGMENT_PREFIX}{os.getpid()}_*"))
 
 
 def drive_fault_plan(plan: str, coverage, host_paths) -> dict:
@@ -257,9 +252,6 @@ def main() -> int:
             assert host_leftovers([host.pid for host in hosts]) == []
             scenario = plan or "clean"
 
-    leaks = leaked_segments()
-    assert not leaks, f"leaked shared-memory segments: {leaks}"
-
     print(json.dumps({
         "scenario": scenario,
         "byte_identical": True,
@@ -270,7 +262,6 @@ def main() -> int:
         "host_downgrades": stats.get("host_downgrades", 0),
         "frames_garbled": stats.get("frames_garbled", 0),
         "executor_downgrades": stats.get("executor_downgrades", 0),
-        "leaked_segments": leaks,
     }, indent=2))
     return 0
 
