@@ -779,12 +779,48 @@ class _ThreadDispatchSession(_LocalDispatchSession):
         self._executor._ensure_pool().submit(super()._launch, record)
 
 
-class _ProcessDispatchSession(DispatchSession):
-    """Process-pool session over pickled payload blobs.
+class _PickledDispatchSession(DispatchSession):
+    """Sessions that ship payloads out of process as pickle blobs.
 
     Anchor objects are pickled once; every payload added later is pickled
     once, with persistent references to them, so the batch's coverage
-    set is serialised exactly once.  Each chunk carries the two
+    set is serialised exactly once.  Each blob is a
+    :class:`PayloadHandle` keyed by its SHA-1 digest: the process pool
+    carries it on every chunk, the remote tier ships it to each host at
+    most once.
+    """
+
+    def __init__(
+        self,
+        executor: "TrialExecutor",
+        fn: Callable[[Any, Any], Any],
+        anchors: Sequence[object] = (),
+    ) -> None:
+        super().__init__(executor, fn)
+        self._anchors = tuple(anchors)
+        self._handles: list[PayloadHandle | None] = []
+        self._anchor_handle: PayloadHandle | None = None
+        if self._anchors:
+            self._anchor_handle = _publish_object(self._anchors)
+            executor._count_dispatch(shared_pickles=1)
+
+    def add_payload(self, payload: object) -> int:
+        self._handles.append(_publish_object(payload, self._anchors))
+        self._executor._count_dispatch(payload_pickles=1)
+        return super().add_payload(payload)
+
+    def release(self, slot: int) -> None:
+        super().release(slot)
+        self._handles[slot] = None
+
+    def _handle(self, slot: int) -> PayloadHandle:
+        """Slot ``slot``'s published blob; a released slot raises."""
+        self._payload(slot)
+        return self._handles[slot]
+
+
+class _ProcessDispatchSession(_PickledDispatchSession):
+    """Process-pool session: each chunk carries the two
     :class:`PayloadHandle` blobs (anchor and payload), and workers
     memoise their deserialisation by content digest.
 
@@ -802,26 +838,11 @@ class _ProcessDispatchSession(DispatchSession):
         fn: Callable[[Any, Any], Any],
         anchors: Sequence[object] = (),
     ) -> None:
-        super().__init__(executor, fn)
-        self._anchors = tuple(anchors)
-        self._handles: list[PayloadHandle | None] = []
-        self._anchor_handle: PayloadHandle | None = None
+        super().__init__(executor, fn, anchors)
         self._watchdog: threading.Thread | None = None
         # True once any chunk carried a deadline — keeps the watchdog
         # running even when no MIRAGE_TASK_TIMEOUT is configured.
         self._deadline_active = False
-        if self._anchors:
-            self._anchor_handle = _publish_object(self._anchors)
-            executor._count_dispatch(shared_pickles=1)
-
-    def add_payload(self, payload: object) -> int:
-        self._handles.append(_publish_object(payload, self._anchors))
-        self._executor._count_dispatch(payload_pickles=1)
-        return super().add_payload(payload)
-
-    def release(self, slot: int) -> None:
-        super().release(slot)
-        self._handles[slot] = None
 
     # -- transport hooks -----------------------------------------------------
 
@@ -831,8 +852,7 @@ class _ProcessDispatchSession(DispatchSession):
         if record.deadline is not None:
             self._deadline_active = True
         self._ensure_watchdog()
-        self._payload(record.slot)
-        handle = self._handles[record.slot]
+        handle = self._handle(record.slot)
         if record.attempts == 0:
             anchor = self._anchor_handle
             executor._count_dispatch(

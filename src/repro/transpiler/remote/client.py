@@ -25,9 +25,9 @@ ladder a network demands:
   lost chunk**, byte-identically, with injected faults disarmed.  A
   host that cannot be reached within the ``MIRAGE_TASK_RETRIES``
   budget is marked down (``host_downgrades``) and its work
-  redistributes to the remaining hosts; when *no* host remains, chunks
-  degrade to local execution — a local process session, then the
-  dispatcher's own process — still byte-identical.
+  redistributes to the remaining hosts; when *no* host remains, each
+  chunk takes the ledger's one in-process rung, like every other
+  transport — still byte-identical.
   Recovery is visible only through the ``reconnects`` /
   ``host_downgrades`` / ``frames_garbled`` dispatch counters (all zero
   on a clean run) next to the established ``retries`` /
@@ -42,12 +42,8 @@ re-trigger the fault that lost them.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
-import functools
-import hashlib
 import os
-import pickle
 import socket
 import threading
 import time
@@ -63,10 +59,9 @@ from repro.exceptions import (
 )
 from repro.transpiler.executors import (
     DispatchSession,
-    ProcessExecutor,
     TrialExecutor,
     _ChunkRecord,
-    _dumps_anchored,
+    _PickledDispatchSession,
     _retry_backoff,
 )
 from repro.transpiler.remote import protocol
@@ -99,18 +94,83 @@ class _HostDown(TranspilerError):
     """Internal control flow: this stream's host is marked down."""
 
 
+def _recv_step(
+    conn: socket.socket, reader: FrameReader
+) -> "tuple[int, bytes] | None":
+    """The next buffered frame, or ``None`` after one receive slice.
+
+    Callers loop on it, checking their own clocks between slices.
+    """
+    frame = reader.next_frame()
+    if frame is not None:
+        return frame
+    conn.settimeout(_RECV_SLICE_S)
+    try:
+        data = conn.recv(1 << 16)
+    except socket.timeout:
+        return None
+    except OSError as error:
+        raise RemoteTransportError(f"connection lost: {error}") from error
+    if not data:
+        raise RemoteTransportError("connection closed by host")
+    reader.feed(data)
+    return None
+
+
+def _read_reply(
+    conn: socket.socket,
+    reader: FrameReader,
+    address: HostAddress,
+    budget: float,
+) -> tuple[int, bytes]:
+    """Next frame on ``conn`` within ``budget`` seconds."""
+    deadline = time.monotonic() + budget
+    while True:
+        frame = _recv_step(conn, reader)
+        if frame is not None:
+            return frame
+        if time.monotonic() >= deadline:
+            raise RemoteTransportError(
+                f"host {address} did not reply within {budget:.1f}s"
+            )
+
+
+def _handshake(
+    conn: socket.socket,
+    reader: FrameReader,
+    address: HostAddress,
+    budget: float,
+) -> tuple[int, dict]:
+    """HELLO → HELLO_ACK → version check; returns (bytes sent, the ack)."""
+    sent = write_frame(
+        conn,
+        HELLO,
+        pack_message({"version": PROTOCOL_VERSION, "pid": os.getpid()}),
+    )
+    ftype, payload = _read_reply(conn, reader, address, budget)
+    if ftype != HELLO_ACK:
+        raise RemoteTransportError(
+            f"expected HELLO_ACK, got frame type {ftype}"
+        )
+    ack = unpack_message(payload)
+    if ack.get("version") != PROTOCOL_VERSION:
+        raise ProtocolVersionError(
+            f"host {address} speaks protocol {ack.get('version')!r}, "
+            f"this client speaks {PROTOCOL_VERSION}"
+        )
+    return sent, ack
+
+
 class _HostState:
     """Session-side bookkeeping of one worker host."""
 
-    __slots__ = ("index", "address", "down", "pid", "cpu_count", "shipped",
-                 "ship_lock")
+    __slots__ = ("index", "address", "down", "pid", "shipped", "ship_lock")
 
     def __init__(self, index: int, address: HostAddress) -> None:
         self.index = index
         self.address = address
         self.down = False
         self.pid: int | None = None
-        self.cpu_count: int | None = None
         #: Digests confirmed present on the current host *process*
         #: (cleared when a reconnect finds a different host pid).
         self.shipped: set[str] = set()
@@ -156,19 +216,21 @@ class _Stream:
             self.reader = None
 
 
-class _RemoteDispatchSession(DispatchSession):
+class _RemoteDispatchSession(_PickledDispatchSession):
     """Streaming dispatch session over the framed host protocol.
 
-    Recovery is the ledger's: a chunk lost to connection loss, a garbled
-    frame, a stale host or a task-level fault is replayed through
-    :meth:`DispatchSession._failed` — ``retries``/``lost_tasks``
-    counted, faults disarmed, capped backoff, and the in-process rung
-    once the budget is spent.  This transport adds its repair (the
-    broken stream is abandoned, so its next chunk reconnects, and a
-    garbled frame counts ``frames_garbled``), its host ladder (a host
-    whose connect budget is spent is marked down and its chunks go to
-    the remaining hosts) and one extra rung before the in-process one:
-    a local process session, whose own chunks are all relayed.
+    Payloads are published exactly as for the process pool (one anchored
+    pickle blob each, keyed by its SHA-1 digest) and shipped to each host
+    at most once.  Recovery is the ledger's: a chunk lost to connection
+    loss, a garbled frame, a stale host or a task-level fault is
+    replayed through :meth:`DispatchSession._failed` —
+    ``retries``/``lost_tasks`` counted, faults disarmed, capped backoff,
+    and the in-process rung once the budget is spent.  This transport
+    adds its repair (the broken stream is abandoned, so its next chunk
+    reconnects, and a garbled frame counts ``frames_garbled``) and its
+    host ladder: a host whose connect budget is spent is marked down and
+    its chunks go to the remaining hosts; with no host left, chunks take
+    the in-process rung directly.
     """
 
     def __init__(
@@ -177,18 +239,7 @@ class _RemoteDispatchSession(DispatchSession):
         fn: Callable[[Any, Any], Any],
         anchors: Sequence[object] = (),
     ) -> None:
-        super().__init__(executor, fn)
-        self._anchors = tuple(anchors)
-        self._anchor_digest: str | None = None
-        self._anchor_blob: bytes | None = None
-        if self._anchors:
-            self._anchor_blob = pickle.dumps(
-                self._anchors, protocol=pickle.HIGHEST_PROTOCOL
-            )
-            self._anchor_digest = hashlib.sha1(self._anchor_blob).hexdigest()
-            executor._count_dispatch(shared_pickles=1)
-        #: Per slot, the payload's anchored pickle and its digest.
-        self._blobs: list[tuple[str, bytes] | None] = []
+        super().__init__(executor, fn, anchors)
         self._hosts = [
             _HostState(index, address)
             for index, address in enumerate(executor.addresses)
@@ -198,25 +249,6 @@ class _RemoteDispatchSession(DispatchSession):
         self._threads: list[threading.Thread] = []
         self._closing = False
         self._live_hosts = len(self._hosts)
-        self._fallback_lock = threading.Lock()
-        self._fallback_session: DispatchSession | None = None
-        self._fallback_executor: TrialExecutor | None = None
-        self._fallback_slots: dict[int, int] = {}
-
-    # -- payload registration ------------------------------------------------
-
-    def add_payload(self, payload: object) -> int:
-        blob = _dumps_anchored(payload, self._anchors)
-        self._blobs.append((hashlib.sha1(blob).hexdigest(), blob))
-        self._executor._count_dispatch(payload_pickles=1)
-        return super().add_payload(payload)
-
-    def release(self, slot: int) -> None:
-        super().release(slot)
-        self._blobs[slot] = None
-        fallback_slot = self._fallback_slots.pop(slot, None)
-        if fallback_slot is not None and self._fallback_session is not None:
-            self._fallback_session.release(fallback_slot)
 
     # -- transport hooks -----------------------------------------------------
 
@@ -364,38 +396,17 @@ class _RemoteDispatchSession(DispatchSession):
 
     def _connect_once(self, stream: _Stream) -> None:
         host = stream.host
-        conn = host.address.connect(self._config.remote_connect_s)
-        stream.conn = conn
-        stream.reader = FrameReader()
+        budget = self._config.remote_connect_s
+        conn = host.address.connect(budget)
+        reader = FrameReader()
         try:
-            sent = write_frame(
-                conn,
-                HELLO,
-                pack_message(
-                    {"version": PROTOCOL_VERSION, "pid": os.getpid()}
-                ),
-            )
-            self._executor._count_dispatch(bytes_shipped=sent)
-            ftype, payload = self._read_reply(
-                stream, self._config.remote_connect_s
-            )
-            if ftype != HELLO_ACK:
-                raise RemoteTransportError(
-                    f"expected HELLO_ACK, got frame type {ftype}"
-                )
-            ack = unpack_message(payload)
-            if ack.get("version") != PROTOCOL_VERSION:
-                raise ProtocolVersionError(
-                    f"host {host.address} speaks protocol "
-                    f"{ack.get('version')!r}, this client speaks "
-                    f"{PROTOCOL_VERSION}"
-                )
+            sent, ack = _handshake(conn, reader, host.address, budget)
         except BaseException:
-            stream.conn = None
-            stream.reader = None
             with contextlib.suppress(OSError):
                 conn.close()
             raise
+        stream.conn, stream.reader = conn, reader
+        self._executor._count_dispatch(bytes_shipped=sent)
         pid = ack.get("pid")
         with self._cv:
             if host.pid != pid:
@@ -403,39 +414,19 @@ class _RemoteDispatchSession(DispatchSession):
                 # one spooled is gone.
                 host.shipped.clear()
                 host.pid = pid
-            host.cpu_count = ack.get("cpu_count")
         self._executor._note_host(host.index, pid, ack.get("cpu_count"))
         if stream.reconnecting:
             stream.reconnecting = False
             self._executor._count_dispatch(reconnects=1)
 
-    def _read_reply(
-        self, stream: _Stream, budget: float
-    ) -> tuple[int, bytes]:
-        """Next frame on this stream within ``budget`` seconds."""
-        deadline = time.monotonic() + budget
-        conn, reader = stream.conn, stream.reader
-        while True:
-            frame = reader.next_frame()
-            if frame is not None:
-                return frame
-            if time.monotonic() >= deadline:
-                raise RemoteTransportError(
-                    f"host {stream.host.address} did not reply within "
-                    f"{budget:.1f}s"
-                )
-            conn.settimeout(_RECV_SLICE_S)
-            try:
-                data = conn.recv(1 << 16)
-            except socket.timeout:
-                continue
-            except OSError as error:
-                raise RemoteTransportError(
-                    f"connection lost while awaiting reply: {error}"
-                ) from error
-            if not data:
-                raise RemoteTransportError("connection closed by host")
-            reader.feed(data)
+    def _reply(self, stream: _Stream) -> tuple[int, bytes]:
+        """Next frame on this stream within the connect budget."""
+        return _read_reply(
+            stream.conn,
+            stream.reader,
+            stream.host.address,
+            self._config.remote_connect_s,
+        )
 
     def _ensure_hosted(
         self, stream: _Stream, digest: str, blob: bytes
@@ -448,9 +439,7 @@ class _RemoteDispatchSession(DispatchSession):
             sent = write_frame(
                 stream.conn, HAS, pack_message({"digest": digest})
             )
-            ftype, payload = self._read_reply(
-                stream, self._config.remote_connect_s
-            )
+            ftype, payload = self._reply(stream)
             if ftype != HAVE:
                 raise RemoteTransportError(
                     f"expected HAVE, got frame type {ftype}"
@@ -461,9 +450,7 @@ class _RemoteDispatchSession(DispatchSession):
                     PAYLOAD,
                     pack_message({"digest": digest, "blob": blob}),
                 )
-                ftype, _ = self._read_reply(
-                    stream, self._config.remote_connect_s
-                )
+                ftype, _ = self._reply(stream)
                 if ftype != PAYLOAD_ACK:
                     raise RemoteTransportError(
                         f"expected PAYLOAD_ACK, got frame type {ftype}"
@@ -477,20 +464,18 @@ class _RemoteDispatchSession(DispatchSession):
         self, stream: _Stream, record: _ChunkRecord
     ) -> list:
         self._ensure_connection(stream)
-        self._payload(record.slot)
-        digest, blob = self._blobs[record.slot]
-        if self._anchor_digest is not None:
-            self._ensure_hosted(
-                stream, self._anchor_digest, self._anchor_blob
-            )
-        self._ensure_hosted(stream, digest, blob)
+        handle = self._handle(record.slot)
+        anchor = self._anchor_handle
+        if anchor is not None:
+            self._ensure_hosted(stream, anchor.digest, anchor.blob)
+        self._ensure_hosted(stream, handle.digest, handle.blob)
         deadline_s = None
         if record.deadline is not None:
             deadline_s = max(0.0, record.deadline - time.monotonic())
         request = {
             "chunk": record.ordinal,
-            "anchor": self._anchor_digest,
-            "payload": digest,
+            "anchor": anchor.digest if anchor is not None else None,
+            "payload": handle.digest,
             "fn": self.fn,
             "tasks": tuple(record.tasks),
             "deadline_s": deadline_s,
@@ -548,22 +533,8 @@ class _RemoteDispatchSession(DispatchSession):
                     f"{now - last_heard:.1f}s "
                     f"(heartbeat interval {heartbeat_s:.1f}s)"
                 )
-            frame = reader.next_frame()
+            frame = _recv_step(conn, reader)
             if frame is None:
-                conn.settimeout(_RECV_SLICE_S)
-                try:
-                    data = conn.recv(1 << 16)
-                except socket.timeout:
-                    continue
-                except OSError as error:
-                    raise RemoteTransportError(
-                        f"connection lost awaiting chunk result: {error}"
-                    ) from error
-                if not data:
-                    raise RemoteTransportError(
-                        "connection closed by host mid-chunk"
-                    )
-                reader.feed(data)
                 continue
             ftype, payload = frame
             last_heard = time.monotonic()
@@ -596,66 +567,6 @@ class _RemoteDispatchSession(DispatchSession):
                 f"unexpected frame type {ftype} while awaiting a result"
             )
 
-    # -- local degradation ---------------------------------------------------
-
-    def _launch_degraded(self, record: _ChunkRecord) -> None:
-        """Remote's extra rung: run the chunk on a local process session
-        before the ledger's in-process one.  The local session may split
-        the chunk into several futures; every one is relayed."""
-        session = self._ensure_fallback()
-        if session is not None:
-            try:
-                futures = session.submit(
-                    self._fallback_slot(session, record.slot),
-                    record.tasks,
-                    deadline=record.deadline,
-                )
-            except BaseException:  # noqa: BLE001 - fall through to in-process
-                pass
-            else:
-                relay = functools.partial(self._relay, record, futures)
-                for future in futures:
-                    future.add_done_callback(relay)
-                return
-        super()._launch_degraded(record)
-
-    def _relay(
-        self,
-        record: _ChunkRecord,
-        futures: list[concurrent.futures.Future],
-        _done: concurrent.futures.Future,
-    ) -> None:
-        """Settle ``record`` once all its local futures are done: their
-        results concatenated in order, or the first error in order."""
-        if not all(future.done() for future in futures):
-            return
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                self._settle(record, error=error)
-                return
-        self._settle(
-            record, [result for future in futures for result in future.result()]
-        )
-
-    def _ensure_fallback(self) -> DispatchSession | None:
-        """The lazily-built local fallback session; ``None`` once closing."""
-        with self._fallback_lock:
-            if self._fallback_session is None and not self._closing:
-                self._fallback_executor = ProcessExecutor()
-                self._fallback_session = self._fallback_executor.open_dispatch(
-                    self.fn, self._anchors
-                )
-            return self._fallback_session
-
-    def _fallback_slot(self, session: DispatchSession, slot: int) -> int:
-        with self._fallback_lock:
-            mapped = self._fallback_slots.get(slot)
-            if mapped is None:
-                mapped = session.add_payload(self._payload(slot))
-                self._fallback_slots[slot] = mapped
-            return mapped
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -672,15 +583,6 @@ class _RemoteDispatchSession(DispatchSession):
             for thread in self._threads:
                 thread.join(timeout=10.0)
             self._threads = []
-            with self._fallback_lock:
-                session = self._fallback_session
-                executor = self._fallback_executor
-                self._fallback_session = None
-                self._fallback_executor = None
-            if session is not None:
-                session.close()
-            if executor is not None:
-                executor.close()
 
 
 class RemoteExecutor(TrialExecutor):
@@ -696,8 +598,8 @@ class RemoteExecutor(TrialExecutor):
     Fixed-seed results are byte-identical to every local executor —
     including under connection loss, garbled frames, partitioned or
     killed hosts — because recovery replays lost chunks with their
-    original tasks and seeds, and falls back to local execution only
-    with the same function and payloads.
+    original tasks and seeds, and with every host down runs them
+    in-process with the same function and payloads.
     """
 
     name = "remote"
@@ -781,24 +683,9 @@ class RemoteExecutor(TrialExecutor):
             except OSError:
                 continue
             try:
-                write_frame(
-                    conn,
-                    HELLO,
-                    pack_message(
-                        {"version": PROTOCOL_VERSION, "pid": os.getpid()}
-                    ),
+                _, ack = _handshake(
+                    conn, FrameReader(), address, self._connect_s
                 )
-                conn.settimeout(self._connect_s)
-                ftype, payload = protocol.read_frame(conn)
-                if ftype != HELLO_ACK:
-                    continue
-                ack = unpack_message(payload)
-                if ack.get("version") != PROTOCOL_VERSION:
-                    raise ProtocolVersionError(
-                        f"host {address} speaks protocol "
-                        f"{ack.get('version')!r}, this client speaks "
-                        f"{PROTOCOL_VERSION}"
-                    )
                 self._note_host(index, ack.get("pid"), ack.get("cpu_count"))
                 reachable += 1
                 write_frame(conn, BYE, b"")

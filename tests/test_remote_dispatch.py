@@ -13,8 +13,8 @@ Covers the remote tier end to end:
 * the recovery ladder — reconnect-with-backoff replays only lost
   chunks, stale hosts (suppressed heartbeats) are detected and their
   chunks replayed, partitioned hosts are marked down without consuming
-  retry budget on their chunks, and with every host dark the session
-  degrades to local execution — all visible in the ``reconnects`` /
+  retry budget on their chunks, and with every host dark each chunk
+  runs in-process — all visible in the ``reconnects`` /
   ``host_downgrades`` / ``frames_garbled`` counters, which are exactly
   zero on clean runs;
 * resource hygiene — no leaked sockets, spool directories or host
@@ -26,6 +26,7 @@ Covers the remote tier end to end:
 import glob
 import hashlib
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -55,7 +56,11 @@ from repro.transpiler import (
     line_topology,
     ring_topology,
 )
-from repro.transpiler.executors import _retry_backoff, resolve_executor
+from repro.transpiler.executors import (
+    ProcessExecutor,
+    _retry_backoff,
+    resolve_executor,
+)
 from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.host import main as host_main
@@ -436,9 +441,9 @@ def test_all_hosts_partitioned_degrades_locally(two_hosts, fast_recovery):
 def test_all_hosts_partitioned_runs_every_local_chunk(
     two_hosts, fast_recovery
 ):
-    """A degraded remote chunk that the local process session splits into
-    several chunks runs on the local pool, every piece of it: results
-    come back in order, and none from the dispatcher's own process."""
+    """With every host down, each chunk takes the ledger's in-process
+    rung exactly once: results come back in order, all computed in the
+    dispatcher's own process, and no chunk is retried."""
     fast_recovery.setenv(
         "MIRAGE_FAULT_PLAN", "partition:host:0,partition:host:1"
     )
@@ -450,7 +455,53 @@ def test_all_hosts_partitioned_runs_every_local_chunk(
     finally:
         executor.close()
     assert [task for task, _ in results] == list(range(100))
-    assert all(pid != os.getpid() for _, pid in results)
+    assert all(pid == os.getpid() for _, pid in results)
+    stats = executor.dispatch_stats
+    assert stats["host_downgrades"] == 2
+    assert stats["retries"] == 0
+    assert stats["executor_downgrades"] == stats["chunks"]
+
+
+def test_remote_session_publishes_like_the_process_pool(two_hosts):
+    """Both out-of-process transports publish one blob per payload
+    through the same session base: same digests, same pickle counts,
+    and the same slot release contract."""
+    anchor = list(range(50))
+    payload = {"anchor": anchor, "scale": 3}
+    remote = RemoteExecutor(hosts=[host.address for host in two_hosts])
+    process = ProcessExecutor(max_workers=1)
+    try:
+        sessions = [
+            executor.open_dispatch(_scale, (anchor,))
+            for executor in (remote, process)
+        ]
+        slots = [session.add_payload(payload) for session in sessions]
+        remote_session, process_session = sessions
+        # The anchor blob is the plain pickle of the anchor tuple, so
+        # hosts that memoised it under its digest keep hitting.
+        plain = pickle.dumps((anchor,), protocol=pickle.HIGHEST_PROTOCOL)
+        assert (
+            remote_session._anchor_handle.digest
+            == process_session._anchor_handle.digest
+            == hashlib.sha1(plain).hexdigest()
+        )
+        assert (
+            remote_session._handles[slots[0]].digest
+            == process_session._handles[slots[1]].digest
+        )
+        for key in ("shared_pickles", "payload_pickles"):
+            assert remote.dispatch_stats[key] == process.dispatch_stats[key] == 1
+
+        remote_session.release(slots[0])
+        assert remote_session._handles[slots[0]] is None
+        remote_session.release(slots[0])  # releasing twice is a no-op
+        with pytest.raises(TranspilerError, match="released"):
+            remote_session.submit(slots[0], [1, 2])
+        for session in sessions:
+            session.close()
+    finally:
+        remote.close()
+        process.close()
 
 
 # ---------------------------------------------------------------------------

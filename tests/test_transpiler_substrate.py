@@ -1,6 +1,5 @@
 """Tests for topologies, layouts, metrics, cleanup/unroll/consolidate passes."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import TranspilerError

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import CNOT, ISWAP, SWAP, haar_unitary, pswap
+from repro.linalg import SWAP, haar_unitary
 from repro.weyl import (
     B_GATE_COORD,
     CNOT_COORD,

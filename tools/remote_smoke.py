@@ -1,8 +1,8 @@
 """Remote smoke driver: real worker hosts, injected network faults.
 
 CI's ``remote`` job runs this script under a matrix of network fault
-plans (clean control, dropped connections, garbled frames, a silent
-host) plus a SIGKILL-mid-dispatch scenario.  It launches two real
+plans (clean control, dropped connections, garbled frames, one or both
+hosts partitioned, a silent host) plus a SIGKILL-mid-dispatch scenario.  It launches two real
 ``mirage-worker-host`` processes on localhost unix sockets, drives a
 fixed-seed batch through :class:`RemoteExecutor`, and asserts the
 distributed contract end to end:
@@ -12,8 +12,9 @@ distributed contract end to end:
 * the recovery counters are **exact**: a dropped connection costs one
   ``reconnect`` and one replayed chunk, a garbled frame one
   ``frames_garbled``, a partitioned host one ``host_downgrades`` with
-  zero reconnects, a silent host one staleness replay — and a clean
-  run records the whole family at zero;
+  zero reconnects, a silent host one staleness replay, every host
+  partitioned one in-process downgrade per chunk — and a clean run
+  records the whole family at zero;
 * a host SIGKILLed mid-dispatch loses only its in-flight chunks (the
   survivor absorbs the replays), the janitor reclaims its socket file
   and spool directory, and the follow-up batch still matches serial;
@@ -75,6 +76,12 @@ EXPECTED = {
     },
     "slow_net:chunk:3": {
         "retries": 1, "reconnects": 1, "host_downgrades": 0,
+    },
+    # Every host down: each chunk takes the in-process rung exactly
+    # once, so the value names the counter it must equal.
+    "partition:host:0,partition:host:1": {
+        "retries": 0, "reconnects": 0, "frames_garbled": 0,
+        "host_downgrades": 2, "executor_downgrades": "chunks",
     },
 }
 
@@ -161,6 +168,8 @@ def drive_fault_plan(plan: str, coverage, host_paths) -> dict:
     )
     dispatch = dict(fanned.dispatch)
     for counter, value in EXPECTED[plan].items():
+        if isinstance(value, str):
+            value = dispatch[value]
         assert dispatch[counter] == value, (
             f"fault plan {plan!r}: expected {counter}={value}, got "
             f"{dispatch[counter]} "
