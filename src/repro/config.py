@@ -5,8 +5,8 @@
 and pass its values down: a dispatch session, a service, a remote
 executor and a worker host each read the environment once, when they
 are built, so a variable changed afterwards reaches the *next* one.
-The coverage registry's limits and the cache paths are read per call
-instead: the process-wide registry outlives any environment change.
+The coverage disk-cache paths are read per call instead, so a process
+can point later builds at another cache directory.
 
 :data:`KNOBS` is the one parse table.  Each rule keeps the knob's
 behaviour for empty, unparsable, zero and negative values:
@@ -76,9 +76,6 @@ KNOBS = (
     ("remote_heartbeat_s", "MIRAGE_REMOTE_HEARTBEAT_S", 2.0, _positive(float)),
     ("remote_connect_s", "MIRAGE_REMOTE_CONNECT_S", 5.0, _positive(float)),
     ("remote_streams", "MIRAGE_REMOTE_STREAMS", 2, _clamp(int, 1)),
-    ("registry_max_entries", "MIRAGE_REGISTRY_MAX_ENTRIES", None, _positive(int)),
-    ("registry_max_bytes", "MIRAGE_REGISTRY_MAX_BYTES", None, _positive(int)),
-    ("registry_ttl_s", "MIRAGE_REGISTRY_TTL_S", None, _positive(float)),
     ("cache_dir", "MIRAGE_CACHE_DIR", "", _string),
     ("cache_disable", "MIRAGE_CACHE_DISABLE", False, _flag),
     ("xdg_cache_home", "XDG_CACHE_HOME", "", _string),
@@ -111,10 +108,6 @@ class MirageConfig:
         Worker-host heartbeat interval and connect/handshake deadline.
     remote_streams : int
         Concurrent chunk streams per worker host.
-    registry_max_entries, registry_max_bytes : int or None
-        Coverage-registry residency caps (``None`` = unlimited).
-    registry_ttl_s : float or None
-        Coverage-registry entry lifetime (``None`` = forever).
     cache_dir : str
         Coverage disk-cache directory (``""`` = under the cache home).
     cache_disable : bool
@@ -132,9 +125,6 @@ class MirageConfig:
     remote_heartbeat_s: float
     remote_connect_s: float
     remote_streams: int
-    registry_max_entries: int | None
-    registry_max_bytes: int | None
-    registry_ttl_s: float | None
     cache_dir: str
     cache_disable: bool
     xdg_cache_home: str

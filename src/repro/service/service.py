@@ -409,7 +409,7 @@ class MirageService:
         self._degraded_executor: SerialExecutor | None = None
         self._window_seconds = window_ms / 1000.0
         self.registry = registry if registry is not None else CoverageRegistry()
-        self._coverage_params = dict(coverage_params or {})
+        self._coverage = self.registry.bind(**(coverage_params or {}))
         self._prewarm = prewarm
         self._warmed = False
         self._closed = False
@@ -711,9 +711,6 @@ class MirageService:
                     started - request.enqueued for request in window.requests
                 ]
                 key = window.key
-                handle = self.registry.bind(
-                    topology=key.topology, **self._coverage_params
-                )
                 deadlines = [request.deadline for request in window.requests]
                 batch = transpile_many(
                     [request.circuit for request in window.requests],
@@ -725,7 +722,7 @@ class MirageService:
                     layout_trials=key.layout_trials,
                     refinement_rounds=key.refinement_rounds,
                     routing_trials=key.routing_trials,
-                    coverage=handle,
+                    coverage=self._coverage,
                     use_vf2=key.use_vf2,
                     circuit_seeds=[
                         request.seed for request in window.requests
@@ -841,7 +838,7 @@ class MirageService:
         (request/tenant counts, queue waits
         including a per-tenant breakdown, and the dispatch counters
         inherited from :attr:`~repro.core.results.BatchResult.dispatch`),
-        plus ``registry`` hit/miss/build/eviction counters and the
+        plus ``registry`` hit/miss/build/wait/error counters and the
         executor's cumulative ``dispatch_stats``.
         """
         stats = {

@@ -11,18 +11,13 @@ from repro.transpiler.executors import (
     executor_scope,
     resolve_executor,
 )
-from repro.transpiler.remote import (
-    HostAddress,
-    RemoteExecutor,
-    WorkerHost,
-)
+from repro.transpiler.remote import HostAddress, RemoteExecutor
 from repro.transpiler.faults import (
     ChunkFaults,
     CorruptResultError,
     FaultPlan,
     InjectedWorkerCrash,
     parse_fault_plan,
-    reap_stale_segments,
 )
 from repro.transpiler.kernel import (
     IntDAG,
@@ -58,6 +53,24 @@ from repro.transpiler.topologies import (
     topology_by_name,
 )
 
+# Resolved on first attribute access: importing the worker-host module
+# eagerly would make ``python -m repro.transpiler.remote.host`` run a
+# second copy of it as ``__main__``.
+_LAZY_EXPORTS = {
+    "WorkerHost": "repro.transpiler.remote.host",
+    "reap_stale_host_files": "repro.transpiler.remote.host",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        import importlib
+
+        module = importlib.import_module(_LAZY_EXPORTS[name])
+        return getattr(module, name)
+    raise AttributeError(f"module 'repro.transpiler' has no attribute {name!r}")
+
+
 __all__ = [
     "EXECUTORS",
     "DispatchSession",
@@ -76,7 +89,7 @@ __all__ = [
     "FaultPlan",
     "InjectedWorkerCrash",
     "parse_fault_plan",
-    "reap_stale_segments",
+    "reap_stale_host_files",
     "Layout",
     "apply_layout",
     "interaction_graph",

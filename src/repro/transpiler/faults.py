@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the dispatch stack, plus a janitor.
+"""Deterministic fault injection for the dispatch stack.
 
 The fault-tolerance machinery in :mod:`repro.transpiler.executors` (chunk
 retries, pool respawn, executor degradation) is only credible if it can
@@ -49,33 +49,16 @@ transport.  This module is that harness:
   with its heartbeats suppressed — the deterministic way to exercise
   heartbeat-timeout replay.  Like every other kind, network faults
   target *first* dispatches only: replays travel disarmed.
-
-* :func:`reap_stale_segments` is the worker-host janitor: it scans the
-  temp directory for ``mirage_host_<pid>_…`` socket files and
-  ``mirage_spool_<pid>_…`` payload spool directories whose creating
-  process is gone, and removes them — reclaiming whatever a killed
-  worker host left behind.  Worker hosts call it at startup.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
-import tempfile
 import time
 from typing import Iterable
 
 from repro.exceptions import TranspilerError, TransportError
-
-#: Prefix of worker-host Unix socket files (``mirage_host_<pid>_<token>``
-#: under the temp directory); kept in sync with
-#: :mod:`repro.transpiler.remote.protocol`.
-HOST_SOCKET_PREFIX = "mirage_host_"
-
-#: Prefix of worker-host payload spool directories
-#: (``mirage_spool_<pid>_<token>`` under the temp directory).
-SPOOL_PREFIX = "mirage_spool_"
 
 #: Actions a task fault may take, in the worker that draws the task.
 _TASK_ACTIONS = ("kill", "hang", "corrupt", "slow")
@@ -337,61 +320,3 @@ class FaultPlan:
             slows=tuple(sorted(slows)),
             dispatcher_pid=os.getpid(),
         )
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this pid currently exists."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid reused by another user
-        return True
-    return True
-
-
-def _stale_owner(name: str, prefix: str) -> bool:
-    """Whether ``name`` is ``<prefix><pid>_…`` with a dead owner pid."""
-    if not name.startswith(prefix):
-        return False
-    pid_text = name[len(prefix):].split("_", 1)[0]
-    try:
-        pid = int(pid_text)
-    except ValueError:
-        return False
-    return not _pid_alive(pid)
-
-
-def reap_stale_segments() -> list[str]:
-    """Remove worker-host debris whose creating process is dead.
-
-    Two sweeps of the temp directory, both keyed on the pid embedded in
-    the resource name:
-
-    * worker-host socket files ``mirage_host_<pid>_<token>.sock`` left
-      by a killed ``mirage-worker-host``;
-    * remote payload spool directories ``mirage_spool_<pid>_<token>`` of
-      the same dead hosts.
-
-    Resources owned by live processes, including this one, are never
-    touched.  Returns the basenames of the removed sockets and spools.
-    Worker hosts run the janitor at startup.
-    """
-    reclaimed: list[str] = []
-    tmp_root = tempfile.gettempdir()
-    try:
-        tmp_names = os.listdir(tmp_root)
-    except OSError:  # pragma: no cover - unreadable tempdir
-        tmp_names = []
-    for name in tmp_names:
-        path = os.path.join(tmp_root, name)
-        if _stale_owner(name, HOST_SOCKET_PREFIX) and not os.path.isdir(path):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - racing another janitor
-                continue
-            reclaimed.append(name)
-        elif _stale_owner(name, SPOOL_PREFIX) and os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-            reclaimed.append(name)
-    return reclaimed

@@ -11,7 +11,6 @@ server process, and :mod:`~repro.transpiler.remote.client` is the
 """
 
 from repro.transpiler.remote.client import RemoteExecutor
-from repro.transpiler.remote.host import WorkerHost
 from repro.transpiler.remote.protocol import (
     HEARTBEAT_MISSES,
     PROTOCOL_VERSION,
@@ -22,6 +21,25 @@ from repro.transpiler.remote.protocol import (
     read_frame,
     write_frame,
 )
+
+# The host module is resolved on first attribute access, so that
+# ``python -m repro.transpiler.remote.host`` does not find it imported
+# by its own package before running it as ``__main__``.
+_LAZY_EXPORTS = {
+    "WorkerHost": "repro.transpiler.remote.host",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        import importlib
+
+        module = importlib.import_module(_LAZY_EXPORTS[name])
+        return getattr(module, name)
+    raise AttributeError(
+        f"module 'repro.transpiler.remote' has no attribute {name!r}"
+    )
+
 
 __all__ = [
     "RemoteExecutor",

@@ -14,8 +14,8 @@ deserialisation (LRU) exactly like a pool worker does — so chunks carry
 only digests, O(1) transport bytes, and a reconnecting client can ask
 ``HAS`` instead of re-shipping.  Because the spool and the memo live in
 the host *process*, payloads survive connection loss; they die with the
-host, whereupon the janitor (:func:`reap_stale_segments`, run at every
-host startup) reclaims the socket file and spool of any dead host.
+host, whereupon the janitor (:func:`reap_stale_host_files`, run at
+every host startup) reclaims the socket file and spool of any dead host.
 
 While computing a chunk the host emits ``HEARTBEAT`` frames every
 ``MIRAGE_REMOTE_HEARTBEAT_S`` seconds, so the client can tell a slow
@@ -46,6 +46,7 @@ import pickle
 import shutil
 import signal
 import socket
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -62,7 +63,6 @@ from repro.transpiler.executors import (
     _loads_anchored,
     _run_tasks,
 )
-from repro.transpiler.faults import reap_stale_segments
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.protocol import (
     BYE,
@@ -79,6 +79,8 @@ from repro.transpiler.remote.protocol import (
     PROTOCOL_VERSION,
     RESULT,
     HEARTBEAT,
+    HOST_SOCKET_PREFIX,
+    SPOOL_PREFIX,
     HostAddress,
     pack_message,
     read_frame,
@@ -107,6 +109,64 @@ def require_loopback(host: str) -> None:
     )
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid currently exists."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - pid reused by another user
+        return True
+    return True
+
+
+def _stale_owner(name: str, prefix: str) -> bool:
+    """Whether ``name`` is ``<prefix><pid>_…`` with a dead owner pid."""
+    if not name.startswith(prefix):
+        return False
+    pid_text = name[len(prefix):].split("_", 1)[0]
+    try:
+        pid = int(pid_text)
+    except ValueError:
+        return False
+    return not _pid_alive(pid)
+
+
+def reap_stale_host_files() -> list[str]:
+    """Remove worker-host debris whose creating process is dead.
+
+    Two sweeps of the temp directory, both keyed on the pid embedded in
+    the resource name:
+
+    * worker-host socket files ``mirage_host_<pid>_<token>.sock`` left
+      by a killed ``mirage-worker-host``;
+    * remote payload spool directories ``mirage_spool_<pid>_<token>`` of
+      the same dead hosts.
+
+    Resources owned by live processes, including this one, are never
+    touched.  Returns the basenames of the removed sockets and spools.
+    Worker hosts run the janitor at startup.
+    """
+    reclaimed: list[str] = []
+    tmp_root = tempfile.gettempdir()
+    try:
+        tmp_names = os.listdir(tmp_root)
+    except OSError:  # pragma: no cover - unreadable tempdir
+        tmp_names = []
+    for name in tmp_names:
+        path = os.path.join(tmp_root, name)
+        if _stale_owner(name, HOST_SOCKET_PREFIX) and not os.path.isdir(path):
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - racing another janitor
+                continue
+            reclaimed.append(name)
+        elif _stale_owner(name, SPOOL_PREFIX) and os.path.isdir(path):
+            shutil.rmtree(path, ignore_errors=True)
+            reclaimed.append(name)
+    return reclaimed
+
+
 class WorkerHost:
     """One remote trial-execution host serving the framed protocol.
 
@@ -131,7 +191,7 @@ class WorkerHost:
         # Every host startup doubles as a janitor pass: dead siblings'
         # socket files and spools are reclaimed before this host adds
         # its own.
-        reap_stale_segments()
+        reap_stale_host_files()
         self._heartbeat_s = (
             heartbeat_s
             if heartbeat_s is not None

@@ -25,7 +25,7 @@ The module also owns the heartbeat miss budget and the
 naming scheme of worker-host socket files (``mirage_host_<pid>_<token>``
 in the temp directory) and payload spool directories
 (``mirage_spool_<pid>_<token>``), both pid-keyed so the janitor
-(:func:`repro.transpiler.faults.reap_stale_segments`) can reclaim them
+(:func:`repro.transpiler.remote.host.reap_stale_host_files`) can reclaim them
 once their host dies.
 """
 
@@ -46,7 +46,6 @@ from repro.exceptions import (
     RemoteTransportError,
     TranspilerError,
 )
-from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 
 #: Protocol revision; bumped on any frame-format or message change.
 PROTOCOL_VERSION = 1
@@ -273,6 +272,14 @@ HEARTBEAT_MISSES = 3
 
 
 # -- host resource naming ----------------------------------------------------
+
+#: Prefix of worker-host Unix socket files (``mirage_host_<pid>_<token>``
+#: under the temp directory).
+HOST_SOCKET_PREFIX = "mirage_host_"
+
+#: Prefix of worker-host payload spool directories
+#: (``mirage_spool_<pid>_<token>`` under the temp directory).
+SPOOL_PREFIX = "mirage_spool_"
 
 
 def default_socket_path(token: str | None = None) -> str:

@@ -92,18 +92,6 @@ PIN = {
     "MIRAGE_REMOTE_STREAMS": (
         lambda c: c.remote_streams, [2, 2, 2, 7, 1, 1, 3],
     ),
-    "MIRAGE_REGISTRY_MAX_ENTRIES": (
-        lambda c: c.registry_max_entries,
-        [None, None, None, 7, None, None, 3],
-    ),
-    "MIRAGE_REGISTRY_MAX_BYTES": (
-        lambda c: c.registry_max_bytes,
-        [None, None, None, 7, None, None, 3],
-    ),
-    "MIRAGE_REGISTRY_TTL_S": (
-        lambda c: c.registry_ttl_s,
-        [None, None, None, 7.0, None, None, 3.0],
-    ),
     "MIRAGE_CACHE_DIR": (
         lambda c: str(coverage_cache_dir()),
         ["/xdg/mirage", "/xdg/mirage", "soon", " 7 ", "-1", "0",
@@ -127,7 +115,7 @@ def clean_env(monkeypatch):
 def test_pin_covers_every_mirage_knob():
     knobs = {variable for _, variable, _, _ in KNOBS}
     assert set(PIN) == {k for k in knobs if k.startswith("MIRAGE_")}
-    assert len(PIN) == 14
+    assert len(PIN) == 11
 
 
 @pytest.mark.parametrize("case", range(len(CASES)), ids=[

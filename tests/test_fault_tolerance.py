@@ -10,7 +10,7 @@ Covers the reliability layer end to end:
 * deadline-driven respawn of hung workers (``MIRAGE_TASK_TIMEOUT``);
 * graceful degradation down the executor ladder
   (``MIRAGE_TASK_RETRIES=0``);
-* the worker-host janitor (:func:`reap_stale_segments`), and exception
+* the worker-host janitor (:func:`reap_stale_host_files`), and exception
   paths through ``transpile_many`` that leave the pool reusable.
 """
 
@@ -45,8 +45,8 @@ from repro.transpiler.faults import (
     FaultPlan,
     InjectedWorkerCrash,
     parse_fault_plan,
-    reap_stale_segments,
 )
+from repro.transpiler.remote.host import reap_stale_host_files
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -587,7 +587,7 @@ def test_reaper_ignores_foreign_names():
     )
     open(foreign, "w").close()
     try:
-        assert os.path.basename(foreign) not in reap_stale_segments()
+        assert os.path.basename(foreign) not in reap_stale_host_files()
         assert os.path.exists(foreign)
     finally:
         os.unlink(foreign)
@@ -598,7 +598,7 @@ def test_reaper_sweeps_dead_host_sockets_and_spools():
     import shutil
     import tempfile
 
-    from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
+    from repro.transpiler.remote.protocol import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 
     # Create host artefacts owned by a real, now-dead pid.
     dead_pid = _dead_pid()
@@ -616,7 +616,7 @@ def test_reaper_sweeps_dead_host_sockets_and_spools():
     open(live_socket, "w").close()
     os.makedirs(live_spool, exist_ok=True)
     try:
-        reclaimed = reap_stale_segments()
+        reclaimed = reap_stale_host_files()
         assert os.path.basename(socket_file) in reclaimed
         assert os.path.basename(spool_dir) in reclaimed
         assert not os.path.exists(socket_file)

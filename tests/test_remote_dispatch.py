@@ -61,13 +61,14 @@ from repro.transpiler.executors import (
     _retry_backoff,
     resolve_executor,
 )
-from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 from repro.transpiler.remote import protocol
 from repro.transpiler.remote.host import main as host_main
 from repro.transpiler.remote.protocol import (
     CHUNK,
     HELLO,
     HELLO_ACK,
+    HOST_SOCKET_PREFIX,
+    SPOOL_PREFIX,
     FrameReader,
     pack_message,
     parse_host,
@@ -573,12 +574,17 @@ def test_unreachable_host_exhausts_budget_and_downgrades(
 # ---------------------------------------------------------------------------
 
 
-def _spawn_host_process(socket_path: str) -> subprocess.Popen:
+def _host_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")]
         + env.get("PYTHONPATH", "").split(os.pathsep)
     )
+    return env
+
+
+def _spawn_host_process(socket_path: str) -> subprocess.Popen:
+    env = _host_env()
     process = subprocess.Popen(
         [
             sys.executable,
@@ -596,6 +602,26 @@ def _spawn_host_process(socket_path: str) -> subprocess.Popen:
     ready = process.stdout.readline()
     assert ready.startswith("MIRAGE-HOST-READY"), ready
     return process
+
+
+def test_host_module_runs_as_main_without_a_second_copy():
+    """``python -m`` finds the host module unimported by its packages,
+    so runpy executes one copy of it (no ``RuntimeWarning``)."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.transpiler.remote.host",
+            "--help",
+        ],
+        env=_host_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_host_process_killed_mid_dispatch_recovers(fast_recovery, tmp_path):
@@ -625,9 +651,9 @@ def test_host_process_killed_mid_dispatch_recovers(fast_recovery, tmp_path):
         victim.wait(timeout=10)
     # The kill left a socket file (and possibly a spool) behind; a
     # janitor pass — e.g. any new host starting — reclaims them.
-    from repro.transpiler.faults import reap_stale_segments
+    from repro.transpiler.remote.host import reap_stale_host_files
 
-    reap_stale_segments()
+    reap_stale_host_files()
     assert not os.path.exists(victim_path) or not glob.glob(
         os.path.join(tempfile.gettempdir(), f"{SPOOL_PREFIX}{victim.pid}_*")
     )

@@ -25,6 +25,7 @@ the test instead of hanging the suite.
 """
 
 import asyncio
+import copy
 import os
 import threading
 import time
@@ -43,8 +44,7 @@ from repro.exceptions import (
 )
 from repro.polytopes import CoverageRegistry, get_coverage_set
 from repro.service import MirageService, ServiceClient
-from repro.service.service import _topology_key
-from repro.transpiler import ProcessExecutor, line_topology
+from repro.transpiler import ProcessExecutor, grid_topology, line_topology
 
 COVERAGE_PARAMS = dict(num_samples=250, seed=3)
 COVERAGE = get_coverage_set("sqrt_iswap", **COVERAGE_PARAMS)
@@ -77,15 +77,8 @@ def _direct(circuit, seed):
 
 
 def _registry() -> CoverageRegistry:
-    """A service registry preloaded with the module's coverage set."""
-    registry = CoverageRegistry()
-    registry.put(
-        COVERAGE,
-        "sqrt_iswap",
-        topology=_topology_key(TOPOLOGY),
-        **COVERAGE_PARAMS,
-    )
-    return registry
+    """A service registry whose loader hands out the module's coverage set."""
+    return CoverageRegistry(loader=lambda basis, **kwargs: COVERAGE)
 
 
 def _service(**kwargs) -> MirageService:
@@ -717,68 +710,59 @@ def test_drain_under_injected_hang_leaks_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Registry eviction: LRU watermark, TTL expiry, env knobs
+# Registry keyed by build parameters only
 # ---------------------------------------------------------------------------
 
 
-def test_registry_evicts_lru_beyond_max_entries():
-    registry = CoverageRegistry(
-        loader=lambda basis, **kwargs: COVERAGE, max_entries=2
-    )
-    registry.get("sqrt_iswap", num_samples=1)
-    registry.get("sqrt_iswap", num_samples=2)
-    registry.get("sqrt_iswap", num_samples=1)  # refresh 1: LRU order is [2, 1]
-    registry.get("sqrt_iswap", num_samples=3)  # evicts 2, keeps the refreshed 1
-    stats = registry.stats()
-    assert stats["size"] == 2
-    assert stats["evictions"] == 1
-    registry.get("sqrt_iswap", num_samples=1)  # still resident
-    assert registry.stats()["hits"] == 2
-    registry.get("sqrt_iswap", num_samples=2)  # evicted, so rebuilt
-    assert registry.stats()["builds"] == 4
-
-
-def test_registry_ttl_expires_and_rebuilds():
-    builds = {"count": 0}
+def test_service_and_direct_caller_share_one_set_across_topologies():
+    """Windows on two coupling maps and a direct lookup on the same
+    registry share the one set a single build produced."""
+    built = []
 
     def loader(basis, **kwargs):
-        builds["count"] += 1
-        return COVERAGE
+        built.append(copy.copy(COVERAGE))
+        return built[-1]
 
-    registry = CoverageRegistry(loader=loader, ttl_seconds=0.05)
-    assert registry.get("sqrt_iswap") is COVERAGE
-    assert registry.get("sqrt_iswap") is COVERAGE  # hit inside the TTL
-    time.sleep(0.06)
-    assert registry.get("sqrt_iswap") is COVERAGE  # expired -> rebuilt
-    stats = registry.stats()
-    assert stats["expirations"] == 1
-    assert builds["count"] == 2
+    registry = CoverageRegistry(loader=loader)
 
+    async def main():
+        async with _service(
+            executor="serial", window_ms=0.0, registry=registry
+        ) as service:
+            for topology in (TOPOLOGY, grid_topology(2, 3)):
+                await service.submit(
+                    ghz(5), topology, seed=3, **REQUEST_KNOBS
+                )
+            return service.stats()
 
-def test_registry_byte_watermark_protects_newest_entry():
-    """A watermark smaller than one set never thrash-evicts the entry a
-    caller is about to use."""
-    registry = CoverageRegistry(
-        loader=lambda basis, **kwargs: COVERAGE, max_bytes=1
-    )
-    registry.get("sqrt_iswap", num_samples=1)
-    registry.get("sqrt_iswap", num_samples=2)  # evicts 1; 2 itself is protected
-    stats = registry.stats()
-    assert stats["size"] == 1
-    assert stats["evictions"] == 1
-    assert stats["bytes"] > 1
-    assert registry.get("sqrt_iswap", num_samples=2) is COVERAGE
-    assert registry.stats()["hits"] == 1
+    stats = _run(main())
+    assert stats["windows"] == 2
+    assert registry.get("sqrt_iswap", **COVERAGE_PARAMS) is built[0]
+    assert len(built) == 1
+    assert registry.stats() == {
+        "hits": 2, "misses": 1, "builds": 1, "waits": 0, "errors": 0,
+        "size": 1,
+    }
 
 
-def test_registry_limits_from_environment(monkeypatch):
-    monkeypatch.setenv("MIRAGE_REGISTRY_MAX_ENTRIES", "1")
-    registry = CoverageRegistry(loader=lambda basis, **kwargs: COVERAGE)
-    registry.get("sqrt_iswap", num_samples=1)
-    registry.get("sqrt_iswap", num_samples=2)
-    stats = registry.stats()
-    assert stats["size"] == 1
-    assert stats["evictions"] == 1
+def test_registry_hit_reads_no_environment(monkeypatch):
+    registry = _registry()
+    coverage = registry.get("sqrt_iswap", **COVERAGE_PARAMS)
+
+    def from_env(*args):
+        raise AssertionError("a registry hit read the environment")
+
+    monkeypatch.setattr("repro.config.MirageConfig.from_env", from_env)
+    assert registry.get("sqrt_iswap", **COVERAGE_PARAMS) is coverage
+    assert registry.bind(**COVERAGE_PARAMS).get("sqrt_iswap") is coverage
+    assert get_coverage_set("sqrt_iswap", **COVERAGE_PARAMS) is COVERAGE
+
+
+def test_registry_takes_no_eviction_or_topology_arguments():
+    with pytest.raises(TypeError):
+        CoverageRegistry(max_entries=2)
+    with pytest.raises(TypeError):
+        _registry().get("sqrt_iswap", topology=TOPOLOGY)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,6 @@ PUBLIC_API = [
     ("repro.transpiler.faults", "FaultPlan.chunk_faults"),
     ("repro.transpiler.faults", "ChunkFaults"),
     ("repro.transpiler.faults", "parse_fault_plan"),
-    ("repro.transpiler.faults", "reap_stale_segments"),
     ("repro.transpiler.faults", "InjectedWorkerCrash"),
     ("repro.transpiler.faults", "CorruptResultError"),
     ("repro.service.service", "MirageService"),
@@ -150,6 +149,7 @@ PUBLIC_API = [
     ("repro.exceptions", "ProtocolVersionError"),
     ("repro.exceptions", "InsecureBindError"),
     ("repro.transpiler.remote.host", "require_loopback"),
+    ("repro.transpiler.remote.host", "reap_stale_host_files"),
 ]
 
 #: Subset that must keep numpy-style section headers.

@@ -46,7 +46,8 @@ from repro.circuits.library import ghz, qft
 from repro.core import transpile_many
 from repro.polytopes import get_coverage_set
 from repro.transpiler import RemoteExecutor, line_topology
-from repro.transpiler.faults import SPOOL_PREFIX, reap_stale_segments
+from repro.transpiler.remote.host import reap_stale_host_files
+from repro.transpiler.remote.protocol import SPOOL_PREFIX
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -220,7 +221,7 @@ def drive_host_kill(coverage, tmp_dir: str) -> dict:
     # pass — the same one every starting host runs — reclaims it because
     # the owning pid is dead.  The socket file sits at a caller-chosen
     # path the janitor cannot know, so the driver removes that corpse.
-    reap_stale_segments()
+    reap_stale_host_files()
     assert host_leftovers([victim.pid, survivor.pid]) == []
     if os.path.exists(victim_path):
         os.unlink(victim_path)
