@@ -1,4 +1,4 @@
-"""Circuit IR: gates, circuits, DAGs and benchmark generators."""
+"""Circuit IR: gates, circuits, op streams and benchmark generators."""
 
 from repro.circuits.circuit import (
     CircuitInstruction,
@@ -6,7 +6,6 @@ from repro.circuits.circuit import (
     QuantumCircuit,
     random_two_qubit_block_circuit,
 )
-from repro.circuits.dag import DAGCircuit, DAGNode
 from repro.circuits.gates import (
     DIRECTIVES,
     Gate,
@@ -21,8 +20,6 @@ __all__ = [
     "OpList",
     "QuantumCircuit",
     "random_two_qubit_block_circuit",
-    "DAGCircuit",
-    "DAGNode",
     "DIRECTIVES",
     "Gate",
     "UnitaryGate",

@@ -4,7 +4,8 @@
 Qiskit's circuit API that the paper's transpilation flow touches: an ordered
 list of gate applications on integer qubit indices, builder methods for the
 standard gate set, depth / gate counting, unitary and statevector simulation
-for (small) equivalence checks, composition, and conversion to a DAG.
+for (small) equivalence checks, composition, and lowering to the
+``(gate, qubits)`` op stream (:class:`OpList`) the transpiler works on.
 """
 
 from __future__ import annotations
@@ -346,14 +347,6 @@ class QuantumCircuit:
             )
             out = embedded @ out
         return out
-
-    # -- interop ---------------------------------------------------------------------
-
-    def to_dag(self):
-        """Convert to a :class:`repro.circuits.dag.DAGCircuit`."""
-        from repro.circuits.dag import DAGCircuit
-
-        return DAGCircuit.from_circuit(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

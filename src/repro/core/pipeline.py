@@ -17,8 +17,8 @@ timing report (paper Fig. 13).
 Each circuit is lowered once: ``clean`` turns it into an
 :class:`~repro.circuits.circuit.OpList`, the front stages rewrite and read
 that op stream, and ``plan`` lowers it straight to the
-:class:`~repro.transpiler.kernel.IntDAG` its trials route, with no
-``DAGCircuit`` in between.  A :class:`QuantumCircuit` is built only for a
+:class:`~repro.transpiler.kernel.IntDAG` its trials route, the only
+form the router accepts.  A :class:`QuantumCircuit` is built only for a
 result: the embedded circuit in ``vf2`` or the routed winner in ``route``.
 
 :mod:`repro.core.transpile` drives both halves for :func:`transpile`,

@@ -151,8 +151,9 @@ def transpile(
     Raises
     ------
     TranspilerError
-        If the device is too small, the method is unknown or the trial
-        budget is invalid (checked before any stage runs).
+        If the device is too small, the method is unknown, the trial
+        budget is invalid or the seed is malformed (checked before any
+        stage runs).
     """
     start = time.perf_counter()
     (result,) = transpile_many(
@@ -466,8 +467,9 @@ def transpile_many(
         If ``on_error`` is not an accepted mode string (also a ``ValueError``; the message names the accepted
         values — unknown strings never fall back to a default).
     TranspilerError
-        If ``circuit_seeds`` is given with the wrong length, the
-        method/selection pair is unknown, or the trial budget is invalid.
+        If ``circuit_seeds`` is given with the wrong length, a seed is
+        malformed (negative, a float, a string), the method/selection
+        pair is unknown, or the trial budget is invalid.
 
     Notes
     -----
@@ -515,6 +517,12 @@ def transpile_many(
         )
     if circuit_deadlines is None:
         circuit_deadlines = [None] * len(batch)
+    if circuit_seeds is not None:
+        # Explicit roots: normalising through seed_sequence() is
+        # idempotent, so position i matches transpile(seed=seeds[i]).
+        roots = [seed_sequence(entry) for entry in circuit_seeds]
+    else:
+        roots = seed_sequence(seed).spawn(len(batch)) if batch else []
     with executor_scope(executor, max_workers) as trial_executor:
         spec = PlanSpec(
             coupling=coupling,
@@ -528,18 +536,10 @@ def transpile_many(
             coverage=resolve_coverage(coverage, basis),
             use_vf2=use_vf2,
         )
-        if circuit_seeds is not None:
-            # Explicit roots: normalising through seed_sequence() is
-            # idempotent, so position i matches transpile(seed=seeds[i]).
-            circuit_seeds = [seed_sequence(entry) for entry in circuit_seeds]
-        else:
-            circuit_seeds = (
-                seed_sequence(seed).spawn(len(batch)) if batch else []
-            )
         items = [
             (spec, PlanTask(circuit=circuit, seed=root, deadline=deadline))
             for circuit, root, deadline in zip(
-                batch, circuit_seeds, circuit_deadlines
+                batch, roots, circuit_deadlines
             )
         ]
         results, dispatch = _run_circuit_fanout(

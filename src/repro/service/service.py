@@ -28,7 +28,8 @@ request-serving tier:
   timer guarantees *never a hang*) while sibling requests in the same
   window complete normally and byte-identically.
 * **Circuit breaker** — repeated recovery events (pool respawns,
-  executor/transport downgrades) within a sliding window trip a
+  executor downgrades, remote stream reconnects and hosts marked
+  down) within a sliding window trip a
   breaker that routes subsequent windows to in-process degraded serial
   execution — still byte-identical by the digest guarantee — then
   half-opens with a probe window after a cooldown.
@@ -93,6 +94,7 @@ from repro.transpiler.executors import (
     resolve_executor,
 )
 from repro.transpiler.faults import parse_fault_plan
+from repro.transpiler.passes import seed_sequence
 from repro.transpiler.topologies import CouplingMap
 
 #: Most recent entries kept in the per-window log and in the breaker's
@@ -192,9 +194,10 @@ class _Window:
 class _CircuitBreaker:
     """Sliding-window circuit breaker over per-window recovery events.
 
-    Counts recovery events (pool respawns, executor downgrades,
-    transport downgrades) reported by each dispatched window's
-    :attr:`~repro.core.results.BatchResult.dispatch` counters.  When
+    Counts recovery events reported by each dispatched window's
+    :attr:`~repro.core.results.BatchResult.dispatch` counters: the sum
+    of ``respawns``, ``executor_downgrades``, ``reconnects`` and
+    ``host_downgrades`` (see :meth:`MirageService._recovery_events`).  When
     ``threshold`` events accumulate within ``window_s`` seconds the
     breaker **opens**: subsequent windows are routed to in-process
     degraded serial execution (byte-identical outputs — only the
@@ -496,6 +499,9 @@ class MirageService:
         ------
         ServiceClosedError
             If the service has been closed or a drain has begun.
+        TranspilerError
+            If ``seed`` is malformed (negative, a float, a string);
+            checked before admission.
         ServiceOverloadError
             If admission control sheds the request — the service-wide
             pending cap or this tenant's quota is exhausted (or a
@@ -507,6 +513,10 @@ class MirageService:
         """
         if self._draining or self._closed:
             raise ServiceClosedError("service is closed")
+        if not isinstance(seed, np.random.Generator):
+            # A malformed seed fails here, alone, not the window it
+            # would ride; the normalised root keeps the seed's stream.
+            seed = seed_sequence(seed)
         retry_after_ms = max(self._window_seconds * 1000.0, 1.0)
         ordinal = self._submit_ordinal
         self._submit_ordinal += 1
@@ -754,8 +764,9 @@ class MirageService:
     def _recovery_events(dispatch: dict | None) -> int:
         """Breaker failure score of one window's dispatch counters.
 
-        Local recovery (pool respawns, executor downgrades) and remote recovery (stream reconnects, hosts marked down) feed
-        the same score, so a service mounted on a
+        Local recovery (pool respawns, executor downgrades) and remote
+        recovery (stream reconnects, hosts marked down) feed the same
+        score, so a service mounted on a
         :class:`~repro.transpiler.remote.RemoteExecutor` trips its
         breaker on a degrading cluster exactly as it would on a
         degrading pool.

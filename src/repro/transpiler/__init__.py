@@ -30,9 +30,7 @@ from repro.transpiler.metrics import (
     CircuitMetrics,
     evaluate,
     gate_coordinate,
-    gate_cost,
     improvement,
-    node_coordinate,
 )
 from repro.transpiler.passmanager import (
     BasePass,
@@ -101,9 +99,7 @@ __all__ = [
     "CircuitMetrics",
     "evaluate",
     "gate_coordinate",
-    "gate_cost",
     "improvement",
-    "node_coordinate",
     "BasePass",
     "FunctionPass",
     "PassManager",

@@ -1,8 +1,8 @@
 """``IntDAG``: the flat integer lowering a circuit is routed on.
 
-The routing inner loop never needs DAG node objects — only qubit
-indices, a two-qubit flag, dependency edges, and (at emission time) the
-gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
+The routing inner loop needs only qubit indices, a two-qubit flag,
+dependency edges, and (at emission time) the gate object.  ``IntDAG``
+packs exactly that into plain ndarrays:
 
 * an op table (``qubit0``/``qubit1`` with ``-1`` sentinels, a ``kind`` code,
   a ``gate_ids`` index into the deduplicated ``gates`` tuple, and a CSR
@@ -10,12 +10,12 @@ gate object.  ``IntDAG`` packs exactly that into plain ndarrays:
 * CSR successor/predecessor adjacency plus the in-degree vector, so
   front-layer advance is array bookkeeping instead of node-set mutation.
 
-:meth:`IntDAG.from_ops` lowers the pipeline's op stream directly, with
-no :class:`~repro.circuits.dag.DAGCircuit` in between (``from_dag`` is
-the same lowering of a DAG's nodes).  Being plain ndarrays, the whole
+:meth:`IntDAG.from_ops` lowers the pipeline's op stream; it is the
+only way a circuit reaches the router.  Being plain ndarrays, the whole
 structure pickles compactly into the process-pool payload; the
-``gates`` tuple is the only object payload.  Trial runners route the shipped table as is and derive the reverse
-routing direction from it with :meth:`IntDAG.reversed`.
+``gates`` tuple is the only object payload.  Trial runners route the
+shipped table as is and derive the reverse routing direction from it
+with :meth:`IntDAG.reversed`.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.circuits.dag import _kahn, _link
-from repro.exceptions import TranspilerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.circuits.circuit import Op
-    from repro.circuits.dag import DAGCircuit
     from repro.circuits.gates import Gate
 
 #: Attribute under which a lowering memoises its mirror tables (see
@@ -104,13 +102,12 @@ class IntDAG:
 
     @classmethod
     def from_ops(cls, num_qubits: int, ops: Sequence[Op]) -> "IntDAG":
-        """Lower a ``(gate, qubits)`` op stream directly.
+        """Lower a ``(gate, qubits)`` op stream.
 
-        Equal array for array to ``from_dag`` of the DAG built by adding
-        ``ops`` in order: the wires are linked as
-        :meth:`DAGCircuit.add_node` links them (every qubit's range
-        checked), and gate slots are deduplicated by object identity in
-        order of first appearance.
+        The ops keep their stream positions as node ids; their wires are
+        linked in that order with :func:`~repro.circuits.dag._link`
+        (every qubit's range checked), and gate slots are deduplicated
+        by object identity in order of first appearance.
         """
         qubit_lists = [qubits for _, qubits in ops]
         gates: list[Gate] = []
@@ -143,24 +140,12 @@ class IntDAG:
             **_wired(num_qubits, qubit_lists),
         )
 
-    @classmethod
-    def from_dag(cls, dag: "DAGCircuit") -> "IntDAG":
-        """Lower a DAG: :meth:`from_ops` of its nodes in id order."""
-        nodes = dag.nodes
-        if sorted(nodes) != list(range(len(nodes))):
-            raise TranspilerError(
-                "IntDAG requires densely numbered DAG nodes (0..n-1)"
-            )
-        return cls.from_ops(
-            dag.num_qubits, [(nodes[i].gate, nodes[i].qubits) for i in range(len(nodes))]
-        )
-
     def reversed(self) -> "IntDAG":
         """The lowering of the reversed circuit, memoised.
 
-        Equal array for array to ``IntDAG.from_dag`` of the DAG built by
-        adding this lowering's nodes in reversed Kahn order (the backward
-        routing direction of a SABRE refinement round), except that the
+        Equal array for array to :meth:`from_ops` of this lowering's
+        nodes in reversed Kahn order (the backward routing direction of
+        a SABRE refinement round), except that the
         reverse keeps this lowering's ``gates`` tuple and slot numbering,
         so it also shares the mirror-table memo.  The wires are re-linked
         as :meth:`from_ops` links them.  Like the other per-process
@@ -218,7 +203,7 @@ class IntDAG:
         return [int(p) for p in self.pred_ids[start:stop]]
 
     def front_ids(self) -> list[int]:
-        """Node ids with no predecessors, ascending (= ``front_layer`` order)."""
+        """Node ids with no predecessors, ascending."""
         return [i for i in range(self.num_nodes) if not self.indegree[i]]
 
     def lists(self) -> IntDAGLists:
@@ -277,8 +262,9 @@ def _wired(
     """The qarg and dependency arrays of ops on ``qubit_lists``, in order.
 
     Each op is linked with :func:`~repro.circuits.dag._link`, the rule
-    :meth:`DAGCircuit.add_node` uses, so the predecessor de-duplication
-    and successor order match the DAG's.
+    :func:`~repro.circuits.dag.kahn_order` uses, so the predecessor
+    de-duplication and successor order are the same wherever a circuit's
+    dependencies are read.
     """
     last_on_wire = [-1] * num_qubits
     successors: list[list[int]] = [[] for _ in qubit_lists]

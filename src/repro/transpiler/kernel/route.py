@@ -94,8 +94,7 @@ class KernelState:
     """Mutable flat state of one routing run.
 
     Holds the layout (``v2p``/``p2v``), the emitted ``(gate, physical)``
-    op list and the run's counters, never touching ``DAGNode`` or
-    ``Layout`` objects.  ``depth`` is the weighted critical-path depth
+    op list and the run's counters, never touching ``Layout`` objects.  ``depth`` is the weighted critical-path depth
     of the ops, scored under a :class:`MirrorRule` (``None`` without one).
     """
 

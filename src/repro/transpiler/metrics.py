@@ -3,15 +3,17 @@
 The paper evaluates transpilers on three axes (Section V / VI-B):
 
 * **critical-path depth** — the weighted longest path through the mapped
-  DAG, where every two-qubit block is weighted by its estimated
-  decomposition cost in normalised pulse units (iSWAP = 1.0, sqrt(iSWAP) =
-  0.5, a SWAP in the sqrt(iSWAP) basis = 1.5, ...);
-* **total two-qubit gate cost** — the same weights summed over all nodes;
+  circuit's gate-dependency graph, where every two-qubit block is weighted
+  by its estimated decomposition cost in normalised pulse units (iSWAP =
+  1.0, sqrt(iSWAP) = 0.5, a SWAP in the sqrt(iSWAP) basis = 1.5, ...);
+* **total two-qubit gate cost** — the same weights summed over all gates;
 * **SWAP count** — explicitly inserted SWAP gates (a mirrored gate absorbs
   its SWAP and therefore does not count).
 
 The decomposition-cost estimate comes from the coverage set of the target
-basis gate, exactly as MIRAGE itself estimates costs while routing.
+basis gate, exactly as MIRAGE itself estimates costs while routing.  Every
+metric is read in one pass over the circuit's ``(gate, qubits)`` op
+stream (:func:`_walk`); no graph is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import dataclasses
 from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import DAGCircuit, DAGNode
 from repro.circuits.gates import Gate, UnitaryGate
 from repro.polytopes.cache import GLOBAL_COORDINATE_CACHE
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
@@ -70,18 +71,6 @@ def distinct_coordinates(
     return distinct, indices
 
 
-def node_coordinate(node: DAGNode) -> tuple[float, float, float]:
-    """Weyl coordinate of a DAG node's two-qubit gate."""
-    return gate_coordinate(node.gate)
-
-
-def gate_cost(node: DAGNode, coverage: CoverageSet) -> float:
-    """Estimated decomposition cost (in pulse units) of a DAG node."""
-    if not node.is_two_qubit:
-        return 0.0
-    return coverage.cost_of(node_coordinate(node))
-
-
 @dataclasses.dataclass(frozen=True)
 class CircuitMetrics:
     """Quality metrics of a routed circuit.
@@ -109,14 +98,8 @@ class CircuitMetrics:
 Op = tuple[Gate, Sequence[int]]
 
 
-def _ops_of(circuit: QuantumCircuit | DAGCircuit | Sequence[Op]) -> Sequence[Op]:
-    """The ``(gate, qubits)`` stream of a circuit, a DAG or an op list.
-
-    A DAG's nodes are read in insertion order, which is the order they
-    were added in and a topological order.
-    """
-    if isinstance(circuit, DAGCircuit):
-        return [(node.gate, node.qubits) for node in circuit.nodes.values()]
+def _ops_of(circuit: QuantumCircuit | Sequence[Op]) -> Sequence[Op]:
+    """The ``(gate, qubits)`` stream of a circuit or an op list."""
     if isinstance(circuit, QuantumCircuit):
         return [(instruction.gate, instruction.qubits) for instruction in circuit]
     return circuit
@@ -133,10 +116,10 @@ def _walk(
     and the prices fan back out to the ops in stream order, so this
     equals pricing every op.  A per-wire running maximum, walked in that
     order, then performs the same ``max`` and the same additions as a
-    longest-path walk over the DAG the stream builds, so depths equal
-    the DAG's bit for bit.  An op on one wire adds weight zero to its
-    own wire only and changes nothing, so the walk skips it.  Only a
-    standard ``swap`` gate counts as a SWAP.
+    longest-path walk over the stream's dependency graph, so depths
+    equal that walk's bit for bit.  An op on one wire adds weight zero
+    to its own wire only and changes nothing, so the walk skips it.
+    Only a standard ``swap`` gate counts as a SWAP.
     """
     two_qubit = [
         gate for gate, qubits in ops
@@ -198,16 +181,16 @@ def _walk(
 
 
 def evaluate(
-    circuit: QuantumCircuit | DAGCircuit | Sequence[Op],
+    circuit: QuantumCircuit | Sequence[Op],
     basis: str = "sqrt_iswap",
     coverage: CoverageSet | None = None,
     mirrors_accepted: int = 0,
 ) -> CircuitMetrics:
-    """Compute :class:`CircuitMetrics` for a (routed) circuit, DAG or op list.
+    """Compute :class:`CircuitMetrics` for a (routed) circuit or op list.
 
     Args:
-        circuit: what to score: a circuit, a DAG, or a topologically
-            ordered list of ``(gate, qubits)`` pairs.
+        circuit: what to score: a circuit, or a topologically ordered
+            list of ``(gate, qubits)`` pairs.
         basis: target basis-gate name used for the cost weights.
         coverage: reuse an existing coverage set (otherwise the shared,
             memoised set for ``basis`` is used).
@@ -220,9 +203,8 @@ def evaluate(
 def ops_depth(ops: Sequence[Op], coverage: CoverageSet) -> float:
     """Weighted critical-path depth of a topologically ordered op stream.
 
-    The ``depth`` of :func:`evaluate`, from the same walk: equal to
-    ``evaluate(dag).depth`` bit for bit for the DAG built by adding
-    ``ops`` in order, without building the DAG.
+    The ``depth`` of :func:`evaluate`, from the same walk: the weighted
+    longest path through the ops' dependency graph, without building it.
     """
     return _walk(ops, coverage).depth
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.circuits.dag import DAGCircuit
+from repro.exceptions import TranspilerError
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.kernel import IntDAG
@@ -68,10 +68,6 @@ class LayoutResult:
     trial_scores: list[float] | None = None
     trial_seconds: float = 0.0
 
-    @property
-    def dag(self) -> DAGCircuit:
-        return self.routing.dag
-
 
 def seed_sequence(
     seed: int | np.random.SeedSequence | np.random.Generator | None,
@@ -85,6 +81,11 @@ def seed_sequence(
     result").  The rebuilt copy always spawns from a fresh counter.
     A caller-provided ``Generator``, by contrast, is consumed — one draw
     of entropy advances its state, so reusing it gives fresh randomness.
+
+    Anything else is handed to ``SeedSequence`` as entropy: ``None``, a
+    non-negative integer (numpy integers included) or a sequence of them.
+    What ``SeedSequence`` rejects (a negative integer, a float, a string)
+    raises :class:`~repro.exceptions.TranspilerError`.
     """
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
@@ -92,7 +93,13 @@ def seed_sequence(
         )
     if isinstance(seed, np.random.Generator):
         return np.random.SeedSequence(int(seed.integers(2**63)))
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise TranspilerError(
+            f"invalid seed {seed!r}: expected None, a non-negative integer, "
+            f"a sequence of them, a SeedSequence or a Generator ({exc})"
+        ) from None
 
 
 def swap_count_metric(result: RoutingResult) -> float:
@@ -110,9 +117,9 @@ class DepthMetric:
     coverage the kept depth is returned as is; otherwise (SABRE runs,
     another coverage set) the routed op stream is walked by
     :func:`~repro.transpiler.metrics.ops_depth`.  Both equal
-    ``evaluate(result.dag).depth`` bit for bit, and neither builds the
-    trial's DAG.  A frozen dataclass rather than a closure so that trial
-    tasks carrying it stay picklable for the process-pool executor.
+    ``evaluate(result.ops).depth`` bit for bit.  A frozen dataclass
+    rather than a closure so that trial tasks carrying it stay picklable
+    for the process-pool executor.
     """
 
     basis: str = "sqrt_iswap"
@@ -215,7 +222,7 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     :meth:`~repro.transpiler.kernel.IntDAG.reversed` backward: the
     reverse lowering is derived from the forward arrays, shares their
     gate slots and mirror table, and is built at most once per lowering
-    and process.  No trial builds a ``DAGCircuit``.
+    and process.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)
@@ -312,18 +319,13 @@ class SabreLayout:
         self.metric_name = metric_name
         self.seed = seed
 
-    def trial_spec(
-        self, dag: IntDAG | DAGCircuit, name: str | None = None
-    ) -> TrialSpec:
+    def trial_spec(self, dag: IntDAG, name: str | None = None) -> TrialSpec:
         """Build the heavy, trial-invariant payload for a lowering.
 
-        A circuit DAG is lowered first (and names the routed circuit
-        unless ``name`` does).  The spec carries the forward lowering
-        only; trial runners derive the reverse direction from it (see
-        :func:`run_trial`).
+        ``name`` names the routed circuit (default ``"dag"``).  The spec
+        carries the forward lowering only; trial runners derive the
+        reverse direction from it (see :func:`run_trial`).
         """
-        if not isinstance(dag, IntDAG):
-            dag, name = IntDAG.from_dag(dag), name or dag.name
         return TrialSpec(
             intdag=dag,
             coupling=self.coupling,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import DAGCircuit, kahn_order
+from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
 from repro.transpiler.kernel import IntDAG, neighbor_table, route_kernel
@@ -44,8 +44,7 @@ class RoutingResult:
     The route loop hands back its emitted op stream.  Refinement rounds
     read only ``final_layout``, the depth post-selection metric and the
     pipeline's scoring read ``ops``, and :meth:`to_circuit` works from
-    ``ops`` too, so a transpile builds no routed DAG; :attr:`dag` builds
-    one from ``ops`` on each read, for callers that want the graph.
+    ``ops`` too.
 
     A MIRAGE route loop also scores the weighted critical-path depth of
     what it emits; the result keeps that ``depth`` next to the coverage
@@ -57,7 +56,6 @@ class RoutingResult:
     Attributes:
         ops: the mapped ``(gate, physical_qubits)`` stream in emission
             order (includes inserted SWAPs).
-        dag: the mapped DAG on physical qubits, built from ``ops``.
         initial_layout: layout at circuit start.
         final_layout: layout after the last gate.
         swaps_added: number of SWAP gates inserted by the router.
@@ -101,19 +99,11 @@ class RoutingResult:
         state["depth_coverage"] = None
         return state
 
-    @property
-    def dag(self) -> DAGCircuit:
-        out = DAGCircuit(self._num_qubits, self._name)
-        for gate, physical in self.ops:
-            out.add_node(gate, physical)
-        return out
-
     def to_circuit(self) -> QuantumCircuit:
-        """The routed circuit, in the Kahn order of :meth:`DAGCircuit.to_circuit`.
+        """The routed circuit, with ``ops`` in :func:`kahn_order`.
 
-        The order is computed on plain int lists instead of building the
-        DAG, and range-checks every qubit; the circuit is then built in
-        one step.
+        The order is computed on plain int lists and range-checks every
+        qubit; the circuit is then built in one step.
         """
         qubit_lists = [tuple(map(int, qubits)) for _, qubits in self.ops]
         order = kahn_order(qubit_lists, self._num_qubits)
@@ -160,28 +150,24 @@ class SabreSwap:
 
     def run(
         self,
-        dag: DAGCircuit | IntDAG,
+        dag: IntDAG,
         initial_layout: Layout,
         seed: int | np.random.Generator | None = None,
         *,
         name: str | None = None,
     ) -> RoutingResult:
-        """Route ``dag`` starting from ``initial_layout``.
+        """Route the lowering ``dag`` starting from ``initial_layout``.
 
-        ``dag`` is a lowered :class:`IntDAG` (such as the reverse
-        direction of a refinement round) or a circuit DAG, which is
-        lowered first; :func:`~repro.transpiler.kernel.route.route_kernel`
-        routes the lowering.  ``name`` names the routed circuit (default:
-        the DAG's name, or ``"dag"`` for a lowering).
+        ``dag`` is a circuit's :class:`IntDAG` (see
+        :meth:`IntDAG.from_ops`) or its
+        :meth:`~repro.transpiler.kernel.IntDAG.reversed` direction;
+        :func:`~repro.transpiler.kernel.route.route_kernel` routes it.
+        ``name`` names the routed circuit (default ``"dag"``).
         """
         rng = _as_rng(seed) if seed is not None else self._rng
-        if isinstance(dag, IntDAG):
-            intdag = dag
-        else:
-            intdag, name = IntDAG.from_dag(dag), name or dag.name
-        mirror = self._mirror_rule(intdag)
+        mirror = self._mirror_rule(dag)
         state = route_kernel(
-            intdag,
+            dag,
             neighbor_table(self.coupling),
             initial_layout.virtual_to_physical(),
             rng,

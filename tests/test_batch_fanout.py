@@ -29,12 +29,18 @@ from repro.transpiler import (
     ThreadExecutor,
     line_topology,
 )
-from repro.transpiler.kernel import route
+from repro.circuits.circuit import OpList
+from repro.transpiler.kernel import IntDAG, route
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes import SabreLayout
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
+
+
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
 
 
 def _fingerprint(result):
@@ -230,14 +236,14 @@ def test_process_fanout_pickles_coverage_once(monkeypatch):
 
 
 def test_trial_refs_are_light():
-    """The per-trial records must not drag the DAG or coverage along."""
+    """The per-trial records must not drag the lowering or coverage along."""
     driver = SabreLayout(line_topology(5), layout_trials=4, seed=2)
     refs = driver.trial_refs()
     payload = pickle.dumps(refs, protocol=pickle.HIGHEST_PROTOCOL)
     # A SeedSequence plus an int pickles to well under a kilobyte each.
     assert len(payload) < 1024 * len(refs)
     assert b"CoverageSet" not in payload
-    assert b"DAGCircuit" not in payload
+    assert b"IntDAG" not in payload
 
 
 def test_map_shared_preserves_order_and_results():
@@ -283,18 +289,18 @@ def test_delta_mirror_commit_matches_copy_rescore(circuit, aggression):
     """Both loops take the same mirror decisions.  The Python loop's
     ``route._mirror_routing_costs`` sums the lookahead window directly,
     before and after the virtual SWAP, so it is the rescore reference."""
-    dag = prepare_circuit(circuit).to_dag()
-    coupling = line_topology(dag.num_qubits)
+    lowering = _lower(prepare_circuit(circuit))
+    coupling = line_topology(lowering.num_qubits)
     compiled = load_routec()
     for seed in (1, 5):
-        layout = Layout.random(dag.num_qubits, coupling.num_qubits, seed=seed)
+        layout = Layout.random(lowering.num_qubits, coupling.num_qubits, seed=seed)
         runs = []
         for module in (None, compiled):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(route, "load_routec", lambda: module)
                 runs.append(MirageSwap(
                     coupling, COVERAGE, aggression=aggression
-                ).run(dag, layout, seed=seed))
+                ).run(lowering, layout, seed=seed))
         python, native = runs
         assert python.mirror_candidates
         assert _routing_digest(native) == _routing_digest(python)

@@ -1,4 +1,4 @@
-"""Tests for the circuit IR: gates, QuantumCircuit, DAG, QASM export."""
+"""Tests for the circuit IR: gates, QuantumCircuit, dependency graph, QASM export."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import CircuitError, DAGError, QASMError
 from repro.circuits import (
-    DAGCircuit,
     Gate,
+    OpList,
     QuantumCircuit,
     UnitaryGate,
     gate_names,
@@ -16,12 +16,18 @@ from repro.circuits import (
     standard_gate,
     to_qasm,
 )
+from repro.circuits.dag import kahn_order
 from repro.linalg import (
     CNOT,
     equal_up_to_global_phase,
     haar_unitary,
     is_unitary,
 )
+from repro.polytopes import get_coverage_set
+from repro.transpiler.kernel import IntDAG
+from repro.transpiler.metrics import evaluate
+
+COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -239,67 +245,58 @@ def test_random_block_circuit():
 
 
 # ---------------------------------------------------------------------------
-# DAG
+# Dependency graph (the IntDAG lowering and the shared Kahn order)
 # ---------------------------------------------------------------------------
+
+
+def _lower(qc):
+    return IntDAG.from_ops(qc.num_qubits, OpList.of(qc).ops)
+
+
+def _kahn_names(qc):
+    ops = OpList.of(qc).ops
+    order = kahn_order([qubits for _, qubits in ops], qc.num_qubits)
+    return [ops[index][0].name for index in order]
 
 
 def test_dag_structure_and_front_layer():
     qc = QuantumCircuit(3)
     qc.h(0).cx(0, 1).cx(1, 2).x(2)
-    dag = qc.to_dag()
-    assert len(dag) == 4
-    front = dag.front_layer()
-    assert [node.gate.name for node in front] == ["h"]
-    names = [node.gate.name for node in dag.topological_nodes()]
-    assert names == ["h", "cx", "cx", "x"]
+    lowered = _lower(qc)
+    assert lowered.num_nodes == 4
+    assert lowered.front_ids() == [0]
+    assert _kahn_names(qc) == ["h", "cx", "cx", "x"]
 
 
 def test_dag_successors_predecessors():
     qc = QuantumCircuit(2)
     qc.h(0).cx(0, 1).x(1)
-    dag = qc.to_dag()
-    nodes = list(dag.topological_nodes())
-    assert [n.gate.name for n in dag.successors(nodes[0])] == ["cx"]
-    assert [n.gate.name for n in dag.predecessors(nodes[2])] == ["cx"]
+    lowered = _lower(qc)
+    assert lowered.successor_ids(0) == [1]
+    assert lowered.predecessor_ids(2) == [1]
+    assert lowered.gate(lowered.successor_ids(0)[0]).name == "cx"
 
 
 def test_dag_longest_path_weighted():
     qc = QuantumCircuit(2)
     qc.h(0).cx(0, 1).h(1)
-    dag = qc.to_dag()
-    assert dag.depth() == 3
-    two_qubit_only = dag.longest_path_length(
-        lambda node: 1.0 if node.is_two_qubit else 0.0
-    )
-    assert two_qubit_only == 1.0
+    assert qc.depth() == 3
+    assert evaluate(qc, coverage=COVERAGE).gate_depth == 1
 
 
 def test_dag_roundtrip_preserves_unitary():
     qc = random_two_qubit_block_circuit(4, 6, seed=1)
-    back = qc.to_dag().to_circuit()
+    ops = OpList.of(qc).ops
+    order = kahn_order([qubits for _, qubits in ops], qc.num_qubits)
+    back = QuantumCircuit(qc.num_qubits)
+    for index in order:
+        back.append(*ops[index])
     assert equal_up_to_global_phase(qc.to_matrix(), back.to_matrix())
 
 
 def test_dag_add_node_validation():
-    dag = DAGCircuit(2)
     with pytest.raises(DAGError):
-        dag.add_node(Gate("x", 1), [5])
-
-
-def test_dag_copy_independent():
-    qc = QuantumCircuit(2)
-    qc.cx(0, 1)
-    dag = qc.to_dag()
-    clone = dag.copy()
-    clone.add_node(Gate("x", 1), [0])
-    assert len(dag) == 1
-    assert len(clone) == 2
-
-
-def test_dag_count_ops():
-    qc = QuantumCircuit(2)
-    qc.cx(0, 1).cx(0, 1).h(0)
-    assert qc.to_dag().count_ops() == {"cx": 2, "h": 1}
+        kahn_order([(0,), (5,)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +337,6 @@ def test_qasm_siswap_emitted_as_xy_rotations():
        st.integers(min_value=0, max_value=1000))
 def test_property_random_circuit_dag_depth_consistency(num_qubits, blocks, seed):
     qc = random_two_qubit_block_circuit(num_qubits, blocks, seed=seed)
-    dag = qc.to_dag()
-    assert dag.depth() == qc.depth()
-    assert len(dag) == len(qc)
+    metrics = evaluate(qc, coverage=COVERAGE)
+    assert metrics.gate_depth == qc.depth(two_qubit_only=True)
+    assert metrics.two_qubit_count == len(qc)

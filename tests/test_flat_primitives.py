@@ -6,12 +6,15 @@ with the slower construction it stands in for:
 * the closed-form ``rzz`` matrix against ``xx_yy_interaction``;
 * the consolidation index tables and stacked block products against
   ``embed_unitary``;
-* op-list metrics against longest paths over a ``DAGCircuit``;
-* the routed circuit from an op list against the circuit of its DAG.
+* op-list metrics against weighted longest paths over the circuit's
+  ``IntDAG`` lowering (its predecessor arrays, visited in Kahn order);
+* the routed circuit from an op list against a FIFO Kahn walk over the
+  lowering's successor arrays.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -20,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import DAGCircuit, kahn_order
+from repro.circuits.circuit import OpList, QuantumCircuit
+from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate, UnitaryGate, standard_gate
 from repro.circuits.library import qft, twolocal_full
 from repro.core import MirageSwap
@@ -31,6 +34,7 @@ from repro.linalg.random import haar_unitary
 from repro.linalg.unitary import embed_unitary
 from repro.polytopes import get_coverage_set
 from repro.transpiler import Layout, grid_topology
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.metrics import (
     CircuitMetrics,
     evaluate,
@@ -128,30 +132,46 @@ def test_stacked_products_match_the_embed_unitary_product():
 # ---------------------------------------------------------------------------
 
 
-def dag_metrics(circuit: QuantumCircuit, coverage) -> CircuitMetrics:
-    """Metrics as longest paths over the circuit's ``DAGCircuit``."""
-    dag = DAGCircuit.from_circuit(circuit)
-    two_qubit = [node for node in dag.nodes.values() if node.is_two_qubit]
+def longest_path_metrics(circuit: QuantumCircuit, coverage) -> CircuitMetrics:
+    """Metrics as weighted longest paths over the circuit's lowering.
+
+    Nodes are visited in ``kahn_order``; each takes the largest distance
+    among its ``pred_indptr``/``pred_ids`` predecessors plus its weight.
+    """
+    lowered = OpList.of(circuit)
+    ops = lowered.ops
+    intdag = IntDAG.from_ops(lowered.num_qubits, ops)
+    two_qubit = [
+        node for node, (gate, qubits) in enumerate(ops)
+        if len(qubits) == 2 and not gate.is_directive
+    ]
     cost_by_node = {}
     if two_qubit:
-        costs = coverage.cost_of_many([gate_coordinate(n.gate) for n in two_qubit])
-        cost_by_node = {
-            node.node_id: float(cost) for node, cost in zip(two_qubit, costs)
-        }
+        costs = coverage.cost_of_many([gate_coordinate(ops[n][0]) for n in two_qubit])
+        cost_by_node = {node: float(cost) for node, cost in zip(two_qubit, costs)}
+    order = kahn_order([qubits for _, qubits in ops], lowered.num_qubits)
+    pred_indptr = intdag.pred_indptr.tolist()
+    pred_ids = intdag.pred_ids.tolist()
 
-    def weight(node):
-        return cost_by_node.get(node.node_id, 0.0)
+    def longest_path(weight):
+        distance: dict[int, float] = {}
+        best = 0.0
+        for node in order:
+            incoming = pred_ids[pred_indptr[node]:pred_indptr[node + 1]]
+            upstream = max((distance[i] for i in incoming), default=0.0)
+            distance[node] = upstream + weight(node)
+            best = max(best, distance[node])
+        return best
 
     return CircuitMetrics(
-        depth=float(dag.longest_path_length(weight)),
-        total_cost=float(sum(weight(node) for node in dag.nodes.values())),
+        depth=float(longest_path(lambda node: cost_by_node.get(node, 0.0))),
+        total_cost=float(sum(cost_by_node.values())),
         swap_count=sum(
-            1 for n in dag.nodes.values()
-            if n.gate.name == "swap" and type(n.gate) is Gate
+            1 for gate, _ in ops if gate.name == "swap" and type(gate) is Gate
         ),
         two_qubit_count=len(two_qubit),
-        gate_depth=int(dag.longest_path_length(
-            lambda node: 1.0 if node.is_two_qubit else 0.0)),
+        gate_depth=int(longest_path(
+            lambda node: 1.0 if node in cost_by_node else 0.0)),
     )
 
 
@@ -198,13 +218,11 @@ def _fields(metrics: CircuitMetrics) -> str:
 @settings(max_examples=150, deadline=None)
 @given(circuits())
 def test_op_list_metrics_equal_dag_longest_paths(circuit):
-    reference = _fields(dag_metrics(circuit, COVERAGE))
+    reference = longest_path_metrics(circuit, COVERAGE)
     ops = [(instruction.gate, instruction.qubits) for instruction in circuit]
-    assert _fields(evaluate(ops, coverage=COVERAGE)) == reference
-    assert _fields(evaluate(circuit, coverage=COVERAGE)) == reference
-    assert _fields(evaluate(circuit.to_dag(), coverage=COVERAGE)) == reference
-    assert repr(ops_depth(ops, COVERAGE)) == repr(
-        dag_metrics(circuit, COVERAGE).depth)
+    assert _fields(evaluate(ops, coverage=COVERAGE)) == _fields(reference)
+    assert _fields(evaluate(circuit, coverage=COVERAGE)) == _fields(reference)
+    assert repr(ops_depth(ops, COVERAGE)) == repr(reference.depth)
 
 
 @pytest.mark.parametrize("label", ["swap", "cx", "iswap"])
@@ -226,20 +244,42 @@ def test_metrics_apply_name_rules_to_standard_gates_only(label):
 
 
 # ---------------------------------------------------------------------------
-# Routed circuit without a DAG
+# Routed circuit from its op list
 # ---------------------------------------------------------------------------
 
 
+def _fifo_order(intdag):
+    """Kahn's algorithm over the lowering's successor arrays, written out:
+    ready nodes leave first in, first out; a cycle raises ``DAGError``."""
+    indegree = intdag.indegree.tolist()
+    ready = collections.deque(
+        node for node in range(intdag.num_nodes) if not indegree[node]
+    )
+    order = []
+    while ready:
+        node = ready.popleft()
+        order.append(node)
+        for succ in intdag.successor_ids(node):
+            indegree[succ] -= 1
+            if not indegree[succ]:
+                ready.append(succ)
+    if len(order) != intdag.num_nodes:
+        raise DAGError("cycle")
+    return order
+
+
 def _both_forms(ops, num_qubits):
-    """A routing result over ``ops`` and the ``DAGCircuit`` of the same ops."""
+    """A routing result over ``ops``, and the circuit of the same ops in
+    the FIFO Kahn order of their lowering."""
     layout = Layout.trivial(num_qubits, num_qubits)
-    dag = DAGCircuit(num_qubits, "routed")
-    for gate, qubits in ops:
-        dag.add_node(gate, qubits)
+    order = _fifo_order(IntDAG.from_ops(num_qubits, ops))
+    reference = QuantumCircuit(num_qubits, "routed")
+    for index in order:
+        reference.append(*ops[index])
     return (RoutingResult(ops=list(ops), num_qubits=num_qubits, name="routed",
                           initial_layout=layout, final_layout=layout,
                           swaps_added=0),
-            dag)
+            reference)
 
 
 def _stream(circuit):
@@ -247,10 +287,10 @@ def _stream(circuit):
             for i in circuit]
 
 
-def _assert_same_circuit(from_ops, from_dag):
+def _assert_same_circuit(from_ops, reference):
     assert (from_ops.num_qubits, from_ops.name) == (
-        from_dag.num_qubits, from_dag.name)
-    assert _stream(from_ops) == _stream(from_dag)
+        reference.num_qubits, reference.name)
+    assert _stream(from_ops) == _stream(reference)
 
 
 @pytest.mark.parametrize("router", ["sabre", "mirage"])
@@ -261,36 +301,41 @@ def test_routed_op_list_circuit_equals_dag_circuit(router, circuit):
     layout = Layout.random(circuit.num_qubits, coupling.num_qubits, seed=5)
     swap_router = (SabreSwap(coupling) if router == "sabre"
                    else MirageSwap(coupling, coverage=COVERAGE))
-    result = swap_router.run(circuit.to_dag(), layout, seed=5)
-    from_ops, from_dag = _both_forms(result.ops, coupling.num_qubits)
-    _assert_same_circuit(from_ops.to_circuit(), from_dag.to_circuit())
-    # The routed result itself, against the DAG it builds on request.
-    _assert_same_circuit(result.to_circuit(), result.dag.to_circuit())
+    lowered = OpList.of(circuit)
+    result = swap_router.run(
+        IntDAG.from_ops(lowered.num_qubits, lowered.ops), layout, seed=5,
+        name="routed",
+    )
+    from_ops, reference = _both_forms(result.ops, coupling.num_qubits)
+    _assert_same_circuit(from_ops.to_circuit(), reference)
+    # The routed result itself.
+    _assert_same_circuit(result.to_circuit(), reference)
 
 
 def test_kahn_order_is_fifo_over_wire_edges():
     # Ops 0, 1 and 3 start ready; 2 becomes ready after 1, then 4 after 2.
     qubit_lists = [(0,), (1,), (0, 1), (2,), (1, 2)]
     assert kahn_order(qubit_lists, 3) == [0, 1, 3, 2, 4]
-    dag = DAGCircuit(3)
-    for qubits in qubit_lists:
-        dag.add_node(standard_gate("cz" if len(qubits) == 2 else "h"), qubits)
-    assert [node.node_id for node in dag.topological_nodes()] == [0, 1, 3, 2, 4]
+    ops = [
+        (standard_gate("cz" if len(qubits) == 2 else "h"), qubits)
+        for qubits in qubit_lists
+    ]
+    assert _fifo_order(IntDAG.from_ops(3, ops)) == [0, 1, 3, 2, 4]
 
 
 @settings(max_examples=150, deadline=None)
 @given(circuits())
 def test_op_list_kahn_order_equals_dag_kahn_order(circuit):
     ops = [(instruction.gate, instruction.qubits) for instruction in circuit]
-    from_ops, from_dag = _both_forms(ops, circuit.num_qubits)
-    _assert_same_circuit(from_ops.to_circuit(), from_dag.to_circuit())
+    from_ops, reference = _both_forms(ops, circuit.num_qubits)
+    _assert_same_circuit(from_ops.to_circuit(), reference)
 
 
 def test_op_list_circuit_rejects_what_the_dag_rejects():
     cx = standard_gate("cx")
     for bad in ([(cx, (0, 2))], [(cx, (0, 1)), (cx, (1, 1))]):
         with pytest.raises(DAGError):
-            _both_forms(bad, 2)[1].to_circuit()
+            _both_forms(bad, 2)
         layout = Layout.trivial(2, 2)
         result = RoutingResult(ops=bad, num_qubits=2, initial_layout=layout,
                                final_layout=layout, swaps_added=0)

@@ -16,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import OpList
 from repro.circuits.library import benchmark_circuit, twolocal_full
 from repro.linalg.constants import MAGIC, MAGIC_DAG
 from repro.linalg.random import haar_unitary
@@ -24,7 +25,7 @@ from repro.polytopes.coverage import (
     build_coverage_set,
     load_or_build_coverage_set,
 )
-from repro.transpiler.kernel import route
+from repro.transpiler.kernel import IntDAG, route
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.consolidate import consolidate_blocks
@@ -490,21 +491,28 @@ def _full_rescore_ties(state, front, extended, decay, extended_set_weight):
     return best_edges
 
 
-def _route_stream(coupling, dag, layout, seed, module, ties=None):
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
+
+
+def _route_stream(coupling, lowering, layout, seed, module, ties=None):
     """One SABRE routing with ``module`` as the compiled extension and,
     when given, ``ties`` as the Python loop's SWAP scorer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(route, "load_routec", lambda: module)
         if ties is not None:
             patch.setattr(route, "_swap_ties", ties)
-        result = SabreSwap(coupling, seed=seed).run(dag, layout.copy(), seed=seed)
+        result = SabreSwap(coupling, seed=seed).run(
+            lowering, layout.copy(), seed=seed
+        )
     return (
         result.swaps_added,
         [(i.gate.name, i.qubits) for i in result.to_circuit()],
     )
 
 
-def _assert_scorers_match_full_rescore(coupling, dag, layout, seed):
+def _assert_scorers_match_full_rescore(coupling, lowering, layout, seed):
     """The Python loop's delta scorer and the compiled loop both route as
     the Python loop does with the full-rescore scorer."""
     calls = []
@@ -513,12 +521,12 @@ def _assert_scorers_match_full_rescore(coupling, dag, layout, seed):
         calls.append(1)
         return _full_rescore_ties(*args)
 
-    reference = _route_stream(coupling, dag, layout, seed, None, counted)
+    reference = _route_stream(coupling, lowering, layout, seed, None, counted)
     assert calls, "the routing never stalled"
-    assert _route_stream(coupling, dag, layout, seed, None) == reference
+    assert _route_stream(coupling, lowering, layout, seed, None) == reference
     compiled = load_routec()
     if compiled is not None:  # without a C compiler only Python routes
-        assert _route_stream(coupling, dag, layout, seed, compiled) == reference
+        assert _route_stream(coupling, lowering, layout, seed, compiled) == reference
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -526,26 +534,26 @@ def _assert_scorers_match_full_rescore(coupling, dag, layout, seed):
 def test_delta_swap_choice_matches_full_rescore(seed, topology):
     width = 9
     coupling = topology_by_name(topology, width)
-    dag = benchmark_circuit("qft", width).to_dag()
+    lowering = _lower(benchmark_circuit("qft", width))
     layout = Layout.trivial(width, coupling.num_qubits)
-    _assert_scorers_match_full_rescore(coupling, dag, layout, seed)
+    _assert_scorers_match_full_rescore(coupling, lowering, layout, seed)
 
 
 def test_delta_swap_choice_matches_on_random_layouts():
     coupling = topology_by_name("heavy_hex", 57)
-    dag = benchmark_circuit("qft", 12).to_dag()
+    lowering = _lower(benchmark_circuit("qft", 12))
     for seed in (1, 2):
         layout = Layout.random(12, coupling.num_qubits, seed=seed)
-        _assert_scorers_match_full_rescore(coupling, dag, layout, seed)
+        _assert_scorers_match_full_rescore(coupling, lowering, layout, seed)
 
 
 def test_swap_scorers_agree_on_a_wide_qft():
     """Full rescore, Python delta scorer and compiled loop: one routing."""
     width = 25
     coupling = topology_by_name("square", width)
-    dag = benchmark_circuit("qft", width).to_dag()
+    lowering = _lower(benchmark_circuit("qft", width))
     layout = Layout.trivial(width, coupling.num_qubits)
-    _assert_scorers_match_full_rescore(coupling, dag, layout, 3)
+    _assert_scorers_match_full_rescore(coupling, lowering, layout, 3)
 
 
 # -- Weyl extraction against the historical scalar loop ----------------------

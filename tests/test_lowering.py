@@ -1,17 +1,20 @@
-"""One lowering per circuit: op stream → ``IntDAG``, no DAG, no spare circuits.
+"""One lowering per circuit: op stream → ``IntDAG``, no spare circuits.
 
 Covers:
 
-* ``IntDAG.from_ops`` against ``IntDAG.from_dag(DAGCircuit.from_circuit(c))``
-  array for array, and both against the DAG's own node and edge tables;
-  the two ``reversed()`` results agree too (Hypothesis over 1Q and 2Q
-  gates, barriers across many wires, measures, >2-qubit gates that the
-  route loop rejects, and gate objects repeated across ops);
-* a ``transpile`` call builds no ``DAGCircuit`` (serial and process
-  executors), a shipped ``TrialSpec`` pickles no ``DAGNode``, and the
-  only ``QuantumCircuit``s a call constructs are its results.
+* ``IntDAG.from_ops`` against the circuit's own instructions and the
+  wire rule spelled out (node gates, qargs, kinds, gate slots, edges,
+  front layer), and its ``reversed()`` against ``from_ops`` of the ops
+  in reversed Kahn order (Hypothesis over 1Q and 2Q gates, barriers
+  across many wires, measures, >2-qubit gates that the route loop
+  rejects, and gate objects repeated across ops);
+* a ``transpile`` call lowers its circuit once, on the dispatching side
+  (serial and process executors), a shipped ``TrialSpec`` pickles the
+  flat lowering and no per-op objects, and the only ``QuantumCircuit``s
+  a call constructs are its results.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import OpList, QuantumCircuit
-from repro.circuits.dag import DAGCircuit
+from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate, standard_gate
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import transpile, transpile_many
@@ -33,10 +36,10 @@ from repro.transpiler.passes import seed_sequence
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
+#: Every array but ``gate_ids``, which a reverse keeps from its forward.
 _ARRAYS = (
-    "qubit0", "qubit1", "kind", "two_qubit", "gate_ids", "qarg_indptr",
-    "qargs", "succ_indptr", "succ_ids", "pred_indptr", "pred_ids",
-    "indegree",
+    "qubit0", "qubit1", "kind", "two_qubit", "qarg_indptr", "qargs",
+    "succ_indptr", "succ_ids", "pred_indptr", "pred_ids", "indegree",
 )
 
 _ONE_QUBIT = ("h", "x", "t", "sx")
@@ -74,46 +77,58 @@ def _assert_equal_lowerings(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
-    assert len(got.gates) == len(want.gates)
-    assert all(a is b for a, b in zip(got.gates, want.gates))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(circuit=_circuits())
 def test_from_ops_equals_the_dag_lowering(circuit):
+    """The lowering is the circuit's dependency graph: checked against
+    the instructions and the wire rule, not through ``from_ops``."""
     lowered = OpList.of(circuit)
     direct = IntDAG.from_ops(lowered.num_qubits, lowered.ops)
-    dag = DAGCircuit.from_circuit(circuit)
-    _assert_equal_lowerings(direct, IntDAG.from_dag(dag))
 
     # The edge rule, spelled out: an op depends once on the last earlier
     # op on each of its wires, in wire order.
     last: dict[int, int] = {}
-    for index, (_, qubits) in enumerate(lowered.ops):
+    successors: list[list[int]] = [[] for _ in lowered.ops]
+    front = []
+    seen: list[Gate] = []
+    for index, instruction in enumerate(circuit):
+        qubits = instruction.qubits
         expected = list(dict.fromkeys(last[q] for q in qubits if q in last))
         assert direct.predecessor_ids(index) == expected
+        for previous in expected:
+            successors[previous].append(index)
+        if not expected:
+            front.append(index)
         last.update((q, index) for q in qubits)
-
-    # Against the DAG's own tables, not through from_ops.
-    seen: list[Gate] = []
-    for node_id, node in dag.nodes.items():
-        assert direct.gate(node_id) is node.gate
-        assert direct.node_qubits(node_id) == node.qubits
-        assert direct.successor_ids(node_id) == dag._successors[node_id]
-        assert direct.predecessor_ids(node_id) == dag._predecessors[node_id]
+        assert direct.gate(index) is instruction.gate
+        assert direct.node_qubits(index) == qubits
         expected_kind = (
-            KIND_CHECK2 if node.is_two_qubit
-            else KIND_FREE if node.is_directive or len(node.qubits) == 1
+            KIND_CHECK2 if instruction.is_two_qubit
+            else KIND_FREE if instruction.gate.is_directive or len(qubits) == 1
             else KIND_REJECT
         )
-        assert direct.kind[node_id] == expected_kind
-        if not any(node.gate is gate for gate in seen):
-            seen.append(node.gate)
+        assert direct.kind[index] == expected_kind
+        if not any(instruction.gate is gate for gate in seen):
+            seen.append(instruction.gate)
+    assert [direct.successor_ids(i) for i in range(len(circuit))] == successors
     assert len(direct.gates) == len(seen)
     assert all(a is b for a, b in zip(direct.gates, seen))
-    assert direct.front_ids() == [n.node_id for n in dag.front_layer()]
+    assert direct.front_ids() == front
 
-    _assert_equal_lowerings(direct.reversed(), IntDAG.from_dag(dag).reversed())
+    # The reverse: the lowering of the ops in reversed Kahn order, except
+    # that it keeps the forward's gate slots.
+    order = kahn_order([qubits for _, qubits in lowered.ops], lowered.num_qubits)
+    reference = IntDAG.from_ops(
+        lowered.num_qubits, [lowered.ops[i] for i in reversed(order)]
+    )
+    reverse = direct.reversed()
+    _assert_equal_lowerings(reverse, reference)
+    assert reverse.gates is direct.gates
+    assert all(
+        reverse.gate(i) is reference.gate(i) for i in range(reverse.num_nodes)
+    )
 
 
 def test_from_ops_checks_qubit_range():
@@ -122,15 +137,25 @@ def test_from_ops_checks_qubit_range():
 
 
 # ---------------------------------------------------------------------------
-# No DAG, no throw-away circuits
+# One lowering, no throw-away circuits
 # ---------------------------------------------------------------------------
 
 
-def _forbid_dags(monkeypatch):
-    def init(*args, **kwargs):
-        raise AssertionError("a DAGCircuit was built")
+def _count_lowerings(monkeypatch):
+    """Record the width of every ``IntDAG.from_ops`` call in this process;
+    in a worker forked after the patch, a call fails its task instead."""
+    calls = []
+    parent = os.getpid()
+    original = IntDAG.from_ops.__func__
 
-    monkeypatch.setattr(DAGCircuit, "__init__", init)
+    def from_ops(cls, num_qubits, ops):
+        if os.getpid() != parent:
+            raise AssertionError("a worker lowered a circuit")
+        calls.append(num_qubits)
+        return original(cls, num_qubits, ops)
+
+    monkeypatch.setattr(IntDAG, "from_ops", classmethod(from_ops))
+    return calls
 
 
 def _stream(result):
@@ -139,14 +164,17 @@ def _stream(result):
 
 @pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_transpile_builds_no_dag(monkeypatch, executor):
+    """The ``plan`` stage's lowering is the only dependency graph a call
+    builds: trials route the shipped arrays and derive the reverse from
+    them, in process or in a worker."""
     circuit = twolocal_full(5)
     kwargs = dict(coverage=COVERAGE, layout_trials=4, seed=3)
     expected = transpile(circuit, grid_topology(2, 3), **kwargs)
-    _forbid_dags(monkeypatch)
+    lowerings = _count_lowerings(monkeypatch)
     if executor == "serial":
         result = transpile(circuit, grid_topology(2, 3), **kwargs)
     else:
-        # Forked after the patch, the workers refuse DAGs too.
+        # Forked after the patch, the workers refuse to lower.
         with ProcessExecutor(max_workers=2) as processes:
             result = transpile(
                 circuit, grid_topology(2, 3), executor=processes, **kwargs
@@ -156,6 +184,7 @@ def test_transpile_builds_no_dag(monkeypatch, executor):
             assert stats["retries"] == stats["lost_tasks"] == 0
             assert stats["executor_downgrades"] == 0
     assert result.method == "mirage"
+    assert lowerings == [circuit.num_qubits]
     assert _stream(result) == _stream(expected)
 
 
@@ -169,8 +198,11 @@ def test_shipped_trial_spec_pickles_no_dag_node():
     outcome = run_plan(spec, PlanTask(qft(5), seed_sequence(1)))
     trial_spec = outcome.state.properties["trial_plan"].spec
     payload = pickle.dumps(trial_spec, protocol=pickle.HIGHEST_PROTOCOL)
-    assert b"DAGNode" not in payload
-    assert b"DAGCircuit" not in payload
+    # The flat lowering stands in for the circuit: no op list, no
+    # instruction objects.
+    assert b"CircuitInstruction" not in payload
+    assert b"OpList" not in payload
+    assert b"QuantumCircuit" not in payload
     assert trial_spec.name == "qft_n5"
     assert isinstance(trial_spec.intdag, IntDAG)
 

@@ -1,4 +1,4 @@
-"""Trial-invariant mirror data and lazy routed DAGs.
+"""Trial-invariant mirror data and routed op streams.
 
 Covers:
 
@@ -8,12 +8,12 @@ Covers:
 * deterministic performance invariants that need no timing: one
   coverage query per circuit across both routing directions and every
   run, one coverage row per distinct coordinate in the table and in the
-  metrics walk, mirror gates built only for accepted slots, no
-  ``DAGCircuit`` built while refining or scoring trials, and a pickled
+  metrics walk, mirror gates built only for accepted slots, no circuit
+  lowered again while refining or scoring trials, and a pickled
   :class:`~repro.transpiler.passes.RoutingResult` that carries ops only;
 * the ops-based depth metric, and the depth the route loop scores,
-  equal ``evaluate(dag).depth`` exactly; ``DepthMetric`` uses the scored
-  depth only under the coverage set that priced it.
+  equal a per-op scalar reference exactly; ``DepthMetric`` uses the
+  scored depth only under the coverage set that priced it.
 """
 
 import pickle
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import OpList, random_two_qubit_block_circuit
-from repro.circuits.dag import DAGCircuit
 from repro.circuits.gates import Gate, UnitaryGate
 from repro.circuits.library import TABLE_III_SUITE, qft, twolocal_full
 from repro.core import MirageSwap, prepare_circuit
@@ -46,6 +45,11 @@ from repro.transpiler.passes import DepthMetric, SabreLayout, SabreSwap, run_tri
 from repro.weyl.mirror import mirror_coordinate
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
+
+
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
 
 
 def _seca():
@@ -70,7 +74,7 @@ def coverage(request):
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_table_matches_scalar_chain(name, coverage):
-    forward = IntDAG.from_dag(DAGCircuit.from_circuit(CIRCUITS[name]()))
+    forward = _lower(CIRCUITS[name]())
     for intdag in (forward, forward.reversed()):
         table = mirror_table(intdag, coverage)
         assert mirror_table(intdag, coverage) is table  # memoised
@@ -96,7 +100,7 @@ def test_table_matches_scalar_chain(name, coverage):
 
 
 def test_coverage_sets_get_distinct_tables():
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(6)))
+    intdag = _lower(qft(6))
     default = mirror_table(intdag, get_coverage_set("sqrt_iswap"))
     small = mirror_table(intdag, COVERAGE)
     assert default is not small
@@ -122,9 +126,8 @@ def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
     coupling = grid_topology(3, 3)
     router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(4), qft(8), twolocal_full(8)):
-        dag = DAGCircuit.from_circuit(circuit)
-        lowering = IntDAG.from_dag(dag)
-        layout = Layout.random(dag.num_qubits, coupling.num_qubits, seed=1)
+        lowering = _lower(circuit)
+        layout = Layout.random(lowering.num_qubits, coupling.num_qubits, seed=1)
         del cost_many_calls[:]
         candidates = 0
         for seed in range(4):
@@ -132,7 +135,7 @@ def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
             candidates += result.mirror_candidates
             assert len(cost_many_calls) <= 1
         # Every two-qubit gate is a candidate in every run.
-        assert candidates == 4 * len(dag.two_qubit_nodes())
+        assert candidates == 4 * circuit.num_two_qubit_gates()
         assert len(cost_many_calls) == 1
 
 
@@ -147,7 +150,7 @@ def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
     coupling = grid_topology(3, 4)
     router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(6), twolocal_full(7), _seca()):
-        forward = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+        forward = _lower(circuit)
         reverse = forward.reversed()
         del cost_many_calls[:]
         layout = Layout.random(forward.num_qubits, coupling.num_qubits, seed=3)
@@ -167,10 +170,10 @@ def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
 
 def test_walk_prices_each_distinct_gate_once(cost_many_calls):
     coupling = heavy_hex_topology(12)
-    dag = DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 25, seed=4))
+    lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=4))
     layout = Layout.random(7, coupling.num_qubits, seed=4)
     result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
-        dag, layout, seed=4
+        lowering, layout, seed=4
     )
     ops = result.ops + result.ops  # every gate object appears twice
     distinct = {
@@ -279,9 +282,7 @@ def test_mirror_gates_are_built_on_acceptance(monkeypatch, aggression):
 
     monkeypatch.setattr(mirage_pass, "mirror_gate", counting)
     coupling = heavy_hex_topology(12)
-    forward = IntDAG.from_dag(
-        DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 30, seed=9))
-    )
+    forward = _lower(random_two_qubit_block_circuit(7, 30, seed=9))
     table = mirror_table(forward, COVERAGE)
     assert table.mirror_gates == [None] * len(forward.gates)
     router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
@@ -311,44 +312,27 @@ def test_mirror_gates_are_built_on_acceptance(monkeypatch, aggression):
         assert gate.coordinate == reference.coordinate
 
 
-class _CountingInit:
+class _CountingWires:
+    """Counts the lowerings this process wires (``from_ops`` and
+    ``reversed`` each wire one)."""
+
     def __init__(self, monkeypatch):
         self.count = 0
-        original = DAGCircuit.__init__
+        original = intdag_mod._wired
 
-        def init(dag, *args, **kwargs):
+        def wired(*args, **kwargs):
             self.count += 1
-            original(dag, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(DAGCircuit, "__init__", init)
-
-
-def test_trials_build_no_dag_until_the_winner_is_read(monkeypatch):
-    coupling = heavy_hex_topology(12)
-    factory = MirageRouterFactory(coupling, COVERAGE, (1,))
-    layout_search = SabreLayout(
-        coupling,
-        factory,
-        layout_trials=1,
-        refinement_rounds=3,
-        routing_trials=2,
-        selection_metric=DepthMetric(coverage=COVERAGE),
-        seed=4,
-    )
-    spec = layout_search.trial_spec(DAGCircuit.from_circuit(qft(6)))
-    (ref,) = layout_search.trial_refs()
-    counter = _CountingInit(monkeypatch)
-    outcome = run_trial(spec, ref)
-    assert counter.count == 0
-    outcome.routing.dag
-    assert counter.count == 1
+        monkeypatch.setattr(intdag_mod, "_wired", wired)
 
 
 @pytest.mark.parametrize("shipped_lowering", [True, False])
 def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
-    """Neither direction of any refinement round builds a ``DAGCircuit``,
-    whether the spec went through a pickle (as a worker receives it) or
-    stays in process."""
+    """No refinement round lowers the circuit again: the trials route the
+    spec's lowering and wire its reverse once between them, whether the
+    spec went through a pickle (as a worker receives it) or stays in
+    process."""
     coupling = heavy_hex_topology(12)
     factory = MirageRouterFactory(coupling, COVERAGE, (1, 2))
     layout_search = SabreLayout(
@@ -366,10 +350,10 @@ def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
     )
     if shipped_lowering:
         spec = pickle.loads(pickle.dumps(spec))
-    counter = _CountingInit(monkeypatch)
+    counter = _CountingWires(monkeypatch)
     for ref in layout_search.trial_refs():
         run_trial(spec, ref)
-    assert counter.count == 0
+    assert counter.count == 1
 
 
 def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
@@ -402,7 +386,7 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
 
     circuit = twolocal_full(8)
     expected = outcomes(
-        layout_search.trial_spec(DAGCircuit.from_circuit(circuit)), map
+        layout_search.trial_spec(_lower(circuit)), map
     )
     del emitted[:]
 
@@ -429,7 +413,7 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        spec = layout_search.trial_spec(DAGCircuit.from_circuit(circuit))
+        spec = layout_search.trial_spec(_lower(circuit))
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = outcomes(spec, lambda fn, items: list(
                 pool.map(fn, items, timeout=120)
@@ -448,10 +432,10 @@ def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(
     monkeypatch,
 ):
     coupling = heavy_hex_topology(12)
-    dag = DAGCircuit.from_circuit(random_two_qubit_block_circuit(7, 25, seed=2))
+    lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=2))
     layout = Layout.random(7, coupling.num_qubits, seed=2)
     result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
-        dag, layout, seed=2
+        lowering, layout, seed=2
     )
     assert result.depth_coverage is COVERAGE
     assert result.depth == ops_depth(result.ops, COVERAGE)
@@ -478,25 +462,26 @@ def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(
 
 
 def test_routing_result_pickles_one_representation():
-    """A routing result pickles its op list, never a DAG, even after
-    its ``dag`` has been read."""
+    """A routing result pickles its op list, and its clone builds the same
+    routed circuit."""
     coupling = grid_topology(2, 3)
-    dag = DAGCircuit.from_circuit(twolocal_full(5))
     layout = Layout.random(5, 6, seed=2)
-    result = MirageSwap(coupling, coverage=COVERAGE).run(dag, layout, seed=8)
-    built = result.dag
+    result = MirageSwap(coupling, coverage=COVERAGE).run(
+        _lower(twolocal_full(5)), layout, seed=8
+    )
 
     clone = pickle.loads(pickle.dumps(result))
-    assert not [v for v in vars(clone).values() if isinstance(v, DAGCircuit)]
 
     def stream(routed):
         return [
-            (node.gate.name, node.qubits, node.gate.matrix().tobytes())
-            for node in routed.dag.nodes.values()
+            (gate.name, qubits, gate.matrix().tobytes())
+            for gate, qubits in routed.ops
         ]
 
     assert stream(clone) == stream(result)
-    assert clone.dag._successors == built._successors
+    assert [(i.gate.name, i.qubits) for i in clone.to_circuit()] == [
+        (i.gate.name, i.qubits) for i in result.to_circuit()
+    ]
     assert clone.final_layout.virtual_to_physical() == (
         result.final_layout.virtual_to_physical()
     )
@@ -510,17 +495,17 @@ def test_routing_result_pickles_one_representation():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ops_depth_equals_evaluated_depth(router_kind, seed):
     coupling = heavy_hex_topology(12)
-    dag = DAGCircuit.from_circuit(
-        random_two_qubit_block_circuit(7, 25, seed=seed)
-    )
+    lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=seed))
     layout = Layout.random(7, coupling.num_qubits, seed=seed)
     router = (
         SabreSwap(coupling)
         if router_kind == "sabre"
         else MirageSwap(coupling, coverage=COVERAGE, aggression=seed)
     )
-    result = router.run(dag, layout, seed=seed)
+    result = router.run(lowering, layout, seed=seed)
     depth = ops_depth(result.ops, COVERAGE)
-    assert depth == evaluate(result.dag, coverage=COVERAGE).depth
-    # After materialisation the op stream is read back from the DAG.
-    assert ops_depth(result.ops, COVERAGE) == depth
+    metrics = evaluate(result.ops, coverage=COVERAGE)
+    assert depth == metrics.depth
+    assert (metrics.total_cost, depth) == _per_op_reference(result.ops, COVERAGE)
+    if router_kind == "mirage":
+        assert result.depth == depth

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from repro.exceptions import InvalidModeError, TranspilerError
-from repro.circuits import QuantumCircuit
+from repro.circuits import OpList, QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
     build_batch_back_pipeline,
@@ -28,15 +28,22 @@ from repro.transpiler import (
     line_topology,
     resolve_executor,
 )
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.passes import (
     DepthMetric,
     SabreLayout,
     run_trial,
+    seed_sequence,
     select_best,
     swap_count_metric,
 )
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
+
+
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
 
 
 def _fingerprint(result):
@@ -292,12 +299,12 @@ class _ReversedExecutor(TrialExecutor):
         return list(reversed(outcomes))
 
 
-def _search(driver, dag, executor=None):
+def _search(driver, lowering, executor=None):
     """Run a layout search as one ``map_shared`` dispatch of its
     trials, then :func:`select_best`."""
     executor = executor or SerialExecutor()
     outcomes = executor.map_shared(
-        run_trial, driver.trial_spec(dag), driver.trial_refs()
+        run_trial, driver.trial_spec(lowering), driver.trial_refs()
     )
     return select_best(outcomes, driver.metric_name)
 
@@ -324,7 +331,7 @@ def test_executors_preserve_order():
 
 
 def test_sabre_layout_deterministic_across_executor_order():
-    dag = prepare_circuit(qft(5)).to_dag()
+    lowering = _lower(prepare_circuit(qft(5)))
     outcomes = {}
     for name, executor in (
         ("serial", SerialExecutor()),
@@ -339,20 +346,20 @@ def test_sabre_layout_deterministic_across_executor_order():
             seed=2,
         )
         with executor:
-            best = _search(driver, dag, executor)
+            best = _search(driver, lowering, executor)
         outcomes[name] = (
             best.score,
             best.trial_index,
             best.trial_scores,
-            [(n.gate.name, n.qubits) for n in best.routing.dag.topological_nodes()],
+            [(i.gate.name, i.qubits) for i in best.routing.to_circuit()],
         )
     assert outcomes["serial"] == outcomes["reversed"] == outcomes["threads"]
 
 
 def test_sabre_layout_same_seed_same_result():
-    dag = prepare_circuit(qft(4)).to_dag()
+    lowering = _lower(prepare_circuit(qft(4)))
     runs = [
-        _search(SabreLayout(line_topology(4), layout_trials=2, seed=5), dag)
+        _search(SabreLayout(line_topology(4), layout_trials=2, seed=5), lowering)
         for _ in range(2)
     ]
     assert runs[0].score == runs[1].score
@@ -370,7 +377,7 @@ def test_run_layout_trial_is_self_contained():
         selection_metric=DepthMetric(coverage=COVERAGE),
         seed=8,
     )
-    spec = driver.trial_spec(prepare_circuit(qft(4)).to_dag())
+    spec = driver.trial_spec(_lower(prepare_circuit(qft(4))))
     ref = driver.trial_refs()[0]
     first = run_trial(spec, ref)
     again = run_trial(spec, ref)
@@ -423,7 +430,7 @@ def test_transpile_parity_with_direct_driver():
         metric_name="depth",
         seed=3,
     )
-    best = _search(driver, prepared.to_dag())
+    best = _search(driver, _lower(prepared))
     assert best.trial_index == result.trial_index
     assert [(i.gate.name, i.qubits) for i in best.routing.to_circuit()] == [
         (i.gate.name, i.qubits) for i in result.circuit
@@ -518,6 +525,54 @@ def test_transpile_many_accepts_generator_seed():
     )
     assert len(batch) == 1
     assert batch[0].metrics.depth > 0
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "x", b"x", [3, -1]])
+def test_malformed_seeds_fail_before_any_stage(monkeypatch, seed):
+    """A seed ``SeedSequence`` rejects raises ``TranspilerError`` through
+    ``seed=`` and ``circuit_seeds=``, before the front stages and before
+    any coverage set is resolved."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past seed validation")
+
+    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
+    transpile_mod = importlib.import_module("repro.core.transpile")
+    monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
+    calls = [
+        lambda: transpile(qft(4), line_topology(4), seed=seed),
+        lambda: transpile_many([qft(4)], line_topology(4), seed=seed),
+        lambda: transpile_many(
+            [qft(4), qft(4)], line_topology(4), circuit_seeds=[1, seed]
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(TranspilerError, match="invalid seed"):
+            call()
+    monkeypatch.undo()
+    with pytest.raises(TranspilerError, match="invalid seed"):
+        compare_methods(qft(4), line_topology(4), coverage=COVERAGE, seed=seed)
+
+
+def test_accepted_seeds_keep_their_streams():
+    """Validation changes no accepted seed's stream: numpy integers, big
+    ints and entropy sequences spawn exactly what ``SeedSequence`` does."""
+    import numpy as np
+
+    for seed in (0, 7, np.int64(7), np.uint8(4), 2**70, [1, 2], (1, 2),
+                 np.array([1, 2]), True, None):
+        got = seed_sequence(seed)
+        if seed is None:
+            continue
+        want = np.random.SeedSequence(seed)
+        assert np.array_equal(got.generate_state(4), want.generate_state(4))
+        assert [c.generate_state(2).tolist() for c in got.spawn(3)] == [
+            c.generate_state(2).tolist() for c in want.spawn(3)
+        ]
+    kwargs = dict(coverage=COVERAGE, use_vf2=False, layout_trials=2)
+    assert _fingerprint(
+        transpile(qft(4), line_topology(4), seed=np.int64(7), **kwargs)
+    ) == _fingerprint(transpile(qft(4), line_topology(4), seed=7, **kwargs))
 
 
 def test_transpile_many_empty_batch():

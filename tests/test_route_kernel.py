@@ -9,7 +9,8 @@ reference, which runs when ``route.load_routec`` returns ``None``.  Covers:
   caught;
 * ``IntDAG`` lowering properties (op table, CSR adjacency, front
   layer, interpreter-cache hygiene under pickle), and the reverse
-  lowering against a reversed ``DAGCircuit`` (Hypothesis);
+  lowering against ``IntDAG.from_ops`` of the ops in reversed Kahn
+  order (Hypothesis);
 * the decay-reset ordering regression at the ``DECAY_RESET_INTERVAL``
   boundary (reset-on-execute vs. reset-on-interval must interleave
   identically in both loops);
@@ -39,8 +40,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import QuantumCircuit, random_two_qubit_block_circuit
-from repro.circuits.dag import DAGCircuit
+from repro.circuits.circuit import (
+    OpList,
+    QuantumCircuit,
+    random_two_qubit_block_circuit,
+)
+from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import MirageSwap, transpile
@@ -129,6 +134,11 @@ def _routed_ops(result, with_matrices=False):
     return ops, result.final_layout.virtual_to_physical(), result.swaps_added
 
 
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
+
+
 # ---------------------------------------------------------------------------
 # Compiled vs Python loop identity
 # ---------------------------------------------------------------------------
@@ -215,13 +225,13 @@ def test_pinned_digest(monkeypatch):
 def test_direct_router_identity_with_aggressions(monkeypatch):
     """Router-level identity: full op streams, layouts and stats."""
     coupling = heavy_hex_topology(12)
-    dag = DAGCircuit.from_circuit(qft(6))
+    lowered = _lower(qft(6))
     rng = np.random.default_rng(9)
-    layout = Layout.random(dag.num_qubits, coupling.num_qubits, rng)
+    layout = Layout.random(lowered.num_qubits, coupling.num_qubits, rng)
 
     def run(aggression):
         router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
-        result = router.run(dag, layout.copy(), seed=13)
+        result = router.run(lowered, layout.copy(), seed=13)
         return (
             _routed_ops(result, with_matrices=True),
             result.mirrors_accepted,
@@ -238,38 +248,55 @@ def test_direct_router_identity_with_aggressions(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _wire_edges(circuit):
+    """Predecessor and successor lists by the wire rule, spelled out: an
+    op depends once on the last earlier op on each of its wires."""
+    last: dict[int, int] = {}
+    predecessors, successors = [], [[] for _ in range(len(circuit))]
+    for index, instruction in enumerate(circuit):
+        linked = list(
+            dict.fromkeys(last[q] for q in instruction.qubits if q in last)
+        )
+        predecessors.append(linked)
+        for previous in linked:
+            successors[previous].append(index)
+        last.update((q, index) for q in instruction.qubits)
+    return predecessors, successors
+
+
 @pytest.mark.parametrize(
     "circuit", [ghz(5), qft(4), twolocal_full(4)], ids=["ghz5", "qft4", "tl4"]
 )
 def test_intdag_round_trip(circuit):
-    dag = DAGCircuit.from_circuit(circuit)
-    lowered = IntDAG.from_dag(dag)
+    lowered = _lower(circuit)
+    predecessors, successors = _wire_edges(circuit)
 
-    assert lowered.num_qubits == dag.num_qubits
-    assert lowered.num_nodes == len(dag.nodes)
-    for node_id, node in dag.nodes.items():
-        assert lowered.gate(node_id) is node.gate
-        assert lowered.node_qubits(node_id) == tuple(node.qubits)
-        assert lowered.successor_ids(node_id) == dag._successors[node_id]
-        assert lowered.predecessor_ids(node_id) == dag._predecessors[node_id]
-        assert bool(lowered.two_qubit[node_id]) == node.is_two_qubit
-    assert lowered.front_ids() == [n.node_id for n in dag.front_layer()]
+    assert lowered.num_qubits == circuit.num_qubits
+    assert lowered.num_nodes == len(circuit)
+    for node_id, instruction in enumerate(circuit):
+        assert lowered.gate(node_id) is instruction.gate
+        assert lowered.node_qubits(node_id) == tuple(instruction.qubits)
+        assert lowered.successor_ids(node_id) == successors[node_id]
+        assert lowered.predecessor_ids(node_id) == predecessors[node_id]
+        assert bool(lowered.two_qubit[node_id]) == instruction.is_two_qubit
+    assert lowered.front_ids() == [
+        node_id for node_id, linked in enumerate(predecessors) if not linked
+    ]
 
 
 def test_intdag_csr_consistency():
-    dag = DAGCircuit.from_circuit(qft(5))
-    lowered = IntDAG.from_dag(dag)
+    circuit = qft(5)
+    lowered = _lower(circuit)
+    predecessors, successors = _wire_edges(circuit)
     # CSR pointers are monotone and the in-degree vector matches the
     # predecessor table (what the kernel's front advance relies on).
     assert list(lowered.succ_indptr) == sorted(lowered.succ_indptr)
     assert list(lowered.pred_indptr) == sorted(lowered.pred_indptr)
     assert lowered.succ_indptr[-1] == len(lowered.succ_ids)
     for node_id in range(lowered.num_nodes):
-        assert lowered.indegree[node_id] == len(dag._predecessors[node_id])
+        assert lowered.indegree[node_id] == len(predecessors[node_id])
     lists = lowered.lists()
-    assert lists.succ_tuples == tuple(
-        tuple(dag._successors[i]) for i in range(lowered.num_nodes)
-    )
+    assert lists.succ_tuples == tuple(tuple(row) for row in successors)
 
 
 def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
@@ -277,8 +304,7 @@ def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     # compiled loop walks its windows natively), and any flat run fills
     # the mirror cache.
     monkeypatch.setattr(route, "load_routec", lambda: None)
-    dag = DAGCircuit.from_circuit(qft(4))
-    lowered = IntDAG.from_dag(dag)
+    lowered = _lower(qft(4))
     lowered.lists()  # populate the caches
     MirageSwap(line_topology(4), coverage=COVERAGE).run(
         lowered, Layout.trivial(4, 4), seed=1
@@ -299,12 +325,12 @@ def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     assert clone.lists().qubit_tuples == lowered.lists().qubit_tuples
 
 
-def _reverse_dag(dag):
-    """The reference reverse: a DAG built from the reversed Kahn order."""
-    reverse = DAGCircuit(dag.num_qubits, f"{dag.name}_rev")
-    for node in reversed(list(dag.topological_nodes())):
-        reverse.add_node(node.gate, node.qubits)
-    return reverse
+def _reverse_lowering(circuit):
+    """The reference reverse: the lowering of the ops in reversed Kahn
+    order."""
+    ops = OpList.of(circuit).ops
+    order = kahn_order([qubits for _, qubits in ops], circuit.num_qubits)
+    return IntDAG.from_ops(circuit.num_qubits, [ops[i] for i in reversed(order)])
 
 
 _INTDAG_ARRAYS = (
@@ -337,10 +363,9 @@ def _reused_gate_circuits(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(circuit=_reused_gate_circuits())
 def test_reversed_lowering_matches_the_reversed_dag(circuit):
-    dag = DAGCircuit.from_circuit(circuit)
-    lowered = IntDAG.from_dag(dag)
+    lowered = _lower(circuit)
     reverse = lowered.reversed()
-    reference = IntDAG.from_dag(_reverse_dag(dag))
+    reference = _reverse_lowering(circuit)
     assert reverse.num_qubits == reference.num_qubits
     assert reverse.num_nodes == reference.num_nodes
     for name in _INTDAG_ARRAYS:
@@ -353,13 +378,6 @@ def test_reversed_lowering_matches_the_reversed_dag(circuit):
     assert lowered.reversed() is reverse
     assert reverse.gates is lowered.gates
     assert reverse.__dict__["_mirror_tables"] is lowered.__dict__["_mirror_tables"]
-
-
-def test_intdag_requires_dense_node_ids():
-    dag = DAGCircuit.from_circuit(ghz(4))
-    del dag.nodes[0]
-    with pytest.raises(TranspilerError, match="densely numbered"):
-        IntDAG.from_dag(dag)
 
 
 def test_neighbor_table_matches_coupling():
@@ -419,8 +437,8 @@ def test_property_random_dag_coupling_seed_identity(monkeypatch, case):
     coupling = _random_connected_coupling(
         rng, num_qubits + int(rng.integers(0, 3))
     )
-    dag = DAGCircuit.from_circuit(circuit)
-    layout = Layout.random(dag.num_qubits, coupling.num_qubits, rng)
+    lowered = _lower(circuit)
+    layout = Layout.random(lowered.num_qubits, coupling.num_qubits, rng)
     seed = int(rng.integers(0, 2**31))
     aggression = int(rng.integers(0, 4))
 
@@ -431,7 +449,7 @@ def test_property_random_dag_coupling_seed_identity(monkeypatch, case):
     for router in routers:
         compiled, python = _both_loops(
             monkeypatch,
-            lambda: _routed_ops(router.run(dag, layout.copy(), seed=seed)),
+            lambda: _routed_ops(router.run(lowered, layout.copy(), seed=seed)),
         )
         assert compiled == python
 
@@ -475,13 +493,13 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
     loops shifts decay factors and changes the SWAP stream.
     """
     coupling = line_topology(6)  # line = stall-heavy
-    dag = DAGCircuit.from_circuit(qft(6))
+    lowered = _lower(qft(6))
     layout = Layout.random(6, 6, np.random.default_rng(21))
 
     router = SabreSwap(coupling, decay_reset_interval=interval)
     compiled, python = _both_loops(
         monkeypatch,
-        lambda: _routed_ops(router.run(dag, layout.copy(), seed=33)),
+        lambda: _routed_ops(router.run(lowered, layout.copy(), seed=33)),
     )
     assert compiled == python
 
@@ -508,7 +526,7 @@ def _random_routing_window(rng, case):
     circuit = random_two_qubit_block_circuit(
         num_virtual, int(rng.integers(3, 25)), rng
     )
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+    intdag = _lower(circuit)
     v2p = [int(p) for p in rng.permutation(num_physical)[:num_virtual]]
     two_qubit = [i for i in range(intdag.num_nodes) if intdag.kind[i] == KIND_CHECK2]
     order = [int(i) for i in rng.permutation(two_qubit)]
@@ -548,7 +566,7 @@ def test_native_swap_ties_keep_float_near_ties(monkeypatch):
     for coupling in (line_topology(8), grid_topology(3, 3), grid_topology(2, 4)):
         num_qubits = coupling.num_qubits
         circuit = random_two_qubit_block_circuit(num_qubits, 30, rng)
-        intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+        intdag = _lower(circuit)
         table = neighbor_table(coupling)
         decay = [1.0] * num_qubits
         for _ in range(400):
@@ -571,7 +589,7 @@ def test_native_extended_ids_match_python(monkeypatch, case):
         qft(width),
         twolocal_full(width),
     )[case % 3]
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+    intdag = _lower(circuit)
     table = neighbor_table(line_topology(width))
     v2p = list(range(width))
     for limit in (0, 1, 20, intdag.num_nodes + 5):
@@ -618,7 +636,7 @@ def test_native_kernel_rejects_bad_indices(monkeypatch):
     and a failed call leaves the kernel's scratch state clean."""
     coupling = line_topology(4)
     table = neighbor_table(coupling)
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(4)))
+    intdag = _lower(qft(4))
     v2p = [0, 1, 2, 3]
     python, compiled = _states(monkeypatch, intdag, table, v2p)
     kernel = compiled._native
@@ -800,7 +818,7 @@ def test_compiled_route_loop_matches_python_loop(data):
     coupling = data.draw(_connected_couplings())
     num_virtual = data.draw(st.integers(1, coupling.num_qubits))
     circuit = data.draw(_circuits(num_virtual))
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+    intdag = _lower(circuit)
     v2p = data.draw(st.permutations(range(coupling.num_qubits)))[:num_virtual]
     seed = data.draw(st.integers(0, 2**32 - 1))
     method = data.draw(st.sampled_from(("sabre", 0, 1, 2, 3)))
@@ -835,7 +853,7 @@ def test_compiled_loop_keeps_mirror_near_ties(monkeypatch, aggression):
     side of that: both loops must take the same side of ``1e-9``."""
     coupling = line_topology(6)
     circuit = random_two_qubit_block_circuit(6, 40, seed=11)
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+    intdag = _lower(circuit)
     table = mirror_table(intdag, COVERAGE)
     rng = np.random.default_rng(5)
     near = []
@@ -876,13 +894,11 @@ def _error(monkeypatch, module, *args, **knobs):
 def test_compiled_loop_error_parity(monkeypatch):
     """The same ``TranspilerError`` from both loops."""
     coupling = line_topology(4)
-    wide = DAGCircuit(4)
-    wide.add_node(Gate("h", 1), (0,))
-    wide.add_node(Gate("ccx", 3), (0, 1, 2))
-    stalled = IntDAG.from_dag(DAGCircuit.from_circuit(ghz(4).cx(0, 3)))
-    ghz_dag = IntDAG.from_dag(DAGCircuit.from_circuit(ghz(4)))
+    wide = IntDAG.from_ops(4, [(Gate("h", 1), (0,)), (Gate("ccx", 3), (0, 1, 2))])
+    stalled = _lower(ghz(4).cx(0, 3))
+    ghz_dag = _lower(ghz(4))
     cases = [
-        ((IntDAG.from_dag(wide), coupling, [0, 1, 2, 3], 1, None), {},
+        ((wide, coupling, [0, 1, 2, 3], 1, None), {},
          "at most two qubits"),
         ((stalled, coupling, [0, 1, 2, 3], 1, None), {"stall_limit": 0},
          "failed to make progress"),
@@ -904,7 +920,7 @@ def test_compiled_loop_error_parity(monkeypatch):
 def test_compiled_loop_rejects_corrupt_arrays(monkeypatch):
     """A corrupt lowering raises ``TranspilerError``; it never crashes."""
     coupling = line_topology(5)
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(5).barrier()))
+    intdag = _lower(qft(5).barrier())
 
     def corrupt(name, position, value):
         array = getattr(intdag, name).copy()
@@ -995,7 +1011,7 @@ class _ReenteringGenerator:
 @needs_routec
 def test_compiled_loop_refuses_reentry_from_the_draw(monkeypatch):
     coupling = line_topology(7)
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(qft(7)))
+    intdag = _lower(qft(7))
     states = []
     real_state = route.KernelState
 
@@ -1033,7 +1049,7 @@ def test_disconnected_coupling_takes_the_python_loop(monkeypatch):
     """A disconnected coupling routes in Python, with the float scorer."""
     coupling = CouplingMap([(0, 1), (1, 2), (3, 4), (4, 5)], num_qubits=6)
     circuit = ghz(3).cx(0, 2).h(1)
-    intdag = IntDAG.from_dag(DAGCircuit.from_circuit(circuit))
+    intdag = _lower(circuit)
     stub = types.SimpleNamespace(RouteKernel=_RouteForbidden)
     for mirror in (None, _mirror_rule(intdag, 3, 1.0)):
         expected = _run_loop(monkeypatch, None, intdag, coupling, [0, 1, 2], 9,

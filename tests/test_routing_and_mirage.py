@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import TranspilerError
-from repro.circuits import QuantumCircuit
+from repro.circuits import OpList, QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
     Aggression,
@@ -19,6 +19,7 @@ from repro.core import (
 from repro.linalg import equal_up_to_global_phase
 from repro.polytopes import get_coverage_set
 from repro.transpiler import Layout, grid_topology, line_topology, ring_topology
+from repro.transpiler.kernel import IntDAG
 from repro.transpiler.passes import (
     SabreLayout,
     SabreSwap,
@@ -31,13 +32,17 @@ from repro.transpiler.passes import (
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
 
+def _lower(circuit):
+    """The circuit's routing lowering, as the ``plan`` stage builds it."""
+    return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
+
+
 def _route_and_verify(circuit, coupling, router_cls=SabreSwap, **router_kwargs):
     """Route with a trivial layout and verify unitary equivalence."""
     prepared = prepare_circuit(circuit)
-    dag = prepared.to_dag()
     router = router_cls(coupling, **router_kwargs)
     layout = Layout.trivial(prepared.num_qubits, coupling.num_qubits)
-    result = router.run(dag, layout, seed=5)
+    result = router.run(_lower(prepared), layout, seed=5)
 
     routed = result.to_circuit()
     assert routed.num_qubits == coupling.num_qubits
@@ -103,7 +108,7 @@ def test_sabre_rejects_disconnected_stall():
     circuit.cx(0, 2)
     with pytest.raises(TranspilerError):
         SabreSwap(disconnected).run(
-            prepare_circuit(circuit).to_dag(), Layout.trivial(4, 4), seed=1
+            _lower(prepare_circuit(circuit)), Layout.trivial(4, 4), seed=1
         )
 
 
@@ -111,7 +116,7 @@ def test_sabre_rejects_wide_gates():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)  # not unrolled on purpose
     with pytest.raises(TranspilerError):
-        SabreSwap(line_topology(3)).run(circuit.to_dag(), Layout.trivial(3, 3))
+        SabreSwap(line_topology(3)).run(_lower(circuit), Layout.trivial(3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ def test_sabre_layout_picks_best_trial():
         selection_metric=swap_count_metric,
         seed=2,
     )
-    spec = driver.trial_spec(circuit.to_dag())
+    spec = driver.trial_spec(_lower(circuit))
     best = select_best(
         [run_trial(spec, ref) for ref in driver.trial_refs()],
         driver.metric_name,
@@ -242,7 +247,7 @@ def test_depth_metric_factory():
     metric = depth_metric(coverage=COVERAGE)
     circuit = prepare_circuit(ghz(3))
     router = SabreSwap(line_topology(3))
-    result = router.run(circuit.to_dag(), Layout.trivial(3, 3), seed=0)
+    result = router.run(_lower(circuit), Layout.trivial(3, 3), seed=0)
     assert metric(result) > 0
 
 

@@ -375,6 +375,23 @@ def test_bad_modes_fail_the_request_with_a_typed_error():
     assert _fingerprint(result) == _fingerprint(_direct(qft(4), 9))
 
 
+def test_malformed_seed_fails_only_its_own_request():
+    """A seed ``transpile`` rejects raises ``TranspilerError`` at
+    submission; a well-formed request in the same window is served."""
+
+    async def main():
+        async with _service(window_ms=50.0) as service:
+            good = asyncio.ensure_future(
+                service.submit(qft(4), TOPOLOGY, seed=9, **REQUEST_KNOBS)
+            )
+            with pytest.raises(TranspilerError, match="invalid seed"):
+                await service.submit(qft(4), TOPOLOGY, seed=-1, **REQUEST_KNOBS)
+            return await good
+
+    result = _run(main())
+    assert _fingerprint(result) == _fingerprint(_direct(qft(4), 9))
+
+
 # ---------------------------------------------------------------------------
 # Guarantee 4: aclose leaks nothing -- clean runs and killed workers alike
 # ---------------------------------------------------------------------------
