@@ -1,6 +1,8 @@
 """Quickstart: transpile a QFT circuit with MIRAGE vs. the SABRE baseline.
 
-Covers the entry points of the staged pipeline:
+Covers the entry points of the staged Section V flow (clean → unroll →
+consolidate → VF2 → multi-trial routing → post-selection, run as the two
+functions ``repro.core.run_plan`` and ``repro.core.finish_plan``):
 
 * :func:`repro.core.compare_methods` — SABRE vs. MIRAGE on one circuit;
 * the per-stage timing report every :class:`TranspileResult` carries;

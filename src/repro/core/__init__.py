@@ -10,13 +10,11 @@ from repro.core.aggression import (
 )
 from repro.core.mirage_pass import MirageSwap
 from repro.core.pipeline import (
-    FinishRoutingPass,
     MirageRouterFactory,
-    PlanTrialsPass,
+    PlannedCircuit,
     TrialPlan,
-    build_batch_back_pipeline,
-    build_batch_front_pipeline,
-    build_prepare_pipeline,
+    finish_plan,
+    run_plan,
 )
 from repro.core.results import BatchResult, TranspileResult
 from repro.core.transpile import (
@@ -35,12 +33,10 @@ __all__ = [
     "schedule_from_spec",
     "MirageSwap",
     "MirageRouterFactory",
-    "FinishRoutingPass",
-    "PlanTrialsPass",
+    "PlannedCircuit",
     "TrialPlan",
-    "build_batch_back_pipeline",
-    "build_batch_front_pipeline",
-    "build_prepare_pipeline",
+    "finish_plan",
+    "run_plan",
     "BatchResult",
     "TranspileResult",
     "compare_methods",

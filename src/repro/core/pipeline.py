@@ -1,18 +1,15 @@
-"""The staged MIRAGE transpilation pipeline (paper Section V flow).
+"""The MIRAGE transpilation flow (paper Section V) as two plain functions.
 
 The paper's experimental flow — clean → unroll → consolidate →
 coupling/coverage analysis → VF2 embedding → multi-trial SABRE/MIRAGE
-routing → post-selection — runs as named stages on two
-:class:`~repro.transpiler.passmanager.PassManager` halves:
-:func:`build_batch_front_pipeline` plans a circuit up to its routing
-trials (``plan`` parks them as a :class:`TrialPlan`), the executor runs
-the trials, and :func:`build_batch_back_pipeline` selects the winner
-(``route``) and assembles the result (``select``).  Stages exchange
-data through the shared :class:`~repro.transpiler.passmanager.PropertySet`
-(``coupling_map``, ``coverage``, ``input_metrics``, layouts, routing
-counters, and finally ``result``), so any stage can be replaced, removed
-or reordered without touching the others, and every run yields a per-stage
-timing report (paper Fig. 13).
+routing → post-selection — is fixed, so it runs inline in two halves:
+:func:`run_plan` takes one circuit up to its routing trials and returns
+a :class:`PlannedCircuit` (``plan`` parks the trials as a
+:class:`TrialPlan`), the executor runs the trials, and
+:func:`finish_plan` selects the winner (``route``) and assembles the
+:class:`~repro.core.results.TranspileResult` (``select``).  Each stage
+appends one timing row to the result's ``pipeline_report`` (paper
+Fig. 13), skipped stages included.
 
 Each circuit is lowered once: ``clean`` turns it into an
 :class:`~repro.circuits.circuit.OpList`, the front stages rewrite and read
@@ -29,18 +26,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import Op, OpList, QuantumCircuit
+from repro.circuits.circuit import OpList, QuantumCircuit
 from repro.core.aggression import Aggression, schedule_from_spec
 from repro.core.mirage_pass import MirageSwap
 from repro.core.results import TranspileResult
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.layout import apply_layout, vf2_layout
-from repro.transpiler.metrics import evaluate
+from repro.transpiler.layout import Layout, apply_layout, vf2_layout
+from repro.transpiler.metrics import CircuitMetrics, evaluate
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.passes.cleanup import clean_ops
 from repro.transpiler.passes.consolidate import consolidate_ops
@@ -48,6 +45,7 @@ from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
     SabreLayout,
     SabreRouterFactory,
+    TrialOutcome,
     TrialRef,
     TrialSpec,
     select_best,
@@ -55,11 +53,6 @@ from repro.transpiler.passes.sabre_layout import (
 )
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.passes.unroll import unroll_ops
-from repro.transpiler.passmanager import (
-    BasePass,
-    PassManager,
-    PipelineState,
-)
 from repro.transpiler.topologies import CouplingMap, topology_by_name
 from repro.weyl.catalog import basis_gate_cost
 
@@ -82,58 +75,6 @@ class MirageRouterFactory:
             self.coverage,
             aggression=self.schedule[trial % len(self.schedule)],
         )
-
-
-class CleanInputPass(BasePass):
-    """Lower the input to an :class:`OpList` and clean it in one walk.
-
-    Records the permutation of its SWAP elision as ``input_permutation``:
-    the output of the *original* circuit on qubit ``q`` is the output of
-    ``state.circuit`` on qubit ``input_permutation[q]``.
-    """
-
-    name = "clean"
-
-    def run(self, state: PipelineState) -> None:
-        lowered = OpList.of(state.circuit)
-        ops, permutation = clean_ops(lowered.ops, lowered.num_qubits)
-        state.circuit = OpList(lowered.num_qubits, lowered.name, ops)
-        state.properties["input_permutation"] = permutation
-
-
-class OpListPass(BasePass):
-    """A front stage rewriting the op stream: ``fn(ops) -> ops``.
-
-    A circuit in the state is lowered to an :class:`OpList` first.
-    """
-
-    def __init__(self, name: str, fn: Callable[[list[Op]], list[Op]]) -> None:
-        self.name = name
-        self.fn = fn
-
-    def run(self, state: PipelineState) -> None:
-        lowered = OpList.of(state.circuit)
-        state.circuit = OpList(lowered.num_qubits, lowered.name, self.fn(lowered.ops))
-
-
-class ResolveCouplingPass(BasePass):
-    """Resolve a coupling map (or topology name) and validate device size."""
-
-    name = "coupling"
-
-    def __init__(self, coupling: CouplingMap | str) -> None:
-        self.coupling = coupling
-
-    def run(self, state: PipelineState) -> None:
-        coupling = self.coupling
-        if not isinstance(coupling, CouplingMap):
-            coupling = topology_by_name(coupling, state.circuit.num_qubits)
-        if state.circuit.num_qubits > coupling.num_qubits:
-            raise TranspilerError(
-                f"circuit needs {state.circuit.num_qubits} qubits but the "
-                f"device has {coupling.num_qubits}"
-            )
-        state.properties["coupling_map"] = coupling
 
 
 def resolve_coverage(coverage: object, basis: str) -> CoverageSet:
@@ -170,77 +111,17 @@ def resolve_coverage(coverage: object, basis: str) -> CoverageSet:
     )
 
 
-class AttachCoveragePass(BasePass):
-    """Attach the coverage set (decomposition-cost oracle) for the basis."""
-
-    name = "coverage"
-
-    def __init__(self, basis: str, coverage: CoverageSet | None = None) -> None:
-        self.basis = basis
-        self.coverage = coverage
-
-    def run(self, state: PipelineState) -> None:
-        state.properties["basis"] = self.basis
-        state.properties["coverage"] = resolve_coverage(
-            self.coverage, self.basis
-        )
-
-
-class AnalyzeInputPass(BasePass):
-    """Record metrics of the prepared input circuit for improvement reports."""
-
-    name = "analyze"
-
-    def run(self, state: PipelineState) -> None:
-        state.properties["input_metrics"] = evaluate(
-            OpList.of(state.circuit).ops,
-            basis=state.properties.require("basis"),
-            coverage=state.properties.require("coverage"),
-        )
-
-
-class VF2EmbeddingPass(BasePass):
-    """Search for a SWAP-free embedding before invoking SABRE/MIRAGE.
-
-    An embedded circuit is the result: it is built here, in one step.
-    """
-
-    name = "vf2"
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-
-    def should_run(self, state: PipelineState) -> bool:
-        return self.enabled
-
-    def run(self, state: PipelineState) -> None:
-        coupling: CouplingMap = state.properties.require("coupling_map")
-        embedding = vf2_layout(state.circuit, coupling)
-        if embedding is None:
-            return
-        state.circuit = apply_layout(
-            state.circuit, embedding, coupling.num_qubits
-        )
-        state.properties.update(
-            method="vf2",
-            initial_layout=embedding,
-            final_layout=embedding.copy(),
-            swaps_added=0,
-            mirrors_accepted=0,
-            mirror_candidates=0,
-            selection_metric="none",
-            trial_index=-1,
-            routing_complete=True,
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class TrialPlan:
     """Planned-but-not-yet-run routing trials of one circuit.
 
-    Produced by :class:`PlanTrialsPass` (the front half of the pipeline),
-    consumed by :class:`FinishRoutingPass` once the dispatch has
-    delivered this circuit's :class:`TrialOutcome`s.
+    Produced by the ``plan`` stage of :func:`run_plan`, consumed by
+    :func:`finish_plan` once the dispatch has delivered this circuit's
+    :class:`TrialOutcome`s.  The spec carries the op stream's forward
+    :class:`~repro.transpiler.kernel.IntDAG` lowering only: trial
+    runners derive the reverse direction from its arrays (memoised per
+    process), so the planning thread never builds it and the dispatch
+    never ships it.
     """
 
     spec: TrialSpec
@@ -249,166 +130,11 @@ class TrialPlan:
     selection: str
 
 
-class PlanTrialsPass(BasePass):
-    """Front half of the routing step: plan trials without running them.
-
-    Builds the circuit's :class:`SabreLayout` driver and from it the
-    spec/ref pairs of its routing trials, then parks them in the
-    property set as a :class:`TrialPlan` so the batch engine can pool
-    every circuit's trials into one shared dispatch.  Skipped once VF2
-    has found a SWAP-free embedding.
-
-    The op stream is lowered straight to an
-    :class:`~repro.transpiler.kernel.IntDAG` (no DAG is built), and the
-    parked spec carries that forward lowering only: trial runners derive
-    the reverse direction from its arrays (memoised per process), so the
-    planning thread never builds it and the dispatch never ships it.
-    """
-
-    name = "plan"
-
-    def __init__(
-        self,
-        *,
-        method: str = "mirage",
-        selection: str = "depth",
-        aggression=None,
-        layout_trials: int = 4,
-        refinement_rounds: int = 2,
-        routing_trials: int = 1,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = 11,
-    ) -> None:
-        self.method = method
-        self.selection = selection
-        self.aggression = aggression
-        self.layout_trials = layout_trials
-        self.refinement_rounds = refinement_rounds
-        self.routing_trials = routing_trials
-        self.seed = seed
-
-    def should_run(self, state: PipelineState) -> bool:
-        return not state.properties.get("routing_complete", False)
-
-    def build_driver(self, state: PipelineState) -> SabreLayout:
-        """Assemble the :class:`SabreLayout` driver for this circuit."""
-        coupling: CouplingMap = state.properties.require("coupling_map")
-        coverage: CoverageSet = state.properties.require("coverage")
-        basis: str = state.properties.require("basis")
-
-        if self.method == "sabre":
-            router_factory = SabreRouterFactory(coupling)
-        else:
-            schedule = tuple(
-                schedule_from_spec(self.layout_trials, self.aggression)
-            )
-            router_factory = MirageRouterFactory(coupling, coverage, schedule)
-        metric = (
-            DepthMetric(basis=basis, coverage=coverage)
-            if self.selection == "depth"
-            else swap_count_metric
-        )
-        return SabreLayout(
-            coupling,
-            router_factory,
-            layout_trials=self.layout_trials,
-            refinement_rounds=self.refinement_rounds,
-            routing_trials=self.routing_trials,
-            selection_metric=metric,
-            metric_name=self.selection,
-            seed=self.seed,
-        )
-
-    def run(self, state: PipelineState) -> None:
-        driver = self.build_driver(state)
-        lowered = OpList.of(state.circuit)
-        lowering = IntDAG.from_ops(lowered.num_qubits, lowered.ops)
-        state.properties["trial_plan"] = TrialPlan(
-            spec=driver.trial_spec(lowering, lowered.name),
-            refs=tuple(driver.trial_refs()),
-            method=self.method,
-            selection=self.selection,
-        )
-
-
-class FinishRoutingPass(BasePass):
-    """Back half of the batch engine: select among delivered outcomes.
-
-    Expects ``trial_outcomes`` (this circuit's :class:`TrialOutcome` list,
-    in trial order) in the property set, picks the lowest score (ties to
-    the lowest trial index) with :func:`select_best`, and writes the
-    winner into the property set for the ``select`` stage.
-    """
-
-    name = "route"
-
-    def should_run(self, state: PipelineState) -> bool:
-        return not state.properties.get("routing_complete", False)
-
-    def run(self, state: PipelineState) -> None:
-        plan: TrialPlan = state.properties.require("trial_plan")
-        outcomes = state.properties.require("trial_outcomes")
-        best = select_best(outcomes, plan.selection)
-        state.circuit = best.routing.to_circuit()
-        state.properties.update(
-            method=plan.method,
-            routing_ops=best.routing.ops,
-            initial_layout=best.routing.initial_layout,
-            final_layout=best.routing.final_layout,
-            swaps_added=best.routing.swaps_added,
-            mirrors_accepted=best.routing.mirrors_accepted,
-            mirror_candidates=best.routing.mirror_candidates,
-            selection_metric=plan.selection,
-            trial_index=best.trial_index,
-            trial_scores=best.trial_scores,
-            trial_seconds=best.trial_seconds,
-            routing_complete=True,
-        )
-
-
-class SelectResultPass(BasePass):
-    """Evaluate the routed circuit and assemble the :class:`TranspileResult`.
-
-    ``runtime_seconds`` and ``pipeline_report`` are filled in by the caller
-    once the whole pipeline (including this stage) has been timed.
-    """
-
-    name = "select"
-
-    def run(self, state: PipelineState) -> None:
-        props = state.properties
-        basis = props.require("basis")
-        coverage = props.require("coverage")
-        routed = props.get("routing_ops", state.circuit)
-        metrics = evaluate(
-            routed,
-            basis=basis,
-            coverage=coverage,
-            mirrors_accepted=props.get("mirrors_accepted", 0),
-        )
-        props["result"] = TranspileResult(
-            circuit=state.circuit,
-            metrics=metrics,
-            method=props.require("method"),
-            basis=basis,
-            initial_layout=props.require("initial_layout"),
-            final_layout=props.require("final_layout"),
-            swaps_added=props.get("swaps_added", 0),
-            mirrors_accepted=props.get("mirrors_accepted", 0),
-            mirror_candidates=props.get("mirror_candidates", 0),
-            runtime_seconds=0.0,
-            selection_metric=props.get("selection_metric", "none"),
-            trial_index=props.get("trial_index", -1),
-            input_metrics=props.get("input_metrics"),
-            trial_seconds=props.get("trial_seconds"),
-            input_permutation=props.get("input_permutation"),
-        )
-
-
 def validate_flow(method: str, selection: str) -> tuple[str, str]:
     """Normalise and validate the ``method``/``selection`` pair.
 
-    Shared by :func:`build_batch_front_pipeline` and the front doors so
-    typos fail fast, before any expensive setup.
+    Called by every front door so typos fail fast, before any
+    expensive setup.
 
     Raises:
         TranspilerError: if ``method`` or ``selection`` is unknown.
@@ -461,78 +187,6 @@ def validate_modes(basis: str, aggression: object) -> None:
     schedule_from_spec(1, aggression)
 
 
-def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
-    """Input cleaning + unrolling + consolidation (paper Section V).
-
-    Stage order: ``clean`` (which lowers the circuit to an
-    :class:`OpList`), ``unroll``, ``consolidate``.  The stages pass the
-    op list along; :meth:`PassManager.run` builds the prepared circuit
-    from it.  No second cleaning is needed: after ``clean`` no directive,
-    ``id``, zero-angle rotation or SWAP is left, and ``unroll`` emits
-    only ``h``/``cx``/``t``/``tdg``.
-    """
-    manager = PassManager()
-    manager.append(CleanInputPass())
-    manager.append(OpListPass("unroll", unroll_ops))
-    if consolidate:
-        manager.append(OpListPass("consolidate", consolidate_ops))
-    return manager
-
-
-def build_batch_front_pipeline(
-    coupling: CouplingMap | str,
-    *,
-    basis: str = "sqrt_iswap",
-    method: str = "mirage",
-    selection: str = "depth",
-    aggression=None,
-    layout_trials: int = 4,
-    refinement_rounds: int = 2,
-    routing_trials: int = 1,
-    coverage: CoverageSet | None = None,
-    use_vf2: bool = True,
-    consolidate: bool = True,
-    seed: int | np.random.SeedSequence | np.random.Generator | None = 11,
-) -> PassManager:
-    """Front half of the pipeline: everything up to — but excluding —
-    trial execution.
-
-    Stage order: ``clean``, ``unroll``, ``consolidate``, ``coupling``,
-    ``coverage``, ``analyze``, ``vf2``, ``plan``.  ``vf2``
-    marks routing complete when it finds a SWAP-free embedding, in which
-    case ``plan`` (and later ``route``) skip themselves; otherwise
-    ``plan`` (:class:`PlanTrialsPass`) parks the trial spec/refs in the
-    property set.  The batch engine dispatches them and resumes each
-    circuit with :func:`build_batch_back_pipeline`.
-
-    Raises:
-        TranspilerError: if ``method`` or ``selection`` is unknown, or the
-            trial budget, basis or aggression is invalid (see
-            :func:`validate_budget` and :func:`validate_modes`).
-    """
-    method, selection = validate_flow(method, selection)
-    validate_budget(layout_trials, refinement_rounds, routing_trials)
-    validate_modes(basis, aggression)
-
-    manager = build_prepare_pipeline(consolidate=consolidate)
-    manager.append(ResolveCouplingPass(coupling))
-    manager.append(AttachCoveragePass(basis, coverage))
-    manager.append(AnalyzeInputPass())
-    manager.append(VF2EmbeddingPass(use_vf2))
-    manager.append(
-        PlanTrialsPass(
-            method=method,
-            selection=selection,
-            aggression=aggression,
-            layout_trials=layout_trials,
-            refinement_rounds=refinement_rounds,
-            routing_trials=routing_trials,
-            seed=seed,
-        )
-    )
-    return manager
-
-
 @dataclasses.dataclass(frozen=True)
 class PlanSpec:
     """The circuit-invariant half of a batch's planning.
@@ -540,9 +194,9 @@ class PlanSpec:
     One :class:`PlanSpec` is shared by every circuit of a batch (and
     :func:`~repro.core.transpile.compare_methods` plans one per
     variant) — it
-    carries the pipeline parameters plus the batch's coverage set, from
-    which :func:`run_plan` rebuilds the front pipeline
-    :func:`build_batch_front_pipeline` describes.
+    carries the flow parameters plus the batch's coverage set.  The
+    front doors validate them (:func:`validate_flow`,
+    :func:`validate_budget`, :func:`validate_modes`) before building it.
     """
 
     coupling: "CouplingMap | str"
@@ -571,52 +225,287 @@ class PlanTask:
     deadline: float | None = None
 
 
-@dataclasses.dataclass
-class PlanOutcome:
-    """Planned pipeline state of one circuit, plus its planning seconds."""
+def _stage_row(
+    report: list[dict],
+    name: str,
+    gates_before: int,
+    gates_after: int,
+    started: float | None = None,
+) -> None:
+    """Append one ``pipeline_report`` row for stage ``name``.
 
-    state: PipelineState
+    ``started`` is the stage's ``time.perf_counter()`` start; ``None``
+    records the stage as skipped (0 seconds, gate count unchanged).
+    """
+    report.append({
+        "name": name,
+        "seconds": 0.0 if started is None else time.perf_counter() - started,
+        "gates_before": gates_before,
+        "gates_after": gates_after,
+        "skipped": started is None,
+    })
+
+
+def prepare_ops(
+    circuit: QuantumCircuit | OpList,
+    *,
+    consolidate: bool = True,
+    report: list[dict] | None = None,
+) -> tuple[OpList, list[int]]:
+    """Input cleaning + unrolling + consolidation (paper Section V).
+
+    Stage order: ``clean`` (which lowers the circuit to an
+    :class:`OpList` and elides input SWAPs in the same walk),
+    ``unroll``, ``consolidate``.  No second cleaning is needed: after
+    ``clean`` no directive, ``id``, zero-angle rotation or SWAP is left,
+    and ``unroll`` emits only ``h``/``cx``/``t``/``tdg``.
+
+    Returns the prepared op list and the permutation of the SWAP
+    elision: the output of ``circuit`` on qubit ``q`` is the output of
+    the op list on qubit ``permutation[q]``.  Each stage appends its
+    timing row to ``report`` when one is given.
+    """
+    rows: list[dict] = [] if report is None else report
+    started = time.perf_counter()
+    lowered = OpList.of(circuit)
+    ops, permutation = clean_ops(lowered.ops, lowered.num_qubits)
+    _stage_row(rows, "clean", len(circuit), len(ops), started)
+    stages = [("unroll", unroll_ops)]
+    if consolidate:
+        stages.append(("consolidate", consolidate_ops))
+    for name, rewrite in stages:
+        started, before = time.perf_counter(), len(ops)
+        ops = rewrite(ops)
+        _stage_row(rows, name, before, len(ops), started)
+    return OpList(lowered.num_qubits, lowered.name, ops), permutation
+
+
+@dataclasses.dataclass(frozen=True)
+class PlannedCircuit:
+    """One circuit planned up to its routing trials, as :func:`run_plan`
+    leaves it for :func:`finish_plan`.
+
+    Attributes
+    ----------
+    circuit : OpList or QuantumCircuit
+        The prepared op list, or the embedded circuit when VF2 found a
+        SWAP-free embedding.
+    input_permutation : list of int
+        The permutation of the ``clean`` stage's SWAP elision.
+    basis, coupling, coverage
+        The basis gate, the resolved device and its coverage set.
+    input_metrics : CircuitMetrics
+        Metrics of the prepared input (the ``analyze`` stage).
+    embedding : Layout or None
+        The VF2 embedding; exactly one of ``embedding`` and
+        ``trial_plan`` is set.
+    trial_plan : TrialPlan or None
+        The parked routing trials (the ``plan`` stage).
+    report : list of dict
+        One ``pipeline_report`` row per front stage, in order.
+    seconds : float
+        Wall time of :func:`run_plan`.
+    """
+
+    circuit: OpList | QuantumCircuit
+    input_permutation: list[int]
+    basis: str
+    coupling: CouplingMap
+    coverage: CoverageSet
+    input_metrics: CircuitMetrics
+    embedding: Layout | None
+    trial_plan: TrialPlan | None
+    report: list[dict]
     seconds: float
 
 
-def run_plan(spec: PlanSpec, task: PlanTask) -> PlanOutcome:
-    """Run one circuit's front pipeline on the calling thread.
-
-    Executes ``clean → unroll → consolidate → coupling → coverage →
-    analyze → vf2 → plan`` for ``task.circuit`` with the
-    batch parameters of ``spec``, seeded with the per-circuit
-    ``SeedSequence``, and returns the full planned
-    :class:`PipelineState`.  Every front stage is deterministic, so the
-    planned state — and the trial plan dispatched from it — is the same
-    under every executor.
-    """
-    start = time.perf_counter()
-    front = build_batch_front_pipeline(
-        spec.coupling,
-        basis=spec.basis,
-        method=spec.method,
-        selection=spec.selection,
-        aggression=spec.aggression,
+def _plan_trials(
+    spec: PlanSpec,
+    seed: np.random.SeedSequence,
+    ops: OpList,
+    coupling: CouplingMap,
+    coverage: CoverageSet,
+) -> TrialPlan:
+    """The ``plan`` stage: lower the op list straight to an
+    :class:`IntDAG` and park the :class:`SabreLayout` trial spec/refs."""
+    if spec.method == "sabre":
+        router_factory = SabreRouterFactory(coupling)
+    else:
+        schedule = tuple(schedule_from_spec(spec.layout_trials, spec.aggression))
+        router_factory = MirageRouterFactory(coupling, coverage, schedule)
+    metric = (
+        DepthMetric(basis=spec.basis, coverage=coverage)
+        if spec.selection == "depth"
+        else swap_count_metric
+    )
+    driver = SabreLayout(
+        coupling,
+        router_factory,
         layout_trials=spec.layout_trials,
         refinement_rounds=spec.refinement_rounds,
         routing_trials=spec.routing_trials,
-        coverage=spec.coverage,
-        use_vf2=spec.use_vf2,
-        seed=task.seed,
+        selection_metric=metric,
+        metric_name=spec.selection,
+        seed=seed,
     )
-    state = front.execute(task.circuit)
-    return PlanOutcome(state=state, seconds=time.perf_counter() - start)
+    lowering = IntDAG.from_ops(ops.num_qubits, ops.ops)
+    return TrialPlan(
+        spec=driver.trial_spec(lowering, ops.name),
+        refs=tuple(driver.trial_refs()),
+        method=spec.method,
+        selection=spec.selection,
+    )
 
 
-def build_batch_back_pipeline() -> PassManager:
-    """Back half of the pipeline: route (selection) + select.
+def run_plan(spec: PlanSpec, task: PlanTask) -> PlannedCircuit:
+    """Run one circuit's front stages on the calling thread.
 
-    Resumed (via :meth:`~repro.transpiler.passmanager.PassManager.execute_state`)
-    on each front state once the dispatch has placed that circuit's
-    ``trial_outcomes`` in its property set.  ``route`` times selection
-    only; the trials' own time is the result's ``trial_seconds``.
+    Executes ``clean → unroll → consolidate → coupling → coverage →
+    analyze → vf2 → plan`` for ``task.circuit`` with the batch
+    parameters of ``spec``, seeded with the per-circuit
+    ``SeedSequence``, and returns the :class:`PlannedCircuit`.  ``vf2``
+    is recorded as skipped when ``spec.use_vf2`` is off, and ``plan``
+    when ``vf2`` found a SWAP-free embedding.  Every stage is
+    deterministic, so the planned circuit — and the trial plan
+    dispatched from it — is the same under every executor.
+
+    Raises:
+        TranspilerError: if the circuit needs more qubits than the
+            device has (the ``coupling`` stage).
     """
-    manager = PassManager()
-    manager.append(FinishRoutingPass())
-    manager.append(SelectResultPass())
-    return manager
+    start = time.perf_counter()
+    report: list[dict] = []
+    ops, permutation = prepare_ops(task.circuit, report=report)
+    gates = len(ops)
+
+    started = time.perf_counter()
+    coupling = spec.coupling
+    if not isinstance(coupling, CouplingMap):
+        coupling = topology_by_name(coupling, ops.num_qubits)
+    if ops.num_qubits > coupling.num_qubits:
+        raise TranspilerError(
+            f"circuit needs {ops.num_qubits} qubits but the "
+            f"device has {coupling.num_qubits}"
+        )
+    _stage_row(report, "coupling", gates, gates, started)
+
+    started = time.perf_counter()
+    coverage = resolve_coverage(spec.coverage, spec.basis)
+    _stage_row(report, "coverage", gates, gates, started)
+
+    started = time.perf_counter()
+    input_metrics = evaluate(ops.ops, basis=spec.basis, coverage=coverage)
+    _stage_row(report, "analyze", gates, gates, started)
+
+    circuit: OpList | QuantumCircuit = ops
+    embedding = None
+    if spec.use_vf2:
+        started = time.perf_counter()
+        embedding = vf2_layout(ops, coupling)
+        if embedding is not None:
+            circuit = apply_layout(ops, embedding, coupling.num_qubits)
+        _stage_row(report, "vf2", gates, len(circuit), started)
+    else:
+        _stage_row(report, "vf2", gates, gates)
+
+    trial_plan = None
+    if embedding is None:
+        started = time.perf_counter()
+        trial_plan = _plan_trials(spec, task.seed, ops, coupling, coverage)
+        _stage_row(report, "plan", gates, gates, started)
+    else:
+        _stage_row(report, "plan", len(circuit), len(circuit))
+
+    return PlannedCircuit(
+        circuit=circuit,
+        input_permutation=permutation,
+        basis=spec.basis,
+        coupling=coupling,
+        coverage=coverage,
+        input_metrics=input_metrics,
+        embedding=embedding,
+        trial_plan=trial_plan,
+        report=report,
+        seconds=time.perf_counter() - start,
+    )
+
+
+def finish_plan(
+    planned: PlannedCircuit, outcomes: Sequence[TrialOutcome]
+) -> TranspileResult:
+    """Select the winning trial (``route``) and assemble the result
+    (``select``).
+
+    ``outcomes`` are the circuit's delivered :class:`TrialOutcome`s in
+    trial order (empty for an embedded circuit, whose ``route`` is
+    recorded as skipped).  :func:`select_best` picks the lowest score,
+    ties to the lowest trial index.  ``route`` times selection only;
+    the trials' own summed time is the result's ``trial_seconds``, and
+    ``runtime_seconds`` is planning + trials + this call.
+
+    Returns:
+        The :class:`TranspileResult`, with ``pipeline_report`` holding
+        every stage's row from ``clean`` to ``select``.
+    """
+    start = time.perf_counter()
+    report = list(planned.report)
+    gates = len(planned.circuit)
+    plan = planned.trial_plan
+    if plan is None:
+        _stage_row(report, "route", gates, gates)
+        circuit = routed = planned.circuit
+        mirrors = 0
+        fields = dict(
+            method="vf2",
+            initial_layout=planned.embedding,
+            final_layout=planned.embedding.copy(),
+            swaps_added=0,
+            mirror_candidates=0,
+            selection_metric="none",
+            trial_index=-1,
+            trial_seconds=None,
+        )
+    else:
+        started = time.perf_counter()
+        best = select_best(outcomes, plan.selection)
+        routing = best.routing
+        circuit = routing.to_circuit()
+        routed = routing.ops
+        mirrors = routing.mirrors_accepted
+        fields = dict(
+            method=plan.method,
+            initial_layout=routing.initial_layout,
+            final_layout=routing.final_layout,
+            swaps_added=routing.swaps_added,
+            mirror_candidates=routing.mirror_candidates,
+            selection_metric=plan.selection,
+            trial_index=best.trial_index,
+            trial_seconds=best.trial_seconds,
+        )
+        _stage_row(report, "route", gates, len(circuit), started)
+
+    started = time.perf_counter()
+    metrics = evaluate(
+        routed,
+        basis=planned.basis,
+        coverage=planned.coverage,
+        mirrors_accepted=mirrors,
+    )
+    result = TranspileResult(
+        circuit=circuit,
+        metrics=metrics,
+        basis=planned.basis,
+        mirrors_accepted=mirrors,
+        runtime_seconds=0.0,
+        input_metrics=planned.input_metrics,
+        input_permutation=planned.input_permutation,
+        **fields,
+    )
+    _stage_row(report, "select", len(circuit), len(circuit), started)
+    result.pipeline_report = report
+    result.runtime_seconds = (
+        planned.seconds
+        + (time.perf_counter() - start)
+        + (result.trial_seconds or 0.0)
+    )
+    return result

@@ -165,7 +165,7 @@ class BatchResult:
         plus ``circuits`` and ``routed`` counts.  It also records ``overlap_seconds``
         (planning/selection wall-clock performed while dispatched trials
         were still in flight) and
-        ``plan_seconds`` (summed front-pipeline seconds, all spent on
+        ``plan_seconds`` (summed :func:`~repro.core.pipeline.run_plan` seconds, all spent on
         the dispatching thread).  ``None`` when unavailable (e.g.
         results predating this field).
     """

@@ -2,15 +2,14 @@
 
 The paper's experimental flow (Section V: clean → unroll → consolidate →
 VF2 → multi-trial SABRE/MIRAGE routing → post-selection) lives in
-:mod:`repro.core.pipeline` as named stages on a
-:class:`~repro.transpiler.passmanager.PassManager` sharing a
-:class:`~repro.transpiler.passmanager.PropertySet`.  Every entry point
+:mod:`repro.core.pipeline` as two plain functions.  Every entry point
 below hands a sequence of ``(PlanSpec, PlanTask)`` items to one engine,
-:func:`_run_circuit_fanout`: each item's front pipeline is planned on
-the calling thread (clean → … → vf2 → plan), its routing trials are
-dispatched on the :class:`~repro.transpiler.executors.TrialExecutor`,
-and its winner is selected from the delivered outcomes (route →
-select).
+:func:`_run_circuit_fanout`: each item is planned on the calling thread
+with :func:`~repro.core.pipeline.run_plan` (clean → … → vf2 → plan),
+its routing trials are dispatched on the
+:class:`~repro.transpiler.executors.TrialExecutor`, and its winner is
+selected from the delivered outcomes with
+:func:`~repro.core.pipeline.finish_plan` (route → select).
 
 * :func:`transpile` — one circuit, one item; returns its
   :class:`TranspileResult` (with the per-stage timing report attached as
@@ -45,10 +44,11 @@ from repro.exceptions import (
 )
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.pipeline import (
+    PlannedCircuit,
     PlanSpec,
     PlanTask,
-    build_batch_back_pipeline,
-    build_prepare_pipeline,
+    finish_plan,
+    prepare_ops,
     resolve_coverage,
     run_plan,
     validate_budget,
@@ -59,7 +59,6 @@ from repro.core.results import BatchResult, TranspileResult
 from repro.polytopes.coverage import CoverageSet
 from repro.transpiler.executors import TrialExecutor, executor_scope
 from repro.transpiler.passes import run_trial, seed_sequence
-from repro.transpiler.passmanager import PipelineState
 from repro.transpiler.topologies import CouplingMap
 
 #: Lower bound on the batch engine's in-flight circuit window.
@@ -69,8 +68,9 @@ MIN_STREAM_WINDOW = 4
 def prepare_circuit(
     circuit: QuantumCircuit, *, consolidate: bool = True
 ) -> QuantumCircuit:
-    """Input cleaning + unrolling + consolidation (paper Section V)."""
-    return build_prepare_pipeline(consolidate=consolidate).run(circuit)
+    """Input cleaning + unrolling + consolidation (paper Section V),
+    as a circuit (see :func:`~repro.core.pipeline.prepare_ops`)."""
+    return prepare_ops(circuit, consolidate=consolidate)[0].to_circuit()
 
 
 def transpile(
@@ -227,31 +227,12 @@ def _expired_error(
     return error
 
 
-def _finish_batch_state(
-    state: PipelineState, front_seconds: float
-) -> TranspileResult:
-    """Resume a planned circuit through route + select and fill timings."""
-    resume_start = time.perf_counter()
-    build_batch_back_pipeline().execute_state(state)
-    result: TranspileResult = state.properties.require("result")
-    result.pipeline_report = [
-        dataclasses.asdict(record) for record in state.records
-    ]
-    result.runtime_seconds = (
-        front_seconds
-        + (time.perf_counter() - resume_start)
-        + (result.trial_seconds or 0.0)
-    )
-    return result
-
-
 @dataclasses.dataclass
 class _StreamEntry:
     """One planned circuit waiting for its trial outcomes to drain."""
 
     index: int
-    state: PipelineState
-    front_seconds: float
+    planned: PlannedCircuit
     futures: list
     slot: int = -1
 
@@ -268,8 +249,8 @@ def _run_circuit_fanout(
     items one at a time on the dispatching thread with :func:`run_plan`
     (clean → … → vf2 → plan) and immediately feeds each item's trial
     refs into one :class:`DispatchSession`; whenever the *oldest*
-    in-flight item's futures have all completed it is resumed with the
-    back pipeline (route → select) right away, so planning and
+    in-flight item's futures have all completed it is finished with
+    :func:`finish_plan` (route → select) right away, so planning and
     selection of some items overlap the trials of others.  Fixed-seed
     outputs are byte-identical across executors; only the wall-clock
     profile differs.  The in-flight window is bounded
@@ -289,7 +270,7 @@ def _run_circuit_fanout(
 
     ``overlap_seconds`` in the returned provenance sums the planning and
     selection work performed while dispatched trials were still in
-    flight; ``plan_seconds`` sums every item's front pipeline.
+    flight; ``plan_seconds`` sums every item's :func:`run_plan`.
     """
     stats_before = dict(trial_executor.dispatch_stats)
     window = _stream_window(trial_executor)
@@ -305,14 +286,15 @@ def _run_circuit_fanout(
     )
 
     def finish_oldest() -> None:
-        """Resume the oldest in-flight circuit (blocks on its futures)."""
+        """Finish the oldest in-flight circuit (blocks on its futures)."""
         nonlocal overlap
         entry = pending.popleft()
+        outcomes = []
         if entry.futures:
             try:
                 # May block until this circuit's chunks complete — idle
                 # wait, deliberately excluded from the overlap metric.
-                entry.state.properties["trial_outcomes"] = [
+                outcomes = [
                     outcome
                     for future in entry.futures
                     for outcome in future.result()
@@ -329,9 +311,7 @@ def _run_circuit_fanout(
                 return
             session.release(entry.slot)
         start = time.perf_counter()
-        results[entry.index] = _finish_batch_state(
-            entry.state, entry.front_seconds
-        )
+        results[entry.index] = finish_plan(entry.planned, outcomes)
         if session.outstanding():
             overlap += time.perf_counter() - start
 
@@ -343,12 +323,12 @@ def _run_circuit_fanout(
             if error is not None:
                 results[index] = error
                 continue
-            outcome = run_plan(spec, task)
-            plan_seconds += outcome.seconds
+            planned = run_plan(spec, task)
+            plan_seconds += planned.seconds
             if session.outstanding():
-                overlap += outcome.seconds
-            entry = _StreamEntry(index, outcome.state, outcome.seconds, [])
-            trial_plan = outcome.state.properties.get("trial_plan")
+                overlap += planned.seconds
+            entry = _StreamEntry(index, planned, [])
+            trial_plan = planned.trial_plan
             if trial_plan is not None:
                 entry.slot = session.add_payload(trial_plan.spec)
                 entry.futures = session.submit(
@@ -412,8 +392,8 @@ def transpile_many(
     A bounded producer plans circuits and feeds their trial refs into
     the in-flight dispatch while already-drained circuits resume
     (route + select) immediately, so planning, trial execution and
-    selection overlap.  Each circuit's *front pipeline* (clean → … →
-    vf2 → plan) runs on the dispatching thread; only routing trials are
+    selection overlap.  Each circuit's front stages (clean → … →
+    vf2 → plan) run on the dispatching thread; only routing trials are
     shipped to the executor.
 
     Parameters
@@ -577,7 +557,9 @@ def compare_methods(
     metric — the comparison behind the paper's Figs. 11 and 12.
     Fixed-seed results are byte-identical to running
     ``transpile(..., use_vf2=False)`` per variant.  Every variant is
-    validated before the coverage set is resolved.
+    validated, and the seed is drawn once into the one root all
+    variants share (so a ``Generator`` seed gives them the same
+    entropy), before the coverage set is resolved.
     """
     variants = [("sabre", "sabre", "swaps")] + [
         (f"mirage-{selection}", "mirage", selection)
@@ -586,6 +568,9 @@ def compare_methods(
     flows = [validate_flow(method, selection) for _, method, selection in variants]
     validate_budget(layout_trials, 2, 1)
     validate_modes(basis, None)
+    # One root for every variant, drawn (and a bad seed rejected) before
+    # any executor or coverage set is opened.
+    root = seed_sequence(seed)
     with executor_scope(executor, max_workers) as trial_executor:
         shared_coverage = resolve_coverage(coverage, basis)
         items = [
@@ -602,7 +587,7 @@ def compare_methods(
                     coverage=shared_coverage,
                     use_vf2=False,
                 ),
-                PlanTask(circuit=circuit, seed=seed_sequence(seed)),
+                PlanTask(circuit=circuit, seed=root),
             )
             for method, selection in flows
         ]

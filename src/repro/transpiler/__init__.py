@@ -1,4 +1,4 @@
-"""Transpiler substrate: topologies, layouts, metrics, pipeline, executors."""
+"""Transpiler substrate: topologies, layouts, metrics, executors."""
 
 from repro.transpiler.executors import (
     EXECUTORS,
@@ -31,14 +31,6 @@ from repro.transpiler.metrics import (
     evaluate,
     gate_coordinate,
     improvement,
-)
-from repro.transpiler.passmanager import (
-    BasePass,
-    FunctionPass,
-    PassManager,
-    PassRecord,
-    PipelineState,
-    PropertySet,
 )
 from repro.transpiler.topologies import (
     CouplingMap,
@@ -100,12 +92,6 @@ __all__ = [
     "evaluate",
     "gate_coordinate",
     "improvement",
-    "BasePass",
-    "FunctionPass",
-    "PassManager",
-    "PassRecord",
-    "PipelineState",
-    "PropertySet",
     "CouplingMap",
     "all_to_all_topology",
     "grid_topology",

@@ -1,7 +1,7 @@
 """Input-cleaning passes (paper Section V).
 
-Before routing, the pass manager removes barriers, measurements and identity
-gates, and elides SWAP gates present in the *input* program by permuting the
+Before routing, the ``clean`` stage removes barriers, measurements and
+identity gates, and elides SWAP gates present in the *input* program by permuting the
 wire labels of all downstream gates (an input SWAP never needs to be
 executed — only routing-inserted SWAPs cost pulses).  All of it is one walk
 over the op stream, :func:`clean_ops`.  The rules go by gate name and
@@ -90,5 +90,5 @@ def elide_input_swaps_permuted(
 
 
 def clean_input(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Full input-cleaning pipeline used by the preset pass managers."""
+    """Full input cleaning of a circuit (the ``clean`` stage's rules)."""
     return clean_input_permuted(circuit)[0]

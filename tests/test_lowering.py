@@ -195,8 +195,8 @@ def test_shipped_trial_spec_pickles_no_dag_node():
         refinement_rounds=2, routing_trials=1, coverage=COVERAGE,
         use_vf2=False,
     )
-    outcome = run_plan(spec, PlanTask(qft(5), seed_sequence(1)))
-    trial_spec = outcome.state.properties["trial_plan"].spec
+    planned = run_plan(spec, PlanTask(qft(5), seed_sequence(1)))
+    trial_spec = planned.trial_plan.spec
     payload = pickle.dumps(trial_spec, protocol=pickle.HIGHEST_PROTOCOL)
     # The flat lowering stands in for the circuit: no op list, no
     # instruction objects.

@@ -1,4 +1,4 @@
-"""Tests for the staged pipeline, trial executors and the batch API."""
+"""Tests for the staged flow, trial executors and the batch API."""
 
 import importlib
 
@@ -8,20 +8,18 @@ from repro.exceptions import InvalidModeError, TranspilerError
 from repro.circuits import OpList, QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
-    build_batch_back_pipeline,
-    build_batch_front_pipeline,
     compare_methods,
+    finish_plan,
     prepare_circuit,
+    run_plan,
     transpile,
     transpile_many,
 )
 from repro.core import pipeline as pipeline_mod
+from repro.core.pipeline import PlanSpec, PlanTask
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
-    BasePass,
-    PassManager,
     ProcessExecutor,
-    PropertySet,
     SerialExecutor,
     ThreadExecutor,
     TrialExecutor,
@@ -60,104 +58,57 @@ def _fingerprint(result):
 
 
 # ---------------------------------------------------------------------------
-# PassManager / PropertySet
+# Front stages (run_plan) and finish (finish_plan)
 # ---------------------------------------------------------------------------
 
 
-class _ProducerPass(BasePass):
-    name = "producer"
-
-    def run(self, state):
-        state.properties["token"] = state.circuit.num_qubits * 10
+def _transpile_mod():
+    """``repro.core.transpile`` the module, not the function it exports."""
+    return importlib.import_module("repro.core.transpile")
 
 
-class _ConsumerPass(BasePass):
-    name = "consumer"
-
-    def run(self, state):
-        state.properties["echo"] = state.properties.require("token") + 1
-
-
-class _ConditionalPass(BasePass):
-    name = "conditional"
-
-    def should_run(self, state):
-        return state.properties.get("enabled", False)
-
-    def run(self, state):  # pragma: no cover - never enabled in the test
-        state.properties["ran"] = True
-
-
-def test_property_set_handoff_between_stages():
-    manager = PassManager([_ProducerPass(), _ConsumerPass()])
-    state = manager.execute(ghz(3))
-    assert state.properties["token"] == 30
-    assert state.properties["echo"] == 31
-
-
-def test_property_set_require_raises_for_missing_key():
-    with pytest.raises(TranspilerError):
-        PropertySet().require("nope")
-    manager = PassManager([_ConsumerPass()])
-    with pytest.raises(TranspilerError):
-        manager.execute(ghz(2))
-
-
-def test_skipped_stage_is_recorded():
-    manager = PassManager([_ConditionalPass(), _ProducerPass()])
-    state = manager.execute(ghz(2))
-    assert [record.skipped for record in state.records] == [True, False]
-    report = manager.report()
-    assert report[0]["name"] == "conditional"
-    assert report[0]["seconds"] == 0.0
-    assert "ran" not in state.properties
-
-
-def test_pass_manager_records_gate_counts_and_timings():
+def test_stage_report_records_gate_counts_and_timings():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2).barrier()
-    manager = build_batch_front_pipeline(
-        line_topology(3), coverage=COVERAGE, use_vf2=False, layout_trials=1, seed=1
+    spec = PlanSpec(
+        coupling=line_topology(3), basis="sqrt_iswap", method="mirage",
+        selection="depth", aggression=None, layout_trials=1,
+        refinement_rounds=2, routing_trials=1, coverage=COVERAGE,
+        use_vf2=False,
     )
-    state = manager.execute(circuit)
-    plan = state.properties["trial_plan"]
-    state.properties["trial_outcomes"] = [
-        run_trial(plan.spec, ref) for ref in plan.refs
-    ]
-    build_batch_back_pipeline().execute_state(state)
-    by_name = {record.name: record for record in state.records}
+    planned = run_plan(spec, PlanTask(circuit, seed_sequence(1)))
+    plan = planned.trial_plan
+    result = finish_plan(planned, [run_trial(plan.spec, ref) for ref in plan.refs])
+    by_name = {row["name"]: row for row in result.pipeline_report}
     assert set(by_name) == {
         "clean", "unroll", "consolidate", "coupling",
         "coverage", "analyze", "vf2", "plan", "route", "select",
     }
     # Unrolling a Toffoli grows the circuit; analysis stages leave it alone.
-    assert by_name["unroll"].gates_after > by_name["unroll"].gates_before
-    assert by_name["coverage"].gates_after == by_name["coverage"].gates_before
-    assert manager.total_seconds() == pytest.approx(
-        sum(row["seconds"] for row in manager.report())
+    assert by_name["unroll"]["gates_after"] > by_name["unroll"]["gates_before"]
+    assert by_name["coverage"]["gates_after"] == by_name["coverage"]["gates_before"]
+    assert sum(result.stage_seconds().values()) == pytest.approx(
+        sum(row["seconds"] for row in result.pipeline_report)
     )
-    assert all(row["seconds"] >= 0 for row in manager.report())
-    # Initial properties are visible to every stage.
-    assert state.properties["result"].method == "mirage"
+    assert all(row["seconds"] >= 0 for row in result.pipeline_report)
+    # The planned front rows are the result's first rows, unchanged.
+    assert result.pipeline_report[: len(planned.report)] == planned.report
+    assert result.method == "mirage"
 
 
-def test_records_survive_stage_failure():
-    """A stage that raises must not discard the records of earlier stages."""
-    manager = build_batch_front_pipeline(
-        line_topology(3), coverage=COVERAGE, seed=1
-    )
-    with pytest.raises(TranspilerError):
-        manager.execute(qft(5))  # device too small: the coupling stage raises
-    assert [r.name for r in manager.records] == [
-        "clean", "unroll", "consolidate"
-    ]
+def test_device_too_small_raises():
+    """The ``coupling`` stage rejects a circuit wider than the device."""
+    with pytest.raises(
+        TranspilerError, match="circuit needs 5 qubits but the device has 3"
+    ):
+        transpile(qft(5), line_topology(3), coverage=COVERAGE, seed=1)
 
 
 def test_pipeline_rejects_unknown_method_and_selection():
     with pytest.raises(TranspilerError):
-        build_batch_front_pipeline(line_topology(3), method="magic")
+        transpile(qft(3), line_topology(3), coverage=COVERAGE, method="magic")
     with pytest.raises(TranspilerError):
-        build_batch_front_pipeline(line_topology(3), selection="volume")
+        transpile(qft(3), line_topology(3), coverage=COVERAGE, selection="volume")
 
 
 BAD_BUDGETS = [
@@ -182,10 +133,9 @@ def test_bad_trial_budgets_fail_before_any_stage(monkeypatch, knob, value, messa
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past budget validation")
 
-    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
+    transpile_mod = _transpile_mod()
+    monkeypatch.setattr(transpile_mod, "run_plan", forbidden)
     monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
-    # ``repro.core.transpile`` the module, not the function it exports.
-    transpile_mod = importlib.import_module("repro.core.transpile")
     monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
     with pytest.raises(TranspilerError, match=message):
         transpile(qft(4), line_topology(4), **{knob: value})
@@ -198,17 +148,44 @@ def test_bad_trial_budgets_fail_before_any_stage(monkeypatch, knob, value, messa
 
 
 def test_compare_methods_validates_every_variant_before_coverage(monkeypatch):
-    """A bad ``selections`` entry fails before the coverage set is
-    resolved, so no variant is planned or dispatched first."""
+    """A bad ``selections`` entry or a malformed seed fails before the
+    coverage set is resolved, so no variant is planned or dispatched
+    first."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("resolved coverage before validating variants")
 
     monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
-    transpile_mod = importlib.import_module("repro.core.transpile")
-    monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
-    with pytest.raises(TranspilerError, match="unknown selection metric 'volume'"):
-        compare_methods(qft(4), line_topology(4), selections=("volume",))
+    monkeypatch.setattr(_transpile_mod(), "resolve_coverage", forbidden)
+    for kwargs, message in (
+        ({"selections": ("volume",)}, "unknown selection metric 'volume'"),
+        ({"seed": -1}, "invalid seed -1"),
+    ):
+        with pytest.raises(TranspilerError, match=message):
+            compare_methods(qft(4), line_topology(4), **kwargs)
+
+
+def test_compare_methods_gives_every_variant_one_seed_root(monkeypatch):
+    """A ``Generator`` seed is drawn once: SABRE and both MIRAGE variants
+    plan from the same root entropy."""
+    import numpy as np
+
+    transpile_mod = _transpile_mod()
+    real_run_plan = transpile_mod.run_plan
+    entropies = []
+
+    def recording_run_plan(spec, task):
+        entropies.append(task.seed.entropy)
+        return real_run_plan(spec, task)
+
+    monkeypatch.setattr(transpile_mod, "run_plan", recording_run_plan)
+    results = compare_methods(
+        qft(4), line_topology(4), coverage=COVERAGE, layout_trials=1,
+        seed=np.random.default_rng(3),
+    )
+    assert list(results) == ["sabre", "mirage-swaps", "mirage-depth"]
+    assert len(entropies) == 3
+    assert len(set(entropies)) == 1
 
 
 BAD_MODES = [
@@ -235,9 +212,9 @@ def test_bad_modes_fail_before_any_stage(monkeypatch, knob, value, message):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past mode validation")
 
-    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
+    transpile_mod = _transpile_mod()
+    monkeypatch.setattr(transpile_mod, "run_plan", forbidden)
     monkeypatch.setattr(pipeline_mod, "resolve_coverage", forbidden)
-    transpile_mod = importlib.import_module("repro.core.transpile")
     monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
     calls = [
         lambda: transpile(qft(4), line_topology(4), **{knob: value}),
@@ -274,6 +251,51 @@ def test_vf2_embedding_skips_routing():
     assert report["route"]["skipped"] is True
     assert report["vf2"]["skipped"] is False
     assert result.stage_seconds()["route"] == 0.0
+
+
+_STAGES = ("clean", "unroll", "consolidate", "coupling", "coverage",
+           "analyze", "vf2", "plan", "route", "select")
+
+STAGE_REPORTS = [
+    pytest.param(
+        qft(5), line_topology(5), {}, "mirage",
+        [(False, 17, 15), (False, 15, 15), (False, 15, 14), (False, 14, 14),
+         (False, 14, 14), (False, 14, 14), (False, 14, 14), (False, 14, 14),
+         (False, 14, 20), (False, 20, 20)],
+        id="qft5-routed",
+    ),
+    pytest.param(
+        ghz(4), line_topology(4), {}, "vf2",
+        [(False, 4, 4)] * 7 + [(True, 4, 4), (True, 4, 4), (False, 4, 4)],
+        id="ghz4-vf2",
+    ),
+    pytest.param(
+        qft(4), line_topology(4), {"use_vf2": False}, "mirage",
+        [(False, 12, 10), (False, 10, 10), (False, 10, 9), (False, 9, 9),
+         (False, 9, 9), (False, 9, 9), (True, 9, 9), (False, 9, 9),
+         (False, 9, 12), (False, 12, 12)],
+        id="qft4-no-vf2",
+    ),
+]
+
+
+@pytest.mark.parametrize("circuit, coupling, kwargs, method, rows", STAGE_REPORTS)
+def test_stage_report_is_pinned(circuit, coupling, kwargs, method, rows):
+    """Every ``pipeline_report`` row as ``(name, skipped, gates_before,
+    gates_after)``: stage names, order, skips and gate counts."""
+    result = transpile(circuit, coupling, coverage=COVERAGE, seed=11, **kwargs)
+    assert result.method == method
+    assert [
+        (row["name"], row["skipped"], row["gates_before"], row["gates_after"])
+        for row in result.pipeline_report
+    ] == [(name, *row) for name, row in zip(_STAGES, rows, strict=True)]
+    assert all(
+        list(row) == ["name", "seconds", "gates_before", "gates_after", "skipped"]
+        for row in result.pipeline_report
+    )
+    assert all(
+        row["seconds"] == 0.0 for row in result.pipeline_report if row["skipped"]
+    )
 
 
 def test_prepare_circuit_still_pipeline_backed():
@@ -536,8 +558,8 @@ def test_malformed_seeds_fail_before_any_stage(monkeypatch, seed):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past seed validation")
 
-    monkeypatch.setattr(pipeline_mod.CleanInputPass, "run", forbidden)
-    transpile_mod = importlib.import_module("repro.core.transpile")
+    transpile_mod = _transpile_mod()
+    monkeypatch.setattr(transpile_mod, "run_plan", forbidden)
     monkeypatch.setattr(transpile_mod, "resolve_coverage", forbidden)
     calls = [
         lambda: transpile(qft(4), line_topology(4), seed=seed),

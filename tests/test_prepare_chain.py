@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
-from repro.core.pipeline import build_prepare_pipeline
+from repro.core.pipeline import prepare_ops
 from repro.core.transpile import prepare_circuit
 from repro.transpiler.passes import consolidate_blocks
 
@@ -118,12 +118,15 @@ def _ops(circuit):
 @given(circuit=_circuits())
 def test_front_half_equals_the_clean_unroll_clean_chain(circuit):
     reference, permutation = _reference_chain(circuit)
-    state = build_prepare_pipeline(consolidate=False).execute(circuit)
-    assert [r.name for r in state.records] == ["clean", "unroll"]
-    assert state.circuit.ops == _ops(reference)
-    assert state.circuit.num_qubits == reference.num_qubits
-    assert state.circuit.name == reference.name
-    assert state.properties["input_permutation"] == permutation
+    report = []
+    prepared, prepared_permutation = prepare_ops(
+        circuit, consolidate=False, report=report
+    )
+    assert [row["name"] for row in report] == ["clean", "unroll"]
+    assert prepared.ops == _ops(reference)
+    assert prepared.num_qubits == reference.num_qubits
+    assert prepared.name == reference.name
+    assert prepared_permutation == permutation
     assert _ops(prepare_circuit(circuit, consolidate=False)) == _ops(reference)
 
 

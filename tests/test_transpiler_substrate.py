@@ -28,7 +28,6 @@ from repro.transpiler.passes import (
     elide_input_swaps,
     unroll_to_two_qubit,
 )
-from repro.transpiler.passmanager import PassManager
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +209,6 @@ def test_consolidate_reduces_two_qubit_count_on_qft():
     circuit = qft(5)
     blocks = consolidate_blocks(circuit)
     assert blocks.num_two_qubit_gates() <= circuit.num_two_qubit_gates()
-
-
-def test_pass_manager_records_stages():
-    manager = PassManager(
-        [("clean", clean_input), ("unroll", unroll_to_two_qubit)]
-    )
-    circuit = QuantumCircuit(3)
-    circuit.ccx(0, 1, 2).barrier()
-    result = manager.run(circuit)
-    assert len(manager.records) == 2
-    assert manager.total_seconds() >= 0
-    assert result.count_ops()["cx"] > 0
-    assert manager.report()[0]["name"] == "clean"
 
 
 # ---------------------------------------------------------------------------

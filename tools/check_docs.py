@@ -106,7 +106,9 @@ PUBLIC_API = [
     ("repro.circuits.dag", "kahn_order"),
     ("repro.transpiler.passes.sabre_layout", "run_trial"),
     ("repro.core.pipeline", "run_plan"),
+    ("repro.core.pipeline", "finish_plan"),
     ("repro.core.pipeline", "PlanSpec"),
+    ("repro.core.pipeline", "PlannedCircuit"),
     ("repro.exceptions", "TransportError"),
     ("repro.config", "MirageConfig"),
     ("repro.config", "MirageConfig.from_env"),
