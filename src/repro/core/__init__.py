@@ -1,4 +1,4 @@
-"""MIRAGE core: the mirror-gate router, aggression policy and public API."""
+"""MIRAGE core: the aggression policy, the Section V flow and the public API."""
 
 from repro.core.aggression import (
     Aggression,
@@ -8,9 +8,7 @@ from repro.core.aggression import (
     fixed_schedule,
     schedule_from_spec,
 )
-from repro.core.mirage_pass import MirageSwap
 from repro.core.pipeline import (
-    MirageRouterFactory,
     PlannedCircuit,
     TrialPlan,
     finish_plan,
@@ -31,8 +29,6 @@ __all__ = [
     "aggression_schedule",
     "fixed_schedule",
     "schedule_from_spec",
-    "MirageSwap",
-    "MirageRouterFactory",
     "PlannedCircuit",
     "TrialPlan",
     "finish_plan",

@@ -32,8 +32,7 @@ import numpy as np
 
 from repro.exceptions import TranspilerError
 from repro.circuits.circuit import OpList, QuantumCircuit
-from repro.core.aggression import Aggression, schedule_from_spec
-from repro.core.mirage_pass import MirageSwap
+from repro.core.aggression import schedule_from_spec
 from repro.core.results import TranspileResult
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.layout import Layout, apply_layout, vf2_layout
@@ -42,39 +41,15 @@ from repro.transpiler.kernel import IntDAG
 from repro.transpiler.passes.cleanup import clean_ops
 from repro.transpiler.passes.consolidate import consolidate_ops
 from repro.transpiler.passes.sabre_layout import (
-    DepthMetric,
     SabreLayout,
-    SabreRouterFactory,
     TrialOutcome,
     TrialRef,
-    TrialSpec,
     select_best,
-    swap_count_metric,
+    trial_refs,
 )
-from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.passes.unroll import unroll_ops
 from repro.transpiler.topologies import CouplingMap, topology_by_name
 from repro.weyl.catalog import basis_gate_cost
-
-
-@dataclasses.dataclass(frozen=True)
-class MirageRouterFactory:
-    """Picklable factory building a :class:`MirageSwap` per trial.
-
-    The aggression schedule is baked in as a tuple so the factory can ship
-    to process-pool workers; trial ``i`` gets ``schedule[i % len]``.
-    """
-
-    coupling: CouplingMap
-    coverage: CoverageSet
-    schedule: tuple[Aggression, ...]
-
-    def __call__(self, trial: int) -> SabreSwap:
-        return MirageSwap(
-            self.coupling,
-            self.coverage,
-            aggression=self.schedule[trial % len(self.schedule)],
-        )
 
 
 def resolve_coverage(coverage: object, basis: str) -> CoverageSet:
@@ -124,10 +99,9 @@ class TrialPlan:
     never ships it.
     """
 
-    spec: TrialSpec
+    spec: SabreLayout
     refs: tuple[TrialRef, ...]
     method: str
-    selection: str
 
 
 def validate_flow(method: str, selection: str) -> tuple[str, str]:
@@ -327,33 +301,28 @@ def _plan_trials(
     coverage: CoverageSet,
 ) -> TrialPlan:
     """The ``plan`` stage: lower the op list straight to an
-    :class:`IntDAG` and park the :class:`SabreLayout` trial spec/refs."""
-    if spec.method == "sabre":
-        router_factory = SabreRouterFactory(coupling)
-    else:
-        schedule = tuple(schedule_from_spec(spec.layout_trials, spec.aggression))
-        router_factory = MirageRouterFactory(coupling, coverage, schedule)
-    metric = (
-        DepthMetric(basis=spec.basis, coverage=coverage)
-        if spec.selection == "depth"
-        else swap_count_metric
-    )
-    driver = SabreLayout(
-        coupling,
-        router_factory,
-        layout_trials=spec.layout_trials,
+    :class:`IntDAG` and park the :class:`SabreLayout` record and the
+    trial refs."""
+    schedule = None
+    if spec.method == "mirage":
+        schedule = tuple(
+            int(level)
+            for level in schedule_from_spec(spec.layout_trials, spec.aggression)
+        )
+    record = SabreLayout(
+        intdag=IntDAG.from_ops(ops.num_qubits, ops.ops),
+        coupling=coupling,
+        coverage=coverage,
+        schedule=schedule,
+        selection=spec.selection,
         refinement_rounds=spec.refinement_rounds,
         routing_trials=spec.routing_trials,
-        selection_metric=metric,
-        metric_name=spec.selection,
-        seed=seed,
+        name=ops.name,
     )
-    lowering = IntDAG.from_ops(ops.num_qubits, ops.ops)
     return TrialPlan(
-        spec=driver.trial_spec(lowering, ops.name),
-        refs=tuple(driver.trial_refs()),
+        spec=record,
+        refs=tuple(trial_refs(seed, spec.layout_trials)),
         method=spec.method,
-        selection=spec.selection,
     )
 
 
@@ -467,7 +436,7 @@ def finish_plan(
         )
     else:
         started = time.perf_counter()
-        best = select_best(outcomes, plan.selection)
+        best = select_best(outcomes)
         routing = best.routing
         circuit = routing.to_circuit()
         routed = routing.ops
@@ -478,9 +447,9 @@ def finish_plan(
             final_layout=routing.final_layout,
             swaps_added=routing.swaps_added,
             mirror_candidates=routing.mirror_candidates,
-            selection_metric=plan.selection,
+            selection_metric=plan.spec.selection,
             trial_index=best.trial_index,
-            trial_seconds=best.trial_seconds,
+            trial_seconds=sum(outcome.seconds for outcome in outcomes),
         )
         _stage_row(report, "route", gates, len(circuit), started)
 

@@ -405,36 +405,11 @@ class CoverageSet:
     def cost_of(self, coordinate: Iterable[float]) -> float:
         """Minimum decomposition cost of one canonical coordinate.
 
-        The scalar form of :meth:`cost_of_many`: a length-3 canonical
+        A one-row call of :meth:`cost_of_many`: a length-3 canonical
         Weyl coordinate in, a float cost (in pulse units of ``basis``)
-        out.  Results are memoised in a thread-safe table keyed by the
-        coordinate rounded to 6 decimals; the table is shared with the
-        batched queries and deliberately excluded from pickles
-        (:meth:`__getstate__`), so process-pool workers rebuild theirs
-        lazily.
+        out, through the same memo.
         """
-        point = tuple(float(x) for x in coordinate)
-        key = (round(point[0], 6), round(point[1], 6), round(point[2], 6))
-        with self._cache_lock:
-            cached = self._cost_cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                return cached
-            self._cache_misses += 1
-        # Polytope membership runs outside the lock; a racing duplicate
-        # computation yields the same deterministic cost.
-        cost = self._uncached_cost(point)
-        with self._cache_lock:
-            self._cost_cache[key] = cost
-        return cost
-
-    def _uncached_cost(self, point: tuple[float, float, float]) -> float:
-        for polytope in self.polytopes:
-            if polytope.contains(point, atol=self.atol):
-                return polytope.cost
-        # The last polytope covers the full chamber by construction, so this
-        # is only reachable for points slightly outside the chamber.
-        return self.max_cost
+        return float(self.cost_of_many([tuple(coordinate)])[0])
 
     def cost_of_many(self, coordinates: np.ndarray) -> np.ndarray:
         """Minimum decomposition costs of a coordinate batch.
@@ -453,17 +428,16 @@ class CoverageSet:
 
         Notes
         -----
-        Element-wise identical to calling :meth:`cost_of` in a loop —
-        including consultation and population of the memoised cost table
-        — but the uncached coordinates are resolved by winnowing: each
-        polytope (cheapest first) classifies the still-unresolved rows
-        with one stacked half-space product, and resolved rows drop out
-        of the next round (~10x the scalar loop at routing-sized
-        batches).  Rows sharing a rounded key with an earlier miss reuse
-        that row's result, exactly as the sequential loop would via the
-        memo, so results are deterministic and order-independent.  The
-        memo table itself never travels across process boundaries (see
-        :meth:`cost_of`).
+        Results are memoised in a thread-safe table keyed by the
+        coordinate rounded to 6 decimals; the table is deliberately
+        excluded from pickles (:meth:`__getstate__`), so process-pool
+        workers rebuild theirs lazily.  The uncached coordinates are
+        resolved by winnowing: each polytope (cheapest first) classifies
+        the still-unresolved rows with one stacked half-space product,
+        and resolved rows drop out of the next round.  Rows sharing a
+        rounded key with an earlier miss reuse that row's result, exactly
+        as a sequential :meth:`cost_of` loop would via the memo, so
+        results are element-wise identical to that loop.
         """
         coords = np.asarray(coordinates, dtype=float)
         if coords.size == 0:

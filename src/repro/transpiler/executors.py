@@ -1225,7 +1225,7 @@ class ProcessExecutor(_PoolExecutor):
     The dispatched function must be a module-level callable and every
     payload and task must be picklable;
     :func:`repro.transpiler.passes.run_trial` over a
-    :class:`~repro.transpiler.passes.TrialSpec` payload and
+    :class:`~repro.transpiler.passes.SabreLayout` payload and
     :class:`~repro.transpiler.passes.TrialRef` tasks satisfies both.
 
     Every dispatch runs on :class:`_ProcessDispatchSession` and its

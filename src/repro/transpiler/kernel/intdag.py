@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.circuits.gates import Gate
 
 #: Attribute under which a lowering memoises its mirror tables (see
-#: :func:`repro.core.mirage_pass.mirror_table`); a lowering and its
+#: :func:`repro.transpiler.passes.mirror.mirror_table`); a lowering and its
 #: reverse share one dict.
 MIRROR_TABLES_ATTR = "_mirror_tables"
 

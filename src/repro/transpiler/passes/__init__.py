@@ -1,4 +1,4 @@
-"""Transpiler passes: cleaning, unrolling, consolidation, SABRE routing."""
+"""Transpiler passes: cleaning, unrolling, consolidation, SABRE/MIRAGE routing."""
 
 from repro.transpiler.passes.cleanup import (
     clean_input,
@@ -7,21 +7,17 @@ from repro.transpiler.passes.cleanup import (
     elide_input_swaps_permuted,
 )
 from repro.transpiler.passes.consolidate import consolidate_blocks
+from repro.transpiler.passes.mirror import MirrorTable, mirror_gate, mirror_table
 from repro.transpiler.passes.sabre_layout import (
-    DepthMetric,
-    LayoutResult,
     SabreLayout,
-    SabreRouterFactory,
     TrialOutcome,
     TrialRef,
-    TrialSpec,
-    depth_metric,
     run_trial,
     seed_sequence,
     select_best,
-    swap_count_metric,
+    trial_refs,
 )
-from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
+from repro.transpiler.passes.sabre_swap import RoutingResult, route
 from repro.transpiler.passes.unroll import unroll_to_two_qubit
 
 __all__ = [
@@ -30,19 +26,17 @@ __all__ = [
     "elide_input_swaps",
     "elide_input_swaps_permuted",
     "consolidate_blocks",
-    "DepthMetric",
-    "LayoutResult",
+    "MirrorTable",
+    "mirror_gate",
+    "mirror_table",
     "SabreLayout",
-    "SabreRouterFactory",
     "TrialOutcome",
     "TrialRef",
-    "TrialSpec",
-    "depth_metric",
     "run_trial",
     "seed_sequence",
     "select_best",
-    "swap_count_metric",
+    "trial_refs",
     "RoutingResult",
-    "SabreSwap",
+    "route",
     "unroll_to_two_qubit",
 ]

@@ -1,4 +1,4 @@
-"""The MIRAGE routing pass (paper Section IV).
+"""MIRAGE's intermediate layer as data (paper Section IV).
 
 MIRAGE inherits the SABRE workflow — front layer, execute layer, SWAP
 scoring — and adds an *intermediate layer* between execution and the mapped
@@ -11,10 +11,15 @@ The comparison combines
 * the routing pressure of the layout that each choice leaves behind (the
   same distance + lookahead heuristic SABRE uses for SWAP selection),
 
-and the mirror is accepted according to the configured aggression level
+and the mirror is accepted according to the aggression level
 (Algorithm 2).  Accepting a mirror swaps the two virtual qubits in the
 layout — data moves without any inserted SWAP gate, which is exactly the
 "mirage SWAP" the paper is named after.
+
+The layout-independent half of that decision is the per-circuit
+:class:`MirrorTable`; :func:`mirror_rule` hands it, with the aggression
+level, to the route loop as a
+:class:`~repro.transpiler.kernel.route.MirrorRule`.
 """
 
 from __future__ import annotations
@@ -26,16 +31,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.circuits.gates import Gate, UnitaryGate
-from repro.core.aggression import Aggression
+from repro.exceptions import TranspilerError
 from repro.linalg.constants import SWAP
-from repro.polytopes.coverage import CoverageSet, get_coverage_set
+from repro.polytopes.coverage import CoverageSet
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel.intdag import KIND_CHECK2, MIRROR_TABLES_ATTR
 from repro.transpiler.kernel.route import SWAP_GATE, MirrorRule
 from repro.transpiler.metrics import distinct_coordinates, gate_coordinate
-from repro.transpiler.passes.sabre_swap import SabreSwap
-from repro.transpiler.topologies import CouplingMap
 from repro.weyl.mirror import mirror_coordinates_many
+
+#: Weight of the decomposition-cost term against the routing-pressure
+#: term in the mirror decision.
+DECOMPOSITION_WEIGHT = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,54 +193,31 @@ def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
     return tables.setdefault(coverage, table)
 
 
-class MirageSwap(SabreSwap):
-    """SABRE-style router with mirror-gate substitution.
+def mirror_rule(intdag: IntDAG, coverage: CoverageSet, aggression: int) -> MirrorRule:
+    """The mirror decision at ``aggression`` (0-3) as kernel data.
 
-    Args:
-        coupling: device coupling map.
-        coverage: coverage set of the target basis gate (cost oracle).
-        aggression: mirror acceptance level 0-3 (paper Algorithm 2).
-        decomposition_weight: weight of the decomposition-cost term relative
-            to the routing-heuristic term in the mirror decision.
-        kwargs: forwarded to :class:`SabreSwap` (lookahead, decay, seed).
+    The layout-independent half of the decision — both decomposition
+    costs and the mirror gate — comes from the per-circuit
+    :class:`MirrorTable`; the loop computes the routing pressure,
+    applies :func:`~repro.core.aggression.accept_mirror` and has the
+    table build an accepted slot's mirror gate on first use.
+
+    Raises:
+        TranspilerError: if ``aggression`` is not a level 0-3.
     """
-
-    def __init__(
-        self,
-        coupling: CouplingMap,
-        coverage: CoverageSet | None = None,
-        *,
-        basis: str = "sqrt_iswap",
-        aggression: int | Aggression = Aggression.IMPROVE,
-        decomposition_weight: float = 1.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(coupling, **kwargs)
-        self.coverage = coverage if coverage is not None else get_coverage_set(basis)
-        self.aggression = Aggression(int(aggression))
-        self.decomposition_weight = decomposition_weight
-
-    # -- the intermediate layer ---------------------------------------------
-
-    def _mirror_rule(self, intdag: IntDAG) -> MirrorRule:
-        """The mirror decision as kernel data (see :class:`MirrorRule`).
-
-        The layout-independent half of the decision — both decomposition
-        costs and the mirror gate — comes from the per-circuit
-        :class:`MirrorTable`; the kernel computes the routing pressure,
-        applies :func:`~repro.core.aggression.accept_mirror` and has the
-        table build an accepted slot's mirror gate on first use.
-        """
-        table = mirror_table(intdag, self.coverage)
-        return MirrorRule(
-            table.mirror_gates,
-            table.gate_costs,
-            table.mirror_costs,
-            self.decomposition_weight,
-            int(self.aggression),
-            table.gate_prices,
-            table.mirror_prices,
-            table.swap_price,
-            self.coverage,
-            table.accepted_mirror,
-        )
+    level = int(aggression)
+    if not 0 <= level <= 3:
+        raise TranspilerError(f"invalid aggression level {aggression!r}")
+    table = mirror_table(intdag, coverage)
+    return MirrorRule(
+        table.mirror_gates,
+        table.gate_costs,
+        table.mirror_costs,
+        DECOMPOSITION_WEIGHT,
+        level,
+        table.gate_prices,
+        table.mirror_prices,
+        table.swap_price,
+        coverage,
+        table.accepted_mirror,
+    )

@@ -11,11 +11,10 @@ Trials are fully independent: each one draws from its own RNG stream
 spawned via :class:`numpy.random.SeedSequence`, so the best result is
 identical no matter in which order — or on which
 :class:`~repro.transpiler.executors.TrialExecutor` — the trials run.
-:class:`SabreLayout` only describes a search: it builds the picklable
-:class:`TrialSpec` shared by every trial and one :class:`TrialRef` per
-trial, which the batch engine dispatches to the module-level
-:func:`run_trial`; :func:`select_best` picks the winner from the
-delivered outcomes.
+One frozen :class:`SabreLayout` record says what every trial of a circuit
+runs, :func:`trial_refs` spawns one :class:`TrialRef` per trial, the
+batch engine dispatches the pairs to :func:`run_trial`, and
+:func:`select_best` picks the winner from the delivered outcomes.
 """
 
 from __future__ import annotations
@@ -23,50 +22,22 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import TranspilerError
-from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler import metrics as metrics_mod
+from repro.polytopes.coverage import CoverageSet
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
+from repro.transpiler.metrics import ops_depth
+from repro.transpiler.passes.mirror import mirror_rule
+from repro.transpiler.passes.sabre_swap import (
+    RoutingResult,
+    route_state,
+    routing_result,
+)
 from repro.transpiler.topologies import CouplingMap
-
-#: Paper defaults: 20 layout trials, 4 forward/backward rounds, 20 routing
-#: trials.  The pure-Python reproduction keeps them configurable because the
-#: full 20 x 20 budget is slow; benches state the budget they use.
-DEFAULT_LAYOUT_TRIALS = 4
-DEFAULT_REFINEMENT_ROUNDS = 2
-DEFAULT_ROUTING_TRIALS = 1
-
-RouterFactory = Callable[[int], SabreSwap]
-SelectionMetric = Callable[[RoutingResult], float]
-
-
-@dataclasses.dataclass
-class LayoutResult:
-    """Best routing found across all layout/routing trials.
-
-    Attributes:
-        routing: the winning trial's routed result.
-        score: its post-selection score (lower is better).
-        trial_index: index of the winning trial.
-        metric_name: label of the post-selection metric.
-        trial_scores: score of every trial, in trial order.
-        trial_seconds: summed wall-clock seconds spent inside the trials
-            (worker time — under a parallel executor this exceeds the
-            elapsed wall clock of the search).
-    """
-
-    routing: RoutingResult
-    score: float
-    trial_index: int
-    metric_name: str
-    trial_scores: list[float] | None = None
-    trial_seconds: float = 0.0
 
 
 def seed_sequence(
@@ -102,84 +73,44 @@ def seed_sequence(
         ) from None
 
 
-def swap_count_metric(result: RoutingResult) -> float:
-    """Stock SABRE post-selection: fewest inserted SWAP gates."""
-    return float(result.swaps_added)
-
 
 @dataclasses.dataclass(frozen=True)
-class DepthMetric:
-    """MIRAGE post-selection: smallest decomposition-aware critical path.
+class SabreLayout:
+    """What every layout trial of one circuit runs, picklable.
 
-    A MIRAGE route loop scores this depth while it emits the ops, with
-    the prices of its mirror table, and the result keeps it next to the
-    coverage set that priced it.  When that set *is* this metric's
-    coverage the kept depth is returned as is; otherwise (SABRE runs,
-    another coverage set) the routed op stream is walked by
-    :func:`~repro.transpiler.metrics.ops_depth`.  Both equal
-    ``evaluate(result.ops).depth`` bit for bit.  A frozen dataclass
-    rather than a closure so that trial tasks carrying it stay picklable
-    for the process-pool executor.
-    """
-
-    basis: str = "sqrt_iswap"
-    coverage: CoverageSet | None = None
-
-    def __call__(self, result: RoutingResult) -> float:
-        coverage = (
-            self.coverage
-            if self.coverage is not None
-            else get_coverage_set(self.basis)
-        )
-        if result.depth_coverage is coverage:
-            return result.depth
-        return metrics_mod.ops_depth(result.ops, coverage)
-
-
-def depth_metric(
-    basis: str = "sqrt_iswap", coverage: CoverageSet | None = None
-) -> SelectionMetric:
-    """Build the MIRAGE depth post-selection metric."""
-    return DepthMetric(basis=basis, coverage=coverage)
-
-
-@dataclasses.dataclass(frozen=True)
-class SabreRouterFactory:
-    """Picklable factory building a stock :class:`SabreSwap` per trial."""
-
-    coupling: CouplingMap
-
-    def __call__(self, trial: int) -> SabreSwap:
-        return SabreSwap(self.coupling)
-
-
-@dataclasses.dataclass(frozen=True)
-class TrialSpec:
-    """The heavy, trial-invariant half of a layout search, picklable.
-
-    Every trial of one circuit shares the same lowering, coupling map,
-    router factory and post-selection metric; only the
-    ``(trial_index, seed)`` pair differs.  Splitting the spec out lets
-    the batch engine register it as one
+    Every trial of one circuit shares this record; only the
+    ``(trial_index, seed)`` pair of its :class:`TrialRef` differs.  The
+    batch engine registers the record as one
     :class:`~repro.transpiler.executors.DispatchSession` payload,
-    serialised once per circuit instead of once per trial.
+    serialised once per circuit instead of once per trial (the coverage
+    set rides as the session anchor).
 
-    ``intdag`` is the circuit's flat lowering
-    (:meth:`~repro.transpiler.kernel.IntDAG.from_ops`), built once by the
-    planner and shipped as plain ndarrays inside the pickled payload;
-    ``name`` names the routed circuit.  The spec carries no
-    DAG and no reverse direction: each process derives the reverse from
-    the forward arrays with
-    :meth:`~repro.transpiler.kernel.IntDAG.reversed` (memoised on the
-    lowering), so the dispatcher neither builds nor ships it.
+    Attributes:
+        intdag: the circuit's flat lowering
+            (:meth:`~repro.transpiler.kernel.IntDAG.from_ops`), shipped
+            as plain ndarrays.  The record carries no reverse direction:
+            each process derives it with
+            :meth:`~repro.transpiler.kernel.IntDAG.reversed` (memoised on
+            the lowering).
+        coupling: the device coupling map.
+        coverage: the basis gate's coverage set; it prices MIRAGE's
+            mirror decision and the depth post-selection.
+        schedule: MIRAGE's aggression levels, trial ``i`` routing at
+            ``schedule[i % len(schedule)]``, or ``None`` for SABRE.
+        selection: ``"swaps"`` (fewest inserted SWAPs) or ``"depth"``
+            (smallest decomposition-aware critical path).
+        refinement_rounds: forward/backward routing rounds per trial.
+        routing_trials: independent final routings per refined layout.
+        name: names the routed circuit.
     """
 
     intdag: IntDAG
     coupling: CouplingMap
-    router_factory: RouterFactory
+    coverage: CoverageSet
+    schedule: tuple[int, ...] | None
+    selection: str
     refinement_rounds: int
     routing_trials: int
-    selection_metric: SelectionMetric
     name: str = "dag"
 
 
@@ -189,6 +120,18 @@ class TrialRef:
 
     trial_index: int
     seed: np.random.SeedSequence
+
+
+def trial_refs(
+    seed: int | np.random.SeedSequence | np.random.Generator | None,
+    layout_trials: int,
+) -> list[TrialRef]:
+    """Spawn the light, order-insensitive per-trial seed records."""
+    trial_seeds = seed_sequence(seed).spawn(layout_trials)
+    return [
+        TrialRef(trial_index=trial, seed=trial_seeds[trial])
+        for trial in range(layout_trials)
+    ]
 
 
 @dataclasses.dataclass
@@ -201,7 +144,7 @@ class TrialOutcome:
     seconds: float = 0.0
 
 
-def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
+def run_trial(spec: SabreLayout, ref: TrialRef) -> TrialOutcome:
     """Run one independent layout trial (module-level for picklability).
 
     The trial's entire randomness — initial layout, router tie-breaking in
@@ -222,124 +165,55 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     :meth:`~repro.transpiler.kernel.IntDAG.reversed` backward: the
     reverse lowering is derived from the forward arrays, shares their
     gate slots and mirror table, and is built at most once per lowering
-    and process.
+    and process.  Rounds pass plain ``v2p`` lists; the ``Layout``s and
+    the :class:`RoutingResult` are built for the kept run only.  A run
+    scores ``float(swaps_added)`` under ``"swaps"``; under ``"depth"``
+    a MIRAGE run scores the loop's own depth (priced by
+    ``spec.coverage``) and a SABRE run the
+    :func:`~repro.transpiler.metrics.ops_depth` of its ops.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)
-    router = spec.router_factory(ref.trial_index)
-    forward_lowering = spec.intdag
-    reverse = forward_lowering.reversed()
-    layout = Layout.random(
-        forward_lowering.num_qubits, spec.coupling.num_qubits, seed=rng
-    )
+    forward = spec.intdag
+    reverse = forward.reversed()
+    coupling = spec.coupling
+    mirror = None
+    if spec.schedule is not None:
+        level = spec.schedule[ref.trial_index % len(spec.schedule)]
+        mirror = mirror_rule(forward, spec.coverage, level)
+    layout = Layout.random(forward.num_qubits, coupling.num_qubits, seed=rng)
+    v2p = layout.virtual_to_physical()
     for _ in range(spec.refinement_rounds):
-        forward = router.run(forward_lowering, layout, seed=rng)
-        layout = forward.final_layout
-        backward = router.run(reverse, layout, seed=rng)
-        layout = backward.final_layout
-    best_routing: RoutingResult | None = None
+        v2p = route_state(forward, coupling, v2p, rng, mirror).v2p
+        v2p = route_state(reverse, coupling, v2p, rng, mirror).v2p
+    best = None
     best_score = math.inf
     for _ in range(max(1, spec.routing_trials)):
-        result = router.run(forward_lowering, layout, seed=rng, name=spec.name)
-        score = spec.selection_metric(result)
-        if best_routing is None or score < best_score:
-            best_routing = result
+        state = route_state(forward, coupling, v2p, rng, mirror)
+        if spec.selection == "swaps":
+            score = float(state.swaps_added)
+        elif mirror is not None:
+            score = state.depth
+        else:
+            score = ops_depth(state.ops, spec.coverage)
+        if best is None or score < best_score:
+            best = state
             best_score = score
-    assert best_routing is not None  # routing_trials >= 1
+    assert best is not None  # routing_trials >= 1
     return TrialOutcome(
-        routing=best_routing,
+        routing=routing_result(
+            best, Layout(v2p, coupling.num_qubits), coupling, spec.name
+        ),
         score=best_score,
         trial_index=ref.trial_index,
         seconds=time.perf_counter() - start,
     )
 
 
-def select_best(
-    outcomes: Sequence[TrialOutcome],
-    metric_name: str = "swaps",
-) -> LayoutResult:
+def select_best(outcomes: Sequence[TrialOutcome]) -> TrialOutcome:
     """Pick the winning trial: lowest score, ties to the lowest index.
 
     The tie-break keeps the winner independent of trial execution order,
-    so any executor returns the same result.
+    so any executor returns the same outcome.
     """
-    best = min(outcomes, key=lambda o: (o.score, o.trial_index))
-    return LayoutResult(
-        routing=best.routing,
-        score=best.score,
-        trial_index=best.trial_index,
-        metric_name=metric_name,
-        trial_scores=[outcome.score for outcome in outcomes],
-        trial_seconds=sum(outcome.seconds for outcome in outcomes),
-    )
-
-
-class SabreLayout:
-    """Multi-trial layout search driving any SABRE-compatible router.
-
-    Describes the search only — :meth:`trial_spec` and
-    :meth:`trial_refs` are what the batch engine dispatches to
-    :func:`run_trial`; :func:`select_best` picks the winner.
-
-    Args:
-        coupling: device coupling map.
-        router_factory: builds the router used for trial ``i`` (lets MIRAGE
-            distribute aggression levels across trials).  Must be picklable
-            for the process executor — use a module-level function or a
-            frozen dataclass such as :class:`SabreRouterFactory`.
-        layout_trials: number of independent random initial layouts.
-        refinement_rounds: forward/backward routing rounds per trial.
-        routing_trials: independent final routings per refined layout.
-        selection_metric: callable scoring a :class:`RoutingResult`
-            (lower is better); defaults to SWAP count.
-        metric_name: label stored in the result.
-        seed: base RNG seed — an int, a ``SeedSequence`` or a ``Generator``
-            (``None`` for nondeterministic).  Per-trial streams are spawned
-            from it, so results do not depend on trial execution order.
-    """
-
-    def __init__(
-        self,
-        coupling: CouplingMap,
-        router_factory: RouterFactory | None = None,
-        *,
-        layout_trials: int = DEFAULT_LAYOUT_TRIALS,
-        refinement_rounds: int = DEFAULT_REFINEMENT_ROUNDS,
-        routing_trials: int = DEFAULT_ROUTING_TRIALS,
-        selection_metric: SelectionMetric | None = None,
-        metric_name: str = "swaps",
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        self.coupling = coupling
-        self.router_factory = router_factory or SabreRouterFactory(coupling)
-        self.layout_trials = layout_trials
-        self.refinement_rounds = refinement_rounds
-        self.routing_trials = routing_trials
-        self.selection_metric = selection_metric or swap_count_metric
-        self.metric_name = metric_name
-        self.seed = seed
-
-    def trial_spec(self, dag: IntDAG, name: str | None = None) -> TrialSpec:
-        """Build the heavy, trial-invariant payload for a lowering.
-
-        ``name`` names the routed circuit (default ``"dag"``).  The spec
-        carries the forward lowering only; trial runners derive the
-        reverse direction from it (see :func:`run_trial`).
-        """
-        return TrialSpec(
-            intdag=dag,
-            coupling=self.coupling,
-            router_factory=self.router_factory,
-            refinement_rounds=self.refinement_rounds,
-            routing_trials=self.routing_trials,
-            selection_metric=self.selection_metric,
-            name=name or "dag",
-        )
-
-    def trial_refs(self) -> list[TrialRef]:
-        """Spawn the light, order-insensitive per-trial seed records."""
-        trial_seeds = seed_sequence(self.seed).spawn(self.layout_trials)
-        return [
-            TrialRef(trial_index=trial, seed=trial_seeds[trial])
-            for trial in range(self.layout_trials)
-        ]
+    return min(outcomes, key=lambda o: (o.score, o.trial_index))

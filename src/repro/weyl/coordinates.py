@@ -268,8 +268,6 @@ def weyl_coordinates(
 def weyl_coordinates_many(
     unitaries: np.ndarray | Iterable[np.ndarray],
     atol: float = 1e-6,
-    *,
-    exact_scalar_rounding: bool = True,
 ) -> np.ndarray:
     """Canonical Weyl coordinates of a batch of two-qubit unitaries.
 
@@ -280,16 +278,6 @@ def weyl_coordinates_many(
         4x4 matrices, or a single 4x4 matrix treated as a batch of one).
     atol : float
         Tolerance used when matching Makhlin invariants.
-    exact_scalar_rounding : bool
-        ``True`` (default) computes the final Makhlin-invariant divisions
-        with numpy complex *scalars*, row by row, keeping the batch
-        bit-identical to :func:`weyl_coordinates`; ``False`` runs the
-        whole extraction — divisions included — as one stacked numpy
-        batch, whose complex array-division ufunc may round the
-        invariant *targets* one ulp differently.  The targets only steer
-        candidate matching (tolerance ``atol``, ten orders of magnitude
-        above one ulp), so the returned coordinates agree to within one
-        ulp — and in practice exactly — with the default path.
 
     Returns
     -------
@@ -307,11 +295,10 @@ def weyl_coordinates_many(
     Both the per-unitary linear algebra (stacked determinants,
     magic-basis conjugations, eigenvalues) and the dominant cost —
     scoring the 96 candidate pairings of each unitary — run as numpy
-    batches across the whole input; with ``exact_scalar_rounding=True``
-    only the final Makhlin-invariant divisions loop per row, because
-    numpy's complex array-division ufunc rounds one ulp differently
-    than scalar complex division and the default batch must stay
-    **bit-identical** to :func:`weyl_coordinates`
+    batches across the whole input; only the final Makhlin-invariant
+    divisions loop per row, because numpy's complex array-division ufunc
+    may round one ulp differently than scalar complex division, and a
+    batch must stay **bit-identical** to :func:`weyl_coordinates`
     (itself a batch of one).  The result is deterministic and
     independent of batch composition: splitting, concatenating or
     reordering batches never changes any row's coordinates.  Extraction
@@ -341,28 +328,20 @@ def weyl_coordinates_many(
     eigenvalues = eigenvalues / np.abs(eigenvalues)
     thetas = np.angle(eigenvalues) / 2.0
 
-    # Makhlin invariants of the raw (un-normalised) unitaries.  By default
-    # the final divisions run per row with numpy complex scalars because
-    # the complex array-division ufunc rounds differently (by one ulp)
-    # than the scalar path used by makhlin_invariants, and the default
-    # batch must stay bit-identical to the scalar API; callers that can
-    # tolerate the one-ulp target drift stack the divisions too.
+    # Makhlin invariants of the raw (un-normalised) unitaries.  The final
+    # divisions run per row with numpy complex scalars because the complex
+    # array-division ufunc rounds differently (by one ulp) than the scalar
+    # path used by makhlin_invariants, and a batch must stay bit-identical
+    # to the scalar API.
     um_raw = MAGIC_DAG @ stack @ MAGIC
     gamma_raw = np.transpose(um_raw, (0, 2, 1)) @ um_raw
     traces = np.trace(gamma_raw, axis1=1, axis2=2)
     traces_sq = np.trace(gamma_raw @ gamma_raw, axis1=1, axis2=2)
-    if exact_scalar_rounding:
-        targets = np.empty((len(stack), 3))
-        for index in range(len(stack)):
-            g12 = traces[index] ** 2 / (16 * determinants[index])
-            g3 = (
-                traces[index] ** 2 - traces_sq[index]
-            ) / (4 * determinants[index])
-            targets[index] = (g12.real, g12.imag, g3.real)
-    else:
-        g12 = traces**2 / (16 * determinants)
-        g3 = (traces**2 - traces_sq) / (4 * determinants)
-        targets = np.stack([g12.real, g12.imag, g3.real], axis=-1)
+    targets = np.empty((len(stack), 3))
+    for index in range(len(stack)):
+        g12 = traces[index] ** 2 / (16 * determinants[index])
+        g3 = (traces[index] ** 2 - traces_sq[index]) / (4 * determinants[index])
+        targets[index] = (g12.real, g12.imag, g3.real)
 
     return _coordinates_from_thetas(thetas, targets, atol)
 

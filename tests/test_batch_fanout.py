@@ -7,8 +7,9 @@ Covers the three hard guarantees of the batch engine:
   calls on the same seed tree, and across all three executors;
 * the chunked shared-payload dispatch pickles the coverage set exactly
   once per batch (the re-pickling regression check);
-* the :class:`repro.core.mirage_pass.MirageSwap` mirror decision is
-  byte-identical in the compiled and the pure-Python route loop.
+* MIRAGE's mirror decision (:func:`repro.transpiler.passes.route` at an
+  aggression level) is byte-identical in the compiled and the
+  pure-Python route loop.
 """
 
 import pickle
@@ -19,7 +20,6 @@ import pytest
 from repro.exceptions import TranspilerError
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import transpile, transpile_many
-from repro.core.mirage_pass import MirageSwap
 from repro.core.transpile import prepare_circuit
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
@@ -33,7 +33,8 @@ from repro.circuits.circuit import OpList
 from repro.transpiler.kernel import IntDAG, route
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes import SabreLayout
+from repro.transpiler import passes
+from repro.transpiler.passes import trial_refs
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -237,8 +238,7 @@ def test_process_fanout_pickles_coverage_once(monkeypatch):
 
 def test_trial_refs_are_light():
     """The per-trial records must not drag the lowering or coverage along."""
-    driver = SabreLayout(line_topology(5), layout_trials=4, seed=2)
-    refs = driver.trial_refs()
+    refs = trial_refs(2, 4)
     payload = pickle.dumps(refs, protocol=pickle.HIGHEST_PROTOCOL)
     # A SeedSequence plus an int pickles to well under a kilobyte each.
     assert len(payload) < 1024 * len(refs)
@@ -274,7 +274,7 @@ def test_map_shared_single_task_stays_inline():
 
 
 # ---------------------------------------------------------------------------
-# MirageSwap mirror decision: compiled loop vs Python loop
+# MIRAGE mirror decision: compiled loop vs Python loop
 # ---------------------------------------------------------------------------
 
 
@@ -298,9 +298,10 @@ def test_delta_mirror_commit_matches_copy_rescore(circuit, aggression):
         for module in (None, compiled):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(route, "load_routec", lambda: module)
-                runs.append(MirageSwap(
-                    coupling, COVERAGE, aggression=aggression
-                ).run(lowering, layout, seed=seed))
+                runs.append(passes.route(
+                    lowering, coupling, layout, seed,
+                    coverage=COVERAGE, aggression=aggression,
+                ))
         python, native = runs
         assert python.mirror_candidates
         assert _routing_digest(native) == _routing_digest(python)

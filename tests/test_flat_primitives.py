@@ -27,7 +27,6 @@ from repro.circuits.circuit import OpList, QuantumCircuit
 from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate, UnitaryGate, standard_gate
 from repro.circuits.library import qft, twolocal_full
-from repro.core import MirageSwap
 from repro.exceptions import DAGError
 from repro.linalg.constants import xx_yy_interaction
 from repro.linalg.random import haar_unitary
@@ -41,7 +40,7 @@ from repro.transpiler.metrics import (
     gate_coordinate,
     ops_depth,
 )
-from repro.transpiler.passes import SabreSwap
+from repro.transpiler.passes import route
 from repro.transpiler.passes.consolidate import (
     _PLACEMENT_TABLES,
     _PLACEMENTS,
@@ -299,12 +298,11 @@ def _assert_same_circuit(from_ops, reference):
 def test_routed_op_list_circuit_equals_dag_circuit(router, circuit):
     coupling = grid_topology(2, 3)
     layout = Layout.random(circuit.num_qubits, coupling.num_qubits, seed=5)
-    swap_router = (SabreSwap(coupling) if router == "sabre"
-                   else MirageSwap(coupling, coverage=COVERAGE))
+    aggression = None if router == "sabre" else 1
     lowered = OpList.of(circuit)
-    result = swap_router.run(
-        IntDAG.from_ops(lowered.num_qubits, lowered.ops), layout, seed=5,
-        name="routed",
+    result = route(
+        IntDAG.from_ops(lowered.num_qubits, lowered.ops), coupling, layout, 5,
+        coverage=COVERAGE, aggression=aggression, name="routed",
     )
     from_ops, reference = _both_forms(result.ops, coupling.num_qubits)
     _assert_same_circuit(from_ops.to_circuit(), reference)

@@ -29,7 +29,7 @@ from repro.transpiler.kernel import IntDAG, route
 from repro.transpiler.kernel.native import load_routec
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.consolidate import consolidate_blocks
-from repro.transpiler.passes.sabre_swap import SabreSwap
+from repro.transpiler.passes.sabre_swap import route as route_circuit
 from repro.transpiler.topologies import topology_by_name
 from repro.weyl.canonical import (
     PI4,
@@ -167,39 +167,14 @@ def test_weyl_many_shape_validation():
     assert weyl_coordinates_many(np.zeros((0, 4, 4))).shape == (0, 3)
 
 
-def test_weyl_many_stacked_rounding_matches_exact():
-    """The fully stacked extraction agrees with the bit-exact default.
-
-    ``exact_scalar_rounding=False`` replaces the per-row scalar Makhlin
-    divisions with one complex array division; the candidate values the
-    targets select among are identical in both modes, so the chosen
-    coordinates must stay within one ulp — and, the match tolerance
-    being ~1e-6, equal in practice.
-    """
-    from repro.weyl.canonical import canonical_gate
-
-    rng = np.random.default_rng(31)
-    unitaries = np.stack(
-        [haar_unitary(4, rng) for _ in range(80)]
-        + [
-            np.eye(4, dtype=complex),
-            canonical_gate(PI4, 0.0, 0.0),
-            canonical_gate(PI4, PI4, PI4),
-        ]
-    )
-    exact = weyl_coordinates_many(unitaries)
-    stacked = weyl_coordinates_many(unitaries, exact_scalar_rounding=False)
-    ulp = np.spacing(np.maximum(np.abs(exact), 1.0))
-    assert np.all(np.abs(exact - stacked) <= ulp)
-
-
 def test_weyl_stacked_rounding_targets_within_one_ulp():
     """The array-division Makhlin targets drift by at most one ulp.
 
-    This pins the *reason* ``exact_scalar_rounding`` exists: numpy's
-    complex array-division ufunc and scalar complex division may round
-    the invariant targets differently, but never by more than one ulp —
-    ten orders of magnitude inside the 1e-6 candidate-match tolerance.
+    This pins the reason ``weyl_coordinates_many`` divides the Makhlin
+    invariants row by row: numpy's complex array-division ufunc and
+    scalar complex division may round the invariant targets differently
+    (never by more than one ulp), and the batch must stay bit-identical
+    to the scalar :func:`weyl_coordinates`.
     """
     from repro.linalg.constants import MAGIC, MAGIC_DAG
 
@@ -503,9 +478,7 @@ def _route_stream(coupling, lowering, layout, seed, module, ties=None):
         patch.setattr(route, "load_routec", lambda: module)
         if ties is not None:
             patch.setattr(route, "_swap_ties", ties)
-        result = SabreSwap(coupling, seed=seed).run(
-            lowering, layout.copy(), seed=seed
-        )
+        result = route_circuit(lowering, coupling, layout.copy(), seed)
     return (
         result.swaps_added,
         [(i.gate.name, i.qubits) for i in result.to_circuit()],

@@ -9,7 +9,7 @@ Covers:
   across many wires, measures, >2-qubit gates that the route loop
   rejects, and gate objects repeated across ops);
 * a ``transpile`` call lowers its circuit once, on the dispatching side
-  (serial and process executors), a shipped ``TrialSpec`` pickles the
+  (serial and process executors), a shipped ``SabreLayout`` pickles the
   flat lowering and no per-op objects, and the only ``QuantumCircuit``s
   a call constructs are its results.
 """

@@ -2,7 +2,7 @@
 
 Covers:
 
-* the per-circuit :class:`~repro.core.mirage_pass.MirrorTable` equals the
+* the per-circuit :class:`~repro.transpiler.passes.mirror.MirrorTable` equals the
   scalar chain ``gate_coordinate`` -> ``mirror_coordinate`` -> ``cost_of``
   on forward and reverse lowerings, under two coverage sets;
 * deterministic performance invariants that need no timing: one
@@ -12,8 +12,8 @@ Covers:
   lowered again while refining or scoring trials, and a pickled
   :class:`~repro.transpiler.passes.RoutingResult` that carries ops only;
 * the ops-based depth metric, and the depth the route loop scores,
-  equal a per-op scalar reference exactly; ``DepthMetric`` uses the
-  scored depth only under the coverage set that priced it.
+  equal a per-op scalar reference exactly; a MIRAGE trial's depth score
+  is the loop's own depth, equal to the evaluated one bit for bit.
 """
 
 import pickle
@@ -27,10 +27,7 @@ import pytest
 from repro.circuits.circuit import OpList, random_two_qubit_block_circuit
 from repro.circuits.gates import Gate, UnitaryGate
 from repro.circuits.library import TABLE_III_SUITE, qft, twolocal_full
-from repro.core import MirageSwap, prepare_circuit
-from repro.core import mirage_pass
-from repro.core.mirage_pass import mirror_table
-from repro.core.pipeline import MirageRouterFactory
+from repro.core import prepare_circuit
 from repro.linalg import haar_unitary
 from repro.polytopes import get_coverage_set
 from repro.polytopes.coverage import CoverageSet
@@ -38,10 +35,19 @@ from repro.transpiler import Layout, grid_topology, heavy_hex_topology
 from repro.transpiler.kernel import IntDAG
 from repro.transpiler.kernel import intdag as intdag_mod
 from repro.transpiler.kernel.intdag import KIND_CHECK2
-from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.kernel.route import SWAP_GATE
 from repro.transpiler.metrics import evaluate, gate_coordinate, ops_depth
-from repro.transpiler.passes import DepthMetric, SabreLayout, SabreSwap, run_trial
+from repro.transpiler.passes import (
+    SabreLayout,
+    mirror_table,
+    route,
+    run_trial,
+    trial_refs,
+)
+from repro.transpiler.passes import mirror as mirror_mod
+from repro.transpiler.passes.mirror import mirror_rule
+from repro.transpiler.passes.sabre_swap import route_state
+from repro.transpiler.passes import sabre_layout
 from repro.weyl.mirror import mirror_coordinate
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -124,14 +130,15 @@ def cost_many_calls(monkeypatch):
 def test_coverage_queries_per_route_run_are_bounded(cost_many_calls):
     """One batched query per lowering, then none: independent of commits."""
     coupling = grid_topology(3, 3)
-    router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(4), qft(8), twolocal_full(8)):
         lowering = _lower(circuit)
         layout = Layout.random(lowering.num_qubits, coupling.num_qubits, seed=1)
         del cost_many_calls[:]
         candidates = 0
         for seed in range(4):
-            result = router.run(lowering, layout, seed=seed)
+            result = route(
+                lowering, coupling, layout, seed, coverage=COVERAGE, aggression=1
+            )
             candidates += result.mirror_candidates
             assert len(cost_many_calls) <= 1
         # Every two-qubit gate is a candidate in every run.
@@ -148,15 +155,17 @@ def test_one_coverage_query_per_circuit_across_directions(cost_many_calls):
     (each distinct coordinate among the two-qubit slots and their
     mirrors, plus the SWAP) serves every run."""
     coupling = grid_topology(3, 4)
-    router = MirageSwap(coupling, coverage=COVERAGE)
     for circuit in (qft(6), twolocal_full(7), _seca()):
         forward = _lower(circuit)
         reverse = forward.reversed()
         del cost_many_calls[:]
         layout = Layout.random(forward.num_qubits, coupling.num_qubits, seed=3)
         for seed in range(3):
-            layout = router.run(forward, layout, seed=seed).final_layout
-            layout = router.run(reverse, layout, seed=seed).final_layout
+            for lowering in (forward, reverse):
+                layout = route(
+                    lowering, coupling, layout, seed,
+                    coverage=COVERAGE, aggression=1,
+                ).final_layout
         slots = set(forward.gate_ids[forward.kind == KIND_CHECK2].tolist())
         coordinates = _distinct(
             gate_coordinate(forward.gates[slot]) for slot in sorted(slots)
@@ -172,8 +181,8 @@ def test_walk_prices_each_distinct_gate_once(cost_many_calls):
     coupling = heavy_hex_topology(12)
     lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=4))
     layout = Layout.random(7, coupling.num_qubits, seed=4)
-    result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
-        lowering, layout, seed=4
+    result = route(
+        lowering, coupling, layout, 4, coverage=COVERAGE, aggression=2
     )
     ops = result.ops + result.ops  # every gate object appears twice
     distinct = {
@@ -274,23 +283,25 @@ def test_mirror_gates_are_built_on_acceptance(monkeypatch, aggression):
     whose mirror some run accepted hold one, each built once and equal to
     ``mirror_gate(gate, coordinate)``, and every run emits that object."""
     built = []
-    original = mirage_pass.mirror_gate
+    original = mirror_mod.mirror_gate
 
     def counting(gate, coordinate):
         built.append(gate)
         return original(gate, coordinate)
 
-    monkeypatch.setattr(mirage_pass, "mirror_gate", counting)
+    monkeypatch.setattr(mirror_mod, "mirror_gate", counting)
     coupling = heavy_hex_topology(12)
     forward = _lower(random_two_qubit_block_circuit(7, 30, seed=9))
     table = mirror_table(forward, COVERAGE)
     assert table.mirror_gates == [None] * len(forward.gates)
-    router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
     emitted = set()
     layout = Layout.random(7, coupling.num_qubits, seed=9)
     for seed in range(3):
         for lowering in (forward, forward.reversed()):
-            result = router.run(lowering, layout, seed=seed)
+            result = route(
+                lowering, coupling, layout, seed,
+                coverage=COVERAGE, aggression=aggression,
+            )
             layout = result.final_layout
             emitted |= {id(gate) for gate, _ in result.ops}
     accepted = [
@@ -310,6 +321,21 @@ def test_mirror_gates_are_built_on_acceptance(monkeypatch, aggression):
         assert gate.matrix().tobytes() == reference.matrix().tobytes()
         assert gate.name == reference.name
         assert gate.coordinate == reference.coordinate
+
+
+def _mirage_record(lowering, schedule, routing_trials=1, name="dag"):
+    """A MIRAGE :class:`SabreLayout` record on heavy-hex 12, selecting
+    by depth after two refinement rounds."""
+    return SabreLayout(
+        intdag=lowering,
+        coupling=heavy_hex_topology(12),
+        coverage=COVERAGE,
+        schedule=schedule,
+        selection="depth",
+        refinement_rounds=2,
+        routing_trials=routing_trials,
+        name=name,
+    )
 
 
 class _CountingWires:
@@ -333,25 +359,17 @@ def test_run_trial_builds_no_dag(monkeypatch, shipped_lowering):
     spec's lowering and wire its reverse once between them, whether the
     spec went through a pickle (as a worker receives it) or stays in
     process."""
-    coupling = heavy_hex_topology(12)
-    factory = MirageRouterFactory(coupling, COVERAGE, (1, 2))
-    layout_search = SabreLayout(
-        coupling,
-        factory,
-        layout_trials=2,
-        refinement_rounds=2,
-        routing_trials=2,
-        selection_metric=DepthMetric(coverage=COVERAGE),
-        seed=6,
-    )
     lowered = OpList.of(twolocal_full(7))
-    spec = layout_search.trial_spec(
-        IntDAG.from_ops(lowered.num_qubits, lowered.ops), lowered.name
+    spec = _mirage_record(
+        IntDAG.from_ops(lowered.num_qubits, lowered.ops),
+        (1, 2),
+        routing_trials=2,
+        name=lowered.name,
     )
     if shipped_lowering:
         spec = pickle.loads(pickle.dumps(spec))
     counter = _CountingWires(monkeypatch)
-    for ref in layout_search.trial_refs():
+    for ref in trial_refs(6, 2):
         run_trial(spec, ref)
     assert counter.count == 1
 
@@ -364,17 +382,7 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
     emitted is the one object the table holds for its slot.  A sleep
     inside each memo's build widens the window in which two threads
     can both find the memo empty."""
-    coupling = heavy_hex_topology(12)
-    factory = MirageRouterFactory(coupling, COVERAGE, (1, 2, 3))
-    layout_search = SabreLayout(
-        coupling,
-        factory,
-        layout_trials=8,
-        refinement_rounds=2,
-        selection_metric=DepthMetric(coverage=COVERAGE),
-        seed=12,
-    )
-    refs = layout_search.trial_refs()
+    refs = trial_refs(12, 8)
 
     emitted = []
 
@@ -385,9 +393,7 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
                 for o in results]
 
     circuit = twolocal_full(8)
-    expected = outcomes(
-        layout_search.trial_spec(_lower(circuit)), map
-    )
+    expected = outcomes(_mirage_record(_lower(circuit), (1, 2, 3)), map)
     del emitted[:]
 
     def slowed(fn):
@@ -397,8 +403,8 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
         return slow
 
     monkeypatch.setattr(
-        mirage_pass, "distinct_coordinates",
-        slowed(mirage_pass.distinct_coordinates),
+        mirror_mod, "distinct_coordinates",
+        slowed(mirror_mod.distinct_coordinates),
     )
     monkeypatch.setattr(intdag_mod, "_kahn", slowed(intdag_mod._kahn))
     reverses = []
@@ -413,7 +419,7 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        spec = layout_search.trial_spec(_lower(circuit))
+        spec = _mirage_record(_lower(circuit), (1, 2, 3))
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = outcomes(spec, lambda fn, items: list(
                 pool.map(fn, items, timeout=120)
@@ -428,37 +434,27 @@ def test_threads_share_the_reverse_and_table_memos_safely(monkeypatch):
     assert mirrors and all(id(g) in built for g in mirrors)
 
 
-def test_depth_metric_uses_the_scored_depth_only_for_its_own_coverage(
-    monkeypatch,
-):
-    coupling = heavy_hex_topology(12)
-    lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=2))
-    layout = Layout.random(7, coupling.num_qubits, seed=2)
-    result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
-        lowering, layout, seed=2
+def test_mirage_trial_depth_score_equals_ops_depth(monkeypatch):
+    """A MIRAGE trial selecting by depth scores the route loop's own
+    depth, priced by the record's coverage set, without walking the ops;
+    that score equals :func:`ops_depth` of the kept ops bit for bit."""
+    spec = _mirage_record(
+        _lower(random_two_qubit_block_circuit(7, 25, seed=2)), (2,),
+        routing_trials=2,
     )
-    assert result.depth_coverage is COVERAGE
-    assert result.depth == ops_depth(result.ops, COVERAGE)
 
-    other = get_coverage_set("iswap", num_samples=250, seed=3)
-    expected = ops_depth(result.ops, other)
-    assert DepthMetric(coverage=other)(result) == expected
-    # Sanity: the two coverage sets price this circuit differently, so
-    # handing back the router's depth would be caught.
-    assert expected != result.depth
-
-    # Under its own coverage set the metric never walks the ops.
     def forbidden(*args, **kwargs):
         raise AssertionError("re-walked the routed ops")
 
-    monkeypatch.setattr(metrics_mod, "ops_depth", forbidden)
-    assert DepthMetric(coverage=COVERAGE)(result) == result.depth
-
-    # The coverage reference and the depth stay out of the pickle.
-    clone = pickle.loads(pickle.dumps(result))
-    assert clone.depth is None and clone.depth_coverage is None
+    monkeypatch.setattr(sabre_layout, "ops_depth", forbidden)
+    outcome = run_trial(spec, trial_refs(2, 1)[0])
     monkeypatch.undo()
-    assert DepthMetric(coverage=COVERAGE)(clone) == result.depth
+    assert outcome.routing.mirrors_accepted
+    assert outcome.score == ops_depth(outcome.routing.ops, COVERAGE)
+    # Sanity: another coverage set prices this circuit differently, so a
+    # score priced by the wrong set would be caught.
+    other = get_coverage_set("iswap", num_samples=250, seed=3)
+    assert ops_depth(outcome.routing.ops, other) != outcome.score
 
 
 def test_routing_result_pickles_one_representation():
@@ -466,8 +462,9 @@ def test_routing_result_pickles_one_representation():
     routed circuit."""
     coupling = grid_topology(2, 3)
     layout = Layout.random(5, 6, seed=2)
-    result = MirageSwap(coupling, coverage=COVERAGE).run(
-        _lower(twolocal_full(5)), layout, seed=8
+    result = route(
+        _lower(twolocal_full(5)), coupling, layout, 8,
+        coverage=COVERAGE, aggression=1,
     )
 
     clone = pickle.loads(pickle.dumps(result))
@@ -497,12 +494,14 @@ def test_ops_depth_equals_evaluated_depth(router_kind, seed):
     coupling = heavy_hex_topology(12)
     lowering = _lower(random_two_qubit_block_circuit(7, 25, seed=seed))
     layout = Layout.random(7, coupling.num_qubits, seed=seed)
-    router = (
-        SabreSwap(coupling)
-        if router_kind == "sabre"
-        else MirageSwap(coupling, coverage=COVERAGE, aggression=seed)
+    mirror = (
+        None if router_kind == "sabre"
+        else mirror_rule(lowering, COVERAGE, aggression=seed)
     )
-    result = router.run(lowering, layout, seed=seed)
+    result = route_state(
+        lowering, coupling, layout.virtual_to_physical(),
+        np.random.default_rng(seed), mirror,
+    )
     depth = ops_depth(result.ops, COVERAGE)
     metrics = evaluate(result.ops, coverage=COVERAGE)
     assert depth == metrics.depth

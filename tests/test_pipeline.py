@@ -2,6 +2,7 @@
 
 import importlib
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidModeError, TranspilerError
@@ -27,13 +28,13 @@ from repro.transpiler import (
     resolve_executor,
 )
 from repro.transpiler.kernel import IntDAG
+from repro.transpiler.metrics import ops_depth
 from repro.transpiler.passes import (
-    DepthMetric,
     SabreLayout,
     run_trial,
     seed_sequence,
     select_best,
-    swap_count_metric,
+    trial_refs,
 )
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -321,14 +322,28 @@ class _ReversedExecutor(TrialExecutor):
         return list(reversed(outcomes))
 
 
-def _search(driver, lowering, executor=None):
+def _record(lowering, coupling, *, schedule=None, selection="swaps",
+            refinement_rounds=2):
+    """A :class:`SabreLayout` record with one routing trial per layout."""
+    return SabreLayout(
+        intdag=lowering,
+        coupling=coupling,
+        coverage=COVERAGE,
+        schedule=schedule,
+        selection=selection,
+        refinement_rounds=refinement_rounds,
+        routing_trials=1,
+    )
+
+
+def _search(spec, seed, layout_trials, executor=None):
     """Run a layout search as one ``map_shared`` dispatch of its
-    trials, then :func:`select_best`."""
+    trials; returns the :func:`select_best` winner and every score."""
     executor = executor or SerialExecutor()
     outcomes = executor.map_shared(
-        run_trial, driver.trial_spec(lowering), driver.trial_refs()
+        run_trial, spec, trial_refs(seed, layout_trials)
     )
-    return select_best(outcomes, driver.metric_name)
+    return select_best(outcomes), [outcome.score for outcome in outcomes]
 
 
 def test_resolve_executor_specs():
@@ -360,19 +375,13 @@ def test_sabre_layout_deterministic_across_executor_order():
         ("reversed", _ReversedExecutor()),
         ("threads", ThreadExecutor(max_workers=2)),
     ):
-        driver = SabreLayout(
-            line_topology(5),
-            layout_trials=3,
-            refinement_rounds=1,
-            selection_metric=swap_count_metric,
-            seed=2,
-        )
+        spec = _record(lowering, line_topology(5), refinement_rounds=1)
         with executor:
-            best = _search(driver, lowering, executor)
+            best, scores = _search(spec, 2, 3, executor)
         outcomes[name] = (
             best.score,
             best.trial_index,
-            best.trial_scores,
+            scores,
             [(i.gate.name, i.qubits) for i in best.routing.to_circuit()],
         )
     assert outcomes["serial"] == outcomes["reversed"] == outcomes["threads"]
@@ -381,30 +390,88 @@ def test_sabre_layout_deterministic_across_executor_order():
 def test_sabre_layout_same_seed_same_result():
     lowering = _lower(prepare_circuit(qft(4)))
     runs = [
-        _search(SabreLayout(line_topology(4), layout_trials=2, seed=5), lowering)
-        for _ in range(2)
+        _search(_record(lowering, line_topology(4)), 5, 2) for _ in range(2)
     ]
-    assert runs[0].score == runs[1].score
-    assert runs[0].trial_index == runs[1].trial_index
-    assert runs[0].trial_scores == runs[1].trial_scores
+    assert runs[0][0].score == runs[1][0].score
+    assert runs[0][0].trial_index == runs[1][0].trial_index
+    assert runs[0][1] == runs[1][1]
 
 
 def test_run_layout_trial_is_self_contained():
     """One layout trial — :func:`run_trial` over the shared spec and its
     own ref — depends on nothing else: rerunning it gives the same
     outcome."""
-    driver = SabreLayout(
-        line_topology(4),
-        layout_trials=2,
-        selection_metric=DepthMetric(coverage=COVERAGE),
-        seed=8,
+    spec = _record(
+        _lower(prepare_circuit(qft(4))), line_topology(4), selection="depth"
     )
-    spec = driver.trial_spec(_lower(prepare_circuit(qft(4))))
-    ref = driver.trial_refs()[0]
+    ref = trial_refs(8, 2)[0]
     first = run_trial(spec, ref)
     again = run_trial(spec, ref)
     assert first.score == again.score
     assert first.trial_index == 0
+
+
+def test_run_trial_builds_layouts_for_the_kept_run_only(monkeypatch):
+    """A trial with 2 refinement rounds and 3 routing trials constructs
+    at most 3 ``Layout``s (the random one, then the kept run's initial
+    and final), and its outcome equals the trial composed from
+    per-run :func:`route` calls, which build two per run."""
+    from repro.transpiler.layout import Layout
+    from repro.transpiler.passes import route
+
+    coupling = line_topology(5)
+    lowering = _lower(prepare_circuit(twolocal_full(5)))
+    spec = SabreLayout(
+        intdag=lowering,
+        coupling=coupling,
+        coverage=COVERAGE,
+        schedule=(2,),
+        selection="depth",
+        refinement_rounds=2,
+        routing_trials=3,
+    )
+    ref = trial_refs(4, 1)[0]
+
+    built = []
+    init = Layout.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Layout, "__init__", counting)
+    outcome = run_trial(spec, ref)
+    monkeypatch.undo()
+    assert len(built) <= 3
+
+    rng = np.random.default_rng(ref.seed)
+    layout = Layout.random(lowering.num_qubits, coupling.num_qubits, seed=rng)
+    options = dict(coverage=COVERAGE, aggression=2)
+    for _ in range(2):
+        layout = route(lowering, coupling, layout, rng, **options).final_layout
+        layout = route(
+            lowering.reversed(), coupling, layout, rng, **options
+        ).final_layout
+    best, best_score = None, None
+    for _ in range(3):
+        routing = route(lowering, coupling, layout, rng, **options)
+        score = ops_depth(routing.ops, COVERAGE)
+        if best is None or score < best_score:
+            best, best_score = routing, score
+
+    def stream(routing):
+        return [(gate.name, qubits, gate.matrix().tobytes())
+                for gate, qubits in routing.ops]
+
+    kept = outcome.routing
+    assert stream(kept) == stream(best)
+    assert kept.initial_layout == best.initial_layout
+    assert kept.final_layout == best.final_layout
+    assert outcome.score == best_score
+    assert (kept.swaps_added, kept.mirrors_accepted, kept.mirror_candidates) == (
+        best.swaps_added, best.mirrors_accepted, best.mirror_candidates
+    )
+    assert outcome.trial_index == 0
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +498,7 @@ def test_transpile_identical_across_executors(method):
 
 def test_transpile_parity_with_direct_driver():
     """The pipeline-built transpile() matches driving SabreLayout by hand."""
-    from repro.core import MirageRouterFactory, schedule_from_spec
+    from repro.core import schedule_from_spec
 
     circuit = twolocal_full(4)
     coupling = line_topology(4)
@@ -441,18 +508,13 @@ def test_transpile_parity_with_direct_driver():
     )
 
     prepared = prepare_circuit(circuit)
-    schedule = tuple(schedule_from_spec(4, None))
-    driver = SabreLayout(
+    spec = _record(
+        _lower(prepared),
         coupling,
-        MirageRouterFactory(coupling, COVERAGE, schedule),
-        layout_trials=4,
-        refinement_rounds=2,
-        routing_trials=1,
-        selection_metric=DepthMetric(coverage=COVERAGE),
-        metric_name="depth",
-        seed=3,
+        schedule=tuple(schedule_from_spec(4, None)),
+        selection="depth",
     )
-    best = _search(driver, _lower(prepared))
+    best, _ = _search(spec, 3, 4)
     assert best.trial_index == result.trial_index
     assert [(i.gate.name, i.qubits) for i in best.routing.to_circuit()] == [
         (i.gate.name, i.qubits) for i in result.circuit

@@ -48,8 +48,7 @@ from repro.circuits.circuit import (
 from repro.circuits.dag import kahn_order
 from repro.circuits.gates import Gate
 from repro.circuits.library import ghz, qft, twolocal_full
-from repro.core import MirageSwap, transpile
-from repro.core.mirage_pass import mirror_table
+from repro.core import transpile
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
     CouplingMap,
@@ -68,7 +67,13 @@ from repro.transpiler.kernel import (
 )
 from repro.transpiler.kernel.intdag import KIND_CHECK2
 from repro.transpiler.metrics import ops_depth
-from repro.transpiler.passes import SabreSwap
+from repro.transpiler.passes import mirror_table
+from repro.transpiler.passes import route as route_circuit
+from repro.transpiler.passes.sabre_swap import (
+    DECAY_DELTA,
+    EXTENDED_SET_SIZE,
+    EXTENDED_SET_WEIGHT,
+)
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -230,8 +235,10 @@ def test_direct_router_identity_with_aggressions(monkeypatch):
     layout = Layout.random(lowered.num_qubits, coupling.num_qubits, rng)
 
     def run(aggression):
-        router = MirageSwap(coupling, coverage=COVERAGE, aggression=aggression)
-        result = router.run(lowered, layout.copy(), seed=13)
+        result = route_circuit(
+            lowered, coupling, layout.copy(), 13,
+            coverage=COVERAGE, aggression=aggression,
+        )
         return (
             _routed_ops(result, with_matrices=True),
             result.mirrors_accepted,
@@ -306,8 +313,9 @@ def test_intdag_pickle_drops_interpreter_caches(monkeypatch):
     monkeypatch.setattr(route, "load_routec", lambda: None)
     lowered = _lower(qft(4))
     lowered.lists()  # populate the caches
-    MirageSwap(line_topology(4), coverage=COVERAGE).run(
-        lowered, Layout.trivial(4, 4), seed=1
+    route_circuit(
+        lowered, line_topology(4), Layout.trivial(4, 4), 1,
+        coverage=COVERAGE, aggression=1,
     )
     reverse = lowered.reversed()
     caches = ("_lists", "_lookahead_cache", "_mirror_tables", "_reversed")
@@ -442,14 +450,13 @@ def test_property_random_dag_coupling_seed_identity(monkeypatch, case):
     seed = int(rng.integers(0, 2**31))
     aggression = int(rng.integers(0, 4))
 
-    routers = (
-        SabreSwap(coupling),
-        MirageSwap(coupling, coverage=COVERAGE, aggression=aggression),
-    )
-    for router in routers:
+    for level in (None, aggression):
         compiled, python = _both_loops(
             monkeypatch,
-            lambda: _routed_ops(router.run(lowered, layout.copy(), seed=seed)),
+            lambda: _routed_ops(route_circuit(
+                lowered, coupling, layout.copy(), seed,
+                coverage=COVERAGE, aggression=level,
+            )),
         )
         assert compiled == python
 
@@ -496,11 +503,22 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
     lowered = _lower(qft(6))
     layout = Layout.random(6, 6, np.random.default_rng(21))
 
-    router = SabreSwap(coupling, decay_reset_interval=interval)
-    compiled, python = _both_loops(
-        monkeypatch,
-        lambda: _routed_ops(router.run(lowered, layout.copy(), seed=33)),
-    )
+    def run():
+        state = route.route_kernel(
+            lowered,
+            neighbor_table(coupling),
+            layout.virtual_to_physical(),
+            np.random.default_rng(33),
+            extended_set_size=EXTENDED_SET_SIZE,
+            extended_set_weight=EXTENDED_SET_WEIGHT,
+            decay_delta=DECAY_DELTA,
+            decay_reset_interval=interval,
+            stall_limit=10 * max(10, coupling.num_qubits),
+        )
+        ops = [(gate.name, tuple(physical)) for gate, physical in state.ops]
+        return ops, state.v2p, state.swaps_added
+
+    compiled, python = _both_loops(monkeypatch, run)
     assert compiled == python
 
 

@@ -7,7 +7,6 @@ from repro.circuits import OpList, QuantumCircuit
 from repro.circuits.library import ghz, qft, twolocal_full
 from repro.core import (
     Aggression,
-    MirageSwap,
     accept_mirror,
     aggression_schedule,
     compare_methods,
@@ -20,13 +19,13 @@ from repro.linalg import equal_up_to_global_phase
 from repro.polytopes import get_coverage_set
 from repro.transpiler import Layout, grid_topology, line_topology, ring_topology
 from repro.transpiler.kernel import IntDAG
+from repro.transpiler.metrics import ops_depth
 from repro.transpiler.passes import (
     SabreLayout,
-    SabreSwap,
-    depth_metric,
+    route,
     run_trial,
     select_best,
-    swap_count_metric,
+    trial_refs,
 )
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
@@ -37,12 +36,11 @@ def _lower(circuit):
     return IntDAG.from_ops(circuit.num_qubits, OpList.of(circuit).ops)
 
 
-def _route_and_verify(circuit, coupling, router_cls=SabreSwap, **router_kwargs):
+def _route_and_verify(circuit, coupling, **route_kwargs):
     """Route with a trivial layout and verify unitary equivalence."""
     prepared = prepare_circuit(circuit)
-    router = router_cls(coupling, **router_kwargs)
     layout = Layout.trivial(prepared.num_qubits, coupling.num_qubits)
-    result = router.run(_lower(prepared), layout, seed=5)
+    result = route(_lower(prepared), coupling, layout, 5, **route_kwargs)
 
     routed = result.to_circuit()
     assert routed.num_qubits == coupling.num_qubits
@@ -107,8 +105,9 @@ def test_sabre_rejects_disconnected_stall():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 2)
     with pytest.raises(TranspilerError):
-        SabreSwap(disconnected).run(
-            _lower(prepare_circuit(circuit)), Layout.trivial(4, 4), seed=1
+        route(
+            _lower(prepare_circuit(circuit)), disconnected,
+            Layout.trivial(4, 4), 1,
         )
 
 
@@ -116,7 +115,7 @@ def test_sabre_rejects_wide_gates():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)  # not unrolled on purpose
     with pytest.raises(TranspilerError):
-        SabreSwap(line_topology(3)).run(_lower(circuit), Layout.trivial(3, 3))
+        route(_lower(circuit), line_topology(3), Layout.trivial(3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,6 @@ def test_mirage_routes_correctly_with_mirrors():
     result = _route_and_verify(
         twolocal_full(4),
         line_topology(4),
-        router_cls=MirageSwap,
         coverage=COVERAGE,
         aggression=Aggression.NEUTRAL,
     )
@@ -142,7 +140,6 @@ def test_mirage_aggression_zero_matches_sabre_swap_count():
     mirage0 = _route_and_verify(
         circuit,
         line_topology(4),
-        router_cls=MirageSwap,
         coverage=COVERAGE,
         aggression=Aggression.NEVER,
     )
@@ -170,9 +167,16 @@ def test_mirage_correct_on_random_circuits():
         _route_and_verify(
             circuit,
             line_topology(5),
-            router_cls=MirageSwap,
             coverage=COVERAGE,
             aggression=Aggression.IMPROVE,
+        )
+
+
+def test_route_rejects_invalid_aggression():
+    with pytest.raises(TranspilerError, match="aggression"):
+        route(
+            _lower(prepare_circuit(qft(3))), line_topology(3),
+            Layout.trivial(3, 3), 1, coverage=COVERAGE, aggression=7,
         )
 
 
@@ -224,31 +228,32 @@ def test_schedule_from_spec_variants():
 # ---------------------------------------------------------------------------
 
 
+def _sabre_record(circuit, coupling, selection, refinement_rounds=1):
+    return SabreLayout(
+        intdag=_lower(prepare_circuit(circuit)),
+        coupling=coupling,
+        coverage=COVERAGE,
+        schedule=None,
+        selection=selection,
+        refinement_rounds=refinement_rounds,
+        routing_trials=1,
+    )
+
+
 def test_sabre_layout_picks_best_trial():
-    circuit = prepare_circuit(qft(5))
-    driver = SabreLayout(
-        line_topology(5),
-        layout_trials=3,
-        refinement_rounds=1,
-        selection_metric=swap_count_metric,
-        seed=2,
-    )
-    spec = driver.trial_spec(_lower(circuit))
-    best = select_best(
-        [run_trial(spec, ref) for ref in driver.trial_refs()],
-        driver.metric_name,
-    )
+    spec = _sabre_record(qft(5), line_topology(5), "swaps")
+    outcomes = [run_trial(spec, ref) for ref in trial_refs(2, 3)]
+    best = select_best(outcomes)
     assert best.score == best.routing.swaps_added
-    assert best.score == min(best.trial_scores)
+    assert best.score == min(outcome.score for outcome in outcomes)
     assert best.trial_index in range(3)
 
 
-def test_depth_metric_factory():
-    metric = depth_metric(coverage=COVERAGE)
-    circuit = prepare_circuit(ghz(3))
-    router = SabreSwap(line_topology(3))
-    result = router.run(_lower(circuit), Layout.trivial(3, 3), seed=0)
-    assert metric(result) > 0
+def test_sabre_depth_selection_scores_ops_depth():
+    spec = _sabre_record(ghz(3), line_topology(3), "depth", refinement_rounds=0)
+    outcome = run_trial(spec, trial_refs(0, 1)[0])
+    assert outcome.score == ops_depth(outcome.routing.ops, COVERAGE)
+    assert outcome.score > 0
 
 
 def test_transpile_vf2_short_circuit():

@@ -94,9 +94,11 @@ PUBLIC_API = [
     ("repro.transpiler.kernel.native", "native_cache_dir"),
     ("repro.transpiler.kernel.native", "binary_path"),
     ("repro.transpiler.kernel.native", "compiler_command"),
-    ("repro.core.mirage_pass", "MirrorTable"),
-    ("repro.core.mirage_pass", "mirror_table"),
-    ("repro.core.mirage_pass", "mirror_gate"),
+    ("repro.transpiler.passes.mirror", "MirrorTable"),
+    ("repro.transpiler.passes.mirror", "mirror_table"),
+    ("repro.transpiler.passes.mirror", "mirror_gate"),
+    ("repro.transpiler.passes.mirror", "mirror_rule"),
+    ("repro.transpiler.passes.sabre_swap", "route"),
     ("repro.transpiler.passes.sabre_swap", "RoutingResult"),
     ("repro.transpiler.metrics", "ops_depth"),
     ("repro.transpiler.metrics", "evaluate"),
@@ -105,6 +107,7 @@ PUBLIC_API = [
     ("repro.transpiler.passes.sabre_swap", "RoutingResult.to_circuit"),
     ("repro.circuits.dag", "kahn_order"),
     ("repro.transpiler.passes.sabre_layout", "run_trial"),
+    ("repro.transpiler.passes.sabre_layout", "SabreLayout"),
     ("repro.core.pipeline", "run_plan"),
     ("repro.core.pipeline", "finish_plan"),
     ("repro.core.pipeline", "PlanSpec"),
